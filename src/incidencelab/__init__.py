@@ -42,6 +42,7 @@ from .incidence import (
     check_hypotheses,
     count_incidences,
     count_point_plane,
+    kernel_backend,
     max_collinear_3d,
     reference_bound,
     richness_histograms,

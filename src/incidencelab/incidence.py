@@ -3,167 +3,152 @@ reference upper bounds and hypothesis checks.
 
 Two counting engines are provided.  The naive engine scans every
 (point, line) pair with numpy.  The hash-join engine groups lines by slope
-(or points by column, whichever side is cheaper) and probes candidate keys;
-its hot loops are JIT-compiled with numba when available and fall back to
-vectorized numpy otherwise.  All engines return identical exact integers.
+(or points by column, whichever side is cheaper) and probes candidate keys.
+Its probe loops are the C kernels in ``_kernels.c``: the first hash-join
+count of a process compiles them with ``cc -O3 -march=native`` into
+``$XDG_CACHE_HOME/incidencelab`` (default ``~/.cache/incidencelab``), keyed
+by the source, the flags, the compiler's version and the CPU flags, and
+later processes load the cached library.  A C compiler is optional: without
+one, or with an unwritable cache, the probes run as one numpy pass per key
+group instead, with identical counts but about 20x slower when most slope
+classes are singletons.  :func:`kernel_backend` says which ran, and why.
+All engines return identical exact integers.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import platform
+import shutil
+import tempfile
+import threading
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, sqrt
+from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
 from .plane import Instance
 
-# float64 keeps every intermediate exact as long as p*p < 2**53
-_FLOAT_EXACT_MAX_P = isqrt(2**53)
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
+_CC = "cc"
+_CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 
-_KERNELS = None
+
+class _Backend(NamedTuple):
+    lib: ctypes.CDLL | None  # the compiled kernels; None on the numpy path
+    reason: str  # why the numpy path runs; empty with the compiled kernels
 
 
-def _build_kernels():
-    """Compile the numba probe kernels once; falsy when numba is missing."""
-    global _KERNELS
-    if _KERNELS is not None:
-        return _KERNELS
+_backend: _Backend | None = None  # resolved by the first hash-join count
+_backend_lock = threading.Lock()
+
+
+class _KernelUnavailable(Exception):
+    """The compiled kernels cannot be built or loaded; the message says why."""
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "incidencelab")
+
+
+def _cpu_flags() -> bytes:
+    # -march=native code is only valid on a CPU with the same features
     try:
-        import numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _KERNELS = False
-        return _KERNELS
+        with open("/proc/cpuinfo", "rb") as fh:
+            for line in fh:
+                if line.startswith((b"flags", b"Features")):
+                    return line
+    except OSError:
+        pass
+    return platform.machine().encode()
 
-    @numba.njit(cache=True)
-    def singles_f8(A, B, C, D, pf):
-        # count pairs (i, b) with B[i] - C[b]*A[i] - D[b] == 0 (mod p),
-        # all arrays float64 holding exact integers below 2**52
-        total = 0
-        inv_p = 1.0 / pf
-        nb = (C.size // 8) * 8
-        for b in range(0, nb, 8):
-            Cb = C[b:b + 8]
-            Db = D[b:b + 8]
-            for i in range(A.size):
-                x = A[i]
-                y = B[i]
-                for j in range(8):
-                    u = y - Cb[j] * x - Db[j]
-                    q = np.rint(u * inv_p)
-                    if u == q * pf:
-                        total += 1
-        for b in range(nb, C.size):
-            s = C[b]
-            t = D[b]
-            for i in range(A.size):
-                u = B[i] - s * A[i] - t
-                q = np.rint(u * inv_p)
-                if u == q * pf:
-                    total += 1
-        return total
 
-    @numba.njit(cache=True)
-    def singles_i8(A, B, C, D, p):
-        total = 0
-        inv_p = 1.0 / p
-        nb = (C.size // 8) * 8
-        for b in range(0, nb, 8):
-            Cb = C[b:b + 8]
-            Db = D[b:b + 8]
-            for i in range(A.size):
-                x = A[i]
-                y = B[i]
-                for j in range(8):
-                    u = y - Cb[j] * x - Db[j]
-                    q = np.int64(np.rint(u * inv_p))
-                    if u == q * p:
-                        total += 1
-        for b in range(nb, C.size):
-            s = C[b]
-            t = D[b]
-            for i in range(A.size):
-                u = B[i] - s * A[i] - t
-                q = np.int64(np.rint(u * inv_p))
-                if u == q * p:
-                    total += 1
-        return total
+def _compiled_library() -> str:
+    """Path of the kernel library in the cache, compiling it on a miss."""
+    import subprocess
 
-    @numba.njit(cache=True)
-    def multi_f8(A, B, pf, keys, offs, vals):
-        # count pairs (group g, item i) with (B[i] - keys[g]*A[i]) mod p
-        # contained in the sorted slice vals[offs[g]:offs[g+1]]
-        total = 0
-        inv_p = 1.0 / pf
-        for g in range(keys.size):
-            s = keys[g]
-            lo = offs[g]
-            hi = offs[g + 1]
-            for i in range(A.size):
-                w = B[i] - s * A[i]
-                q = np.rint(w * inv_p)
-                v = w - q * pf
-                if v < 0.0:
-                    v += pf
-                a, b = lo, hi
-                while a < b:
-                    mid = (a + b) // 2
-                    if vals[mid] < v:
-                        a = mid + 1
-                    else:
-                        b = mid
-                if a < hi and vals[a] == v:
-                    total += 1
-        return total
+    cc = shutil.which(_CC)
+    if cc is None:
+        raise _KernelUnavailable(f"{_CC} not on PATH")
+    try:
+        with open(_SOURCE, "rb") as fh:
+            source = fh.read()
+    except OSError as exc:
+        raise _KernelUnavailable(f"kernel source unreadable: {exc}") from exc
+    try:
+        version = subprocess.run([cc, "--version"], capture_output=True, timeout=60).stdout
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _KernelUnavailable(f"{_CC} --version failed: {exc}") from exc
+    # two zlib checksums make a 64-bit key; hashlib would load OpenSSL,
+    # about 3.5 MB of resident memory in every counting process
+    material = b"\0".join([source, " ".join(_CFLAGS).encode(), version, _cpu_flags()])
+    key = f"{zlib.crc32(material):08x}{zlib.adler32(material):08x}"
+    cache = _cache_dir()
+    lib = os.path.join(cache, f"_kernels-{key}.so")
+    if os.path.exists(lib):
+        return lib
+    try:
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=cache)
+        os.close(fd)
+    except OSError as exc:
+        raise _KernelUnavailable(f"cache not writable: {cache}") from exc
+    try:
+        # compile to a private file, then rename: concurrent first runs each
+        # install a complete library and never load a partial one
+        proc = subprocess.run([cc, *_CFLAGS, "-o", tmp, _SOURCE],
+                              capture_output=True, text=True, timeout=300)
+        if proc.returncode:
+            first = next(iter(proc.stderr.strip().splitlines()), f"exit {proc.returncode}")
+            raise _KernelUnavailable(f"{_CC} failed: {first}")
+        os.replace(tmp, lib)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _KernelUnavailable(f"{_CC} failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
 
-    @numba.njit(cache=True)
-    def multi_i8(A, B, p, keys, offs, vals):
-        total = 0
-        inv_p = 1.0 / p
-        for g in range(keys.size):
-            s = keys[g]
-            lo = offs[g]
-            hi = offs[g + 1]
-            for i in range(A.size):
-                w = B[i] - s * A[i]
-                q = np.int64(np.rint(w * inv_p))
-                v = w - q * p
-                if v < 0:
-                    v += p
-                a, b = lo, hi
-                while a < b:
-                    mid = (a + b) // 2
-                    if vals[mid] < v:
-                        a = mid + 1
-                    else:
-                        b = mid
-                if a < hi and vals[a] == v:
-                    total += 1
-        return total
 
-    _KERNELS = {
-        "singles_f8": singles_f8,
-        "singles_i8": singles_i8,
-        "multi_f8": multi_f8,
-        "multi_i8": multi_i8,
-    }
-    return _KERNELS
+def _load_backend() -> _Backend:
+    """Compile or load the C kernels once per process; on any failure fall
+    back to numpy and record the reason."""
+    global _backend
+    if _backend is not None:
+        return _backend
+    with _backend_lock:
+        if _backend is None:
+            try:
+                lib = ctypes.CDLL(_compiled_library())
+                arr = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+                i64 = ctypes.c_int64
+                lib.singles.argtypes = [arr, arr, i64, arr, arr, i64, i64]
+                lib.multi.argtypes = [arr, arr, i64, arr, arr, i64, arr, i64]
+                lib.singles.restype = lib.multi.restype = i64
+                _backend = _Backend(lib, "")
+            except _KernelUnavailable as exc:
+                _backend = _Backend(None, str(exc))
+            except (OSError, AttributeError) as exc:
+                _backend = _Backend(None, f"load failed: {exc}")
+    return _backend
+
+
+def kernel_backend() -> tuple[str, str]:
+    """("c", "") when hash-join counts use the compiled kernels, else
+    ("numpy", reason), for example ("numpy", "cc not on PATH")."""
+    backend = _load_backend()
+    return ("c", "") if backend.lib is not None else ("numpy", backend.reason)
 
 
 def warm_up_kernels() -> bool:
-    """Trigger JIT compilation on tiny inputs; returns True if numba is used."""
-    k = _build_kernels()
-    if not k:
-        return False
-    a = np.zeros(2, dtype=np.float64)
-    ai = np.zeros(2, dtype=np.int64)
-    off = np.array([0, 1], dtype=np.int64)
-    k["singles_f8"](a, a, a, a, 5.0)
-    k["singles_i8"](ai, ai, ai, ai, 5)
-    k["multi_f8"](a, a, 5.0, a[:1], off, a[:1])
-    k["multi_i8"](ai, ai, 5, ai[:1], off, ai[:1])
-    return True
+    """Load or compile the C kernels now; True if hash-join counts use them."""
+    return kernel_backend()[0] == "c"
 
 
 @dataclass
@@ -232,48 +217,24 @@ def _split_probes(keys: np.ndarray, offs: np.ndarray, vals: np.ndarray):
     groups in CSR form for the binary-search kernel."""
     sizes = np.diff(offs)
     flat = sizes <= _FLAT_GROUP_MAX
-    group_of_val = np.repeat(np.arange(keys.size), sizes)
-    val_is_flat = flat[group_of_val] if keys.size else np.zeros(0, dtype=bool)
-    f_keys = np.repeat(keys, sizes)[val_is_flat]
-    f_vals = vals[val_is_flat]
-    big = ~flat
-    if big.any():
-        b_keys = keys[big]
-        starts = offs[:-1][big]
-        ends = offs[1:][big]
-        b_offs = np.zeros(b_keys.size + 1, dtype=np.int64)
-        np.cumsum(ends - starts, out=b_offs[1:])
-        b_vals = np.concatenate([vals[a:b] for a, b in zip(starts, ends)])
-    else:
-        b_keys = np.empty(0, dtype=np.int64)
-        b_offs = np.zeros(1, dtype=np.int64)
-        b_vals = np.empty(0, dtype=np.int64)
-    return f_keys, f_vals, b_keys, b_offs, b_vals
+    val_is_flat = np.repeat(flat, sizes)
+    b_offs = np.zeros(np.count_nonzero(~flat) + 1, dtype=np.int64)
+    np.cumsum(sizes[~flat], out=b_offs[1:])
+    return (np.repeat(keys[flat], sizes[flat]), vals[val_is_flat],
+            keys[~flat], b_offs, vals[~val_is_flat])
 
 
 def _join_count(p, item_a, item_b, keys, offs, vals) -> int:
     """Count pairs (item i, group g) with item_b - key_g*item_a = val (mod p)
-    for some val in group g, using numba kernels when available."""
-    f_keys, f_vals, b_keys, b_offs, b_vals = _split_probes(keys, offs, vals)
-    kernels = _build_kernels()
-    total = 0
-    if kernels:
-        if p <= _FLOAT_EXACT_MAX_P:
-            af = item_a.astype(np.float64)
-            bf = item_b.astype(np.float64)
-            if f_keys.size:
-                total += int(kernels["singles_f8"](af, bf, f_keys.astype(np.float64),
-                                                   f_vals.astype(np.float64), float(p)))
-            if b_keys.size:
-                total += int(kernels["multi_f8"](af, bf, float(p), b_keys.astype(np.float64),
-                                                 b_offs, b_vals.astype(np.float64)))
-        else:
-            if f_keys.size:
-                total += int(kernels["singles_i8"](item_a, item_b, f_keys, f_vals, p))
-            if b_keys.size:
-                total += int(kernels["multi_i8"](item_a, item_b, p, b_keys, b_offs, b_vals))
-        return total
+    for some val in group g, with the C kernels when they are available."""
+    lib = _load_backend().lib
+    if lib is not None:
+        f_keys, f_vals, b_keys, b_offs, b_vals = _split_probes(keys, offs, vals)
+        n = item_a.size
+        return (lib.singles(item_a, item_b, n, f_keys, f_vals, f_keys.size, p)
+                + lib.multi(item_a, item_b, n, b_keys, b_offs, b_keys.size, b_vals, p))
     # numpy fallback: one vectorized pass per group
+    total = 0
     for g in range(keys.size):
         v = (item_b - int(keys[g]) * item_a) % p
         grp = vals[offs[g]:offs[g + 1]]
@@ -286,9 +247,8 @@ def _join_count(p, item_a, item_b, keys, offs, vals) -> int:
     return total
 
 
-def _count_naive(inst: Instance) -> int:
-    p = inst.p
-    sides = _sides(inst)
+def _count_naive(sides: _Sides) -> int:
+    p = sides.p
     total = _vertical_hits(sides)
     px, py = sides.px, sides.py
     for s, t in zip(sides.ls, sides.lt):
@@ -296,15 +256,17 @@ def _count_naive(inst: Instance) -> int:
     return total
 
 
-def _count_hash_join(inst: Instance, side: str | None = None) -> int:
-    sides = _sides(inst)
-    m, n = inst.m, inst.n
-    cost_slope = m * (sides.slope_s.size + 1)
-    cost_col = n * (sides.col_x.size + 1)
-    if side is None:
-        side = "slope" if cost_slope <= cost_col else "column"
+def _costs(sides: _Sides) -> tuple[int, int]:
+    """Pairs probed from the slope side and from the column side."""
+    m = sides.px.size
+    n = sides.ls.size + sides.vert_x.size
+    return m * (sides.slope_s.size + 1), n * (sides.col_x.size + 1)
+
+
+def _count_hash_join(sides: _Sides) -> int:
+    cost_slope, cost_col = _costs(sides)
     total = _vertical_hits(sides)
-    if side == "slope":
+    if cost_slope <= cost_col:
         # probe each point against each distinct slope's intercept set
         total += _join_count(sides.p, sides.px, sides.py, sides.slope_s, sides.slope_off, sides.lt)
     else:
@@ -322,19 +284,14 @@ def count_incidences(inst: Instance, engine: str = "auto") -> int:
     cheaper side, "auto" picks the engine with the smaller cost model
     min(m*n, m*(slope classes + 1), n*(x-support + 1)).
     """
-    if engine == "naive":
-        return _count_naive(inst)
-    if engine == "hash_join":
-        return _count_hash_join(inst)
+    if engine not in ("naive", "hash_join", "auto"):
+        raise ValueError(f"unknown engine {engine!r}")
+    sides = _sides(inst)
     if engine == "auto":
-        sides = _sides(inst)
-        cost_naive = inst.m * inst.n
-        cost_slope = inst.m * (sides.slope_s.size + 1)
-        cost_col = inst.n * (sides.col_x.size + 1)
-        if cost_naive <= min(cost_slope, cost_col):
-            return _count_naive(inst)
-        return _count_hash_join(inst)
-    raise ValueError(f"unknown engine {engine!r}")
+        engine = "naive" if inst.m * inst.n <= min(_costs(sides)) else "hash_join"
+    if engine == "naive":
+        return _count_naive(sides)
+    return _count_hash_join(sides)
 
 
 @dataclass

@@ -26,6 +26,7 @@ from incidencelab.incidence import (
     check_hypotheses,
     count_incidences,
     count_point_plane,
+    kernel_backend,
     within_combinatorial_bound,
 )
 from incidencelab.plane import (
@@ -285,7 +286,10 @@ def test_acceptance_9_performance_floor():
     sub = Instance(inst.modulus, inst.points[:1000], inst.lines[:1000])
     sub_naive = count_incidences(sub, "naive")
     sub_hash = count_incidences(sub, "hash_join")
+    backend, reason = kernel_backend()
+    if reason:
+        backend += f" ({reason})"
     _report(9, "hash_join counts m = n = 10^5 over p ~ 2^20 within 5 s",
             elapsed <= 5.0 and sub_naive == sub_hash,
             f"count={count}, {elapsed:.2f}s, build {build:.2f}s, "
-            f"subsample naive={sub_naive} hash={sub_hash}")
+            f"subsample naive={sub_naive} hash={sub_hash}, backend {backend}")

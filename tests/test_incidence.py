@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_instances
@@ -256,22 +257,110 @@ def test_ll_constant_changes_verdict():
 
 
 def test_hash_join_numpy_fallback_agrees(monkeypatch):
-    # force the pure-numpy probe path (used when numba is unavailable)
+    # force the per-group numpy probe path (used when no C compiler works)
     import incidencelab.incidence as inc
-    monkeypatch.setattr(inc, "_KERNELS", False)
+    monkeypatch.setattr(inc, "_backend", inc._Backend(None, "forced"))
     for inst in random_instances(25, seed=66, max_m=80, max_n=80):
         assert count_incidences(inst, "hash_join") == count_incidences(inst, "naive")
     inst = elekes_construction(3, 2, 31)
     assert count_incidences(inst, "hash_join") == 36
+    assert inc.kernel_backend() == ("numpy", "forced")
 
 
-def test_int64_kernel_path_for_large_p(monkeypatch):
-    # p above the float64-exact threshold exercises the integer kernels
+def test_int64_kernel_path_for_large_p():
+    # p near 2^31: products s*x approach 2^62, far beyond float64's exact range
     p = 2147483629
     inst = random_instance(p, 400, 400, seed=12)
     assert count_incidences(inst, "hash_join") == count_incidences(inst, "naive")
+
+
+def probe_side_instances(p, seed):
+    """Two instances with many incidences: lines in 3 slope classes and
+    points on 3 columns, each class or column holding min(32, p) or
+    min(33, p) values, so the cost model probes from the slope side in the
+    first and from the column side in the second.  With p > 33 the classes of
+    32 values go to the flat kernel and those of 33 to the binary search."""
+    stream = SeededStream(seed)
+    mod = make_modulus(p)
+    spread = [AffinePoint(stream.below(p), stream.below(p), p) for _ in range(200)]
+    spread += [AffinePoint(0, 0, p), AffinePoint(p - 1, p - 1, p), AffinePoint(0, p - 1, p)]
+    lines = [AffineLine(None, stream.below(p), p)]
+    for k, size in enumerate((32, 33, 33)):
+        s = (p - 1 - k) % p
+        # lines through the first points of the spread, topped up at random
+        ts = {(q.y - s * q.x) % p for q in spread[:size // 2]}
+        while len(ts) < min(size, p):
+            ts.add(stream.below(p))
+        lines += [AffineLine(s, t, p) for t in ts]
+    by_slope = Instance(mod, spread, lines)
+
+    columns = (0, p - 1, stream.below(p))
+    points = []
+    for x, size in zip(columns, (32, 33, 33)):
+        ys = {stream.below(p) for _ in range(size)} | {0, p - 1}
+        points += [AffinePoint(x, y, p) for y in sorted(ys)[:min(size, p)]]
+    rays = [AffineLine(stream.below(p), stream.below(p), p) for _ in range(min(150, p))]
+    # lines through column points, with distinct slopes
+    rays += [AffineLine(s, (q.y - s * q.x) % p, p) for s, q in enumerate(points[:p])]
+    rays.append(AffineLine(None, columns[1], p))
+    by_column = Instance(mod, points, rays)
+    return by_slope, by_column
+
+
+@pytest.mark.parametrize("p", [3, 1048573, 2147483647])
+def test_compiled_kernel_matches_naive_on_both_probe_sides(p):
     import incidencelab.incidence as inc
-    assert p > inc._FLOAT_EXACT_MAX_P
+    if not inc.warm_up_kernels():
+        pytest.skip(f"compiled kernel unavailable: {inc.kernel_backend()[1]}")
+    for seed in range(4):
+        by_slope, by_column = probe_side_instances(p, seed)
+        for inst, slope_side in ((by_slope, True), (by_column, False)):
+            sides = inc._sides(inst)
+            cost_slope, cost_col = inc._costs(sides)
+            assert (cost_slope <= cost_col) is slope_side
+            if p > 33:
+                offs = sides.slope_off if slope_side else sides.col_off
+                assert sorted(set(np.diff(offs))) == [32, 33]
+            expected = count_incidences(inst, "naive")
+            assert expected > 0
+            assert count_incidences(inst, "hash_join") == expected
+
+
+def test_no_compiler_falls_back_with_reason(monkeypatch):
+    import shutil
+
+    import incidencelab.incidence as inc
+    instances = [inst for p in (31, 1048573) for inst in probe_side_instances(p, 7)]
+    expected = [count_incidences(inst, "naive") for inst in instances]
+    monkeypatch.setattr(inc, "_backend", None)
+    monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
+    assert [count_incidences(inst, "hash_join") for inst in instances] == expected
+    assert inc.kernel_backend() == ("numpy", "cc not on PATH")
+    assert not inc.warm_up_kernels()
+
+
+def test_compile_failures_are_stated(monkeypatch, tmp_path):
+    import incidencelab.incidence as inc
+    if not inc.warm_up_kernels():
+        pytest.skip(f"compiled kernel unavailable: {inc.kernel_backend()[1]}")
+    inst = elekes_construction(3, 2, 31)
+    # a cache path below a regular file cannot be created
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(inc, "_backend", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "cache"))
+    assert count_incidences(inst, "hash_join") == 36
+    backend, reason = inc.kernel_backend()
+    assert backend == "numpy"
+    assert reason == f"cache not writable: {tmp_path / 'file' / 'cache' / 'incidencelab'}"
+    # an option the compiler rejects
+    monkeypatch.setattr(inc, "_backend", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(inc, "_CFLAGS", inc._CFLAGS + ("-fno-such-option",))
+    assert count_incidences(inst, "hash_join") == 36
+    backend, reason = inc.kernel_backend()
+    assert backend == "numpy" and reason.startswith("cc failed: ")
+    assert "no-such-option" in reason
+    assert not list((tmp_path / "incidencelab").iterdir())
 
 
 def test_engine_partition_independence():
