@@ -18,10 +18,9 @@ from .constructions import elekes_construction, full_plane, random_instance
 from .cover import grid_cover, normalize_grid, two_pencil_extract, verify_certificate
 from .distances import determined_lines, distance_sets, isosceles_triples, isotropic_lines
 from .energy import cs_bridge_check, energy_reduction, line_energy, sumproduct_report
-from .errors import Error, ParseError
-from .field import make_modulus
-from .incidence import count_incidences, count_point_plane
-from .plane import AffineLine, AffinePoint
+from .errors import Error
+from .harness import line_to_json, point_to_json
+from .incidence import ENGINES, count_incidences, count_point_plane
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,38 +56,6 @@ def _json_out(obj, output) -> None:
     _emit(json.dumps(obj, sort_keys=True), output)
 
 
-def _point_obj(q: AffinePoint):
-    return [q.x, q.y]
-
-
-def _line_obj(line: AffineLine):
-    if line.slope is None:
-        return {"kind": "v", "x": line.intercept}
-    return {"kind": "sl", "s": line.slope, "t": line.intercept}
-
-
-def _read_energy_input(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    for key in ("p", "A", "lines"):
-        if key not in data:
-            raise ParseError(f"energy input is missing field {key!r}")
-    p = data["p"]
-    make_modulus(p)
-    lines = []
-    for i, entry in enumerate(data["lines"]):
-        if not isinstance(entry, dict) or entry.get("kind") not in ("sl", "v"):
-            raise ParseError(f"lines[{i}] needs kind 'sl' or 'v'")
-        if entry["kind"] == "sl":
-            lines.append(AffineLine(entry["s"], entry["t"], p))
-        else:
-            lines.append(AffineLine(None, entry["x"], p))
-    return p, list(data["A"]), lines, data.get("B")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="incidencelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,7 +68,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("count", help="count point-line incidences of an instance file")
     common(sp)
-    sp.add_argument("--engine", choices=("auto", "naive", "hash_join"), default="auto")
+    sp.add_argument("--engine", choices=ENGINES, default="auto")
 
     sp = sub.add_parser("count3d", help="count point-plane incidences of a 3D instance file")
     common(sp)
@@ -118,8 +85,6 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("extract", help="run one two-pencil grid extraction")
     common(sp)
-    sp.add_argument("--c1", type=_fraction, default=Fraction(1, 2))
-    sp.add_argument("--c2", type=_fraction, default=Fraction(2))
 
     sp = sub.add_parser("cover", help="run the grid covering loop and verify its certificate")
     common(sp)
@@ -179,8 +144,8 @@ def _cmd_count3d(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.family == "elekes":
-        if args.a is None or args.c is None:
-            raise SystemExit(_usage_error("construct elekes needs --a and --c"))
+        if args.a is None or args.c is None or args.a < 1 or args.c < 1:
+            raise SystemExit(_usage_error("construct elekes needs --a and --c, both at least 1"))
         inst = elekes_construction(args.a, args.c, args.p)
     elif args.family == "full_plane":
         inst = full_plane(args.p)
@@ -202,11 +167,11 @@ def _usage_error(message: str) -> int:
 
 def _grid_obj(grid):
     return {
-        "apex1": _point_obj(grid.apex1),
-        "apex2": _point_obj(grid.apex2),
-        "points": [_point_obj(q) for q in grid.points],
-        "pencil1": [_line_obj(l) for l in grid.pencil1],
-        "pencil2": [_line_obj(l) for l in grid.pencil2],
+        "apex1": point_to_json(grid.apex1),
+        "apex2": point_to_json(grid.apex2),
+        "points": [point_to_json(q) for q in grid.points],
+        "pencil1": [line_to_json(l) for l in grid.pencil1],
+        "pencil2": [line_to_json(l) for l in grid.pencil2],
         "candidates": len(grid.candidates),
         "rich_lines": len(grid.rich_lines),
         "rich_lines2": len(grid.rich_lines2),
@@ -216,12 +181,14 @@ def _grid_obj(grid):
 
 def _cmd_extract(args) -> int:
     inst = harness.read_instance(args.input)
-    grid = two_pencil_extract(inst.points, inst.lines, args.c1, args.c2)
+    grid = two_pencil_extract(inst.points, inst.lines)
     _json_out(_grid_obj(grid), args.output)
     return 0
 
 
 def _cmd_cover(args) -> int:
+    if not 0 < args.c1 < args.c2:
+        raise SystemExit(_usage_error("cover needs 0 < --c1 < --c2"))
     inst = harness.read_instance(args.input)
     cert = grid_cover(inst, args.c1, args.c2, args.stop)
     report = verify_certificate(inst, cert)
@@ -233,7 +200,7 @@ def _cmd_cover(args) -> int:
         "steps": [dict(_grid_obj(st.grid), input_size=st.input_size,
                        preconditions={name: ok for name, ok in st.preconditions})
                   for st in cert.steps],
-        "leftover": [_point_obj(q) for q in cert.leftover],
+        "leftover": [point_to_json(q) for q in cert.leftover],
         "verification": {"passed": report.passed,
                          "violations": [{"code": v.code, "message": v.message}
                                         for v in report.violations]},
@@ -244,14 +211,14 @@ def _cmd_cover(args) -> int:
             norm = normalize_grid(st.grid, inst.lines)
             obj["normalized"].append({
                 "xs": list(norm.xs), "ys": list(norm.ys),
-                "points": [_point_obj(q) for q in norm.points],
+                "points": [point_to_json(q) for q in norm.points],
             })
     _json_out(obj, args.output)
     return 0
 
 
 def _cmd_energy(args) -> int:
-    p, A, lines, B = _read_energy_input(args.input)
+    p, A, lines, B = harness.read_energy_input(args.input)
     e = line_energy(A, lines, p)
     red = energy_reduction(A, lines, p)
     obj = {
@@ -289,7 +256,7 @@ def _cmd_distances(args) -> int:
     _json_out({
         "p": inst.p, "m": inst.m,
         "distance_set": sorted(rep.distances),
-        "pin": _point_obj(rep.pin), "max_pinned": rep.max_pinned,
+        "pin": point_to_json(rep.pin), "max_pinned": rep.max_pinned,
         "degenerate": rep.degenerate,
         "isosceles_triples": isosceles_triples(inst.points),
         "has_isotropic_lines": iso is not None,
@@ -311,13 +278,7 @@ def _cmd_beck(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{args.config}: {exc.msg} at line {exc.lineno}") from exc
-    config = harness.SweepConfig.from_dict(data)
-    records = harness.run_sweep(config)
+    records = harness.run_sweep(harness.read_sweep_config(args.config))
     text = harness.records_to_csv(records) if args.format == "csv" else harness.records_to_json(records)
     _emit(text, args.output)
     return 0
@@ -360,7 +321,7 @@ def cli(argv=None) -> int:
     except Error as exc:
         print(f"incidencelab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"incidencelab: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -107,7 +107,7 @@ def _degrees(points, lines):
     return degs, richness
 
 
-def two_pencil_extract(points, lines, c1, c2, mean_richness: Fraction | None = None) -> PencilGrid:
+def two_pencil_extract(points, lines, mean_richness: Fraction | None = None) -> PencilGrid:
     """Run the two-pencil extraction literally, step by step.
 
     From the input points P and lines L: keep the lines carrying at least
@@ -126,8 +126,6 @@ def two_pencil_extract(points, lines, c1, c2, mean_richness: Fraction | None = N
     m, n = len(pts), len(lns)
     if m == 0 or n == 0:
         raise NoIncidencesError("need points and lines")
-    c1 = Fraction(c1)
-    c2 = Fraction(c2)
 
     degs, richness = _degrees(pts, lns)
     total = sum(richness.values())
@@ -239,7 +237,7 @@ def grid_cover(inst: Instance, c1, c2, stop_fraction) -> GridCertificate:
     while len(working) > stop_fraction * m:
         pre = extraction_preconditions(K, len(working), n, c1)
         try:
-            grid = two_pencil_extract(working, inst.lines, c1, c2, mean_richness=K)
+            grid = two_pencil_extract(working, inst.lines, mean_richness=K)
         except (EmptyGridError, NoIncidencesError):
             break
         steps.append(CoverStep(grid, len(working), pre,

@@ -8,7 +8,14 @@ with all coordinates canonical residues in [0, p).
 
 3D instance JSON schema (for point-plane counting):
     {"p": <int>, "points": [[x, y, z], ...], "planes": [[a, b, c, d], ...]}
-with planes read as a*x + b*y + c*z = d.
+with planes read as a*x + b*y + c*z = d and coordinates reduced mod p.
+
+Energy input JSON schema:
+    {"p": <int>, "A": [<int>, ...], "lines": [<line as above>, ...], "B": [<int>, ...]}
+with A and lines nonempty and B optional.
+
+Every reader below raises ParseError (ConfigError for a sweep config) on a
+malformed file, so the CLI exits 2 with one line.
 
 Sweep CSV schema (fixed header, absent fields empty):
     family,p,m,n,a,b,I,E,k,hyp_1_2,hyp_1_3,hyp_1_4,bound_table1,bound_comb,bound_vinh,ratio_main
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterable
@@ -39,8 +46,9 @@ from .errors import (
     OutOfRangeError,
     ParseError,
 )
-from .field import make_modulus
+from .field import PrimeModulus, make_modulus
 from .incidence import (
+    ENGINES,
     PlaneInstance3D,
     check_hypotheses,
     count_incidences,
@@ -70,65 +78,103 @@ def _require(cond, message):
         raise ParseError(message)
 
 
-def instance_to_dict(inst: Instance) -> dict:
-    lines = []
-    for line in inst.lines:
-        if line.slope is None:
-            lines.append({"kind": "v", "x": line.intercept})
-        else:
-            lines.append({"kind": "sl", "s": line.slope, "t": line.intercept})
-    return {"p": inst.p, "points": [[q.x, q.y] for q in inst.points], "lines": lines}
+# ---------------------------------------------------------------------------
+# Input files (error messages are formatted only on failure: an instance
+# file may hold 10^5 entries)
+# ---------------------------------------------------------------------------
 
-
-def instance_from_dict(data: dict) -> Instance:
-    _require(isinstance(data, dict), "instance file must hold a JSON object")
-    for key in ("p", "points", "lines"):
-        _require(key in data, f"missing field {key!r}")
-    p = data["p"]
-    _require(isinstance(p, int), "field 'p' must be an integer")
+def _read_text(path) -> str:
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        modulus = make_modulus(p)
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start].decode("utf-8")
+        line, column = head.count("\n") + 1, len(head) - head.rfind("\n")
+        raise ParseError(f"{path}: line {line}, column {column}: not UTF-8 ({exc.reason})") from exc
+
+
+def _load_json(path, text: str | None = None):
+    """The JSON document in a file (or in its already read text)."""
+    try:
+        return json.loads(_read_text(path) if text is None else text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer over 4300 digits, or deep nesting
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _modulus(data, *lists: str) -> PrimeModulus:
+    """The modulus of a document that must be an object with field 'p' and
+    the given list fields."""
+    _require(isinstance(data, dict), "the file must hold a JSON object")
+    for key in ("p",) + lists:
+        _require(key in data, f"missing field {key!r}")
+    for key in lists:
+        _require(isinstance(data[key], list), f"field {key!r} must be a list")
+    try:
+        return make_modulus(data["p"])
     except (CompositeModulusError, OutOfRangeError) as exc:
         raise ParseError(f"field 'p': {exc}") from exc
-    points = []
-    for i, entry in enumerate(data["points"]):
-        _require(isinstance(entry, list) and len(entry) == 2, f"points[{i}] must be a pair [x, y]")
+
+
+def _ints(value, size: int | None, name: str, index: int | None = None) -> tuple[int, ...]:
+    """value as a tuple of integers, of length size unless size is None."""
+    if isinstance(value, list) and size in (None, len(value)) and all(isinstance(v, int) for v in value):
+        return tuple(value)
+    where = name if index is None else f"{name}[{index}]"
+    raise ParseError(f"{where} must be a list of {'' if size is None else f'{size} '}integers")
+
+
+def point_to_json(q: AffinePoint) -> list[int]:
+    return [q.x, q.y]
+
+
+def line_to_json(line: AffineLine) -> dict:
+    if line.slope is None:
+        return {"kind": "v", "x": line.intercept}
+    return {"kind": "sl", "s": line.slope, "t": line.intercept}
+
+
+def _point(entry, p: int, i: int) -> AffinePoint:
+    if isinstance(entry, list) and len(entry) == 2:
         x, y = entry
-        _require(isinstance(x, int) and isinstance(y, int), f"points[{i}] must hold integers")
-        _require(0 <= x < p and 0 <= y < p, f"points[{i}] must hold canonical residues in [0, {p})")
-        points.append(AffinePoint(x, y, p))
-    lines = []
-    for i, entry in enumerate(data["lines"]):
-        _require(isinstance(entry, dict) and "kind" in entry, f"lines[{i}] needs a 'kind' field")
-        kind = entry["kind"]
-        if kind == "sl":
-            _require("s" in entry and "t" in entry, f"lines[{i}] of kind 'sl' needs fields 's' and 't'")
-            s, t = entry["s"], entry["t"]
-            _require(isinstance(s, int) and isinstance(t, int), f"lines[{i}] must hold integers")
-            _require(0 <= s < p and 0 <= t < p, f"lines[{i}] must hold canonical residues in [0, {p})")
-            lines.append(AffineLine(s, t, p))
-        elif kind == "v":
-            _require("x" in entry, f"lines[{i}] of kind 'v' needs field 'x'")
-            x = entry["x"]
-            _require(isinstance(x, int) and 0 <= x < p, f"lines[{i}] must hold a canonical residue in [0, {p})")
-            lines.append(AffineLine(None, x, p))
-        else:
-            raise ParseError(f"lines[{i}] has unknown kind {kind!r}")
-    dup_points = len(points) - len(set(points))
-    dup_lines = len(lines) - len(set(lines))
-    if dup_points or dup_lines:
-        warnings.warn(DuplicateEntryWarning(dup_points, dup_lines), stacklevel=2)
-    return Instance(modulus, points, lines)
+        if isinstance(x, int) and isinstance(y, int) and 0 <= x < p and 0 <= y < p:
+            return AffinePoint(x, y, p)
+    raise ParseError(f"points[{i}] must be a pair [x, y] of integers in [0, {p})")
+
+
+def _line(entry, p: int, i: int) -> AffineLine:
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if kind == "sl":
+        s, t = entry.get("s"), entry.get("t")
+        if isinstance(s, int) and isinstance(t, int) and 0 <= s < p and 0 <= t < p:
+            return AffineLine(s, t, p)
+        raise ParseError(f"lines[{i}] of kind 'sl' needs integer fields 's' and 't' in [0, {p})")
+    if kind == "v":
+        x = entry.get("x")
+        if isinstance(x, int) and 0 <= x < p:
+            return AffineLine(None, x, p)
+        raise ParseError(f"lines[{i}] of kind 'v' needs an integer field 'x' in [0, {p})")
+    raise ParseError(f"lines[{i}] needs a 'kind' field, 'sl' or 'v'")
+
+
+def instance_to_dict(inst: Instance) -> dict:
+    return {"p": inst.p, "points": [point_to_json(q) for q in inst.points],
+            "lines": [line_to_json(line) for line in inst.lines]}
 
 
 def read_instance(path) -> Instance:
     """Read an instance file, deduplicating with a warning on duplicates."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return instance_from_dict(data)
+    data = _load_json(path)
+    modulus = _modulus(data, "points", "lines")
+    p = modulus.p
+    points = [_point(entry, p, i) for i, entry in enumerate(data["points"])]
+    lines = [_line(entry, p, i) for i, entry in enumerate(data["lines"])]
+    inst = Instance(modulus, points, lines)
+    if inst.m < len(points) or inst.n < len(lines):
+        warnings.warn(DuplicateEntryWarning(len(points) - inst.m, len(lines) - inst.n), stacklevel=2)
+    return inst
 
 
 def write_instance(inst: Instance, path) -> None:
@@ -139,31 +185,26 @@ def write_instance(inst: Instance, path) -> None:
 
 
 def read_instance3d(path) -> PlaneInstance3D:
+    data = _load_json(path)
+    p = _modulus(data, "points", "planes").p
+    _require(data["points"], "field 'points' must be nonempty")
+    points = [_ints(entry, 3, "points", i) for i, entry in enumerate(data["points"])]
+    planes = [_ints(entry, 4, "planes", i) for i, entry in enumerate(data["planes"])]
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    for key in ("p", "points", "planes"):
-        _require(key in data, f"missing field {key!r}")
-    p = data["p"]
-    _require(isinstance(p, int), "field 'p' must be an integer")
-    try:
-        make_modulus(p)
-    except (CompositeModulusError, OutOfRangeError) as exc:
-        raise ParseError(f"field 'p': {exc}") from exc
-    pts = []
-    for i, entry in enumerate(data["points"]):
-        _require(isinstance(entry, list) and len(entry) == 3, f"points[{i}] must be a triple")
-        pts.append(tuple(entry))
-    pls = []
-    for i, entry in enumerate(data["planes"]):
-        _require(isinstance(entry, list) and len(entry) == 4, f"planes[{i}] must be a 4-tuple")
-        pls.append(tuple(entry))
-    try:
-        return PlaneInstance3D.build(p, pts, pls)
+        return PlaneInstance3D.build(p, points, planes)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def read_energy_input(path) -> tuple[int, tuple[int, ...], list[AffineLine], tuple[int, ...] | None]:
+    """Read an energy input file: (p, A, lines, B), with B None when absent."""
+    data = _load_json(path)
+    p = _modulus(data, "A", "lines").p
+    A = _ints(data["A"], None, "A")
+    _require(A and data["lines"], "fields 'A' and 'lines' must be nonempty")
+    lines = [_line(entry, p, i) for i, entry in enumerate(data["lines"])]
+    B = data.get("B")
+    return p, A, lines, None if B is None else _ints(B, None, "B")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +264,10 @@ class SweepRecord:
         return out
 
 
+# the integer parameters of each family; all but p must be at least 1
+_FAMILY_INTS = {"elekes": ("p", "a", "c"), "full_plane": ("p",), "random": ("p", "sizes", "m", "n")}
+
+
 @dataclass
 class SweepConfig:
     """A list of family cells plus shared sweep settings.
@@ -230,7 +275,10 @@ class SweepConfig:
     families is a list of dicts; each needs a "family" key ("elekes",
     "full_plane" or "random") and per-family parameter lists that are
     expanded as a grid in order.  The random family takes either "m" and "n"
-    lists (crossed) or a "sizes" list meaning m = n = size.
+    lists (crossed) or a "sizes" list meaning m = n = size.  Every parameter
+    is an integer, at least 1 except p; a p that is not prime gives an error
+    row.  seed is an integer, ll_constant a positive number and engine one
+    of ENGINES.
     """
 
     families: list
@@ -239,17 +287,33 @@ class SweepConfig:
     engine: str = "auto"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SweepConfig":
-        if not isinstance(data, dict) or "families" not in data:
-            raise ConfigError("config must be an object with a 'families' list")
-        fams = data["families"]
+    def from_dict(cls, data) -> "SweepConfig":
+        fams = data.get("families") if isinstance(data, dict) else None
         if not isinstance(fams, list) or not fams:
-            raise ConfigError("'families' must be a nonempty list")
-        known = {"elekes", "full_plane", "random"}
+            raise ConfigError("config must be an object with a nonempty 'families' list")
         for f in fams:
-            if not isinstance(f, dict) or f.get("family") not in known:
-                raise ConfigError(f"each family entry needs 'family' in {sorted(known)}")
-        return cls(fams, data.get("seed", 0), data.get("ll_constant", 1.0), data.get("engine", "auto"))
+            fam = f.get("family") if isinstance(f, dict) else None
+            if not isinstance(fam, str) or fam not in _FAMILY_INTS:
+                raise ConfigError(f"each family entry needs 'family' in {sorted(_FAMILY_INTS)}")
+            for key in _FAMILY_INTS[fam]:
+                for v in _as_list(f.get(key, [])):
+                    if not isinstance(v, int) or (key != "p" and v < 1):
+                        least = "" if key == "p" else " >= 1"
+                        raise ConfigError(f"{fam} parameter {key!r} must hold integers{least}, got {v!r}")
+        seed = data.get("seed", 0)
+        if not isinstance(seed, int):
+            raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+        c = data.get("ll_constant", 1.0)
+        if not isinstance(c, (int, float)) or not 0 < c <= sys.float_info.max:
+            raise ConfigError(f"'ll_constant' must be a positive finite number, got {c!r}")
+        engine = data.get("engine", "auto")
+        if engine not in ENGINES:
+            raise ConfigError(f"'engine' must be one of {list(ENGINES)}, got {engine!r}")
+        return cls(fams, seed, c, engine)
+
+
+def read_sweep_config(path) -> SweepConfig:
+    return SweepConfig.from_dict(_load_json(path))
 
 
 def _as_list(v):
@@ -322,20 +386,13 @@ def _run_cell(cell: dict, index: int, config: SweepConfig) -> SweepRecord:
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Run every cell of the sweep; deterministic for a fixed config.
+    """Run every cell of the sweep in config order; deterministic for a
+    fixed config.
 
     Per-cell failures are recorded in the cell's record and never abort the
-    sweep.  Cells may run on a thread pool if the INCIDENCELAB_THREADS
-    environment variable asks for more than one worker; output order is
-    config order either way.
+    sweep.
     """
-    cells = expand_cells(config)
-    threads = int(os.environ.get("INCIDENCELAB_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda ic: _run_cell(ic[1], ic[0], config), enumerate(cells)))
-    return [_run_cell(cell, i, config) for i, cell in enumerate(cells)]
+    return [_run_cell(cell, i, config) for i, cell in enumerate(expand_cells(config))]
 
 
 def records_to_csv(records: Iterable[SweepRecord]) -> str:
@@ -382,9 +439,9 @@ def fit_exponent(records, x_field: str, y_field: str) -> FitResult:
         yv = _field_value(rec, y_field)
         if xv is None or yv is None:
             continue
-        if xv <= 0 or yv <= 0:
+        if not (isinstance(xv, (int, float)) and isinstance(yv, (int, float)) and xv > 0 and yv > 0):
             raise NonPositiveValueError(
-                f"log-log fit needs positive values, got {x_field}={xv}, {y_field}={yv}")
+                f"log-log fit needs positive numbers, got {x_field}={xv!r}, {y_field}={yv!r}")
         xs.append(math.log(xv))
         ys.append(math.log(yv))
     if len(xs) < 2:
@@ -451,10 +508,11 @@ def fit_scatter_svg(records, x_field: str, y_field: str, fit: FitResult) -> str:
 
 def read_records(path) -> list[dict]:
     """Read sweep records back from a CSV or JSON file."""
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     if text.lstrip().startswith("["):
-        return json.loads(text)
+        records = _load_json(path, text)
+        _require(all(isinstance(rec, dict) for rec in records), f"{path}: every record must be a JSON object")
+        return records
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"{path}: expected the sweep CSV header")

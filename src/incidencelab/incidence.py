@@ -277,6 +277,9 @@ def _count_hash_join(sides: _Sides) -> int:
     return total
 
 
+ENGINES = ("auto", "naive", "hash_join")
+
+
 def count_incidences(inst: Instance, engine: str = "auto") -> int:
     """Exact number of incident (point, line) pairs.
 
@@ -284,7 +287,7 @@ def count_incidences(inst: Instance, engine: str = "auto") -> int:
     cheaper side, "auto" picks the engine with the smaller cost model
     min(m*n, m*(slope classes + 1), n*(x-support + 1)).
     """
-    if engine not in ("naive", "hash_join", "auto"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     sides = _sides(inst)
     if engine == "auto":

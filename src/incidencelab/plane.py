@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     CoincidentPointsError,
@@ -242,13 +242,6 @@ def y_infinity(p: int) -> ProjPoint:
     return ProjPoint(0, 1, 0, p)
 
 
-def _mat_mul(A, B, p):
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(3)) % p for j in range(3))
-        for i in range(3)
-    )
-
-
 def _mat_vec(A, v, p):
     return tuple(sum(A[i][k] * v[k] for k in range(3)) % p for i in range(3))
 
@@ -294,9 +287,6 @@ class ProjMap:
         # the adjugate is a scalar multiple of the inverse, which is the same
         # projective transformation
         return ProjMap(_adjugate(self.rows, self.p), self.p)
-
-    def compose(self, other: "ProjMap") -> "ProjMap":
-        return ProjMap(_mat_mul(self.rows, other.rows, self.p), self.p)
 
     def apply_proj(self, q: ProjPoint) -> ProjPoint:
         v = _mat_vec(self.rows, (q.a, q.b, q.c), self.p)
@@ -394,17 +384,3 @@ def apply_map(M: ProjMap, inst: Instance) -> Instance:
 
 def translation_map(dx: int, dy: int, p: int) -> ProjMap:
     return ProjMap(((1, 0, dx), (0, 1, dy), (0, 0, 1)), p)
-
-
-def all_points(p: int) -> Iterator[AffinePoint]:
-    for x in range(p):
-        for y in range(p):
-            yield AffinePoint(x, y, p)
-
-
-def all_lines(p: int) -> Iterator[AffineLine]:
-    for s in range(p):
-        for t in range(p):
-            yield AffineLine(s, t, p)
-    for x0 in range(p):
-        yield AffineLine(None, x0, p)

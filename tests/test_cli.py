@@ -67,7 +67,7 @@ def test_construct_usage_error(capsys):
 def test_extract_and_cover(tmp_path, capsys):
     path = tmp_path / "inst.json"
     run(capsys, "construct", "full_plane", "--p", "5", "--output", str(path))
-    rc, out, _ = run(capsys, "extract", "--input", str(path), "--c1", "1/2", "--c2", "2")
+    rc, out, _ = run(capsys, "extract", "--input", str(path))
     assert rc == 0
     data = json.loads(out)
     assert data["apex1"] == [0, 0] and data["apex2"] == [0, 1]

@@ -58,7 +58,7 @@ def test_two_pencil_full_plane_trace():
     # second pool is again all lines and the second apex is (0,1); the grid is
     # everything off the vertical joining line x = 0
     inst = full_plane(5)
-    grid = two_pencil_extract(inst.points, inst.lines, Fraction(1, 2), 2)
+    grid = two_pencil_extract(inst.points, inst.lines)
     assert grid.apex1 == AffinePoint(0, 0, 5)
     assert grid.apex2 == AffinePoint(0, 1, 5)
     assert len(grid.rich_lines) == 30
@@ -76,22 +76,22 @@ def test_two_pencil_axis_parallel_empty_grid():
     points = [AffinePoint(x, y, p) for x in range(8) for y in range(8)]
     lines = [AffineLine(0, t, p) for t in range(8)] + [AffineLine(None, x, p) for x in range(8)]
     with pytest.raises(EmptyGridError):
-        two_pencil_extract(points, lines, Fraction(1, 2), 8)
+        two_pencil_extract(points, lines)
 
 
 def test_two_pencil_no_incidences():
     p = 7
     with pytest.raises(NoIncidencesError):
-        two_pencil_extract([AffinePoint(0, 0, p)], [AffineLine(1, 1, p)], Fraction(1, 2), 2)
+        two_pencil_extract([AffinePoint(0, 0, p)], [AffineLine(1, 1, p)])
 
 
 def test_two_pencil_structural_contract():
     # on instances regular at their own mean richness: the grid avoids the
     # apex line and both pencils stay within c2 * K
     cases = [full_plane(5), full_plane(7)]
-    c1, c2 = Fraction(1, 2), Fraction(2)
+    c2 = Fraction(2)
     for inst in cases:
-        grid = two_pencil_extract(inst.points, inst.lines, c1, c2)
+        grid = two_pencil_extract(inst.points, inst.lines)
         assert all(not incident(q, grid.apex_line) for q in grid.points)
         cap = c2 * grid.mean_richness
         assert len(grid.pencil1) <= cap and len(grid.pencil2) <= cap
@@ -109,7 +109,7 @@ def test_two_pencil_structural_contract():
 def test_grid_size_bound_when_preconditions_hold():
     inst = full_plane(5)
     c1 = Fraction(1, 2)
-    grid = two_pencil_extract(inst.points, inst.lines, c1, 2)
+    grid = two_pencil_extract(inst.points, inst.lines)
     K = grid.mean_richness
     pre = extraction_preconditions(K, inst.m, inst.n, c1)
     if all(ok for _, ok in pre):

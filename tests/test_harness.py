@@ -165,17 +165,6 @@ def test_sweep_ratios_finite_and_bounded():
         assert within_combinatorial_bound(rec.incidences, rec.m, rec.n)
 
 
-def test_thread_pool_output_matches_serial(monkeypatch):
-    config_dict = {"seed": 4, "families": [
-        {"family": "random", "p": [31], "sizes": [8, 16, 32]},
-        {"family": "elekes", "a": [2], "c": [1, 2], "p": [101]},
-    ]}
-    serial = records_to_csv(run_sweep(SweepConfig.from_dict(config_dict)))
-    monkeypatch.setenv("INCIDENCELAB_THREADS", "4")
-    threaded = records_to_csv(run_sweep(SweepConfig.from_dict(config_dict)))
-    assert threaded == serial
-
-
 def test_bad_configs_raise():
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({})
