@@ -14,6 +14,7 @@ from .field import (
     is_prime,
     is_square,
     inv_mod,
+    inv_mod_array,
     make_modulus,
     minus_one_is_square,
     sqrt_mod,

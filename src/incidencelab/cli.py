@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import harness
@@ -269,8 +270,8 @@ def _cmd_beck(args) -> int:
     rep = determined_lines(inst.points)
     _json_out({
         "p": inst.p, "m": rep.m,
-        "determined_lines": len(rep.lines),
-        "classes": {str(j): len(ls) for j, ls in rep.classes.items()},
+        "determined_lines": rep.keys.size,
+        "classes": {str(j): size for j, size in rep.class_sizes.items()},
         "pairs_by_class": {str(j): c for j, c in rep.pairs_by_class.items()},
         "pair_total": rep.pair_total, "expected_pairs": rep.expected_pairs,
     }, args.output)
@@ -310,12 +311,24 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"incidencelab: warning: {message}", file=sys.stderr)
+
+
 def cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    with warnings.catch_warnings():
+        # one stderr line per warning, every time, with no source location
+        warnings.simplefilter("always", harness.DuplicateEntryWarning)
+        warnings.showwarning = _show_warning
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         return _COMMANDS[args.command](args)
     except Error as exc:

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import CharacteristicTooSmallError, EmptyInputError, TooManyRequestedError
+from .errors import (
+    CharacteristicTooSmallError,
+    EmptyInputError,
+    InvalidParameterError,
+    TooManyRequestedError,
+)
 from .field import make_modulus
 from .plane import AffineLine, AffinePoint, Instance
 
@@ -74,7 +79,7 @@ def elekes_construction(a: int, c: int, p: int) -> Instance:
     contains exactly a points, giving exactly a^2 c^2 incidences.
     """
     if a < 1 or c < 1:
-        raise ValueError("need a, c >= 1")
+        raise InvalidParameterError(f"need a, c >= 1, got a = {a}, c = {c}")
     if 2 * a * c >= p:
         raise CharacteristicTooSmallError(f"need 2ac < p, got 2*{a}*{c} = {2 * a * c} >= {p}")
     modulus = make_modulus(p)

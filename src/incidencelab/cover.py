@@ -1,9 +1,12 @@
 """Richness partition, two-pencil grid extraction, the iterative grid cover,
 projective normalization of grids, and certificate verification.
 
-All threshold comparisons are carried out with exact rationals; tie-breaking
-is lexicographic on (x, y) for points and on (vertical, slope, intercept)
-for lines, so every run is reproducible.
+All threshold comparisons are exact (rationals, or the same inequality
+cleared of its denominator in integers); tie-breaking is lexicographic on
+(x, y) for points and on (vertical, slope, intercept) for lines, so every
+run is reproducible.  The extraction's degree scans are numpy passes over
+blocks of the incidence mask (``incidence.incidence_degrees``) with bounded
+memory, and its joins to the apexes are batched line keys.
 """
 
 from __future__ import annotations
@@ -11,18 +14,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     EmptyGridError,
     EmptyInstanceError,
+    InvalidParameterError,
+    ModulusMismatchError,
     NoIncidencesError,
 )
-from .incidence import richness_histograms
+from .incidence import incidence_degrees, richness_histograms
 from .plane import (
     AffineLine,
     AffinePoint,
     Instance,
     ProjMap,
     incident,
+    line_keys,
     line_through,
     projective_map_from_pair,
 )
@@ -52,7 +60,7 @@ def richness_partition(inst: Instance, low_factor, high_factor) -> RichnessParti
     low_factor = Fraction(low_factor)
     high_factor = Fraction(high_factor)
     if not low_factor < high_factor:
-        raise ValueError("need low_factor < high_factor")
+        raise InvalidParameterError(f"need low_factor < high_factor, got {low_factor} and {high_factor}")
     hist = richness_histograms(inst)
     mean = Fraction(hist.total, inst.m)
     t_low = low_factor * mean
@@ -94,19 +102,6 @@ class PencilGrid:
         return line_through(self.apex1, self.apex2)
 
 
-def _degrees(points, lines):
-    degs = {q: 0 for q in points}
-    richness = {}
-    for line in lines:
-        r = 0
-        for q in points:
-            if incident(q, line):
-                degs[q] += 1
-                r += 1
-        richness[line] = r
-    return degs, richness
-
-
 def two_pencil_extract(points, lines, mean_richness: Fraction | None = None) -> PencilGrid:
     """Run the two-pencil extraction literally, step by step.
 
@@ -126,58 +121,75 @@ def two_pencil_extract(points, lines, mean_richness: Fraction | None = None) -> 
     m, n = len(pts), len(lns)
     if m == 0 or n == 0:
         raise NoIncidencesError("need points and lines")
+    moduli = {q.p for q in pts} | {line.p for line in lns}
+    if len(moduli) > 1:
+        raise ModulusMismatchError(f"mixed moduli {sorted(moduli)}")
+    p = moduli.pop()
+    px = np.array([q.x for q in pts], dtype=np.int64)
+    py = np.array([q.y for q in pts], dtype=np.int64)
+    keys = np.array([line.key() for line in lns], dtype=np.int64)
 
-    degs, richness = _degrees(pts, lns)
-    total = sum(richness.values())
+    richness = incidence_degrees(px, py, keys, p)[1]
+    total = int(richness.sum())
     if total == 0:
         raise NoIncidencesError("no incidences between the given points and lines")
     K = Fraction(mean_richness) if mean_richness is not None else Fraction(total, m)
 
-    # stage 1: lines rich in P, then the first sufficiently covered point
-    thr1 = Fraction(total, 2 * n)
-    pool1 = tuple(line for line in lns if richness[line] >= thr1)
-    total1 = sum(richness[line] for line in pool1)
-    point_thr1 = Fraction(total1, 2 * m)
-    deg_pool1 = {q: sum(1 for line in pool1 if incident(q, line)) for q in pts}
-    apex1 = next(q for q in pts if deg_pool1[q] >= point_thr1)
+    # stage 1: lines rich in P, then the first sufficiently covered point;
+    # r >= total/(2n) is tested as 2n*r >= total, and so on; no product
+    # exceeds 2*m*n, far inside int64 for any instance a scan can cover.
+    # Some point always qualifies: the degrees sum to total1.
+    pool1 = 2 * n * richness >= total
+    total1 = int(richness[pool1].sum())
+    deg_pool1 = incidence_degrees(px, py, keys[pool1], p)[0]
+    a1 = int(np.argmax(2 * m * deg_pool1 >= total1))
 
     # candidates: points joined to apex1 by a line of L
-    line_set = set(lns)
-    candidates = tuple(
-        q for q in pts
-        if q != apex1 and line_through(apex1, q) in line_set
-    )
-    if not candidates:
+    others = np.flatnonzero(np.arange(m) != a1)
+    cand = others[np.isin(line_keys(px[a1], py[a1], px[others], py[others], p), keys)]
+    if cand.size == 0:
         raise EmptyGridError("no candidate points are joined to the first apex by a line of L")
+    cx, cy = px[cand], py[cand]
 
     # stage 2 over the candidate set, with the full line set
-    degs_q, richness_q = _degrees(candidates, lns)
-    total_q = sum(richness_q.values())
-    thr2 = Fraction(total_q, 2 * n)
-    pool2 = tuple(line for line in lns if richness_q[line] >= thr2)
-    total2 = sum(richness_q[line] for line in pool2)
-    point_thr2 = Fraction(total2, 2 * len(candidates))
-    deg_pool2 = {q: sum(1 for line in pool2 if incident(q, line)) for q in candidates}
-    apex2 = next(q for q in candidates if deg_pool2[q] >= point_thr2)
+    richness_q = incidence_degrees(cx, cy, keys, p)[1]
+    total_q = int(richness_q.sum())
+    pool2 = 2 * n * richness_q >= total_q
+    total2 = int(richness_q[pool2].sum())
+    deg_pool2 = incidence_degrees(cx, cy, keys[pool2], p)[0]
+    a2 = int(cand[np.argmax(2 * cand.size * deg_pool2 >= total2)])
 
-    apex_line = line_through(apex1, apex2)
-    pool2_set = set(pool2)
-    grid = tuple(
-        q for q in candidates
-        if not incident(q, apex_line) and line_through(apex2, q) in pool2_set
-    )
-    if not grid:
+    apex1, apex2 = pts[a1], pts[a2]
+    apex_key = np.array([line_through(apex1, apex2).key()])
+    off = np.flatnonzero(incidence_degrees(cx, cy, apex_key, p)[0] == 0)
+    joins2 = line_keys(px[a2], py[a2], cx[off], cy[off], p)
+    grid = cand[off[np.isin(joins2, keys[pool2])]]
+    if grid.size == 0:
         raise EmptyGridError("no line of the second pool joins the second apex to a point off the apex line")
 
-    pencil1 = tuple(sorted({line_through(apex1, g) for g in grid}, key=AffineLine.sort_key))
-    pencil2 = tuple(sorted({line_through(apex2, g) for g in grid}, key=AffineLine.sort_key))
-    return PencilGrid(apex1, apex2, grid, pencil1, pencil2, pool1, candidates, pool2, K)
+    def pencil(a):
+        joins = np.unique(line_keys(px[a], py[a], px[grid], py[grid], p))
+        return tuple(AffineLine.from_key(k, p) for k in joins.tolist())
+
+    def pick(items, idx):
+        return tuple(items[i] for i in idx.tolist())
+
+    return PencilGrid(apex1, apex2, pick(pts, grid), pencil(a1), pencil(a2),
+                      pick(lns, np.flatnonzero(pool1)), pick(pts, cand),
+                      pick(lns, np.flatnonzero(pool2)), K)
+
+
+def _positive_c1(c1) -> Fraction:
+    c1 = Fraction(c1)
+    if c1 <= 0:
+        raise InvalidParameterError(f"need c1 > 0, got {c1}")
+    return c1
 
 
 def extraction_preconditions(K: Fraction, m: int, n: int, c1) -> tuple[tuple[str, bool], ...]:
     """The three size conditions under which the extraction guarantees a
     grid of size at least c1^4 K^4 m / (2^9 n^2)."""
-    c1 = Fraction(c1)
+    c1 = _positive_c1(c1)
     return (
         ("K >= 4n/(c1 m)", K >= Fraction(4 * n) / (c1 * m)),
         ("K >= 8/c1", K >= Fraction(8) / c1),
@@ -186,7 +198,7 @@ def extraction_preconditions(K: Fraction, m: int, n: int, c1) -> tuple[tuple[str
 
 
 def grid_size_lower_bound(K: Fraction, m: int, n: int, c1) -> Fraction:
-    c1 = Fraction(c1)
+    c1 = _positive_c1(c1)
     return c1**4 * K**4 * m / (2**9 * n * n)
 
 
@@ -225,7 +237,7 @@ def grid_cover(inst: Instance, c1, c2, stop_fraction) -> GridCertificate:
     An extraction that collapses (empty grid or no incidences) terminates
     the loop with the remainder recorded as leftover.
     """
-    c1 = Fraction(c1)
+    c1 = _positive_c1(c1)
     c2 = Fraction(c2)
     stop_fraction = Fraction(stop_fraction)
     part = richness_partition(inst, c1, c2)

@@ -1,16 +1,45 @@
 """Squared Euclidean distances over F_p, pinned distance sets, isotropic
 lines, perpendicular-bisector families, isosceles triples, and the
 determined-lines (two-extremes) accounting with its dyadic partition.
+
+The quadratic reports are numpy passes with bounded memory: distance sets
+and isosceles triples take one pin's row of m distances at a time, and the
+determined lines are int64 line keys over blocks of point pairs, with one
+batched modular inverse per block and one np.unique count over all keys.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from math import isqrt
+
+import numpy as np
 
 from .errors import EmptyInputError, ModulusMismatchError, TooFewPointsError
-from .field import inv_mod, minus_one_is_square, sqrt_mod
-from .plane import AffineLine, AffinePoint, line_through
+from .field import inv_mod_array, minus_one_is_square, sqrt_mod
+from .plane import AffineLine, AffinePoint, line_keys, pair_blocks
+
+
+def _coords(points):
+    """The sorted distinct points, their common modulus (0 when there are
+    none) and their coordinates as int64 arrays."""
+    pts = sorted(set(points))
+    moduli = {q.p for q in pts}
+    if len(moduli) > 1:
+        raise ModulusMismatchError(f"mixed moduli {sorted(moduli)}")
+    x = np.array([q.x for q in pts], dtype=np.int64)
+    y = np.array([q.y for q in pts], dtype=np.int64)
+    return pts, (moduli.pop() if moduli else 0), x, y
+
+
+def _distance_rows(x, y, p):
+    """Yield the row d(q, .) over all points for each pin q in turn; with
+    dx, dy < p < 2^31 the sum of the two squares stays below 2^63."""
+    for xq, yq in zip(x.tolist(), y.tolist()):
+        dx = (x - xq) % p
+        dy = (y - yq) % p
+        yield (dx * dx + dy * dy) % p
 
 
 def distance(q: AffinePoint, r: AffinePoint) -> int:
@@ -23,20 +52,26 @@ def distance(q: AffinePoint, r: AffinePoint) -> int:
     return (dx * dx + dy * dy) % p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceReport:
     """All squared distances of a point set and all pinned distance sets.
 
-    pin is the point whose pinned set is largest (ties broken
+    pinned_values maps each point q to its pinned set Delta_q as a sorted
+    int64 array; pinned holds the same sets as frozensets, built on first
+    access.  pin is the point whose pinned set is largest (ties broken
     lexicographically); degenerate flags the all-zero distance set that a
     subset of one isotropic line produces.
     """
 
     distances: frozenset[int]
-    pinned: dict
+    pinned_values: dict
     pin: AffinePoint
     max_pinned: int
     degenerate: bool
+
+    @cached_property
+    def pinned(self) -> dict:
+        return {q: frozenset(v.tolist()) for q, v in self.pinned_values.items()}
 
     def __eq__(self, other):
         if not isinstance(other, DistanceReport):
@@ -46,17 +81,15 @@ class DistanceReport:
 
 def distance_sets(points) -> DistanceReport:
     """Exact distance set and every pinned set Delta_q over the given points."""
-    pts = sorted(set(points))
+    pts, p, x, y = _coords(points)
     if not pts:
         raise EmptyInputError("need at least one point")
-    pinned = {}
-    for q in pts:
-        pinned[q] = frozenset(distance(q, r) for r in pts)
-    full = frozenset().union(*pinned.values())
+    pinned = {q: np.unique(row) for q, row in zip(pts, _distance_rows(x, y, p))}
+    full = frozenset(np.unique(np.concatenate(list(pinned.values()))).tolist())
     # argmax by pinned-set size; pts is sorted, so ties resolve to the
     # lexicographically smallest point
-    best = max(len(s) for s in pinned.values())
-    pin = next(q for q in pts if len(pinned[q]) == best)
+    best = max(v.size for v in pinned.values())
+    pin = next(q for q in pts if pinned[q].size == best)
     return DistanceReport(full, pinned, pin, best, full == frozenset({0}))
 
 
@@ -84,80 +117,94 @@ def bisector_instance(points, r: AffinePoint) -> frozenset[AffineLine]:
     frame.  Zero-distance pairs are excluded, so each line is well-defined.
     """
     p = r.p
-    lines = set()
-    for s in points:
-        if s == r or distance(r, s) == 0:
-            continue
-        a = 2 * (s.x - r.x) % p
-        b = 2 * (s.y - r.y) % p
-        cc = (s.x * s.x + s.y * s.y - r.x * r.x - r.y * r.y) % p
-        if b != 0:
-            inv = inv_mod(b, p)
-            lines.add(AffineLine((-a * inv) % p, (cc * inv) % p, p))
-        else:
-            inv = inv_mod(a, p)
-            lines.add(AffineLine(None, cc * inv % p, p))
-    return frozenset(lines)
+    pts, q, x, y = _coords(points)
+    if pts and q != p:
+        raise ModulusMismatchError(f"mixed moduli {p} and {q}")
+    dx = (x - r.x) % p
+    dy = (y - r.y) % p
+    far = (dx * dx + dy * dy) % p != 0
+    # the line a x + b y = cc, with b != 0 or else a != 0
+    a, b = 2 * dx[far] % p, 2 * dy[far] % p
+    cc = (x[far] * x[far] + y[far] * y[far] - (r.x * r.x + r.y * r.y) % p) % p
+    sloped = b != 0
+    inv = inv_mod_array(np.where(sloped, b, a), p)
+    t = cc * inv % p
+    keys = np.where(sloped, (-a * inv) % p * p + t, p * p + t)
+    return frozenset(AffineLine.from_key(k, p) for k in np.unique(keys).tolist())
 
 
 def isosceles_triples(points) -> int:
     """Exact count of ordered triples (q, r, s), r != s, with
     d(q, r) = d(q, s) != 0."""
-    pts = sorted(set(points))
+    _, p, x, y = _coords(points)
     total = 0
-    for q in pts:
-        counts = Counter()
-        for r in pts:
-            d = distance(q, r)
-            if d != 0:
-                counts[d] += 1
-        total += sum(c * (c - 1) for c in counts.values())
+    for row in _distance_rows(x, y, p):
+        c = np.unique(row[row != 0], return_counts=True)[1]
+        total += int((c * (c - 1)).sum())
     return total
 
 
-@dataclass(frozen=True)
+def _dyadic_class(k: np.ndarray) -> np.ndarray:
+    """j with 2^j <= k < 2^(j+1), elementwise; frexp is exact on integers
+    below 2^53."""
+    return np.frexp(k)[1] - 1
+
+
+@dataclass(frozen=True, eq=False)
 class BeckReport:
     """Lines determined by a point set (at least two points each), their
     dyadic richness classes, and the exact pair accounting.
 
-    Class j holds the lines with point count in [2^j, 2^(j+1)); classes
-    start at j = 1.  Every unordered pair of distinct points lies on exactly
-    one determined line, so the per-line pair counts sum to C(m, 2).
+    keys holds the ascending line keys (:meth:`AffineLine.key`) of the
+    determined lines and richness the number of points on each.  Class j
+    holds the lines with point count in [2^j, 2^(j+1)); classes start at
+    j = 1.  Every unordered pair of distinct points lies on exactly one
+    determined line, so the per-line pair counts sum to C(m, 2).  The line
+    objects of lines and classes are built on first access.
     """
 
-    lines: tuple[AffineLine, ...]
-    classes: dict
+    keys: np.ndarray
+    richness: np.ndarray
     pairs_by_class: dict
     pair_total: int
     expected_pairs: int
     m: int
+    p: int
+
+    @cached_property
+    def _line_class(self) -> np.ndarray:
+        return _dyadic_class(self.richness)
+
+    @property
+    def class_sizes(self) -> dict[int, int]:
+        """Number of determined lines in each class, by ascending class."""
+        js, sizes = np.unique(self._line_class, return_counts=True)
+        return dict(zip(js.tolist(), sizes.tolist()))
+
+    @cached_property
+    def lines(self) -> tuple[AffineLine, ...]:
+        return tuple(AffineLine.from_key(k, self.p) for k in self.keys.tolist())
+
+    @cached_property
+    def classes(self) -> dict[int, tuple[AffineLine, ...]]:
+        js = self._line_class.tolist()
+        return {j: tuple(line for line, c in zip(self.lines, js) if c == j) for j in self.class_sizes}
 
 
 def determined_lines(points) -> BeckReport:
     """All lines through at least two points of the set, with the dyadic
     partition by exact point count."""
-    pts = sorted(set(points))
+    pts, p, x, y = _coords(points)
     m = len(pts)
     if m < 2:
         raise TooFewPointsError(f"need at least two points, got {m}")
-    counts: dict[AffineLine, int] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            line = line_through(pts[i], pts[j])
-            counts[line] = counts.get(line, 0) + 1
-    # pairs on a line with k points: k*(k-1)/2; recover k from the pair count
-    classes: dict[int, list[AffineLine]] = {}
-    pairs_by_class: dict[int, int] = {}
-    richness = {}
-    for line, pair_count in counts.items():
-        k = 1
-        while k * (k - 1) // 2 < pair_count:
-            k += 1
-        richness[line] = k
-        j = k.bit_length() - 1  # 2^j <= k < 2^(j+1)
-        classes.setdefault(j, []).append(line)
-        pairs_by_class[j] = pairs_by_class.get(j, 0) + pair_count
-    ordered = tuple(sorted(counts, key=AffineLine.sort_key))
-    classes = {j: tuple(sorted(ls, key=AffineLine.sort_key)) for j, ls in sorted(classes.items())}
-    pairs_by_class = dict(sorted(pairs_by_class.items()))
-    return BeckReport(ordered, classes, pairs_by_class, sum(counts.values()), m * (m - 1) // 2, m)
+    keys = np.concatenate([line_keys(x[i], y[i], x[j], y[j], p) for i, j in pair_blocks(m)])
+    keys, pairs = np.unique(keys, return_counts=True)
+    # a line with k points carries c = k(k-1)/2 pairs, so 8c + 1 = (2k - 1)^2
+    # and the integer square root recovers k exactly, once per distinct c
+    values, at = np.unique(pairs, return_inverse=True)
+    ks = [(1 + isqrt(8 * c + 1)) // 2 for c in values.tolist()]
+    richness = np.array(ks, dtype=np.int64)[at]
+    line_class = _dyadic_class(richness)
+    pairs_by_class = {j: int(pairs[line_class == j].sum()) for j in np.unique(line_class).tolist()}
+    return BeckReport(keys, richness, pairs_by_class, int(pairs.sum()), m * (m - 1) // 2, m, p)

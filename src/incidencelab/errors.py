@@ -17,6 +17,10 @@ class OutOfRangeError(Error):
     """A modulus outside the supported range [3, 2**31)."""
 
 
+class InvalidParameterError(Error, ValueError):
+    """A library argument outside its allowed range."""
+
+
 class DivisionByZeroError(Error, ZeroDivisionError):
     """Inverse of zero requested in a prime field."""
 

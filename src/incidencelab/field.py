@@ -3,6 +3,9 @@
 Residues are canonical integers in [0, p).  The modulus is restricted to odd
 primes with 3 <= p < 2**31 so that any product of two residues fits a 64-bit
 intermediate without overflow; no big-integer machinery is needed anywhere.
+That bound also lets :func:`inv_mod_array` invert a whole numpy array at
+once in int64, which is how the report layers avoid one Python call per
+point pair.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
+import numpy as np
 from .errors import (
     CompositeModulusError,
     DivisionByZeroError,
@@ -68,6 +72,29 @@ def inv_mod(a: int, p: int) -> int:
     if a == 0:
         raise DivisionByZeroError(f"0 has no inverse mod {p}")
     return pow(a, -1, p)
+
+
+def inv_mod_array(a, p: int) -> np.ndarray:
+    """Elementwise inverse mod p of an integer array, as canonical int64
+    residues; raises on any entry that is 0 mod p.
+
+    Fermat's a^(p-2) by square-and-multiply: every product is of two
+    residues below p < 2**31, so it stays below 2**62 in int64.
+    """
+    base = np.asarray(a, dtype=np.int64) % p
+    if not base.all():
+        raise DivisionByZeroError(f"0 has no inverse mod {p}")
+    out = np.ones_like(base)
+    e = p - 2
+    while e:
+        if e & 1:
+            out *= base
+            out %= p
+        e >>= 1
+        if e:
+            base *= base
+            base %= p
+    return out
 
 
 def is_square(a: int, p: int) -> bool:

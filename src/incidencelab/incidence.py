@@ -32,7 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .plane import Instance
+from .field import inv_mod, inv_mod_array
+from .plane import Instance, pair_blocks
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 _CC = "cc"
@@ -306,23 +307,38 @@ class RichnessHistogram:
     total: int
 
 
+# cells of one block of the incidence mask in incidence_degrees
+_MASK_CELLS = 1 << 16
+
+
+def incidence_degrees(px, py, keys, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point and per-line incidence counts of the points (px, py)
+    against the lines with the given keys (:meth:`AffineLine.key`), from
+    masks over blocks of lines holding at most about _MASK_CELLS cells."""
+    per_point = np.zeros(px.size, dtype=np.int64)
+    per_line = np.zeros(keys.size, dtype=np.int64)
+    step = max(1, _MASK_CELLS // max(px.size, 1))
+    vertical = keys >= p * p
+    for rows in (np.flatnonzero(~vertical), np.flatnonzero(vertical)):
+        for lo in range(0, rows.size, step):
+            block = rows[lo:lo + step]
+            k = keys[block, None]
+            if vertical[block[0]]:
+                mask = px == k - p * p
+            else:
+                mask = py == (k // p * px + k % p) % p
+            per_point += mask.sum(axis=0)
+            per_line[block] = mask.sum(axis=1)
+    return per_point, per_line
+
+
 def richness_histograms(inst: Instance) -> RichnessHistogram:
-    p = inst.p
-    m = inst.m
     px = np.array([q.x for q in inst.points], dtype=np.int64)
     py = np.array([q.y for q in inst.points], dtype=np.int64)
-    acc = np.zeros(m, dtype=np.int64)
-    per_line = {}
-    for line in inst.lines:
-        if line.slope is None:
-            mask = px == line.intercept
-        else:
-            mask = py == (line.slope * px + line.intercept) % p
-        per_line[line] = int(mask.sum())
-        acc += mask
-    per_point = {q: int(acc[i]) for i, q in enumerate(inst.points)}
-    total = int(acc.sum())
-    return RichnessHistogram(per_point, per_line, total)
+    keys = np.array([line.key() for line in inst.lines], dtype=np.int64)
+    per_point, per_line = incidence_degrees(px, py, keys, inst.p)
+    return RichnessHistogram(dict(zip(inst.points, per_point.tolist())),
+                             dict(zip(inst.lines, per_line.tolist())), int(per_point.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +349,6 @@ def canonical_plane(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int, i
     """Scale a plane a*x + b*y + c*z = d so its first nonzero normal
     coefficient equals 1; proportional coefficient tuples collapse."""
     a, b, c, d = a % p, b % p, c % p, d % p
-    from .field import inv_mod
     for lead in (a, b, c):
         if lead != 0:
             inv = inv_mod(lead, p)
@@ -385,27 +400,28 @@ def count_point_plane(inst3: PlaneInstance3D) -> int:
 
 
 def max_collinear_3d(points, p: int) -> int:
-    """Exact maximum number of points on one line in F_p^3 (O(r^2))."""
-    pts = sorted(set(points))
+    """Exact maximum number of points on one line in F_p^3 (O(r^2)).
+
+    Over blocks of pairs (i, j), i < j, the direction from point i to
+    point j is scaled by one batched inverse so its first nonzero
+    coordinate is 1.  It is then (1, v, w), (0, 1, w) or (0, 0, 1), keyed
+    v*p + w, p*p + w or p*p + p, all below 2^63 for p < 2^31.  A line
+    through point i holding k later points shows as k equal (i, key) pairs.
+    """
+    pts = np.array(sorted({(x % p, y % p, z % p) for x, y, z in points}), dtype=np.int64).reshape(-1, 3)
     r = len(pts)
     if r == 0:
         raise ValueError("need at least one point")
-    if r == 1:
-        return 1
-    from .field import inv_mod
     best = 1
-    for i, base in enumerate(pts):
-        dirs = {}
-        for j in range(i + 1, r):
-            d = tuple((pts[j][k] - base[k]) % p for k in range(3))
-            for v in d:
-                if v != 0:
-                    inv = inv_mod(v, p)
-                    d = tuple(u * inv % p for u in d)
-                    break
-            dirs[d] = dirs.get(d, 0) + 1
-        if dirs:
-            best = max(best, 1 + max(dirs.values()))
+    for i, j in pair_blocks(r):
+        u, v, w = ((pts[j, c] - pts[i, c]) % p for c in range(3))
+        inv = inv_mod_array(np.where(u != 0, u, np.where(v != 0, v, w)), p)
+        v, w = v * inv % p, w * inv % p
+        key = np.where(u != 0, v * p + w, p * p + np.where(v != 0, w, p))
+        order = np.lexsort((key, i))
+        i, key = i[order], key[order]
+        starts = np.flatnonzero((i[1:] != i[:-1]) | (key[1:] != key[:-1])) + 1
+        best = max(best, 1 + int(np.diff(starts, prepend=0, append=i.size).max()))
     return best
 
 

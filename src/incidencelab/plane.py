@@ -4,6 +4,10 @@ Points and lines carry their modulus as a plain int and store canonical
 residues, so structural equality coincides with geometric equality and both
 types hash cheaply.  Lines use the canonical slope-intercept form, with
 vertical lines tagged separately (slope None, the stored value is x0).
+For array passes a line is also one int64 key, slope*p + intercept or
+p*p + x0 for a vertical line, whose numeric order is the lines' sort order;
+:func:`line_keys` computes the keys of the lines through many point pairs
+at once.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+import numpy as np
+
 from .errors import (
     CoincidentPointsError,
     LineSentToInfinityError,
@@ -19,7 +25,7 @@ from .errors import (
     PointSentToInfinityError,
     VerticalLinePresentError,
 )
-from .field import PrimeModulus, inv_mod
+from .field import PrimeModulus, inv_mod, inv_mod_array
 
 
 @dataclass(frozen=True, order=True)
@@ -68,6 +74,19 @@ class AffineLine:
     def __lt__(self, other: "AffineLine"):
         return self.sort_key() < other.sort_key()
 
+    def key(self) -> int:
+        """The int64 key slope*p + intercept, or p*p + x0 when vertical;
+        keys order like :meth:`sort_key`."""
+        if self.slope is None:
+            return self.p * self.p + self.intercept
+        return self.slope * self.p + self.intercept
+
+    @classmethod
+    def from_key(cls, key: int, p: int) -> "AffineLine":
+        if key >= p * p:
+            return cls(None, key - p * p, p)
+        return cls(key // p, key % p, p)
+
     def homogeneous(self) -> tuple[int, int, int]:
         """Coefficients (a, b, c) with a*x + b*y + c = 0 on the line."""
         if self.slope is None:
@@ -108,6 +127,36 @@ def line_through(q: AffinePoint, r: AffinePoint) -> AffineLine:
     s = (r.y - q.y) * inv_mod(r.x - q.x, p) % p
     t = (q.y - s * q.x) % p
     return AffineLine(s, t, p)
+
+
+def line_keys(qx, qy, rx, ry, p: int) -> np.ndarray:
+    """Keys (see :meth:`AffineLine.key`) of the lines through the point
+    pairs (qx, qy) != (rx, ry), given as broadcastable arrays of canonical
+    residues; one batched inversion serves every non-vertical pair."""
+    qx, qy, rx, ry = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (qx, qy, rx, ry)))
+    dx = (rx - qx) % p
+    keys = p * p + qx
+    sloped = dx != 0
+    x, y = qx[sloped], qy[sloped]
+    s = (ry[sloped] - y) % p * inv_mod_array(dx[sloped], p) % p
+    keys[sloped] = s * p + (y - s * x) % p
+    return keys
+
+
+# pairs in one block of pair_blocks: about 100 bytes of temporaries per pair
+# in the passes over them keep a block near 3 MB
+_PAIR_BLOCK = 1 << 15
+
+
+def pair_blocks(m: int):
+    """Index arrays (i, j) over all pairs i < j < m, yielded in blocks of
+    whole rows i holding at most about _PAIR_BLOCK pairs, so that array
+    passes over the pairs keep their temporaries bounded."""
+    step = max(1, _PAIR_BLOCK // max(m, 1))
+    cols = np.arange(m)
+    for lo in range(0, m - 1, step):
+        i, j = np.nonzero(np.arange(lo, min(lo + step, m - 1))[:, None] < cols)
+        yield i + lo, j
 
 
 class Instance:
@@ -283,10 +332,14 @@ class ProjMap:
     def det(self) -> int:
         return _det3(self.rows, self.p)
 
+    @cached_property
+    def adjugate(self) -> tuple[tuple[int, int, int], ...]:
+        return _adjugate(self.rows, self.p)
+
     def inverse(self) -> "ProjMap":
         # the adjugate is a scalar multiple of the inverse, which is the same
         # projective transformation
-        return ProjMap(_adjugate(self.rows, self.p), self.p)
+        return ProjMap(self.adjugate, self.p)
 
     def apply_proj(self, q: ProjPoint) -> ProjPoint:
         v = _mat_vec(self.rows, (q.a, q.b, q.c), self.p)
@@ -304,7 +357,7 @@ class ProjMap:
         # transpose; the adjugate transpose works projectively
         p = self.p
         coeffs = line.homogeneous()
-        adj = _adjugate(self.rows, p)
+        adj = self.adjugate
         a, b, c = (
             sum(adj[k][0] * coeffs[k] for k in range(3)) % p,
             sum(adj[k][1] * coeffs[k] for k in range(3)) % p,

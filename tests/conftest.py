@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import incidencelab
 from incidencelab.constructions import SeededStream, random_instance
 from incidencelab.incidence import warm_up_kernels
 
@@ -10,6 +14,15 @@ SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 def _warm_kernels():
     # compile the probe kernels once so timed tests measure counting, not JIT
     warm_up_kernels()
+
+
+def package_env():
+    """os.environ with the imported incidencelab's directory first on
+    PYTHONPATH, for child processes started from another directory."""
+    env = dict(os.environ)
+    src = str(Path(incidencelab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_instances(count, seed, max_p_index=None, max_m=500, max_n=500):

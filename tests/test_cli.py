@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 
+from conftest import package_env
 from incidencelab.cli import cli
 
 
@@ -177,3 +180,16 @@ def test_sweep_bad_config_is_data_error(tmp_path, capsys):
     config.write_text(json.dumps({"families": []}))
     rc, _, _ = run(capsys, "sweep", "--config", str(config))
     assert rc == 2
+
+
+def test_duplicate_warning_is_one_stderr_line(tmp_path, capfd):
+    # a child process, so no test harness captures the warning
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"p": 7, "points": [[1, 2], [1, 2]], "lines": []}))
+    proc = subprocess.run([sys.executable, "-m", "incidencelab.cli", "beck", "--input", str(path)],
+                          env=package_env(), timeout=60)
+    assert proc.returncode == 2
+    assert capfd.readouterr().err.splitlines() == [
+        "incidencelab: warning: dropped 1 duplicate point(s) and 0 duplicate line(s)",
+        "incidencelab: TooFewPointsError: need at least two points, got 1",
+    ]

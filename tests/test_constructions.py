@@ -9,10 +9,21 @@ from incidencelab.constructions import (
     pencil,
     random_instance,
 )
-from incidencelab.errors import CharacteristicTooSmallError, OutOfRangeError, TooManyRequestedError
+from incidencelab.errors import (
+    CharacteristicTooSmallError,
+    InvalidParameterError,
+    OutOfRangeError,
+    TooManyRequestedError,
+)
 from incidencelab.harness import instance_to_dict
 from incidencelab.incidence import count_incidences, richness_histograms
 from incidencelab.plane import AffineLine, AffinePoint, incident
+
+
+def test_elekes_rejects_nonpositive_parameters():
+    for a, c in ((0, 1), (1, 0), (-2, 3)):
+        with pytest.raises(InvalidParameterError):
+            elekes_construction(a, c, 101)
 
 
 def test_elekes_examples():

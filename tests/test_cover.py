@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instances
-from incidencelab.constructions import full_plane, random_instance
+from incidencelab.constructions import elekes_construction, full_plane, random_instance
 from incidencelab.cover import (
     CoverStep,
+    PencilGrid,
     extraction_preconditions,
     grid_cover,
     grid_size_lower_bound,
@@ -15,10 +16,27 @@ from incidencelab.cover import (
     two_pencil_extract,
     verify_certificate,
 )
-from incidencelab.errors import EmptyGridError, EmptyInstanceError, NoIncidencesError
+from incidencelab.errors import EmptyGridError, EmptyInstanceError, InvalidParameterError, NoIncidencesError
 from incidencelab.field import make_modulus
 from incidencelab.incidence import count_incidences
 from incidencelab.plane import AffineLine, AffinePoint, Instance, incident, line_through
+
+
+def test_partition_rejects_unordered_factors():
+    with pytest.raises(InvalidParameterError) as err:
+        richness_partition(full_plane(5), 2, 1)
+    assert isinstance(err.value, ValueError)
+
+
+def test_cover_rejects_nonpositive_c1():
+    with pytest.raises(InvalidParameterError):
+        grid_cover(full_plane(5), 0, 2, 0)
+    with pytest.raises(InvalidParameterError):
+        grid_cover(full_plane(5), -1, 2, 1)
+    with pytest.raises(InvalidParameterError):
+        extraction_preconditions(Fraction(6), 25, 30, Fraction(-1, 2))
+    with pytest.raises(InvalidParameterError):
+        grid_size_lower_bound(Fraction(6), 25, 30, 0)
 
 
 def test_partition_full_plane_test_constants():
@@ -83,6 +101,59 @@ def test_two_pencil_no_incidences():
     p = 7
     with pytest.raises(NoIncidencesError):
         two_pencil_extract([AffinePoint(0, 0, p)], [AffineLine(1, 1, p)])
+
+
+def reference_extract(points, lines):
+    """Oracle: the extraction step by step with Python objects, exact
+    rationals and one incident() call per (point, line) pair."""
+    pts = tuple(sorted(set(points)))
+    lns = tuple(sorted(set(lines), key=AffineLine.sort_key))
+
+    def richness(cands, pool):
+        return {line: sum(incident(q, line) for q in cands) for line in pool}
+
+    def degree(q, pool):
+        return sum(incident(q, line) for line in pool)
+
+    rich = richness(pts, lns)
+    total = sum(rich.values())
+    if total == 0:
+        raise NoIncidencesError
+    pool1 = tuple(line for line in lns if rich[line] >= Fraction(total, 2 * len(lns)))
+    thr1 = Fraction(sum(rich[line] for line in pool1), 2 * len(pts))
+    apex1 = next(q for q in pts if degree(q, pool1) >= thr1)
+    candidates = tuple(q for q in pts if q != apex1 and line_through(apex1, q) in set(lns))
+    if not candidates:
+        raise EmptyGridError
+    rich_q = richness(candidates, lns)
+    pool2 = tuple(line for line in lns if rich_q[line] >= Fraction(sum(rich_q.values()), 2 * len(lns)))
+    thr2 = Fraction(sum(rich_q[line] for line in pool2), 2 * len(candidates))
+    apex2 = next(q for q in candidates if degree(q, pool2) >= thr2)
+    apex_line = line_through(apex1, apex2)
+    grid = tuple(q for q in candidates
+                 if not incident(q, apex_line) and line_through(apex2, q) in set(pool2))
+    if not grid:
+        raise EmptyGridError
+    pencil1 = tuple(sorted({line_through(apex1, g) for g in grid}, key=AffineLine.sort_key))
+    pencil2 = tuple(sorted({line_through(apex2, g) for g in grid}, key=AffineLine.sort_key))
+    return PencilGrid(apex1, apex2, grid, pencil1, pencil2, pool1, candidates, pool2, Fraction(total, len(pts)))
+
+
+def test_two_pencil_matches_reference():
+    cases = random_instances(60, 4242, max_p_index=8, max_m=60, max_n=60)
+    cases += [full_plane(5), elekes_construction(3, 2, 31), random_instance(1048573, 40, 40, 1)]
+    outcomes = set()
+    for inst in cases:
+        try:
+            want = reference_extract(inst.points, inst.lines)
+        except (NoIncidencesError, EmptyGridError) as exc:
+            with pytest.raises(type(exc)):
+                two_pencil_extract(inst.points, inst.lines)
+            outcomes.add(type(exc))
+            continue
+        assert two_pencil_extract(inst.points, inst.lines) == want
+        outcomes.add(PencilGrid)
+    assert outcomes == {PencilGrid, NoIncidencesError, EmptyGridError}
 
 
 def test_two_pencil_structural_contract():

@@ -12,7 +12,7 @@ from incidencelab.distances import (
     isotropic_lines,
 )
 from incidencelab.errors import ModulusMismatchError, TooFewPointsError
-from incidencelab.field import minus_one_is_square
+from incidencelab.field import inv_mod, minus_one_is_square, sqrt_mod
 from incidencelab.plane import AffineLine, AffinePoint, incident, line_through
 
 
@@ -212,3 +212,79 @@ def test_pair_accounting_identity():
         oracle = brute_determined(pts)
         total = sum(k * (k - 1) // 2 for k in oracle.values())
         assert total == len(pts) * (len(pts) - 1) // 2
+
+
+EDGE_PRIMES = (3, 1048573, 2147483629, 2147483647)
+
+
+def edge_point_sets(p):
+    """Point sets that reach every branch of the array passes mod p: a
+    planted collinear run, a column (vertical pairs), a ring of points at
+    one distance from the origin, coordinates near p (squares near 2^62),
+    and, when -1 is a square, a subset of an isotropic line."""
+    stream = SeededStream(p)
+    rand = P([(stream.below(p), stream.below(p)) for _ in range(10)], p)
+    run = P([(t, 5 * t + 2) for t in range(6)], p)
+    column = P([(9, 4 * t + 1) for t in range(5)], p)
+    a, b = p - 1, p // 2
+    ring = P([(0, 0), (a, b), (b, a), (-a, b), (a, -b), (-b, -a), (-a, -b)], p)
+    sets = [rand + run + column + ring, run, column, ring]
+    if minus_one_is_square(p):
+        i = sqrt_mod(p - 1, p)
+        iso = P([(t, i * t) for t in (0, 1, 2, p - 1, p // 3)], p)
+        sets += [iso, iso + ring]
+    return [sorted(set(pts)) for pts in sets]
+
+
+def brute_distance_sets(pts):
+    pinned = {q: frozenset(distance(q, r) for r in pts) for q in pts}
+    best = max(len(s) for s in pinned.values())
+    pin = next(q for q in pts if len(pinned[q]) == best)
+    return frozenset().union(*pinned.values()), pinned, pin
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_reports_exact_at_field_edges(p):
+    for pts in edge_point_sets(p):
+        rep = distance_sets(pts)
+        full, pinned, pin = brute_distance_sets(pts)
+        assert (rep.distances, rep.pinned, rep.pin) == (full, pinned, pin)
+        assert rep.max_pinned == len(pinned[pin]) and rep.degenerate == (full == {0})
+        assert isosceles_triples(pts) == brute_isosceles(pts)
+        if len(pts) < 2:
+            continue
+        beck = determined_lines(pts)
+        oracle = brute_determined(pts)
+        lines = tuple(sorted(oracle, key=AffineLine.sort_key))
+        classes = {}
+        pairs_by_class = {}
+        for line in lines:
+            k = oracle[line]
+            j = k.bit_length() - 1
+            classes.setdefault(j, []).append(line)
+            pairs_by_class[j] = pairs_by_class.get(j, 0) + k * (k - 1) // 2
+        assert beck.lines == lines
+        assert beck.classes == {j: tuple(ls) for j, ls in sorted(classes.items())}
+        assert beck.class_sizes == {j: len(ls) for j, ls in sorted(classes.items())}
+        assert beck.pairs_by_class == dict(sorted(pairs_by_class.items()))
+        assert beck.richness.tolist() == [oracle[line] for line in lines]
+        assert beck.keys.tolist() == [line.key() for line in lines]
+    # the sets reach the branches they are meant to
+    sets = edge_point_sets(p)
+    assert determined_lines(sets[2]).lines == (AffineLine(None, 9, p),)
+    assert isosceles_triples(sets[3]) > 0
+    assert distance_sets(sets[-2]).degenerate == minus_one_is_square(p)
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_bisectors_exact_at_field_edges(p):
+    half = inv_mod(2, p)
+    for pts in edge_point_sets(p):
+        r = pts[-1]
+        # oracle: the line through the midpoint of r and s, perpendicular to s - r
+        want = set()
+        for s in pts:
+            if distance(r, s) != 0:
+                mid = AffinePoint((r.x + s.x) * half, (r.y + s.y) * half, p)
+                want.add(line_through(mid, mid.translate(r.y - s.y, s.x - r.x)))
+        assert bisector_instance(pts, r) == want

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from incidencelab.errors import (
 from incidencelab.field import (
     PrimeModulus,
     inv_mod,
+    inv_mod_array,
     is_square,
     make_modulus,
     minus_one_is_square,
@@ -100,6 +102,27 @@ def test_sqrt_roundtrip_property(a, pi):
     if r is not None:
         assert r * r % p == a % p
         assert r <= p - r
+
+
+EDGE_PRIMES = (3, 1048573, 2147483629, 2147483647)
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_inv_mod_array_matches_inv_mod(p):
+    a = [1, 2, p - 1, p - 2, (p + 1) // 2, p + 1, -1, -p - 2, 2 * p - 1, 3 * p + 2, 12345 * p + 678]
+    a = [v for v in a if v % p]
+    got = inv_mod_array(a, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [inv_mod(v, p) for v in a]
+    assert inv_mod_array(np.array(a).reshape(-1, 1), p).ravel().tolist() == got.tolist()
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_inv_mod_array_raises_on_zero(p):
+    for zero in (0, p, -2 * p):
+        with pytest.raises(DivisionByZeroError):
+            inv_mod_array([1, zero, 2], p)
+    assert inv_mod_array([], p).size == 0
 
 
 def test_inv_mod_large_prime():

@@ -155,9 +155,26 @@ def brute_max_collinear(points, p):
 def test_max_collinear_examples():
     assert max_collinear_3d([(0, 0, 0), (1, 1, 1), (2, 2, 2)], 5) == 3
     assert max_collinear_3d([(3, 1, 4)], 7) == 1
+    # coordinates are residues: (5, 5, 5) is the origin mod 5
+    assert max_collinear_3d([(0, 0, 0), (5, 5, 5), (1, 2, 3)], 5) == 2
     grid = [(x, s, 0) for x in (0, 1) for s in (0, 1)]
     assert brute_max_collinear(grid, 5) == 2
     assert max_collinear_3d(grid, 5) == 2
+
+
+@pytest.mark.parametrize("p", (3, 1048573, 2147483629, 2147483647))
+def test_max_collinear_exact_at_field_edges(p):
+    stream = SeededStream(p)
+    rand = [(stream.below(p), stream.below(p), stream.below(p)) for _ in range(8)]
+    # planted lines with directions of each normal form: (1, v, w) with
+    # coordinates near p, (0, 1, w) and (0, 0, 1)
+    d = (p - 1, p // 2 + 3, p - 7)
+    first = [tuple((5 + t * c) % p for c in d) for t in range(6)]
+    second = [(3 % p, t % p, (2 * t + 1) % p) for t in range(5)]
+    third = [(p - 2, p - 3, (t * 7) % p) for t in range(4)]
+    for pts in (rand + first + second + third, rand + second, third, rand):
+        assert max_collinear_3d(pts, p) == brute_max_collinear(pts, p)
+    assert max_collinear_3d(first + rand, p) >= min(6, p)
 
 
 def test_max_collinear_matches_oracle_random():
