@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import harness
 from .constructions import elekes_construction, full_plane, random_instance
 from .cover import grid_cover, normalize_grid, two_pencil_extract, verify_certificate
-from .distances import determined_lines, distance_sets, isosceles_triples, isotropic_lines
+from .distances import determined_lines, distance_sets, isotropic_lines
 from .energy import cs_bridge_check, energy_reduction, line_energy, sumproduct_report
 from .errors import Error
 from .harness import line_to_json, point_to_json
@@ -259,7 +259,7 @@ def _cmd_distances(args) -> int:
         "distance_set": sorted(rep.distances),
         "pin": point_to_json(rep.pin), "max_pinned": rep.max_pinned,
         "degenerate": rep.degenerate,
-        "isosceles_triples": isosceles_triples(inst.points),
+        "isosceles_triples": rep.isosceles_triples,
         "has_isotropic_lines": iso is not None,
     }, args.output)
     return 0

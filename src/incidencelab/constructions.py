@@ -8,7 +8,10 @@ any implementation of this format.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
+
+import numpy as np
 
 from .errors import (
     CharacteristicTooSmallError,
@@ -20,6 +23,9 @@ from .field import make_modulus
 from .plane import AffineLine, AffinePoint, Instance
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# draws per batch of sample_distinct at most: 2 MB of uint64 state
+_MAX_BATCH = 1 << 18
 
 
 class SeededStream:
@@ -34,7 +40,7 @@ class SeededStream:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -43,23 +49,50 @@ class SeededStream:
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) by unbiased rejection."""
         if bound <= 0:
-            raise ValueError("bound must be positive")
+            raise InvalidParameterError(f"bound must be positive, got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             z = self.next_u64()
             if z < limit:
                 return z % bound
 
-    def sample_distinct(self, bound: int, count: int) -> list[int]:
-        """count distinct integers from [0, bound), in draw order."""
-        seen = set()
-        out = []
-        while len(out) < count:
-            v = self.below(bound)
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-        return out
+    def _batch(self, size: int) -> np.ndarray:
+        """The next size outputs of next_u64 as uint64, without advancing
+        the state."""
+        z = np.uint64(self.state) + np.uint64(_GAMMA) * np.arange(1, size + 1, dtype=np.uint64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def sample_distinct(self, bound: int, count: int) -> np.ndarray:
+        """count distinct integers from [0, bound), in draw order, as int64.
+
+        The draws, their order and the final state are those of calling
+        below(bound) until count distinct values have appeared; the outputs
+        are mixed in numpy batches instead of one at a time.
+        """
+        if not 0 <= count <= bound:
+            raise InvalidParameterError(f"need 0 <= count <= bound, got count {count} and bound {bound}")
+        found = np.empty(0, dtype=np.int64)
+        while found.size < count:
+            limit = (1 << 64) - ((1 << 64) % bound)
+            need = count - found.size
+            free = bound - found.size
+            # about the expected number of draws: bound/j per new value with
+            # j values unseen, over the share of draws accepted; a short
+            # batch is topped up by the next
+            expect = -bound * math.log1p(-need / (free + 0.5)) * 2.0**64 / limit
+            size = min(_MAX_BATCH, 64 + int(expect))
+            z = self._batch(size)
+            drawn = np.arange(size) if limit == 1 << 64 else np.flatnonzero(z < np.uint64(limit))
+            values = (z[drawn] % np.uint64(bound)).astype(np.int64)
+            # first occurrences in the batch, in draw order, not seen before
+            uniq, first = np.unique(values, return_index=True)
+            first = np.sort(first[~np.isin(uniq, found)])[:need]
+            used = int(drawn[first[-1]]) + 1 if first.size == need else size
+            self.state = (self.state + _GAMMA * used) & _MASK64
+            found = np.concatenate([found, values[first]])
+        return found
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -83,9 +116,9 @@ def elekes_construction(a: int, c: int, p: int) -> Instance:
     if 2 * a * c >= p:
         raise CharacteristicTooSmallError(f"need 2ac < p, got 2*{a}*{c} = {2 * a * c} >= {p}")
     modulus = make_modulus(p)
-    points = [AffinePoint(i, j, p) for i in range(1, a + 1) for j in range(1, 2 * a * c + 1)]
-    lines = elekes_line_family(a, c, p)
-    return Instance(modulus, points, lines)
+    point_keys = np.arange(1, a + 1)[:, None] * p + np.arange(1, 2 * a * c + 1)
+    line_keys = np.arange(1, c + 1)[:, None] * p + np.arange(1, a * c + 1)
+    return Instance(modulus, point_keys=point_keys.ravel(), line_keys=line_keys.ravel())
 
 
 def elekes_line_family(a: int, c: int, p: int) -> list[AffineLine]:
@@ -95,11 +128,9 @@ def elekes_line_family(a: int, c: int, p: int) -> list[AffineLine]:
 
 def full_plane(p: int) -> Instance:
     """All p^2 points and all p^2 + p lines of the affine plane."""
-    modulus = make_modulus(p)
-    points = [AffinePoint(x, y, p) for x in range(p) for y in range(p)]
-    lines = [AffineLine(s, t, p) for s in range(p) for t in range(p)]
-    lines += [AffineLine(None, x0, p) for x0 in range(p)]
-    return Instance(modulus, points, lines)
+    # point keys x*p + y and line keys s*p + t, then p*p + x0 for the
+    # vertical lines, cover [0, p*p) and [0, p*p + p)
+    return Instance(make_modulus(p), point_keys=np.arange(p * p), line_keys=np.arange(p * p + p))
 
 
 def cartesian_instance(A: Iterable[int], B: Iterable[int], lines, p: int) -> Instance:
@@ -116,7 +147,7 @@ def cartesian_instance(A: Iterable[int], B: Iterable[int], lines, p: int) -> Ins
     points = [AffinePoint(x, y, p) for x in A for y in B]
     if isinstance(lines, str):
         if lines != "spanned":
-            raise ValueError(f"unknown line family {lines!r}")
+            raise InvalidParameterError(f"unknown line family {lines!r}")
         from .distances import determined_lines
         lines = determined_lines(points).lines
     return Instance(modulus, points, lines)
@@ -128,7 +159,7 @@ def random_instance(p: int, m: int, n: int, seed: int) -> Instance:
 
     Index encodings: point k -> (k // p, k mod p) over [0, p^2); line k over
     [0, p^2 + p) is y = (k // p) x + (k mod p) for k < p^2, else the vertical
-    line x = k - p^2.
+    line x = k - p^2.  The indices are the instance's point and line keys.
     """
     modulus = make_modulus(p)
     if m > p * p:
@@ -136,14 +167,8 @@ def random_instance(p: int, m: int, n: int, seed: int) -> Instance:
     if n > p * p + p:
         raise TooManyRequestedError(f"at most {p * p + p} distinct lines exist, requested {n}")
     stream = SeededStream(seed)
-    points = [AffinePoint(k // p, k % p, p) for k in stream.sample_distinct(p * p, m)]
-    lines = []
-    for k in stream.sample_distinct(p * p + p, n):
-        if k < p * p:
-            lines.append(AffineLine(k // p, k % p, p))
-        else:
-            lines.append(AffineLine(None, k - p * p, p))
-    return Instance(modulus, points, lines)
+    point_keys = stream.sample_distinct(p * p, m)
+    return Instance(modulus, point_keys=point_keys, line_keys=stream.sample_distinct(p * p + p, n))
 
 
 def pencil(vertex: AffinePoint, slopes: Iterable[int], include_vertical: bool = False) -> frozenset[AffineLine]:

@@ -60,7 +60,8 @@ class DistanceReport:
     int64 array; pinned holds the same sets as frozensets, built on first
     access.  pin is the point whose pinned set is largest (ties broken
     lexicographically); degenerate flags the all-zero distance set that a
-    subset of one isotropic line produces.
+    subset of one isotropic line produces.  isosceles_triples is the count
+    of :func:`isosceles_triples`, taken from the same distance rows.
     """
 
     distances: frozenset[int]
@@ -68,6 +69,7 @@ class DistanceReport:
     pin: AffinePoint
     max_pinned: int
     degenerate: bool
+    isosceles_triples: int
 
     @cached_property
     def pinned(self) -> dict:
@@ -84,13 +86,17 @@ def distance_sets(points) -> DistanceReport:
     pts, p, x, y = _coords(points)
     if not pts:
         raise EmptyInputError("need at least one point")
-    pinned = {q: np.unique(row) for q, row in zip(pts, _distance_rows(x, y, p))}
+    pinned, isosceles = {}, 0
+    for q, row in zip(pts, _distance_rows(x, y, p)):
+        values, counts = np.unique(row, return_counts=True)
+        pinned[q] = values
+        isosceles += _isosceles(values, counts)
     full = frozenset(np.unique(np.concatenate(list(pinned.values()))).tolist())
     # argmax by pinned-set size; pts is sorted, so ties resolve to the
     # lexicographically smallest point
     best = max(v.size for v in pinned.values())
     pin = next(q for q in pts if pinned[q].size == best)
-    return DistanceReport(full, pinned, pin, best, full == frozenset({0}))
+    return DistanceReport(full, pinned, pin, best, full == frozenset({0}), isosceles)
 
 
 def isotropic_lines(r: AffinePoint) -> tuple[AffineLine, AffineLine] | None:
@@ -137,11 +143,14 @@ def isosceles_triples(points) -> int:
     """Exact count of ordered triples (q, r, s), r != s, with
     d(q, r) = d(q, s) != 0."""
     _, p, x, y = _coords(points)
-    total = 0
-    for row in _distance_rows(x, y, p):
-        c = np.unique(row[row != 0], return_counts=True)[1]
-        total += int((c * (c - 1)).sum())
-    return total
+    return sum(_isosceles(*np.unique(row, return_counts=True)) for row in _distance_rows(x, y, p))
+
+
+def _isosceles(values, counts) -> int:
+    """Ordered pairs (r, s), r != s, at one nonzero distance from a pin,
+    given the distinct values of the pin's distance row and their counts."""
+    c = counts[values != 0]
+    return int((c * (c - 1)).sum())
 
 
 def _dyadic_class(k: np.ndarray) -> np.ndarray:

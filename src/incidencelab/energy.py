@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateInputError, EmptyInputError, VerticalLinePresentError
+from .errors import DegenerateInputError, EmptyInputError, InvalidParameterError, VerticalLinePresentError
 from .field import make_modulus
 from .incidence import PlaneInstance3D, count_incidences
 from .plane import AffinePoint, Instance
@@ -45,7 +45,7 @@ def line_energy(A, lines, p: int | None = None) -> EnergyCount:
     duals = _dual_pairs(lines)
     if p is None:
         if not lines:
-            raise ValueError("p must be given when the line set is empty")
+            raise InvalidParameterError("p must be given when the line set is empty")
         p = next(iter(lines)).p
     xs = sorted({x % p for x in A})
     if len(xs) * len(duals) > 5000:
@@ -72,7 +72,7 @@ def energy_reduction(A, lines, p: int | None = None) -> PlaneInstance3D:
     duals = _dual_pairs(lines)
     if p is None:
         if not lines:
-            raise ValueError("p must be given when the line set is empty")
+            raise InvalidParameterError("p must be given when the line set is empty")
         p = next(iter(lines)).p
     xs = sorted({x % p for x in A})
     points = [(x, s, t) for x in xs for s, t in duals]
@@ -140,7 +140,7 @@ def arithmetic_image(expr: str, p: int, A=None, B=None, C=None) -> frozenset[int
     if expr == "x^2+xy":
         a, b = need("A", A), need("B", B)
         return frozenset((u * u + u * v) % p for u in a for v in b)
-    raise ValueError(f"unknown expression {expr!r}")
+    raise InvalidParameterError(f"unknown expression {expr!r}")
 
 
 @dataclass(frozen=True)
@@ -224,4 +224,4 @@ def sumproduct_report(corollary: str, p: int, A=None, B=None, C=None, c=1) -> Su
             corollary, {"A": len(a), "B": len(b)}, {"x^2+xy": len(img)},
             None, None, main, len(img) / main, {},
             "|A|^2 |B| << p^2", Fraction(len(a) ** 2 * len(b)) <= cf * p * p, cf)
-    raise ValueError(f"unknown corollary {corollary!r}")
+    raise InvalidParameterError(f"unknown corollary {corollary!r}")

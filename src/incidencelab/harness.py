@@ -30,6 +30,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .constructions import (
     derive_seed,
     elekes_construction,
@@ -42,6 +44,7 @@ from .errors import (
     ConfigError,
     Error,
     InsufficientDataError,
+    InvalidParameterError,
     NonPositiveValueError,
     OutOfRangeError,
     ParseError,
@@ -131,37 +134,44 @@ def point_to_json(q: AffinePoint) -> list[int]:
 
 
 def line_to_json(line: AffineLine) -> dict:
-    if line.slope is None:
-        return {"kind": "v", "x": line.intercept}
-    return {"kind": "sl", "s": line.slope, "t": line.intercept}
+    return _line_json(line.key(), line.p)
 
 
-def _point(entry, p: int, i: int) -> AffinePoint:
+def _line_json(key: int, p: int) -> dict:
+    if key >= p * p:
+        return {"kind": "v", "x": key - p * p}
+    return {"kind": "sl", "s": key // p, "t": key % p}
+
+
+def _point_key(entry, p: int, i: int) -> int:
+    """The key x*p + y of points[i]."""
     if isinstance(entry, list) and len(entry) == 2:
         x, y = entry
         if isinstance(x, int) and isinstance(y, int) and 0 <= x < p and 0 <= y < p:
-            return AffinePoint(x, y, p)
+            return x * p + y
     raise ParseError(f"points[{i}] must be a pair [x, y] of integers in [0, {p})")
 
 
-def _line(entry, p: int, i: int) -> AffineLine:
+def _line_key(entry, p: int, i: int) -> int:
+    """The key (see :meth:`AffineLine.key`) of lines[i]."""
     kind = entry.get("kind") if isinstance(entry, dict) else None
     if kind == "sl":
         s, t = entry.get("s"), entry.get("t")
         if isinstance(s, int) and isinstance(t, int) and 0 <= s < p and 0 <= t < p:
-            return AffineLine(s, t, p)
+            return s * p + t
         raise ParseError(f"lines[{i}] of kind 'sl' needs integer fields 's' and 't' in [0, {p})")
     if kind == "v":
         x = entry.get("x")
         if isinstance(x, int) and 0 <= x < p:
-            return AffineLine(None, x, p)
+            return p * p + x
         raise ParseError(f"lines[{i}] of kind 'v' needs an integer field 'x' in [0, {p})")
     raise ParseError(f"lines[{i}] needs a 'kind' field, 'sl' or 'v'")
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    return {"p": inst.p, "points": [point_to_json(q) for q in inst.points],
-            "lines": [line_to_json(line) for line in inst.lines]}
+    p = inst.p
+    return {"p": p, "points": np.column_stack(inst.xy).tolist(),
+            "lines": [_line_json(key, p) for key in inst.line_keys.tolist()]}
 
 
 def read_instance(path) -> Instance:
@@ -169,11 +179,11 @@ def read_instance(path) -> Instance:
     data = _load_json(path)
     modulus = _modulus(data, "points", "lines")
     p = modulus.p
-    points = [_point(entry, p, i) for i, entry in enumerate(data["points"])]
-    lines = [_line(entry, p, i) for i, entry in enumerate(data["lines"])]
-    inst = Instance(modulus, points, lines)
-    if inst.m < len(points) or inst.n < len(lines):
-        warnings.warn(DuplicateEntryWarning(len(points) - inst.m, len(lines) - inst.n), stacklevel=2)
+    point_keys = [_point_key(entry, p, i) for i, entry in enumerate(data["points"])]
+    line_keys = [_line_key(entry, p, i) for i, entry in enumerate(data["lines"])]
+    inst = Instance(modulus, point_keys=point_keys, line_keys=line_keys)
+    if inst.m < len(point_keys) or inst.n < len(line_keys):
+        warnings.warn(DuplicateEntryWarning(len(point_keys) - inst.m, len(line_keys) - inst.n), stacklevel=2)
     return inst
 
 
@@ -192,7 +202,7 @@ def read_instance3d(path) -> PlaneInstance3D:
     planes = [_ints(entry, 4, "planes", i) for i, entry in enumerate(data["planes"])]
     try:
         return PlaneInstance3D.build(p, points, planes)
-    except ValueError as exc:
+    except InvalidParameterError as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -202,7 +212,7 @@ def read_energy_input(path) -> tuple[int, tuple[int, ...], list[AffineLine], tup
     p = _modulus(data, "A", "lines").p
     A = _ints(data["A"], None, "A")
     _require(A and data["lines"], "fields 'A' and 'lines' must be nonempty")
-    lines = [_line(entry, p, i) for i, entry in enumerate(data["lines"])]
+    lines = [AffineLine.from_key(_line_key(entry, p, i), p) for i, entry in enumerate(data["lines"])]
     B = data.get("B")
     return p, A, lines, None if B is None else _ints(B, None, "B")
 

@@ -4,10 +4,15 @@ Points and lines carry their modulus as a plain int and store canonical
 residues, so structural equality coincides with geometric equality and both
 types hash cheaply.  Lines use the canonical slope-intercept form, with
 vertical lines tagged separately (slope None, the stored value is x0).
-For array passes a line is also one int64 key, slope*p + intercept or
-p*p + x0 for a vertical line, whose numeric order is the lines' sort order;
+For array passes a point is also one int64 key, x*p + y, and a line one
+int64 key, slope*p + intercept or p*p + x0 for a vertical line; numeric key
+order is the sort order of the points and of the lines.
 :func:`line_keys` computes the keys of the lines through many point pairs
 at once.
+
+An :class:`Instance` stores only its two sorted key columns.  Its point and
+line objects, and the coordinate and run views the counting engines read,
+are built from the keys on first access.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 
 from .errors import (
     CoincidentPointsError,
+    InvalidParameterError,
     LineSentToInfinityError,
     ModulusMismatchError,
     PointSentToInfinityError,
@@ -159,26 +165,73 @@ def pair_blocks(m: int):
         yield i + lo, j
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    # an instance's columns and views are shared by every caller
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Where the runs of equal values in the sorted int64 array a begin.
+
+    Not np.unique: the columns are sorted already, and without a return_*
+    flag np.unique imports numpy.ma (about 20 ms and 1 MB at first use).
+    """
+    return np.flatnonzero(np.diff(a, prepend=a[:1] - 1))
+
+
+def _key_column(keys, bound: int, what: str) -> np.ndarray:
+    """The sorted distinct int64 keys, each checked to lie in [0, bound)."""
+    keys = np.sort(np.asarray(keys, dtype=np.int64))
+    keys = keys[_run_starts(keys)]
+    if keys.size and (keys[0] < 0 or keys[-1] >= bound):
+        raise InvalidParameterError(f"{what} keys must lie in [0, {bound})")
+    return _read_only(keys)[0]
+
+
+def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted array a and the offsets of their
+    runs in a, ending with a.size."""
+    start = _run_starts(a)
+    return _read_only(a[start], np.append(start, a.size))
+
+
 class Instance:
     """A deduplicated set of points and lines sharing one prime modulus.
 
-    Points and lines are stored as sorted tuples, so two instances with the
-    same content compare and serialize identically.
+    The instance is two sorted, deduplicated int64 key columns: point_keys
+    holds x*p + y for each point and line_keys the :meth:`AffineLine.key`
+    of each line.  Key order is the order of sorted points and of
+    :meth:`AffineLine.sort_key`, so two instances with the same content
+    compare and serialize identically.  The object tuples points and lines,
+    their frozensets and the coordinate columns are built on first access.
+
+    Build from objects, Instance(modulus, points, lines), or from keys in
+    any order and with repeats, Instance(modulus, point_keys=...,
+    line_keys=...); each side takes exactly one of the two forms.
     """
 
-    def __init__(self, modulus: PrimeModulus, points: Iterable[AffinePoint], lines: Iterable[AffineLine]):
+    def __init__(self, modulus: PrimeModulus, points: Iterable[AffinePoint] | None = None,
+                 lines: Iterable[AffineLine] | None = None, *, point_keys=None, line_keys=None):
+        if (points is None) == (point_keys is None) or (lines is None) == (line_keys is None):
+            raise InvalidParameterError("give points or point_keys, and lines or line_keys")
         self.modulus = modulus
         p = modulus.p
-        pts = set(points)
-        lns = set(lines)
-        for q in pts:
-            if q.p != p:
-                raise ModulusMismatchError(f"point {q} does not live in F_{p}")
-        for line in lns:
-            if line.p != p:
-                raise ModulusMismatchError(f"line {line} does not live in F_{p}")
-        self.points: tuple[AffinePoint, ...] = tuple(sorted(pts))
-        self.lines: tuple[AffineLine, ...] = tuple(sorted(lns, key=AffineLine.sort_key))
+        if point_keys is None:
+            point_keys = []
+            for q in points:
+                if q.p != p:
+                    raise ModulusMismatchError(f"point {q} does not live in F_{p}")
+                point_keys.append(q.x * p + q.y)
+        if line_keys is None:
+            line_keys = []
+            for line in lines:
+                if line.p != p:
+                    raise ModulusMismatchError(f"line {line} does not live in F_{p}")
+                line_keys.append(line.key())
+        self.point_keys = _key_column(point_keys, p * p, "point")
+        self.line_keys = _key_column(line_keys, p * p + p, "line")
 
     @property
     def p(self) -> int:
@@ -186,11 +239,50 @@ class Instance:
 
     @property
     def m(self) -> int:
-        return len(self.points)
+        return self.point_keys.size
 
     @property
     def n(self) -> int:
-        return len(self.lines)
+        return self.line_keys.size
+
+    @cached_property
+    def xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and the y column of the points, in point order."""
+        return _read_only(*np.divmod(self.point_keys, self.p))
+
+    @cached_property
+    def line_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The slope and the intercept columns of the non-vertical lines,
+        in line order, and the x0 column of the vertical lines, which order
+        after them."""
+        p = self.p
+        sloped = np.searchsorted(self.line_keys, p * p)
+        s, t = np.divmod(self.line_keys[:sloped], p)
+        return _read_only(s, t, self.line_keys[sloped:] - p * p)
+
+    @cached_property
+    def column_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct x of the points and the offsets of their columns:
+        points sorted by (x, y) hold each column's ascending y-values in
+        one run."""
+        return _runs(self.xy[0])
+
+    @cached_property
+    def slope_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct slopes of the non-vertical lines and the offsets of
+        their classes, each one run of ascending intercepts."""
+        return _runs(self.line_columns[0])
+
+    @cached_property
+    def points(self) -> tuple[AffinePoint, ...]:
+        p = self.p
+        return tuple(AffinePoint(x, y, p) for x, y in zip(*(c.tolist() for c in self.xy)))
+
+    @cached_property
+    def lines(self) -> tuple[AffineLine, ...]:
+        p = self.p
+        s, t, vertical = (c.tolist() for c in self.line_columns)
+        return tuple([AffineLine(a, b, p) for a, b in zip(s, t)] + [AffineLine(None, x0, p) for x0 in vertical])
 
     @cached_property
     def point_set(self) -> frozenset[AffinePoint]:
@@ -201,16 +293,16 @@ class Instance:
         return frozenset(self.lines)
 
     def replace(self, points=None, lines=None) -> "Instance":
-        return Instance(
-            self.modulus,
-            self.points if points is None else points,
-            self.lines if lines is None else lines,
-        )
+        """This instance with its points or its lines replaced."""
+        return Instance(self.modulus, points, lines,
+                        point_keys=self.point_keys if points is None else None,
+                        line_keys=self.line_keys if lines is None else None)
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
             return NotImplemented
-        return self.p == other.p and self.points == other.points and self.lines == other.lines
+        return (self.p == other.p and np.array_equal(self.point_keys, other.point_keys)
+                and np.array_equal(self.line_keys, other.line_keys))
 
     def __repr__(self):
         return f"Instance(p={self.p}, m={self.m}, n={self.n})"
@@ -225,13 +317,11 @@ def dualize(inst: Instance) -> Instance:
     lines have no slope-intercept form and are rejected.
     """
     p = inst.p
-    dual_points = []
-    for line in inst.lines:
-        if line.slope is None:
-            raise VerticalLinePresentError(f"cannot dualize vertical line {line}")
-        dual_points.append(AffinePoint(line.slope, -line.intercept, p))
-    dual_lines = [AffineLine(q.x, -q.y, p) for q in inst.points]
-    return Instance(inst.modulus, dual_points, dual_lines)
+    s, t, vertical = inst.line_columns
+    if vertical.size:
+        raise VerticalLinePresentError(f"cannot dualize vertical line {vertical_line(int(vertical[0]), p)}")
+    x, y = inst.xy
+    return Instance(inst.modulus, point_keys=s * p + (-t) % p, line_keys=x * p + (-y) % p)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +342,7 @@ class ProjPoint:
         p = self.p
         coords = [self.a % p, self.b % p, self.c % p]
         if coords == [0, 0, 0]:
-            raise ValueError("projective point needs a nonzero coordinate")
+            raise InvalidParameterError("projective point needs a nonzero coordinate")
         for v in coords:
             if v != 0:
                 inv = inv_mod(v, p)
@@ -326,7 +416,7 @@ class ProjMap:
         rows = tuple(tuple(v % self.p for v in row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if _det3(rows, self.p) == 0:
-            raise ValueError("projective map must be invertible")
+            raise InvalidParameterError("projective map must be invertible")
 
     @property
     def det(self) -> int:

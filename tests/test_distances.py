@@ -153,7 +153,7 @@ def test_isosceles_matches_bruteforce():
         p = (5, 7, 11, 13)[stream.below(4)]
         pts = sorted({AffinePoint(stream.below(p), stream.below(p), p)
                       for _ in range(2 + stream.below(10))})
-        assert isosceles_triples(pts) == brute_isosceles(pts)
+        assert isosceles_triples(pts) == distance_sets(pts).isosceles_triples == brute_isosceles(pts)
 
 
 def brute_determined(pts):
@@ -250,7 +250,7 @@ def test_reports_exact_at_field_edges(p):
         full, pinned, pin = brute_distance_sets(pts)
         assert (rep.distances, rep.pinned, rep.pin) == (full, pinned, pin)
         assert rep.max_pinned == len(pinned[pin]) and rep.degenerate == (full == {0})
-        assert isosceles_triples(pts) == brute_isosceles(pts)
+        assert isosceles_triples(pts) == rep.isosceles_triples == brute_isosceles(pts)
         if len(pts) < 2:
             continue
         beck = determined_lines(pts)

@@ -332,11 +332,10 @@ def test_compiled_kernel_matches_naive_on_both_probe_sides(p):
     for seed in range(4):
         by_slope, by_column = probe_side_instances(p, seed)
         for inst, slope_side in ((by_slope, True), (by_column, False)):
-            sides = inc._sides(inst)
-            cost_slope, cost_col = inc._costs(sides)
+            cost_slope, cost_col = inc._costs(inst)
             assert (cost_slope <= cost_col) is slope_side
             if p > 33:
-                offs = sides.slope_off if slope_side else sides.col_off
+                offs = (inst.slope_runs if slope_side else inst.column_runs)[1]
                 assert sorted(set(np.diff(offs))) == [32, 33]
             expected = count_incidences(inst, "naive")
             assert expected > 0
