@@ -2,8 +2,9 @@
 
 Subcommands: count, count3d, construct, extract, cover, energy, sumprod,
 distances, beck, sweep, fit.  Exit codes: 0 success, 1 usage error, 2 data
-error.  Structured output is JSON (or CSV/SVG where noted); --output writes
-to a file, otherwise stdout.
+error; on stderr a failing command prints zero or more warning lines and
+then one error line.  Output is JSON; count, sweep and fit take --format
+for their other forms.  --output writes to a file, otherwise stdout.
 """
 
 from __future__ import annotations
@@ -61,15 +62,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="incidencelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, inp=True):
-        if inp:
-            sp.add_argument("--input", required=True, help="input file")
+    def common(sp):
+        sp.add_argument("--input", required=True, help="input file")
         sp.add_argument("--output", help="output file (default stdout)")
-        sp.add_argument("--format", choices=("json", "csv", "svg"), default="json")
 
     sp = sub.add_parser("count", help="count point-line incidences of an instance file")
     common(sp)
     sp.add_argument("--engine", choices=ENGINES, default="auto")
+    sp.add_argument("--format", choices=("json", "csv", "svg"), default="json",
+                    help="csv or svg print the bare count when there is no --output")
 
     sp = sub.add_parser("count3d", help="count point-plane incidences of a 3D instance file")
     common(sp)
@@ -119,6 +120,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("fit", help="fit a log-log exponent over sweep records")
     common(sp)
+    sp.add_argument("--format", choices=("json", "csv", "svg"), default="json",
+                    help="svg draws the fit; json and csv print it as JSON")
     sp.add_argument("--x-field", default="m")
     sp.add_argument("--y-field", default="I")
     return parser

@@ -140,17 +140,18 @@ def cartesian_instance(A: Iterable[int], B: Iterable[int], lines, p: int) -> Ins
     lines determined by at least two points of the product.
     """
     modulus = make_modulus(p)
-    A = sorted({x % p for x in A})
-    B = sorted({y % p for y in B})
-    if not A or not B:
+    A = np.array(sorted({x % p for x in A}), dtype=np.int64)
+    B = np.array(sorted({y % p for y in B}), dtype=np.int64)
+    if not A.size or not B.size:
         raise EmptyInputError("A and B must be nonempty")
-    points = [AffinePoint(x, y, p) for x in A for y in B]
-    if isinstance(lines, str):
-        if lines != "spanned":
-            raise InvalidParameterError(f"unknown line family {lines!r}")
-        from .distances import determined_lines
-        lines = determined_lines(points).lines
-    return Instance(modulus, points, lines)
+    point_keys = (A[:, None] * p + B).ravel()
+    if not isinstance(lines, str):
+        return Instance(modulus, lines=lines, point_keys=point_keys)
+    if lines != "spanned":
+        raise InvalidParameterError(f"unknown line family {lines!r}")
+    from .distances import determined_lines
+    points = Instance(modulus, point_keys=point_keys, line_keys=()).points
+    return Instance(modulus, point_keys=point_keys, line_keys=determined_lines(points).keys)
 
 
 def random_instance(p: int, m: int, n: int, seed: int) -> Instance:

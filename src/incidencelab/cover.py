@@ -2,17 +2,20 @@
 projective normalization of grids, and certificate verification.
 
 All threshold comparisons are exact (rationals, or the same inequality
-cleared of its denominator in integers); tie-breaking is lexicographic on
-(x, y) for points and on (vertical, slope, intercept) for lines, so every
-run is reproducible.  The extraction's degree scans are numpy passes over
-blocks of the incidence mask (``incidence.incidence_degrees``) with bounded
-memory, and its joins to the apexes are batched line keys.
+cleared of its denominator or rounded to an integer bound); tie-breaking is
+lexicographic on (x, y) for points and on (vertical, slope, intercept) for
+lines, so every run is reproducible.  Inputs are read through
+:class:`plane.Instance`.  The degree scans are numpy passes over blocks of
+the incidence mask (``incidence.incidence_degrees``) with bounded memory,
+and the extraction's joins to the apexes are batched line keys.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -20,10 +23,10 @@ from .errors import (
     EmptyGridError,
     EmptyInstanceError,
     InvalidParameterError,
-    ModulusMismatchError,
     NoIncidencesError,
 )
-from .incidence import incidence_degrees, richness_histograms
+from .field import make_modulus
+from .incidence import incidence_degrees
 from .plane import (
     AffineLine,
     AffinePoint,
@@ -61,20 +64,15 @@ def richness_partition(inst: Instance, low_factor, high_factor) -> RichnessParti
     high_factor = Fraction(high_factor)
     if not low_factor < high_factor:
         raise InvalidParameterError(f"need low_factor < high_factor, got {low_factor} and {high_factor}")
-    hist = richness_histograms(inst)
-    mean = Fraction(hist.total, inst.m)
-    t_low = low_factor * mean
-    t_high = high_factor * mean
-    low, high, regular = [], [], []
-    for q in inst.points:
-        deg = hist.per_point[q]
-        if deg <= t_low:
-            low.append(q)
-        elif deg >= t_high:
-            high.append(q)
-        else:
-            regular.append(q)
-    return RichnessPartition(mean, low_factor, high_factor, tuple(low), tuple(high), tuple(regular))
+    deg = incidence_degrees(*inst.xy, inst.line_keys, inst.p)[0]
+    mean = Fraction(int(deg.sum()), inst.m)
+    # an integer degree d has d <= t exactly when d <= floor(t), and d >= t
+    # exactly when d >= ceil(t); degrees lie in [0, n], so clamping the
+    # bounds to [-1, n + 1] keeps every comparison and fits int64
+    low = deg <= min(max(math.floor(low_factor * mean), -1), inst.n + 1)
+    high = ~low & (deg >= min(max(math.ceil(high_factor * mean), -1), inst.n + 1))
+    return RichnessPartition(mean, low_factor, high_factor, *(
+        tuple(compress(inst.points, mask.tolist())) for mask in (low, high, ~(low | high))))
 
 
 @dataclass(frozen=True)
@@ -116,18 +114,12 @@ def two_pencil_extract(points, lines, mean_richness: Fraction | None = None) -> 
     construction collapses (a legal outcome when the extraction constants
     have no bite at the given sizes).
     """
-    pts = tuple(sorted(set(points)))
-    lns = tuple(sorted(set(lines), key=AffineLine.sort_key))
-    m, n = len(pts), len(lns)
-    if m == 0 or n == 0:
+    points, lines = tuple(points), tuple(lines)
+    if not points or not lines:
         raise NoIncidencesError("need points and lines")
-    moduli = {q.p for q in pts} | {line.p for line in lns}
-    if len(moduli) > 1:
-        raise ModulusMismatchError(f"mixed moduli {sorted(moduli)}")
-    p = moduli.pop()
-    px = np.array([q.x for q in pts], dtype=np.int64)
-    py = np.array([q.y for q in pts], dtype=np.int64)
-    keys = np.array([line.key() for line in lns], dtype=np.int64)
+    inst = Instance(make_modulus(points[0].p), points, lines)
+    m, n, p = inst.m, inst.n, inst.p
+    (px, py), keys = inst.xy, inst.line_keys
 
     richness = incidence_degrees(px, py, keys, p)[1]
     total = int(richness.sum())
@@ -159,8 +151,7 @@ def two_pencil_extract(points, lines, mean_richness: Fraction | None = None) -> 
     deg_pool2 = incidence_degrees(cx, cy, keys[pool2], p)[0]
     a2 = int(cand[np.argmax(2 * cand.size * deg_pool2 >= total2)])
 
-    apex1, apex2 = pts[a1], pts[a2]
-    apex_key = np.array([line_through(apex1, apex2).key()])
+    apex_key = line_keys(px[a1], py[a1], px[[a2]], py[[a2]], p)
     off = np.flatnonzero(incidence_degrees(cx, cy, apex_key, p)[0] == 0)
     joins2 = line_keys(px[a2], py[a2], cx[off], cy[off], p)
     grid = cand[off[np.isin(joins2, keys[pool2])]]
@@ -174,7 +165,8 @@ def two_pencil_extract(points, lines, mean_richness: Fraction | None = None) -> 
     def pick(items, idx):
         return tuple(items[i] for i in idx.tolist())
 
-    return PencilGrid(apex1, apex2, pick(pts, grid), pencil(a1), pencil(a2),
+    pts, lns = inst.points, inst.lines
+    return PencilGrid(pts[a1], pts[a2], pick(pts, grid), pencil(a1), pencil(a2),
                       pick(lns, np.flatnonzero(pool1)), pick(pts, cand),
                       pick(lns, np.flatnonzero(pool2)), K)
 
@@ -281,12 +273,11 @@ def normalize_grid(grid: PencilGrid, lines) -> NormalizedGrid:
     Cartesian product containing the image of the grid."""
     tau = projective_map_from_pair(grid.apex1, grid.apex2)
     apex_line = grid.apex_line
-    kept = [line for line in lines if line != apex_line]
-    image_points = tuple(sorted(tau.apply_point(q) for q in grid.points))
-    image_lines = tuple(sorted({tau.apply_line(line) for line in kept}, key=AffineLine.sort_key))
-    xs = tuple(sorted({q.x for q in image_points}))
-    ys = tuple(sorted({q.y for q in image_points}))
-    return NormalizedGrid(tau, image_points, xs, ys, image_lines)
+    image = Instance(make_modulus(tau.p), [tau.apply_point(q) for q in grid.points],
+                     [tau.apply_line(line) for line in lines if line != apex_line])
+    xs = tuple(image.column_runs[0].tolist())
+    ys = tuple(sorted(set(image.xy[1].tolist())))
+    return NormalizedGrid(tau, image.points, xs, ys, image.lines)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ The quadratic reports are numpy passes with bounded memory: distance sets
 and isosceles triples take one pin's row of m distances at a time, and the
 determined lines are int64 line keys over blocks of point pairs, with one
 batched modular inverse per block and one np.unique count over all keys.
+Point sets are read through :class:`plane.Instance`.
 """
 
 from __future__ import annotations
@@ -17,20 +18,19 @@ from math import isqrt
 import numpy as np
 
 from .errors import EmptyInputError, ModulusMismatchError, TooFewPointsError
-from .field import inv_mod_array, minus_one_is_square, sqrt_mod
-from .plane import AffineLine, AffinePoint, line_keys, pair_blocks
+from .field import inv_mod_array, make_modulus, minus_one_is_square, sqrt_mod
+from .plane import AffineLine, AffinePoint, Instance, line_keys, pair_blocks
 
 
-def _coords(points):
-    """The sorted distinct points, their common modulus (0 when there are
-    none) and their coordinates as int64 arrays."""
-    pts = sorted(set(points))
-    moduli = {q.p for q in pts}
-    if len(moduli) > 1:
-        raise ModulusMismatchError(f"mixed moduli {sorted(moduli)}")
-    x = np.array([q.x for q in pts], dtype=np.int64)
-    y = np.array([q.y for q in pts], dtype=np.int64)
-    return pts, (moduli.pop() if moduli else 0), x, y
+def _coords(points, p: int | None = None) -> Instance | None:
+    """The points as an Instance over F_p, p defaulting to the modulus of
+    the first point; None when there is no point to take it from."""
+    points = tuple(points)
+    if p is None:
+        if not points:
+            return None
+        p = points[0].p
+    return Instance(make_modulus(p), points, ())
 
 
 def _distance_rows(x, y, p):
@@ -83,11 +83,12 @@ class DistanceReport:
 
 def distance_sets(points) -> DistanceReport:
     """Exact distance set and every pinned set Delta_q over the given points."""
-    pts, p, x, y = _coords(points)
-    if not pts:
+    inst = _coords(points)
+    if inst is None:
         raise EmptyInputError("need at least one point")
+    pts = inst.points
     pinned, isosceles = {}, 0
-    for q, row in zip(pts, _distance_rows(x, y, p)):
+    for q, row in zip(pts, _distance_rows(*inst.xy, inst.p)):
         values, counts = np.unique(row, return_counts=True)
         pinned[q] = values
         isosceles += _isosceles(values, counts)
@@ -123,9 +124,7 @@ def bisector_instance(points, r: AffinePoint) -> frozenset[AffineLine]:
     frame.  Zero-distance pairs are excluded, so each line is well-defined.
     """
     p = r.p
-    pts, q, x, y = _coords(points)
-    if pts and q != p:
-        raise ModulusMismatchError(f"mixed moduli {p} and {q}")
+    x, y = _coords(points, p).xy
     dx = (x - r.x) % p
     dy = (y - r.y) % p
     far = (dx * dx + dy * dy) % p != 0
@@ -142,8 +141,10 @@ def bisector_instance(points, r: AffinePoint) -> frozenset[AffineLine]:
 def isosceles_triples(points) -> int:
     """Exact count of ordered triples (q, r, s), r != s, with
     d(q, r) = d(q, s) != 0."""
-    _, p, x, y = _coords(points)
-    return sum(_isosceles(*np.unique(row, return_counts=True)) for row in _distance_rows(x, y, p))
+    inst = _coords(points)
+    if inst is None:
+        return 0
+    return sum(_isosceles(*np.unique(row, return_counts=True)) for row in _distance_rows(*inst.xy, inst.p))
 
 
 def _isosceles(values, counts) -> int:
@@ -203,10 +204,11 @@ class BeckReport:
 def determined_lines(points) -> BeckReport:
     """All lines through at least two points of the set, with the dyadic
     partition by exact point count."""
-    pts, p, x, y = _coords(points)
-    m = len(pts)
+    inst = _coords(points)
+    m = 0 if inst is None else inst.m
     if m < 2:
         raise TooFewPointsError(f"need at least two points, got {m}")
+    p, (x, y) = inst.p, inst.xy
     keys = np.concatenate([line_keys(x[i], y[i], x[j], y[j], p) for i, j in pair_blocks(m)])
     keys, pairs = np.unique(keys, return_counts=True)
     # a line with k points carries c = k(k-1)/2 pairs, so 8c + 1 = (2k - 1)^2

@@ -1,11 +1,12 @@
 """Collision energy of a scalar set against a line family, its reduction to
 point-plane incidences in F_p^3, the Cauchy-Schwarz bridge, and the
-arithmetic image sets behind the sum-product style reports.
+arithmetic image sets behind the sum-product style reports.  The line
+family is read through :class:`plane.Instance` and its slope and intercept
+columns.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -14,16 +15,22 @@ import numpy as np
 from .errors import DegenerateInputError, EmptyInputError, InvalidParameterError, VerticalLinePresentError
 from .field import make_modulus
 from .incidence import PlaneInstance3D, count_incidences
-from .plane import AffinePoint, Instance
+from .plane import Instance, vertical_line
 
 
-def _dual_pairs(lines) -> list[tuple[int, int]]:
-    out = []
-    for line in lines:
-        if line.slope is None:
-            raise VerticalLinePresentError(f"{line} has no slope-intercept form")
-        out.append((line.slope, line.intercept))
-    return sorted(set(out))
+def _energy_input(A, lines, p: int | None) -> tuple[Instance, np.ndarray]:
+    """The lines as an Instance over F_p and the sorted distinct residues of
+    A.  p defaults to the modulus of the first line; a line of another
+    modulus or a vertical line (it has no (slope, intercept) form) raises."""
+    if p is None:
+        if not lines:
+            raise InvalidParameterError("p must be given when the line set is empty")
+        p = next(iter(lines)).p
+    inst = Instance(make_modulus(p), (), lines)
+    vertical = inst.line_columns[2]
+    if vertical.size:
+        raise VerticalLinePresentError(f"{vertical_line(int(vertical[0]), p)} has no slope-intercept form")
+    return inst, np.array(sorted({x % p for x in A}), dtype=np.int64)
 
 
 @dataclass
@@ -36,29 +43,20 @@ class EnergyCount:
     table: dict[int, int] = field(repr=False)
 
 
-def line_energy(A, lines, p: int | None = None) -> EnergyCount:
-    """Exact energy by multiplicity hashing of x*s + t over A x L*.
+def _energy(inst: Instance, xs: np.ndarray) -> EnergyCount:
+    # x, s < p < 2^31, so x*s + t stays below 2^63
+    s, t, _ = inst.line_columns
+    values, counts = np.unique((xs[:, None] * s + t) % inst.p, return_counts=True)
+    return EnergyCount(int((counts * counts).sum()), dict(zip(values.tolist(), counts.tolist())))
 
-    Single pass: build the value -> count table, then sum count^2.  Vertical
-    lines are rejected (they have no (slope, intercept) form).
+
+def line_energy(A, lines, p: int | None = None) -> EnergyCount:
+    """Exact energy by multiplicity counting of x*s + t over A x L*.
+
+    Single pass: count each value of x*s + t, then sum count^2.  Vertical
+    lines and lines of another modulus than p are rejected.
     """
-    duals = _dual_pairs(lines)
-    if p is None:
-        if not lines:
-            raise InvalidParameterError("p must be given when the line set is empty")
-        p = next(iter(lines)).p
-    xs = sorted({x % p for x in A})
-    if len(xs) * len(duals) > 5000:
-        xa = np.array(xs, dtype=np.int64)
-        sa = np.array([s for s, _ in duals], dtype=np.int64)
-        ta = np.array([t for _, t in duals], dtype=np.int64)
-        vals = (xa[:, None] * sa[None, :] + ta[None, :]) % p
-        uniq, counts = np.unique(vals.ravel(), return_counts=True)
-        table = {int(v): int(c) for v, c in zip(uniq, counts)}
-    else:
-        table = Counter((x * s + t) % p for x in xs for s, t in duals)
-        table = dict(table)
-    return EnergyCount(sum(c * c for c in table.values()), table)
+    return _energy(*_energy_input(A, lines, p))
 
 
 def energy_reduction(A, lines, p: int | None = None) -> PlaneInstance3D:
@@ -69,16 +67,11 @@ def energy_reduction(A, lines, p: int | None = None) -> PlaneInstance3D:
     the point-plane count of the output equals the energy.  Both sides have
     exactly |A| * n elements.
     """
-    duals = _dual_pairs(lines)
-    if p is None:
-        if not lines:
-            raise InvalidParameterError("p must be given when the line set is empty")
-        p = next(iter(lines)).p
-    xs = sorted({x % p for x in A})
-    points = [(x, s, t) for x in xs for s, t in duals]
-    planes = [(s, (-x) % p, p - 1, (-t) % p) for x in xs for s, t in duals]
-    inst3 = PlaneInstance3D.build(p, points, planes)
-    assert inst3.r == len(xs) * len(duals) and inst3.s == len(xs) * len(duals)
+    inst, xs = _energy_input(A, lines, p)
+    p, (s, t, _) = inst.p, inst.line_columns
+    x, s, t = (c.tolist() for c in (np.repeat(xs, s.size), np.tile(s, xs.size), np.tile(t, xs.size)))
+    inst3 = PlaneInstance3D.build(p, zip(x, s, t), [(si, -xi % p, p - 1, -ti % p) for xi, si, ti in zip(x, s, t)])
+    assert inst3.r == inst3.s == len(x)
     return inst3
 
 
@@ -93,17 +86,14 @@ class CsBridgeResult:
 def cs_bridge_check(A, B, lines, p: int) -> CsBridgeResult:
     """Count I(A x B, L) and the energy E of (A, L), and check the
     Cauchy-Schwarz inequality I^2 <= |B| * E (it must always hold)."""
-    duals = _dual_pairs(lines)  # validates no verticals
-    modulus = make_modulus(p)
-    xs = sorted({x % p for x in A})
-    ys = sorted({y % p for y in B})
-    energy = line_energy(xs, lines, p).value
-    if not xs or not ys:
-        return CsBridgeResult(0, energy, len(ys) * energy, True)
-    points = [AffinePoint(x, y, p) for x in xs for y in ys]
-    inst = Instance(modulus, points, lines)
-    count = count_incidences(inst)
-    bound = len(ys) * energy
+    inst, xs = _energy_input(A, lines, p)
+    ys = np.array(sorted({y % p for y in B}), dtype=np.int64)
+    energy = _energy(inst, xs).value
+    bound = ys.size * energy
+    if not xs.size or not ys.size:
+        return CsBridgeResult(0, energy, bound, True)
+    count = count_incidences(Instance(inst.modulus, point_keys=(xs[:, None] * p + ys).ravel(),
+                                      line_keys=inst.line_keys))
     return CsBridgeResult(count, energy, bound, count * count <= bound)
 
 

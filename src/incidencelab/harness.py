@@ -15,10 +15,12 @@ Energy input JSON schema:
 with A and lines nonempty and B optional.
 
 Every reader below raises ParseError (ConfigError for a sweep config) on a
-malformed file, so the CLI exits 2 with one line.
+malformed file, so the CLI exits 2 with one error line.  JSON true and false
+are not integers anywhere in these files.
 
-Sweep CSV schema (fixed header, absent fields empty):
-    family,p,m,n,a,b,I,E,k,hyp_1_2,hyp_1_3,hyp_1_4,bound_table1,bound_comb,bound_vinh,ratio_main
+Sweep CSV schema: the fixed header CSV_HEADER, one column per key of
+_COLUMNS in its order; absent fields are empty.  JSON records use the same
+keys, plus "error" on a failed cell.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 import numpy as np
@@ -59,7 +62,15 @@ from .incidence import (
 )
 from .plane import AffineLine, AffinePoint, Instance
 
-CSV_HEADER = "family,p,m,n,a,b,I,E,k,hyp_1_2,hyp_1_3,hyp_1_4,bound_table1,bound_comb,bound_vinh,ratio_main"
+# the sweep columns in CSV order, each with the SweepRecord field it shows
+_COLUMNS = {
+    "family": "family", "p": "p", "m": "m", "n": "n", "a": "a", "b": "b",
+    "I": "incidences", "E": "energy", "k": "k",
+    "hyp_1_2": "hyp_1_2", "hyp_1_3": "hyp_1_3", "hyp_1_4": "hyp_1_4",
+    "bound_table1": "bound_table1", "bound_comb": "bound_comb", "bound_vinh": "bound_vinh",
+    "ratio_main": "ratio_main",
+}
+CSV_HEADER = ",".join(_COLUMNS)
 
 # an energy reduction has (a*n)^2 point-plane pairs; skip it beyond this size
 ENERGY_REDUCTION_CAP = 5000
@@ -121,9 +132,19 @@ def _modulus(data, *lists: str) -> PrimeModulus:
         raise ParseError(f"field 'p': {exc}") from exc
 
 
+def _is_int(v) -> bool:
+    """Is v a JSON integer?  JSON true and false load as bool, a subclass of
+    int, and are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, float) or _is_int(v)
+
+
 def _ints(value, size: int | None, name: str, index: int | None = None) -> tuple[int, ...]:
     """value as a tuple of integers, of length size unless size is None."""
-    if isinstance(value, list) and size in (None, len(value)) and all(isinstance(v, int) for v in value):
+    if isinstance(value, list) and size in (None, len(value)) and all(map(_is_int, value)):
         return tuple(value)
     where = name if index is None else f"{name}[{index}]"
     raise ParseError(f"{where} must be a list of {'' if size is None else f'{size} '}integers")
@@ -147,7 +168,7 @@ def _point_key(entry, p: int, i: int) -> int:
     """The key x*p + y of points[i]."""
     if isinstance(entry, list) and len(entry) == 2:
         x, y = entry
-        if isinstance(x, int) and isinstance(y, int) and 0 <= x < p and 0 <= y < p:
+        if _is_int(x) and _is_int(y) and 0 <= x < p and 0 <= y < p:
             return x * p + y
     raise ParseError(f"points[{i}] must be a pair [x, y] of integers in [0, {p})")
 
@@ -157,12 +178,12 @@ def _line_key(entry, p: int, i: int) -> int:
     kind = entry.get("kind") if isinstance(entry, dict) else None
     if kind == "sl":
         s, t = entry.get("s"), entry.get("t")
-        if isinstance(s, int) and isinstance(t, int) and 0 <= s < p and 0 <= t < p:
+        if _is_int(s) and _is_int(t) and 0 <= s < p and 0 <= t < p:
             return s * p + t
         raise ParseError(f"lines[{i}] of kind 'sl' needs integer fields 's' and 't' in [0, {p})")
     if kind == "v":
         x = entry.get("x")
-        if isinstance(x, int) and 0 <= x < p:
+        if _is_int(x) and 0 <= x < p:
             return p * p + x
         raise ParseError(f"lines[{i}] of kind 'v' needs an integer field 'x' in [0, {p})")
     raise ParseError(f"lines[{i}] needs a 'kind' field, 'sl' or 'v'")
@@ -253,22 +274,10 @@ class SweepRecord:
                 return f"{v:.4g}"
             return str(v)
 
-        return ",".join(fmt(v) for v in (
-            self.family, self.p, self.m, self.n, self.a, self.b,
-            self.incidences, self.energy, self.k,
-            self.hyp_1_2, self.hyp_1_3, self.hyp_1_4,
-            self.bound_table1, self.bound_comb, self.bound_vinh, self.ratio_main,
-        ))
+        return ",".join(fmt(getattr(self, name)) for name in _COLUMNS.values())
 
     def to_dict(self) -> dict:
-        out = {
-            "family": self.family, "p": self.p, "m": self.m, "n": self.n,
-            "a": self.a, "b": self.b, "I": self.incidences, "E": self.energy,
-            "k": self.k, "hyp_1_2": self.hyp_1_2, "hyp_1_3": self.hyp_1_3,
-            "hyp_1_4": self.hyp_1_4, "bound_table1": self.bound_table1,
-            "bound_comb": self.bound_comb, "bound_vinh": self.bound_vinh,
-            "ratio_main": self.ratio_main,
-        }
+        out = {column: getattr(self, name) for column, name in _COLUMNS.items()}
         if self.error is not None:
             out["error"] = self.error
         return out
@@ -307,14 +316,14 @@ class SweepConfig:
                 raise ConfigError(f"each family entry needs 'family' in {sorted(_FAMILY_INTS)}")
             for key in _FAMILY_INTS[fam]:
                 for v in _as_list(f.get(key, [])):
-                    if not isinstance(v, int) or (key != "p" and v < 1):
+                    if not _is_int(v) or (key != "p" and v < 1):
                         least = "" if key == "p" else " >= 1"
                         raise ConfigError(f"{fam} parameter {key!r} must hold integers{least}, got {v!r}")
         seed = data.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ConfigError(f"'seed' must be an integer, got {seed!r}")
         c = data.get("ll_constant", 1.0)
-        if not isinstance(c, (int, float)) or not 0 < c <= sys.float_info.max:
+        if not _is_number(c) or not 0 < c <= sys.float_info.max:
             raise ConfigError(f"'ll_constant' must be a positive finite number, got {c!r}")
         engine = data.get("engine", "auto")
         if engine not in ENGINES:
@@ -335,25 +344,16 @@ def expand_cells(config: SweepConfig) -> list[dict]:
     cells = []
     for entry in config.families:
         fam = entry["family"]
-        if fam == "elekes":
-            for p in _as_list(entry.get("p", [])):
-                for a in _as_list(entry.get("a", [])):
-                    for c in _as_list(entry.get("c", [])):
-                        cells.append({"family": fam, "p": p, "a": a, "c": c,
-                                      "energy": entry.get("energy", True)})
-        elif fam == "full_plane":
-            for p in _as_list(entry.get("p", [])):
-                cells.append({"family": fam, "p": p})
-        elif fam == "random":
-            if "sizes" in entry:
-                for p in _as_list(entry.get("p", [])):
-                    for size in _as_list(entry["sizes"]):
-                        cells.append({"family": fam, "p": p, "m": size, "n": size})
-            else:
-                for p in _as_list(entry.get("p", [])):
-                    for m in _as_list(entry.get("m", [])):
-                        for n in _as_list(entry.get("n", [])):
-                            cells.append({"family": fam, "p": p, "m": m, "n": n})
+        keys = _FAMILY_INTS[fam]
+        if fam == "random":
+            keys = ("p", "sizes") if "sizes" in entry else ("p", "m", "n")
+        for values in product(*(_as_list(entry.get(key, [])) for key in keys)):
+            cell = {"family": fam, **dict(zip(keys, values))}
+            if "sizes" in cell:
+                cell["m"] = cell["n"] = cell.pop("sizes")
+            if fam == "elekes":
+                cell["energy"] = entry.get("energy", True)
+            cells.append(cell)
     if not cells:
         raise ConfigError("the configuration expands to no cells")
     return cells
@@ -425,15 +425,12 @@ class FitResult:
     samples: int
 
 
-_FIELD_ALIASES = {"I": "incidences", "E": "energy"}
-
-
 def _field_value(record, name):
     if isinstance(record, dict):
         if name in record:
             return record[name]
-        return record.get(_FIELD_ALIASES.get(name, name))
-    return getattr(record, _FIELD_ALIASES.get(name, name))
+        return record.get(_COLUMNS.get(name, name))
+    return getattr(record, _COLUMNS.get(name, name))
 
 
 def fit_exponent(records, x_field: str, y_field: str) -> FitResult:
@@ -449,7 +446,7 @@ def fit_exponent(records, x_field: str, y_field: str) -> FitResult:
         yv = _field_value(rec, y_field)
         if xv is None or yv is None:
             continue
-        if not (isinstance(xv, (int, float)) and isinstance(yv, (int, float)) and xv > 0 and yv > 0):
+        if not (_is_number(xv) and _is_number(yv) and xv > 0 and yv > 0):
             raise NonPositiveValueError(
                 f"log-log fit needs positive numbers, got {x_field}={xv!r}, {y_field}={yv!r}")
         xs.append(math.log(xv))
@@ -527,7 +524,7 @@ def read_records(path) -> list[dict]:
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"{path}: expected the sweep CSV header")
     out = []
-    cols = CSV_HEADER.split(",")
+    cols = list(_COLUMNS)
     for ln in lines[1:]:
         vals = ln.split(",")
         if len(vals) != len(cols):

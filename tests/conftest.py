@@ -7,6 +7,8 @@ import incidencelab
 from incidencelab.constructions import SeededStream, random_instance
 from incidencelab.incidence import warm_up_kernels
 
+WARNING_PREFIX = "incidencelab: warning: "
+
 SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101)
 
 
@@ -23,6 +25,15 @@ def package_env():
     src = str(Path(incidencelab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def assert_error_stderr(err):
+    """The stderr of a failing command: zero or more warning lines, then
+    exactly one error line, and never a traceback."""
+    assert "Traceback" not in err, err
+    *warnings, error = err.splitlines() or [""]
+    assert all(line.startswith(WARNING_PREFIX) for line in warnings), err
+    assert error and not error.startswith(WARNING_PREFIX), err
 
 
 def random_instances(count, seed, max_p_index=None, max_m=500, max_n=500):

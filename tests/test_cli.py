@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from conftest import package_env
+import pytest
+
+from conftest import assert_error_stderr, package_env
 from incidencelab.cli import cli
 
 
@@ -189,7 +191,16 @@ def test_duplicate_warning_is_one_stderr_line(tmp_path, capfd):
     proc = subprocess.run([sys.executable, "-m", "incidencelab.cli", "beck", "--input", str(path)],
                           env=package_env(), timeout=60)
     assert proc.returncode == 2
-    assert capfd.readouterr().err.splitlines() == [
+    err = capfd.readouterr().err
+    assert_error_stderr(err)
+    assert err.splitlines() == [
         "incidencelab: warning: dropped 1 duplicate point(s) and 0 duplicate line(s)",
         "incidencelab: TooFewPointsError: need at least two points, got 1",
     ]
+
+
+@pytest.mark.parametrize("command", ["count3d", "extract", "cover", "energy", "distances", "beck"])
+def test_format_is_not_an_option_of_json_only_commands(tmp_path, capsys, command):
+    rc, _, err = run(capsys, command, "--input", str(tmp_path / "any.json"), "--format", "json")
+    assert rc == 1
+    assert "unrecognized arguments: --format json" in err

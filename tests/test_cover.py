@@ -16,9 +16,16 @@ from incidencelab.cover import (
     two_pencil_extract,
     verify_certificate,
 )
-from incidencelab.errors import EmptyGridError, EmptyInstanceError, InvalidParameterError, NoIncidencesError
+from incidencelab.errors import (
+    CompositeModulusError,
+    EmptyGridError,
+    EmptyInstanceError,
+    InvalidParameterError,
+    ModulusMismatchError,
+    NoIncidencesError,
+)
 from incidencelab.field import make_modulus
-from incidencelab.incidence import count_incidences
+from incidencelab.incidence import count_incidences, richness_histograms
 from incidencelab.plane import AffineLine, AffinePoint, Instance, incident, line_through
 
 
@@ -61,6 +68,40 @@ def test_partition_extreme_thresholds():
     part = richness_partition(full_plane(5), Fraction(1, 2**11), 2**15)
     assert part.low == () and part.high == ()
     assert len(part.regular) == 25
+
+
+def reference_partition(inst, low_factor, high_factor):
+    """Oracle: each point's degree against the exact rational thresholds."""
+    hist = richness_histograms(inst)
+    mean = Fraction(hist.total, inst.m)
+    low = tuple(q for q in inst.points if hist.per_point[q] <= low_factor * mean)
+    high = tuple(q for q in inst.points if q not in low and hist.per_point[q] >= high_factor * mean)
+    regular = tuple(q for q in inst.points if q not in low and q not in high)
+    return low, high, regular
+
+
+def test_partition_matches_rational_thresholds():
+    # factors that put a threshold exactly on a degree, between degrees,
+    # below zero and far above n, where integer rounding and clamping matter
+    factors = [(Fraction(1, 2), 2), (1, Fraction(3, 2)), (Fraction(-5, 3), Fraction(1, 3)),
+               (Fraction(-10**30), Fraction(10**30)), (Fraction(2, 3), Fraction(10**30)),
+               (Fraction(-10**30), Fraction(-1, 7)), (0, 1)]
+    cases = random_instances(20, 77, max_p_index=6, max_m=40, max_n=40)
+    cases += [full_plane(5), elekes_construction(2, 1, 11)]
+    for inst in cases:
+        for low_factor, high_factor in factors:
+            part = richness_partition(inst, low_factor, high_factor)
+            assert (part.low, part.high, part.regular) == reference_partition(
+                inst, Fraction(low_factor), Fraction(high_factor))
+
+
+def test_two_pencil_rejects_mixed_and_composite_moduli():
+    with pytest.raises(ModulusMismatchError):
+        two_pencil_extract([AffinePoint(0, 0, 5), AffinePoint(1, 1, 7)], [AffineLine(1, 0, 5)])
+    with pytest.raises(ModulusMismatchError):
+        two_pencil_extract([AffinePoint(0, 0, 5)], [AffineLine(1, 0, 5), AffineLine(1, 0, 7)])
+    with pytest.raises(CompositeModulusError):
+        two_pencil_extract([AffinePoint(0, 0, 9)], [AffineLine(1, 0, 9)])
 
 
 def test_partition_empty_instance():

@@ -11,7 +11,7 @@ from incidencelab.distances import (
     isosceles_triples,
     isotropic_lines,
 )
-from incidencelab.errors import ModulusMismatchError, TooFewPointsError
+from incidencelab.errors import CompositeModulusError, EmptyInputError, ModulusMismatchError, TooFewPointsError
 from incidencelab.field import inv_mod, minus_one_is_square, sqrt_mod
 from incidencelab.plane import AffineLine, AffinePoint, incident, line_through
 
@@ -91,6 +91,31 @@ def test_bisector_examples():
     # isotropic partner contributes nothing
     pts5 = P([(0, 0), (1, 2)], 5)
     assert bisector_instance(pts5, pts5[0]) == frozenset()
+
+
+POINT_SET_CALLS = {
+    "distance_sets": distance_sets,
+    "isosceles_triples": isosceles_triples,
+    "determined_lines": determined_lines,
+    "bisector_instance": lambda pts: bisector_instance(pts, pts[0]),
+}
+
+
+@pytest.mark.parametrize("call", POINT_SET_CALLS.values(), ids=POINT_SET_CALLS.keys())
+def test_point_set_reports_reject_mixed_and_composite_moduli(call):
+    with pytest.raises(ModulusMismatchError):
+        call(P([(0, 0), (1, 2)], 5) + P([(3, 3)], 7))
+    with pytest.raises(CompositeModulusError):
+        call(P([(0, 0), (1, 2), (2, 5)], 9))
+
+
+def test_point_set_reports_on_no_points():
+    with pytest.raises(EmptyInputError):
+        distance_sets([])
+    with pytest.raises(TooFewPointsError):
+        determined_lines([])
+    assert isosceles_triples([]) == 0
+    assert bisector_instance([], AffinePoint(0, 0, 7)) == frozenset()
 
 
 def test_bisector_points_are_equidistant():

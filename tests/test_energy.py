@@ -8,7 +8,13 @@ from incidencelab.energy import (
     line_energy,
     sumproduct_report,
 )
-from incidencelab.errors import DegenerateInputError, EmptyInputError, VerticalLinePresentError
+from incidencelab.errors import (
+    CompositeModulusError,
+    DegenerateInputError,
+    EmptyInputError,
+    ModulusMismatchError,
+    VerticalLinePresentError,
+)
 from incidencelab.incidence import count_point_plane, max_collinear_3d
 from incidencelab.plane import AffineLine
 
@@ -43,6 +49,37 @@ def test_line_energy_examples():
 def test_line_energy_rejects_vertical():
     with pytest.raises(VerticalLinePresentError):
         line_energy([0, 1], [AffineLine(None, 2, 5)], 5)
+
+
+ENERGY_CALLS = {
+    "line_energy": line_energy,
+    "energy_reduction": energy_reduction,
+    "cs_bridge_check": lambda A, lines, p: cs_bridge_check(A, [0, 1], lines, p),
+}
+
+
+@pytest.mark.parametrize("call", ENERGY_CALLS.values(), ids=ENERGY_CALLS.keys())
+def test_energy_rejects_a_line_of_another_modulus(call):
+    with pytest.raises(ModulusMismatchError):
+        call([0, 1, 2], [AffineLine(3, 6, 7)], 5)
+    with pytest.raises(ModulusMismatchError):
+        call([0, 1, 2], [AffineLine(1, 0, 5), AffineLine(3, 6, 7)], 5)
+
+
+@pytest.mark.parametrize("call", ENERGY_CALLS.values(), ids=ENERGY_CALLS.keys())
+def test_energy_rejects_vertical_and_composite_modulus(call):
+    with pytest.raises(VerticalLinePresentError):
+        call([0, 1], [AffineLine(1, 0, 5), AffineLine(None, 2, 5)], 5)
+    with pytest.raises(CompositeModulusError):
+        call([0, 1], [AffineLine(1, 0, 9)], 9)
+
+
+def test_energy_infers_p_from_the_lines():
+    lines = [AffineLine(0, 0, 5), AffineLine(1, 0, 5)]
+    assert line_energy([0, 1, 6], lines) == line_energy([0, 1], lines, 5)
+    assert energy_reduction([0, 1], lines) == energy_reduction([5, 6], lines, 5)
+    with pytest.raises(CompositeModulusError):
+        line_energy([0, 1], [AffineLine(1, 0, 9)])
 
 
 def test_line_energy_matches_bruteforce_50_random():
