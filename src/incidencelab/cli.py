@@ -3,8 +3,9 @@
 Subcommands: count, count3d, construct, extract, cover, energy, sumprod,
 distances, beck, sweep, fit.  Exit codes: 0 success, 1 usage error, 2 data
 error; on stderr a failing command prints zero or more warning lines and
-then one error line.  Output is JSON; count, sweep and fit take --format
-for their other forms.  --output writes to a file, otherwise stdout.
+then one error line.  Output is JSON; --format selects the other form of
+three commands: count csv (the bare count), sweep csv (the default) and fit
+svg.  --output writes to a file, otherwise stdout.
 """
 
 from __future__ import annotations
@@ -15,11 +16,8 @@ import sys
 import warnings
 from fractions import Fraction
 
-from . import harness
-from .constructions import elekes_construction, full_plane, random_instance
-from .cover import grid_cover, normalize_grid, two_pencil_extract, verify_certificate
-from .distances import determined_lines, distance_sets, isotropic_lines
-from .energy import cs_bridge_check, energy_reduction, line_energy, sumproduct_report
+# constructions, cover, distances and energy run on first use (see __init__)
+from . import constructions, cover, distances, energy, harness
 from .errors import Error
 from .harness import line_to_json, point_to_json
 from .incidence import ENGINES, count_incidences, count_point_plane
@@ -69,8 +67,8 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("count", help="count point-line incidences of an instance file")
     common(sp)
     sp.add_argument("--engine", choices=ENGINES, default="auto")
-    sp.add_argument("--format", choices=("json", "csv", "svg"), default="json",
-                    help="csv or svg print the bare count when there is no --output")
+    sp.add_argument("--format", choices=("json", "csv"), default="json",
+                    help="csv prints the bare count when there is no --output")
 
     sp = sub.add_parser("count3d", help="count point-plane incidences of a 3D instance file")
     common(sp)
@@ -120,8 +118,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("fit", help="fit a log-log exponent over sweep records")
     common(sp)
-    sp.add_argument("--format", choices=("json", "csv", "svg"), default="json",
-                    help="svg draws the fit; json and csv print it as JSON")
+    sp.add_argument("--format", choices=("json", "svg"), default="json",
+                    help="svg draws the fit")
     sp.add_argument("--x-field", default="m")
     sp.add_argument("--y-field", default="I")
     return parser
@@ -150,13 +148,13 @@ def _cmd_construct(args) -> int:
     if args.family == "elekes":
         if args.a is None or args.c is None or args.a < 1 or args.c < 1:
             raise SystemExit(_usage_error("construct elekes needs --a and --c, both at least 1"))
-        inst = elekes_construction(args.a, args.c, args.p)
+        inst = constructions.elekes_construction(args.a, args.c, args.p)
     elif args.family == "full_plane":
-        inst = full_plane(args.p)
+        inst = constructions.full_plane(args.p)
     else:
         if args.m is None or args.n is None:
             raise SystemExit(_usage_error("construct random needs --m and --n"))
-        inst = random_instance(args.p, args.m, args.n, args.seed)
+        inst = constructions.random_instance(args.p, args.m, args.n, args.seed)
     if args.output:
         harness.write_instance(inst, args.output)
     else:
@@ -185,7 +183,7 @@ def _grid_obj(grid):
 
 def _cmd_extract(args) -> int:
     inst = harness.read_instance(args.input)
-    grid = two_pencil_extract(inst.points, inst.lines)
+    grid = cover.two_pencil_extract(inst.points, inst.lines)
     _json_out(_grid_obj(grid), args.output)
     return 0
 
@@ -194,8 +192,8 @@ def _cmd_cover(args) -> int:
     if not 0 < args.c1 < args.c2:
         raise SystemExit(_usage_error("cover needs 0 < --c1 < --c2"))
     inst = harness.read_instance(args.input)
-    cert = grid_cover(inst, args.c1, args.c2, args.stop)
-    report = verify_certificate(inst, cert)
+    cert = cover.grid_cover(inst, args.c1, args.c2, args.stop)
+    report = cover.verify_certificate(inst, cert)
     obj = {
         "params": {"c1": str(cert.c1), "c2": str(cert.c2), "stop": str(cert.stop_fraction),
                    "mean_richness": str(cert.mean_richness)},
@@ -212,7 +210,7 @@ def _cmd_cover(args) -> int:
     if args.normalize:
         obj["normalized"] = []
         for st in cert.steps:
-            norm = normalize_grid(st.grid, inst.lines)
+            norm = cover.normalize_grid(st.grid, inst.lines)
             obj["normalized"].append({
                 "xs": list(norm.xs), "ys": list(norm.ys),
                 "points": [point_to_json(q) for q in norm.points],
@@ -223,8 +221,8 @@ def _cmd_cover(args) -> int:
 
 def _cmd_energy(args) -> int:
     p, A, lines, B = harness.read_energy_input(args.input)
-    e = line_energy(A, lines, p)
-    red = energy_reduction(A, lines, p)
+    e = energy.line_energy(A, lines, p)
+    red = energy.energy_reduction(A, lines, p)
     obj = {
         "p": p, "a": len(set(v % p for v in A)), "n": len(set(lines)),
         "energy": e.value,
@@ -233,7 +231,7 @@ def _cmd_energy(args) -> int:
                       "max_collinear": red.k},
     }
     if B is not None:
-        bridge = cs_bridge_check(A, B, lines, p)
+        bridge = energy.cs_bridge_check(A, B, lines, p)
         obj["cs_bridge"] = {"incidences": bridge.incidences, "energy": bridge.energy,
                             "bound": bridge.bound, "holds": bridge.holds}
     _json_out(obj, args.output)
@@ -241,7 +239,7 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_sumprod(args) -> int:
-    rep = sumproduct_report(args.corollary, args.p, A=args.A, B=args.B, C=args.C,
+    rep = energy.sumproduct_report(args.corollary, args.p, A=args.A, B=args.B, C=args.C,
                             c=args.llconstant)
     _json_out({
         "corollary": rep.corollary, "sizes": rep.sizes, "images": rep.images,
@@ -255,8 +253,8 @@ def _cmd_sumprod(args) -> int:
 
 def _cmd_distances(args) -> int:
     inst = harness.read_instance(args.input)
-    rep = distance_sets(inst.points)
-    iso = isotropic_lines(inst.points[0]) if inst.points else None
+    rep = distances.distance_sets(inst.points)
+    iso = distances.isotropic_lines(inst.points[0]) if inst.points else None
     _json_out({
         "p": inst.p, "m": inst.m,
         "distance_set": sorted(rep.distances),
@@ -270,7 +268,7 @@ def _cmd_distances(args) -> int:
 
 def _cmd_beck(args) -> int:
     inst = harness.read_instance(args.input)
-    rep = determined_lines(inst.points)
+    rep = distances.determined_lines(inst.points)
     _json_out({
         "p": inst.p, "m": rep.m,
         "determined_lines": rep.keys.size,

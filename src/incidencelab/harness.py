@@ -35,13 +35,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .constructions import (
-    derive_seed,
-    elekes_construction,
-    full_plane,
-    random_instance,
-)
-from .energy import line_energy, energy_reduction
+# constructions and energy run on first use (see __init__): count never
+# reaches them
+from . import constructions, energy
 from .errors import (
     CompositeModulusError,
     ConfigError,
@@ -296,8 +292,9 @@ class SweepConfig:
     expanded as a grid in order.  The random family takes either "m" and "n"
     lists (crossed) or a "sizes" list meaning m = n = size.  Every parameter
     is an integer, at least 1 except p; a p that is not prime gives an error
-    row.  seed is an integer, ll_constant a positive number and engine one
-    of ENGINES.
+    row.  An elekes entry's optional "energy" is a boolean (default true).
+    seed is an integer, ll_constant a positive number and engine one of
+    ENGINES.
     """
 
     families: list
@@ -319,6 +316,8 @@ class SweepConfig:
                     if not _is_int(v) or (key != "p" and v < 1):
                         least = "" if key == "p" else " >= 1"
                         raise ConfigError(f"{fam} parameter {key!r} must hold integers{least}, got {v!r}")
+            if fam == "elekes" and not isinstance(f.get("energy", True), bool):
+                raise ConfigError(f"elekes 'energy' must be true or false, got {f['energy']!r}")
         seed = data.get("seed", 0)
         if not _is_int(seed):
             raise ConfigError(f"'seed' must be an integer, got {seed!r}")
@@ -367,20 +366,21 @@ def _run_cell(cell: dict, index: int, config: SweepConfig) -> SweepRecord:
     try:
         if fam == "elekes":
             a, cc = cell["a"], cell["c"]
-            inst = elekes_construction(a, cc, p)
+            inst = constructions.elekes_construction(a, cc, p)
             rec.a, rec.b = a, 2 * a * cc
             if cell.get("energy", True):
                 A = list(range(1, a + 1))
-                rec.energy = line_energy(A, inst.lines, p).value
+                rec.energy = energy.line_energy(A, inst.lines, p).value
                 if a * inst.n <= ENERGY_REDUCTION_CAP:
-                    red = energy_reduction(A, inst.lines, p)
+                    red = energy.energy_reduction(A, inst.lines, p)
                     rec.k = red.k
                     rec.hyp_1_4 = check_hypotheses("1.4", r=red.r, s=red.s, p=p, c=c).passed
             rec.hyp_1_3 = check_hypotheses("1.3", a=a, b=rec.b, n=inst.n, p=p, c=c).passed
         elif fam == "full_plane":
-            inst = full_plane(p)
+            inst = constructions.full_plane(p)
         elif fam == "random":
-            inst = random_instance(p, cell["m"], cell["n"], derive_seed(config.seed, index))
+            inst = constructions.random_instance(p, cell["m"], cell["n"],
+                                                constructions.derive_seed(config.seed, index))
         else:  # pragma: no cover - guarded by expand_cells
             raise ConfigError(f"unknown family {fam!r}")
         rec.m, rec.n = inst.m, inst.n

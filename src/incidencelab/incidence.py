@@ -4,16 +4,24 @@ reference upper bounds and hypothesis checks.
 Two counting engines are provided.  The naive engine scans every
 (point, line) pair with numpy.  The hash-join engine groups lines by slope
 (or points by column, whichever side is cheaper) and probes candidate keys.
-Its probe loops are the C kernels in ``_kernels.c``: the first hash-join
-count of a process compiles them with ``cc -O3 -march=native`` (on x86-64
-also ``-mprefer-vector-width=512``) into
-``$XDG_CACHE_HOME/incidencelab`` (default ``~/.cache/incidencelab``), keyed
-by the source, the flags, the compiler's version and the CPU flags, and
-later processes load the cached library.  A C compiler is optional: without
-one, or with an unwritable cache, the probes run as one numpy pass per key
-group instead, with identical counts but about 20x slower when most slope
-classes are singletons.  :func:`kernel_backend` says which ran, and why.
-All engines return identical exact integers.
+Its probes take one of three paths of the C kernels in ``_kernels.c``:
+groups of at most _FLAT_GROUP_MAX values are flattened into independent
+(key, value) probes for the blocked ``singles`` kernel (flat); ``multi``
+tests each item against a larger group's values in a bitmap of p bits when
+64 * size >= p (bitmap), and otherwise by binary search.  The C kernel
+``collinear`` computes :func:`max_collinear_3d`.
+
+The first hash-join count or collinearity call of a process compiles the
+kernels with ``cc -O3 -march=native`` (on x86-64 also
+``-mprefer-vector-width=512``) into ``$XDG_CACHE_HOME/incidencelab``
+(default ``~/.cache/incidencelab``), keyed by the source, the flags, the
+compiler's version and the CPU flags, and later processes load the cached
+library.  A C compiler is optional: without one, or with an unwritable
+cache, the probes run as one numpy pass per key group instead, with
+identical counts but about 20x slower when most slope classes are
+singletons, and max_collinear_3d as numpy passes over blocks of point
+pairs.  :func:`kernel_backend` says which ran, and why.  All engines return
+identical exact integers.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ import ctypes
 import os
 import platform
 import shutil
-import tempfile
 import threading
 import zlib
 from dataclasses import dataclass
@@ -34,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .field import inv_mod, inv_mod_array
+from .field import inv_mod, inv_mod_array, make_modulus
 from .plane import Instance, pair_blocks
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
@@ -80,6 +87,7 @@ def _cpu_flags() -> bytes:
 def _compiled_library() -> str:
     """Path of the kernel library in the cache, compiling it on a miss."""
     import subprocess
+    import tempfile
 
     cc = shutil.which(_CC)
     if cc is None:
@@ -137,8 +145,9 @@ def _load_backend() -> _Backend:
                 arr = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
                 i64 = ctypes.c_int64
                 lib.singles.argtypes = [arr, arr, i64, arr, arr, i64, i64]
-                lib.multi.argtypes = [arr, arr, i64, arr, arr, i64, arr, i64]
-                lib.singles.restype = lib.multi.restype = i64
+                lib.multi.argtypes = [arr, arr, i64, arr, arr, i64, arr, i64, ctypes.c_void_p]
+                lib.collinear.argtypes = [arr, i64, i64]
+                lib.singles.restype = lib.multi.restype = lib.collinear.restype = i64
                 _backend = _Backend(lib, "")
             except _KernelUnavailable as exc:
                 _backend = _Backend(None, str(exc))
@@ -195,8 +204,11 @@ def _join_count(p, item_a, item_b, keys, offs, vals) -> int:
     if lib is not None:
         f_keys, f_vals, b_keys, b_offs, b_vals = _split_probes(keys, offs, vals)
         n = item_a.size
+        # scratch bitmap of p bits for the groups multi probes by bit tests
+        bits = np.zeros(-(-p // 64), np.uint64) if (64 * np.diff(b_offs) >= p).any() else None
         return (lib.singles(item_a, item_b, n, f_keys, f_vals, f_keys.size, p)
-                + lib.multi(item_a, item_b, n, b_keys, b_offs, b_keys.size, b_vals, p))
+                + lib.multi(item_a, item_b, n, b_keys, b_offs, b_keys.size, b_vals, p,
+                            None if bits is None else bits.ctypes.data))
     # numpy fallback: one vectorized pass per group
     total = 0
     for g in range(keys.size):
@@ -363,16 +375,32 @@ def count_point_plane(inst3: PlaneInstance3D) -> int:
 def max_collinear_3d(points, p: int) -> int:
     """Exact maximum number of points on one line in F_p^3 (O(r^2)).
 
-    Over blocks of pairs (i, j), i < j, the direction from point i to
-    point j is scaled by one batched inverse so its first nonzero
-    coordinate is 1.  It is then (1, v, w), (0, 1, w) or (0, 0, 1), keyed
-    v*p + w, p*p + w or p*p + p, all below 2^63 for p < 2^31.  A line
-    through point i holding k later points shows as k equal (i, key) pairs.
+    The direction from each point to every later point is scaled so its
+    first nonzero coordinate is 1.  It is then (1, v, w), (0, 1, w) or
+    (0, 0, 1), keyed v*p + w, p*p + w or p*p + p, all below 2^63 for
+    p < 2^31.  A line through a point holding k later points shows as k
+    equal keys of that point.  The C kernel ``collinear`` counts the keys of
+    one point at a time in a hash table; without it the numpy fallback sorts
+    blocks of pairs.
     """
+    p = make_modulus(p).p
     pts = np.array(sorted({(x % p, y % p, z % p) for x, y, z in points}), dtype=np.int64).reshape(-1, 3)
-    r = len(pts)
-    if r == 0:
+    if len(pts) == 0:
         raise InvalidParameterError("need at least one point")
+    lib = _load_backend().lib
+    if lib is None:
+        return _max_collinear_numpy(pts, p)
+    best = lib.collinear(pts, len(pts), p)
+    if best < 0:
+        raise MemoryError("max_collinear_3d: no memory for the direction table")
+    return best
+
+
+def _max_collinear_numpy(pts: np.ndarray, p: int) -> int:
+    """max_collinear_3d of r >= 1 distinct residue points, as an r x 3
+    array: over blocks of pairs (i, j), i < j, one batched inverse scales
+    the directions and a lexsort groups equal (i, key) pairs."""
+    r = len(pts)
     best = 1
     for i, j in pair_blocks(r):
         u, v, w = ((pts[j, c] - pts[i, c]) % p for c in range(3))

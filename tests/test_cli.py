@@ -204,3 +204,31 @@ def test_format_is_not_an_option_of_json_only_commands(tmp_path, capsys, command
     rc, _, err = run(capsys, command, "--input", str(tmp_path / "any.json"), "--format", "json")
     assert rc == 1
     assert "unrecognized arguments: --format json" in err
+
+
+@pytest.mark.parametrize("argv", [["count", "--format", "svg"], ["fit", "--format", "csv"]])
+def test_format_choices_without_their_own_form_are_usage_errors(tmp_path, capsys, argv):
+    # count --format svg printed the bare count, fit --format csv the JSON fit
+    command, *rest = argv
+    rc, out, err = run(capsys, command, "--input", str(tmp_path / "any.json"), *rest)
+    assert rc == 1 and out == ""
+    assert f"invalid choice: '{rest[1]}'" in err
+
+
+def test_count_runs_no_cover_distances_or_energy(tmp_path):
+    # the lazily registered layers stay unexecuted in a process that only counts
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"p": 7, "points": [[1, 2], [3, 4]],
+                                "lines": [{"kind": "sl", "s": 1, "t": 1}]}))
+    script = (
+        "import sys, types\n"
+        "from incidencelab.cli import cli\n"
+        f"assert cli(['count', '--input', {str(path)!r}]) == 0\n"
+        "names = ('cover', 'distances', 'energy', 'constructions')\n"
+        "print([n for n in names if type(sys.modules.get('incidencelab.' + n)) is types.ModuleType])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(), timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[0])["incidences"] == 2
+    assert proc.stdout.splitlines()[1] == "[]"

@@ -170,6 +170,14 @@ def test_bad_configs_raise():
         SweepConfig.from_dict({})
     with pytest.raises(ConfigError):
         SweepConfig.from_dict({"families": [{"family": "nope"}]})
+    # the elekes energy flag is a JSON boolean: "no" is not false
+    for flag in ("no", 0, None, [], 1.0):
+        with pytest.raises(ConfigError, match="'energy' must be true or false"):
+            SweepConfig.from_dict({"families": [{"family": "elekes", "p": [31], "a": [2],
+                                                 "c": [1], "energy": flag}]})
+    for flag in (True, False):
+        SweepConfig.from_dict({"families": [{"family": "elekes", "p": [31], "a": [2],
+                                             "c": [1], "energy": flag}]})
 
 
 def test_csv_and_json_shapes():

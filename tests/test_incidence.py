@@ -6,6 +6,7 @@ import pytest
 from conftest import random_instances
 from incidencelab.constructions import SeededStream, elekes_construction, full_plane, random_instance
 from incidencelab.energy import energy_reduction, line_energy
+from incidencelab.errors import CompositeModulusError, InvalidParameterError, OutOfRangeError
 from incidencelab.field import make_modulus
 from incidencelab.incidence import (
     PlaneInstance3D,
@@ -385,3 +386,155 @@ def test_engine_partition_independence():
     half1 = inst.replace(lines=inst.lines[:75])
     half2 = inst.replace(lines=inst.lines[75:])
     assert count_incidences(half1) + count_incidences(half2) == count_incidences(inst)
+
+
+# ---------------------------------------------------------------------------
+# Kernel paths: flat, bitmap and binary-search probes, and collinearity
+# ---------------------------------------------------------------------------
+
+def compiled_kernels():
+    import incidencelab.incidence as inc
+    if not inc.warm_up_kernels():
+        pytest.skip(f"compiled kernel unavailable: {inc.kernel_backend()[1]}")
+    return inc._load_backend().lib
+
+
+@pytest.fixture(params=["c", "numpy"])
+def collinear_backend(request, monkeypatch):
+    """max_collinear_3d on the C kernel, or forced onto the numpy fallback."""
+    import incidencelab.incidence as inc
+    if request.param == "numpy":
+        monkeypatch.setattr(inc, "_backend", inc._Backend(None, "forced"))
+    else:
+        compiled_kernels()
+    return request.param
+
+
+def multi_count(lib, p, item_a, item_b, keys, offs, vals, bitmap):
+    """lib.multi over the given groups, with a scratch bitmap or without one
+    (every group then goes to the binary search)."""
+    bits = np.zeros(-(-p // 64), np.uint64) if bitmap else None
+    count = lib.multi(item_a, item_b, item_a.size, keys, offs, keys.size, vals, p,
+                      None if bits is None else bits.ctypes.data)
+    assert bits is None or not bits.any()  # the scratch bitmap is left zeroed
+    return count
+
+
+@pytest.mark.parametrize("p", [3, 31, 101, 151])
+def test_full_plane_probes_match_naive(p):
+    import incidencelab.incidence as inc
+    compiled_kernels()
+    inst = full_plane(p)
+    # every slope class holds p intercepts: flat for p <= 32, else bitmap
+    assert set(np.diff(inst.slope_runs[1]).tolist()) == {p}
+    assert inc._costs(inst)[0] <= inc._costs(inst)[1]
+    assert count_incidences(inst, "hash_join") == count_incidences(inst, "naive") == p * p * (p + 1)
+
+
+def test_bitmap_threshold_groups_match_naive():
+    # p = 4099: classes of 64 intercepts (64*64 < p, binary search) and of
+    # 65 (64*65 >= p, bitmap), both above the flat limit of 32
+    lib = compiled_kernels()
+    p = 4099
+    stream = SeededStream(11)
+    mod = make_modulus(p)
+    points = [AffinePoint(stream.below(p), stream.below(p), p) for _ in range(3000)]
+    lines = []
+    for s, size in ((5, 64), (p - 1, 65), (0, 65), (17, 64)):
+        ts = {(q.y - s * q.x) % p for q in points[:size // 2]}
+        while len(ts) < size:
+            ts.add(stream.below(p))
+        lines += [AffineLine(s, t, p) for t in ts]
+    inst = Instance(mod, points, lines)
+    keys, offs = inst.slope_runs
+    sizes = np.diff(offs)
+    assert sorted(sizes.tolist()) == [64, 64, 65, 65]
+    assert (64 * sizes >= p).tolist() == (sizes == 65).tolist()
+    expected = count_incidences(inst, "naive")
+    assert expected >= 4 * 32
+    assert count_incidences(inst, "hash_join") == expected
+    px, py = inst.xy
+    lt = inst.line_columns[1]
+    for g in range(keys.size):
+        args = (lib, p, px, py, keys[g:g + 1], offs[g:g + 2] - offs[g], lt[offs[g]:offs[g + 1]])
+        assert multi_count(*args, bitmap=True) == multi_count(*args, bitmap=False)
+
+
+@pytest.mark.parametrize("bitmap", [False, True])
+def test_multi_reduction_exact_at_largest_p(bitmap):
+    # p = 2^31 - 1: b + s*(p - a) comes within p of p^2; the scratch bitmap
+    # stays unused since no group reaches 64*size >= p
+    lib = compiled_kernels()
+    p = 2**31 - 1
+    stream = SeededStream(5)
+    a = np.array([p - 1, p - 2, 0, 1, 2] + [stream.below(p) for _ in range(195)], dtype=np.int64)
+    b = np.array([p - 1, 0, p - 1, p - 2, 1] + [stream.below(p) for _ in range(195)], dtype=np.int64)
+    keys = np.array([p - 1, 1, p // 2], dtype=np.int64)
+    # each group: the residues of every third item and the 40 largest residues
+    groups = [sorted({(int(y) - s * int(x)) % p for x, y in zip(a[::3], b[::3])}
+                     | {p - 1 - k for k in range(40)}) for s in keys.tolist()]
+    offs = np.cumsum([0] + [len(g) for g in groups]).astype(np.int64)
+    vals = np.array([v for g in groups for v in g], dtype=np.int64)
+    expected = sum((int(y) - s * int(x)) % p in set(g)
+                   for s, g in zip(keys.tolist(), groups) for x, y in zip(a.tolist(), b.tolist()))
+    assert expected >= 3 * 67
+    assert multi_count(lib, p, a, b, keys, offs, vals, bitmap) == expected
+
+
+def test_kernel_source_compiles_without_warnings():
+    import shutil
+    import subprocess
+
+    import incidencelab.incidence as inc
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("cc not on PATH")
+    proc = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", inc._SOURCE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("p", [5, 101, 2147483647])
+def test_max_collinear_small_and_degenerate_sets(collinear_backend, p):
+    assert max_collinear_3d([(1, 2, 3)], p) == 1
+    assert max_collinear_3d([(1, 2, 3), (4, 0, p - 1)], p) == 2
+    # duplicates, also as unreduced coordinates, count once
+    assert max_collinear_3d([(1, 2, 3), (1, 2, 3), (1 + p, 2 - p, 3)], p) == 1
+    # all points on one line, one per direction normal form
+    for d in ((p - 1, 3, p - 2), (0, 1, p - 1), (0, 0, 1)):
+        line = [tuple((7 + t * c) % p for c in d) for t in range(min(p, 40))]
+        assert max_collinear_3d(line + line[:5], p) == min(p, 40)
+    with pytest.raises(InvalidParameterError):
+        max_collinear_3d([], p)
+
+
+def test_max_collinear_backends_match_oracle_random(collinear_backend):
+    stream = SeededStream(401)
+    for _ in range(30):
+        p = (3, 5, 7, 11, 13)[stream.below(5)]
+        pts = [(stream.below(p), stream.below(p), stream.below(p)) for _ in range(stream.below(40) + 1)]
+        assert max_collinear_3d(pts, p) == brute_max_collinear(pts, p)
+
+
+def test_max_collinear_c_matches_numpy_fallback():
+    import incidencelab.incidence as inc
+    lib = compiled_kernels()
+    stream = SeededStream(402)
+    for p in (3, 7, 31, 2147483647):
+        for size in (1, 2, 3, 50, 400):
+            pts = {(stream.below(p), stream.below(min(p, 9)), stream.below(p)) for _ in range(size)}
+            arr = np.array(sorted(pts), dtype=np.int64).reshape(-1, 3)
+            assert lib.collinear(arr, len(arr), p) == inc._max_collinear_numpy(arr, p)
+    # the k of every elekes reduction of the paper sweep
+    for a in (2, 3, 4, 5):
+        for c in (1, 2, 4):
+            red = energy_reduction(list(range(1, a + 1)), elekes_construction(a, c, 101).lines, 101)
+            arr = np.array(red.points, dtype=np.int64).reshape(-1, 3)
+            assert red.k == inc._max_collinear_numpy(arr, 101)
+
+
+def test_max_collinear_checks_the_modulus():
+    with pytest.raises(CompositeModulusError):
+        max_collinear_3d([(0, 0, 0)], 9)
+    with pytest.raises(OutOfRangeError):
+        max_collinear_3d([(0, 0, 0)], 2**31 + 11)

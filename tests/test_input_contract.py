@@ -77,6 +77,8 @@ BAD_FILES = {
     "sweep-p-boolean": ("sweep", family_with(RANDOM, p=[True])),
     "sweep-sizes-boolean": ("sweep", family_with(RANDOM, sizes=[True])),
     "sweep-a-boolean": ("sweep", family_with(ELEKES, a=True)),
+    "sweep-energy-string": ("sweep", family_with(ELEKES, energy="no")),
+    "sweep-energy-integer": ("sweep", family_with(ELEKES, energy=0)),
     "fit-list-of-numbers": ("fit", [1, 2]),
     "fit-malformed-json": ("fit", b'[{"m": 4, "I": 8},'),
     "fit-non-numeric-field": ("fit", [{"m": "x", "I": 8}, {"m": 9, "I": 27}]),
