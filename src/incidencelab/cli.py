@@ -5,7 +5,7 @@ distances, beck, sweep, fit.  Exit codes: 0 success, 1 usage error, 2 data
 error; on stderr a failing command prints zero or more warning lines and
 then one error line.  Output is JSON; --format selects the other form of
 three commands: count csv (the bare count), sweep csv (the default) and fit
-svg.  --output writes to a file, otherwise stdout.
+svg.  --output writes the chosen form to a file, otherwise to stdout.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--engine", choices=ENGINES, default="auto")
     sp.add_argument("--format", choices=("json", "csv"), default="json",
-                    help="csv prints the bare count when there is no --output")
+                    help="csv writes the bare count")
 
     sp = sub.add_parser("count3d", help="count point-plane incidences of a 3D instance file")
     common(sp)
@@ -128,11 +128,11 @@ def build_parser() -> _Parser:
 def _cmd_count(args) -> int:
     inst = harness.read_instance(args.input)
     count = count_incidences(inst, args.engine)
-    if args.output or args.format == "json":
+    if args.format == "csv":
+        _emit(f"{count}\n", args.output)
+    else:
         _json_out({"p": inst.p, "m": inst.m, "n": inst.n, "incidences": count,
                    "engine": args.engine}, args.output)
-    else:
-        print(count)
     return 0
 
 

@@ -106,6 +106,7 @@ EXPRESSIONS = ("A+A", "A*A", "A*(A+1)", "A+B*C", "A*(B+C)", "x^2+xy")
 
 def arithmetic_image(expr: str, p: int, A=None, B=None, C=None) -> frozenset[int]:
     """The exact image set of one arithmetic expression over F_p."""
+    p = make_modulus(p).p
 
     def need(name, S):
         if S is None or len(S) == 0:
@@ -168,6 +169,7 @@ def sumproduct_report(corollary: str, p: int, A=None, B=None, C=None, c=1) -> Su
     A*(A+1); "5.3" the three-variable expanders A+BC and A(B+C); "expander"
     the two-variable polynomial x^2 + x*y over A x B.
     """
+    p = make_modulus(p).p
     cf = Fraction(c)
     if corollary == "5.1":
         a = _canon_set("A", A, p)

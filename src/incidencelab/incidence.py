@@ -1,10 +1,12 @@
 """Exact incidence counting in F_p^2 and F_p^3, richness statistics,
 reference upper bounds and hypothesis checks.
 
-Two counting engines are provided.  The naive engine scans every
-(point, line) pair with numpy.  The hash-join engine groups lines by slope
-(or points by column, whichever side is cheaper) and probes candidate keys.
-Its probes take one of three paths of the C kernels in ``_kernels.c``:
+Two counting engines are provided.  The hash-join engine, which ``auto``
+names, groups lines by slope (or points by column, whichever side is
+cheaper) and probes candidate keys.  The naive engine is the reference: it
+sums :func:`incidence_degrees`, numpy masks over blocks of (point, line)
+pairs that the cover layer's degree scans also use.  The join's probes take
+one of three paths of the C kernels in ``_kernels.c``:
 groups of at most _FLAT_GROUP_MAX values are flattened into independent
 (key, value) probes for the blocked ``singles`` kernel (flat); ``multi``
 tests each item against a larger group's values in a bitmap of p bits when
@@ -15,11 +17,11 @@ The first hash-join count or collinearity call of a process compiles the
 kernels with ``cc -O3 -march=native`` (on x86-64 also
 ``-mprefer-vector-width=512``) into ``$XDG_CACHE_HOME/incidencelab``
 (default ``~/.cache/incidencelab``), keyed by the source, the flags, the
-compiler's version and the CPU flags, and later processes load the cached
-library.  A C compiler is optional: without one, or with an unwritable
-cache, the probes run as one numpy pass per key group instead, with
-identical counts but about 20x slower when most slope classes are
-singletons, and max_collinear_3d as numpy passes over blocks of point
+resolved compiler binary (path, size and mtime) and the CPU flags, and later
+processes load the cached library.  A C compiler is optional: without one,
+or with an unwritable cache, the probes run as one numpy pass per key group
+instead, with identical counts but about 20x slower when most slope classes
+are singletons, and max_collinear_3d as numpy passes over blocks of point
 pairs.  :func:`kernel_backend` says which ran, and why.  All engines return
 identical exact integers.
 """
@@ -86,9 +88,6 @@ def _cpu_flags() -> bytes:
 
 def _compiled_library() -> str:
     """Path of the kernel library in the cache, compiling it on a miss."""
-    import subprocess
-    import tempfile
-
     cc = shutil.which(_CC)
     if cc is None:
         raise _KernelUnavailable(f"{_CC} not on PATH")
@@ -97,18 +96,22 @@ def _compiled_library() -> str:
             source = fh.read()
     except OSError as exc:
         raise _KernelUnavailable(f"kernel source unreadable: {exc}") from exc
-    try:
-        version = subprocess.run([cc, "--version"], capture_output=True, timeout=60).stdout
-    except (OSError, subprocess.SubprocessError) as exc:
-        raise _KernelUnavailable(f"{_CC} --version failed: {exc}") from exc
+    # the resolved compiler binary with its size and mtime stands for the
+    # compiler, so a cache hit starts no child process
+    binary = os.path.realpath(cc)
+    st = os.stat(binary)
+    compiler = f"{binary}\0{st.st_size}\0{st.st_mtime_ns}".encode()
     # two zlib checksums make a 64-bit key; hashlib would load OpenSSL,
     # about 3.5 MB of resident memory in every counting process
-    material = b"\0".join([source, " ".join(_CFLAGS).encode(), version, _cpu_flags()])
+    material = b"\0".join([source, " ".join(_CFLAGS).encode(), compiler, _cpu_flags()])
     key = f"{zlib.crc32(material):08x}{zlib.adler32(material):08x}"
     cache = _cache_dir()
     lib = os.path.join(cache, f"_kernels-{key}.so")
     if os.path.exists(lib):
         return lib
+    import subprocess
+    import tempfile
+
     try:
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix="_kernels-", suffix=".tmp", dir=cache)
@@ -223,16 +226,6 @@ def _join_count(p, item_a, item_b, keys, offs, vals) -> int:
     return total
 
 
-def _count_naive(inst: Instance) -> int:
-    p = inst.p
-    total = _vertical_hits(inst)
-    px, py = inst.xy
-    ls, lt, _ = inst.line_columns
-    for s, t in zip(ls.tolist(), lt.tolist()):
-        total += int((py == (s * px + t) % p).sum())
-    return total
-
-
 def _costs(inst: Instance) -> tuple[int, int]:
     """Pairs probed from the slope side and from the column side."""
     return inst.m * (inst.slope_runs[0].size + 1), inst.n * (inst.column_runs[0].size + 1)
@@ -261,16 +254,15 @@ ENGINES = ("auto", "naive", "hash_join")
 def count_incidences(inst: Instance, engine: str = "auto") -> int:
     """Exact number of incident (point, line) pairs.
 
-    engine: "naive" scans all pairs, "hash_join" probes grouped keys on the
-    cheaper side, "auto" picks the engine with the smaller cost model
-    min(m*n, m*(slope classes + 1), n*(x-support + 1)).
+    engine: "hash_join" (also named "auto") probes grouped keys from the
+    side with the smaller cost in :func:`_costs`; "naive" is the reference,
+    the sum of the per-point degrees of :func:`incidence_degrees`, which
+    tests every (point, line) pair in blocked masks.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        engine = "naive" if inst.m * inst.n <= min(_costs(inst)) else "hash_join"
     if engine == "naive":
-        return _count_naive(inst)
+        return int(incidence_degrees(*inst.xy, inst.line_keys, inst.p)[0].sum())
     return _count_hash_join(inst)
 
 

@@ -481,22 +481,17 @@ def projective_map_from_pair(q: AffinePoint, r: AffinePoint) -> ProjMap:
     Lines through q become horizontal lines and lines through r become
     vertical lines.  The preimage of the line at infinity is the line qr.
     Deterministic: the third basis point is the lexicographically smallest
-    affine point off the line qr, sent to [0:0:1].
+    affine point off the line qr, sent to [0:0:1]: (0, 0) when qr misses
+    it, else (1, 0) when qr is the column x = 0, else (0, 1).
     """
     _check_same_p(q, r)
     if q == r:
         raise CoincidentPointsError(f"need two distinct points, got {q} twice")
     p = q.p
     qr = line_through(q, r)
-    third = None
-    for x in range(p):
-        for y in range(p):
-            cand = AffinePoint(x, y, p)
-            if not incident(cand, qr):
-                third = cand
-                break
-        if third is not None:
-            break
+    third = AffinePoint(0, 0, p)
+    if incident(third, qr):
+        third = AffinePoint(1, 0, p) if qr.is_vertical else AffinePoint(0, 1, p)
     # columns of N are the images of the standard basis under the inverse map
     N = (
         (q.x, r.x, third.x),

@@ -42,6 +42,18 @@ def test_count_engines_and_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["incidences"] == 150
 
 
+def test_count_csv_writes_the_bare_count_to_stdout_and_to_output(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run(capsys, "construct", "elekes", "--a", "2", "--c", "1", "--p", "7", "--output", str(path))
+    rc, out, _ = run(capsys, "count", "--input", str(path), "--format", "csv")
+    assert rc == 0 and out == "4\n"
+    out_path = tmp_path / "count.csv"
+    rc, out, _ = run(capsys, "count", "--input", str(path), "--format", "csv",
+                     "--output", str(out_path))
+    assert rc == 0 and out == ""
+    assert out_path.read_text() == "4\n"
+
+
 def test_count_missing_file_is_data_error(tmp_path, capsys):
     rc, _, err = run(capsys, "count", "--input", str(tmp_path / "nope.json"))
     assert rc == 2
@@ -129,6 +141,15 @@ def test_sumprod_command(capsys):
     assert data["images"] == {"A+A": 6, "A*A": 5}
     rc, _, err = run(capsys, "sumprod", "--corollary", "5.2", "--p", "7", "--A", "0")
     assert rc == 2
+
+
+@pytest.mark.parametrize("p, error", [("9", "CompositeModulusError"), ("1", "OutOfRangeError"),
+                                      ("4294967311", "OutOfRangeError"), ("0", "OutOfRangeError")])
+def test_sumprod_checks_its_modulus(capsys, p, error):
+    rc, out, err = run(capsys, "sumprod", "--corollary", "5.1", "--p", p, "--A", "1,2,4")
+    assert rc == 2 and out == ""
+    assert_error_stderr(err)
+    assert err.startswith(f"incidencelab: {error}: ")
 
 
 def test_distances_and_beck_commands(tmp_path, capsys):
@@ -232,3 +253,25 @@ def test_count_runs_no_cover_distances_or_energy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0])["incidences"] == 2
     assert proc.stdout.splitlines()[1] == "[]"
+
+
+def test_count_on_a_warm_kernel_cache_starts_no_child_process(tmp_path):
+    # the cache key reads the compiler binary's path, size and mtime, so a
+    # cache hit needs no compiler run
+    import incidencelab.incidence as inc
+    if not inc.warm_up_kernels():
+        pytest.skip(f"compiled kernel unavailable: {inc.kernel_backend()[1]}")
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"p": 7, "points": [[1, 2], [3, 4]],
+                                "lines": [{"kind": "sl", "s": 1, "t": 1}]}))
+    script = (
+        "import sys\n"
+        "from incidencelab.cli import cli\n"
+        "from incidencelab.incidence import kernel_backend\n"
+        f"assert cli(['count', '--input', {str(path)!r}]) == 0\n"
+        "print(kernel_backend()[0], 'subprocess' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(), timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "c False"

@@ -49,6 +49,34 @@ def test_engine_equivalence_random_suite():
         assert count_incidences(inst, "naive") == count_incidences(inst, "hash_join")
 
 
+def test_auto_runs_the_join_when_every_slope_is_distinct(monkeypatch):
+    import incidencelab.incidence as inc
+    inst = random_instance(2147483647, 2000, 2000, seed=8)
+    assert set(np.diff(inst.slope_runs[1]).tolist()) == {1}
+    calls = []
+    join = inc._join_count
+    monkeypatch.setattr(inc, "_join_count", lambda *args: calls.append(args) or join(*args))
+    expected = count_incidences(inst, "hash_join")
+    assert len(calls) == 1
+    assert count_incidences(inst, "auto") == expected == count_incidences(inst, "naive")
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("cells", [1, 7, 1 << 16])
+def test_naive_mask_blocks_match_oracle(monkeypatch, cells):
+    # masks of one line per block, of a few lines, and of the default size
+    import incidencelab.incidence as inc
+    monkeypatch.setattr(inc, "_MASK_CELLS", cells)
+    mod = make_modulus(7)
+    columns = [AffinePoint(x, y, 7) for x in range(3) for y in range(7)]
+    vertical_only = Instance(mod, columns, [AffineLine(None, x, 7) for x in (0, 2, 5)])
+    assert count_incidences(vertical_only, "naive") == 14
+    no_points = Instance(mod, [], [AffineLine(1, 2, 7), AffineLine(None, 3, 7)])
+    assert count_incidences(no_points, "naive") == 0
+    for inst in random_instances(20, seed=13, max_m=60, max_n=60):
+        assert count_incidences(inst, "naive") == brute_count(inst) == count_incidences(inst, "hash_join")
+
+
 def test_monotonicity_adding_elements():
     stream = SeededStream(99)
     for inst in random_instances(20, seed=55, max_m=50, max_n=50):

@@ -105,6 +105,34 @@ def test_projective_map_sends_pair_to_infinity():
     assert M.apply_proj(embed(r)) == y_infinity(5)
 
 
+def lexicographic_third_point(q, r):
+    """Oracle: scan the plane in (x, y) order for the first point off qr."""
+    qr = line_through(q, r)
+    return next(AffinePoint(x, y, q.p) for x in range(q.p) for y in range(q.p)
+                if not incident(AffinePoint(x, y, q.p), qr))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_projective_map_third_point_is_lexicographic_scan(p):
+    # the map sends exactly its third basis point to [0:0:1]
+    points = [AffinePoint(x, y, p) for x in range(p) for y in range(p)]
+    origin = ProjPoint(0, 0, 1, p)
+    for q in points:
+        for r in points:
+            if q != r:
+                M = projective_map_from_pair(q, r)
+                assert M.apply_proj(embed(lexicographic_third_point(q, r))) == origin
+
+
+def test_projective_map_on_the_column_x0_at_largest_p():
+    # the apex line x = 0 holds the whole first column, which a scan of the
+    # plane would test point by point
+    p = 2**31 - 1
+    M = projective_map_from_pair(AffinePoint(0, 0, p), AffinePoint(0, 1, p))
+    assert M.apply_proj(embed(AffinePoint(1, 0, p))) == ProjPoint(0, 0, 1, p)
+    assert M.apply_proj(embed(AffinePoint(0, 0, p))) == x_infinity(p)
+
+
 def test_projective_map_rejects_coincident():
     with pytest.raises(CoincidentPointsError):
         projective_map_from_pair(AffinePoint(1, 1, 7), AffinePoint(1, 1, 7))
