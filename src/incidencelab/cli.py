@@ -2,10 +2,11 @@
 
 Subcommands: count, count3d, construct, extract, cover, energy, sumprod,
 distances, beck, sweep, fit.  Exit codes: 0 success, 1 usage error, 2 data
-error; on stderr a failing command prints zero or more warning lines and
-then one error line.  Output is JSON; --format selects the other form of
-three commands: count csv (the bare count), sweep csv (the default) and fit
-svg.  --output writes the chosen form to a file, otherwise to stdout.
+error or MemoryError; on stderr a failing command prints zero or more
+warning lines and then one error line.  Output is JSON; --format selects the
+other form of three commands: count csv (the bare count), sweep csv (the
+default) and fit svg.  --output writes the chosen form to a file, otherwise
+to stdout.
 """
 
 from __future__ import annotations
@@ -147,13 +148,13 @@ def _cmd_count3d(args) -> int:
 def _cmd_construct(args) -> int:
     if args.family == "elekes":
         if args.a is None or args.c is None or args.a < 1 or args.c < 1:
-            raise SystemExit(_usage_error("construct elekes needs --a and --c, both at least 1"))
+            return _usage_error("construct elekes needs --a and --c, both at least 1")
         inst = constructions.elekes_construction(args.a, args.c, args.p)
     elif args.family == "full_plane":
         inst = constructions.full_plane(args.p)
     else:
         if args.m is None or args.n is None:
-            raise SystemExit(_usage_error("construct random needs --m and --n"))
+            return _usage_error("construct random needs --m and --n")
         inst = constructions.random_instance(args.p, args.m, args.n, args.seed)
     if args.output:
         harness.write_instance(inst, args.output)
@@ -183,14 +184,14 @@ def _grid_obj(grid):
 
 def _cmd_extract(args) -> int:
     inst = harness.read_instance(args.input)
-    grid = cover.two_pencil_extract(inst.points, inst.lines)
+    grid = cover.two_pencil_extract(inst)
     _json_out(_grid_obj(grid), args.output)
     return 0
 
 
 def _cmd_cover(args) -> int:
     if not 0 < args.c1 < args.c2:
-        raise SystemExit(_usage_error("cover needs 0 < --c1 < --c2"))
+        return _usage_error("cover needs 0 < --c1 < --c2")
     inst = harness.read_instance(args.input)
     cert = cover.grid_cover(inst, args.c1, args.c2, args.stop)
     report = cover.verify_certificate(inst, cert)
@@ -332,14 +333,12 @@ def cli(argv=None) -> int:
 def _run(args) -> int:
     try:
         return _COMMANDS[args.command](args)
-    except Error as exc:
+    except (Error, MemoryError) as exc:
         print(f"incidencelab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"incidencelab: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
 
 
 def main() -> None:

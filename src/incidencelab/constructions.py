@@ -9,6 +9,7 @@ any implementation of this format.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable
 
 import numpy as np
@@ -130,7 +131,10 @@ def full_plane(p: int) -> Instance:
     """All p^2 points and all p^2 + p lines of the affine plane."""
     # point keys x*p + y and line keys s*p + t, then p*p + x0 for the
     # vertical lines, cover [0, p*p) and [0, p*p + p)
-    return Instance(make_modulus(p), point_keys=np.arange(p * p), line_keys=np.arange(p * p + p))
+    modulus = make_modulus(p)
+    if 8 * (p * p + p) > sys.maxsize:
+        raise MemoryError(f"full_plane({p}) needs {8 * (p * p + p)} bytes of line keys, beyond the address space")
+    return Instance(modulus, point_keys=np.arange(p * p), line_keys=np.arange(p * p + p))
 
 
 def cartesian_instance(A: Iterable[int], B: Iterable[int], lines, p: int) -> Instance:

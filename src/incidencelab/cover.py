@@ -4,10 +4,10 @@ projective normalization of grids, and certificate verification.
 All threshold comparisons are exact (rationals, or the same inequality
 cleared of its denominator or rounded to an integer bound); tie-breaking is
 lexicographic on (x, y) for points and on (vertical, slope, intercept) for
-lines, so every run is reproducible.  Inputs are read through
-:class:`plane.Instance`.  The degree scans are numpy passes over blocks of
-the incidence mask (``incidence.incidence_degrees``) with bounded memory,
-and the extraction's joins to the apexes are batched line keys.
+lines, so every run is reproducible.  The extraction and the cover loop
+read the key columns of a :class:`plane.Instance`; the degree scans are
+numpy passes over blocks of the incidence mask (``incidence_degrees``) with
+bounded memory, and the joins to the apexes are batched line keys.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .plane import (
     AffinePoint,
     Instance,
     ProjMap,
+    distinct,
     incident,
     line_keys,
     line_through,
@@ -100,56 +101,53 @@ class PencilGrid:
         return line_through(self.apex1, self.apex2)
 
 
-def two_pencil_extract(points, lines, mean_richness: Fraction | None = None) -> PencilGrid:
-    """Run the two-pencil extraction literally, step by step.
+def _select(qx, qy, keys, p: int) -> tuple[np.ndarray, int, int]:
+    """The line-then-point selection over the points Q = (qx, qy): the pool
+    of lines carrying at least I/(2n) of them, I = I(Q, L), and the first
+    point meeting at least I(Q, pool)/(2|Q|) pool lines (one always does).
+    Returns the pool mask, that point's index and I.  Each test is cleared of
+    its denominator; no product exceeds 2*|Q|*n, far inside int64.
+    """
+    degree, richness = incidence_degrees(qx, qy, keys, p)
+    total = int(richness.sum())
+    if total == 0:
+        raise NoIncidencesError("no incidences between the given points and lines")
+    pool = 2 * keys.size * richness >= total
+    # the pool degrees, from a scan of the pool or of its complement, whichever is smaller
+    if 2 * int(pool.sum()) <= keys.size:
+        deg = incidence_degrees(qx, qy, keys[pool], p)[0]
+    else:
+        deg = degree - incidence_degrees(qx, qy, keys[~pool], p)[0]
+    return pool, int(np.argmax(2 * qx.size * deg >= int(richness[pool].sum()))), total
 
-    From the input points P and lines L: keep the lines carrying at least
-    I/(2n) points each; pick the first point apex1 meeting at least
-    I(P, L1)/(2m) of them; collect the candidates joined to apex1 by a line
-    of L; repeat the line-then-point selection against the candidate set to
-    obtain apex2; the grid is every candidate off the apex line whose join
-    to apex2 lies in the second-stage line pool.
+
+def two_pencil_extract(inst: Instance, mean_richness: Fraction | None = None) -> PencilGrid:
+    """Run the two-pencil extraction on the points P and lines L of inst.
+
+    Keep the lines carrying at least I/(2n) points each; pick the first
+    point apex1 meeting at least I(P, L1)/(2m) of them; collect the
+    candidates joined to apex1 by a line of L; repeat the line-then-point
+    selection against the candidate set to obtain apex2; the grid is every
+    candidate off the apex line whose join to apex2 lies in the second-stage
+    line pool.  Only the returned points and lines are built as objects.
 
     Raises NoIncidencesError when I(P, L) = 0 and EmptyGridError when the
     construction collapses (a legal outcome when the extraction constants
     have no bite at the given sizes).
     """
-    points, lines = tuple(points), tuple(lines)
-    if not points or not lines:
-        raise NoIncidencesError("need points and lines")
-    inst = Instance(make_modulus(points[0].p), points, lines)
-    m, n, p = inst.m, inst.n, inst.p
-    (px, py), keys = inst.xy, inst.line_keys
-
-    richness = incidence_degrees(px, py, keys, p)[1]
-    total = int(richness.sum())
-    if total == 0:
-        raise NoIncidencesError("no incidences between the given points and lines")
-    K = Fraction(mean_richness) if mean_richness is not None else Fraction(total, m)
-
-    # stage 1: lines rich in P, then the first sufficiently covered point;
-    # r >= total/(2n) is tested as 2n*r >= total, and so on; no product
-    # exceeds 2*m*n, far inside int64 for any instance a scan can cover.
-    # Some point always qualifies: the degrees sum to total1.
-    pool1 = 2 * n * richness >= total
-    total1 = int(richness[pool1].sum())
-    deg_pool1 = incidence_degrees(px, py, keys[pool1], p)[0]
-    a1 = int(np.argmax(2 * m * deg_pool1 >= total1))
+    p, keys, (px, py) = inst.p, inst.line_keys, inst.xy
+    pool1, a1, total = _select(px, py, keys, p)
+    K = Fraction(mean_richness) if mean_richness is not None else Fraction(total, inst.m)
 
     # candidates: points joined to apex1 by a line of L
-    others = np.flatnonzero(np.arange(m) != a1)
+    others = np.flatnonzero(np.arange(inst.m) != a1)
     cand = others[np.isin(line_keys(px[a1], py[a1], px[others], py[others], p), keys)]
     if cand.size == 0:
         raise EmptyGridError("no candidate points are joined to the first apex by a line of L")
     cx, cy = px[cand], py[cand]
-
-    # stage 2 over the candidate set, with the full line set
-    richness_q = incidence_degrees(cx, cy, keys, p)[1]
-    total_q = int(richness_q.sum())
-    pool2 = 2 * n * richness_q >= total_q
-    total2 = int(richness_q[pool2].sum())
-    deg_pool2 = incidence_degrees(cx, cy, keys[pool2], p)[0]
-    a2 = int(cand[np.argmax(2 * cand.size * deg_pool2 >= total2)])
+    # each candidate lies on its join to apex1, so I(candidates, L) > 0
+    pool2, a2, _ = _select(cx, cy, keys, p)
+    a2 = int(cand[a2])
 
     apex_key = line_keys(px[a1], py[a1], px[[a2]], py[[a2]], p)
     off = np.flatnonzero(incidence_degrees(cx, cy, apex_key, p)[0] == 0)
@@ -158,17 +156,18 @@ def two_pencil_extract(points, lines, mean_richness: Fraction | None = None) -> 
     if grid.size == 0:
         raise EmptyGridError("no line of the second pool joins the second apex to a point off the apex line")
 
+    def points(idx):
+        return tuple(AffinePoint(x, y, p) for x, y in zip(px[idx].tolist(), py[idx].tolist()))
+
+    def lines(ks):
+        return tuple(AffineLine.from_key(k, p) for k in ks.tolist())
+
     def pencil(a):
-        joins = np.unique(line_keys(px[a], py[a], px[grid], py[grid], p))
-        return tuple(AffineLine.from_key(k, p) for k in joins.tolist())
+        return lines(distinct(line_keys(px[a], py[a], px[grid], py[grid], p)))
 
-    def pick(items, idx):
-        return tuple(items[i] for i in idx.tolist())
-
-    pts, lns = inst.points, inst.lines
-    return PencilGrid(pts[a1], pts[a2], pick(pts, grid), pencil(a1), pencil(a2),
-                      pick(lns, np.flatnonzero(pool1)), pick(pts, cand),
-                      pick(lns, np.flatnonzero(pool2)), K)
+    apex1, apex2 = points([a1, a2])
+    return PencilGrid(apex1, apex2, points(grid), pencil(a1), pencil(a2),
+                      lines(keys[pool1]), points(cand), lines(keys[pool2]), K)
 
 
 def _positive_c1(c1) -> Fraction:
@@ -234,21 +233,19 @@ def grid_cover(inst: Instance, c1, c2, stop_fraction) -> GridCertificate:
     stop_fraction = Fraction(stop_fraction)
     part = richness_partition(inst, c1, c2)
     K = part.mean_richness
-    m = inst.m
-    n = inst.n
-    working = list(part.regular)
+    p, n = inst.p, inst.n
+    working = inst.replace(points=part.regular)
     steps = []
-    while len(working) > stop_fraction * m:
-        pre = extraction_preconditions(K, len(working), n, c1)
+    while working.m > stop_fraction * inst.m:
+        pre = extraction_preconditions(K, working.m, n, c1)
         try:
-            grid = two_pencil_extract(working, inst.lines, mean_richness=K)
+            grid = two_pencil_extract(working, mean_richness=K)
         except (EmptyGridError, NoIncidencesError):
             break
-        steps.append(CoverStep(grid, len(working), pre,
-                               grid_size_lower_bound(K, len(working), n, c1)))
-        removed = set(grid.points)
-        working = [q for q in working if q not in removed]
-    return GridCertificate(c1, c2, stop_fraction, K, part, tuple(steps), tuple(working))
+        steps.append(CoverStep(grid, working.m, pre, grid_size_lower_bound(K, working.m, n, c1)))
+        taken = np.isin(working.point_keys, [q.x * p + q.y for q in grid.points])
+        working = Instance(inst.modulus, point_keys=working.point_keys[~taken], line_keys=inst.line_keys)
+    return GridCertificate(c1, c2, stop_fraction, K, part, tuple(steps), working.points)
 
 
 @dataclass(frozen=True)

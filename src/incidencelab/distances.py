@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EmptyInputError, ModulusMismatchError, TooFewPointsError
 from .field import inv_mod_array, make_modulus, minus_one_is_square, sqrt_mod
-from .plane import AffineLine, AffinePoint, Instance, line_keys, pair_blocks
+from .plane import AffineLine, AffinePoint, Instance, distinct, line_keys, pair_blocks
 
 
 def _coords(points, p: int | None = None) -> Instance | None:
@@ -92,7 +92,7 @@ def distance_sets(points) -> DistanceReport:
         values, counts = np.unique(row, return_counts=True)
         pinned[q] = values
         isosceles += _isosceles(values, counts)
-    full = frozenset(np.unique(np.concatenate(list(pinned.values()))).tolist())
+    full = frozenset(distinct(np.concatenate(list(pinned.values()))).tolist())
     # argmax by pinned-set size; pts is sorted, so ties resolve to the
     # lexicographically smallest point
     best = max(v.size for v in pinned.values())
@@ -135,7 +135,7 @@ def bisector_instance(points, r: AffinePoint) -> frozenset[AffineLine]:
     inv = inv_mod_array(np.where(sloped, b, a), p)
     t = cc * inv % p
     keys = np.where(sloped, (-a * inv) % p * p + t, p * p + t)
-    return frozenset(AffineLine.from_key(k, p) for k in np.unique(keys).tolist())
+    return frozenset(AffineLine.from_key(k, p) for k in distinct(keys).tolist())
 
 
 def isosceles_triples(points) -> int:
@@ -217,5 +217,5 @@ def determined_lines(points) -> BeckReport:
     ks = [(1 + isqrt(8 * c + 1)) // 2 for c in values.tolist()]
     richness = np.array(ks, dtype=np.int64)[at]
     line_class = _dyadic_class(richness)
-    pairs_by_class = {j: int(pairs[line_class == j].sum()) for j in np.unique(line_class).tolist()}
+    pairs_by_class = {j: int(pairs[line_class == j].sum()) for j in distinct(line_class).tolist()}
     return BeckReport(keys, richness, pairs_by_class, int(pairs.sum()), m * (m - 1) // 2, m, p)

@@ -37,6 +37,7 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from math import sqrt
 from typing import NamedTuple
 
@@ -353,14 +354,16 @@ class PlaneInstance3D:
 
 
 def count_point_plane(inst3: PlaneInstance3D) -> int:
-    """Exact |{(point, plane) : point on plane}|."""
+    """Exact |{(point, plane) : point on plane}|, one pass over the points
+    per normal: the sorted planes of a normal are adjacent, and its leading 1
+    keeps a*x + b*y + c*z below 2^63 for p < 2^31."""
     if inst3.r == 0 or inst3.s == 0:
         return 0
-    pts = np.array(inst3.points, dtype=np.int64)
+    x, y, z = np.array(inst3.points, dtype=np.int64).T
     p = inst3.p
     total = 0
-    for a, b, c, d in inst3.planes:
-        total += int(((a * pts[:, 0] + b * pts[:, 1] + c * pts[:, 2] - d) % p == 0).sum())
+    for (a, b, c), planes in groupby(inst3.planes, key=lambda plane: plane[:3]):
+        total += int(np.isin((a * x + b * y + c * z) % p, [plane[3] for plane in planes]).sum())
     return total
 
 

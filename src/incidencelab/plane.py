@@ -181,10 +181,16 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(a, prepend=a[:1] - 1))
 
 
+def distinct(a) -> np.ndarray:
+    """The sorted distinct values of the integer array a, as int64: plain
+    np.unique without the import of numpy.ma (see :func:`_run_starts`)."""
+    a = np.sort(np.asarray(a, dtype=np.int64))
+    return a[_run_starts(a)]
+
+
 def _key_column(keys, bound: int, what: str) -> np.ndarray:
     """The sorted distinct int64 keys, each checked to lie in [0, bound)."""
-    keys = np.sort(np.asarray(keys, dtype=np.int64))
-    keys = keys[_run_starts(keys)]
+    keys = distinct(keys)
     if keys.size and (keys[0] < 0 or keys[-1] >= bound):
         raise InvalidParameterError(f"{what} keys must lie in [0, {bound})")
     return _read_only(keys)[0]
@@ -351,16 +357,6 @@ class ProjPoint:
         object.__setattr__(self, "a", coords[0])
         object.__setattr__(self, "b", coords[1])
         object.__setattr__(self, "c", coords[2])
-
-    @property
-    def at_infinity(self) -> bool:
-        return self.c == 0
-
-    def to_affine(self) -> AffinePoint:
-        if self.c == 0:
-            raise PointSentToInfinityError(self)
-        inv = inv_mod(self.c, self.p)
-        return AffinePoint(self.a * inv, self.b * inv, self.p)
 
     def __repr__(self):
         return f"[{self.a}:{self.b}:{self.c}]@{self.p}"

@@ -81,6 +81,57 @@ def test_construct_usage_error(capsys):
     assert rc == 1
 
 
+def test_construct_full_plane_beyond_the_address_space_is_one_line_data_error(capsys):
+    # its line keys alone would take 8 (p^2 + p) > 2^63 bytes; numpy raised
+    # "array is too big" from deep inside the construction
+    rc, out, err = run(capsys, "construct", "full_plane", "--p", "2147483647")
+    assert rc == 2 and out == ""
+    assert_error_stderr(err)
+    assert err.startswith("incidencelab: MemoryError: full_plane(2147483647) needs")
+    assert len(err.splitlines()) == 1
+
+
+def test_memory_error_is_one_line_data_error(tmp_path, capsys, monkeypatch):
+    import incidencelab.cover
+
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(incidencelab.cover, "grid_cover", exhausted)
+    path = tmp_path / "inst.json"
+    run(capsys, "construct", "full_plane", "--p", "5", "--output", str(path))
+    rc, out, err = run(capsys, "cover", "--input", str(path))
+    assert rc == 2 and out == ""
+    assert_error_stderr(err)
+    assert err.splitlines() == ["incidencelab: MemoryError: "]
+
+
+def test_extract_on_an_instance_without_incidences_is_data_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"p": 7, "points": [], "lines": [{"kind": "sl", "s": 1, "t": 1}]}))
+    rc, out, err = run(capsys, "extract", "--input", str(path))
+    assert rc == 2 and out == ""
+    assert err.splitlines() == [
+        "incidencelab: NoIncidencesError: no incidences between the given points and lines"]
+
+
+def test_report_commands_do_not_import_numpy_ma(tmp_path):
+    # plain np.unique imports numpy.ma, about 20 ms at first use
+    path = tmp_path / "inst.json"
+    assert cli(["construct", "full_plane", "--p", "7", "--output", str(path)]) == 0
+    script = (
+        "import sys\n"
+        "from incidencelab.cli import cli\n"
+        "for command in (['cover', '--normalize'], ['extract'], ['beck'], ['distances']):\n"
+        f"    assert cli(command + ['--input', {str(path)!r}, '--output', {str(tmp_path / 'out.json')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(), timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_extract_and_cover(tmp_path, capsys):
     path = tmp_path / "inst.json"
     run(capsys, "construct", "full_plane", "--p", "5", "--output", str(path))

@@ -16,12 +16,11 @@ from incidencelab.cover import (
     two_pencil_extract,
     verify_certificate,
 )
+from incidencelab.distances import determined_lines
 from incidencelab.errors import (
-    CompositeModulusError,
     EmptyGridError,
     EmptyInstanceError,
     InvalidParameterError,
-    ModulusMismatchError,
     NoIncidencesError,
 )
 from incidencelab.field import make_modulus
@@ -95,15 +94,6 @@ def test_partition_matches_rational_thresholds():
                 inst, Fraction(low_factor), Fraction(high_factor))
 
 
-def test_two_pencil_rejects_mixed_and_composite_moduli():
-    with pytest.raises(ModulusMismatchError):
-        two_pencil_extract([AffinePoint(0, 0, 5), AffinePoint(1, 1, 7)], [AffineLine(1, 0, 5)])
-    with pytest.raises(ModulusMismatchError):
-        two_pencil_extract([AffinePoint(0, 0, 5)], [AffineLine(1, 0, 5), AffineLine(1, 0, 7)])
-    with pytest.raises(CompositeModulusError):
-        two_pencil_extract([AffinePoint(0, 0, 9)], [AffineLine(1, 0, 9)])
-
-
 def test_partition_empty_instance():
     mod = make_modulus(7)
     with pytest.raises(EmptyInstanceError):
@@ -117,7 +107,7 @@ def test_two_pencil_full_plane_trace():
     # second pool is again all lines and the second apex is (0,1); the grid is
     # everything off the vertical joining line x = 0
     inst = full_plane(5)
-    grid = two_pencil_extract(inst.points, inst.lines)
+    grid = two_pencil_extract(inst)
     assert grid.apex1 == AffinePoint(0, 0, 5)
     assert grid.apex2 == AffinePoint(0, 1, 5)
     assert len(grid.rich_lines) == 30
@@ -135,13 +125,13 @@ def test_two_pencil_axis_parallel_empty_grid():
     points = [AffinePoint(x, y, p) for x in range(8) for y in range(8)]
     lines = [AffineLine(0, t, p) for t in range(8)] + [AffineLine(None, x, p) for x in range(8)]
     with pytest.raises(EmptyGridError):
-        two_pencil_extract(points, lines)
+        two_pencil_extract(Instance(make_modulus(p), points, lines))
 
 
 def test_two_pencil_no_incidences():
     p = 7
     with pytest.raises(NoIncidencesError):
-        two_pencil_extract([AffinePoint(0, 0, p)], [AffineLine(1, 1, p)])
+        two_pencil_extract(Instance(make_modulus(p), [AffinePoint(0, 0, p)], [AffineLine(1, 1, p)]))
 
 
 def reference_extract(points, lines):
@@ -189,12 +179,31 @@ def test_two_pencil_matches_reference():
             want = reference_extract(inst.points, inst.lines)
         except (NoIncidencesError, EmptyGridError) as exc:
             with pytest.raises(type(exc)):
-                two_pencil_extract(inst.points, inst.lines)
+                two_pencil_extract(inst)
             outcomes.add(type(exc))
             continue
-        assert two_pencil_extract(inst.points, inst.lines) == want
+        assert two_pencil_extract(inst) == want
         outcomes.add(PencilGrid)
     assert outcomes == {PencilGrid, NoIncidencesError, EmptyGridError}
+
+
+def test_two_pencil_pool_degrees_skip_the_poor_lines():
+    # the rich lines of a 5 x 5 grid make up less than half of L, and the
+    # origin, first in point order, lies on no rich line but on 36 poor ones:
+    # apex1 counts only its pool lines, so it is (1, 1) and not the origin
+    p = 101
+    grid = [AffinePoint(x, y, p) for x in range(1, 6) for y in range(1, 6)]
+    origin = AffinePoint(0, 0, p)
+    spanned = determined_lines(grid)
+    rich = [line for line, k in zip(spanned.lines, spanned.richness.tolist())
+            if k >= 3 and not incident(origin, line)]
+    poor = [line for line in [AffineLine(None, 0, p)] + [AffineLine(s, 0, p) for s in range(p)]
+            if not any(incident(q, line) for q in grid)][:36]
+    inst = Instance(make_modulus(p), grid + [origin], rich + poor)
+    assert 2 * len(rich) < inst.n
+    got = two_pencil_extract(inst)
+    assert got == reference_extract(inst.points, inst.lines)
+    assert got.apex1 == AffinePoint(1, 1, p) and got.points
 
 
 def test_two_pencil_structural_contract():
@@ -203,7 +212,7 @@ def test_two_pencil_structural_contract():
     cases = [full_plane(5), full_plane(7)]
     c2 = Fraction(2)
     for inst in cases:
-        grid = two_pencil_extract(inst.points, inst.lines)
+        grid = two_pencil_extract(inst)
         assert all(not incident(q, grid.apex_line) for q in grid.points)
         cap = c2 * grid.mean_richness
         assert len(grid.pencil1) <= cap and len(grid.pencil2) <= cap
@@ -221,7 +230,7 @@ def test_two_pencil_structural_contract():
 def test_grid_size_bound_when_preconditions_hold():
     inst = full_plane(5)
     c1 = Fraction(1, 2)
-    grid = two_pencil_extract(inst.points, inst.lines)
+    grid = two_pencil_extract(inst)
     K = grid.mean_richness
     pre = extraction_preconditions(K, inst.m, inst.n, c1)
     if all(ok for _, ok in pre):

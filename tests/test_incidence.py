@@ -157,6 +157,25 @@ def test_count_point_plane_matches_energy_reduction():
     assert count_point_plane(inst3) == direct == line_energy([0, 1], lines, 5).value
 
 
+def test_count_point_plane_shared_normals_random():
+    # oracle: the per-plane loop in exact integers; planes share a few
+    # normals and half of them pass through a point, up to p = 2^31 - 1
+    rng = np.random.default_rng(31)
+    for p in (5, 7, 101, 1009, 1048573, 2**31 - 1):
+        for _ in range(4):
+            points = rng.integers(0, p, size=(int(rng.integers(1, 60)), 3)).tolist()
+            normals = [tuple(v) for v in rng.integers(0, p, size=(3, 3)).tolist() if any(v)]
+            planes = []
+            for a, b, c in normals:
+                for x, y, z in points[:10]:
+                    planes.append((a, b, c, a * x + b * y + c * z))
+                planes += [(a, b, c, d) for d in rng.integers(0, p, size=10).tolist()]
+            inst3 = PlaneInstance3D.build(p, points, planes)
+            want = sum((a * x + b * y + c * z - d) % p == 0
+                       for a, b, c, d in inst3.planes for x, y, z in inst3.points)
+            assert count_point_plane(inst3) == want
+
+
 def brute_max_collinear(points, p):
     """Oracle: check every pair-defined line by membership testing."""
     pts = sorted(set(points))
