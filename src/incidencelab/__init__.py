@@ -24,9 +24,9 @@ _EXPORTS = {
     "plane": ("AffineLine", "AffinePoint", "Instance", "ProjMap", "ProjPoint", "apply_map",
               "dualize", "embed", "incident", "line_through", "projective_map_from_pair",
               "translation_map", "vertical_line", "x_infinity", "y_infinity"),
-    "incidence": ("HypothesisReport", "PlaneInstance3D", "RichnessHistogram", "check_hypotheses",
-                  "count_incidences", "count_point_plane", "kernel_backend", "max_collinear_3d",
-                  "reference_bound", "richness_histograms", "warm_up_kernels",
+    "incidence": ("CountStats", "HypothesisReport", "PlaneInstance3D", "RichnessHistogram",
+                  "check_hypotheses", "count_incidences", "count_point_plane", "kernel_backend",
+                  "max_collinear_3d", "reference_bound", "richness_histograms", "warm_up_kernels",
                   "within_combinatorial_bound"),
     "constructions": ("SeededStream", "cartesian_instance", "elekes_construction",
                       "elekes_line_family", "full_plane", "pencil", "random_instance"),

@@ -16,6 +16,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from functools import cache
 
 # constructions, cover, distances and energy run on first use (see __init__)
 from . import constructions, cover, distances, energy, harness
@@ -70,6 +71,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--engine", choices=ENGINES, default="auto")
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="csv writes the bare count")
+    sp.add_argument("--stats", action="store_true",
+                    help="add a stats object: the engine and side that ran, probes per path, phase times")
 
     sp = sub.add_parser("count3d", help="count point-plane incidences of a 3D instance file")
     common(sp)
@@ -127,13 +130,19 @@ def build_parser() -> _Parser:
 
 
 def _cmd_count(args) -> int:
+    if args.stats and args.format == "csv":
+        return _usage_error("count --stats needs --format json")
     inst = harness.read_instance(args.input)
-    count = count_incidences(inst, args.engine)
     if args.format == "csv":
-        _emit(f"{count}\n", args.output)
+        _emit(f"{count_incidences(inst, args.engine)}\n", args.output)
+        return 0
+    obj = {"p": inst.p, "m": inst.m, "n": inst.n, "engine": args.engine}
+    if args.stats:
+        obj["incidences"], stats = count_incidences(inst, args.engine, stats=True)
+        obj["stats"] = stats.to_json()
     else:
-        _json_out({"p": inst.p, "m": inst.m, "n": inst.n, "incidences": count,
-                   "engine": args.engine}, args.output)
+        obj["incidences"] = count_incidences(inst, args.engine)
+    _json_out(obj, args.output)
     return 0
 
 
@@ -317,10 +326,16 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
     print(f"incidencelab: warning: {message}", file=sys.stderr)
 
 
+@cache
+def _parser() -> _Parser:
+    # one parser per process: building it costs milliseconds, and it holds no
+    # state between parses
+    return build_parser()
+
+
 def cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     with warnings.catch_warnings():

@@ -5,9 +5,14 @@ All threshold comparisons are exact (rationals, or the same inequality
 cleared of its denominator or rounded to an integer bound); tie-breaking is
 lexicographic on (x, y) for points and on (vertical, slope, intercept) for
 lines, so every run is reproducible.  The extraction and the cover loop
-read the key columns of a :class:`plane.Instance`; the degree scans are
-numpy passes over blocks of the incidence mask (``incidence_degrees``) with
-bounded memory, and the joins to the apexes are batched line keys.
+read the key columns of a :class:`plane.Instance`; their degree scans are
+joins over slope classes or columns (``join_degrees``), and the joins to
+the apexes are batched line keys.  The certificate verifier reads the
+partition, grids and pencils once as int64 keys and checks them with array
+passes; its incidence tests are the blocked masks of
+``incidence_degrees``, so it never shares the extraction's join.
+:func:`normalize_grid` maps the key columns through the projective map
+with one batched inverse.
 """
 
 from __future__ import annotations
@@ -23,17 +28,18 @@ from .errors import (
     EmptyGridError,
     EmptyInstanceError,
     InvalidParameterError,
+    ModulusMismatchError,
     NoIncidencesError,
+    PointSentToInfinityError,
 )
-from .field import make_modulus
-from .incidence import incidence_degrees
+from .field import inv_mod_array, make_modulus
+from .incidence import incidence_degrees, join_degrees
 from .plane import (
     AffineLine,
     AffinePoint,
     Instance,
     ProjMap,
     distinct,
-    incident,
     line_keys,
     line_through,
     projective_map_from_pair,
@@ -57,23 +63,30 @@ class RichnessPartition:
     regular: tuple[AffinePoint, ...]
 
 
-def richness_partition(inst: Instance, low_factor, high_factor) -> RichnessPartition:
-    """Partition inst.points by line-degree thresholds around K = I/m."""
+def _richness_classes(inst: Instance, low_factor, high_factor) -> tuple[Fraction, np.ndarray]:
+    """The exact mean richness K = I/m and the class of each point of inst:
+    0 low, 1 high, 2 regular."""
     if inst.m == 0:
         raise EmptyInstanceError("cannot partition an instance with no points")
     low_factor = Fraction(low_factor)
     high_factor = Fraction(high_factor)
     if not low_factor < high_factor:
         raise InvalidParameterError(f"need low_factor < high_factor, got {low_factor} and {high_factor}")
-    deg = incidence_degrees(*inst.xy, inst.line_keys, inst.p)[0]
+    deg = join_degrees(*inst.xy, inst.line_keys, inst.p)[0]
     mean = Fraction(int(deg.sum()), inst.m)
     # an integer degree d has d <= t exactly when d <= floor(t), and d >= t
     # exactly when d >= ceil(t); degrees lie in [0, n], so clamping the
     # bounds to [-1, n + 1] keeps every comparison and fits int64
     low = deg <= min(max(math.floor(low_factor * mean), -1), inst.n + 1)
     high = ~low & (deg >= min(max(math.ceil(high_factor * mean), -1), inst.n + 1))
-    return RichnessPartition(mean, low_factor, high_factor, *(
-        tuple(compress(inst.points, mask.tolist())) for mask in (low, high, ~(low | high))))
+    return mean, np.where(low, 0, np.where(high, 1, 2))
+
+
+def richness_partition(inst: Instance, low_factor, high_factor) -> RichnessPartition:
+    """Partition inst.points by line-degree thresholds around K = I/m."""
+    mean, classes = _richness_classes(inst, low_factor, high_factor)
+    return RichnessPartition(mean, Fraction(low_factor), Fraction(high_factor), *(
+        tuple(compress(inst.points, (classes == c).tolist())) for c in range(3)))
 
 
 @dataclass(frozen=True)
@@ -108,16 +121,16 @@ def _select(qx, qy, keys, p: int) -> tuple[np.ndarray, int, int]:
     Returns the pool mask, that point's index and I.  Each test is cleared of
     its denominator; no product exceeds 2*|Q|*n, far inside int64.
     """
-    degree, richness = incidence_degrees(qx, qy, keys, p)
+    degree, richness = join_degrees(qx, qy, keys, p)
     total = int(richness.sum())
     if total == 0:
         raise NoIncidencesError("no incidences between the given points and lines")
     pool = 2 * keys.size * richness >= total
     # the pool degrees, from a scan of the pool or of its complement, whichever is smaller
     if 2 * int(pool.sum()) <= keys.size:
-        deg = incidence_degrees(qx, qy, keys[pool], p)[0]
+        deg = join_degrees(qx, qy, keys[pool], p)[0]
     else:
-        deg = degree - incidence_degrees(qx, qy, keys[~pool], p)[0]
+        deg = degree - join_degrees(qx, qy, keys[~pool], p)[0]
     return pool, int(np.argmax(2 * qx.size * deg >= int(richness[pool].sum()))), total
 
 
@@ -150,7 +163,7 @@ def two_pencil_extract(inst: Instance, mean_richness: Fraction | None = None) ->
     a2 = int(cand[a2])
 
     apex_key = line_keys(px[a1], py[a1], px[[a2]], py[[a2]], p)
-    off = np.flatnonzero(incidence_degrees(cx, cy, apex_key, p)[0] == 0)
+    off = np.flatnonzero(join_degrees(cx, cy, apex_key, p)[0] == 0)
     joins2 = line_keys(px[a2], py[a2], cx[off], cy[off], p)
     grid = cand[off[np.isin(joins2, keys[pool2])]]
     if grid.size == 0:
@@ -265,15 +278,43 @@ class NormalizedGrid:
     lines: tuple[AffineLine, ...]
 
 
+def _dot(row, columns, p: int) -> np.ndarray:
+    """sum_k row[k] * columns[k] mod p, each product reduced before the sum:
+    residues below p < 2^31 keep every product below 2^62 and the sum of
+    three reduced products below 2^33."""
+    return sum(r * c % p for r, c in zip(row, columns)) % p
+
+
 def normalize_grid(grid: PencilGrid, lines) -> NormalizedGrid:
     """Send the apexes to the two points at infinity and read off the
-    Cartesian product containing the image of the grid."""
+    Cartesian product containing the image of the grid.
+
+    The point keys and the line keys (without the apex line) go through
+    the map as columns, with one batched inverse for the denominators of
+    both."""
     tau = projective_map_from_pair(grid.apex1, grid.apex2)
-    apex_line = grid.apex_line
-    image = Instance(make_modulus(tau.p), [tau.apply_point(q) for q in grid.points],
-                     [tau.apply_line(line) for line in lines if line != apex_line])
+    p = tau.p
+    gx, gy = np.divmod(_point_keys(grid.points, p), p)
+    keys = np.array([line.key() for line in lines], dtype=np.int64)
+    keys = keys[keys != grid.apex_line.key()]
+    # a*x + b*y + c = 0: (1, 0, -x0) for a vertical line, (s, -1, t) otherwise
+    vertical = keys >= p * p
+    s, t = np.divmod(keys, p)
+    coeffs = (np.where(vertical, 1, s), np.where(vertical, 0, p - 1),
+              np.where(vertical, (p * p - keys) % p, t))
+    x, y, z = (_dot(row, (gx, gy, 1), p) for row in tau.rows)
+    if not z.all():
+        i = int(np.argmin(z != 0))
+        raise PointSentToInfinityError(grid.points[i])
+    # a line's coefficient vector maps by the adjugate transpose
+    a, b, c = (_dot([row[k] for row in tau.adjugate], coeffs, p) for k in range(3))
+    sloped = b != 0
+    inv = inv_mod_array(np.concatenate([z, np.where(sloped, b, a)]), p)
+    iz, il = inv[:z.size], inv[z.size:]
+    image = Instance(make_modulus(p), point_keys=x * iz % p * p + y * iz % p,
+                     line_keys=np.where(sloped, -a * il % p * p + -c * il % p, p * p + -c * il % p))
     xs = tuple(image.column_runs[0].tolist())
-    ys = tuple(sorted(set(image.xy[1].tolist())))
+    ys = tuple(distinct(image.xy[1]).tolist())
     return NormalizedGrid(tau, image.points, xs, ys, image.lines)
 
 
@@ -292,6 +333,24 @@ class VerificationReport:
         return {v.code for v in self.violations}
 
 
+def _point_keys(points, p: int) -> np.ndarray:
+    """The keys x*p + y of the points in order, repeats kept; -1, a key no
+    point of F_p has, for a point of another field."""
+    return np.array([q.x * p + q.y if q.p == p else -1 for q in points], dtype=np.int64)
+
+
+def _grid_keys(grid: PencilGrid, p: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The point keys of a grid and of its two apexes, and the line keys of
+    its two pencils; raises ModulusMismatchError on an object of another
+    field."""
+    points, apexes = _point_keys(grid.points, p), _point_keys((grid.apex1, grid.apex2), p)
+    pencils = tuple(grid.pencil1), tuple(grid.pencil2)
+    if (points < 0).any() or (apexes < 0).any() or any(line.p != p for pencil in pencils for line in pencil):
+        raise ModulusMismatchError(f"grid objects do not all live in F_{p}")
+    return points, apexes, tuple(np.array([line.key() for line in pencil], dtype=np.int64)
+                                 for pencil in pencils)
+
+
 def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationReport:
     """Re-check every guarantee recorded in a cover certificate.
 
@@ -301,57 +360,68 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
     bound and consist of instance lines through their apex, the conditional
     size lower bound holds whenever the extraction preconditions held, and
     the pieces reassemble the full point set exactly.
+
+    Every check is an array pass over int64 keys; the incidence tests (apex
+    line, pencil apexes, pencil coverage as the |grid| x |pencil| mask) use
+    the blocked masks of ``incidence_degrees``, independent of the join the
+    extraction ran.
     """
     v: list[Violation] = []
 
     def flag(code, message):
         v.append(Violation(code, message))
 
+    p, point_keys = inst.p, inst.point_keys
+    part = cert.partition
     # partition re-check
-    part = richness_partition(inst, cert.c1, cert.c2)
-    if part != cert.partition:
+    mean, classes = _richness_classes(inst, cert.c1, cert.c2)
+    low, high, regular = (_point_keys(pts, p) for pts in (part.low, part.high, part.regular))
+    if ((part.mean_richness, part.low_factor, part.high_factor) != (mean, Fraction(cert.c1), Fraction(cert.c2))
+            or not all(np.array_equal(keys, point_keys[classes == c])
+                       for c, keys in enumerate((low, high, regular)))):
         flag("partition-mismatch", "recomputed richness partition differs from the certificate")
-    if cert.mean_richness != part.mean_richness:
+    if cert.mean_richness != mean:
         flag("partition-mismatch", "certificate mean richness differs from I/m")
 
-    regular = set(cert.partition.regular)
-    line_set = inst.line_set
-    seen: set[AffinePoint] = set()
+    seen = np.empty(0, dtype=np.int64)  # the distinct keys of the grids so far
     pencil_cap = cert.c2 * cert.mean_richness
     for idx, step in enumerate(cert.steps):
         g = step.grid
-        gpts = set(g.points)
-        overlap = gpts & seen
+        gpts, apexes, pencils = _grid_keys(g, p)
+        gset = distinct(gpts)
+        overlap = int(np.isin(gset, seen).sum())
         if overlap:
-            flag("grids-overlap", f"grid {idx} shares {len(overlap)} points with earlier grids")
-        seen |= gpts
-        if not gpts <= regular:
+            flag("grids-overlap", f"grid {idx} shares {overlap} points with earlier grids")
+        seen = distinct(np.concatenate([seen, gset]))
+        if not np.isin(gset, regular).all():
             flag("grid-not-regular-subset", f"grid {idx} contains points outside the regular set")
-        apex_line = g.apex_line
-        touching = [q for q in g.points if incident(q, apex_line)]
+        gx, gy = np.divmod(gpts, p)
+        apex_line = np.array([g.apex_line.key()])
+        touching = int(np.count_nonzero(incidence_degrees(gx, gy, apex_line, p)[0]))
         if touching:
-            flag("apex-line-contact", f"grid {idx} has {len(touching)} points on the apex line")
-        for which, apex, pencil in (("pencil1", g.apex1, g.pencil1), ("pencil2", g.apex2, g.pencil2)):
-            if len(pencil) > pencil_cap:
-                flag("pencil-size", f"grid {idx} {which} has {len(pencil)} lines, cap {pencil_cap}")
-            for line in pencil:
-                if line not in line_set:
+            flag("apex-line-contact", f"grid {idx} has {touching} points on the apex line")
+        for which, apex, pencil in zip(("pencil1", "pencil2"), apexes.tolist(), pencils):
+            if pencil.size > pencil_cap:
+                flag("pencil-size", f"grid {idx} {which} has {pencil.size} lines, cap {pencil_cap}")
+            outside = ~np.isin(pencil, inst.line_keys)
+            off_apex = incidence_degrees(*np.divmod(np.array([apex]), p), pencil, p)[1] == 0
+            for j in np.flatnonzero(outside | off_apex).tolist():
+                if outside[j]:
                     flag("pencil-not-in-lines", f"grid {idx} {which} uses a line outside the instance")
-                if not incident(apex, line):
+                if off_apex[j]:
                     flag("pencil-apex", f"grid {idx} {which} has a line missing its apex")
-            uncovered = [q for q in g.points if not any(incident(q, line) for line in pencil)]
+            uncovered = int(np.count_nonzero(incidence_degrees(gx, gy, pencil, p)[0] == 0))
             if uncovered:
-                flag("pencil-coverage", f"grid {idx} {which} misses {len(uncovered)} grid points")
+                flag("pencil-coverage", f"grid {idx} {which} misses {uncovered} grid points")
         if all(ok for _, ok in step.preconditions) and len(g.points) < step.size_bound:
             flag("size-lower-bound",
                  f"grid {idx} has {len(g.points)} points, below the guaranteed {step.size_bound}")
 
-    union = seen | set(cert.leftover) | set(cert.partition.low) | set(cert.partition.high)
-    if union != inst.point_set:
+    leftover = _point_keys(cert.leftover, p)
+    if not np.array_equal(distinct(np.concatenate([seen, leftover, low, high])), point_keys):
         flag("union-identity", "grids, leftover and partition do not reassemble the point set")
-    if len(seen) + len(cert.leftover) != len(cert.partition.regular):
+    if seen.size + leftover.size != regular.size:
         flag("union-identity", "grid sizes plus leftover do not account for the regular set")
-    overlap_leftover = seen & set(cert.leftover)
-    if overlap_leftover:
+    if np.isin(leftover, seen).any():
         flag("grids-overlap", "leftover intersects the extracted grids")
     return VerificationReport(not v, tuple(v))

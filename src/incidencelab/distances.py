@@ -3,23 +3,23 @@ lines, perpendicular-bisector families, isosceles triples, and the
 determined-lines (two-extremes) accounting with its dyadic partition.
 
 The quadratic reports are numpy passes with bounded memory: distance sets
-and isosceles triples take one pin's row of m distances at a time, and the
-determined lines are int64 line keys over blocks of point pairs, with one
-batched modular inverse per block and one np.unique count over all keys.
-Point sets are read through :class:`plane.Instance`.
+and isosceles triples take blocks of pin rows, each row of m distances
+sorted so that its runs give the pinned set and the isosceles pairs at
+once, and the determined lines are int64 line keys over blocks of point
+pairs, with one batched modular inverse per block and one sort over all
+keys.  Point sets are read through :class:`plane.Instance`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
 
 import numpy as np
 
 from .errors import EmptyInputError, ModulusMismatchError, TooFewPointsError
 from .field import inv_mod_array, make_modulus, minus_one_is_square, sqrt_mod
-from .plane import AffineLine, AffinePoint, Instance, distinct, line_keys, pair_blocks
+from .plane import _PAIR_BLOCK, AffineLine, AffinePoint, Instance, distinct, line_keys, pair_blocks
 
 
 def _coords(points, p: int | None = None) -> Instance | None:
@@ -33,13 +33,33 @@ def _coords(points, p: int | None = None) -> Instance | None:
     return Instance(make_modulus(p), points, ())
 
 
-def _distance_rows(x, y, p):
-    """Yield the row d(q, .) over all points for each pin q in turn; with
-    dx, dy < p < 2^31 the sum of the two squares stays below 2^63."""
-    for xq, yq in zip(x.tolist(), y.tolist()):
-        dx = (x - xq) % p
-        dy = (y - yq) % p
-        yield (dx * dx + dy * dy) % p
+def _distance_blocks(x, y, p):
+    """Yield, for consecutive blocks of pins q holding about _PAIR_BLOCK
+    distances in all, the rows d(q, .) over all points, each sorted, and the
+    mask of where the runs of equal values begin.  With |dx|, |dy| < p <
+    2^31 the sum of the two squares stays below 2^63, so one % p per pair
+    reduces it."""
+    step = max(1, _PAIR_BLOCK // max(x.size, 1))
+    for lo in range(0, x.size, step):
+        rows = x[lo:lo + step, None] - x
+        rows *= rows
+        dy = y[lo:lo + step, None] - y
+        dy *= dy
+        rows += dy
+        rows %= p
+        rows.sort(axis=1)
+        starts = np.empty(rows.shape, dtype=bool)
+        starts[:, 0] = True
+        np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+        yield rows, starts
+
+
+def _isosceles(rows, starts) -> int:
+    """Ordered pairs (r, s), r != s, at one nonzero distance from a pin,
+    summed over the sorted distance rows of :func:`_distance_blocks`."""
+    at = np.flatnonzero(starts)
+    c = np.diff(at, append=rows.size)[rows.ravel()[at] != 0]
+    return int(np.dot(c, c - 1))
 
 
 def distance(q: AffinePoint, r: AffinePoint) -> int:
@@ -86,18 +106,23 @@ def distance_sets(points) -> DistanceReport:
     inst = _coords(points)
     if inst is None:
         raise EmptyInputError("need at least one point")
+    values, sizes, seen, isosceles = [], [], [], 0
+    for rows, starts in _distance_blocks(*inst.xy, inst.p):
+        isosceles += _isosceles(rows, starts)
+        size = starts.sum(axis=1)
+        block = rows[starts]
+        ends = np.cumsum(size).tolist()
+        values += [block[lo:hi] for lo, hi in zip([0] + ends, ends)]
+        sizes.append(size)
+        seen.append(distinct(block))
     pts = inst.points
-    pinned, isosceles = {}, 0
-    for q, row in zip(pts, _distance_rows(*inst.xy, inst.p)):
-        values, counts = np.unique(row, return_counts=True)
-        pinned[q] = values
-        isosceles += _isosceles(values, counts)
-    full = frozenset(distinct(np.concatenate(list(pinned.values()))).tolist())
+    full = frozenset(distinct(np.concatenate(seen)).tolist())
     # argmax by pinned-set size; pts is sorted, so ties resolve to the
     # lexicographically smallest point
-    best = max(v.size for v in pinned.values())
-    pin = next(q for q in pts if pinned[q].size == best)
-    return DistanceReport(full, pinned, pin, best, full == frozenset({0}), isosceles)
+    sizes = np.concatenate(sizes)
+    best = int(np.argmax(sizes))
+    return DistanceReport(full, dict(zip(pts, values)), pts[best], int(sizes[best]),
+                          full == frozenset({0}), isosceles)
 
 
 def isotropic_lines(r: AffinePoint) -> tuple[AffineLine, AffineLine] | None:
@@ -144,14 +169,7 @@ def isosceles_triples(points) -> int:
     inst = _coords(points)
     if inst is None:
         return 0
-    return sum(_isosceles(*np.unique(row, return_counts=True)) for row in _distance_rows(*inst.xy, inst.p))
-
-
-def _isosceles(values, counts) -> int:
-    """Ordered pairs (r, s), r != s, at one nonzero distance from a pin,
-    given the distinct values of the pin's distance row and their counts."""
-    c = counts[values != 0]
-    return int((c * (c - 1)).sum())
+    return sum(_isosceles(*block) for block in _distance_blocks(*inst.xy, inst.p))
 
 
 def _dyadic_class(k: np.ndarray) -> np.ndarray:
@@ -210,12 +228,14 @@ def determined_lines(points) -> BeckReport:
         raise TooFewPointsError(f"need at least two points, got {m}")
     p, (x, y) = inst.p, inst.xy
     keys = np.concatenate([line_keys(x[i], y[i], x[j], y[j], p) for i, j in pair_blocks(m)])
-    keys, pairs = np.unique(keys, return_counts=True)
-    # a line with k points carries c = k(k-1)/2 pairs, so 8c + 1 = (2k - 1)^2
-    # and the integer square root recovers k exactly, once per distinct c
-    values, at = np.unique(pairs, return_inverse=True)
-    ks = [(1 + isqrt(8 * c + 1)) // 2 for c in values.tolist()]
-    richness = np.array(ks, dtype=np.int64)[at]
+    keys.sort()
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    pairs = np.diff(start, append=keys.size)
+    # a line with k points carries c = k(k-1)/2 pairs, so 8c + 1 = (2k - 1)^2;
+    # float64 takes the square root of that perfect square exactly while it
+    # is below 2^53, that is for m below 2^25
+    richness = (1 + np.sqrt(8 * pairs + 1).astype(np.int64)) // 2
     line_class = _dyadic_class(richness)
-    pairs_by_class = {j: int(pairs[line_class == j].sum()) for j in distinct(line_class).tolist()}
-    return BeckReport(keys, richness, pairs_by_class, int(pairs.sum()), m * (m - 1) // 2, m, p)
+    pairs_by_class = {j: int(pairs[line_class == j].sum())
+                      for j in np.flatnonzero(np.bincount(line_class)).tolist()}
+    return BeckReport(keys[start], richness, pairs_by_class, int(pairs.sum()), m * (m - 1) // 2, m, p)

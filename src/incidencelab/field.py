@@ -79,11 +79,24 @@ def inv_mod_array(a, p: int) -> np.ndarray:
     residues; raises on any entry that is 0 mod p.
 
     Fermat's a^(p-2) by square-and-multiply: every product is of two
-    residues below p < 2**31, so it stays below 2**62 in int64.
+    residues below p < 2**31, so it stays below 2**62 in int64.  An array of
+    at least p entries holds at most p - 1 distinct residues; each of them is
+    inverted once and the entries read back from a table of p inverses.
     """
     base = np.asarray(a, dtype=np.int64) % p
     if not base.all():
         raise DivisionByZeroError(f"0 has no inverse mod {p}")
+    if base.size < p:
+        return _fermat_inverse(base, p)
+    table = np.zeros(p, dtype=np.int64)
+    residues = np.flatnonzero(np.bincount(base.ravel(), minlength=p))
+    table[residues] = _fermat_inverse(residues, p)
+    return table[base]
+
+
+def _fermat_inverse(base: np.ndarray, p: int) -> np.ndarray:
+    """base^(p-2) mod p elementwise, for nonzero residues base."""
+    base = base.copy()
     out = np.ones_like(base)
     e = p - 2
     while e:

@@ -3,10 +3,14 @@ reference upper bounds and hypothesis checks.
 
 Two counting engines are provided.  The hash-join engine, which ``auto``
 names, groups lines by slope (or points by column, whichever side is
-cheaper) and probes candidate keys.  The naive engine is the reference: it
-sums :func:`incidence_degrees`, numpy masks over blocks of (point, line)
-pairs that the cover layer's degree scans also use.  The join's probes take
-one of three paths of the C kernels in ``_kernels.c``:
+cheaper) and probes candidate keys; with ``stats=True`` it also says how it
+ran (:class:`CountStats`).  The naive engine is the reference: it sums
+:func:`incidence_degrees`, numpy masks over blocks of (point, line) pairs,
+which only it and the certificate verifier read.  The per-point and
+per-line degrees that richness histograms and the cover layer read come
+from :func:`join_degrees`, a numpy join over the same groups as the count.
+The count's probes take one of three paths of the C kernels in
+``_kernels.c``:
 groups of at most _FLAT_GROUP_MAX values are flattened into independent
 (key, value) probes for the blocked ``singles`` kernel (flat); ``multi``
 tests each item against a larger group's values in a bitmap of p bits when
@@ -39,13 +43,14 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from math import sqrt
+from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .field import inv_mod, inv_mod_array, make_modulus
-from .plane import Instance, pair_blocks
+from .plane import Instance, _runs, pair_blocks
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 _CC = "cc"
@@ -201,29 +206,42 @@ def _split_probes(keys: np.ndarray, offs: np.ndarray, vals: np.ndarray):
             keys[~flat], b_offs, vals[~val_is_flat])
 
 
-def _join_count(p, item_a, item_b, keys, offs, vals) -> int:
+def _join_count(p, item_a, item_b, keys, offs, vals, record=None) -> int:
     """Count pairs (item i, group g) with item_b - key_g*item_a = val (mod p)
-    for some val in group g, with the C kernels when they are available."""
+    for some val in group g, with the C kernels when they are available.
+    A dict record receives the seconds of the split and the probes issued
+    per path (see :class:`CountStats`)."""
     lib = _load_backend().lib
+    n = item_a.size
     if lib is not None:
+        start = perf_counter()
         f_keys, f_vals, b_keys, b_offs, b_vals = _split_probes(keys, offs, vals)
-        n = item_a.size
+        bitmap = 64 * np.diff(b_offs) >= p
         # scratch bitmap of p bits for the groups multi probes by bit tests
-        bits = np.zeros(-(-p // 64), np.uint64) if (64 * np.diff(b_offs) >= p).any() else None
-        return (lib.singles(item_a, item_b, n, f_keys, f_vals, f_keys.size, p)
-                + lib.multi(item_a, item_b, n, b_keys, b_offs, b_keys.size, b_vals, p,
-                            None if bits is None else bits.ctypes.data))
+        bits = np.zeros(-(-p // 64), np.uint64) if bitmap.any() else None
+        split = perf_counter()
+        total = (lib.singles(item_a, item_b, n, f_keys, f_vals, f_keys.size, p)
+                 + lib.multi(item_a, item_b, n, b_keys, b_offs, b_keys.size, b_vals, p,
+                             None if bits is None else bits.ctypes.data))
+        if record is not None:
+            in_bitmap = int(np.count_nonzero(bitmap))
+            record.update(split=split - start, flat=n * f_keys.size, bitmap=n * in_bitmap,
+                          binary_search=n * (b_keys.size - in_bitmap))
+        return total
     # numpy fallback: one vectorized pass per group
-    total = 0
+    total = singles = 0
     for g in range(keys.size):
         v = (item_b - int(keys[g]) * item_a) % p
         grp = vals[offs[g]:offs[g + 1]]
         if grp.size == 1:
             total += int((v == grp[0]).sum())
+            singles += 1
         else:
             idx = np.searchsorted(grp, v)
             idx[idx == grp.size] = 0
             total += int((grp[idx] == v).sum())
+    if record is not None:
+        record.update(split=0.0, flat=n * singles, bitmap=0, binary_search=n * (keys.size - singles))
     return total
 
 
@@ -232,28 +250,64 @@ def _costs(inst: Instance) -> tuple[int, int]:
     return inst.m * (inst.slope_runs[0].size + 1), inst.n * (inst.column_runs[0].size + 1)
 
 
-def _count_hash_join(inst: Instance) -> int:
+def _count_hash_join(inst: Instance, record=None) -> int:
+    start = perf_counter()
     cost_slope, cost_col = _costs(inst)
-    total = _vertical_hits(inst)
     p = inst.p
     px, py = inst.xy
     ls, lt, _ = inst.line_columns
+    views = perf_counter() - start
+    total = _vertical_hits(inst)
     if cost_slope <= cost_col:
         # probe each point against each distinct slope's intercept set
-        total += _join_count(p, px, py, *inst.slope_runs, lt)
+        total += _join_count(p, px, py, *inst.slope_runs, lt, record)
     else:
         # probe each non-vertical line against each distinct column's y-set:
         # y = s*x + t  <=>  t - (-x)*s = y (mod p)
         col_x, col_off = inst.column_runs
-        total += _join_count(p, ls, lt, (-col_x) % p, col_off, py)
+        total += _join_count(p, ls, lt, (-col_x) % p, col_off, py, record)
+    if record is not None:
+        record.update(side="slope" if cost_slope <= cost_col else "column",
+                      cost={"slope": cost_slope, "column": cost_col}, views=views,
+                      kernel=perf_counter() - start - views - record["split"])
     return total
 
 
 ENGINES = ("auto", "naive", "hash_join")
 
 
-def count_incidences(inst: Instance, engine: str = "auto") -> int:
-    """Exact number of incident (point, line) pairs.
+class CountStats(NamedTuple):
+    """How one :func:`count_incidences` call ran.
+
+    engine is the engine that ran, "hash_join" or "naive".  side is the
+    side the join probed: "slope" (each point against each slope class's
+    intercepts) or "column" (each non-vertical line against each column's
+    y-values); None for naive.  cost holds the :func:`_costs` estimate of
+    each side in (item, group) pairs.  probes counts the (item, probe) tests
+    actually issued per path: "flat", "bitmap" and "binary_search" of the C
+    kernels (on the numpy backend a one-value group counts as flat and any
+    other as binary search), and "mask", the cells of the naive masks.
+    backend and backend_reason are :func:`kernel_backend`'s for the join.
+    seconds holds the time of each phase: "views" (the instance's columns
+    and runs), "split" (:func:`_split_probes`) and "kernel" (the probes, the
+    vertical lines or the masks).
+    """
+
+    engine: str
+    side: str | None
+    cost: dict
+    probes: dict
+    backend: str
+    backend_reason: str
+    seconds: dict
+
+    def to_json(self) -> dict:
+        return self._asdict()
+
+
+def count_incidences(inst: Instance, engine: str = "auto", *, stats: bool = False):
+    """Exact number of incident (point, line) pairs; with stats=True the
+    pair (count, :class:`CountStats`).
 
     engine: "hash_join" (also named "auto") probes grouped keys from the
     side with the smaller cost in :func:`_costs`; "naive" is the reference,
@@ -262,9 +316,26 @@ def count_incidences(inst: Instance, engine: str = "auto") -> int:
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}")
+    if not stats:
+        if engine == "naive":
+            return int(incidence_degrees(*inst.xy, inst.line_keys, inst.p)[0].sum())
+        return _count_hash_join(inst)
     if engine == "naive":
-        return int(incidence_degrees(*inst.xy, inst.line_keys, inst.p)[0].sum())
-    return _count_hash_join(inst)
+        start = perf_counter()
+        px, py = inst.xy
+        views = perf_counter() - start
+        count = int(incidence_degrees(px, py, inst.line_keys, inst.p)[0].sum())
+        kernel = perf_counter() - start - views
+        cost_slope, cost_col = _costs(inst)
+        return count, CountStats("naive", None, {"slope": cost_slope, "column": cost_col},
+                                 {"flat": 0, "bitmap": 0, "binary_search": 0, "mask": inst.m * inst.n},
+                                 "numpy", "the naive engine runs numpy masks",
+                                 {"views": views, "split": 0.0, "kernel": kernel})
+    record = {"mask": 0}
+    count = _count_hash_join(inst, record)
+    return count, CountStats("hash_join", record["side"], record["cost"],
+                             {path: record[path] for path in ("flat", "bitmap", "binary_search", "mask")},
+                             *kernel_backend(), {phase: record[phase] for phase in ("views", "split", "kernel")})
 
 
 @dataclass
@@ -276,14 +347,20 @@ class RichnessHistogram:
     total: int
 
 
-# cells of one block of the incidence mask in incidence_degrees
-_MASK_CELLS = 1 << 16
+# cells of one block of the incidence mask in incidence_degrees, and of one
+# block of flattened probes in join_degrees: 64-bit temporaries of 128 KiB.
+# 2-vCPU Xeon, numpy 2.4: a full_plane(61) mask scan takes 0.10-0.12 s at
+# 1 << 14 against 0.19-0.23 s at 1 << 16 (0.13 s at 1 << 13), and a mask
+# scan of random m = n = 10^4 over p = 1048573 0.8 s against 1.1 s
+_MASK_CELLS = 1 << 14
 
 
 def incidence_degrees(px, py, keys, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-point and per-line incidence counts of the points (px, py)
     against the lines with the given keys (:meth:`AffineLine.key`), from
-    masks over blocks of lines holding at most about _MASK_CELLS cells."""
+    masks over blocks of lines holding at most about _MASK_CELLS cells.
+    This is the reference that the naive engine sums; the other callers read
+    :func:`join_degrees`."""
     per_point = np.zeros(px.size, dtype=np.int64)
     per_line = np.zeros(keys.size, dtype=np.int64)
     step = max(1, _MASK_CELLS // max(px.size, 1))
@@ -301,8 +378,98 @@ def incidence_degrees(px, py, keys, p: int) -> tuple[np.ndarray, np.ndarray]:
     return per_point, per_line
 
 
+# a group probed by one searchsorted pass costs about as much as _SEARCH_COST
+# flattened probes per item plus _PASS_COST probes per pass; smaller groups
+# are tested as flattened probes in blocks.  On a 2-vCPU Xeon with numpy 2.4
+# a probe takes 3-4 ns and a pass 45 ns per item plus 10 us, and values from
+# 2 to 8 and from 700 to 3000 gave the same join times within noise on
+# full_plane(61) and on random m = n = 10^4 over p = 1009 and p = 1048573
+_SEARCH_COST = 4
+_PASS_COST = 700
+
+
+def _divisor_test(p: int) -> tuple[np.uint64, np.uint64]:
+    """(c, bound) such that p divides u in [0, 2^64) exactly when u*c mod
+    2^64 <= bound: c = p^-1 mod 2^64 and bound = floor((2^64 - 1)/p) for
+    odd p, the test of the flat kernel in ``_kernels.c``; c = 2^63 and
+    bound = 0 for p = 2."""
+    if p % 2:
+        return np.uint64(pow(p, -1, 1 << 64)), np.uint64(((1 << 64) - 1) // p)
+    return np.uint64(1 << 63), np.uint64(0)
+
+
+def _group_degrees(item_a, item_b, keys, offs, vals, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hits per item and per value of the join of :func:`_join_count`:
+    item i meets value v of group g when item_b - key_g*item_a = v (mod p).
+    Each group's values ascend and are distinct."""
+    per_item = np.zeros(item_a.size, dtype=np.int64)
+    per_val = np.zeros(vals.size, dtype=np.int64)
+    sizes = np.diff(offs)
+    flat = sizes * item_a.size <= _SEARCH_COST * item_a.size + _PASS_COST
+    at_flat = np.flatnonzero(np.repeat(flat, sizes))
+    # as in the flat kernel, p divides u = key*a + val + p - b, which lies in
+    # [1, 2^63), exactly when u*c = key*(a*c) + (val + p)*c - b*c <= bound in
+    # wrapping uint64 arithmetic: no division per (item, probe) cell
+    c, bound = _divisor_test(p)
+    a_c, b_c = item_a.astype(np.uint64) * c, item_b.astype(np.uint64) * c
+    flat_keys = np.repeat(keys[flat], sizes[flat]).astype(np.uint64)
+    flat_vals = (vals[at_flat] + p).astype(np.uint64) * c
+    step = max(1, _MASK_CELLS // max(item_a.size, 1))
+    for lo in range(0, at_flat.size, step):
+        at = at_flat[lo:lo + step]
+        hit = flat_keys[lo:lo + step, None] * a_c + flat_vals[lo:lo + step, None] - b_c <= bound
+        if hit.any():
+            row, col = np.nonzero(hit)
+            np.add.at(per_item, col, 1)
+            np.add.at(per_val, at[row], 1)
+    for g in np.flatnonzero(~flat).tolist():
+        lo, hi = int(offs[g]), int(offs[g + 1])
+        v = (item_b - int(keys[g]) * item_a) % p
+        at = np.searchsorted(vals[lo:hi], v)
+        at[at == hi - lo] = 0
+        hit = vals[lo + at] == v
+        per_item += hit
+        per_val[lo:hi] = np.bincount(at[hit], minlength=hi - lo)
+    return per_item, per_val
+
+
+def join_degrees(px, py, keys, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-point and per-line counts of :func:`incidence_degrees` for
+    distinct points (px, py) in key order (by x, then y) and ascending
+    distinct line keys, by a join over the groups the hash-join count
+    probes: each point against each slope class's intercepts, or each
+    non-vertical line against each column's y-values, whichever side is
+    cheaper.  A group is one searchsorted pass over the other side with a
+    bincount of its hits, or, when small, a row of flattened probes in a
+    block; the vertical lines are one searchsorted of their x in the x
+    column."""
+    px, py, keys = (np.asarray(a, dtype=np.int64) for a in (px, py, keys))
+    per_point = np.zeros(px.size, dtype=np.int64)
+    per_line = np.zeros(keys.size, dtype=np.int64)
+    if px.size == 0:
+        return per_point, per_line
+    sloped = int(np.searchsorted(keys, p * p))
+    x0 = keys[sloped:] - p * p
+    if x0.size:
+        per_line[sloped:] = np.searchsorted(px, x0, "right") - np.searchsorted(px, x0)
+        at = np.minimum(np.searchsorted(x0, px), x0.size - 1)
+        per_point += x0[at] == px
+    if sloped == 0:
+        return per_point, per_line
+    s, t = np.divmod(keys[:sloped], p)
+    slopes, slope_offs = _runs(s)
+    col_x, col_offs = _runs(px)
+    if px.size * (slopes.size + 1) <= sloped * (col_x.size + 1):
+        hits, per_line[:sloped] = _group_degrees(px, py, slopes, slope_offs, t, p)
+    else:
+        # y = s*x + t  <=>  t - (-x)*s = y (mod p)
+        per_line[:sloped], hits = _group_degrees(s, t, (-col_x) % p, col_offs, py, p)
+    per_point += hits
+    return per_point, per_line
+
+
 def richness_histograms(inst: Instance) -> RichnessHistogram:
-    per_point, per_line = incidence_degrees(*inst.xy, inst.line_keys, inst.p)
+    per_point, per_line = join_degrees(*inst.xy, inst.line_keys, inst.p)
     return RichnessHistogram(dict(zip(inst.points, per_point.tolist())),
                              dict(zip(inst.lines, per_line.tolist())), int(per_point.sum()))
 

@@ -141,12 +141,9 @@ def line_keys(qx, qy, rx, ry, p: int) -> np.ndarray:
     residues; one batched inversion serves every non-vertical pair."""
     qx, qy, rx, ry = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (qx, qy, rx, ry)))
     dx = (rx - qx) % p
-    keys = p * p + qx
     sloped = dx != 0
-    x, y = qx[sloped], qy[sloped]
-    s = (ry[sloped] - y) % p * inv_mod_array(dx[sloped], p) % p
-    keys[sloped] = s * p + (y - s * x) % p
-    return keys
+    s = (ry - qy) % p * inv_mod_array(np.where(sloped, dx, 1), p) % p
+    return np.where(sloped, s * p + (qy - s * qx) % p, p * p + qx)
 
 
 # pairs in one block of pair_blocks: about 100 bytes of temporaries per pair
@@ -159,10 +156,13 @@ def pair_blocks(m: int):
     whole rows i holding at most about _PAIR_BLOCK pairs, so that array
     passes over the pairs keep their temporaries bounded."""
     step = max(1, _PAIR_BLOCK // max(m, 1))
-    cols = np.arange(m)
     for lo in range(0, m - 1, step):
-        i, j = np.nonzero(np.arange(lo, min(lo + step, m - 1))[:, None] < cols)
-        yield i + lo, j
+        rows = np.arange(lo, min(lo + step, m - 1))
+        counts = m - 1 - rows
+        # the pairs of row r take positions start_r .. start_r + counts_r - 1
+        # and there j = position - start_r + r + 1
+        i = np.repeat(rows, counts)
+        yield i, np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - rows - 1, counts)
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -183,8 +183,12 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
 
 def distinct(a) -> np.ndarray:
     """The sorted distinct values of the integer array a, as int64: plain
-    np.unique without the import of numpy.ma (see :func:`_run_starts`)."""
-    a = np.sort(np.asarray(a, dtype=np.int64))
+    np.unique without the import of numpy.ma (see :func:`_run_starts`).
+    Values all in [0, a.size) are read off a table of counts, not sorted."""
+    a = np.asarray(a, dtype=np.int64)
+    if a.size and a.min() >= 0 and a.max() < a.size:
+        return np.flatnonzero(np.bincount(a))
+    a = np.sort(a)
     return a[_run_starts(a)]
 
 

@@ -280,7 +280,7 @@ def test_acceptance_9_performance_floor():
     inst = random_instance(p, 100_000, 100_000, seed=20240809)
     build = time.perf_counter() - build_start
     start = time.perf_counter()
-    count = count_incidences(inst, "hash_join")
+    count, stats = count_incidences(inst, "hash_join", stats=True)
     elapsed = time.perf_counter() - start
     # spot check: the two engines agree on a 1000 x 1000 restriction
     sub = Instance(inst.modulus, inst.points[:1000], inst.lines[:1000])
@@ -289,7 +289,10 @@ def test_acceptance_9_performance_floor():
     backend, reason = kernel_backend()
     if reason:
         backend += f" ({reason})"
+    probes = " ".join(f"{path}={n}" for path, n in stats.probes.items() if n)
+    phases = " ".join(f"{phase} {t:.3f}s" for phase, t in stats.seconds.items())
     _report(9, "hash_join counts m = n = 10^5 over p ~ 2^20 within 5 s",
             elapsed <= 5.0 and sub_naive == sub_hash,
             f"count={count}, {elapsed:.2f}s, build {build:.2f}s, "
-            f"subsample naive={sub_naive} hash={sub_hash}, backend {backend}")
+            f"subsample naive={sub_naive} hash={sub_hash}, backend {backend}, "
+            f"{stats.side} side, probes {probes}, {phases}")

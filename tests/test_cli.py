@@ -54,6 +54,24 @@ def test_count_csv_writes_the_bare_count_to_stdout_and_to_output(tmp_path, capsy
     assert out_path.read_text() == "4\n"
 
 
+def test_count_stats_adds_a_stats_object(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert cli(["construct", "full_plane", "--p", "5", "--output", str(path)]) == 0
+    rc, out, _ = run(capsys, "count", "--input", str(path))
+    plain = json.loads(out)
+    for engine, side in (("auto", "slope"), ("naive", None)):
+        rc, out, _ = run(capsys, "count", "--input", str(path), "--engine", engine, "--stats")
+        assert rc == 0
+        obj = json.loads(out)
+        stats = obj.pop("stats")
+        assert obj == dict(plain, engine=engine)
+        assert stats["side"] == side and stats["engine"] == ("naive" if side is None else "hash_join")
+        assert set(stats) == {"engine", "side", "cost", "probes", "backend", "backend_reason", "seconds"}
+        assert set(stats["seconds"]) == {"views", "split", "kernel"}
+    rc, out, err = run(capsys, "count", "--input", str(path), "--format", "csv", "--stats")
+    assert rc == 1 and out == "" and "--stats needs --format json" in err
+
+
 def test_count_missing_file_is_data_error(tmp_path, capsys):
     rc, _, err = run(capsys, "count", "--input", str(tmp_path / "nope.json"))
     assert rc == 2

@@ -2,11 +2,13 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_instances
 from incidencelab.constructions import elekes_construction, full_plane, random_instance
 from incidencelab.cover import (
     CoverStep,
+    NormalizedGrid,
     PencilGrid,
     extraction_preconditions,
     grid_cover,
@@ -22,10 +24,18 @@ from incidencelab.errors import (
     EmptyInstanceError,
     InvalidParameterError,
     NoIncidencesError,
+    PointSentToInfinityError,
 )
 from incidencelab.field import make_modulus
-from incidencelab.incidence import count_incidences, richness_histograms
-from incidencelab.plane import AffineLine, AffinePoint, Instance, incident, line_through
+from incidencelab.incidence import count_incidences, incidence_degrees
+from incidencelab.plane import (
+    AffineLine,
+    AffinePoint,
+    Instance,
+    incident,
+    line_through,
+    projective_map_from_pair,
+)
 
 
 def test_partition_rejects_unordered_factors():
@@ -70,11 +80,12 @@ def test_partition_extreme_thresholds():
 
 
 def reference_partition(inst, low_factor, high_factor):
-    """Oracle: each point's degree against the exact rational thresholds."""
-    hist = richness_histograms(inst)
-    mean = Fraction(hist.total, inst.m)
-    low = tuple(q for q in inst.points if hist.per_point[q] <= low_factor * mean)
-    high = tuple(q for q in inst.points if q not in low and hist.per_point[q] >= high_factor * mean)
+    """Oracle: each point's degree, from the mask, against the exact
+    rational thresholds."""
+    degree = dict(zip(inst.points, incidence_degrees(*inst.xy, inst.line_keys, inst.p)[0].tolist()))
+    mean = Fraction(sum(degree.values()), inst.m)
+    low = tuple(q for q in inst.points if degree[q] <= low_factor * mean)
+    high = tuple(q for q in inst.points if q not in low and degree[q] >= high_factor * mean)
     regular = tuple(q for q in inst.points if q not in low and q not in high)
     return low, high, regular
 
@@ -343,3 +354,169 @@ def test_normalize_preserves_incidences_random():
         if checked >= 50:
             break
     assert checked >= 50
+
+
+def _full_plane_cover():
+    inst = full_plane(5)
+    return inst, grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
+
+
+def _with_grid(cert, **changes):
+    """cert with its one step's grid fields replaced."""
+    step = cert.steps[0]
+    return dataclasses.replace(cert, steps=(dataclasses.replace(step, grid=dataclasses.replace(step.grid, **changes)),))
+
+
+def _codes(inst, cert):
+    report = verify_certificate(inst, cert)
+    assert report.passed == (not report.violations)
+    return [v.code for v in report.violations]
+
+
+def test_verify_certificate_detects_partition_mismatch():
+    inst, cert = _full_plane_cover()
+    part = cert.partition
+    moved = dataclasses.replace(part, low=part.regular[:1], regular=part.regular[1:])
+    assert "partition-mismatch" in _codes(inst, dataclasses.replace(cert, partition=moved))
+    assert _codes(inst, dataclasses.replace(cert, mean_richness=cert.mean_richness + 1)) == ["partition-mismatch"]
+    reordered = dataclasses.replace(part, regular=part.regular[::-1])
+    assert _codes(inst, dataclasses.replace(cert, partition=reordered)) == ["partition-mismatch"]
+
+
+def test_verify_certificate_detects_grid_outside_regular_set():
+    inst, cert = _full_plane_cover()
+    part = cert.partition
+    q = cert.steps[0].grid.points[0]
+    moved = dataclasses.replace(part, high=(q,), regular=tuple(r for r in part.regular if r != q))
+    assert _codes(inst, dataclasses.replace(cert, partition=moved)) == [
+        "partition-mismatch", "grid-not-regular-subset", "union-identity"]
+
+
+def test_verify_certificate_detects_oversized_pencil():
+    inst, cert = _full_plane_cover()
+    grid = cert.steps[0].grid
+    # 5 lines through the apex plus 8 that miss it exceed the cap c2 K = 12
+    extra = tuple(line for line in inst.lines if not incident(grid.apex1, line))[:8]
+    report = verify_certificate(inst, _with_grid(cert, pencil1=grid.pencil1 + extra))
+    assert [v.code for v in report.violations] == ["pencil-size"] + ["pencil-apex"] * 8
+    assert report.violations[0].message == "grid 0 pencil1 has 13 lines, cap 12"
+
+
+def test_verify_certificate_detects_pencil_line_outside_instance():
+    p = 7
+    inst = random_instance(p, 36, 42, 0)
+    cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
+    assert verify_certificate(inst, cert).passed
+    grid = cert.steps[0].grid
+    assert grid.apex1 == AffinePoint(0, 0, p)
+    missing = AffineLine(2, 0, p)  # through the apex, not a line of inst
+    assert missing not in inst.line_set
+    report = verify_certificate(inst, _with_grid(cert, pencil1=grid.pencil1 + (missing,)))
+    assert [v.code for v in report.violations] == ["pencil-not-in-lines"]
+    assert report.violations[0].message == "grid 0 pencil1 uses a line outside the instance"
+
+
+def test_verify_certificate_detects_pencil_line_off_apex():
+    inst, cert = _full_plane_cover()
+    grid = cert.steps[0].grid
+    off = AffineLine(1, 3, 5)  # y = x + 3 misses apex2 = (0, 1)
+    report = verify_certificate(inst, _with_grid(cert, pencil2=(off,) + grid.pencil2))
+    assert [(v.code, v.message) for v in report.violations] == [
+        ("pencil-apex", "grid 0 pencil2 has a line missing its apex")]
+
+
+def test_verify_certificate_detects_uncovered_grid_points():
+    inst, cert = _full_plane_cover()
+    grid = cert.steps[0].grid
+    report = verify_certificate(inst, _with_grid(cert, pencil1=grid.pencil1[1:], pencil2=grid.pencil2[:3]))
+    # y = 0 carries 4 grid points; y = 3x + 1 and y = 4x + 1 carry 4 each
+    assert [(v.code, v.message) for v in report.violations] == [
+        ("pencil-coverage", "grid 0 pencil1 misses 4 grid points"),
+        ("pencil-coverage", "grid 0 pencil2 misses 8 grid points")]
+
+
+def test_verify_certificate_detects_grid_below_size_bound():
+    inst, cert = _full_plane_cover()
+    step = cert.steps[0]
+    held = CoverStep(step.grid, step.input_size, (("held", True),), Fraction(41, 2))
+    report = verify_certificate(inst, dataclasses.replace(cert, steps=(held,)))
+    assert [(v.code, v.message) for v in report.violations] == [
+        ("size-lower-bound", "grid 0 has 20 points, below the guaranteed 41/2")]
+    # a failed precondition voids the guarantee
+    void = CoverStep(step.grid, step.input_size, (("held", True), ("failed", False)), Fraction(41, 2))
+    assert verify_certificate(inst, dataclasses.replace(cert, steps=(void,))).passed
+
+
+def test_verify_certificate_detects_broken_union():
+    inst, cert = _full_plane_cover()
+    assert _codes(inst, dataclasses.replace(cert, leftover=cert.leftover[1:])) == [
+        "union-identity", "union-identity"]
+    # a repeated leftover point reassembles the set but miscounts it
+    report = verify_certificate(inst, dataclasses.replace(cert, leftover=cert.leftover + cert.leftover[:1]))
+    assert [(v.code, v.message) for v in report.violations] == [
+        ("union-identity", "grid sizes plus leftover do not account for the regular set")]
+    # a grid point also listed as leftover
+    q = cert.steps[0].grid.points[0]
+    assert _codes(inst, dataclasses.replace(cert, leftover=cert.leftover + (q,))) == [
+        "union-identity", "grids-overlap"]
+
+
+def reference_normalize(grid, lines):
+    """Oracle: the normalization one object at a time, through
+    ProjMap.apply_point and ProjMap.apply_line."""
+    tau = projective_map_from_pair(grid.apex1, grid.apex2)
+    apex_line = grid.apex_line
+    image = Instance(make_modulus(tau.p), [tau.apply_point(q) for q in grid.points],
+                     [tau.apply_line(line) for line in lines if line != apex_line])
+    return NormalizedGrid(tau, image.points, tuple(sorted({q.x for q in image.points})),
+                          tuple(sorted({q.y for q in image.points})), image.lines)
+
+
+def test_normalize_grid_matches_the_object_path_on_covers():
+    cases = [full_plane(p) for p in (5, 7, 11)] + [random_instance(7, 36, 42, seed) for seed in range(6)]
+    checked = 0
+    for inst in cases:
+        for step in grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 16)).steps:
+            assert normalize_grid(step.grid, inst.lines) == reference_normalize(step.grid, inst.lines)
+            checked += 1
+    assert checked >= 5
+
+
+def residues(p):
+    """Residues mod p: hypothesis draws small integers first, so half of
+    them are mirrored to just below p, where products come near 2^62."""
+    return st.one_of(st.integers(0, p - 1), st.integers(0, p - 1).map(lambda v: p - 1 - v))
+
+
+@st.composite
+def grids_and_lines(draw):
+    """Two apexes, points off their line and any lines (the apex line, and
+    vertical lines, among them) over F_p for small and for the largest p."""
+    p = draw(st.sampled_from([3, 1009, 2**31 - 1]))
+    residue = residues(p)
+    point = st.builds(AffinePoint, residue, residue, st.just(p))
+    apex1 = draw(point)
+    apex2 = draw(point.filter(lambda q: q != apex1))
+    apex_line = line_through(apex1, apex2)
+    points = draw(st.lists(point.filter(lambda q: not incident(q, apex_line)), min_size=1, max_size=12))
+    line = st.one_of(st.builds(AffineLine, residue, residue, st.just(p)),
+                     st.builds(AffineLine, st.none(), residue, st.just(p)))
+    lines = draw(st.lists(line, max_size=20)) + [apex_line]
+    grid = PencilGrid(apex1, apex2, tuple(points), (), (), (), (), (), Fraction(0))
+    return grid, lines
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(grids_and_lines())
+def test_normalize_grid_matches_the_object_path(case):
+    grid, lines = case
+    assert normalize_grid(grid, lines) == reference_normalize(grid, lines)
+
+
+def test_normalize_grid_rejects_a_point_on_the_apex_line():
+    inst, cert = _full_plane_cover()
+    grid = cert.steps[0].grid
+    on_apex_line = AffinePoint(0, 3, 5)
+    with pytest.raises(PointSentToInfinityError) as err:
+        normalize_grid(dataclasses.replace(grid, points=grid.points + (on_apex_line,)), inst.lines)
+    assert err.value.point == on_apex_line

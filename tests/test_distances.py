@@ -1,7 +1,9 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from incidencelab import distances, plane
 from incidencelab.constructions import SeededStream
 from incidencelab.distances import (
     bisector_instance,
@@ -268,32 +270,36 @@ def brute_distance_sets(pts):
     return frozenset().union(*pinned.values()), pinned, pin
 
 
+def assert_reports_match_oracles(pts):
+    rep = distance_sets(pts)
+    full, pinned, pin = brute_distance_sets(pts)
+    assert (rep.distances, rep.pinned, rep.pin) == (full, pinned, pin)
+    assert rep.max_pinned == len(pinned[pin]) and rep.degenerate == (full == {0})
+    assert isosceles_triples(pts) == rep.isosceles_triples == brute_isosceles(pts)
+    if len(pts) < 2:
+        return
+    beck = determined_lines(pts)
+    oracle = brute_determined(pts)
+    lines = tuple(sorted(oracle, key=AffineLine.sort_key))
+    classes = {}
+    pairs_by_class = {}
+    for line in lines:
+        k = oracle[line]
+        j = k.bit_length() - 1
+        classes.setdefault(j, []).append(line)
+        pairs_by_class[j] = pairs_by_class.get(j, 0) + k * (k - 1) // 2
+    assert beck.lines == lines
+    assert beck.classes == {j: tuple(ls) for j, ls in sorted(classes.items())}
+    assert beck.class_sizes == {j: len(ls) for j, ls in sorted(classes.items())}
+    assert beck.pairs_by_class == dict(sorted(pairs_by_class.items()))
+    assert beck.richness.tolist() == [oracle[line] for line in lines]
+    assert beck.keys.tolist() == [line.key() for line in lines]
+
+
 @pytest.mark.parametrize("p", EDGE_PRIMES)
 def test_reports_exact_at_field_edges(p):
     for pts in edge_point_sets(p):
-        rep = distance_sets(pts)
-        full, pinned, pin = brute_distance_sets(pts)
-        assert (rep.distances, rep.pinned, rep.pin) == (full, pinned, pin)
-        assert rep.max_pinned == len(pinned[pin]) and rep.degenerate == (full == {0})
-        assert isosceles_triples(pts) == rep.isosceles_triples == brute_isosceles(pts)
-        if len(pts) < 2:
-            continue
-        beck = determined_lines(pts)
-        oracle = brute_determined(pts)
-        lines = tuple(sorted(oracle, key=AffineLine.sort_key))
-        classes = {}
-        pairs_by_class = {}
-        for line in lines:
-            k = oracle[line]
-            j = k.bit_length() - 1
-            classes.setdefault(j, []).append(line)
-            pairs_by_class[j] = pairs_by_class.get(j, 0) + k * (k - 1) // 2
-        assert beck.lines == lines
-        assert beck.classes == {j: tuple(ls) for j, ls in sorted(classes.items())}
-        assert beck.class_sizes == {j: len(ls) for j, ls in sorted(classes.items())}
-        assert beck.pairs_by_class == dict(sorted(pairs_by_class.items()))
-        assert beck.richness.tolist() == [oracle[line] for line in lines]
-        assert beck.keys.tolist() == [line.key() for line in lines]
+        assert_reports_match_oracles(pts)
     # the sets reach the branches they are meant to
     sets = edge_point_sets(p)
     assert determined_lines(sets[2]).lines == (AffineLine(None, 9, p),)
@@ -313,3 +319,36 @@ def test_bisectors_exact_at_field_edges(p):
                 mid = AffinePoint((r.x + s.x) * half, (r.y + s.y) * half, p)
                 want.add(line_through(mid, mid.translate(r.y - s.y, s.x - r.x)))
         assert bisector_instance(pts, r) == want
+
+
+def residues(p):
+    """Residues mod p: hypothesis draws small integers first, so half of
+    them are mirrored to just below p, where products come near 2^62."""
+    return st.one_of(st.integers(0, p - 1), st.integers(0, p - 1).map(lambda v: p - 1 - v))
+
+
+@st.composite
+def structured_point_sets(draw):
+    """Points over F_p, p = 2^31 - 1: a run on one line, pairs mirrored and
+    turned a quarter about a centre (equal distances from it), and points
+    anywhere."""
+    p = 2**31 - 1
+    residue = residues(p)
+    cx, cy = draw(residue), draw(residue)
+    dx, dy = draw(residue), draw(residue)
+    pts = {((cx + k * dx) % p, (cy + k * dy) % p) for k in range(draw(st.integers(0, 6)))}
+    for u, v in draw(st.lists(st.tuples(residue, residue), max_size=3)):
+        pts |= {((cx + u) % p, (cy + v) % p), ((cx - u) % p, (cy - v) % p), ((cx - v) % p, (cy + u) % p)}
+    pts |= set(draw(st.lists(st.tuples(residue, residue), max_size=6)))
+    pts.add((cx, cy))
+    return sorted(AffinePoint(x, y, p) for x, y in pts)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(structured_point_sets(), st.sampled_from([1, 7, 1 << 15]))
+def test_blocked_reports_match_oracles_at_the_largest_prime(pts, block):
+    # blocks of one pin row or pair row, of a few, and of the default size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distances, "_PAIR_BLOCK", block)
+        mp.setattr(plane, "_PAIR_BLOCK", block)
+        assert_reports_match_oracles(pts)

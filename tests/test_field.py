@@ -117,6 +117,19 @@ def test_inv_mod_array_matches_inv_mod(p):
     assert inv_mod_array(np.array(a).reshape(-1, 1), p).ravel().tolist() == got.tolist()
 
 
+@pytest.mark.parametrize("p", [3, 5, 1009])
+def test_inv_mod_array_table_of_distinct_residues(p):
+    # an array of at least p entries inverts each distinct residue once
+    a = np.random.default_rng(p).integers(-5 * p, 5 * p, size=3 * p)
+    a = a[a % p != 0]
+    got = inv_mod_array(a, p)
+    assert got.dtype == np.int64 and a.size >= p
+    assert got.tolist() == [inv_mod(int(v), p) for v in a]
+    assert inv_mod_array(a[:p].reshape(1, p, 1), p).shape == (1, p, 1)
+    with pytest.raises(DivisionByZeroError):
+        inv_mod_array(np.append(a, 7 * p), p)
+
+
 @pytest.mark.parametrize("p", EDGE_PRIMES)
 def test_inv_mod_array_raises_on_zero(p):
     for zero in (0, p, -2 * p):

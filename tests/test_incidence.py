@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_instances
 from incidencelab.constructions import SeededStream, elekes_construction, full_plane, random_instance
@@ -9,10 +10,14 @@ from incidencelab.energy import energy_reduction, line_energy
 from incidencelab.errors import CompositeModulusError, InvalidParameterError, OutOfRangeError
 from incidencelab.field import make_modulus
 from incidencelab.incidence import (
+    CountStats,
     PlaneInstance3D,
     check_hypotheses,
     count_incidences,
     count_point_plane,
+    incidence_degrees,
+    join_degrees,
+    kernel_backend,
     max_collinear_3d,
     reference_bound,
     richness_histograms,
@@ -330,6 +335,11 @@ def test_hash_join_numpy_fallback_agrees(monkeypatch):
     inst = elekes_construction(3, 2, 31)
     assert count_incidences(inst, "hash_join") == 36
     assert inc.kernel_backend() == ("numpy", "forced")
+    # stats of the fallback: each point searched in each of the 7 slope classes
+    count, stats = count_incidences(full_plane(7), stats=True)
+    assert (count, stats.side, stats.backend, stats.backend_reason) == (392, "slope", "numpy", "forced")
+    assert stats.probes == {"flat": 0, "bitmap": 0, "binary_search": 49 * 7, "mask": 0}
+    assert stats.seconds["split"] == 0
 
 
 def test_int64_kernel_path_for_large_p():
@@ -585,3 +595,119 @@ def test_max_collinear_checks_the_modulus():
         max_collinear_3d([(0, 0, 0)], 9)
     with pytest.raises(OutOfRangeError):
         max_collinear_3d([(0, 0, 0)], 2**31 + 11)
+
+
+JOIN_PRIMES = (2, 3, 1009, 1048573, 2**31 - 1)
+
+
+def residues(p):
+    """Residues mod p: hypothesis draws small integers first, so half of
+    them are mirrored to just below p, where products come near 2^62."""
+    return st.one_of(st.integers(0, p - 1), st.integers(0, p - 1).map(lambda v: p - 1 - v))
+
+
+@st.composite
+def degree_cases(draw):
+    """Point and line key columns over F_p, p in JOIN_PRIMES: lines from a
+    few slopes (so classes hold several lines) and some vertical lines,
+    points put on drawn lines or anywhere, and a subset mask of the lines."""
+    p = draw(st.sampled_from(JOIN_PRIMES))
+    residue = residues(p)
+    slopes = draw(st.lists(residue, min_size=1, max_size=4))
+    lines = draw(st.lists(st.tuples(st.sampled_from(slopes), residue), max_size=30))
+    verticals = draw(st.lists(residue, max_size=5))
+    keys = sorted({s * p + t for s, t in lines} | {p * p + x for x in verticals})
+    points = set(draw(st.lists(st.tuples(residue, residue), max_size=15)))
+    for k, x in draw(st.lists(st.tuples(st.integers(0, 10**6), residue), max_size=30)):
+        if keys:
+            key = keys[k % len(keys)]
+            points.add((key - p * p, x) if key >= p * p else (x, (key // p * x + key % p) % p))
+    pts = np.array(sorted(points), dtype=np.int64).reshape(-1, 2)
+    pool = np.array(draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys))), dtype=bool)
+    return p, pts[:, 0], pts[:, 1], np.array(keys, dtype=np.int64), pool
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(degree_cases())
+def test_join_degrees_match_the_mask(case):
+    p, px, py, keys, pool = case
+    for subset in (keys, keys[pool], keys[:1], keys[:0]):
+        got, want = join_degrees(px, py, subset, p), incidence_degrees(px, py, subset, p)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("search_cost", [0, 10**9], ids=["searched", "flat"])
+def test_join_degrees_probe_paths_and_sides(monkeypatch, search_cost):
+    # every group searched, or every group flattened into blocks of one or a
+    # few probes, on both probe sides: full planes probe slope classes, few
+    # columns against many slopes probe the columns
+    import incidencelab.incidence as inc
+    monkeypatch.setattr(inc, "_SEARCH_COST", search_cost)
+    monkeypatch.setattr(inc, "_PASS_COST", 0)
+    monkeypatch.setattr(inc, "_MASK_CELLS", 100)
+    p = 31
+    columns = Instance(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)],
+                       [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
+    cases = [full_plane(7), columns, elekes_construction(3, 2, 31)] + random_instances(20, seed=31, max_m=80, max_n=80)
+    for inst in cases:
+        got = join_degrees(*inst.xy, inst.line_keys, inst.p)
+        want = incidence_degrees(*inst.xy, inst.line_keys, inst.p)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_naive_never_runs_the_join(monkeypatch):
+    import incidencelab.incidence as inc
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the naive engine ran the join")
+
+    for name in ("join_degrees", "_join_count", "_count_hash_join", "_group_degrees"):
+        monkeypatch.setattr(inc, name, fail)
+    assert count_incidences(full_plane(5), "naive") == 150
+    assert count_incidences(full_plane(5), "naive", stats=True)[0] == 150
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_count_stats(engine):
+    # a full plane probes its slope classes; points in two columns against
+    # lines of many slopes probe the columns
+    p = 31
+    columns = Instance(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)],
+                       [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
+    for inst, side in ((full_plane(7), "slope"), (columns, "column")):
+        count, stats = count_incidences(inst, engine, stats=True)
+        assert isinstance(stats, CountStats)
+        assert count == count_incidences(inst, engine) == brute_count(inst)
+        slope_cost, column_cost = inst.m * (inst.slope_runs[0].size + 1), inst.n * (inst.column_runs[0].size + 1)
+        assert stats.cost == {"slope": slope_cost, "column": column_cost}
+        assert set(stats.seconds) == {"views", "split", "kernel"}
+        assert all(t >= 0 for t in stats.seconds.values())
+        assert set(stats.probes) == {"flat", "bitmap", "binary_search", "mask"}
+        if engine == "naive":
+            assert (stats.engine, stats.side, stats.backend) == ("naive", None, "numpy")
+            assert stats.probes == {"flat": 0, "bitmap": 0, "binary_search": 0, "mask": inst.m * inst.n}
+            continue
+        assert (stats.engine, stats.side) == ("hash_join", side)
+        assert (stats.backend, stats.backend_reason) == kernel_backend()
+        assert stats.probes["mask"] == 0
+        items, groups = (inst.m, inst.slope_runs[0].size) if side == "slope" else (inst.n, inst.column_runs[0].size)
+        # each item meets each group once, or once per value of a flattened group
+        assert items * groups <= sum(stats.probes.values()) <= items * max(inst.m, inst.n)
+        assert stats.to_json()["probes"] == stats.probes
+
+
+def test_count_stats_paths_of_the_c_kernels():
+    if kernel_backend()[0] != "c":
+        pytest.skip("the C kernels are not available")
+    # p = 1048573: a 40-line slope class is searched, singletons flattened;
+    # p = 37: one line probes the 37-value columns of the full plane in the
+    # bitmap (64 * 37 >= 37)
+    p = 1048573
+    lines = [AffineLine(0, t, p) for t in range(40)] + [AffineLine(s, 0, p) for s in range(1, 40)]
+    inst = Instance(make_modulus(p), [AffinePoint(x, x, p) for x in range(50)], lines)
+    _, stats = count_incidences(inst, stats=True)
+    assert stats.side == "slope"
+    assert stats.probes == {"flat": 50 * 39, "bitmap": 0, "binary_search": 50, "mask": 0}
+    count, stats = count_incidences(full_plane(37).replace(lines=[AffineLine(1, 0, 37)]), stats=True)
+    assert count == 37 and stats.side == "column"
+    assert stats.probes == {"flat": 0, "bitmap": 37, "binary_search": 0, "mask": 0}
