@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import random_instances, vertical_free
@@ -18,10 +19,12 @@ from incidencelab.plane import (
     ProjMap,
     ProjPoint,
     apply_map,
+    distinct,
     dualize,
     embed,
     incident,
     line_through,
+    pair_blocks,
     projective_map_from_pair,
     translation_map,
     x_infinity,
@@ -226,3 +229,22 @@ def test_instance_dedup_and_order():
     assert inst.m == 2 and inst.n == 2
     assert inst.points == (AffinePoint(0, 0, 7), AffinePoint(1, 1, 7))
     assert inst.lines[0] == AffineLine(2, 1, 7)  # verticals sort last
+
+
+def test_distinct_by_count_table_and_by_sort():
+    # values in [0, size) are read off a count table, others are sorted
+    rng = np.random.default_rng(5)
+    for size in (0, 1, 7, 300):
+        for low, high in ((0, 1), (0, 5), (0, size + 1), (-3, 4), (0, 2**62)):
+            a = rng.integers(low, high, size)
+            got = distinct(a)
+            assert got.dtype == np.int64 and got.tolist() == sorted(set(a.tolist()))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 15])
+def test_pair_blocks_cover_each_pair_once_in_order(monkeypatch, block):
+    import incidencelab.plane as plane
+    monkeypatch.setattr(plane, "_PAIR_BLOCK", block)
+    for m in range(30):
+        pairs = [pair for i, j in pair_blocks(m) for pair in zip(i.tolist(), j.tolist())]
+        assert pairs == [(i, j) for i in range(m) for j in range(i + 1, m)]
