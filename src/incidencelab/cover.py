@@ -376,7 +376,8 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
     # partition re-check
     mean, classes = _richness_classes(inst, cert.c1, cert.c2)
     low, high, regular = (_point_keys(pts, p) for pts in (part.low, part.high, part.regular))
-    if ((part.mean_richness, part.low_factor, part.high_factor) != (mean, Fraction(cert.c1), Fraction(cert.c2))
+    factors = (mean, Fraction(cert.c1), Fraction(cert.c2))
+    if ((part.mean_richness, part.low_factor, part.high_factor) != factors
             or not all(np.array_equal(keys, point_keys[classes == c])
                        for c, keys in enumerate((low, high, regular)))):
         flag("partition-mismatch", "recomputed richness partition differs from the certificate")

@@ -333,9 +333,9 @@ def count_incidences(inst: Instance, engine: str = "auto", *, stats: bool = Fals
                                  {"views": views, "split": 0.0, "kernel": kernel})
     record = {"mask": 0}
     count = _count_hash_join(inst, record)
-    return count, CountStats("hash_join", record["side"], record["cost"],
-                             {path: record[path] for path in ("flat", "bitmap", "binary_search", "mask")},
-                             *kernel_backend(), {phase: record[phase] for phase in ("views", "split", "kernel")})
+    probes = {path: record[path] for path in ("flat", "bitmap", "binary_search", "mask")}
+    seconds = {phase: record[phase] for phase in ("views", "split", "kernel")}
+    return count, CountStats("hash_join", record["side"], record["cost"], probes, *kernel_backend(), seconds)
 
 
 @dataclass
