@@ -36,8 +36,8 @@ for engine in ("naive", "hash_join", "auto"):
 
 show("Richness of the full plane over F_5")
 hist = richness_histograms(full_plane(5))
-print("lines through each point:", sorted(set(hist.per_point.values())))
-print("points on each line:     ", sorted(set(hist.per_line.values())))
+print("lines through each point:", sorted(set(hist.per_point.tolist())))
+print("points on each line:     ", sorted(set(hist.per_line.tolist())))
 print("total incidences:        ", hist.total)
 
 show("Comparator bounds for the random instance")

@@ -26,7 +26,7 @@ print("2^(-1/2) =", 2**-0.5)
 print()
 print("every line carries exactly a points (a=4, c=3):")
 hist = richness_histograms(elekes_construction(4, 3, p))
-print("distinct line richness values:", sorted(set(hist.per_line.values())))
+print("distinct line richness values:", sorted(set(hist.per_line.tolist())))
 
 print()
 print("hypothesis check for the Cartesian-product bound (a=2, c=2, p=31):")

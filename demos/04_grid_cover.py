@@ -5,6 +5,9 @@ The covering loop splits points by richness, repeatedly extracts a grid
 covered by two small pencils, normalizes each grid into a Cartesian product
 by a projective map, and emits a certificate that an independent verifier
 re-checks.  Corrupting the certificate is detected.
+
+The certificate records points as keys x*p + y and lines as
+AffineLine.key(); the demo decodes them with divmod.
 """
 
 import dataclasses
@@ -19,8 +22,10 @@ from incidencelab import (
     richness_partition,
     verify_certificate,
 )
+from incidencelab.plane import line_keys
 
 inst = full_plane(5)
+p = inst.p
 c1, c2, stop = Fraction(1, 2), Fraction(2), Fraction(1, 4)
 
 part = richness_partition(inst, c1, c2)
@@ -32,23 +37,22 @@ print()
 print(f"cover ran {len(cert.steps)} step(s); leftover {len(cert.leftover)} points")
 for i, step in enumerate(cert.steps):
     g = step.grid
-    print(f"  step {i}: apexes {g.apex1}, {g.apex2}; grid size {len(g.points)}; "
+    print(f"  step {i}: apexes {divmod(g.apex1, p)}, {divmod(g.apex2, p)}; grid size {len(g.points)}; "
           f"pencils {len(g.pencil1)} x {len(g.pencil2)} lines")
     print(f"          preconditions: {dict(step.preconditions)}")
-print("leftover column:", sorted((q.x, q.y) for q in cert.leftover))
+print("leftover column:", [divmod(key, p) for key in cert.leftover])
 
 report = verify_certificate(inst, cert)
 print("certificate verifies:", report.passed)
 
 print()
 grid = cert.steps[0].grid
-norm = normalize_grid(grid, inst.lines)
+norm = normalize_grid(grid, inst)
 print(f"normalized grid sits inside a {len(norm.xs)} x {len(norm.ys)} Cartesian product")
-kept = [l for l in inst.lines if l != grid.apex_line]
-before = Instance(inst.modulus, grid.points, kept)
-after = Instance(inst.modulus, norm.points, norm.lines)
+apex_line = line_keys(*divmod(grid.apex1, p), *divmod(grid.apex2, p), p)
+before = Instance(inst.modulus, point_keys=grid.points, line_keys=inst.line_keys[inst.line_keys != apex_line])
 print("incidences before/after the projective map:",
-      count_incidences(before), "/", count_incidences(after))
+      count_incidences(before), "/", count_incidences(norm.image))
 
 print()
 print("tampering with the certificate:")

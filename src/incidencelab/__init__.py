@@ -19,8 +19,8 @@ import importlib.util
 import sys
 
 _EXPORTS = {
-    "field": ("PrimeModulus", "Scalar", "is_prime", "is_square", "inv_mod", "inv_mod_array",
-              "make_modulus", "minus_one_is_square", "sqrt_mod"),
+    "field": ("PrimeModulus", "is_prime", "is_square", "inv_mod", "inv_mod_array", "make_modulus",
+              "minus_one_is_square", "sqrt_mod"),
     "plane": ("AffineLine", "AffinePoint", "Instance", "ProjMap", "ProjPoint", "apply_map",
               "dualize", "embed", "incident", "line_through", "projective_map_from_pair",
               "translation_map", "vertical_line", "x_infinity", "y_infinity"),

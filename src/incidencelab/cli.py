@@ -21,7 +21,7 @@ from functools import cache
 # constructions, cover, distances and energy run on first use (see __init__)
 from . import constructions, cover, distances, energy, harness
 from .errors import Error
-from .harness import line_to_json, point_to_json
+from .harness import _line_json, _point_json, point_to_json
 from .incidence import ENGINES, count_incidences, count_point_plane
 
 
@@ -177,13 +177,13 @@ def _usage_error(message: str) -> int:
     return 1
 
 
-def _grid_obj(grid):
+def _grid_obj(grid, p: int):
     return {
-        "apex1": point_to_json(grid.apex1),
-        "apex2": point_to_json(grid.apex2),
-        "points": [point_to_json(q) for q in grid.points],
-        "pencil1": [line_to_json(l) for l in grid.pencil1],
-        "pencil2": [line_to_json(l) for l in grid.pencil2],
+        "apex1": _point_json(grid.apex1, p),
+        "apex2": _point_json(grid.apex2, p),
+        "points": [_point_json(key, p) for key in grid.points],
+        "pencil1": [_line_json(key, p) for key in grid.pencil1],
+        "pencil2": [_line_json(key, p) for key in grid.pencil2],
         "candidates": len(grid.candidates),
         "rich_lines": len(grid.rich_lines),
         "rich_lines2": len(grid.rich_lines2),
@@ -194,7 +194,7 @@ def _grid_obj(grid):
 def _cmd_extract(args) -> int:
     inst = harness.read_instance(args.input)
     grid = cover.two_pencil_extract(inst)
-    _json_out(_grid_obj(grid), args.output)
+    _json_out(_grid_obj(grid, inst.p), args.output)
     return 0
 
 
@@ -209,10 +209,10 @@ def _cmd_cover(args) -> int:
                    "mean_richness": str(cert.mean_richness)},
         "partition": {"low": len(cert.partition.low), "high": len(cert.partition.high),
                       "regular": len(cert.partition.regular)},
-        "steps": [dict(_grid_obj(st.grid), input_size=st.input_size,
+        "steps": [dict(_grid_obj(st.grid, inst.p), input_size=st.input_size,
                        preconditions={name: ok for name, ok in st.preconditions})
                   for st in cert.steps],
-        "leftover": [point_to_json(q) for q in cert.leftover],
+        "leftover": [_point_json(key, inst.p) for key in cert.leftover],
         "verification": {"passed": report.passed,
                          "violations": [{"code": v.code, "message": v.message}
                                         for v in report.violations]},
@@ -220,10 +220,10 @@ def _cmd_cover(args) -> int:
     if args.normalize:
         obj["normalized"] = []
         for st in cert.steps:
-            norm = cover.normalize_grid(st.grid, inst.lines)
+            norm = cover.normalize_grid(st.grid, inst)
             obj["normalized"].append({
                 "xs": list(norm.xs), "ys": list(norm.ys),
-                "points": [point_to_json(q) for q in norm.points],
+                "points": [_point_json(key, inst.p) for key in norm.image.point_keys.tolist()],
             })
     _json_out(obj, args.output)
     return 0

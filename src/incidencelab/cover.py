@@ -4,15 +4,20 @@ projective normalization of grids, and certificate verification.
 All threshold comparisons are exact (rationals, or the same inequality
 cleared of its denominator or rounded to an integer bound); tie-breaking is
 lexicographic on (x, y) for points and on (vertical, slope, intercept) for
-lines, so every run is reproducible.  The extraction and the cover loop
-read the key columns of a :class:`plane.Instance`; their degree scans are
+lines, so every run is reproducible.
+
+The records hold keys, the format of :class:`plane.Instance`: a point is
+x*p + y and a line its :meth:`AffineLine.key`, stored as tuples of Python
+ints, which compare and hash as plain values.  No record carries the
+modulus: ``normalize_grid(grid, inst)`` and ``verify_certificate(inst,
+cert)`` read p and the line keys from the instance.  The extraction and the
+cover loop read the key columns of the instance; their degree scans are
 joins over slope classes or columns (``join_degrees``), and the joins to
-the apexes are batched line keys.  The certificate verifier reads the
-partition, grids and pencils once as int64 keys and checks them with array
-passes; its incidence tests are the blocked masks of
+the apexes are batched line keys.  The certificate verifier checks the keys
+with array passes; its incidence tests are the blocked masks of
 ``incidence_degrees``, so it never shares the extraction's join.
 :func:`normalize_grid` maps the key columns through the projective map
-with one batched inverse.
+with one batched inverse; it builds only the two apexes as objects.
 """
 
 from __future__ import annotations
@@ -20,28 +25,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 
 from .errors import (
+    CoincidentPointsError,
     EmptyGridError,
     EmptyInstanceError,
     InvalidParameterError,
-    ModulusMismatchError,
     NoIncidencesError,
     PointSentToInfinityError,
 )
-from .field import inv_mod_array, make_modulus
+from .field import inv_mod_array
 from .incidence import incidence_degrees, join_degrees
 from .plane import (
-    AffineLine,
     AffinePoint,
     Instance,
     ProjMap,
     distinct,
     line_keys,
-    line_through,
     projective_map_from_pair,
 )
 
@@ -50,17 +52,18 @@ from .plane import (
 class RichnessPartition:
     """Split of the point set by line-degree relative to the mean richness.
 
-    mean_richness is the exact rational I/m.  low holds the points with
-    degree <= low_factor * mean_richness, high the points with degree >=
-    high_factor * mean_richness, regular the rest.
+    mean_richness is the exact rational I/m.  low holds the keys x*p + y of
+    the points with degree <= low_factor * mean_richness, high those with
+    degree >= high_factor * mean_richness, regular the rest, each in
+    ascending key order.
     """
 
     mean_richness: Fraction
     low_factor: Fraction
     high_factor: Fraction
-    low: tuple[AffinePoint, ...]
-    high: tuple[AffinePoint, ...]
-    regular: tuple[AffinePoint, ...]
+    low: tuple[int, ...]
+    high: tuple[int, ...]
+    regular: tuple[int, ...]
 
 
 def _richness_classes(inst: Instance, low_factor, high_factor) -> tuple[Fraction, np.ndarray]:
@@ -83,10 +86,11 @@ def _richness_classes(inst: Instance, low_factor, high_factor) -> tuple[Fraction
 
 
 def richness_partition(inst: Instance, low_factor, high_factor) -> RichnessPartition:
-    """Partition inst.points by line-degree thresholds around K = I/m."""
+    """Partition the point keys of inst by line-degree thresholds around
+    K = I/m."""
     mean, classes = _richness_classes(inst, low_factor, high_factor)
     return RichnessPartition(mean, Fraction(low_factor), Fraction(high_factor), *(
-        tuple(compress(inst.points, (classes == c).tolist())) for c in range(3)))
+        tuple(inst.point_keys[classes == c].tolist()) for c in range(3)))
 
 
 @dataclass(frozen=True)
@@ -96,22 +100,29 @@ class PencilGrid:
     points is the extracted grid; every grid point lies on a pencil1 line
     through apex1 and on a pencil2 line through apex2, and the grid avoids
     the line joining the apexes.  rich_lines / candidates / rich_lines2 are
-    the intermediate stages of the extraction.
+    the intermediate stages of the extraction.  apex1, apex2, points and
+    candidates are point keys x*p + y, the other tuples line keys
+    (:meth:`AffineLine.key`); every tuple ascends.
     """
 
-    apex1: AffinePoint
-    apex2: AffinePoint
-    points: tuple[AffinePoint, ...]
-    pencil1: tuple[AffineLine, ...]
-    pencil2: tuple[AffineLine, ...]
-    rich_lines: tuple[AffineLine, ...]
-    candidates: tuple[AffinePoint, ...]
-    rich_lines2: tuple[AffineLine, ...]
+    apex1: int
+    apex2: int
+    points: tuple[int, ...]
+    pencil1: tuple[int, ...]
+    pencil2: tuple[int, ...]
+    rich_lines: tuple[int, ...]
+    candidates: tuple[int, ...]
+    rich_lines2: tuple[int, ...]
     mean_richness: Fraction
 
-    @property
-    def apex_line(self) -> AffineLine:
-        return line_through(self.apex1, self.apex2)
+
+def _apex_line(apex1: int, apex2: int, p: int) -> np.ndarray:
+    """The key of the line joining two distinct point keys, as an array of
+    one key."""
+    if apex1 == apex2:
+        raise CoincidentPointsError(f"need two distinct apexes, got the key {apex1} twice")
+    (x1, y1), (x2, y2) = divmod(apex1, p), divmod(apex2, p)
+    return line_keys(x1, y1, [x2], [y2], p)
 
 
 def _select(qx, qy, keys, p: int) -> tuple[np.ndarray, int, int]:
@@ -142,13 +153,14 @@ def two_pencil_extract(inst: Instance, mean_richness: Fraction | None = None) ->
     candidates joined to apex1 by a line of L; repeat the line-then-point
     selection against the candidate set to obtain apex2; the grid is every
     candidate off the apex line whose join to apex2 lies in the second-stage
-    line pool.  Only the returned points and lines are built as objects.
+    line pool.  The grid records the keys of the instance; no point or line
+    is built as an object.
 
     Raises NoIncidencesError when I(P, L) = 0 and EmptyGridError when the
     construction collapses (a legal outcome when the extraction constants
     have no bite at the given sizes).
     """
-    p, keys, (px, py) = inst.p, inst.line_keys, inst.xy
+    p, keys, pkeys, (px, py) = inst.p, inst.line_keys, inst.point_keys, inst.xy
     pool1, a1, total = _select(px, py, keys, p)
     K = Fraction(mean_richness) if mean_richness is not None else Fraction(total, inst.m)
 
@@ -162,25 +174,19 @@ def two_pencil_extract(inst: Instance, mean_richness: Fraction | None = None) ->
     pool2, a2, _ = _select(cx, cy, keys, p)
     a2 = int(cand[a2])
 
-    apex_key = line_keys(px[a1], py[a1], px[[a2]], py[[a2]], p)
-    off = np.flatnonzero(join_degrees(cx, cy, apex_key, p)[0] == 0)
+    apex1, apex2 = int(pkeys[a1]), int(pkeys[a2])
+    off = np.flatnonzero(join_degrees(cx, cy, _apex_line(apex1, apex2, p), p)[0] == 0)
     joins2 = line_keys(px[a2], py[a2], cx[off], cy[off], p)
     grid = cand[off[np.isin(joins2, keys[pool2])]]
     if grid.size == 0:
         raise EmptyGridError("no line of the second pool joins the second apex to a point off the apex line")
 
-    def points(idx):
-        return tuple(AffinePoint(x, y, p) for x, y in zip(px[idx].tolist(), py[idx].tolist()))
-
-    def lines(ks):
-        return tuple(AffineLine.from_key(k, p) for k in ks.tolist())
-
     def pencil(a):
-        return lines(distinct(line_keys(px[a], py[a], px[grid], py[grid], p)))
+        return tuple(distinct(line_keys(px[a], py[a], px[grid], py[grid], p)).tolist())
 
-    apex1, apex2 = points([a1, a2])
-    return PencilGrid(apex1, apex2, points(grid), pencil(a1), pencil(a2),
-                      lines(keys[pool1]), points(cand), lines(keys[pool2]), K)
+    return PencilGrid(apex1, apex2, tuple(pkeys[grid].tolist()), pencil(a1), pencil(a2),
+                      tuple(keys[pool1].tolist()), tuple(pkeys[cand].tolist()),
+                      tuple(keys[pool2].tolist()), K)
 
 
 def _positive_c1(c1) -> Fraction:
@@ -219,7 +225,9 @@ class CoverStep:
 
 @dataclass(frozen=True)
 class GridCertificate:
-    """The recorded outcome of the covering loop, checkable independently."""
+    """The recorded outcome of the covering loop, checkable independently:
+    leftover holds the keys x*p + y of the regular points no grid took, in
+    ascending order."""
 
     c1: Fraction
     c2: Fraction
@@ -227,7 +235,7 @@ class GridCertificate:
     mean_richness: Fraction
     partition: RichnessPartition
     steps: tuple[CoverStep, ...]
-    leftover: tuple[AffinePoint, ...]
+    leftover: tuple[int, ...]
 
     @property
     def grids(self) -> tuple[PencilGrid, ...]:
@@ -246,8 +254,8 @@ def grid_cover(inst: Instance, c1, c2, stop_fraction) -> GridCertificate:
     stop_fraction = Fraction(stop_fraction)
     part = richness_partition(inst, c1, c2)
     K = part.mean_richness
-    p, n = inst.p, inst.n
-    working = inst.replace(points=part.regular)
+    n = inst.n
+    working = Instance(inst.modulus, point_keys=part.regular, line_keys=inst.line_keys)
     steps = []
     while working.m > stop_fraction * inst.m:
         pre = extraction_preconditions(K, working.m, n, c1)
@@ -256,26 +264,26 @@ def grid_cover(inst: Instance, c1, c2, stop_fraction) -> GridCertificate:
         except (EmptyGridError, NoIncidencesError):
             break
         steps.append(CoverStep(grid, working.m, pre, grid_size_lower_bound(K, working.m, n, c1)))
-        taken = np.isin(working.point_keys, [q.x * p + q.y for q in grid.points])
+        taken = np.isin(working.point_keys, grid.points)
         working = Instance(inst.modulus, point_keys=working.point_keys[~taken], line_keys=inst.line_keys)
-    return GridCertificate(c1, c2, stop_fraction, K, part, tuple(steps), working.points)
+    return GridCertificate(c1, c2, stop_fraction, K, part, tuple(steps), tuple(working.point_keys.tolist()))
 
 
 @dataclass(frozen=True)
 class NormalizedGrid:
     """A grid mapped so its two pencils become horizontal and vertical lines.
 
-    points is contained in the Cartesian product xs x ys; lines are the
-    images of the input lines (with the apex line dropped, it meets no grid
-    point); incidences between points and lines equal those of the original
-    grid with the original lines minus the apex line.
+    image is one :class:`plane.Instance`: its points are the images of the
+    grid points, contained in the Cartesian product xs x ys, and its lines
+    the images of the lines of the instance without the apex line (which
+    meets no grid point); the incidences of image equal those of the grid
+    with those lines.  xs and ys ascend.
     """
 
     map: ProjMap
-    points: tuple[AffinePoint, ...]
+    image: Instance
     xs: tuple[int, ...]
     ys: tuple[int, ...]
-    lines: tuple[AffineLine, ...]
 
 
 def _dot(row, columns, p: int) -> np.ndarray:
@@ -285,18 +293,18 @@ def _dot(row, columns, p: int) -> np.ndarray:
     return sum(r * c % p for r, c in zip(row, columns)) % p
 
 
-def normalize_grid(grid: PencilGrid, lines) -> NormalizedGrid:
+def normalize_grid(grid: PencilGrid, inst: Instance) -> NormalizedGrid:
     """Send the apexes to the two points at infinity and read off the
     Cartesian product containing the image of the grid.
 
-    The point keys and the line keys (without the apex line) go through
-    the map as columns, with one batched inverse for the denominators of
-    both."""
-    tau = projective_map_from_pair(grid.apex1, grid.apex2)
-    p = tau.p
-    gx, gy = np.divmod(_point_keys(grid.points, p), p)
-    keys = np.array([line.key() for line in lines], dtype=np.int64)
-    keys = keys[keys != grid.apex_line.key()]
+    p and the lines come from inst.  The grid's point keys and the line
+    keys (without the apex line) go through the map as columns, with one
+    batched inverse for the denominators of both; the two apexes are the
+    only objects built, for :func:`projective_map_from_pair`."""
+    p = inst.p
+    tau = projective_map_from_pair(*(AffinePoint(*divmod(a, p), p) for a in (grid.apex1, grid.apex2)))
+    gx, gy = np.divmod(np.array(grid.points, dtype=np.int64), p)
+    keys = inst.line_keys[inst.line_keys != _apex_line(grid.apex1, grid.apex2, p)]
     # a*x + b*y + c = 0: (1, 0, -x0) for a vertical line, (s, -1, t) otherwise
     vertical = keys >= p * p
     s, t = np.divmod(keys, p)
@@ -305,17 +313,17 @@ def normalize_grid(grid: PencilGrid, lines) -> NormalizedGrid:
     x, y, z = (_dot(row, (gx, gy, 1), p) for row in tau.rows)
     if not z.all():
         i = int(np.argmin(z != 0))
-        raise PointSentToInfinityError(grid.points[i])
+        raise PointSentToInfinityError(AffinePoint(int(gx[i]), int(gy[i]), p))
     # a line's coefficient vector maps by the adjugate transpose
     a, b, c = (_dot([row[k] for row in tau.adjugate], coeffs, p) for k in range(3))
     sloped = b != 0
     inv = inv_mod_array(np.concatenate([z, np.where(sloped, b, a)]), p)
     iz, il = inv[:z.size], inv[z.size:]
-    image = Instance(make_modulus(p), point_keys=x * iz % p * p + y * iz % p,
+    image = Instance(inst.modulus, point_keys=x * iz % p * p + y * iz % p,
                      line_keys=np.where(sloped, -a * il % p * p + -c * il % p, p * p + -c * il % p))
     xs = tuple(image.column_runs[0].tolist())
     ys = tuple(distinct(image.xy[1]).tolist())
-    return NormalizedGrid(tau, image.points, xs, ys, image.lines)
+    return NormalizedGrid(tau, image, xs, ys)
 
 
 @dataclass(frozen=True)
@@ -333,24 +341,6 @@ class VerificationReport:
         return {v.code for v in self.violations}
 
 
-def _point_keys(points, p: int) -> np.ndarray:
-    """The keys x*p + y of the points in order, repeats kept; -1, a key no
-    point of F_p has, for a point of another field."""
-    return np.array([q.x * p + q.y if q.p == p else -1 for q in points], dtype=np.int64)
-
-
-def _grid_keys(grid: PencilGrid, p: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The point keys of a grid and of its two apexes, and the line keys of
-    its two pencils; raises ModulusMismatchError on an object of another
-    field."""
-    points, apexes = _point_keys(grid.points, p), _point_keys((grid.apex1, grid.apex2), p)
-    pencils = tuple(grid.pencil1), tuple(grid.pencil2)
-    if (points < 0).any() or (apexes < 0).any() or any(line.p != p for pencil in pencils for line in pencil):
-        raise ModulusMismatchError(f"grid objects do not all live in F_{p}")
-    return points, apexes, tuple(np.array([line.key() for line in pencil], dtype=np.int64)
-                                 for pencil in pencils)
-
-
 def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationReport:
     """Re-check every guarantee recorded in a cover certificate.
 
@@ -361,10 +351,11 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
     size lower bound holds whenever the extraction preconditions held, and
     the pieces reassemble the full point set exactly.
 
-    Every check is an array pass over int64 keys; the incidence tests (apex
-    line, pencil apexes, pencil coverage as the |grid| x |pencil| mask) use
-    the blocked masks of ``incidence_degrees``, independent of the join the
-    extraction ran.
+    Every check is an array pass over the certificate's keys, with p and
+    the lines read from inst; the incidence tests (apex line, pencil
+    apexes, pencil coverage as the |grid| x |pencil| mask) use the blocked
+    masks of ``incidence_degrees``, independent of the join the extraction
+    ran.
     """
     v: list[Violation] = []
 
@@ -375,7 +366,7 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
     part = cert.partition
     # partition re-check
     mean, classes = _richness_classes(inst, cert.c1, cert.c2)
-    low, high, regular = (_point_keys(pts, p) for pts in (part.low, part.high, part.regular))
+    low, high, regular = (np.array(keys, dtype=np.int64) for keys in (part.low, part.high, part.regular))
     factors = (mean, Fraction(cert.c1), Fraction(cert.c2))
     if ((part.mean_richness, part.low_factor, part.high_factor) != factors
             or not all(np.array_equal(keys, point_keys[classes == c])
@@ -388,7 +379,7 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
     pencil_cap = cert.c2 * cert.mean_richness
     for idx, step in enumerate(cert.steps):
         g = step.grid
-        gpts, apexes, pencils = _grid_keys(g, p)
+        gpts = np.array(g.points, dtype=np.int64)
         gset = distinct(gpts)
         overlap = int(np.isin(gset, seen).sum())
         if overlap:
@@ -397,11 +388,11 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
         if not np.isin(gset, regular).all():
             flag("grid-not-regular-subset", f"grid {idx} contains points outside the regular set")
         gx, gy = np.divmod(gpts, p)
-        apex_line = np.array([g.apex_line.key()])
-        touching = int(np.count_nonzero(incidence_degrees(gx, gy, apex_line, p)[0]))
+        touching = int(np.count_nonzero(incidence_degrees(gx, gy, _apex_line(g.apex1, g.apex2, p), p)[0]))
         if touching:
             flag("apex-line-contact", f"grid {idx} has {touching} points on the apex line")
-        for which, apex, pencil in zip(("pencil1", "pencil2"), apexes.tolist(), pencils):
+        for which, apex, pencil in (("pencil1", g.apex1, g.pencil1), ("pencil2", g.apex2, g.pencil2)):
+            pencil = np.array(pencil, dtype=np.int64)
             if pencil.size > pencil_cap:
                 flag("pencil-size", f"grid {idx} {which} has {pencil.size} lines, cap {pencil_cap}")
             outside = ~np.isin(pencil, inst.line_keys)
@@ -418,7 +409,7 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
             flag("size-lower-bound",
                  f"grid {idx} has {len(g.points)} points, below the guaranteed {step.size_bound}")
 
-    leftover = _point_keys(cert.leftover, p)
+    leftover = np.array(cert.leftover, dtype=np.int64)
     if not np.array_equal(distinct(np.concatenate([seen, leftover, low, high])), point_keys):
         flag("union-identity", "grids, leftover and partition do not reassemble the point set")
     if seen.size + leftover.size != regular.size:

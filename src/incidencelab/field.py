@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     CompositeModulusError,
     DivisionByZeroError,
-    ModulusMismatchError,
     OutOfRangeError,
 )
 
@@ -53,9 +52,6 @@ class PrimeModulus:
             raise OutOfRangeError(f"modulus must be an integer in [{MIN_MODULUS}, 2^31), got {self.p}")
         if not is_prime(self.p):
             raise CompositeModulusError(f"{self.p} is not prime")
-
-    def scalar(self, value: int) -> "Scalar":
-        return Scalar(value % self.p, self)
 
     def __repr__(self):
         return f"PrimeModulus({self.p})"
@@ -163,71 +159,3 @@ def sqrt_mod(a: int, p: int) -> int | None:
         r = r * b % p
     return min(r, p - r)
 
-
-@dataclass(frozen=True)
-class Scalar:
-    """A residue in F_p with exact arithmetic and operator overloads."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus.p)
-
-    @property
-    def p(self) -> int:
-        return self.modulus.p
-
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.modulus.p != self.p:
-                raise ModulusMismatchError(f"mixed moduli {self.p} and {other.modulus.p}")
-            return other
-        if isinstance(other, int):
-            return Scalar(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Scalar((self.value + o.value) % self.p, self.modulus) if o is not NotImplemented else o
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Scalar((self.value - o.value) % self.p, self.modulus) if o is not NotImplemented else o
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return Scalar((o.value - self.value) % self.p, self.modulus) if o is not NotImplemented else o
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Scalar(self.value * o.value % self.p, self.modulus) if o is not NotImplemented else o
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scalar(-self.value % self.p, self.modulus)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def inverse(self) -> "Scalar":
-        return Scalar(inv_mod(self.value, self.p), self.modulus)
-
-    def is_square(self) -> bool:
-        return is_square(self.value, self.p)
-
-    def sqrt(self) -> "Scalar | None":
-        r = sqrt_mod(self.value, self.p)
-        return None if r is None else Scalar(r, self.modulus)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"Scalar({self.value} mod {self.p})"

@@ -150,8 +150,8 @@ def point_to_json(q: AffinePoint) -> list[int]:
     return [q.x, q.y]
 
 
-def line_to_json(line: AffineLine) -> dict:
-    return _line_json(line.key(), line.p)
+def _point_json(key: int, p: int) -> list[int]:
+    return [key // p, key % p]
 
 
 def _line_json(key: int, p: int) -> dict:

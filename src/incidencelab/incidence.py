@@ -338,12 +338,13 @@ def count_incidences(inst: Instance, engine: str = "auto", *, stats: bool = Fals
     return count, CountStats("hash_join", record["side"], record["cost"], probes, *kernel_backend(), seconds)
 
 
-@dataclass
+@dataclass(eq=False)
 class RichnessHistogram:
-    """Exact per-point line-degrees and per-line point-degrees."""
+    """Exact per-point line-degrees and per-line point-degrees: two int64
+    arrays in the key order of the instance's points and lines."""
 
-    per_point: dict
-    per_line: dict
+    per_point: np.ndarray
+    per_line: np.ndarray
     total: int
 
 
@@ -470,8 +471,7 @@ def join_degrees(px, py, keys, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def richness_histograms(inst: Instance) -> RichnessHistogram:
     per_point, per_line = join_degrees(*inst.xy, inst.line_keys, inst.p)
-    return RichnessHistogram(dict(zip(inst.points, per_point.tolist())),
-                             dict(zip(inst.lines, per_line.tolist())), int(per_point.sum()))
+    return RichnessHistogram(per_point, per_line, int(per_point.sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,8 @@ class Instance:
     holds x*p + y for each point and line_keys the :meth:`AffineLine.key`
     of each line.  Key order is the order of sorted points and of
     :meth:`AffineLine.sort_key`, so two instances with the same content
-    compare and serialize identically.  The object tuples points and lines,
-    their frozensets and the coordinate columns are built on first access.
+    compare and serialize identically.  The object tuples points and lines
+    and the coordinate columns are built on first access.
 
     Build from objects, Instance(modulus, points, lines), or from keys in
     any order and with repeats, Instance(modulus, point_keys=...,
@@ -293,20 +293,6 @@ class Instance:
         p = self.p
         s, t, vertical = (c.tolist() for c in self.line_columns)
         return tuple([AffineLine(a, b, p) for a, b in zip(s, t)] + [AffineLine(None, x0, p) for x0 in vertical])
-
-    @cached_property
-    def point_set(self) -> frozenset[AffinePoint]:
-        return frozenset(self.points)
-
-    @cached_property
-    def line_set(self) -> frozenset[AffineLine]:
-        return frozenset(self.lines)
-
-    def replace(self, points=None, lines=None) -> "Instance":
-        """This instance with its points or its lines replaced."""
-        return Instance(self.modulus, points, lines,
-                        point_keys=self.point_keys if points is None else None,
-                        line_keys=self.line_keys if lines is None else None)
 
     def __eq__(self, other):
         if not isinstance(other, Instance):

@@ -5,6 +5,7 @@ import pytest
 
 import incidencelab
 from incidencelab.constructions import SeededStream, random_instance
+from incidencelab.plane import Instance
 from incidencelab.incidence import warm_up_kernels
 
 WARNING_PREFIX = "incidencelab: warning: "
@@ -51,4 +52,4 @@ def random_instances(count, seed, max_p_index=None, max_m=500, max_n=500):
 
 def vertical_free(inst):
     """Drop vertical lines from an instance."""
-    return inst.replace(lines=[l for l in inst.lines if l.slope is not None])
+    return Instance(inst.modulus, inst.points, [l for l in inst.lines if l.slope is not None])

@@ -133,8 +133,7 @@ def test_acceptance_5_cover_certification():
     cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
     grid = cert.steps[0].grid
     shape_ok = (
-        grid.apex1 == AffinePoint(0, 0, 5)
-        and grid.apex2 == AffinePoint(0, 1, 5)
+        (grid.apex1, grid.apex2) == (0, 1)  # the keys of (0, 0) and (0, 1)
         and len(grid.points) == 20
         and len(cert.leftover) == 5
         and verify_certificate(inst, cert).passed
@@ -143,7 +142,7 @@ def test_acceptance_5_cover_certification():
     doubled = dataclasses.replace(cert, steps=(cert.steps[0], cert.steps[0]))
     overlap_found = "grids-overlap" in verify_certificate(inst, doubled).codes()
     # corruption 2: a grid point on the apex line -> contact detected
-    bad_point = AffinePoint(0, 3, 5)
+    bad_point = 3  # the key of (0, 3)
     bad_grid = dataclasses.replace(grid, points=grid.points + (bad_point,))
     step = cert.steps[0]
     bad_cert = dataclasses.replace(
@@ -175,9 +174,10 @@ def test_acceptance_6_projective_invariance_and_duality():
         # projective invariance on the elements that stay affine
         M = _random_invertible(inst.p, stream)
         bad_line = M.line_to_infinity_preimage()
-        restricted = inst.replace(
-            points=[q for q in inst.points if not incident(q, bad_line)],
-            lines=[l for l in inst.lines if l != bad_line],
+        restricted = Instance(
+            inst.modulus,
+            [q for q in inst.points if not incident(q, bad_line)],
+            [l for l in inst.lines if l != bad_line],
         )
         mapped = apply_map(M, restricted)
         ok &= count_incidences(mapped) == count_incidences(restricted)

@@ -1,10 +1,12 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_instances
+from incidencelab.cli import cli
 from incidencelab.constructions import elekes_construction, full_plane, random_instance
 from incidencelab.cover import (
     CoverStep,
@@ -27,6 +29,7 @@ from incidencelab.errors import (
     PointSentToInfinityError,
 )
 from incidencelab.field import make_modulus
+from incidencelab.harness import write_instance
 from incidencelab.incidence import count_incidences, incidence_degrees
 from incidencelab.plane import (
     AffineLine,
@@ -36,6 +39,31 @@ from incidencelab.plane import (
     line_through,
     projective_map_from_pair,
 )
+
+
+def pkeys(points):
+    """The keys x*p + y of point objects, in order."""
+    return tuple(q.x * q.p + q.y for q in points)
+
+
+def lkeys(lines):
+    return tuple(line.key() for line in lines)
+
+
+def point_of(key, p):
+    return AffinePoint(*divmod(key, p), p)
+
+
+def points_of(keys, p):
+    return tuple(point_of(key, p) for key in keys)
+
+
+def lines_of(keys, p):
+    return tuple(AffineLine.from_key(key, p) for key in keys)
+
+
+def apex_line_of(grid, p):
+    return line_through(point_of(grid.apex1, p), point_of(grid.apex2, p))
 
 
 def test_partition_rejects_unordered_factors():
@@ -67,8 +95,8 @@ def test_partition_isolated_point_in_low():
     inst = Instance(mod, [AffinePoint(0, 0, 7), AffinePoint(1, 1, 7)], [AffineLine(0, 1, 7)])
     # (1,1) on y=1, (0,0) on nothing; K = 1/2, low threshold 1/4
     part = richness_partition(inst, Fraction(1, 2), 2)
-    assert AffinePoint(0, 0, 7) in part.low
-    assert AffinePoint(1, 1, 7) in part.high  # degree 1 >= 2 * 1/2
+    assert part.low == (0,)  # (0, 0)
+    assert part.high == (8,)  # (1, 1): degree 1 >= 2 * 1/2
 
 
 def test_partition_extreme_thresholds():
@@ -101,8 +129,8 @@ def test_partition_matches_rational_thresholds():
     for inst in cases:
         for low_factor, high_factor in factors:
             part = richness_partition(inst, low_factor, high_factor)
-            assert (part.low, part.high, part.regular) == reference_partition(
-                inst, Fraction(low_factor), Fraction(high_factor))
+            want = reference_partition(inst, Fraction(low_factor), Fraction(high_factor))
+            assert (part.low, part.high, part.regular) == tuple(map(pkeys, want))
 
 
 def test_partition_empty_instance():
@@ -119,14 +147,13 @@ def test_two_pencil_full_plane_trace():
     # everything off the vertical joining line x = 0
     inst = full_plane(5)
     grid = two_pencil_extract(inst)
-    assert grid.apex1 == AffinePoint(0, 0, 5)
-    assert grid.apex2 == AffinePoint(0, 1, 5)
+    assert points_of((grid.apex1, grid.apex2), 5) == (AffinePoint(0, 0, 5), AffinePoint(0, 1, 5))
     assert len(grid.rich_lines) == 30
     assert len(grid.candidates) == 24
     assert len(grid.rich_lines2) == 30
     assert len(grid.points) == 20
-    assert set(grid.points) == {q for q in inst.points if q.x != 0}
-    assert grid.apex_line == AffineLine(None, 0, 5)
+    assert set(points_of(grid.points, 5)) == {q for q in inst.points if q.x != 0}
+    assert apex_line_of(grid, 5) == AffineLine(None, 0, 5)
 
 
 def test_two_pencil_axis_parallel_empty_grid():
@@ -147,7 +174,8 @@ def test_two_pencil_no_incidences():
 
 def reference_extract(points, lines):
     """Oracle: the extraction step by step with Python objects, exact
-    rationals and one incident() call per (point, line) pair."""
+    rationals and one incident() call per (point, line) pair; the objects
+    become keys only in the returned grid."""
     pts = tuple(sorted(set(points)))
     lns = tuple(sorted(set(lines), key=AffineLine.sort_key))
 
@@ -178,7 +206,8 @@ def reference_extract(points, lines):
         raise EmptyGridError
     pencil1 = tuple(sorted({line_through(apex1, g) for g in grid}, key=AffineLine.sort_key))
     pencil2 = tuple(sorted({line_through(apex2, g) for g in grid}, key=AffineLine.sort_key))
-    return PencilGrid(apex1, apex2, grid, pencil1, pencil2, pool1, candidates, pool2, Fraction(total, len(pts)))
+    return PencilGrid(*pkeys((apex1, apex2)), pkeys(grid), lkeys(pencil1), lkeys(pencil2), lkeys(pool1),
+                      pkeys(candidates), lkeys(pool2), Fraction(total, len(pts)))
 
 
 def test_two_pencil_matches_reference():
@@ -214,7 +243,7 @@ def test_two_pencil_pool_degrees_skip_the_poor_lines():
     assert 2 * len(rich) < inst.n
     got = two_pencil_extract(inst)
     assert got == reference_extract(inst.points, inst.lines)
-    assert got.apex1 == AffinePoint(1, 1, p) and got.points
+    assert got.apex1 == 1 * p + 1 and got.points
 
 
 def test_two_pencil_structural_contract():
@@ -223,18 +252,22 @@ def test_two_pencil_structural_contract():
     cases = [full_plane(5), full_plane(7)]
     c2 = Fraction(2)
     for inst in cases:
+        p = inst.p
         grid = two_pencil_extract(inst)
-        assert all(not incident(q, grid.apex_line) for q in grid.points)
+        apex1, apex2 = points_of((grid.apex1, grid.apex2), p)
+        points = points_of(grid.points, p)
+        assert all(not incident(q, apex_line_of(grid, p)) for q in points)
         cap = c2 * grid.mean_richness
         assert len(grid.pencil1) <= cap and len(grid.pencil2) <= cap
         line_set = set(inst.lines)
-        for q in grid.points:
-            assert line_through(grid.apex1, q) in line_set
-            assert line_through(grid.apex2, q) in set(grid.rich_lines2)
-        for pencil, apex in ((grid.pencil1, grid.apex1), (grid.pencil2, grid.apex2)):
+        for q in points:
+            assert line_through(apex1, q) in line_set
+            assert line_through(apex2, q) in set(lines_of(grid.rich_lines2, p))
+        for pencil, apex in ((grid.pencil1, apex1), (grid.pencil2, apex2)):
+            pencil = lines_of(pencil, p)
             for line in pencil:
                 assert line in line_set and incident(apex, line)
-            for q in grid.points:
+            for q in points:
                 assert any(incident(q, line) for line in pencil)
 
 
@@ -253,11 +286,9 @@ def test_grid_cover_full_plane_certificate():
     cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
     assert len(cert.steps) == 1
     grid = cert.steps[0].grid
-    assert grid.apex1 == AffinePoint(0, 0, 5)
-    assert grid.apex2 == AffinePoint(0, 1, 5)
+    assert (grid.apex1, grid.apex2) == (0, 1)  # (0, 0) and (0, 1)
     assert len(grid.points) == 20
-    assert len(cert.leftover) == 5
-    assert all(q.x == 0 for q in cert.leftover)
+    assert cert.leftover == (0, 1, 2, 3, 4)  # the column x = 0
     report = verify_certificate(inst, cert)
     assert report.passed, report.violations
 
@@ -301,7 +332,7 @@ def test_verify_certificate_detects_apex_line_contact():
     inst = full_plane(5)
     cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
     step = cert.steps[0]
-    on_apex_line = AffinePoint(0, 3, 5)  # lies on x = 0, the apex line
+    on_apex_line = 3  # (0, 3) lies on x = 0, the apex line
     bad_grid = dataclasses.replace(step.grid, points=step.grid.points + (on_apex_line,))
     bad_step = CoverStep(bad_grid, step.input_size, step.preconditions, step.size_bound)
     corrupted = dataclasses.replace(
@@ -316,18 +347,18 @@ def test_normalize_grid_full_plane():
     inst = full_plane(5)
     cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
     grid = cert.steps[0].grid
-    norm = normalize_grid(grid, inst.lines)
+    norm = normalize_grid(grid, inst)
     assert len(norm.xs) <= len(grid.pencil2)
     assert len(norm.ys) <= len(grid.pencil1)
-    assert set(q.x for q in norm.points) <= set(norm.xs)
-    assert set(q.y for q in norm.points) <= set(norm.ys)
+    assert set(q.x for q in norm.image.points) <= set(norm.xs)
+    assert set(q.y for q in norm.image.points) <= set(norm.ys)
 
 
 def test_normalize_singleton_grid():
     inst = full_plane(5)
     cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
     grid = dataclasses.replace(cert.steps[0].grid, points=cert.steps[0].grid.points[:1])
-    norm = normalize_grid(grid, inst.lines)
+    norm = normalize_grid(grid, inst)
     assert len(norm.xs) == 1 and len(norm.ys) == 1
 
 
@@ -345,11 +376,10 @@ def test_normalize_preserves_incidences_random():
         cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 16))
         for step in cert.steps:
             grid = step.grid
-            norm = normalize_grid(grid, inst.lines)
-            kept = [l for l in inst.lines if l != grid.apex_line]
-            before = Instance(inst.modulus, grid.points, kept)
-            after = Instance(inst.modulus, norm.points, norm.lines)
-            assert count_incidences(after) == count_incidences(before)
+            norm = normalize_grid(grid, inst)
+            kept = [l for l in inst.lines if l != apex_line_of(grid, inst.p)]
+            before = Instance(inst.modulus, points_of(grid.points, inst.p), kept)
+            assert count_incidences(norm.image) == count_incidences(before)
             checked += 1
         if checked >= 50:
             break
@@ -396,7 +426,7 @@ def test_verify_certificate_detects_oversized_pencil():
     inst, cert = _full_plane_cover()
     grid = cert.steps[0].grid
     # 5 lines through the apex plus 8 that miss it exceed the cap c2 K = 12
-    extra = tuple(line for line in inst.lines if not incident(grid.apex1, line))[:8]
+    extra = lkeys(line for line in inst.lines if not incident(point_of(grid.apex1, 5), line))[:8]
     report = verify_certificate(inst, _with_grid(cert, pencil1=grid.pencil1 + extra))
     assert [v.code for v in report.violations] == ["pencil-size"] + ["pencil-apex"] * 8
     assert report.violations[0].message == "grid 0 pencil1 has 13 lines, cap 12"
@@ -408,10 +438,10 @@ def test_verify_certificate_detects_pencil_line_outside_instance():
     cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
     assert verify_certificate(inst, cert).passed
     grid = cert.steps[0].grid
-    assert grid.apex1 == AffinePoint(0, 0, p)
+    assert grid.apex1 == 0  # (0, 0)
     missing = AffineLine(2, 0, p)  # through the apex, not a line of inst
-    assert missing not in inst.line_set
-    report = verify_certificate(inst, _with_grid(cert, pencil1=grid.pencil1 + (missing,)))
+    assert missing not in set(inst.lines)
+    report = verify_certificate(inst, _with_grid(cert, pencil1=grid.pencil1 + (missing.key(),)))
     assert [v.code for v in report.violations] == ["pencil-not-in-lines"]
     assert report.violations[0].message == "grid 0 pencil1 uses a line outside the instance"
 
@@ -419,7 +449,7 @@ def test_verify_certificate_detects_pencil_line_outside_instance():
 def test_verify_certificate_detects_pencil_line_off_apex():
     inst, cert = _full_plane_cover()
     grid = cert.steps[0].grid
-    off = AffineLine(1, 3, 5)  # y = x + 3 misses apex2 = (0, 1)
+    off = AffineLine(1, 3, 5).key()  # y = x + 3 misses apex2 = (0, 1)
     report = verify_certificate(inst, _with_grid(cert, pencil2=(off,) + grid.pencil2))
     assert [(v.code, v.message) for v in report.violations] == [
         ("pencil-apex", "grid 0 pencil2 has a line missing its apex")]
@@ -461,15 +491,16 @@ def test_verify_certificate_detects_broken_union():
         "union-identity", "grids-overlap"]
 
 
-def reference_normalize(grid, lines):
+def reference_normalize(grid, inst):
     """Oracle: the normalization one object at a time, through
-    ProjMap.apply_point and ProjMap.apply_line."""
-    tau = projective_map_from_pair(grid.apex1, grid.apex2)
-    apex_line = grid.apex_line
-    image = Instance(make_modulus(tau.p), [tau.apply_point(q) for q in grid.points],
-                     [tau.apply_line(line) for line in lines if line != apex_line])
-    return NormalizedGrid(tau, image.points, tuple(sorted({q.x for q in image.points})),
-                          tuple(sorted({q.y for q in image.points})), image.lines)
+    ProjMap.apply_point and ProjMap.apply_line; the image becomes keys
+    only in the returned Instance."""
+    p = inst.p
+    tau = projective_map_from_pair(point_of(grid.apex1, p), point_of(grid.apex2, p))
+    image_points = [tau.apply_point(q) for q in points_of(grid.points, p)]
+    image_lines = [tau.apply_line(line) for line in inst.lines if line != apex_line_of(grid, p)]
+    return NormalizedGrid(tau, Instance(inst.modulus, image_points, image_lines),
+                          tuple(sorted({q.x for q in image_points})), tuple(sorted({q.y for q in image_points})))
 
 
 def test_normalize_grid_matches_the_object_path_on_covers():
@@ -477,7 +508,7 @@ def test_normalize_grid_matches_the_object_path_on_covers():
     checked = 0
     for inst in cases:
         for step in grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 16)).steps:
-            assert normalize_grid(step.grid, inst.lines) == reference_normalize(step.grid, inst.lines)
+            assert normalize_grid(step.grid, inst) == reference_normalize(step.grid, inst)
             checked += 1
     assert checked >= 5
 
@@ -490,8 +521,9 @@ def residues(p):
 
 @st.composite
 def grids_and_lines(draw):
-    """Two apexes, points off their line and any lines (the apex line, and
-    vertical lines, among them) over F_p for small and for the largest p."""
+    """Two apexes, points off their line and an instance of any lines (the
+    apex line, and vertical lines, among them) over F_p for small and for
+    the largest p."""
     p = draw(st.sampled_from([3, 1009, 2**31 - 1]))
     residue = residues(p)
     point = st.builds(AffinePoint, residue, residue, st.just(p))
@@ -502,21 +534,40 @@ def grids_and_lines(draw):
     line = st.one_of(st.builds(AffineLine, residue, residue, st.just(p)),
                      st.builds(AffineLine, st.none(), residue, st.just(p)))
     lines = draw(st.lists(line, max_size=20)) + [apex_line]
-    grid = PencilGrid(apex1, apex2, tuple(points), (), (), (), (), (), Fraction(0))
-    return grid, lines
+    grid = PencilGrid(*pkeys((apex1, apex2)), pkeys(points), (), (), (), (), (), Fraction(0))
+    return grid, Instance(make_modulus(p), [], lines)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(grids_and_lines())
 def test_normalize_grid_matches_the_object_path(case):
-    grid, lines = case
-    assert normalize_grid(grid, lines) == reference_normalize(grid, lines)
+    grid, inst = case
+    assert normalize_grid(grid, inst) == reference_normalize(grid, inst)
 
 
 def test_normalize_grid_rejects_a_point_on_the_apex_line():
     inst, cert = _full_plane_cover()
     grid = cert.steps[0].grid
-    on_apex_line = AffinePoint(0, 3, 5)
     with pytest.raises(PointSentToInfinityError) as err:
-        normalize_grid(dataclasses.replace(grid, points=grid.points + (on_apex_line,)), inst.lines)
-    assert err.value.point == on_apex_line
+        normalize_grid(dataclasses.replace(grid, points=grid.points + (3,)), inst)
+    assert err.value.point == AffinePoint(0, 3, 5)  # on the apex line x = 0
+
+
+def test_cover_layer_builds_objects_only_for_the_apexes(tmp_path, monkeypatch):
+    # the records hold keys: the number of point and line objects that
+    # cover --normalize and extract build does not grow with the instance
+    built = Counter()
+    for cls in (AffinePoint, AffineLine):
+        def counted(self, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    counts = {}
+    for p in (7, 23):
+        path = str(tmp_path / f"plane{p}.json")
+        write_instance(full_plane(p), path)
+        built.clear()
+        assert cli(["cover", "--normalize", "--input", path, "--output", str(tmp_path / "cover.json")]) == 0
+        assert cli(["extract", "--input", path, "--output", str(tmp_path / "extract.json")]) == 0
+        counts[p] = dict(built)
+    assert counts[7] == counts[23]

@@ -28,7 +28,7 @@ def _with_runs(p):
     base = random_instance(p, 40, 30, 17)
     run = [AffinePoint(t, 3 * t + 5, p) for t in range(12)]
     col = [AffinePoint(7, 2 * t, p) for t in range(9)]
-    return base.replace(points=list(base.points) + run + col)
+    return Instance(base.modulus, list(base.points) + run + col, base.lines)
 
 
 INSTANCES = {

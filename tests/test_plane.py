@@ -185,7 +185,7 @@ def _restrict_for_map(inst, M):
     bad_line = M.line_to_infinity_preimage()
     points = [q for q in inst.points if not incident(q, bad_line)]
     lines = [l for l in inst.lines if l != bad_line]
-    return inst.replace(points=points, lines=lines)
+    return Instance(inst.modulus, points, lines)
 
 
 def test_apply_map_identity_and_translation():
