@@ -5,10 +5,11 @@ The energy of a scalar set A against a line family L counts six-tuples
 (x, s, t, x', s', t') with xs + t = x's' + t'.  The same quantity is the
 number of incidences between |A| n points and |A| n planes in three-space,
 and it controls I(A x B, L) through the Cauchy-Schwarz inequality.
+
+The line family is a list of line keys: y = s x + t has the key s*p + t.
 """
 
 from incidencelab import (
-    AffineLine,
     cs_bridge_check,
     count_point_plane,
     energy_reduction,
@@ -18,7 +19,7 @@ from incidencelab import (
 
 p = 5
 A = [0, 1]
-lines = [AffineLine(0, 0, p), AffineLine(1, 0, p)]
+lines = [0 * p + 0, 1 * p + 0]
 
 print(f"A = {A}, lines y=0 and y=x over F_{p}")
 e = line_energy(A, lines, p)
@@ -44,7 +45,7 @@ import random
 rng = random.Random(11)
 p = 101
 A = sorted(rng.sample(range(p), 6))
-lines = [AffineLine(rng.randrange(p), rng.randrange(p), p) for _ in range(25)]
+lines = [rng.randrange(p) * p + rng.randrange(p) for _ in range(25)]
 e = line_energy(A, lines, p)
 red = energy_reduction(A, lines, p)
 print(f"  |A| = {len(A)}, n = {len(set(lines))}, energy = {e.value}")

@@ -21,9 +21,8 @@ import sys
 _EXPORTS = {
     "field": ("PrimeModulus", "is_prime", "is_square", "inv_mod", "inv_mod_array", "make_modulus",
               "minus_one_is_square", "sqrt_mod"),
-    "plane": ("AffineLine", "AffinePoint", "Instance", "ProjMap", "ProjPoint", "apply_map",
-              "dualize", "embed", "incident", "line_through", "projective_map_from_pair",
-              "translation_map", "vertical_line", "x_infinity", "y_infinity"),
+    "plane": ("AffineLine", "AffinePoint", "Instance", "ProjMap", "apply_map", "dualize",
+              "incident", "line_through", "projective_map_from_pair", "vertical_line"),
     "incidence": ("CountStats", "HypothesisReport", "PlaneInstance3D", "RichnessHistogram",
                   "check_hypotheses", "count_incidences", "count_point_plane", "kernel_backend",
                   "max_collinear_3d", "reference_bound", "richness_histograms", "warm_up_kernels",

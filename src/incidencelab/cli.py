@@ -21,7 +21,8 @@ from functools import cache
 # constructions, cover, distances and energy run on first use (see __init__)
 from . import constructions, cover, distances, energy, harness
 from .errors import Error
-from .harness import _line_json, _point_json, point_to_json
+from .field import minus_one_is_square
+from .harness import _line_json, _point_json
 from .incidence import ENGINES, count_incidences, count_point_plane
 
 
@@ -230,18 +231,18 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    p, A, lines, B = harness.read_energy_input(args.input)
-    e = energy.line_energy(A, lines, p)
-    red = energy.energy_reduction(A, lines, p)
+    p, A, line_keys, B = harness.read_energy_input(args.input)
+    e = energy.line_energy(A, line_keys, p)
+    red = energy.energy_reduction(A, line_keys, p)
     obj = {
-        "p": p, "a": len(set(v % p for v in A)), "n": len(set(lines)),
+        "p": p, "a": len(set(v % p for v in A)), "n": len(set(line_keys)),
         "energy": e.value,
         "reduction": {"r": red.r, "s": red.s,
                       "point_plane": count_point_plane(red),
                       "max_collinear": red.k},
     }
     if B is not None:
-        bridge = energy.cs_bridge_check(A, B, lines, p)
+        bridge = energy.cs_bridge_check(A, B, line_keys, p)
         obj["cs_bridge"] = {"incidences": bridge.incidences, "energy": bridge.energy,
                             "bound": bridge.bound, "holds": bridge.holds}
     _json_out(obj, args.output)
@@ -263,22 +264,23 @@ def _cmd_sumprod(args) -> int:
 
 def _cmd_distances(args) -> int:
     inst = harness.read_instance(args.input)
-    rep = distances.distance_sets(inst.points)
-    iso = distances.isotropic_lines(inst.points[0]) if inst.points else None
+    rep = distances.distance_sets(inst.point_keys, inst.p)
     _json_out({
         "p": inst.p, "m": inst.m,
         "distance_set": sorted(rep.distances),
-        "pin": point_to_json(rep.pin), "max_pinned": rep.max_pinned,
+        "pin": _point_json(rep.pin, inst.p), "max_pinned": rep.max_pinned,
         "degenerate": rep.degenerate,
         "isosceles_triples": rep.isosceles_triples,
-        "has_isotropic_lines": iso is not None,
+        # a point set (distance_sets rejects an empty one) has isotropic
+        # lines through each of its points exactly when -1 is a square
+        "has_isotropic_lines": minus_one_is_square(inst.p),
     }, args.output)
     return 0
 
 
 def _cmd_beck(args) -> int:
     inst = harness.read_instance(args.input)
-    rep = distances.determined_lines(inst.points)
+    rep = distances.determined_lines(inst.point_keys, inst.p)
     _json_out({
         "p": inst.p, "m": rep.m,
         "determined_lines": rep.keys.size,

@@ -154,8 +154,7 @@ def cartesian_instance(A: Iterable[int], B: Iterable[int], lines, p: int) -> Ins
     if lines != "spanned":
         raise InvalidParameterError(f"unknown line family {lines!r}")
     from .distances import determined_lines
-    points = Instance(modulus, point_keys=point_keys, line_keys=()).points
-    return Instance(modulus, point_keys=point_keys, line_keys=determined_lines(points).keys)
+    return Instance(modulus, point_keys=point_keys, line_keys=determined_lines(point_keys, p).keys)
 
 
 def random_instance(p: int, m: int, n: int, seed: int) -> Instance:

@@ -345,11 +345,12 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
     """Re-check every guarantee recorded in a cover certificate.
 
     Checks: the partition matches a recomputation, the grids are pairwise
-    disjoint subsets of the regular set, each grid avoids its apex line and
-    is covered by its two pencils, the pencils are within the c2*K size
-    bound and consist of instance lines through their apex, the conditional
-    size lower bound holds whenever the extraction preconditions held, and
-    the pieces reassemble the full point set exactly.
+    disjoint subsets of the regular set, each grid has two distinct apexes,
+    avoids the line through them and is covered by its two pencils, the
+    pencils are within the c2*K size bound and consist of instance lines
+    through their apex, the conditional size lower bound holds whenever the
+    extraction preconditions held, and the pieces reassemble the full point
+    set exactly.
 
     Every check is an array pass over the certificate's keys, with p and
     the lines read from inst; the incidence tests (apex line, pencil
@@ -388,9 +389,12 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
         if not np.isin(gset, regular).all():
             flag("grid-not-regular-subset", f"grid {idx} contains points outside the regular set")
         gx, gy = np.divmod(gpts, p)
-        touching = int(np.count_nonzero(incidence_degrees(gx, gy, _apex_line(g.apex1, g.apex2, p), p)[0]))
-        if touching:
-            flag("apex-line-contact", f"grid {idx} has {touching} points on the apex line")
+        if g.apex1 == g.apex2:
+            flag("apex-coincident", f"grid {idx} has one point as both apexes, so no apex line")
+        else:
+            touching = int(np.count_nonzero(incidence_degrees(gx, gy, _apex_line(g.apex1, g.apex2, p), p)[0]))
+            if touching:
+                flag("apex-line-contact", f"grid {idx} has {touching} points on the apex line")
         for which, apex, pencil in (("pencil1", g.apex1, g.pencil1), ("pencil2", g.apex2, g.pencil2)):
             pencil = np.array(pencil, dtype=np.int64)
             if pencil.size > pencil_cap:

@@ -7,7 +7,9 @@ and isosceles triples take blocks of pin rows, each row of m distances
 sorted so that its runs give the pinned set and the isosceles pairs at
 once, and the determined lines are int64 line keys over blocks of point
 pairs, with one batched modular inverse per block and one sort over all
-keys.  Point sets are read through :class:`plane.Instance`.
+keys.  A point set is given as point keys x*p + y with its modulus p and
+is read through :class:`plane.Instance`, which checks p and the keys; the
+results hold point and line keys (see :meth:`AffineLine.key`).
 """
 
 from __future__ import annotations
@@ -22,15 +24,10 @@ from .field import inv_mod_array, make_modulus, minus_one_is_square, sqrt_mod
 from .plane import _PAIR_BLOCK, AffineLine, AffinePoint, Instance, distinct, line_keys, pair_blocks
 
 
-def _coords(points, p: int | None = None) -> Instance | None:
-    """The points as an Instance over F_p, p defaulting to the modulus of
-    the first point; None when there is no point to take it from."""
-    points = tuple(points)
-    if p is None:
-        if not points:
-            return None
-        p = points[0].p
-    return Instance(make_modulus(p), points, ())
+def _points(point_keys, p: int) -> Instance:
+    """The point set as an Instance over F_p: p must be prime and every key
+    lie in [0, p^2)."""
+    return Instance(make_modulus(p), point_keys=point_keys, line_keys=())
 
 
 def _distance_blocks(x, y, p):
@@ -76,17 +73,18 @@ def distance(q: AffinePoint, r: AffinePoint) -> int:
 class DistanceReport:
     """All squared distances of a point set and all pinned distance sets.
 
-    pinned_values maps each point q to its pinned set Delta_q as a sorted
-    int64 array; pinned holds the same sets as frozensets, built on first
-    access.  pin is the point whose pinned set is largest (ties broken
-    lexicographically); degenerate flags the all-zero distance set that a
-    subset of one isotropic line produces.  isosceles_triples is the count
-    of :func:`isosceles_triples`, taken from the same distance rows.
+    pinned_values maps the key of each point q to its pinned set Delta_q as
+    a sorted int64 array; pinned holds the same sets as frozensets, built on
+    first access.  pin is the key of the point whose pinned set is largest
+    (ties go to the smallest key); the keys are Python ints.  degenerate
+    flags the all-zero distance set that a subset of one isotropic line
+    produces.  isosceles_triples is the count of :func:`isosceles_triples`,
+    taken from the same distance rows.
     """
 
     distances: frozenset[int]
     pinned_values: dict
-    pin: AffinePoint
+    pin: int
     max_pinned: int
     degenerate: bool
     isosceles_triples: int
@@ -101,13 +99,14 @@ class DistanceReport:
         return (self.distances, self.pinned, self.pin) == (other.distances, other.pinned, other.pin)
 
 
-def distance_sets(points) -> DistanceReport:
-    """Exact distance set and every pinned set Delta_q over the given points."""
-    inst = _coords(points)
-    if inst is None:
+def distance_sets(point_keys, p: int) -> DistanceReport:
+    """Exact distance set and every pinned set Delta_q of the points with
+    the given keys over F_p."""
+    inst = _points(point_keys, p)
+    if not inst.m:
         raise EmptyInputError("need at least one point")
     values, sizes, seen, isosceles = [], [], [], 0
-    for rows, starts in _distance_blocks(*inst.xy, inst.p):
+    for rows, starts in _distance_blocks(*inst.xy, p):
         isosceles += _isosceles(rows, starts)
         size = starts.sum(axis=1)
         block = rows[starts]
@@ -115,13 +114,13 @@ def distance_sets(points) -> DistanceReport:
         values += [block[lo:hi] for lo, hi in zip([0] + ends, ends)]
         sizes.append(size)
         seen.append(distinct(block))
-    pts = inst.points
+    keys = inst.point_keys.tolist()
     full = frozenset(distinct(np.concatenate(seen)).tolist())
-    # argmax by pinned-set size; pts is sorted, so ties resolve to the
+    # argmax by pinned-set size; the keys ascend, so ties resolve to the
     # lexicographically smallest point
     sizes = np.concatenate(sizes)
     best = int(np.argmax(sizes))
-    return DistanceReport(full, dict(zip(pts, values)), pts[best], int(sizes[best]),
+    return DistanceReport(full, dict(zip(keys, values)), keys[best], int(sizes[best]),
                           full == frozenset({0}), isosceles)
 
 
@@ -140,36 +139,35 @@ def isotropic_lines(r: AffinePoint) -> tuple[AffineLine, AffineLine] | None:
     return (first, second)
 
 
-def bisector_instance(points, r: AffinePoint) -> frozenset[AffineLine]:
-    """The deduplicated equal-distance lines {q : d(q, r) = d(q, s)} over all
-    s in the set with d(r, s) != 0.
+def bisector_instance(point_keys, r: int, p: int) -> np.ndarray:
+    """The ascending distinct keys of the equal-distance lines
+    {q : d(q, r) = d(q, s)} over all points s of the set with d(r, s) != 0;
+    r is a point key and need not belong to the set.
 
     With r translated to the origin the line for s' = s - r is
     2 s'_x x + 2 s'_y y = |s'|^2; it is translated back to the original
     frame.  Zero-distance pairs are excluded, so each line is well-defined.
     """
-    p = r.p
-    x, y = _coords(points, p).xy
-    dx = (x - r.x) % p
-    dy = (y - r.y) % p
+    # r joins the set so that its key is checked too; d(r, r) = 0 keeps it
+    # out of the lines
+    x, y = _points([*point_keys, r], p).xy
+    rx, ry = divmod(r, p)
+    dx = (x - rx) % p
+    dy = (y - ry) % p
     far = (dx * dx + dy * dy) % p != 0
     # the line a x + b y = cc, with b != 0 or else a != 0
     a, b = 2 * dx[far] % p, 2 * dy[far] % p
-    cc = (x[far] * x[far] + y[far] * y[far] - (r.x * r.x + r.y * r.y) % p) % p
+    cc = (x[far] * x[far] + y[far] * y[far] - (rx * rx + ry * ry) % p) % p
     sloped = b != 0
     inv = inv_mod_array(np.where(sloped, b, a), p)
     t = cc * inv % p
-    keys = np.where(sloped, (-a * inv) % p * p + t, p * p + t)
-    return frozenset(AffineLine.from_key(k, p) for k in distinct(keys).tolist())
+    return distinct(np.where(sloped, (-a * inv) % p * p + t, p * p + t))
 
 
-def isosceles_triples(points) -> int:
+def isosceles_triples(point_keys, p: int) -> int:
     """Exact count of ordered triples (q, r, s), r != s, with
-    d(q, r) = d(q, s) != 0."""
-    inst = _coords(points)
-    if inst is None:
-        return 0
-    return sum(_isosceles(*block) for block in _distance_blocks(*inst.xy, inst.p))
+    d(q, r) = d(q, s) != 0, over the points with the given keys."""
+    return sum(_isosceles(*block) for block in _distance_blocks(*_points(point_keys, p).xy, p))
 
 
 def _dyadic_class(k: np.ndarray) -> np.ndarray:
@@ -187,8 +185,7 @@ class BeckReport:
     determined lines and richness the number of points on each.  Class j
     holds the lines with point count in [2^j, 2^(j+1)); classes start at
     j = 1.  Every unordered pair of distinct points lies on exactly one
-    determined line, so the per-line pair counts sum to C(m, 2).  The line
-    objects of lines and classes are built on first access.
+    determined line, so the per-line pair counts sum to C(m, 2).
     """
 
     keys: np.ndarray
@@ -199,34 +196,21 @@ class BeckReport:
     m: int
     p: int
 
-    @cached_property
-    def _line_class(self) -> np.ndarray:
-        return _dyadic_class(self.richness)
-
     @property
     def class_sizes(self) -> dict[int, int]:
         """Number of determined lines in each class, by ascending class."""
-        js, sizes = np.unique(self._line_class, return_counts=True)
+        js, sizes = np.unique(_dyadic_class(self.richness), return_counts=True)
         return dict(zip(js.tolist(), sizes.tolist()))
 
-    @cached_property
-    def lines(self) -> tuple[AffineLine, ...]:
-        return tuple(AffineLine.from_key(k, self.p) for k in self.keys.tolist())
 
-    @cached_property
-    def classes(self) -> dict[int, tuple[AffineLine, ...]]:
-        js = self._line_class.tolist()
-        return {j: tuple(line for line, c in zip(self.lines, js) if c == j) for j in self.class_sizes}
-
-
-def determined_lines(points) -> BeckReport:
-    """All lines through at least two points of the set, with the dyadic
-    partition by exact point count."""
-    inst = _coords(points)
-    m = 0 if inst is None else inst.m
+def determined_lines(point_keys, p: int) -> BeckReport:
+    """All lines through at least two of the points with the given keys,
+    with the dyadic partition by exact point count."""
+    inst = _points(point_keys, p)
+    m = inst.m
     if m < 2:
         raise TooFewPointsError(f"need at least two points, got {m}")
-    p, (x, y) = inst.p, inst.xy
+    x, y = inst.xy
     keys = np.concatenate([line_keys(x[i], y[i], x[j], y[j], p) for i, j in pair_blocks(m)])
     keys.sort()
     start = np.flatnonzero(np.diff(keys, prepend=-1))

@@ -1,8 +1,9 @@
 """Collision energy of a scalar set against a line family, its reduction to
 point-plane incidences in F_p^3, the Cauchy-Schwarz bridge, and the
 arithmetic image sets behind the sum-product style reports.  The line
-family is read through :class:`plane.Instance` and its slope and intercept
-columns.
+family is given as line keys (see :meth:`AffineLine.key`) with its modulus p
+and is read through :class:`plane.Instance`, which checks p and the keys,
+and its slope and intercept columns.
 """
 
 from __future__ import annotations
@@ -18,15 +19,11 @@ from .incidence import PlaneInstance3D, count_incidences
 from .plane import Instance, vertical_line
 
 
-def _energy_input(A, lines, p: int | None) -> tuple[Instance, np.ndarray]:
-    """The lines as an Instance over F_p and the sorted distinct residues of
-    A.  p defaults to the modulus of the first line; a line of another
-    modulus or a vertical line (it has no (slope, intercept) form) raises."""
-    if p is None:
-        if not lines:
-            raise InvalidParameterError("p must be given when the line set is empty")
-        p = next(iter(lines)).p
-    inst = Instance(make_modulus(p), (), lines)
+def _energy_input(A, line_keys, p: int) -> tuple[Instance, np.ndarray]:
+    """The lines with the given keys as an Instance over F_p and the sorted
+    distinct residues of A.  A vertical line (it has no (slope, intercept)
+    form) raises."""
+    inst = Instance(make_modulus(p), point_keys=(), line_keys=line_keys)
     vertical = inst.line_columns[2]
     if vertical.size:
         raise VerticalLinePresentError(f"{vertical_line(int(vertical[0]), p)} has no slope-intercept form")
@@ -50,16 +47,17 @@ def _energy(inst: Instance, xs: np.ndarray) -> EnergyCount:
     return EnergyCount(int((counts * counts).sum()), dict(zip(values.tolist(), counts.tolist())))
 
 
-def line_energy(A, lines, p: int | None = None) -> EnergyCount:
-    """Exact energy by multiplicity counting of x*s + t over A x L*.
+def line_energy(A, line_keys, p: int) -> EnergyCount:
+    """Exact energy by multiplicity counting of x*s + t over A x L*, L the
+    lines with the given keys.
 
     Single pass: count each value of x*s + t, then sum count^2.  Vertical
-    lines and lines of another modulus than p are rejected.
+    lines are rejected.
     """
-    return _energy(*_energy_input(A, lines, p))
+    return _energy(*_energy_input(A, line_keys, p))
 
 
-def energy_reduction(A, lines, p: int | None = None) -> PlaneInstance3D:
+def energy_reduction(A, line_keys, p: int) -> PlaneInstance3D:
     """Recast the energy count as a point-plane incidence count in F_p^3.
 
     Points are (x, s', t') over A x L*; for every (x', s, t) in A x L* the
@@ -67,8 +65,8 @@ def energy_reduction(A, lines, p: int | None = None) -> PlaneInstance3D:
     the point-plane count of the output equals the energy.  Both sides have
     exactly |A| * n elements.
     """
-    inst, xs = _energy_input(A, lines, p)
-    p, (s, t, _) = inst.p, inst.line_columns
+    inst, xs = _energy_input(A, line_keys, p)
+    s, t, _ = inst.line_columns
     x, s, t = (c.tolist() for c in (np.repeat(xs, s.size), np.tile(s, xs.size), np.tile(t, xs.size)))
     inst3 = PlaneInstance3D.build(p, zip(x, s, t), [(si, -xi % p, p - 1, -ti % p) for xi, si, ti in zip(x, s, t)])
     assert inst3.r == inst3.s == len(x)
@@ -83,10 +81,11 @@ class CsBridgeResult:
     holds: bool  # incidences^2 <= bound
 
 
-def cs_bridge_check(A, B, lines, p: int) -> CsBridgeResult:
-    """Count I(A x B, L) and the energy E of (A, L), and check the
-    Cauchy-Schwarz inequality I^2 <= |B| * E (it must always hold)."""
-    inst, xs = _energy_input(A, lines, p)
+def cs_bridge_check(A, B, line_keys, p: int) -> CsBridgeResult:
+    """Count I(A x B, L) and the energy E of (A, L), L the lines with the
+    given keys, and check the Cauchy-Schwarz inequality I^2 <= |B| * E (it
+    must always hold)."""
+    inst, xs = _energy_input(A, line_keys, p)
     ys = np.array(sorted({y % p for y in B}), dtype=np.int64)
     energy = _energy(inst, xs).value
     bound = ys.size * energy

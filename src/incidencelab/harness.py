@@ -56,7 +56,7 @@ from .incidence import (
     count_incidences,
     reference_bound,
 )
-from .plane import AffineLine, AffinePoint, Instance
+from .plane import Instance
 
 # the sweep columns in CSV order, each with the SweepRecord field it shows
 _COLUMNS = {
@@ -146,10 +146,6 @@ def _ints(value, size: int | None, name: str, index: int | None = None) -> tuple
     raise ParseError(f"{where} must be a list of {'' if size is None else f'{size} '}integers")
 
 
-def point_to_json(q: AffinePoint) -> list[int]:
-    return [q.x, q.y]
-
-
 def _point_json(key: int, p: int) -> list[int]:
     return [key // p, key % p]
 
@@ -223,15 +219,16 @@ def read_instance3d(path) -> PlaneInstance3D:
         raise ParseError(str(exc)) from exc
 
 
-def read_energy_input(path) -> tuple[int, tuple[int, ...], list[AffineLine], tuple[int, ...] | None]:
-    """Read an energy input file: (p, A, lines, B), with B None when absent."""
+def read_energy_input(path) -> tuple[int, tuple[int, ...], list[int], tuple[int, ...] | None]:
+    """Read an energy input file: (p, A, line keys, B), with B None when
+    absent."""
     data = _load_json(path)
     p = _modulus(data, "A", "lines").p
     A = _ints(data["A"], None, "A")
     _require(A and data["lines"], "fields 'A' and 'lines' must be nonempty")
-    lines = [AffineLine.from_key(_line_key(entry, p, i), p) for i, entry in enumerate(data["lines"])]
+    line_keys = [_line_key(entry, p, i) for i, entry in enumerate(data["lines"])]
     B = data.get("B")
-    return p, A, lines, None if B is None else _ints(B, None, "B")
+    return p, A, line_keys, None if B is None else _ints(B, None, "B")
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +367,9 @@ def _run_cell(cell: dict, index: int, config: SweepConfig) -> SweepRecord:
             rec.a, rec.b = a, 2 * a * cc
             if cell.get("energy", True):
                 A = list(range(1, a + 1))
-                rec.energy = energy.line_energy(A, inst.lines, p).value
+                rec.energy = energy.line_energy(A, inst.line_keys, p).value
                 if a * inst.n <= ENERGY_REDUCTION_CAP:
-                    red = energy.energy_reduction(A, inst.lines, p)
+                    red = energy.energy_reduction(A, inst.line_keys, p)
                     rec.k = red.k
                     rec.hyp_1_4 = check_hypotheses("1.4", r=red.r, s=red.s, p=p, c=c).passed
             rec.hyp_1_3 = check_hypotheses("1.3", a=a, b=rec.b, n=inst.n, p=p, c=c).passed

@@ -324,49 +324,6 @@ def dualize(inst: Instance) -> Instance:
 # Projective layer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """Homogeneous coordinates [a : b : c], canonically scaled so the first
-    nonzero coordinate equals 1."""
-
-    a: int
-    b: int
-    c: int
-    p: int
-
-    def __post_init__(self):
-        p = self.p
-        coords = [self.a % p, self.b % p, self.c % p]
-        if coords == [0, 0, 0]:
-            raise InvalidParameterError("projective point needs a nonzero coordinate")
-        for v in coords:
-            if v != 0:
-                inv = inv_mod(v, p)
-                coords = [(u * inv) % p for u in coords]
-                break
-        object.__setattr__(self, "a", coords[0])
-        object.__setattr__(self, "b", coords[1])
-        object.__setattr__(self, "c", coords[2])
-
-    def __repr__(self):
-        return f"[{self.a}:{self.b}:{self.c}]@{self.p}"
-
-
-def embed(q: AffinePoint) -> ProjPoint:
-    return ProjPoint(q.x, q.y, 1, q.p)
-
-
-def x_infinity(p: int) -> ProjPoint:
-    """The point at infinity of the horizontal direction; lines through it
-    (other than the line at infinity) are the horizontal lines."""
-    return ProjPoint(1, 0, 0, p)
-
-
-def y_infinity(p: int) -> ProjPoint:
-    """The point at infinity of the vertical direction."""
-    return ProjPoint(0, 1, 0, p)
-
-
 def _mat_vec(A, v, p):
     return tuple(sum(A[i][k] * v[k] for k in range(3)) % p for i in range(3))
 
@@ -416,10 +373,6 @@ class ProjMap:
         # the adjugate is a scalar multiple of the inverse, which is the same
         # projective transformation
         return ProjMap(self.adjugate, self.p)
-
-    def apply_proj(self, q: ProjPoint) -> ProjPoint:
-        v = _mat_vec(self.rows, (q.a, q.b, q.c), self.p)
-        return ProjPoint(*v, self.p)
 
     def apply_point(self, q: AffinePoint) -> AffinePoint:
         v = _mat_vec(self.rows, (q.x, q.y, 1), self.p)
@@ -504,7 +457,3 @@ def apply_map(M: ProjMap, inst: Instance) -> Instance:
         except LineSentToInfinityError:
             raise LineSentToInfinityError(line) from None
     return Instance(inst.modulus, new_points, new_lines)
-
-
-def translation_map(dx: int, dy: int, p: int) -> ProjMap:
-    return ProjMap(((1, 0, dx), (0, 1, dy), (0, 0, 1)), p)

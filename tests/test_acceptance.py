@@ -115,11 +115,12 @@ def test_acceptance_4_energy_pipeline():
         A = sorted({stream.below(p) for _ in range(a)})
         lines = {AffineLine(stream.below(p), stream.below(p), p) for _ in range(n)}
         duals = sorted({(l.slope, l.intercept) for l in lines})
-        e = line_energy(A, lines, p)
+        keys = [l.key() for l in lines]
+        e = line_energy(A, keys, p)
         ok &= e.value == _brute_energy(A, duals, p)
-        ok &= e.value == count_point_plane(energy_reduction(A, lines, p))
+        ok &= e.value == count_point_plane(energy_reduction(A, keys, p))
         B = sorted({stream.below(p) for _ in range(1 + stream.below(8))})
-        bridge = cs_bridge_check(A, B, lines, p)
+        bridge = cs_bridge_check(A, B, keys, p)
         ok &= bridge.holds and bridge.incidences**2 <= len(B) * e.value
         runs += 1
     elapsed = time.perf_counter() - start
@@ -229,19 +230,20 @@ def test_acceptance_7_application_oracles():
         p = (7, 11, 13)[stream.below(3)]
         pts = sorted({AffinePoint(stream.below(p), stream.below(p), p)
                       for _ in range(2 + stream.below(39))})[:40]
-        rep = distance_sets(pts)
+        keys = [q.x * p + q.y for q in pts]
+        rep = distance_sets(keys, p)
         full, pinned = _brute_distance_sets(pts)
-        ok &= rep.distances == full and rep.pinned == {q: frozenset(v) for q, v in pinned.items()}
-        ok &= isosceles_triples(pts) == _brute_isosceles(pts)
+        ok &= rep.distances == full and rep.pinned == {q.x * p + q.y: frozenset(v) for q, v in pinned.items()}
+        ok &= isosceles_triples(keys, p) == _brute_isosceles(pts)
         if len(pts) >= 2:
-            beck = determined_lines(pts)
+            beck = determined_lines(keys, p)
             oracle = _brute_determined(pts)
-            ok &= set(beck.lines) == set(oracle)
+            ok &= beck.keys.tolist() == sorted(line.key() for line in oracle)
             ok &= beck.pair_total == len(pts) * (len(pts) - 1) // 2
             ok &= sum(k * (k - 1) // 2 for k in oracle.values()) == beck.pair_total
-    grid = [AffinePoint(x, y, 7) for x in range(3) for y in range(3)]
-    beck = determined_lines(grid)
-    ok &= len(beck.lines) == 20 and beck.pair_total == beck.expected_pairs == 36
+    grid = [x * 7 + y for x in range(3) for y in range(3)]
+    beck = determined_lines(grid, 7)
+    ok &= beck.keys.size == 20 and beck.pair_total == beck.expected_pairs == 36
     elapsed = time.perf_counter() - start
     _report(7, "application reports match exhaustive small-instance oracles",
             ok and elapsed < 60.0, f"{elapsed:.2f}s < 60s")

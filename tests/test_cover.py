@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -234,9 +235,9 @@ def test_two_pencil_pool_degrees_skip_the_poor_lines():
     p = 101
     grid = [AffinePoint(x, y, p) for x in range(1, 6) for y in range(1, 6)]
     origin = AffinePoint(0, 0, p)
-    spanned = determined_lines(grid)
-    rich = [line for line, k in zip(spanned.lines, spanned.richness.tolist())
-            if k >= 3 and not incident(origin, line)]
+    spanned = determined_lines(pkeys(grid), p)
+    rich = [line for line in lines_of(spanned.keys[spanned.richness >= 3].tolist(), p)
+            if not incident(origin, line)]
     poor = [line for line in [AffineLine(None, 0, p)] + [AffineLine(s, 0, p) for s in range(p)]
             if not any(incident(q, line) for q in grid)][:36]
     inst = Instance(make_modulus(p), grid + [origin], rich + poor)
@@ -432,6 +433,18 @@ def test_verify_certificate_detects_oversized_pencil():
     assert report.violations[0].message == "grid 0 pencil1 has 13 lines, cap 12"
 
 
+
+def test_verify_certificate_detects_coincident_apexes():
+    # one point as both apexes determines no apex line: the verifier flags
+    # it and runs the other checks
+    inst, cert = _full_plane_cover()
+    grid = cert.steps[0].grid
+    assert _codes(inst, _with_grid(cert, apex2=grid.apex1, pencil2=grid.pencil1)) == ["apex-coincident"]
+    report = verify_certificate(inst, _with_grid(cert, apex2=grid.apex1))
+    assert [(v.code, v.message) for v in report.violations] == [
+        ("apex-coincident", "grid 0 has one point as both apexes, so no apex line")] + [
+        ("pencil-apex", "grid 0 pencil2 has a line missing its apex")] * 5
+
 def test_verify_certificate_detects_pencil_line_outside_instance():
     p = 7
     inst = random_instance(p, 36, 42, 0)
@@ -553,15 +566,22 @@ def test_normalize_grid_rejects_a_point_on_the_apex_line():
     assert err.value.point == AffinePoint(0, 3, 5)  # on the apex line x = 0
 
 
-def test_cover_layer_builds_objects_only_for_the_apexes(tmp_path, monkeypatch):
-    # the records hold keys: the number of point and line objects that
-    # cover --normalize and extract build does not grow with the instance
+def count_objects(monkeypatch) -> Counter:
+    """A counter of the AffinePoint and AffineLine objects built from now on,
+    by class name."""
     built = Counter()
     for cls in (AffinePoint, AffineLine):
         def counted(self, post_init=cls.__post_init__, name=cls.__name__):
             built[name] += 1
             post_init(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+def test_cover_layer_builds_objects_only_for_the_apexes(tmp_path, monkeypatch):
+    # the records hold keys: the number of point and line objects that
+    # cover --normalize and extract build does not grow with the instance
+    built = count_objects(monkeypatch)
     counts = {}
     for p in (7, 23):
         path = str(tmp_path / f"plane{p}.json")
@@ -571,3 +591,22 @@ def test_cover_layer_builds_objects_only_for_the_apexes(tmp_path, monkeypatch):
         assert cli(["extract", "--input", path, "--output", str(tmp_path / "extract.json")]) == 0
         counts[p] = dict(built)
     assert counts[7] == counts[23]
+
+
+def test_report_commands_build_no_point_or_line_objects(tmp_path, monkeypatch):
+    # beck, distances, energy and an elekes sweep cell with the energy on
+    # read key columns from the file to the JSON
+    points = tmp_path / "points.json"
+    write_instance(random_instance(101, 60, 0, 5), str(points))
+    lines = [{"kind": "sl", "s": s, "t": t} for s in range(1, 4) for t in range(1, 13)]
+    energy_input = tmp_path / "energy.json"
+    energy_input.write_text(json.dumps({"p": 101, "A": [1, 2, 3, 4], "B": [5, 6], "lines": lines}))
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"seed": 1, "families": [{"family": "elekes", "p": [101], "a": [4], "c": [3]}]}))
+    built = count_objects(monkeypatch)
+    out = str(tmp_path / "out.json")
+    for argv in (["beck", "--input", str(points)], ["distances", "--input", str(points)],
+                 ["energy", "--input", str(energy_input)], ["sweep", "--config", str(config), "--format", "json"]):
+        assert cli(argv + ["--output", out]) == 0
+        assert not built, f"{argv[0]} built {dict(built)}"
+    assert '"E": ' in open(out).read()  # the sweep cell ran its energy count

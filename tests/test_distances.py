@@ -13,13 +13,28 @@ from incidencelab.distances import (
     isosceles_triples,
     isotropic_lines,
 )
-from incidencelab.errors import CompositeModulusError, EmptyInputError, ModulusMismatchError, TooFewPointsError
+from incidencelab.errors import (
+    CompositeModulusError,
+    EmptyInputError,
+    InvalidParameterError,
+    ModulusMismatchError,
+    TooFewPointsError,
+)
 from incidencelab.field import inv_mod, minus_one_is_square, sqrt_mod
 from incidencelab.plane import AffineLine, AffinePoint, incident, line_through
 
 
 def P(coords, p):
     return [AffinePoint(x, y, p) for x, y in coords]
+
+
+def keys(pts):
+    """The point keys x*p + y of the points, the form the reports take."""
+    return [q.x * q.p + q.y for q in pts]
+
+
+def K(coords, p):
+    return keys(P(coords, p))
 
 
 def test_distance_examples():
@@ -39,13 +54,15 @@ def test_distance_symmetry_random():
 
 
 def test_distance_sets_examples():
-    rep = distance_sets(P([(0, 0), (1, 0), (0, 1)], 7))
+    rep = distance_sets(K([(0, 0), (1, 0), (0, 1)], 7), 7)
     assert rep.distances == {0, 1, 2}
-    rep = distance_sets(P([(0, 0), (1, 0), (3, 0)], 7))
-    assert rep.pinned[AffinePoint(0, 0, 7)] == {0, 1, 2}
+    rep = distance_sets(K([(0, 0), (1, 0), (3, 0)], 7), 7)
+    assert rep.pinned[0] == {0, 1, 2}
+    # the pin is a point key, as a Python int
+    assert type(rep.pin) is int and rep.pin == 0
     # a subset of one isotropic line is degenerate: all distances vanish
-    iso = P([(0, 0), (1, 2), (2, 4)], 5)  # on y = 2x with 2^2 = -1 mod 5
-    rep = distance_sets(iso)
+    iso = K([(0, 0), (1, 2), (2, 4)], 5)  # on y = 2x with 2^2 = -1 mod 5
+    rep = distance_sets(iso, 5)
     assert rep.distances == {0}
     assert rep.degenerate
 
@@ -57,7 +74,7 @@ def test_distance_sets_translation_invariance():
         pts = [AffinePoint(stream.below(p), stream.below(p), p) for _ in range(6)]
         dx, dy = stream.below(p), stream.below(p)
         moved = [q.translate(dx, dy) for q in pts]
-        a, b = distance_sets(pts), distance_sets(moved)
+        a, b = distance_sets(keys(pts), p), distance_sets(keys(moved), p)
         assert a.distances == b.distances
         assert sorted(map(sorted, a.pinned.values())) == sorted(map(sorted, b.pinned.values()))
 
@@ -87,37 +104,41 @@ def test_isotropic_lines_examples():
 
 
 def test_bisector_examples():
-    pts = P([(0, 0), (2, 0), (1, 1)], 7)
-    lines = bisector_instance(pts, pts[0])
-    assert lines == {AffineLine(None, 1, 7), AffineLine(6, 1, 7)}
+    pts = K([(0, 0), (2, 0), (1, 1)], 7)
+    lines = bisector_instance(pts, pts[0], 7)
+    assert lines.tolist() == [AffineLine(6, 1, 7).key(), AffineLine(None, 1, 7).key()]
     # isotropic partner contributes nothing
-    pts5 = P([(0, 0), (1, 2)], 5)
-    assert bisector_instance(pts5, pts5[0]) == frozenset()
+    pts5 = K([(0, 0), (1, 2)], 5)
+    assert bisector_instance(pts5, pts5[0], 5).size == 0
 
 
 POINT_SET_CALLS = {
     "distance_sets": distance_sets,
     "isosceles_triples": isosceles_triples,
     "determined_lines": determined_lines,
-    "bisector_instance": lambda pts: bisector_instance(pts, pts[0]),
+    "bisector_instance": lambda pts, p: bisector_instance(pts, 0, p),
 }
 
 
 @pytest.mark.parametrize("call", POINT_SET_CALLS.values(), ids=POINT_SET_CALLS.keys())
 def test_point_set_reports_reject_mixed_and_composite_moduli(call):
-    with pytest.raises(ModulusMismatchError):
-        call(P([(0, 0), (1, 2)], 5) + P([(3, 3)], 7))
+    # keys carry no modulus: the key 27 of (3, 6) over F_7 lies outside the
+    # point keys [0, 25) of F_5, and so does a negative key
+    with pytest.raises(InvalidParameterError):
+        call(K([(0, 0), (1, 2)], 5) + K([(3, 6)], 7), 5)
+    with pytest.raises(InvalidParameterError):
+        call([0, 7, -1], 5)
     with pytest.raises(CompositeModulusError):
-        call(P([(0, 0), (1, 2), (2, 5)], 9))
+        call(K([(0, 0), (1, 2), (2, 5)], 9), 9)
 
 
 def test_point_set_reports_on_no_points():
     with pytest.raises(EmptyInputError):
-        distance_sets([])
+        distance_sets([], 7)
     with pytest.raises(TooFewPointsError):
-        determined_lines([])
-    assert isosceles_triples([]) == 0
-    assert bisector_instance([], AffinePoint(0, 0, 7)) == frozenset()
+        determined_lines([], 7)
+    assert isosceles_triples([], 7) == 0
+    assert bisector_instance([], 0, 7).size == 0
 
 
 def test_bisector_points_are_equidistant():
@@ -129,9 +150,9 @@ def test_bisector_points_are_equidistant():
         s = AffinePoint(stream.below(p), stream.below(p), p)
         if s == r or distance(r, s) == 0:
             continue
-        lines = bisector_instance([r, s], r)
+        lines = bisector_instance(keys([r, s]), r.x * p + r.y, p)
         assert len(lines) == 1
-        (line,) = lines
+        line = AffineLine.from_key(int(lines[0]), p)
         for x in range(p):
             if line.slope is None:
                 q = AffinePoint(line.intercept, x, p)
@@ -148,7 +169,7 @@ def test_bisector_distinct_s_give_distinct_lines():
         pts = sorted(pts)
         r = pts[0]
         eligible = [s for s in pts if s != r and distance(r, s) != 0]
-        lines = bisector_instance(pts, r)
+        lines = bisector_instance(keys(pts), r.x * p + r.y, p)
         if p % 4 == 3:
             # no isotropic directions: the line map is injective
             assert len(lines) == len(eligible)
@@ -167,11 +188,11 @@ def brute_isosceles(pts):
 def test_isosceles_examples():
     pts = P([(0, 0), (2, 0), (1, 1)], 7)
     assert brute_isosceles(pts) == 2
-    assert isosceles_triples(pts) == 2
+    assert isosceles_triples(keys(pts), 7) == 2
     collinear = P([(0, 0), (1, 0), (2, 0)], 7)
     assert brute_isosceles(collinear) == 2
-    assert isosceles_triples(collinear) == 2
-    assert isosceles_triples(P([(3, 3)], 7)) == 0
+    assert isosceles_triples(keys(collinear), 7) == 2
+    assert isosceles_triples(K([(3, 3)], 7), 7) == 0
 
 
 def test_isosceles_matches_bruteforce():
@@ -180,7 +201,8 @@ def test_isosceles_matches_bruteforce():
         p = (5, 7, 11, 13)[stream.below(4)]
         pts = sorted({AffinePoint(stream.below(p), stream.below(p), p)
                       for _ in range(2 + stream.below(10))})
-        assert isosceles_triples(pts) == distance_sets(pts).isosceles_triples == brute_isosceles(pts)
+        point_keys = keys(pts)
+        assert isosceles_triples(point_keys, p) == distance_sets(point_keys, p).isosceles_triples == brute_isosceles(pts)
 
 
 def brute_determined(pts):
@@ -193,19 +215,17 @@ def brute_determined(pts):
 
 
 def test_determined_lines_examples():
-    collinear = P([(0, 0), (1, 1), (2, 2)], 7)
-    rep = determined_lines(collinear)
-    assert len(rep.lines) == 1
-    assert rep.classes == {1: rep.lines}
-    triangle = P([(0, 0), (1, 0), (0, 1)], 7)
-    assert len(determined_lines(triangle).lines) == 3
+    rep = determined_lines(K([(0, 0), (1, 1), (2, 2)], 7), 7)
+    assert rep.keys.tolist() == [AffineLine(1, 0, 7).key()]
+    assert rep.class_sizes == {1: 1}
+    assert determined_lines(K([(0, 0), (1, 0), (0, 1)], 7), 7).keys.size == 3
     grid = P([(x, y) for x in range(3) for y in range(3)], 7)
-    rep = determined_lines(grid)
+    rep = determined_lines(keys(grid), 7)
     oracle = brute_determined(grid)
-    assert len(rep.lines) == len(oracle) == 20
+    assert rep.keys.size == len(oracle) == 20
     assert sorted(v for v in oracle.values()) == [2] * 12 + [3] * 8
     with pytest.raises(TooFewPointsError):
-        determined_lines(P([(0, 0)], 7))
+        determined_lines(K([(0, 0)], 7), 7)
 
 
 def test_determined_lines_matches_bruteforce():
@@ -216,15 +236,14 @@ def test_determined_lines_matches_bruteforce():
                       for _ in range(2 + stream.below(14))})
         if len(pts) < 2:
             continue
-        rep = determined_lines(pts)
+        rep = determined_lines(keys(pts), p)
         oracle = brute_determined(pts)
-        assert set(rep.lines) == set(oracle)
+        lines = [AffineLine.from_key(k, p) for k in rep.keys.tolist()]
+        assert set(lines) == set(oracle)
         m = len(pts)
         assert rep.pair_total == rep.expected_pairs == m * (m - 1) // 2
-        # dyadic classes match the oracle's exact counts
-        for j, lines in rep.classes.items():
-            for line in lines:
-                assert 2**j <= oracle[line] < 2 ** (j + 1)
+        # richness, and so the dyadic classes, match the oracle's exact counts
+        assert rep.richness.tolist() == [oracle[line] for line in lines]
         assert sum(rep.pairs_by_class.values()) == rep.pair_total
 
 
@@ -271,14 +290,16 @@ def brute_distance_sets(pts):
 
 
 def assert_reports_match_oracles(pts):
-    rep = distance_sets(pts)
+    p = pts[0].p
+    rep = distance_sets(keys(pts), p)
     full, pinned, pin = brute_distance_sets(pts)
-    assert (rep.distances, rep.pinned, rep.pin) == (full, pinned, pin)
+    pinned_by_key = dict(zip(keys(pinned), pinned.values()))
+    assert (rep.distances, rep.pinned, rep.pin) == (full, pinned_by_key, pin.x * p + pin.y)
     assert rep.max_pinned == len(pinned[pin]) and rep.degenerate == (full == {0})
-    assert isosceles_triples(pts) == rep.isosceles_triples == brute_isosceles(pts)
+    assert isosceles_triples(keys(pts), p) == rep.isosceles_triples == brute_isosceles(pts)
     if len(pts) < 2:
         return
-    beck = determined_lines(pts)
+    beck = determined_lines(keys(pts), p)
     oracle = brute_determined(pts)
     lines = tuple(sorted(oracle, key=AffineLine.sort_key))
     classes = {}
@@ -288,8 +309,6 @@ def assert_reports_match_oracles(pts):
         j = k.bit_length() - 1
         classes.setdefault(j, []).append(line)
         pairs_by_class[j] = pairs_by_class.get(j, 0) + k * (k - 1) // 2
-    assert beck.lines == lines
-    assert beck.classes == {j: tuple(ls) for j, ls in sorted(classes.items())}
     assert beck.class_sizes == {j: len(ls) for j, ls in sorted(classes.items())}
     assert beck.pairs_by_class == dict(sorted(pairs_by_class.items()))
     assert beck.richness.tolist() == [oracle[line] for line in lines]
@@ -302,9 +321,9 @@ def test_reports_exact_at_field_edges(p):
         assert_reports_match_oracles(pts)
     # the sets reach the branches they are meant to
     sets = edge_point_sets(p)
-    assert determined_lines(sets[2]).lines == (AffineLine(None, 9, p),)
-    assert isosceles_triples(sets[3]) > 0
-    assert distance_sets(sets[-2]).degenerate == minus_one_is_square(p)
+    assert determined_lines(keys(sets[2]), p).keys.tolist() == [AffineLine(None, 9, p).key()]
+    assert isosceles_triples(keys(sets[3]), p) > 0
+    assert distance_sets(keys(sets[-2]), p).degenerate == minus_one_is_square(p)
 
 
 @pytest.mark.parametrize("p", EDGE_PRIMES)
@@ -318,7 +337,7 @@ def test_bisectors_exact_at_field_edges(p):
             if distance(r, s) != 0:
                 mid = AffinePoint((r.x + s.x) * half, (r.y + s.y) * half, p)
                 want.add(line_through(mid, mid.translate(r.y - s.y, s.x - r.x)))
-        assert bisector_instance(pts, r) == want
+        assert bisector_instance(keys(pts), r.x * p + r.y, p).tolist() == sorted(line.key() for line in want)
 
 
 def residues(p):

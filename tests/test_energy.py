@@ -12,7 +12,7 @@ from incidencelab.errors import (
     CompositeModulusError,
     DegenerateInputError,
     EmptyInputError,
-    ModulusMismatchError,
+    InvalidParameterError,
     VerticalLinePresentError,
 )
 from incidencelab.incidence import count_point_plane, max_collinear_3d
@@ -36,19 +36,27 @@ def _random_lines(stream, p, n):
     return [AffineLine(stream.below(p), stream.below(p), p) for _ in range(n)]
 
 
+def keys(lines):
+    """The line keys (AffineLine.key) of the lines, the form the energy
+    functions take."""
+    return [line.key() for line in lines]
+
+
 def test_line_energy_examples():
     lines = [AffineLine(0, 0, 5), AffineLine(1, 0, 5)]
-    e = line_energy([0, 1], lines, 5)
+    e = line_energy([0, 1], keys(lines), 5)
     assert e.value == 10
     assert e.table == {0: 3, 1: 1}
     assert brute_energy([0, 1], lines, 5) == 10
-    assert line_energy([0], [AffineLine(0, 0, 5)], 5).value == 1
-    assert line_energy([0, 1, 2], [AffineLine(1, 0, 5)], 5).value == 3
+    assert line_energy([0], [0], 5).value == 1
+    assert line_energy([0, 1, 2], [AffineLine(1, 0, 5).key()], 5).value == 3
+    # A is read mod p
+    assert line_energy([0, 1, 6], keys(lines), 5) == line_energy([0, 1], keys(lines), 5)
 
 
 def test_line_energy_rejects_vertical():
     with pytest.raises(VerticalLinePresentError):
-        line_energy([0, 1], [AffineLine(None, 2, 5)], 5)
+        line_energy([0, 1], [AffineLine(None, 2, 5).key()], 5)
 
 
 ENERGY_CALLS = {
@@ -60,26 +68,24 @@ ENERGY_CALLS = {
 
 @pytest.mark.parametrize("call", ENERGY_CALLS.values(), ids=ENERGY_CALLS.keys())
 def test_energy_rejects_a_line_of_another_modulus(call):
-    with pytest.raises(ModulusMismatchError):
-        call([0, 1, 2], [AffineLine(3, 6, 7)], 5)
-    with pytest.raises(ModulusMismatchError):
-        call([0, 1, 2], [AffineLine(1, 0, 5), AffineLine(3, 6, 7)], 5)
+    # keys carry no modulus: the key 35 of y = 5x over F_7 lies outside the
+    # line keys [0, 30) of F_5, and so does a negative key
+    with pytest.raises(InvalidParameterError):
+        call([0, 1, 2], [AffineLine(5, 0, 7).key()], 5)
+    with pytest.raises(InvalidParameterError):
+        call([0, 1, 2], [AffineLine(1, 0, 5).key(), 30], 5)
+    with pytest.raises(InvalidParameterError):
+        call([0, 1, 2], [AffineLine(1, 0, 5).key(), -1], 5)
 
 
 @pytest.mark.parametrize("call", ENERGY_CALLS.values(), ids=ENERGY_CALLS.keys())
 def test_energy_rejects_vertical_and_composite_modulus(call):
     with pytest.raises(VerticalLinePresentError):
-        call([0, 1], [AffineLine(1, 0, 5), AffineLine(None, 2, 5)], 5)
+        call([0, 1], keys([AffineLine(1, 0, 5), AffineLine(None, 2, 5)]), 5)
     with pytest.raises(CompositeModulusError):
-        call([0, 1], [AffineLine(1, 0, 9)], 9)
-
-
-def test_energy_infers_p_from_the_lines():
-    lines = [AffineLine(0, 0, 5), AffineLine(1, 0, 5)]
-    assert line_energy([0, 1, 6], lines) == line_energy([0, 1], lines, 5)
-    assert energy_reduction([0, 1], lines) == energy_reduction([5, 6], lines, 5)
+        call([0, 1], [AffineLine(1, 0, 9).key()], 9)
     with pytest.raises(CompositeModulusError):
-        line_energy([0, 1], [AffineLine(1, 0, 9)])
+        call([0, 1], [], 9)
 
 
 def test_line_energy_matches_bruteforce_50_random():
@@ -90,7 +96,7 @@ def test_line_energy_matches_bruteforce_50_random():
         n = 1 + stream.below(max(1, 200 // a))
         A = {stream.below(p) for _ in range(a)}
         lines = set(_random_lines(stream, p, n))
-        e = line_energy(A, lines, p)
+        e = line_energy(A, keys(lines), p)
         assert e.value == brute_energy(A, lines, p)
         assert e.value >= len(A) * len(lines)  # diagonal solutions
         assert sum(c * c for c in e.table.values()) == e.value
@@ -98,10 +104,11 @@ def test_line_energy_matches_bruteforce_50_random():
 
 def test_energy_reduction_examples():
     lines = [AffineLine(0, 0, 5), AffineLine(1, 0, 5)]
-    red = energy_reduction([0, 1], lines, 5)
+    red = energy_reduction([0, 1], keys(lines), 5)
     assert red.r == 4 and red.s == 4
     assert count_point_plane(red) == 10
-    red1 = energy_reduction([0], [AffineLine(0, 0, 5)], 5)
+    assert energy_reduction([5, 6], keys(lines), 5) == red
+    red1 = energy_reduction([0], [0], 5)
     assert red1.r == red1.s == 1 and count_point_plane(red1) == 1
 
 
@@ -113,9 +120,9 @@ def test_energy_reduction_equals_energy_50_random():
         n = 1 + stream.below(max(1, 120 // a))
         A = {stream.below(p) for _ in range(a)}
         lines = set(_random_lines(stream, p, n))
-        red = energy_reduction(A, lines, p)
+        red = energy_reduction(A, keys(lines), p)
         assert red.r == red.s == len(A) * len(lines)
-        assert count_point_plane(red) == line_energy(A, lines, p).value
+        assert count_point_plane(red) == line_energy(A, keys(lines), p).value
 
 
 def _max_concurrent_or_parallel(lines, p):
@@ -144,18 +151,18 @@ def test_reduction_collinearity_bound_50_random():
         a = 1 + stream.below(4)
         A = {stream.below(p) for _ in range(a)}
         lines = set(_random_lines(stream, p, 1 + stream.below(12)))
-        red = energy_reduction(A, lines, p)
+        red = energy_reduction(A, keys(lines), p)
         bound = max(len(A), _max_concurrent_or_parallel(lines, p))
         assert max_collinear_3d(red.points, p) <= bound
 
 
 def test_cs_bridge_examples():
     lines = [AffineLine(0, 0, 5), AffineLine(1, 0, 5)]
-    res = cs_bridge_check([0, 1], [0, 1], lines, 5)
+    res = cs_bridge_check([0, 1], [0, 1], keys(lines), 5)
     assert res.incidences == 4
     assert res.energy == 10
     assert res.bound == 20 and res.holds
-    empty = cs_bridge_check([0, 1], [], lines, 5)
+    empty = cs_bridge_check([0, 1], [], keys(lines), 5)
     assert empty.incidences == 0 and empty.holds
 
 
@@ -166,7 +173,7 @@ def test_cs_bridge_holds_100_random():
         A = {stream.below(p) for _ in range(1 + stream.below(5))}
         B = {stream.below(p) for _ in range(1 + stream.below(5))}
         lines = set(_random_lines(stream, p, 1 + stream.below(15)))
-        res = cs_bridge_check(A, B, lines, p)
+        res = cs_bridge_check(A, B, keys(lines), p)
         assert res.holds, "the Cauchy-Schwarz inequality must always hold"
         assert res.incidences ** 2 <= len(set(b % p for b in B)) * res.energy
 

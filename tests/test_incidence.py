@@ -152,7 +152,7 @@ def test_count_point_plane_two_points():
 
 def test_count_point_plane_matches_energy_reduction():
     lines = [AffineLine(0, 0, 5), AffineLine(1, 0, 5)]
-    inst3 = energy_reduction([0, 1], lines, 5)
+    inst3 = energy_reduction([0, 1], [line.key() for line in lines], 5)
     # oracle: enumerate all point-plane pairs directly
     direct = 0
     for x, y, z in inst3.points:
@@ -160,7 +160,7 @@ def test_count_point_plane_matches_energy_reduction():
             if (a * x + b * y + c * z - d) % 5 == 0:
                 direct += 1
     assert direct == 10
-    assert count_point_plane(inst3) == direct == line_energy([0, 1], lines, 5).value
+    assert count_point_plane(inst3) == direct == line_energy([0, 1], [line.key() for line in lines], 5).value
 
 
 def test_count_point_plane_shared_normals_random():
@@ -586,7 +586,7 @@ def test_max_collinear_c_matches_numpy_fallback():
     # the k of every elekes reduction of the paper sweep
     for a in (2, 3, 4, 5):
         for c in (1, 2, 4):
-            red = energy_reduction(list(range(1, a + 1)), elekes_construction(a, c, 101).lines, 101)
+            red = energy_reduction(list(range(1, a + 1)), elekes_construction(a, c, 101).line_keys, 101)
             arr = np.array(red.points, dtype=np.int64).reshape(-1, 3)
             assert red.k == inc._max_collinear_numpy(arr, 101)
 

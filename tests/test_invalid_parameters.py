@@ -6,6 +6,7 @@ import json
 import pytest
 
 from incidencelab.constructions import SeededStream, cartesian_instance, full_plane
+from incidencelab.distances import bisector_instance
 from incidencelab.energy import arithmetic_image, energy_reduction, line_energy, sumproduct_report
 from incidencelab.errors import Error, InvalidParameterError, ParseError
 from incidencelab.harness import read_instance3d
@@ -16,7 +17,7 @@ from incidencelab.incidence import (
     max_collinear_3d,
     reference_bound,
 )
-from incidencelab.plane import ProjMap, ProjPoint
+from incidencelab.plane import ProjMap
 
 SITES = {
     "count_incidences-unknown-engine": lambda: count_incidences(full_plane(3), "x"),
@@ -29,12 +30,12 @@ SITES = {
     "check_hypotheses-1.3-without-a": lambda: check_hypotheses("1.3", b=4, n=4, p=7),
     "check_hypotheses-1.4-without-r": lambda: check_hypotheses("1.4", s=4, p=7),
     "check_hypotheses-unknown-theorem": lambda: check_hypotheses("9.9", p=7),
-    "line_energy-no-lines-no-p": lambda: line_energy([1, 2], []),
-    "energy_reduction-no-lines-no-p": lambda: energy_reduction([1, 2], []),
+    "line_energy-line-key-out-of-range": lambda: line_energy([1, 2], [30], 5),
+    "energy_reduction-negative-line-key": lambda: energy_reduction([1, 2], [-1], 5),
+    "bisector_instance-pin-out-of-range": lambda: bisector_instance([0], 25, 5),
     "SeededStream.below-zero": lambda: SeededStream(1).below(0),
     "SeededStream.sample_distinct-too-many": lambda: SeededStream(1).sample_distinct(3, 4),
     "cartesian_instance-unknown-family": lambda: cartesian_instance([1], [1], "x", 7),
-    "ProjPoint-zero": lambda: ProjPoint(0, 7, 14, 7),
     "ProjMap-singular": lambda: ProjMap(((1, 2, 3), (2, 4, 6), (0, 0, 1)), 7),
     "arithmetic_image-unknown-expression": lambda: arithmetic_image("A-A", 7, A=[1]),
     "sumproduct_report-unknown-corollary": lambda: sumproduct_report("9.9", 7, A=[1]),
