@@ -100,35 +100,26 @@ def cs_bridge_check(A, B, line_keys, p: int) -> CsBridgeResult:
 # Arithmetic image sets and sum-product reports
 # ---------------------------------------------------------------------------
 
-EXPRESSIONS = ("A+A", "A*A", "A*(A+1)", "A+B*C", "A*(B+C)", "x^2+xy")
-
-
 def arithmetic_image(expr: str, p: int, A=None, B=None, C=None) -> frozenset[int]:
     """The exact image set of one arithmetic expression over F_p."""
     p = make_modulus(p).p
-
-    def need(name, S):
-        if S is None or len(S) == 0:
-            raise EmptyInputError(f"expression {expr!r} needs a nonempty set {name}")
-        return sorted({v % p for v in S})
-
     if expr == "A+A":
-        a = need("A", A)
+        a = _canon_set("A", A, p)
         return frozenset((u + v) % p for u in a for v in a)
     if expr == "A*A":
-        a = need("A", A)
+        a = _canon_set("A", A, p)
         return frozenset(u * v % p for u in a for v in a)
     if expr == "A*(A+1)":
-        a = need("A", A)
+        a = _canon_set("A", A, p)
         return frozenset(u * (v + 1) % p for u in a for v in a)
     if expr == "A+B*C":
-        a, b, c = need("A", A), need("B", B), need("C", C)
+        a, b, c = _canon_set("A", A, p), _canon_set("B", B, p), _canon_set("C", C, p)
         return frozenset((u + v * w) % p for u in a for v in b for w in c)
     if expr == "A*(B+C)":
-        a, b, c = need("A", A), need("B", B), need("C", C)
+        a, b, c = _canon_set("A", A, p), _canon_set("B", B, p), _canon_set("C", C, p)
         return frozenset(u * (v + w) % p for u in a for v in b for w in c)
     if expr == "x^2+xy":
-        a, b = need("A", A), need("B", B)
+        a, b = _canon_set("A", A, p), _canon_set("B", B, p)
         return frozenset((u * u + u * v) % p for u in a for v in b)
     raise InvalidParameterError(f"unknown expression {expr!r}")
 

@@ -11,6 +11,7 @@ point pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -24,8 +25,10 @@ MIN_MODULUS = 3
 MAX_MODULUS = 2**31  # exclusive
 
 
+@lru_cache
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division (fine below 2**31)."""
+    """Deterministic primality test by trial division (fine below 2**31),
+    memoized: one command validates its modulus in several layers."""
     if n < 2:
         return False
     if n < 4:

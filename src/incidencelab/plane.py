@@ -369,11 +369,6 @@ class ProjMap:
     def adjugate(self) -> tuple[tuple[int, int, int], ...]:
         return _adjugate(self.rows, self.p)
 
-    def inverse(self) -> "ProjMap":
-        # the adjugate is a scalar multiple of the inverse, which is the same
-        # projective transformation
-        return ProjMap(self.adjugate, self.p)
-
     def apply_point(self, q: AffinePoint) -> AffinePoint:
         v = _mat_vec(self.rows, (q.x, q.y, 1), self.p)
         if v[2] == 0:

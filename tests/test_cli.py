@@ -181,6 +181,24 @@ def test_energy_command(tmp_path, capsys):
     assert data["cs_bridge"]["holds"] is True
 
 
+def test_energy_checks_its_modulus_once(tmp_path, capsys, monkeypatch):
+    # the input reader and each energy layer validate p; the trial division
+    # runs once, for the first of them
+    import incidencelab.field as field
+    calls = []
+    isqrt = field.isqrt
+    monkeypatch.setattr(field, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    field.is_prime.cache_clear()
+    path = tmp_path / "energy.json"
+    path.write_text(json.dumps({
+        "p": 10007, "A": [0, 1, 2], "B": [1, 5],
+        "lines": [{"kind": "sl", "s": 0, "t": 0}, {"kind": "sl", "s": 1, "t": 3}],
+    }))
+    rc, out, _ = run(capsys, "energy", "--input", str(path))
+    assert rc == 0 and "reduction" in json.loads(out)
+    assert calls == [10007]
+
+
 def test_energy_vertical_line_is_data_error(tmp_path, capsys):
     path = tmp_path / "energy.json"
     path.write_text(json.dumps({

@@ -328,19 +328,28 @@ def test_ll_constant_changes_verdict():
 
 
 def test_hash_join_numpy_fallback_agrees(monkeypatch):
-    # force the per-group numpy probe path (used when no C compiler works)
+    # force the numpy probe path (used when no C compiler works): the count
+    # is the sum of the degree join's per-item hits
     import incidencelab.incidence as inc
     monkeypatch.setattr(inc, "_backend", inc._Backend(None, "forced"))
+    calls = []
+    degrees = inc._group_degrees
+    monkeypatch.setattr(inc, "_group_degrees", lambda *args: calls.append(args) or degrees(*args))
     for inst in random_instances(25, seed=66, max_m=80, max_n=80):
         assert count_incidences(inst, "hash_join") == count_incidences(inst, "naive")
+    assert len(calls) == 25
     inst = elekes_construction(3, 2, 31)
     assert count_incidences(inst, "hash_join") == 36
     assert inc.kernel_backend() == ("numpy", "forced")
-    # stats of the fallback: each point searched in each of the 7 slope classes
+    # stats of the fallback: the 7 slope classes of 7 intercepts are small,
+    # so each of the 49 points is probed against each of the 49 lines
     count, stats = count_incidences(full_plane(7), stats=True)
     assert (count, stats.side, stats.backend, stats.backend_reason) == (392, "slope", "numpy", "forced")
-    assert stats.probes == {"flat": 0, "bitmap": 0, "binary_search": 49 * 7, "mask": 0}
+    assert stats.probes == {"flat": 2401, "bitmap": 0, "binary_search": 0, "mask": 0}
     assert stats.seconds["split"] == 0
+    # plain ints, so that count --stats can print them
+    probes = count_incidences(random_instance(1009, 300, 3000, seed=2), stats=True)[1].probes
+    assert probes["binary_search"] > 0 and all(type(n) is int for n in probes.values())
 
 
 def test_int64_kernel_path_for_large_p():
@@ -391,8 +400,7 @@ def test_compiled_kernel_matches_naive_on_both_probe_sides(p):
     for seed in range(4):
         by_slope, by_column = probe_side_instances(p, seed)
         for inst, slope_side in ((by_slope, True), (by_column, False)):
-            cost_slope, cost_col = inc._costs(inst)
-            assert (cost_slope <= cost_col) is slope_side
+            assert (count_incidences(inst, stats=True)[1].side == "slope") is slope_side
             if p > 33:
                 offs = (inst.slope_runs if slope_side else inst.column_runs)[1]
                 assert sorted(set(np.diff(offs))) == [32, 33]
@@ -480,12 +488,11 @@ def multi_count(lib, p, item_a, item_b, keys, offs, vals, bitmap):
 
 @pytest.mark.parametrize("p", [3, 31, 101, 151])
 def test_full_plane_probes_match_naive(p):
-    import incidencelab.incidence as inc
     compiled_kernels()
     inst = full_plane(p)
     # every slope class holds p intercepts: flat for p <= 32, else bitmap
     assert set(np.diff(inst.slope_runs[1]).tolist()) == {p}
-    assert inc._costs(inst)[0] <= inc._costs(inst)[1]
+    assert count_incidences(inst, stats=True)[1].side == "slope"
     assert count_incidences(inst, "hash_join") == count_incidences(inst, "naive") == p * p * (p + 1)
 
 
@@ -635,6 +642,26 @@ def test_join_degrees_match_the_mask(case):
     for subset in (keys, keys[pool], keys[:1], keys[:0]):
         got, want = join_degrees(px, py, subset, p), incidence_degrees(px, py, subset, p)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_counts_agree_with_the_degree_join():
+    # the count on the C kernels and on the numpy fallback, the naive count
+    # and the sum of the per-point degrees of the join are one number
+    import incidencelab.incidence as inc
+    compiled_kernels()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(degree_cases().filter(lambda case: case[0] >= 3))  # an Instance needs p >= 3
+    def check(case):
+        p, px, py, keys, _ = case
+        inst = Instance(make_modulus(p), point_keys=px * p + py, line_keys=keys)
+        compiled = count_incidences(inst, "hash_join")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inc, "_backend", inc._Backend(None, "forced"))
+            fallback = count_incidences(inst, "hash_join")
+        assert compiled == fallback == count_incidences(inst, "naive") == join_degrees(px, py, keys, p)[0].sum()
+
+    check()
 
 
 @pytest.mark.parametrize("search_cost", [0, 10**9], ids=["searched", "flat"])
