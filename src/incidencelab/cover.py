@@ -16,8 +16,9 @@ joins over slope classes or columns (``join_degrees``), and the joins to
 the apexes are batched line keys.  The certificate verifier checks the keys
 with array passes; its incidence tests are the blocked masks of
 ``incidence_degrees``, so it never shares the extraction's join.
-:func:`normalize_grid` maps the key columns through the projective map
-with one batched inverse; it builds only the two apexes as objects.
+:func:`normalize_grid` is :func:`plane.projective_map_from_pair` of the
+apexes plus :func:`plane.apply_map` on the grid's point keys and the line
+keys; it builds only the two apexes as objects.
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ from .errors import (
     EmptyInstanceError,
     InvalidParameterError,
     NoIncidencesError,
-    PointSentToInfinityError,
 )
-from .field import inv_mod_array
 from .incidence import incidence_degrees, join_degrees
 from .plane import (
     AffinePoint,
     Instance,
     ProjMap,
+    apply_map,
     distinct,
     line_keys,
     projective_map_from_pair,
@@ -286,41 +286,18 @@ class NormalizedGrid:
     ys: tuple[int, ...]
 
 
-def _dot(row, columns, p: int) -> np.ndarray:
-    """sum_k row[k] * columns[k] mod p, each product reduced before the sum:
-    residues below p < 2^31 keep every product below 2^62 and the sum of
-    three reduced products below 2^33."""
-    return sum(r * c % p for r, c in zip(row, columns)) % p
-
-
 def normalize_grid(grid: PencilGrid, inst: Instance) -> NormalizedGrid:
     """Send the apexes to the two points at infinity and read off the
     Cartesian product containing the image of the grid.
 
-    p and the lines come from inst.  The grid's point keys and the line
-    keys (without the apex line) go through the map as columns, with one
-    batched inverse for the denominators of both; the two apexes are the
-    only objects built, for :func:`projective_map_from_pair`."""
+    p and the lines come from inst.  The map is
+    :func:`projective_map_from_pair` of the apexes, the only objects built,
+    and :func:`apply_map` takes the grid's point keys and the line keys
+    without the apex line through it."""
     p = inst.p
     tau = projective_map_from_pair(*(AffinePoint(*divmod(a, p), p) for a in (grid.apex1, grid.apex2)))
-    gx, gy = np.divmod(np.array(grid.points, dtype=np.int64), p)
     keys = inst.line_keys[inst.line_keys != _apex_line(grid.apex1, grid.apex2, p)]
-    # a*x + b*y + c = 0: (1, 0, -x0) for a vertical line, (s, -1, t) otherwise
-    vertical = keys >= p * p
-    s, t = np.divmod(keys, p)
-    coeffs = (np.where(vertical, 1, s), np.where(vertical, 0, p - 1),
-              np.where(vertical, (p * p - keys) % p, t))
-    x, y, z = (_dot(row, (gx, gy, 1), p) for row in tau.rows)
-    if not z.all():
-        i = int(np.argmin(z != 0))
-        raise PointSentToInfinityError(AffinePoint(int(gx[i]), int(gy[i]), p))
-    # a line's coefficient vector maps by the adjugate transpose
-    a, b, c = (_dot([row[k] for row in tau.adjugate], coeffs, p) for k in range(3))
-    sloped = b != 0
-    inv = inv_mod_array(np.concatenate([z, np.where(sloped, b, a)]), p)
-    iz, il = inv[:z.size], inv[z.size:]
-    image = Instance(inst.modulus, point_keys=x * iz % p * p + y * iz % p,
-                     line_keys=np.where(sloped, -a * il % p * p + -c * il % p, p * p + -c * il % p))
+    image = apply_map(tau, Instance(inst.modulus, point_keys=grid.points, line_keys=keys))
     xs = tuple(image.column_runs[0].tolist())
     ys = tuple(distinct(image.xy[1]).tolist())
     return NormalizedGrid(tau, image, xs, ys)

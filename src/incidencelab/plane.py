@@ -13,6 +13,10 @@ at once.
 An :class:`Instance` stores only its two sorted key columns.  Its point and
 line objects, and the coordinate and run views the counting engines read,
 are built from the keys on first access.
+
+A :class:`ProjMap` is an invertible 3x3 matrix mod p.  :func:`apply_map`
+is the only code that applies it: it maps the key columns of an instance,
+with one batched inverse, and names the first element sent to infinity.
 """
 
 from __future__ import annotations
@@ -45,9 +49,6 @@ class AffinePoint:
     def __post_init__(self):
         object.__setattr__(self, "x", self.x % self.p)
         object.__setattr__(self, "y", self.y % self.p)
-
-    def translate(self, dx: int, dy: int) -> "AffinePoint":
-        return AffinePoint(self.x + dx, self.y + dy, self.p)
 
     def __repr__(self):
         return f"({self.x},{self.y})@{self.p}"
@@ -92,12 +93,6 @@ class AffineLine:
         if key >= p * p:
             return cls(None, key - p * p, p)
         return cls(key // p, key % p, p)
-
-    def homogeneous(self) -> tuple[int, int, int]:
-        """Coefficients (a, b, c) with a*x + b*y + c = 0 on the line."""
-        if self.slope is None:
-            return (1, 0, (-self.intercept) % self.p)
-        return (self.slope, self.p - 1, self.intercept)
 
     def __repr__(self):
         if self.slope is None:
@@ -324,10 +319,6 @@ def dualize(inst: Instance) -> Instance:
 # Projective layer
 # ---------------------------------------------------------------------------
 
-def _mat_vec(A, v, p):
-    return tuple(sum(A[i][k] * v[k] for k in range(3)) % p for i in range(3))
-
-
 def _det3(A, p):
     return (
         A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
@@ -350,7 +341,10 @@ def _adjugate(A, p):
 
 @dataclass(frozen=True)
 class ProjMap:
-    """An invertible projective transformation given by a 3x3 matrix."""
+    """An invertible projective transformation of F_p^2 given by a 3x3
+    matrix: rows sends a point's homogeneous vector (x, y, 1), and the
+    transpose of adjugate (the inverse up to a scalar) sends a line's
+    coefficient vector (a, b, c).  :func:`apply_map` applies it."""
 
     rows: tuple[tuple[int, int, int], ...]
     p: int
@@ -361,52 +355,9 @@ class ProjMap:
         if _det3(rows, self.p) == 0:
             raise InvalidParameterError("projective map must be invertible")
 
-    @property
-    def det(self) -> int:
-        return _det3(self.rows, self.p)
-
     @cached_property
     def adjugate(self) -> tuple[tuple[int, int, int], ...]:
         return _adjugate(self.rows, self.p)
-
-    def apply_point(self, q: AffinePoint) -> AffinePoint:
-        v = _mat_vec(self.rows, (q.x, q.y, 1), self.p)
-        if v[2] == 0:
-            raise PointSentToInfinityError(q)
-        inv = inv_mod(v[2], self.p)
-        return AffinePoint(v[0] * inv, v[1] * inv, self.p)
-
-    def apply_line(self, line: AffineLine) -> AffineLine:
-        # a line with coefficient vector c transforms by the inverse
-        # transpose; the adjugate transpose works projectively
-        p = self.p
-        coeffs = line.homogeneous()
-        adj = self.adjugate
-        a, b, c = (
-            sum(adj[k][0] * coeffs[k] for k in range(3)) % p,
-            sum(adj[k][1] * coeffs[k] for k in range(3)) % p,
-            sum(adj[k][2] * coeffs[k] for k in range(3)) % p,
-        )
-        return line_from_homogeneous(a, b, c, p)
-
-    def line_to_infinity_preimage(self) -> AffineLine:
-        """The affine line sent onto the line at infinity by this map."""
-        a, b, c = self.rows[2]
-        return line_from_homogeneous(a, b, c, self.p)
-
-
-def line_from_homogeneous(a: int, b: int, c: int, p: int) -> AffineLine:
-    """Canonical affine line with equation a*x + b*y + c = 0."""
-    a %= p
-    b %= p
-    c %= p
-    if b != 0:
-        inv = inv_mod(b, p)
-        return AffineLine((-a * inv) % p, (-c * inv) % p, p)
-    if a != 0:
-        inv = inv_mod(a, p)
-        return AffineLine(None, (-c * inv) % p, p)
-    raise LineSentToInfinityError(None, "coefficients (0, 0, c) describe the line at infinity")
 
 
 def projective_map_from_pair(q: AffinePoint, r: AffinePoint) -> ProjMap:
@@ -435,20 +386,45 @@ def projective_map_from_pair(q: AffinePoint, r: AffinePoint) -> ProjMap:
     return ProjMap(_adjugate(N, p), p)
 
 
-def apply_map(M: ProjMap, inst: Instance) -> Instance:
-    """Transform an instance by a projective map.
+def _dot(row, columns, p: int) -> np.ndarray:
+    """sum_k row[k] * columns[k] mod p, each product reduced before the sum:
+    residues below p < 2^31 keep every product below 2^62 and the sum of
+    three reduced products below 2^33."""
+    return sum(r * c % p for r, c in zip(row, columns)) % p
 
+
+def apply_map(M: ProjMap, inst: Instance) -> Instance:
+    """Transform an instance by a projective map, keys in and keys out.
+
+    The point (x, y) maps as the vector (x, y, 1) by M.rows, and the line
+    a*x + b*y + c = 0 as its coefficient vector (a, b, c) by the transpose
+    of M.adjugate; one batched inverse serves the denominators of both.
     Every point must stay affine and every line must stay off the line at
-    infinity; offending elements raise.  Incidences among the transformed
-    elements are preserved exactly.
+    infinity: the first point in key order that M sends to infinity raises
+    PointSentToInfinityError, and if every point stays affine the first
+    such line raises LineSentToInfinityError.  The offending element is the
+    only object built.  Incidences among the transformed elements are
+    preserved exactly.
     """
     if M.p != inst.p:
         raise ModulusMismatchError(f"map mod {M.p} applied to instance mod {inst.p}")
-    new_points = [M.apply_point(q) for q in inst.points]
-    new_lines = []
-    for line in inst.lines:
-        try:
-            new_lines.append(M.apply_line(line))
-        except LineSentToInfinityError:
-            raise LineSentToInfinityError(line) from None
-    return Instance(inst.modulus, new_points, new_lines)
+    p = inst.p
+    px, py = inst.xy
+    x, y, z = (_dot(row, (px, py, 1), p) for row in M.rows)
+    if not z.all():
+        i = int(np.argmin(z != 0))
+        raise PointSentToInfinityError(AffinePoint(int(px[i]), int(py[i]), p))
+    keys = inst.line_keys
+    # a*x + b*y + c = 0: (1, 0, -x0) for a vertical line, (s, -1, t) otherwise
+    vertical = keys >= p * p
+    s, t = np.divmod(keys, p)
+    coeffs = (np.where(vertical, 1, s), np.where(vertical, 0, p - 1), np.where(vertical, (p - t) % p, t))
+    a, b, c = (_dot([row[k] for row in M.adjugate], coeffs, p) for k in range(3))
+    sloped = b != 0
+    lost = ~sloped & (a == 0)
+    if lost.any():
+        raise LineSentToInfinityError(AffineLine.from_key(int(keys[np.argmax(lost)]), p))
+    inv = inv_mod_array(np.concatenate([z, np.where(sloped, b, a)]), p)
+    iz, il = inv[:z.size], inv[z.size:]
+    return Instance(inst.modulus, point_keys=x * iz % p * p + y * iz % p,
+                    line_keys=np.where(sloped, -a * il % p * p + -c * il % p, p * p + -c * il % p))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_instances
+from conftest import apply_line, apply_point, random_instances, residues
 from incidencelab.cli import cli
 from incidencelab.constructions import elekes_construction, full_plane, random_instance
 from incidencelab.cover import (
@@ -36,6 +36,8 @@ from incidencelab.plane import (
     AffineLine,
     AffinePoint,
     Instance,
+    ProjMap,
+    apply_map,
     incident,
     line_through,
     projective_map_from_pair,
@@ -505,13 +507,13 @@ def test_verify_certificate_detects_broken_union():
 
 
 def reference_normalize(grid, inst):
-    """Oracle: the normalization one object at a time, through
-    ProjMap.apply_point and ProjMap.apply_line; the image becomes keys
-    only in the returned Instance."""
+    """Oracle: the normalization one object at a time, through the
+    per-object map of conftest; the image becomes keys only in the returned
+    Instance."""
     p = inst.p
     tau = projective_map_from_pair(point_of(grid.apex1, p), point_of(grid.apex2, p))
-    image_points = [tau.apply_point(q) for q in points_of(grid.points, p)]
-    image_lines = [tau.apply_line(line) for line in inst.lines if line != apex_line_of(grid, p)]
+    image_points = [apply_point(tau, q) for q in points_of(grid.points, p)]
+    image_lines = [apply_line(tau, line) for line in inst.lines if line != apex_line_of(grid, p)]
     return NormalizedGrid(tau, Instance(inst.modulus, image_points, image_lines),
                           tuple(sorted({q.x for q in image_points})), tuple(sorted({q.y for q in image_points})))
 
@@ -524,12 +526,6 @@ def test_normalize_grid_matches_the_object_path_on_covers():
             assert normalize_grid(step.grid, inst) == reference_normalize(step.grid, inst)
             checked += 1
     assert checked >= 5
-
-
-def residues(p):
-    """Residues mod p: hypothesis draws small integers first, so half of
-    them are mirrored to just below p, where products come near 2^62."""
-    return st.one_of(st.integers(0, p - 1), st.integers(0, p - 1).map(lambda v: p - 1 - v))
 
 
 @st.composite
@@ -591,6 +587,14 @@ def test_cover_layer_builds_objects_only_for_the_apexes(tmp_path, monkeypatch):
         assert cli(["extract", "--input", path, "--output", str(tmp_path / "extract.json")]) == 0
         counts[p] = dict(built)
     assert counts[7] == counts[23]
+
+
+def test_apply_map_builds_no_point_or_line_objects(monkeypatch):
+    # the map reads and writes key columns; a translation permutes the plane
+    inst = full_plane(23)
+    built = count_objects(monkeypatch)
+    assert apply_map(ProjMap(((1, 0, 5), (0, 1, 7), (0, 0, 1)), 23), inst) == inst
+    assert not built, dict(built)
 
 
 def test_report_commands_build_no_point_or_line_objects(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import residues
 from incidencelab import distances, plane
 from incidencelab.constructions import SeededStream
 from incidencelab.distances import (
@@ -73,7 +74,7 @@ def test_distance_sets_translation_invariance():
         p = (7, 11, 13)[stream.below(3)]
         pts = [AffinePoint(stream.below(p), stream.below(p), p) for _ in range(6)]
         dx, dy = stream.below(p), stream.below(p)
-        moved = [q.translate(dx, dy) for q in pts]
+        moved = [AffinePoint(q.x + dx, q.y + dy, p) for q in pts]
         a, b = distance_sets(keys(pts), p), distance_sets(keys(moved), p)
         assert a.distances == b.distances
         assert sorted(map(sorted, a.pinned.values())) == sorted(map(sorted, b.pinned.values()))
@@ -336,14 +337,8 @@ def test_bisectors_exact_at_field_edges(p):
         for s in pts:
             if distance(r, s) != 0:
                 mid = AffinePoint((r.x + s.x) * half, (r.y + s.y) * half, p)
-                want.add(line_through(mid, mid.translate(r.y - s.y, s.x - r.x)))
+                want.add(line_through(mid, AffinePoint(mid.x + r.y - s.y, mid.y + s.x - r.x, p)))
         assert bisector_instance(keys(pts), r.x * p + r.y, p).tolist() == sorted(line.key() for line in want)
-
-
-def residues(p):
-    """Residues mod p: hypothesis draws small integers first, so half of
-    them are mirrored to just below p, where products come near 2^62."""
-    return st.one_of(st.integers(0, p - 1), st.integers(0, p - 1).map(lambda v: p - 1 - v))
 
 
 @st.composite

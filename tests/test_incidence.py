@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_instances
+from conftest import random_instances, residues
 from incidencelab.constructions import SeededStream, elekes_construction, full_plane, random_instance
 from incidencelab.energy import energy_reduction, line_energy
 from incidencelab.errors import CompositeModulusError, InvalidParameterError, OutOfRangeError
@@ -606,12 +606,6 @@ def test_max_collinear_checks_the_modulus():
 
 
 JOIN_PRIMES = (2, 3, 1009, 1048573, 2**31 - 1)
-
-
-def residues(p):
-    """Residues mod p: hypothesis draws small integers first, so half of
-    them are mirrored to just below p, where products come near 2^62."""
-    return st.one_of(st.integers(0, p - 1), st.integers(0, p - 1).map(lambda v: p - 1 - v))
 
 
 @st.composite

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_instances, vertical_free
-from incidencelab import plane
+from conftest import (
+    apply_line,
+    apply_point,
+    homogeneous_image,
+    line_to_infinity,
+    random_instances,
+    residues,
+    vertical_free,
+)
 from incidencelab.constructions import SeededStream, full_plane
 from incidencelab.errors import (
     CoincidentPointsError,
+    InvalidParameterError,
     LineSentToInfinityError,
     ModulusMismatchError,
     PointSentToInfinityError,
@@ -25,6 +34,7 @@ from incidencelab.plane import (
     line_through,
     pair_blocks,
     projective_map_from_pair,
+    vertical_line,
 )
 
 
@@ -94,14 +104,13 @@ def sent_to_axis(M, q, axis):
     """Is the homogeneous image of q under M a nonzero multiple of the unit
     vector e_axis: (1, 0, 0) the horizontal point at infinity, (0, 1, 0) the
     vertical one, (0, 0, 1) the origin?"""
-    v = plane._mat_vec(M.rows, (q.x, q.y, 1), M.p)
+    v = homogeneous_image(M, q)
     return v[axis] != 0 and all(c == 0 for i, c in enumerate(v) if i != axis)
 
 
 def test_projective_map_sends_pair_to_infinity():
     q, r = AffinePoint(0, 0, 5), AffinePoint(1, 0, 5)
     M = projective_map_from_pair(q, r)
-    assert M.det != 0
     assert sent_to_axis(M, q, 0)
     assert sent_to_axis(M, r, 1)
 
@@ -148,7 +157,11 @@ def test_projective_map_infinity_preimage_is_join_50_random():
         if q == r:
             continue
         M = projective_map_from_pair(q, r)
-        assert M.line_to_infinity_preimage() == line_through(q, r)
+        qr = line_through(q, r)
+        assert line_to_infinity(M) == qr
+        with pytest.raises(LineSentToInfinityError) as err:
+            apply_map(M, Instance(make_modulus(p), [], [qr]))
+        assert err.value.line == qr
         done += 1
 
 
@@ -159,13 +172,18 @@ def test_pencils_become_axis_parallel():
     q, r = AffinePoint(2, 3, p), AffinePoint(7, 5, p)
     M = projective_map_from_pair(q, r)
     join = line_through(q, r)
-    for s in range(p):
-        through_q = AffineLine(s, (q.y - s * q.x) % p, p)
-        if through_q != join:  # the joining line goes to infinity
-            assert M.apply_line(through_q).slope == 0, "pencil through apex1 must become horizontal"
-        through_r = AffineLine(s, (r.y - s * r.x) % p, p)
-        if through_r != join:
-            assert M.apply_line(through_r).is_vertical, "pencil through apex2 must become vertical"
+
+    def pencil(apex):
+        # every line through the apex but the joining one, which goes to infinity
+        lines = [AffineLine(s, (apex.y - s * apex.x) % p, p) for s in range(p)] + [vertical_line(apex.x, p)]
+        return Instance(make_modulus(p), [], [line for line in lines if line != join])
+
+    horizontal = apply_map(M, pencil(q))
+    assert horizontal.n == p and all(line.slope == 0 for line in horizontal.lines), \
+        "pencil through apex1 must become horizontal"
+    vertical = apply_map(M, pencil(r))
+    assert vertical.n == p and all(line.is_vertical for line in vertical.lines), \
+        "pencil through apex2 must become vertical"
 
 
 def _random_invertible(p, stream):
@@ -178,8 +196,12 @@ def _random_invertible(p, stream):
 
 
 def _restrict_for_map(inst, M):
-    """Drop the elements a projective map would send to infinity."""
-    bad_line = M.line_to_infinity_preimage()
+    """Drop the elements a projective map would send to infinity: the
+    points on its infinity preimage and that line; an affine map keeps
+    all."""
+    bad_line = line_to_infinity(M)
+    if bad_line is None:
+        return inst
     points = [q for q in inst.points if not incident(q, bad_line)]
     lines = [l for l in inst.lines if l != bad_line]
     return Instance(inst.modulus, points, lines)
@@ -195,17 +217,24 @@ def test_apply_map_identity_and_translation():
 
 
 def test_apply_map_point_to_infinity_errors():
-    # construct a map whose infinity preimage passes through a known point
-    q, r = AffinePoint(0, 0, 7), AffinePoint(1, 0, 7)
-    M = projective_map_from_pair(q, r)
-    mod = make_modulus(7)
-    inst = Instance(mod, [q], [])
+    # the apex line y = 0 of (0, 0) and (1, 0) goes to infinity, and its points
+    p = 7
+    mod = make_modulus(p)
+    M = projective_map_from_pair(AffinePoint(0, 0, p), AffinePoint(1, 0, p))
+    on_it = [AffinePoint(5, 0, p), AffinePoint(3, 0, p)]
+    off = [AffinePoint(6, 2, p), AffinePoint(1, 1, p)]
+    lines = [AffineLine(2, 1, p), AffineLine(0, 0, p), vertical_line(4, p)]
     with pytest.raises(PointSentToInfinityError) as err:
-        apply_map(M, inst)
-    assert err.value.point == q
-    inst2 = Instance(mod, [], [line_through(q, r)])
-    with pytest.raises(LineSentToInfinityError):
-        apply_map(M, inst2)
+        apply_map(M, Instance(mod, on_it + off, lines))
+    assert err.value.point == AffinePoint(3, 0, p)  # the smaller key; points before lines
+    with pytest.raises(LineSentToInfinityError) as err:
+        apply_map(M, Instance(mod, off, lines))
+    assert err.value.line == AffineLine(0, 0, p)
+    # a vertical apex line x = 2
+    M = projective_map_from_pair(AffinePoint(2, 1, p), AffinePoint(2, 5, p))
+    with pytest.raises(LineSentToInfinityError) as err:
+        apply_map(M, Instance(mod, off, [AffineLine(1, 1, p), vertical_line(2, p), vertical_line(3, p)]))
+    assert err.value.line == vertical_line(2, p)
 
 
 def test_apply_map_preserves_counts_50_random():
@@ -216,6 +245,48 @@ def test_apply_map_preserves_counts_50_random():
         mapped = apply_map(M, restricted)
         assert mapped.m == restricted.m and mapped.n == restricted.n, "map must be injective"
         assert count_incidences(mapped) == count_incidences(restricted), f"instance {i}"
+
+
+@st.composite
+def maps_and_instances(draw):
+    """An invertible map over F_p, affine (third row (0, 0, c)) about half
+    the time, and an instance of points and lines, vertical lines among
+    them, for small and for the largest p."""
+    p = draw(st.sampled_from([3, 1009, 2**31 - 1]))
+    residue = residues(p)
+    row = st.tuples(residue, residue, residue)
+    third = draw(st.one_of(st.tuples(st.just(0), st.just(0), residue), row))
+    try:
+        M = ProjMap((draw(row), draw(row), third), p)
+    except InvalidParameterError:
+        assume(False)
+    point = st.builds(AffinePoint, residue, residue, st.just(p))
+    line = st.one_of(st.builds(AffineLine, residue, residue, st.just(p)),
+                     st.builds(AffineLine, st.none(), residue, st.just(p)))
+    return M, Instance(make_modulus(p), draw(st.lists(point, max_size=12)), draw(st.lists(line, max_size=20)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(maps_and_instances())
+def test_apply_map_matches_the_object_map(case):
+    # on the elements that stay affine apply_map is the per-object map;
+    # with any of the others it names the first of them
+    M, inst = case
+    bad_line = line_to_infinity(M)
+    dropped = [q for q in inst.points if homogeneous_image(M, q)[2] == 0]
+    kept = Instance(inst.modulus, [q for q in inst.points if q not in dropped],
+                    [line for line in inst.lines if line != bad_line])
+    want = Instance(inst.modulus, [apply_point(M, q) for q in kept.points],
+                    [apply_line(M, line) for line in kept.lines])
+    assert apply_map(M, kept) == want
+    if dropped:
+        with pytest.raises(PointSentToInfinityError) as err:
+            apply_map(M, inst)
+        assert err.value.point == dropped[0]
+    elif kept.n < inst.n:
+        with pytest.raises(LineSentToInfinityError) as err:
+            apply_map(M, inst)
+        assert err.value.line == bad_line
 
 
 def test_instance_dedup_and_order():
