@@ -16,7 +16,10 @@ with A and lines nonempty and B optional.
 
 Every reader below raises ParseError (ConfigError for a sweep config) on a
 malformed file, so the CLI exits 2 with one error line.  JSON true and false
-are not integers anywhere in these files.
+are not integers anywhere in these files.  The instance and energy readers
+check the point and line columns in bulk and fall back to the per-entry
+check, which names the first bad entry; write_instance emits the canonical
+compact form in one encode.
 
 Sweep CSV schema: the fixed header CSV_HEADER, one column per key of
 _COLUMNS in its order; absent fields are empty.  JSON records use the same
@@ -30,7 +33,8 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -89,8 +93,9 @@ def _require(cond, message):
 
 
 # ---------------------------------------------------------------------------
-# Input files (error messages are formatted only on failure: an instance
-# file may hold 10^5 entries)
+# Input files.  An instance file may hold 10^5 entries: a reader checks each
+# column in bulk and runs the per-entry check, which names the first bad
+# entry, only when the bulk check fails
 # ---------------------------------------------------------------------------
 
 def _read_text(path) -> str:
@@ -181,6 +186,44 @@ def _line_key(entry, p: int, i: int) -> int:
     raise ParseError(f"lines[{i}] needs a 'kind' field, 'sl' or 'v'")
 
 
+def _residues(values, p: int) -> np.ndarray | None:
+    """The int64 array of values, a list of JSON values, or None unless
+    each is an integer in [0, p)."""
+    if not set(map(type, values)) <= {int}:  # bool and float are not int
+        return None
+    try:
+        col = np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+    return col if not col.size or (col.min() >= 0 and col.max() < p) else None
+
+
+def _point_keys(entries: list, p: int) -> np.ndarray:
+    """The keys of the points entries, checked in bulk; on a malformed entry
+    the per-entry check names the first one."""
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+        xy = _residues(list(chain.from_iterable(entries)), p)
+        if xy is not None:
+            return xy[0::2] * p + xy[1::2]
+    return np.array([_point_key(entry, p, i) for i, entry in enumerate(entries)], dtype=np.int64)
+
+
+def _line_keys(entries: list, p: int) -> np.ndarray:
+    """The keys of the lines entries, sloped lines first, checked in bulk;
+    on a malformed entry the per-entry check names the first one."""
+    if set(map(type, entries)) <= {dict}:
+        sloped = [entry for entry in entries if entry.get("kind") == "sl"]
+        vertical = [entry for entry in entries if entry.get("kind") == "v"]
+        try:
+            st = _residues(list(chain.from_iterable(map(itemgetter("s", "t"), sloped))), p)
+            x = _residues(list(map(itemgetter("x"), vertical)), p)
+        except KeyError:
+            st = x = None
+        if st is not None and x is not None and len(sloped) + len(vertical) == len(entries):
+            return np.concatenate((st[0::2] * p + st[1::2], x + p * p))
+    return np.array([_line_key(entry, p, i) for i, entry in enumerate(entries)], dtype=np.int64)
+
+
 def instance_to_dict(inst: Instance) -> dict:
     p = inst.p
     return {"p": p, "points": np.column_stack(inst.xy).tolist(),
@@ -192,19 +235,19 @@ def read_instance(path) -> Instance:
     data = _load_json(path)
     modulus = _modulus(data, "points", "lines")
     p = modulus.p
-    point_keys = [_point_key(entry, p, i) for i, entry in enumerate(data["points"])]
-    line_keys = [_line_key(entry, p, i) for i, entry in enumerate(data["lines"])]
+    point_keys, line_keys = _point_keys(data["points"], p), _line_keys(data["lines"], p)
     inst = Instance(modulus, point_keys=point_keys, line_keys=line_keys)
-    if inst.m < len(point_keys) or inst.n < len(line_keys):
-        warnings.warn(DuplicateEntryWarning(len(point_keys) - inst.m, len(line_keys) - inst.n), stacklevel=2)
+    if inst.m < point_keys.size or inst.n < line_keys.size:
+        warnings.warn(DuplicateEntryWarning(point_keys.size - inst.m, line_keys.size - inst.n), stacklevel=2)
     return inst
 
 
 def write_instance(inst: Instance, path) -> None:
-    """Write an instance in canonical (sorted, deduplicated) order."""
+    """Write an instance in canonical (sorted, deduplicated) order, in one
+    encode: json.dump would stream through the pure-Python encoder."""
+    text = json.dumps(instance_to_dict(inst), separators=(",", ":"), sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_instance3d(path) -> PlaneInstance3D:
@@ -219,14 +262,14 @@ def read_instance3d(path) -> PlaneInstance3D:
         raise ParseError(str(exc)) from exc
 
 
-def read_energy_input(path) -> tuple[int, tuple[int, ...], list[int], tuple[int, ...] | None]:
+def read_energy_input(path) -> tuple[int, tuple[int, ...], np.ndarray, tuple[int, ...] | None]:
     """Read an energy input file: (p, A, line keys, B), with B None when
     absent."""
     data = _load_json(path)
     p = _modulus(data, "A", "lines").p
     A = _ints(data["A"], None, "A")
     _require(A and data["lines"], "fields 'A' and 'lines' must be nonempty")
-    line_keys = [_line_key(entry, p, i) for i, entry in enumerate(data["lines"])]
+    line_keys = _line_keys(data["lines"], p)
     B = data.get("B")
     return p, A, line_keys, None if B is None else _ints(B, None, "B")
 

@@ -398,14 +398,18 @@ def _group_degrees(item_a, item_b, keys, offs, vals, p: int, record) -> tuple[np
     a_c, b_c = item_a.astype(np.uint64) * c, item_b.astype(np.uint64) * c
     flat_keys = np.repeat(keys[flat], sizes[flat]).astype(np.uint64)
     flat_vals = (vals[at_flat] + p).astype(np.uint64) * c
-    step = max(1, _MASK_CELLS // max(item_a.size, 1))
-    for lo in range(0, at_flat.size, step):
-        at = at_flat[lo:lo + step]
-        hit = flat_keys[lo:lo + step, None] * a_c + flat_vals[lo:lo + step, None] - b_c <= bound
-        if hit.any():
-            row, col = np.nonzero(hit)
-            np.add.at(per_item, col, 1)
-            np.add.at(per_val, at[row], 1)
+    # blocks of about _MASK_CELLS cells: rows of flattened probes against
+    # chunks of at most _MASK_CELLS items
+    width = min(item_a.size, _MASK_CELLS) or 1
+    step = _MASK_CELLS // width
+    for first in range(0, item_a.size, width):
+        chunk_a, chunk_b = a_c[first:first + width], b_c[first:first + width]
+        for lo in range(0, at_flat.size, step):
+            hit = flat_keys[lo:lo + step, None] * chunk_a + flat_vals[lo:lo + step, None] - chunk_b <= bound
+            if hit.any():
+                row, col = np.nonzero(hit)
+                np.add.at(per_item, col + first, 1)
+                np.add.at(per_val, at_flat[lo + row], 1)
     for g in np.flatnonzero(~flat).tolist():
         lo, hi = int(offs[g]), int(offs[g + 1])
         grp = vals[lo:hi]

@@ -677,6 +677,23 @@ def test_join_degrees_probe_paths_and_sides(monkeypatch, search_cost):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("search_cost", [4, 10**9], ids=["mixed", "flat"])
+def test_join_degrees_blocks_the_items(monkeypatch, search_cost):
+    # more items than _MASK_CELLS: every block of flattened probes is one
+    # row against a chunk of the items, the last chunk shorter
+    import incidencelab.incidence as inc
+    monkeypatch.setattr(inc, "_MASK_CELLS", 64)
+    monkeypatch.setattr(inc, "_SEARCH_COST", search_cost)
+    p = 31
+    columns = Instance(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9, 20) for y in range(p)],
+                       [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
+    cases = [full_plane(11), columns] + random_instances(10, seed=17, max_m=300, max_n=300)
+    for inst in cases:
+        got = join_degrees(*inst.xy, inst.line_keys, inst.p)
+        want = incidence_degrees(*inst.xy, inst.line_keys, inst.p)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_naive_never_runs_the_join(monkeypatch):
     import incidencelab.incidence as inc
 
