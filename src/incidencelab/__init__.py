@@ -27,8 +27,8 @@ _EXPORTS = {
                   "check_hypotheses", "count_incidences", "count_point_plane", "kernel_backend",
                   "max_collinear_3d", "reference_bound", "richness_histograms", "warm_up_kernels",
                   "within_combinatorial_bound"),
-    "constructions": ("SeededStream", "cartesian_instance", "elekes_construction",
-                      "elekes_line_family", "full_plane", "pencil", "random_instance"),
+    "constructions": ("SeededStream", "cartesian_instance", "elekes_construction", "full_plane",
+                      "pencil", "random_instance"),
     "cover": ("GridCertificate", "NormalizedGrid", "PencilGrid", "RichnessPartition",
               "VerificationReport", "grid_cover", "normalize_grid", "richness_partition",
               "two_pencil_extract", "verify_certificate"),

@@ -122,11 +122,6 @@ def elekes_construction(a: int, c: int, p: int) -> Instance:
     return Instance(modulus, point_keys=point_keys.ravel(), line_keys=line_keys.ravel())
 
 
-def elekes_line_family(a: int, c: int, p: int) -> list[AffineLine]:
-    """Lines y = s x + t with 1 <= s <= c and 1 <= t <= ac."""
-    return [AffineLine(s, t, p) for s in range(1, c + 1) for t in range(1, a * c + 1)]
-
-
 def full_plane(p: int) -> Instance:
     """All p^2 points and all p^2 + p lines of the affine plane."""
     # point keys x*p + y and line keys s*p + t, then p*p + x0 for the
@@ -140,8 +135,8 @@ def full_plane(p: int) -> Instance:
 def cartesian_instance(A: Iterable[int], B: Iterable[int], lines, p: int) -> Instance:
     """The product point set A x B with a caller-chosen line family.
 
-    lines may be an iterable of AffineLine, or the string "spanned" for all
-    lines determined by at least two points of the product.
+    lines may be line keys (:meth:`AffineLine.key`), or the string
+    "spanned" for all lines determined by at least two points of the product.
     """
     modulus = make_modulus(p)
     A = np.array(sorted({x % p for x in A}), dtype=np.int64)
@@ -150,7 +145,7 @@ def cartesian_instance(A: Iterable[int], B: Iterable[int], lines, p: int) -> Ins
         raise EmptyInputError("A and B must be nonempty")
     point_keys = (A[:, None] * p + B).ravel()
     if not isinstance(lines, str):
-        return Instance(modulus, lines=lines, point_keys=point_keys)
+        return Instance(modulus, point_keys=point_keys, line_keys=lines)
     if lines != "spanned":
         raise InvalidParameterError(f"unknown line family {lines!r}")
     from .distances import determined_lines

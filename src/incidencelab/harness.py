@@ -225,9 +225,9 @@ def _line_keys(entries: list, p: int) -> np.ndarray:
 
 
 def instance_to_dict(inst: Instance) -> dict:
-    p = inst.p
-    return {"p": p, "points": np.column_stack(inst.xy).tolist(),
-            "lines": [_line_json(key, p) for key in inst.line_keys.tolist()]}
+    s, t, vertical = (c.tolist() for c in inst.line_columns)
+    lines = [{"kind": "sl", "s": a, "t": b} for a, b in zip(s, t)] + [{"kind": "v", "x": x0} for x0 in vertical]
+    return {"p": inst.p, "points": np.column_stack(inst.xy).tolist(), "lines": lines}
 
 
 def read_instance(path) -> Instance:

@@ -370,13 +370,10 @@ _PASS_COST = 700
 
 
 def _divisor_test(p: int) -> tuple[np.uint64, np.uint64]:
-    """(c, bound) such that p divides u in [0, 2^64) exactly when u*c mod
-    2^64 <= bound: c = p^-1 mod 2^64 and bound = floor((2^64 - 1)/p) for
-    odd p, the test of the flat kernel in ``_kernels.c``; c = 2^63 and
-    bound = 0 for p = 2."""
-    if p % 2:
-        return np.uint64(pow(p, -1, 1 << 64)), np.uint64(((1 << 64) - 1) // p)
-    return np.uint64(1 << 63), np.uint64(0)
+    """(c, bound) such that the odd prime p divides u in [0, 2^64) exactly
+    when u*c mod 2^64 <= bound: c = p^-1 mod 2^64 and bound =
+    floor((2^64 - 1)/p), the test of the flat kernel in ``_kernels.c``."""
+    return np.uint64(pow(p, -1, 1 << 64)), np.uint64(((1 << 64) - 1) // p)
 
 
 def _group_degrees(item_a, item_b, keys, offs, vals, p: int, record) -> tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,10 @@ order is the sort order of the points and of the lines.
 :func:`line_keys` computes the keys of the lines through many point pairs
 at once.
 
-An :class:`Instance` stores only its two sorted key columns.  Its point and
-line objects, and the coordinate and run views the counting engines read,
-are built from the keys on first access.
+An :class:`Instance` is built from key columns only and stores them sorted
+and deduplicated.  The coordinate and run views the counting engines read,
+and the point and line objects (read only by the tests and the benchmark
+tracer), are built from the keys on first access.
 
 A :class:`ProjMap` is an invertible 3x3 matrix mod p.  :func:`apply_map`
 is the only code that applies it: it maps the key columns of an instance,
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -209,32 +209,17 @@ class Instance:
     holds x*p + y for each point and line_keys the :meth:`AffineLine.key`
     of each line.  Key order is the order of sorted points and of
     :meth:`AffineLine.sort_key`, so two instances with the same content
-    compare and serialize identically.  The object tuples points and lines
-    and the coordinate columns are built on first access.
+    compare and serialize identically.  The coordinate columns and the
+    object tuples points and lines are built on first access; only the
+    tests and the benchmark tracer still read the object tuples.
 
-    Build from objects, Instance(modulus, points, lines), or from keys in
-    any order and with repeats, Instance(modulus, point_keys=...,
-    line_keys=...); each side takes exactly one of the two forms.
+    The one constructor takes the keys, in any order and with repeats:
+    Instance(modulus, point_keys=..., line_keys=...).
     """
 
-    def __init__(self, modulus: PrimeModulus, points: Iterable[AffinePoint] | None = None,
-                 lines: Iterable[AffineLine] | None = None, *, point_keys=None, line_keys=None):
-        if (points is None) == (point_keys is None) or (lines is None) == (line_keys is None):
-            raise InvalidParameterError("give points or point_keys, and lines or line_keys")
+    def __init__(self, modulus: PrimeModulus, *, point_keys, line_keys):
         self.modulus = modulus
         p = modulus.p
-        if point_keys is None:
-            point_keys = []
-            for q in points:
-                if q.p != p:
-                    raise ModulusMismatchError(f"point {q} does not live in F_{p}")
-                point_keys.append(q.x * p + q.y)
-        if line_keys is None:
-            line_keys = []
-            for line in lines:
-                if line.p != p:
-                    raise ModulusMismatchError(f"line {line} does not live in F_{p}")
-                line_keys.append(line.key())
         self.point_keys = _key_column(point_keys, p * p, "point")
         self.line_keys = _key_column(line_keys, p * p + p, "line")
 

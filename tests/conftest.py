@@ -54,7 +54,13 @@ def random_instances(count, seed, max_p_index=None, max_m=500, max_n=500):
 
 def vertical_free(inst):
     """Drop vertical lines from an instance."""
-    return Instance(inst.modulus, inst.points, [l for l in inst.lines if l.slope is not None])
+    return Instance(inst.modulus, point_keys=inst.point_keys, line_keys=inst.line_keys[inst.line_keys < inst.p ** 2])
+
+
+def keyed(modulus, points=(), lines=()):
+    """The instance of some point and line objects, built from their keys."""
+    p = modulus.p
+    return Instance(modulus, point_keys=[q.x * p + q.y for q in points], line_keys=[line.key() for line in lines])
 
 
 def residues(p):

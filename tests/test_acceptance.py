@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import line_to_infinity, random_instances, vertical_free
+from conftest import keyed, line_to_infinity, random_instances, vertical_free
 from incidencelab.constructions import (
     SeededStream,
     elekes_construction,
@@ -175,7 +175,7 @@ def test_acceptance_6_projective_invariance_and_duality():
         # projective invariance on the elements that stay affine
         M = _random_invertible(inst.p, stream)
         bad_line = line_to_infinity(M)  # None for an affine map
-        restricted = Instance(
+        restricted = keyed(
             inst.modulus,
             [q for q in inst.points if bad_line is None or not incident(q, bad_line)],
             [l for l in inst.lines if l != bad_line],
@@ -285,7 +285,7 @@ def test_acceptance_9_performance_floor():
     count, stats = count_incidences(inst, "hash_join", stats=True)
     elapsed = time.perf_counter() - start
     # spot check: the two engines agree on a 1000 x 1000 restriction
-    sub = Instance(inst.modulus, inst.points[:1000], inst.lines[:1000])
+    sub = Instance(inst.modulus, point_keys=inst.point_keys[:1000], line_keys=inst.line_keys[:1000])
     sub_naive = count_incidences(sub, "naive")
     sub_hash = count_incidences(sub, "hash_join")
     backend, reason = kernel_backend()

@@ -4,7 +4,6 @@ from incidencelab.constructions import (
     SeededStream,
     cartesian_instance,
     elekes_construction,
-    elekes_line_family,
     full_plane,
     pencil,
     random_instance,
@@ -71,18 +70,19 @@ def test_full_plane_rejects_two():
 
 
 def test_cartesian_examples():
-    inst = cartesian_instance([0, 1], [0, 1], [AffineLine(1, 0, 5)], 5)
+    inst = cartesian_instance([0, 1], [0, 1], [AffineLine(1, 0, 5).key()], 5)
     assert inst.m == 4 and inst.n == 1 and count_incidences(inst) == 2
-    horizontals = [AffineLine(0, t, 11) for t in range(5)]
+    horizontals = [AffineLine(0, t, 11).key() for t in range(5)]
     inst = cartesian_instance(range(5), range(5), horizontals, 11)
     assert count_incidences(inst) == 25
 
 
 def test_cartesian_matches_elekes():
-    a, c, p = 2, 1, 7
-    inst = cartesian_instance(range(1, a + 1), range(1, 2 * a * c + 1),
-                              elekes_line_family(a, c, p), p)
-    assert inst == elekes_construction(a, c, p)
+    # the lines y = s x + t for 1 <= s <= c and 1 <= t <= ac, as keys
+    for a, c, p in ((2, 1, 7), (3, 2, 31)):
+        lines = [s * p + t for s in range(1, c + 1) for t in range(1, a * c + 1)]
+        inst = cartesian_instance(range(1, a + 1), range(1, 2 * a * c + 1), lines, p)
+        assert inst == elekes_construction(a, c, p)
 
 
 def test_cartesian_spanned():

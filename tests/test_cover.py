@@ -95,7 +95,8 @@ def test_partition_full_plane_test_constants():
 
 def test_partition_isolated_point_in_low():
     mod = make_modulus(7)
-    inst = Instance(mod, [AffinePoint(0, 0, 7), AffinePoint(1, 1, 7)], [AffineLine(0, 1, 7)])
+    inst = Instance(mod, point_keys=pkeys([AffinePoint(0, 0, 7), AffinePoint(1, 1, 7)]),
+                    line_keys=lkeys([AffineLine(0, 1, 7)]))
     # (1,1) on y=1, (0,0) on nothing; K = 1/2, low threshold 1/4
     part = richness_partition(inst, Fraction(1, 2), 2)
     assert part.low == (0,)  # (0, 0)
@@ -139,7 +140,7 @@ def test_partition_matches_rational_thresholds():
 def test_partition_empty_instance():
     mod = make_modulus(7)
     with pytest.raises(EmptyInstanceError):
-        richness_partition(Instance(mod, [], [AffineLine(1, 1, 7)]), Fraction(1, 2), 2)
+        richness_partition(Instance(mod, point_keys=[], line_keys=lkeys([AffineLine(1, 1, 7)])), Fraction(1, 2), 2)
 
 
 def test_two_pencil_full_plane_trace():
@@ -166,13 +167,14 @@ def test_two_pencil_axis_parallel_empty_grid():
     points = [AffinePoint(x, y, p) for x in range(8) for y in range(8)]
     lines = [AffineLine(0, t, p) for t in range(8)] + [AffineLine(None, x, p) for x in range(8)]
     with pytest.raises(EmptyGridError):
-        two_pencil_extract(Instance(make_modulus(p), points, lines))
+        two_pencil_extract(Instance(make_modulus(p), point_keys=pkeys(points), line_keys=lkeys(lines)))
 
 
 def test_two_pencil_no_incidences():
     p = 7
     with pytest.raises(NoIncidencesError):
-        two_pencil_extract(Instance(make_modulus(p), [AffinePoint(0, 0, p)], [AffineLine(1, 1, p)]))
+        two_pencil_extract(Instance(make_modulus(p), point_keys=pkeys([AffinePoint(0, 0, p)]),
+                                    line_keys=lkeys([AffineLine(1, 1, p)])))
 
 
 def reference_extract(points, lines):
@@ -242,7 +244,7 @@ def test_two_pencil_pool_degrees_skip_the_poor_lines():
             if not incident(origin, line)]
     poor = [line for line in [AffineLine(None, 0, p)] + [AffineLine(s, 0, p) for s in range(p)]
             if not any(incident(q, line) for q in grid)][:36]
-    inst = Instance(make_modulus(p), grid + [origin], rich + poor)
+    inst = Instance(make_modulus(p), point_keys=pkeys(grid + [origin]), line_keys=lkeys(rich + poor))
     assert 2 * len(rich) < inst.n
     got = two_pencil_extract(inst)
     assert got == reference_extract(inst.points, inst.lines)
@@ -298,7 +300,7 @@ def test_grid_cover_full_plane_certificate():
 
 def test_grid_cover_no_incidences_is_empty_process():
     mod = make_modulus(7)
-    inst = Instance(mod, [AffinePoint(0, 0, 7)], [AffineLine(1, 1, 7)])
+    inst = Instance(mod, point_keys=pkeys([AffinePoint(0, 0, 7)]), line_keys=lkeys([AffineLine(1, 1, 7)]))
     cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
     assert cert.steps == ()
     # the lone point has a dearth of incidences, so the regular set is empty
@@ -380,8 +382,8 @@ def test_normalize_preserves_incidences_random():
         for step in cert.steps:
             grid = step.grid
             norm = normalize_grid(grid, inst)
-            kept = [l for l in inst.lines if l != apex_line_of(grid, inst.p)]
-            before = Instance(inst.modulus, points_of(grid.points, inst.p), kept)
+            kept = inst.line_keys[inst.line_keys != apex_line_of(grid, inst.p).key()]
+            before = Instance(inst.modulus, point_keys=grid.points, line_keys=kept)
             assert count_incidences(norm.image) == count_incidences(before)
             checked += 1
         if checked >= 50:
@@ -514,7 +516,7 @@ def reference_normalize(grid, inst):
     tau = projective_map_from_pair(point_of(grid.apex1, p), point_of(grid.apex2, p))
     image_points = [apply_point(tau, q) for q in points_of(grid.points, p)]
     image_lines = [apply_line(tau, line) for line in inst.lines if line != apex_line_of(grid, p)]
-    return NormalizedGrid(tau, Instance(inst.modulus, image_points, image_lines),
+    return NormalizedGrid(tau, Instance(inst.modulus, point_keys=pkeys(image_points), line_keys=lkeys(image_lines)),
                           tuple(sorted({q.x for q in image_points})), tuple(sorted({q.y for q in image_points})))
 
 
@@ -544,7 +546,7 @@ def grids_and_lines(draw):
                      st.builds(AffineLine, st.none(), residue, st.just(p)))
     lines = draw(st.lists(line, max_size=20)) + [apex_line]
     grid = PencilGrid(*pkeys((apex1, apex2)), pkeys(points), (), (), (), (), (), Fraction(0))
-    return grid, Instance(make_modulus(p), [], lines)
+    return grid, Instance(make_modulus(p), point_keys=[], line_keys=lkeys(lines))
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_instances, residues
+from conftest import keyed, random_instances, residues
 from incidencelab.constructions import SeededStream, elekes_construction, full_plane, random_instance
 from incidencelab.energy import energy_reduction, line_energy
 from incidencelab.errors import CompositeModulusError, InvalidParameterError, OutOfRangeError
@@ -38,7 +38,7 @@ def test_count_examples(engine):
     assert count_incidences(full_plane(3), engine) == 36
     assert count_incidences(elekes_construction(2, 1, 7), engine) == 4
     mod = make_modulus(7)
-    inst = Instance(mod, [AffinePoint(0, 0, 7)], [AffineLine(1, 1, 7)])
+    inst = keyed(mod, [AffinePoint(0, 0, 7)], [AffineLine(1, 1, 7)])
     assert count_incidences(inst, engine) == 0
 
 
@@ -74,9 +74,9 @@ def test_naive_mask_blocks_match_oracle(monkeypatch, cells):
     monkeypatch.setattr(inc, "_MASK_CELLS", cells)
     mod = make_modulus(7)
     columns = [AffinePoint(x, y, 7) for x in range(3) for y in range(7)]
-    vertical_only = Instance(mod, columns, [AffineLine(None, x, 7) for x in (0, 2, 5)])
+    vertical_only = keyed(mod, columns, [AffineLine(None, x, 7) for x in (0, 2, 5)])
     assert count_incidences(vertical_only, "naive") == 14
-    no_points = Instance(mod, [], [AffineLine(1, 2, 7), AffineLine(None, 3, 7)])
+    no_points = keyed(mod, lines=[AffineLine(1, 2, 7), AffineLine(None, 3, 7)])
     assert count_incidences(no_points, "naive") == 0
     for inst in random_instances(20, seed=13, max_m=60, max_n=60):
         assert count_incidences(inst, "naive") == brute_count(inst) == count_incidences(inst, "hash_join")
@@ -89,8 +89,10 @@ def test_monotonicity_adding_elements():
         p = inst.p
         q = AffinePoint(stream.below(p), stream.below(p), p)
         line = AffineLine(stream.below(p), stream.below(p), p)
-        assert count_incidences(Instance(inst.modulus, inst.points + (q,), inst.lines)) >= base
-        assert count_incidences(Instance(inst.modulus, inst.points, inst.lines + (line,))) >= base
+        more_points = np.append(inst.point_keys, q.x * p + q.y)
+        assert count_incidences(Instance(inst.modulus, point_keys=more_points, line_keys=inst.line_keys)) >= base
+        more_lines = np.append(inst.line_keys, line.key())
+        assert count_incidences(Instance(inst.modulus, point_keys=inst.point_keys, line_keys=more_lines)) >= base
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -121,7 +123,7 @@ def test_richness_histograms_elekes():
 
 def test_richness_histograms_empty_lines():
     mod = make_modulus(7)
-    inst = Instance(mod, [AffinePoint(1, 2, 7)], [])
+    inst = keyed(mod, [AffinePoint(1, 2, 7)])
     hist = richness_histograms(inst)
     assert hist.per_point.tolist() == [0] and hist.per_line.size == 0
     assert hist.total == 0
@@ -377,7 +379,7 @@ def probe_side_instances(p, seed):
         while len(ts) < min(size, p):
             ts.add(stream.below(p))
         lines += [AffineLine(s, t, p) for t in ts]
-    by_slope = Instance(mod, spread, lines)
+    by_slope = keyed(mod, spread, lines)
 
     columns = (0, p - 1, stream.below(p))
     points = []
@@ -388,7 +390,7 @@ def probe_side_instances(p, seed):
     # lines through column points, with distinct slopes
     rays += [AffineLine(s, (q.y - s * q.x) % p, p) for s, q in enumerate(points[:p])]
     rays.append(AffineLine(None, columns[1], p))
-    by_column = Instance(mod, points, rays)
+    by_column = keyed(mod, points, rays)
     return by_slope, by_column
 
 
@@ -449,8 +451,8 @@ def test_compile_failures_are_stated(monkeypatch, tmp_path):
 def test_engine_partition_independence():
     # the count is a sum over lines, so any split of the line set adds up
     inst = random_instance(31, 120, 150, 9)
-    half1 = Instance(inst.modulus, inst.points, inst.lines[:75])
-    half2 = Instance(inst.modulus, inst.points, inst.lines[75:])
+    half1 = Instance(inst.modulus, point_keys=inst.point_keys, line_keys=inst.line_keys[:75])
+    half2 = Instance(inst.modulus, point_keys=inst.point_keys, line_keys=inst.line_keys[75:])
     assert count_incidences(half1) + count_incidences(half2) == count_incidences(inst)
 
 
@@ -510,7 +512,7 @@ def test_bitmap_threshold_groups_match_naive():
         while len(ts) < size:
             ts.add(stream.below(p))
         lines += [AffineLine(s, t, p) for t in ts]
-    inst = Instance(mod, points, lines)
+    inst = keyed(mod, points, lines)
     keys, offs = inst.slope_runs
     sizes = np.diff(offs)
     assert sorted(sizes.tolist()) == [64, 64, 65, 65]
@@ -605,7 +607,7 @@ def test_max_collinear_checks_the_modulus():
         max_collinear_3d([(0, 0, 0)], 2**31 + 11)
 
 
-JOIN_PRIMES = (2, 3, 1009, 1048573, 2**31 - 1)
+JOIN_PRIMES = (3, 1009, 1048573, 2**31 - 1)
 
 
 @st.composite
@@ -668,8 +670,8 @@ def test_join_degrees_probe_paths_and_sides(monkeypatch, search_cost):
     monkeypatch.setattr(inc, "_PASS_COST", 0)
     monkeypatch.setattr(inc, "_MASK_CELLS", 100)
     p = 31
-    columns = Instance(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)],
-                       [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
+    columns = keyed(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)],
+                    [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
     cases = [full_plane(7), columns, elekes_construction(3, 2, 31)] + random_instances(20, seed=31, max_m=80, max_n=80)
     for inst in cases:
         got = join_degrees(*inst.xy, inst.line_keys, inst.p)
@@ -685,8 +687,8 @@ def test_join_degrees_blocks_the_items(monkeypatch, search_cost):
     monkeypatch.setattr(inc, "_MASK_CELLS", 64)
     monkeypatch.setattr(inc, "_SEARCH_COST", search_cost)
     p = 31
-    columns = Instance(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9, 20) for y in range(p)],
-                       [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
+    columns = keyed(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9, 20) for y in range(p)],
+                    [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
     cases = [full_plane(11), columns] + random_instances(10, seed=17, max_m=300, max_n=300)
     for inst in cases:
         got = join_degrees(*inst.xy, inst.line_keys, inst.p)
@@ -711,8 +713,8 @@ def test_count_stats(engine):
     # a full plane probes its slope classes; points in two columns against
     # lines of many slopes probe the columns
     p = 31
-    columns = Instance(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)],
-                       [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
+    columns = keyed(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)],
+                    [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
     for inst, side in ((full_plane(7), "slope"), (columns, "column")):
         count, stats = count_incidences(inst, engine, stats=True)
         assert isinstance(stats, CountStats)
@@ -743,11 +745,11 @@ def test_count_stats_paths_of_the_c_kernels():
     # bitmap (64 * 37 >= 37)
     p = 1048573
     lines = [AffineLine(0, t, p) for t in range(40)] + [AffineLine(s, 0, p) for s in range(1, 40)]
-    inst = Instance(make_modulus(p), [AffinePoint(x, x, p) for x in range(50)], lines)
+    inst = keyed(make_modulus(p), [AffinePoint(x, x, p) for x in range(50)], lines)
     _, stats = count_incidences(inst, stats=True)
     assert stats.side == "slope"
     assert stats.probes == {"flat": 50 * 39, "bitmap": 0, "binary_search": 50, "mask": 0}
-    count, stats = count_incidences(Instance(make_modulus(37), full_plane(37).points, [AffineLine(1, 0, 37)]),
-                                    stats=True)
+    one_line = Instance(make_modulus(37), point_keys=full_plane(37).point_keys, line_keys=[AffineLine(1, 0, 37).key()])
+    count, stats = count_incidences(one_line, stats=True)
     assert count == 37 and stats.side == "column"
     assert stats.probes == {"flat": 0, "bitmap": 37, "binary_search": 0, "mask": 0}

@@ -1,7 +1,7 @@
 """The key-column Instance and the batched seeded stream.
 
 An Instance is two sorted int64 key columns; its object views, equality,
-moduli checks and duplicates must behave as they did when it held sorted
+key checks and duplicates must behave as they did when it held sorted
 object tuples.  SeededStream.sample_distinct mixes its outputs in numpy
 batches; the scalar loop below is the reference it must reproduce, draw for
 draw and state for state.
@@ -16,7 +16,7 @@ import incidencelab.constructions as constructions
 from conftest import random_instances, vertical_free
 from incidencelab.cli import cli
 from incidencelab.constructions import SeededStream, elekes_construction, full_plane, random_instance
-from incidencelab.errors import InvalidParameterError, ModulusMismatchError
+from incidencelab.errors import InvalidParameterError
 from incidencelab.field import make_modulus
 from incidencelab.harness import instance_to_dict
 from incidencelab.incidence import count_incidences
@@ -102,23 +102,20 @@ def _objects(p, seed, size):
 
 @pytest.mark.parametrize("p", [3, 7, 101, 2147483647])
 def test_object_and_key_constructors_agree(p):
+    """The object views of an instance built from the keys of some objects
+    are those objects, sorted and deduplicated."""
     mod = make_modulus(p)
     for seed in range(10):
         points, lines = _objects(p, seed, 60)
-        by_objects = Instance(mod, points, lines)
-        keys = Instance(mod, point_keys=[q.x * p + q.y for q in points], line_keys=[l.key() for l in lines])
-        assert by_objects == keys
-        assert by_objects.points == keys.points == tuple(sorted(set(points)))
-        assert by_objects.lines == keys.lines == tuple(sorted(set(lines), key=AffineLine.sort_key))
-        assert frozenset(by_objects.points) == frozenset(points) and set(by_objects.lines) == set(lines)
-        assert count_incidences(by_objects, "naive") == count_incidences(keys, "hash_join")
-        # a generator is read once, like any iterable
-        assert Instance(mod, iter(points), (l for l in lines)) == by_objects
+        inst = Instance(mod, point_keys=[q.x * p + q.y for q in points], line_keys=[l.key() for l in lines])
+        assert inst.points == tuple(sorted(set(points)))
+        assert inst.lines == tuple(sorted(set(lines), key=AffineLine.sort_key))
+        assert count_incidences(inst, "naive") == count_incidences(inst, "hash_join")
 
 
 def test_instance_columns_follow_key_order():
-    inst = Instance(make_modulus(7), [AffinePoint(3, 1, 7), AffinePoint(0, 6, 7), AffinePoint(3, 0, 7)],
-                    [AffineLine(None, 2, 7), AffineLine(5, 1, 7), AffineLine(0, 4, 7)])
+    inst = Instance(make_modulus(7), point_keys=[3 * 7 + 1, 0 * 7 + 6, 3 * 7 + 0],
+                    line_keys=[AffineLine(None, 2, 7).key(), AffineLine(5, 1, 7).key(), AffineLine(0, 4, 7).key()])
     assert inst.point_keys.tolist() == [6, 21, 22]
     assert inst.line_keys.tolist() == [4, 36, 51]
     assert [c.tolist() for c in inst.xy] == [[0, 3, 3], [6, 0, 1]]
@@ -129,24 +126,17 @@ def test_instance_columns_follow_key_order():
         inst.point_keys[0] = 1  # the columns are read-only
 
 
-def test_instance_rejects_mixed_moduli():
-    mod = make_modulus(7)
-    with pytest.raises(ModulusMismatchError):
-        Instance(mod, [AffinePoint(1, 1, 7), AffinePoint(1, 1, 5)], [])
-    with pytest.raises(ModulusMismatchError):
-        Instance(mod, [], [AffineLine(1, 1, 7), AffineLine(None, 1, 11)])
-
-
 def test_instance_rejects_bad_keys_and_forms():
     mod = make_modulus(7)
     for point_keys, line_keys in (([49], []), ([-1], []), ([], [56]), ([], [-3])):
         with pytest.raises(InvalidParameterError):
             Instance(mod, point_keys=point_keys, line_keys=line_keys)
     Instance(mod, point_keys=[48], line_keys=[55])  # the largest keys
-    with pytest.raises(InvalidParameterError):
-        Instance(mod, [], [], point_keys=[1], line_keys=[])
-    with pytest.raises(InvalidParameterError):
-        Instance(mod, [])
+    # the keys are the one form, by keyword only, and both are required
+    for args, kwargs in (((mod, [], []), {}), ((mod, [], []), {"point_keys": [1], "line_keys": []}),
+                         ((mod,), {"point_keys": [1]}), ((mod,), {})):
+        with pytest.raises(TypeError):
+            Instance(*args, **kwargs)
 
 
 def test_instance_duplicates_collapse():
@@ -159,12 +149,12 @@ def test_instance_duplicates_collapse():
 
 def test_empty_instance():
     mod = make_modulus(5)
-    for inst in (Instance(mod, [], []), Instance(mod, point_keys=[], line_keys=[])):
-        assert (inst.m, inst.n, inst.points, inst.lines) == (0, 0, (), ())
-        assert count_incidences(inst) == count_incidences(inst, "naive") == 0
-        assert instance_to_dict(inst) == {"p": 5, "points": [], "lines": []}
-        assert dualize(inst) == inst
-        assert inst == Instance(mod, point_keys=np.empty(0, np.int64), line_keys=())
+    inst = Instance(mod, point_keys=[], line_keys=[])
+    assert (inst.m, inst.n, inst.points, inst.lines) == (0, 0, (), ())
+    assert count_incidences(inst) == count_incidences(inst, "naive") == 0
+    assert instance_to_dict(inst) == {"p": 5, "points": [], "lines": []}
+    assert dualize(inst) == inst
+    assert inst == Instance(mod, point_keys=np.empty(0, np.int64), line_keys=())
 
 
 def test_dualize_keys_involution():

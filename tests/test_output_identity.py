@@ -15,20 +15,20 @@ from incidencelab import harness
 from incidencelab.cli import cli
 from incidencelab.constructions import elekes_construction, full_plane, random_instance
 from incidencelab.field import make_modulus
-from incidencelab.plane import AffinePoint, Instance
+from incidencelab.plane import Instance
 
 
 def _isotropic(p, i):
     """Points (t, i t) on the isotropic line y = i x through the origin."""
-    return Instance(make_modulus(p), [AffinePoint(t, i * t, p) for t in range(p)], [])
+    return Instance(make_modulus(p), point_keys=[t * p + i * t % p for t in range(p)], line_keys=[])
 
 
 def _with_runs(p):
     """Random points plus a planted collinear run and a planted column."""
     base = random_instance(p, 40, 30, 17)
-    run = [AffinePoint(t, 3 * t + 5, p) for t in range(12)]
-    col = [AffinePoint(7, 2 * t, p) for t in range(9)]
-    return Instance(base.modulus, list(base.points) + run + col, base.lines)
+    run = [t * p + 3 * t + 5 for t in range(12)]
+    col = [7 * p + 2 * t for t in range(9)]
+    return Instance(base.modulus, point_keys=base.point_keys.tolist() + run + col, line_keys=base.line_keys)
 
 
 INSTANCES = {

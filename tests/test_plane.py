@@ -6,6 +6,7 @@ from conftest import (
     apply_line,
     apply_point,
     homogeneous_image,
+    keyed,
     line_to_infinity,
     random_instances,
     residues,
@@ -72,7 +73,7 @@ def test_dualize_preserves_incidence_structure():
     # a point (a, b) pairs with the line y = a x - b; a line y = c x + d
     # pairs with the point (c, -d); incidences transfer exactly
     mod = make_modulus(7)
-    inst = Instance(mod, [AffinePoint(1, 3, 7)], [AffineLine(2, 1, 7)])
+    inst = keyed(mod, [AffinePoint(1, 3, 7)], [AffineLine(2, 1, 7)])
     dual = dualize(inst)
     assert dual.points == (AffinePoint(2, -1, 7),)
     assert dual.lines == (AffineLine(1, -3, 7),)
@@ -81,13 +82,13 @@ def test_dualize_preserves_incidence_structure():
 
 def test_dualize_empty():
     mod = make_modulus(7)
-    inst = Instance(mod, [], [])
+    inst = Instance(mod, point_keys=[], line_keys=[])
     assert dualize(inst) == inst
 
 
 def test_dualize_rejects_vertical():
     mod = make_modulus(7)
-    inst = Instance(mod, [], [AffineLine(None, 2, 7)])
+    inst = keyed(mod, lines=[AffineLine(None, 2, 7)])
     with pytest.raises(VerticalLinePresentError):
         dualize(inst)
 
@@ -160,7 +161,7 @@ def test_projective_map_infinity_preimage_is_join_50_random():
         qr = line_through(q, r)
         assert line_to_infinity(M) == qr
         with pytest.raises(LineSentToInfinityError) as err:
-            apply_map(M, Instance(make_modulus(p), [], [qr]))
+            apply_map(M, keyed(make_modulus(p), lines=[qr]))
         assert err.value.line == qr
         done += 1
 
@@ -176,7 +177,7 @@ def test_pencils_become_axis_parallel():
     def pencil(apex):
         # every line through the apex but the joining one, which goes to infinity
         lines = [AffineLine(s, (apex.y - s * apex.x) % p, p) for s in range(p)] + [vertical_line(apex.x, p)]
-        return Instance(make_modulus(p), [], [line for line in lines if line != join])
+        return keyed(make_modulus(p), lines=[line for line in lines if line != join])
 
     horizontal = apply_map(M, pencil(q))
     assert horizontal.n == p and all(line.slope == 0 for line in horizontal.lines), \
@@ -204,7 +205,7 @@ def _restrict_for_map(inst, M):
         return inst
     points = [q for q in inst.points if not incident(q, bad_line)]
     lines = [l for l in inst.lines if l != bad_line]
-    return Instance(inst.modulus, points, lines)
+    return keyed(inst.modulus, points, lines)
 
 
 def test_apply_map_identity_and_translation():
@@ -225,15 +226,15 @@ def test_apply_map_point_to_infinity_errors():
     off = [AffinePoint(6, 2, p), AffinePoint(1, 1, p)]
     lines = [AffineLine(2, 1, p), AffineLine(0, 0, p), vertical_line(4, p)]
     with pytest.raises(PointSentToInfinityError) as err:
-        apply_map(M, Instance(mod, on_it + off, lines))
+        apply_map(M, keyed(mod, on_it + off, lines))
     assert err.value.point == AffinePoint(3, 0, p)  # the smaller key; points before lines
     with pytest.raises(LineSentToInfinityError) as err:
-        apply_map(M, Instance(mod, off, lines))
+        apply_map(M, keyed(mod, off, lines))
     assert err.value.line == AffineLine(0, 0, p)
     # a vertical apex line x = 2
     M = projective_map_from_pair(AffinePoint(2, 1, p), AffinePoint(2, 5, p))
     with pytest.raises(LineSentToInfinityError) as err:
-        apply_map(M, Instance(mod, off, [AffineLine(1, 1, p), vertical_line(2, p), vertical_line(3, p)]))
+        apply_map(M, keyed(mod, off, [AffineLine(1, 1, p), vertical_line(2, p), vertical_line(3, p)]))
     assert err.value.line == vertical_line(2, p)
 
 
@@ -263,7 +264,7 @@ def maps_and_instances(draw):
     point = st.builds(AffinePoint, residue, residue, st.just(p))
     line = st.one_of(st.builds(AffineLine, residue, residue, st.just(p)),
                      st.builds(AffineLine, st.none(), residue, st.just(p)))
-    return M, Instance(make_modulus(p), draw(st.lists(point, max_size=12)), draw(st.lists(line, max_size=20)))
+    return M, keyed(make_modulus(p), draw(st.lists(point, max_size=12)), draw(st.lists(line, max_size=20)))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -274,10 +275,9 @@ def test_apply_map_matches_the_object_map(case):
     M, inst = case
     bad_line = line_to_infinity(M)
     dropped = [q for q in inst.points if homogeneous_image(M, q)[2] == 0]
-    kept = Instance(inst.modulus, [q for q in inst.points if q not in dropped],
-                    [line for line in inst.lines if line != bad_line])
-    want = Instance(inst.modulus, [apply_point(M, q) for q in kept.points],
-                    [apply_line(M, line) for line in kept.lines])
+    kept = keyed(inst.modulus, [q for q in inst.points if q not in dropped],
+                 [line for line in inst.lines if line != bad_line])
+    want = keyed(inst.modulus, [apply_point(M, q) for q in kept.points], [apply_line(M, line) for line in kept.lines])
     assert apply_map(M, kept) == want
     if dropped:
         with pytest.raises(PointSentToInfinityError) as err:
@@ -293,7 +293,7 @@ def test_instance_dedup_and_order():
     mod = make_modulus(7)
     pts = [AffinePoint(1, 1, 7), AffinePoint(0, 0, 7), AffinePoint(1, 1, 7)]
     lns = [AffineLine(None, 3, 7), AffineLine(2, 1, 7), AffineLine(2, 1, 7)]
-    inst = Instance(mod, pts, lns)
+    inst = keyed(mod, pts, lns)
     assert inst.m == 2 and inst.n == 2
     assert inst.points == (AffinePoint(0, 0, 7), AffinePoint(1, 1, 7))
     assert inst.lines[0] == AffineLine(2, 1, 7)  # verticals sort last
