@@ -25,7 +25,7 @@ _EXPORTS = {
               "incident", "line_through", "projective_map_from_pair", "vertical_line"),
     "incidence": ("CountStats", "HypothesisReport", "PlaneInstance3D", "RichnessHistogram",
                   "check_hypotheses", "count_incidences", "count_point_plane", "kernel_backend",
-                  "max_collinear_3d", "reference_bound", "richness_histograms", "warm_up_kernels",
+                  "max_collinear_3d", "reference_bound", "richness_histograms",
                   "within_combinatorial_bound"),
     "constructions": ("SeededStream", "cartesian_instance", "elekes_construction", "full_plane",
                       "pencil", "random_instance"),

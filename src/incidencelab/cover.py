@@ -11,11 +11,12 @@ x*p + y and a line its :meth:`AffineLine.key`, stored as tuples of Python
 ints, which compare and hash as plain values.  No record carries the
 modulus: ``normalize_grid(grid, inst)`` and ``verify_certificate(inst,
 cert)`` read p and the line keys from the instance.  The extraction and the
-cover loop read the key columns of the instance; their degree scans are
-joins over slope classes or columns (``join_degrees``), and the joins to
-the apexes are batched line keys.  The certificate verifier checks the keys
-with array passes; its incidence tests are the blocked masks of
-``incidence_degrees``, so it never shares the extraction's join.
+cover loop read instances; their degree scans are ``richness_histograms``,
+joins over slope classes or columns, and the joins to the apexes are
+batched line keys, which also find the candidates on the apex line.  The
+certificate verifier checks the keys with array passes; its incidence
+tests are the blocked masks of ``incidence_degrees``, so it never shares
+the extraction's join.
 :func:`normalize_grid` is :func:`plane.projective_map_from_pair` of the
 apexes plus :func:`plane.apply_map` on the grid's point keys and the line
 keys; it builds only the two apexes as objects.
@@ -36,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     NoIncidencesError,
 )
-from .incidence import incidence_degrees, join_degrees
+from .incidence import incidence_degrees, richness_histograms
 from .plane import (
     AffinePoint,
     Instance,
@@ -75,8 +76,8 @@ def _richness_classes(inst: Instance, low_factor, high_factor) -> tuple[Fraction
     high_factor = Fraction(high_factor)
     if not low_factor < high_factor:
         raise InvalidParameterError(f"need low_factor < high_factor, got {low_factor} and {high_factor}")
-    deg = join_degrees(*inst.xy, inst.line_keys, inst.p)[0]
-    mean = Fraction(int(deg.sum()), inst.m)
+    hist = richness_histograms(inst)
+    deg, mean = hist.per_point, Fraction(hist.total, inst.m)
     # an integer degree d has d <= t exactly when d <= floor(t), and d >= t
     # exactly when d >= ceil(t); degrees lie in [0, n], so clamping the
     # bounds to [-1, n + 1] keeps every comparison and fits int64
@@ -125,24 +126,24 @@ def _apex_line(apex1: int, apex2: int, p: int) -> np.ndarray:
     return line_keys(x1, y1, [x2], [y2], p)
 
 
-def _select(qx, qy, keys, p: int) -> tuple[np.ndarray, int, int]:
-    """The line-then-point selection over the points Q = (qx, qy): the pool
-    of lines carrying at least I/(2n) of them, I = I(Q, L), and the first
-    point meeting at least I(Q, pool)/(2|Q|) pool lines (one always does).
-    Returns the pool mask, that point's index and I.  Each test is cleared of
-    its denominator; no product exceeds 2*|Q|*n, far inside int64.
+def _select(inst: Instance) -> tuple[np.ndarray, int, int]:
+    """The line-then-point selection over the points Q and lines L of inst:
+    the pool of lines carrying at least I/(2n) points of Q, I = I(Q, L),
+    and the first point meeting at least I(Q, pool)/(2|Q|) pool lines (one
+    always does).  Returns the pool mask, that point's index and I.  Each
+    test is cleared of its denominator; no product exceeds 2*|Q|*n, far
+    inside int64.
     """
-    degree, richness = join_degrees(qx, qy, keys, p)
-    total = int(richness.sum())
-    if total == 0:
+    hist = richness_histograms(inst)
+    if hist.total == 0:
         raise NoIncidencesError("no incidences between the given points and lines")
-    pool = 2 * keys.size * richness >= total
+    pool = 2 * inst.n * hist.per_line >= hist.total
     # the pool degrees, from a scan of the pool or of its complement, whichever is smaller
-    if 2 * int(pool.sum()) <= keys.size:
-        deg = join_degrees(qx, qy, keys[pool], p)[0]
-    else:
-        deg = degree - join_degrees(qx, qy, keys[~pool], p)[0]
-    return pool, int(np.argmax(2 * qx.size * deg >= int(richness[pool].sum()))), total
+    small = 2 * int(pool.sum()) <= inst.n
+    lines = inst.line_keys[pool if small else ~pool]
+    deg = richness_histograms(Instance(inst.modulus, point_keys=inst.point_keys, line_keys=lines)).per_point
+    deg = deg if small else hist.per_point - deg
+    return pool, int(np.argmax(2 * inst.m * deg >= int(hist.per_line[pool].sum()))), hist.total
 
 
 def two_pencil_extract(inst: Instance, mean_richness: Fraction | None = None) -> PencilGrid:
@@ -161,23 +162,26 @@ def two_pencil_extract(inst: Instance, mean_richness: Fraction | None = None) ->
     have no bite at the given sizes).
     """
     p, keys, pkeys, (px, py) = inst.p, inst.line_keys, inst.point_keys, inst.xy
-    pool1, a1, total = _select(px, py, keys, p)
+    pool1, a1, total = _select(inst)
     K = Fraction(mean_richness) if mean_richness is not None else Fraction(total, inst.m)
 
     # candidates: points joined to apex1 by a line of L
     others = np.flatnonzero(np.arange(inst.m) != a1)
-    cand = others[np.isin(line_keys(px[a1], py[a1], px[others], py[others], p), keys)]
+    joins1 = line_keys(px[a1], py[a1], px[others], py[others], p)
+    joined = np.isin(joins1, keys)
+    cand, joins1 = others[joined], joins1[joined]
     if cand.size == 0:
         raise EmptyGridError("no candidate points are joined to the first apex by a line of L")
-    cx, cy = px[cand], py[cand]
-    # each candidate lies on its join to apex1, so I(candidates, L) > 0
-    pool2, a2, _ = _select(cx, cy, keys, p)
+    # each candidate lies on its join to apex1, so I(candidates, L) > 0; cand
+    # ascends, so the candidate instance keeps its order
+    pool2, a2, _ = _select(Instance(inst.modulus, point_keys=pkeys[cand], line_keys=keys))
+    # a candidate lies on the apex line exactly when its join to apex1 is apex2's
+    off = cand[joins1 != joins1[a2]]
     a2 = int(cand[a2])
 
     apex1, apex2 = int(pkeys[a1]), int(pkeys[a2])
-    off = np.flatnonzero(join_degrees(cx, cy, _apex_line(apex1, apex2, p), p)[0] == 0)
-    joins2 = line_keys(px[a2], py[a2], cx[off], cy[off], p)
-    grid = cand[off[np.isin(joins2, keys[pool2])]]
+    joins2 = line_keys(px[a2], py[a2], px[off], py[off], p)
+    grid = off[np.isin(joins2, keys[pool2])]
     if grid.size == 0:
         raise EmptyGridError("no line of the second pool joins the second apex to a point off the apex line")
 

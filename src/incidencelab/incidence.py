@@ -7,8 +7,10 @@ cheaper) and probes candidate keys; with ``stats=True`` it also says how it
 ran (:class:`CountStats`).  The naive engine is the reference: it sums
 :func:`incidence_degrees`, numpy masks over blocks of (point, line) pairs,
 which only it and the certificate verifier read.  The per-point and
-per-line degrees that richness histograms and the cover layer read come
-from :func:`join_degrees`, a numpy join over the same groups as the count.
+per-line degrees that the cover layer reads come from
+:func:`richness_histograms`, a numpy join over the groups the count probes:
+both read one :class:`plane.Instance` through :func:`_join_groups`, and
+only the oracle takes raw columns.
 The count's probes take one of three paths of the C kernels in
 ``_kernels.c``:
 groups of at most _FLAT_GROUP_MAX values are flattened into independent
@@ -52,7 +54,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .field import inv_mod, inv_mod_array, make_modulus
-from .plane import Instance, _runs, pair_blocks
+from .plane import Instance, pair_blocks
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 _CC = "cc"
@@ -174,11 +176,6 @@ def kernel_backend() -> tuple[str, str]:
     return ("c", "") if backend.lib is not None else ("numpy", backend.reason)
 
 
-def warm_up_kernels() -> bool:
-    """Load or compile the C kernels now; True if hash-join counts use them."""
-    return kernel_backend()[0] == "c"
-
-
 # groups with at most this many values are cheaper as independent probes in
 # the blocked kernel than as binary searches in the per-group kernel
 _FLAT_GROUP_MAX = 32
@@ -221,33 +218,35 @@ def _join_count(p, item_a, item_b, keys, offs, vals, record) -> int:
     return total
 
 
-def _join_groups(p, px, py, s, t, n, slope_runs, column_runs):
-    """(side, cost, groups) of the join of the points (px, py) with the
-    non-vertical lines (s, t) of n lines in all: cost holds the (item,
-    group) pairs of each side, and groups the arguments (item_a, item_b,
-    keys, offs, vals) of the cheaper one, each point against each slope
-    class's intercepts ("slope") or each non-vertical line against each
-    column's y-values ("column")."""
-    cost = {"slope": px.size * (slope_runs[0].size + 1), "column": n * (column_runs[0].size + 1)}
+def _join_groups(inst: Instance):
+    """(side, cost, groups) of the join of the points of inst with its
+    non-vertical lines: cost holds the (item, group) pairs of each side, and
+    groups the arguments (item_a, item_b, keys, offs, vals) of the cheaper
+    one, each point against each slope class's intercepts ("slope") or each
+    non-vertical line against each column's y-values ("column")."""
+    px, py = inst.xy
+    s, t, _ = inst.line_columns
+    col_x, col_offs = inst.column_runs
+    cost = {"slope": inst.m * (inst.slope_runs[0].size + 1), "column": inst.n * (col_x.size + 1)}
     if cost["slope"] <= cost["column"]:
-        return "slope", cost, (px, py, *slope_runs, t)
+        return "slope", cost, (px, py, *inst.slope_runs, t)
     # y = s*x + t  <=>  t - (-x)*s = y (mod p)
-    col_x, col_offs = column_runs
-    return "column", cost, (s, t, (-col_x) % p, col_offs, py)
+    return "column", cost, (s, t, (-col_x) % inst.p, col_offs, py)
 
 
-def _vertical_degrees(px, x0) -> np.ndarray:
-    """Points on each vertical line x = x0, for points sorted by x."""
-    return np.searchsorted(px, x0, "right") - np.searchsorted(px, x0)
+def _vertical_degrees(a, b) -> np.ndarray:
+    """How often each value of b occurs in the sorted array a: the points on
+    each vertical line for (px, x0), the vertical lines through each point
+    for (x0, px)."""
+    return np.searchsorted(a, b, "right") - np.searchsorted(a, b)
 
 
 def _count_hash_join(inst: Instance, record) -> int:
     start = perf_counter()
-    px, py = inst.xy
-    s, t, x0 = inst.line_columns
-    side, cost, groups = _join_groups(inst.p, px, py, s, t, inst.n, inst.slope_runs, inst.column_runs)
+    side, cost, groups = _join_groups(inst)
     views = perf_counter() - start
-    total = int(_vertical_degrees(px, x0).sum()) + _join_count(inst.p, *groups, record)
+    vertical = int(_vertical_degrees(inst.xy[0], inst.line_columns[2]).sum())
+    total = vertical + _join_count(inst.p, *groups, record)
     record.update(side=side, cost=cost, views=views, kernel=perf_counter() - start - views - record["split"])
     return total
 
@@ -308,8 +307,7 @@ def count_incidences(inst: Instance, engine: str = "auto", *, stats: bool = Fals
     if not stats:
         return count
     if engine == "naive":
-        record["cost"] = _join_groups(inst.p, *inst.xy, *inst.line_columns[:2], inst.n,
-                                      inst.slope_runs, inst.column_runs)[1]
+        record["cost"] = _join_groups(inst)[1]
         backend = ("numpy", "the naive engine runs numpy masks")
     else:
         engine, backend = "hash_join", kernel_backend()
@@ -329,7 +327,7 @@ class RichnessHistogram:
 
 
 # cells of one block of the incidence mask in incidence_degrees, and of one
-# block of flattened probes in join_degrees: 64-bit temporaries of 128 KiB.
+# block of flattened probes in _group_degrees: 64-bit temporaries of 128 KiB.
 # 2-vCPU Xeon, numpy 2.4: a full_plane(61) mask scan takes 0.10-0.12 s at
 # 1 << 14 against 0.19-0.23 s at 1 << 16 (0.13 s at 1 << 13), and a mask
 # scan of random m = n = 10^4 over p = 1048573 0.8 s against 1.1 s
@@ -340,8 +338,9 @@ def incidence_degrees(px, py, keys, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-point and per-line incidence counts of the points (px, py)
     against the lines with the given keys (:meth:`AffineLine.key`), from
     masks over blocks of lines holding at most about _MASK_CELLS cells.
-    This is the reference that the naive engine sums; the other callers read
-    :func:`join_degrees`."""
+    This is the reference that the naive engine sums and the certificate
+    verifier reads; every other degree comes from
+    :func:`richness_histograms`."""
     per_point = np.zeros(px.size, dtype=np.int64)
     per_line = np.zeros(keys.size, dtype=np.int64)
     step = max(1, _MASK_CELLS // max(px.size, 1))
@@ -422,39 +421,19 @@ def _group_degrees(item_a, item_b, keys, offs, vals, p: int, record) -> tuple[np
     return per_item, per_val
 
 
-def join_degrees(px, py, keys, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The per-point and per-line counts of :func:`incidence_degrees` for
-    distinct points (px, py) in key order (by x, then y) and ascending
-    distinct line keys, by a join over the groups the hash-join count
-    probes: each point against each slope class's intercepts, or each
-    non-vertical line against each column's y-values, whichever side is
-    cheaper.  A group is one searchsorted pass over the other side with a
-    bincount of its hits, or, when small, a row of flattened probes in a
-    block; the vertical lines are one searchsorted of their x in the x
-    column."""
-    px, py, keys = (np.asarray(a, dtype=np.int64) for a in (px, py, keys))
-    per_point = np.zeros(px.size, dtype=np.int64)
-    per_line = np.zeros(keys.size, dtype=np.int64)
-    if px.size == 0:
-        return per_point, per_line
-    sloped = int(np.searchsorted(keys, p * p))
-    x0 = keys[sloped:] - p * p
-    if x0.size:
-        per_line[sloped:] = _vertical_degrees(px, x0)
-        at = np.minimum(np.searchsorted(x0, px), x0.size - 1)
-        per_point += x0[at] == px
-    if sloped == 0:
-        return per_point, per_line
-    s, t = np.divmod(keys[:sloped], p)
-    side, _, groups = _join_groups(p, px, py, s, t, keys.size, _runs(s), _runs(px))
-    degrees = _group_degrees(*groups, p, {})
-    hits, per_line[:sloped] = degrees if side == "slope" else degrees[::-1]
-    per_point += hits
-    return per_point, per_line
-
-
 def richness_histograms(inst: Instance) -> RichnessHistogram:
-    per_point, per_line = join_degrees(*inst.xy, inst.line_keys, inst.p)
+    """The per-point and per-line counts of :func:`incidence_degrees`, by a
+    join over the groups of :func:`_join_groups`, the ones the hash-join
+    count probes.  A group is one searchsorted pass over the other side
+    with a bincount of its hits, or, when small, a row of flattened probes
+    in a block; the vertical lines are searchsorted passes between their x
+    and the x column."""
+    px, x0 = inst.xy[0], inst.line_columns[2]
+    side, _, groups = _join_groups(inst)
+    per_item, per_val = _group_degrees(*groups, inst.p, {})
+    per_point, sloped = (per_item, per_val) if side == "slope" else (per_val, per_item)
+    per_point += _vertical_degrees(x0, px)
+    per_line = np.concatenate([sloped, _vertical_degrees(px, x0)])
     return RichnessHistogram(per_point, per_line, int(per_point.sum()))
 
 

@@ -188,7 +188,13 @@ def distinct(a) -> np.ndarray:
 
 
 def _key_column(keys, bound: int, what: str) -> np.ndarray:
-    """The sorted distinct int64 keys, each checked to lie in [0, bound)."""
+    """The sorted distinct int64 keys, checked to be integers in [0, bound):
+    float, bool, str and object values are refused, not cast, but an empty
+    sequence (float64 to numpy) is no keys."""
+    keys = np.asarray(keys)
+    if keys.ndim != 1 or keys.size and keys.dtype.kind not in "iu":
+        raise InvalidParameterError(f"{what} keys must be a flat sequence of integers, "
+                                    f"got {keys.dtype} values of shape {keys.shape}")
     keys = distinct(keys)
     if keys.size and (keys[0] < 0 or keys[-1] >= bound):
         raise InvalidParameterError(f"{what} keys must lie in [0, {bound})")

@@ -8,7 +8,7 @@ import incidencelab
 from incidencelab.constructions import SeededStream, random_instance
 from incidencelab.field import inv_mod
 from incidencelab.plane import AffineLine, AffinePoint, Instance
-from incidencelab.incidence import warm_up_kernels
+from incidencelab.incidence import kernel_backend
 
 WARNING_PREFIX = "incidencelab: warning: "
 
@@ -18,7 +18,7 @@ SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
     # compile the probe kernels once so timed tests measure counting, not JIT
-    warm_up_kernels()
+    kernel_backend()
 
 
 def package_env():

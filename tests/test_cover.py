@@ -3,6 +3,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from incidencelab.cover import (
     CoverStep,
     NormalizedGrid,
     PencilGrid,
+    _apex_line,
     extraction_preconditions,
     grid_cover,
     grid_size_lower_bound,
@@ -39,6 +41,7 @@ from incidencelab.plane import (
     ProjMap,
     apply_map,
     incident,
+    line_keys,
     line_through,
     projective_map_from_pair,
 )
@@ -274,6 +277,32 @@ def test_two_pencil_structural_contract():
                 assert line in line_set and incident(apex, line)
             for q in points:
                 assert any(incident(q, line) for line in pencil)
+
+
+def test_grid_is_every_candidate_the_apex_filters_keep():
+    # the extraction finds the apex line among the joins to apex1; the
+    # reference tests each candidate against the apex line's key in the
+    # masks of incidence_degrees and joins it to apex2: no eligible
+    # candidate may be dropped, and none kept off the filter
+    cases = [full_plane(23), elekes_construction(6, 3, 101)]
+    cases += [random_instance(p, 300, 300, seed) for p, seed in ((31, 1), (31, 2), (101, 3), (1009, 4))]
+    cases += random_instances(20, seed=77, max_m=200, max_n=200)
+    grids, dropped = 0, 0
+    for inst in cases:
+        p = inst.p
+        extractions = [step.grid for step in grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4)).steps]
+        try:
+            extractions.append(two_pencil_extract(inst))
+        except (EmptyGridError, NoIncidencesError):
+            pass
+        for g in extractions:
+            cx, cy = np.divmod(np.array(g.candidates, dtype=np.int64), p)
+            off = incidence_degrees(cx, cy, _apex_line(g.apex1, g.apex2, p), p)[0] == 0
+            joined = np.isin(line_keys(*divmod(g.apex2, p), cx, cy, p), g.rich_lines2)
+            assert g.points == tuple((cx * p + cy)[off & joined].tolist())
+            grids += 1
+            dropped += int(np.count_nonzero(~off)) - 1  # apex2 itself is on the apex line
+    assert grids >= 20 and dropped > 0
 
 
 def test_grid_size_bound_when_preconditions_hold():

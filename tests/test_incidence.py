@@ -16,7 +16,6 @@ from incidencelab.incidence import (
     count_incidences,
     count_point_plane,
     incidence_degrees,
-    join_degrees,
     kernel_backend,
     max_collinear_3d,
     reference_bound,
@@ -397,7 +396,7 @@ def probe_side_instances(p, seed):
 @pytest.mark.parametrize("p", [3, 1048573, 2147483647])
 def test_compiled_kernel_matches_naive_on_both_probe_sides(p):
     import incidencelab.incidence as inc
-    if not inc.warm_up_kernels():
+    if inc.kernel_backend()[0] != "c":
         pytest.skip(f"compiled kernel unavailable: {inc.kernel_backend()[1]}")
     for seed in range(4):
         by_slope, by_column = probe_side_instances(p, seed)
@@ -421,12 +420,11 @@ def test_no_compiler_falls_back_with_reason(monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
     assert [count_incidences(inst, "hash_join") for inst in instances] == expected
     assert inc.kernel_backend() == ("numpy", "cc not on PATH")
-    assert not inc.warm_up_kernels()
 
 
 def test_compile_failures_are_stated(monkeypatch, tmp_path):
     import incidencelab.incidence as inc
-    if not inc.warm_up_kernels():
+    if inc.kernel_backend()[0] != "c":
         pytest.skip(f"compiled kernel unavailable: {inc.kernel_backend()[1]}")
     inst = elekes_construction(3, 2, 31)
     # a cache path below a regular file cannot be created
@@ -462,7 +460,7 @@ def test_engine_partition_independence():
 
 def compiled_kernels():
     import incidencelab.incidence as inc
-    if not inc.warm_up_kernels():
+    if inc.kernel_backend()[0] != "c":
         pytest.skip(f"compiled kernel unavailable: {inc.kernel_backend()[1]}")
     return inc._load_backend().lib
 
@@ -631,13 +629,21 @@ def degree_cases(draw):
     return p, pts[:, 0], pts[:, 1], np.array(keys, dtype=np.int64), pool
 
 
+def assert_degrees_match_the_mask(hist, px, py, keys, p):
+    per_point, per_line = incidence_degrees(px, py, keys, p)
+    assert np.array_equal(hist.per_point, per_point) and np.array_equal(hist.per_line, per_line)
+    assert hist.total == per_point.sum()
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(degree_cases())
 def test_join_degrees_match_the_mask(case):
+    # the degrees of the join, richness_histograms of an instance per line
+    # subset, against the masks of the oracle on the raw columns
     p, px, py, keys, pool = case
     for subset in (keys, keys[pool], keys[:1], keys[:0]):
-        got, want = join_degrees(px, py, subset, p), incidence_degrees(px, py, subset, p)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        hist = richness_histograms(Instance(make_modulus(p), point_keys=px * p + py, line_keys=subset))
+        assert_degrees_match_the_mask(hist, px, py, subset, p)
 
 
 def test_counts_agree_with_the_degree_join():
@@ -647,7 +653,7 @@ def test_counts_agree_with_the_degree_join():
     compiled_kernels()
 
     @settings(max_examples=200, derandomize=True, deadline=None)
-    @given(degree_cases().filter(lambda case: case[0] >= 3))  # an Instance needs p >= 3
+    @given(degree_cases())
     def check(case):
         p, px, py, keys, _ = case
         inst = Instance(make_modulus(p), point_keys=px * p + py, line_keys=keys)
@@ -655,7 +661,7 @@ def test_counts_agree_with_the_degree_join():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(inc, "_backend", inc._Backend(None, "forced"))
             fallback = count_incidences(inst, "hash_join")
-        assert compiled == fallback == count_incidences(inst, "naive") == join_degrees(px, py, keys, p)[0].sum()
+        assert compiled == fallback == count_incidences(inst, "naive") == richness_histograms(inst).total
 
     check()
 
@@ -673,10 +679,9 @@ def test_join_degrees_probe_paths_and_sides(monkeypatch, search_cost):
     columns = keyed(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)],
                     [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
     cases = [full_plane(7), columns, elekes_construction(3, 2, 31)] + random_instances(20, seed=31, max_m=80, max_n=80)
+    assert {inc._join_groups(inst)[0] for inst in cases} == {"slope", "column"}
     for inst in cases:
-        got = join_degrees(*inst.xy, inst.line_keys, inst.p)
-        want = incidence_degrees(*inst.xy, inst.line_keys, inst.p)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert_degrees_match_the_mask(richness_histograms(inst), *inst.xy, inst.line_keys, inst.p)
 
 
 @pytest.mark.parametrize("search_cost", [4, 10**9], ids=["mixed", "flat"])
@@ -691,9 +696,7 @@ def test_join_degrees_blocks_the_items(monkeypatch, search_cost):
                     [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
     cases = [full_plane(11), columns] + random_instances(10, seed=17, max_m=300, max_n=300)
     for inst in cases:
-        got = join_degrees(*inst.xy, inst.line_keys, inst.p)
-        want = incidence_degrees(*inst.xy, inst.line_keys, inst.p)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert_degrees_match_the_mask(richness_histograms(inst), *inst.xy, inst.line_keys, inst.p)
 
 
 def test_naive_never_runs_the_join(monkeypatch):
@@ -702,7 +705,7 @@ def test_naive_never_runs_the_join(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the naive engine ran the join")
 
-    for name in ("join_degrees", "_join_count", "_count_hash_join", "_group_degrees"):
+    for name in ("richness_histograms", "_join_count", "_count_hash_join", "_group_degrees"):
         monkeypatch.setattr(inc, name, fail)
     assert count_incidences(full_plane(5), "naive") == 150
     assert count_incidences(full_plane(5), "naive", stats=True)[0] == 150

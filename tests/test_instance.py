@@ -139,6 +139,22 @@ def test_instance_rejects_bad_keys_and_forms():
             Instance(*args, **kwargs)
 
 
+def test_instance_refuses_keys_that_are_not_integers():
+    # floats, bools, strings and integers past int64 are refused, not cast;
+    # an empty sequence, float64 to numpy, is no keys
+    mod = make_modulus(7)
+    for keys in ([1.9, 3.2], [3.0], [True], np.array([False, True]), ["3"], [2**70], [[1, 2]], 5):
+        for point_keys, line_keys in ((keys, []), ([], keys)):
+            with pytest.raises(InvalidParameterError):
+                Instance(mod, point_keys=point_keys, line_keys=line_keys)
+    with pytest.raises(InvalidParameterError, match="point keys must lie in"):
+        Instance(mod, point_keys=[2**63], line_keys=[])  # uint64 to numpy
+    empty = Instance(mod, point_keys=(), line_keys=np.empty(0))
+    assert (empty.m, empty.n) == (0, 0) and empty.point_keys.dtype == empty.line_keys.dtype == np.int64
+    small = Instance(mod, point_keys=np.array([5, 3], np.int32), line_keys=np.array([55], np.uint8))
+    assert small.point_keys.tolist() == [3, 5] and small.line_keys.tolist() == [55]
+
+
 def test_instance_duplicates_collapse():
     mod = make_modulus(7)
     inst = Instance(mod, point_keys=[5, 3, 5, 5, 48], line_keys=[55, 0, 55])
