@@ -3,7 +3,9 @@
 
 Runs the full-plane and random families, writes the fixed-schema CSV, fits
 the incidence-count growth exponent on log-log axes, and emits a small SVG
-scatter plot.  Identical configurations always produce identical bytes.
+scatter plot.  Each record is a dict keyed by the CSV column names, the
+form that read_records gives back from a sweep file, so fit_exponent reads
+either.  Identical configurations always produce identical bytes.
 """
 
 import pathlib
@@ -28,7 +30,7 @@ print(f"wrote {out} ({len(records)} records)")
 print()
 print(csv_text.strip())
 
-full_plane_records = [r for r in records if r.family == "full_plane"]
+full_plane_records = [r for r in records if r["family"] == "full_plane"]
 fit = fit_exponent(full_plane_records, "m", "I")
 print()
 print(f"full-plane growth: slope {fit.slope:.4f} (expected near 3/2), "

@@ -36,8 +36,8 @@ _EXPORTS = {
                "energy_reduction", "line_energy", "sumproduct_report"),
     "distances": ("BeckReport", "DistanceReport", "bisector_instance", "determined_lines",
                   "distance", "distance_sets", "isosceles_triples", "isotropic_lines"),
-    "harness": ("FitResult", "SweepConfig", "SweepRecord", "fit_exponent", "read_instance",
-                "run_sweep", "write_instance"),
+    "harness": ("FitResult", "SweepConfig", "fit_exponent", "read_instance", "run_sweep",
+                "write_instance"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

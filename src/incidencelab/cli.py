@@ -231,18 +231,19 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    p, A, line_keys, B = harness.read_energy_input(args.input)
-    e = energy.line_energy(A, line_keys, p)
-    red = energy.energy_reduction(A, line_keys, p)
+    A, lines, B = harness.read_energy_input(args.input)
+    p = lines.p
+    e = energy.line_energy(A, lines)
+    red = energy.energy_reduction(A, lines)
     obj = {
-        "p": p, "a": len(set(v % p for v in A)), "n": len(set(line_keys)),
+        "p": p, "a": len(set(v % p for v in A)), "n": lines.n,
         "energy": e.value,
         "reduction": {"r": red.r, "s": red.s,
                       "point_plane": count_point_plane(red),
                       "max_collinear": red.k},
     }
     if B is not None:
-        bridge = energy.cs_bridge_check(A, B, line_keys, p)
+        bridge = energy.cs_bridge_check(A, B, lines)
         obj["cs_bridge"] = {"incidences": bridge.incidences, "energy": bridge.energy,
                             "bound": bridge.bound, "holds": bridge.holds}
     _json_out(obj, args.output)

@@ -14,9 +14,10 @@ cert)`` read p and the line keys from the instance.  The extraction and the
 cover loop read instances; their degree scans are ``richness_histograms``,
 joins over slope classes or columns, and the joins to the apexes are
 batched line keys, which also find the candidates on the apex line.  The
-certificate verifier checks the keys with array passes; its incidence
-tests are the blocked masks of ``incidence_degrees``, so it never shares
-the extraction's join.
+certificate verifier checks the keys with array passes; its degrees (the
+partition re-check) and its incidence tests are the blocked masks of
+``incidence_degrees``, so it never shares the extraction's join: only the
+threshold arithmetic of :func:`_richness_classes` is common to both.
 :func:`normalize_grid` is :func:`plane.projective_map_from_pair` of the
 apexes plus :func:`plane.apply_map` on the grid's point keys and the line
 keys; it builds only the two apexes as objects.
@@ -67,17 +68,16 @@ class RichnessPartition:
     regular: tuple[int, ...]
 
 
-def _richness_classes(inst: Instance, low_factor, high_factor) -> tuple[Fraction, np.ndarray]:
-    """The exact mean richness K = I/m and the class of each point of inst:
-    0 low, 1 high, 2 regular."""
+def _richness_classes(inst: Instance, deg: np.ndarray, low_factor, high_factor) -> tuple[Fraction, np.ndarray]:
+    """The exact mean richness K = I/m and the class of each point of inst,
+    whose line-degrees are deg: 0 low, 1 high, 2 regular."""
     if inst.m == 0:
         raise EmptyInstanceError("cannot partition an instance with no points")
     low_factor = Fraction(low_factor)
     high_factor = Fraction(high_factor)
     if not low_factor < high_factor:
         raise InvalidParameterError(f"need low_factor < high_factor, got {low_factor} and {high_factor}")
-    hist = richness_histograms(inst)
-    deg, mean = hist.per_point, Fraction(hist.total, inst.m)
+    mean = Fraction(int(deg.sum()), inst.m)
     # an integer degree d has d <= t exactly when d <= floor(t), and d >= t
     # exactly when d >= ceil(t); degrees lie in [0, n], so clamping the
     # bounds to [-1, n + 1] keeps every comparison and fits int64
@@ -89,7 +89,7 @@ def _richness_classes(inst: Instance, low_factor, high_factor) -> tuple[Fraction
 def richness_partition(inst: Instance, low_factor, high_factor) -> RichnessPartition:
     """Partition the point keys of inst by line-degree thresholds around
     K = I/m."""
-    mean, classes = _richness_classes(inst, low_factor, high_factor)
+    mean, classes = _richness_classes(inst, richness_histograms(inst).per_point, low_factor, high_factor)
     return RichnessPartition(mean, Fraction(low_factor), Fraction(high_factor), *(
         tuple(inst.point_keys[classes == c].tolist()) for c in range(3)))
 
@@ -334,10 +334,10 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
     set exactly.
 
     Every check is an array pass over the certificate's keys, with p and
-    the lines read from inst; the incidence tests (apex line, pencil
-    apexes, pencil coverage as the |grid| x |pencil| mask) use the blocked
-    masks of ``incidence_degrees``, independent of the join the extraction
-    ran.
+    the lines read from inst; the point degrees of the partition re-check
+    and the incidence tests (apex line, pencil apexes, pencil coverage as
+    the |grid| x |pencil| mask) use the blocked masks of
+    ``incidence_degrees``, independent of the join the extraction ran.
     """
     v: list[Violation] = []
 
@@ -346,8 +346,9 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
 
     p, point_keys = inst.p, inst.point_keys
     part = cert.partition
-    # partition re-check
-    mean, classes = _richness_classes(inst, cert.c1, cert.c2)
+    # partition re-check, on the degrees of the masks
+    deg = incidence_degrees(*inst.xy, inst.line_keys, p)[0]
+    mean, classes = _richness_classes(inst, deg, cert.c1, cert.c2)
     low, high, regular = (np.array(keys, dtype=np.int64) for keys in (part.low, part.high, part.regular))
     factors = (mean, Fraction(cert.c1), Fraction(cert.c2))
     if ((part.mean_richness, part.low_factor, part.high_factor) != factors

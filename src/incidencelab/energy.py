@@ -1,9 +1,9 @@
 """Collision energy of a scalar set against a line family, its reduction to
 point-plane incidences in F_p^3, the Cauchy-Schwarz bridge, and the
 arithmetic image sets behind the sum-product style reports.  The line
-family is given as line keys (see :meth:`AffineLine.key`) with its modulus p
-and is read through :class:`plane.Instance`, which checks p and the keys,
-and its slope and intercept columns.
+family is a :class:`plane.Instance`, which has checked p and the line keys;
+the energy layer reads its prime and its slope and intercept columns, and
+ignores its points.
 """
 
 from __future__ import annotations
@@ -19,15 +19,13 @@ from .incidence import PlaneInstance3D, count_incidences
 from .plane import Instance, vertical_line
 
 
-def _energy_input(A, line_keys, p: int) -> tuple[Instance, np.ndarray]:
-    """The lines with the given keys as an Instance over F_p and the sorted
-    distinct residues of A.  A vertical line (it has no (slope, intercept)
-    form) raises."""
-    inst = Instance(make_modulus(p), point_keys=(), line_keys=line_keys)
-    vertical = inst.line_columns[2]
+def _energy_input(A, lines: Instance) -> np.ndarray:
+    """The sorted distinct residues of A mod the prime of lines.  A
+    vertical line (it has no (slope, intercept) form) raises."""
+    vertical = lines.line_columns[2]
     if vertical.size:
-        raise VerticalLinePresentError(f"{vertical_line(int(vertical[0]), p)} has no slope-intercept form")
-    return inst, np.array(sorted({x % p for x in A}), dtype=np.int64)
+        raise VerticalLinePresentError(f"{vertical_line(int(vertical[0]), lines.p)} has no slope-intercept form")
+    return np.array(sorted({x % lines.p for x in A}), dtype=np.int64)
 
 
 @dataclass
@@ -40,24 +38,24 @@ class EnergyCount:
     table: dict[int, int] = field(repr=False)
 
 
-def _energy(inst: Instance, xs: np.ndarray) -> EnergyCount:
+def _energy(lines: Instance, xs: np.ndarray) -> EnergyCount:
     # x, s < p < 2^31, so x*s + t stays below 2^63
-    s, t, _ = inst.line_columns
-    values, counts = np.unique((xs[:, None] * s + t) % inst.p, return_counts=True)
+    s, t, _ = lines.line_columns
+    values, counts = np.unique((xs[:, None] * s + t) % lines.p, return_counts=True)
     return EnergyCount(int((counts * counts).sum()), dict(zip(values.tolist(), counts.tolist())))
 
 
-def line_energy(A, line_keys, p: int) -> EnergyCount:
+def line_energy(A, lines: Instance) -> EnergyCount:
     """Exact energy by multiplicity counting of x*s + t over A x L*, L the
-    lines with the given keys.
+    lines of the instance lines.
 
     Single pass: count each value of x*s + t, then sum count^2.  Vertical
     lines are rejected.
     """
-    return _energy(*_energy_input(A, line_keys, p))
+    return _energy(lines, _energy_input(A, lines))
 
 
-def energy_reduction(A, line_keys, p: int) -> PlaneInstance3D:
+def energy_reduction(A, lines: Instance) -> PlaneInstance3D:
     """Recast the energy count as a point-plane incidence count in F_p^3.
 
     Points are (x, s', t') over A x L*; for every (x', s, t) in A x L* the
@@ -65,8 +63,8 @@ def energy_reduction(A, line_keys, p: int) -> PlaneInstance3D:
     the point-plane count of the output equals the energy.  Both sides have
     exactly |A| * n elements.
     """
-    inst, xs = _energy_input(A, line_keys, p)
-    s, t, _ = inst.line_columns
+    xs, p = _energy_input(A, lines), lines.p
+    s, t, _ = lines.line_columns
     x, s, t = (c.tolist() for c in (np.repeat(xs, s.size), np.tile(s, xs.size), np.tile(t, xs.size)))
     inst3 = PlaneInstance3D.build(p, zip(x, s, t), [(si, -xi % p, p - 1, -ti % p) for xi, si, ti in zip(x, s, t)])
     assert inst3.r == inst3.s == len(x)
@@ -81,18 +79,18 @@ class CsBridgeResult:
     holds: bool  # incidences^2 <= bound
 
 
-def cs_bridge_check(A, B, line_keys, p: int) -> CsBridgeResult:
-    """Count I(A x B, L) and the energy E of (A, L), L the lines with the
-    given keys, and check the Cauchy-Schwarz inequality I^2 <= |B| * E (it
-    must always hold)."""
-    inst, xs = _energy_input(A, line_keys, p)
+def cs_bridge_check(A, B, lines: Instance) -> CsBridgeResult:
+    """Count I(A x B, L) and the energy E of (A, L), L the lines of the
+    instance lines, and check the Cauchy-Schwarz inequality I^2 <= |B| * E
+    (it must always hold)."""
+    xs, p = _energy_input(A, lines), lines.p
     ys = np.array(sorted({y % p for y in B}), dtype=np.int64)
-    energy = _energy(inst, xs).value
+    energy = _energy(lines, xs).value
     bound = ys.size * energy
     if not xs.size or not ys.size:
         return CsBridgeResult(0, energy, bound, True)
-    count = count_incidences(Instance(inst.modulus, point_keys=(xs[:, None] * p + ys).ravel(),
-                                      line_keys=inst.line_keys))
+    count = count_incidences(Instance(lines.modulus, point_keys=(xs[:, None] * p + ys).ravel(),
+                                      line_keys=lines.line_keys))
     return CsBridgeResult(count, energy, bound, count * count <= bound)
 
 

@@ -21,9 +21,11 @@ check the point and line columns in bulk and fall back to the per-entry
 check, which names the first bad entry; write_instance emits the canonical
 compact form in one encode.
 
-Sweep CSV schema: the fixed header CSV_HEADER, one column per key of
-_COLUMNS in its order; absent fields are empty.  JSON records use the same
-keys, plus "error" on a failed cell.
+A sweep record is a dict keyed by the column names of _COLUMNS, plus
+"error" on a failed cell: run_sweep returns it, records_to_json writes it as
+it is, and read_records reads it back from either file.  The sweep CSV has
+the fixed header CSV_HEADER, one column per name in that order; absent
+fields are empty.
 """
 
 from __future__ import annotations
@@ -62,14 +64,9 @@ from .incidence import (
 )
 from .plane import Instance
 
-# the sweep columns in CSV order, each with the SweepRecord field it shows
-_COLUMNS = {
-    "family": "family", "p": "p", "m": "m", "n": "n", "a": "a", "b": "b",
-    "I": "incidences", "E": "energy", "k": "k",
-    "hyp_1_2": "hyp_1_2", "hyp_1_3": "hyp_1_3", "hyp_1_4": "hyp_1_4",
-    "bound_table1": "bound_table1", "bound_comb": "bound_comb", "bound_vinh": "bound_vinh",
-    "ratio_main": "ratio_main",
-}
+# the keys of a sweep record, in CSV column order
+_COLUMNS = ("family", "p", "m", "n", "a", "b", "I", "E", "k", "hyp_1_2", "hyp_1_3", "hyp_1_4",
+            "bound_table1", "bound_comb", "bound_vinh", "ratio_main")
 CSV_HEADER = ",".join(_COLUMNS)
 
 # an energy reduction has (a*n)^2 point-plane pairs; skip it beyond this size
@@ -262,62 +259,21 @@ def read_instance3d(path) -> PlaneInstance3D:
         raise ParseError(str(exc)) from exc
 
 
-def read_energy_input(path) -> tuple[int, tuple[int, ...], np.ndarray, tuple[int, ...] | None]:
-    """Read an energy input file: (p, A, line keys, B), with B None when
-    absent."""
+def read_energy_input(path) -> tuple[tuple[int, ...], Instance, tuple[int, ...] | None]:
+    """Read an energy input file: (A, the lines as an Instance without
+    points, B), with B None when absent."""
     data = _load_json(path)
-    p = _modulus(data, "A", "lines").p
+    modulus = _modulus(data, "A", "lines")
     A = _ints(data["A"], None, "A")
     _require(A and data["lines"], "fields 'A' and 'lines' must be nonempty")
-    line_keys = _line_keys(data["lines"], p)
+    lines = Instance(modulus, point_keys=(), line_keys=_line_keys(data["lines"], modulus.p))
     B = data.get("B")
-    return p, A, line_keys, None if B is None else _ints(B, None, "B")
+    return A, lines, None if B is None else _ints(B, None, "B")
 
 
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SweepRecord:
-    """One experiment row with exact counts and float comparators."""
-
-    family: str
-    p: int
-    m: int | None = None
-    n: int | None = None
-    a: int | None = None
-    b: int | None = None
-    incidences: int | None = None
-    energy: int | None = None
-    k: int | None = None
-    hyp_1_2: bool | None = None
-    hyp_1_3: bool | None = None
-    hyp_1_4: bool | None = None
-    bound_table1: float | None = None
-    bound_comb: float | None = None
-    bound_vinh: float | None = None
-    ratio_main: float | None = None
-    error: str | None = None
-
-    def csv_row(self) -> str:
-        def fmt(v):
-            if v is None:
-                return ""
-            if isinstance(v, bool):
-                return "pass" if v else "fail"
-            if isinstance(v, float):
-                return f"{v:.4g}"
-            return str(v)
-
-        return ",".join(fmt(getattr(self, name)) for name in _COLUMNS.values())
-
-    def to_dict(self) -> dict:
-        out = {column: getattr(self, name) for column, name in _COLUMNS.items()}
-        if self.error is not None:
-            out["error"] = self.error
-        return out
-
 
 # the integer parameters of each family; all but p must be at least 1
 _FAMILY_INTS = {"elekes": ("p", "a", "c"), "full_plane": ("p",), "random": ("p", "sizes", "m", "n")}
@@ -398,24 +354,24 @@ def expand_cells(config: SweepConfig) -> list[dict]:
     return cells
 
 
-def _run_cell(cell: dict, index: int, config: SweepConfig) -> SweepRecord:
+def _run_cell(cell: dict, index: int, config: SweepConfig) -> dict:
     fam = cell["family"]
     p = cell["p"]
     c = config.ll_constant
-    rec = SweepRecord(family=fam, p=p)
+    rec = {**dict.fromkeys(_COLUMNS), "family": fam, "p": p}
     try:
         if fam == "elekes":
             a, cc = cell["a"], cell["c"]
             inst = constructions.elekes_construction(a, cc, p)
-            rec.a, rec.b = a, 2 * a * cc
+            rec["a"], rec["b"] = a, 2 * a * cc
             if cell.get("energy", True):
                 A = list(range(1, a + 1))
-                rec.energy = energy.line_energy(A, inst.line_keys, p).value
+                rec["E"] = energy.line_energy(A, inst).value
                 if a * inst.n <= ENERGY_REDUCTION_CAP:
-                    red = energy.energy_reduction(A, inst.line_keys, p)
-                    rec.k = red.k
-                    rec.hyp_1_4 = check_hypotheses("1.4", r=red.r, s=red.s, p=p, c=c).passed
-            rec.hyp_1_3 = check_hypotheses("1.3", a=a, b=rec.b, n=inst.n, p=p, c=c).passed
+                    red = energy.energy_reduction(A, inst)
+                    rec["k"] = red.k
+                    rec["hyp_1_4"] = check_hypotheses("1.4", r=red.r, s=red.s, p=p, c=c).passed
+            rec["hyp_1_3"] = check_hypotheses("1.3", a=a, b=rec["b"], n=inst.n, p=p, c=c).passed
         elif fam == "full_plane":
             inst = constructions.full_plane(p)
         elif fam == "random":
@@ -423,21 +379,21 @@ def _run_cell(cell: dict, index: int, config: SweepConfig) -> SweepRecord:
                                                 constructions.derive_seed(config.seed, index))
         else:  # pragma: no cover - guarded by expand_cells
             raise ConfigError(f"unknown family {fam!r}")
-        rec.m, rec.n = inst.m, inst.n
-        rec.incidences = count_incidences(inst, config.engine)
-        rec.hyp_1_2 = check_hypotheses("1.2", m=inst.m, n=inst.n, p=p, c=c).passed
-        rec.bound_table1 = reference_bound(inst.m, inst.n, p, "table1")[1]
-        rec.bound_comb = reference_bound(inst.m, inst.n, p, "combinatorial")[1]
-        rec.bound_vinh = reference_bound(inst.m, inst.n, p, "vinh")[1]
-        rec.ratio_main = rec.incidences / (inst.m ** (11 / 15) * inst.n ** (11 / 15))
+        m, n = rec["m"], rec["n"] = inst.m, inst.n
+        rec["I"] = count_incidences(inst, config.engine)
+        rec["hyp_1_2"] = check_hypotheses("1.2", m=m, n=n, p=p, c=c).passed
+        rec["bound_table1"] = reference_bound(m, n, p, "table1")[1]
+        rec["bound_comb"] = reference_bound(m, n, p, "combinatorial")[1]
+        rec["bound_vinh"] = reference_bound(m, n, p, "vinh")[1]
+        rec["ratio_main"] = rec["I"] / (m ** (11 / 15) * n ** (11 / 15))
     except Error as exc:
-        rec.error = f"{type(exc).__name__}: {exc}"
+        rec["error"] = f"{type(exc).__name__}: {exc}"
     return rec
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
+def run_sweep(config: SweepConfig) -> list[dict]:
     """Run every cell of the sweep in config order; deterministic for a
-    fixed config.
+    fixed config.  Each record is a dict keyed by the sweep columns.
 
     Per-cell failures are recorded in the cell's record and never abort the
     sweep.
@@ -445,12 +401,23 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     return [_run_cell(cell, i, config) for i, cell in enumerate(expand_cells(config))]
 
 
-def records_to_csv(records: Iterable[SweepRecord]) -> str:
-    return "\n".join([CSV_HEADER] + [r.csv_row() for r in records]) + "\n"
+def _csv_field(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "pass" if v else "fail"
+    if isinstance(v, float):
+        return f"{v:.4g}"
+    return str(v)
 
 
-def records_to_json(records: Iterable[SweepRecord]) -> str:
-    return json.dumps([r.to_dict() for r in records], sort_keys=True) + "\n"
+def records_to_csv(records: Iterable[dict]) -> str:
+    rows = (",".join(_csv_field(rec.get(name)) for name in _COLUMNS) for rec in records)
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
+def records_to_json(records: Iterable[dict]) -> str:
+    return json.dumps(list(records), sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -465,25 +432,18 @@ class FitResult:
     samples: int
 
 
-def _field_value(record, name):
-    if isinstance(record, dict):
-        if name in record:
-            return record[name]
-        return record.get(_COLUMNS.get(name, name))
-    return getattr(record, _COLUMNS.get(name, name))
-
-
 def fit_exponent(records, x_field: str, y_field: str) -> FitResult:
     """Least-squares line through (log x, log y) over the given records.
 
     Closed-form mean-centered least squares, so exactly constant y gives
-    slope exactly 0.0.  Records may be SweepRecord objects or dicts keyed by
-    CSV column names.
+    slope exactly 0.0.  Records are dicts, such as the sweep records keyed
+    by the CSV column names; a record missing either field, or holding None
+    there, is skipped.
     """
     xs, ys = [], []
     for rec in records:
-        xv = _field_value(rec, x_field)
-        yv = _field_value(rec, y_field)
+        xv = rec.get(x_field)
+        yv = rec.get(y_field)
         if xv is None or yv is None:
             continue
         if not (_is_number(xv) and _is_number(yv) and xv > 0 and yv > 0):
@@ -512,8 +472,8 @@ def fit_scatter_svg(records, x_field: str, y_field: str, fit: FitResult) -> str:
     """A small self-contained log-log scatter plot with the fitted line."""
     pts = []
     for rec in records:
-        xv = _field_value(rec, x_field)
-        yv = _field_value(rec, y_field)
+        xv = rec.get(x_field)
+        yv = rec.get(y_field)
         if xv and yv and xv > 0 and yv > 0:
             pts.append((math.log10(xv), math.log10(yv)))
     if not pts:
@@ -564,13 +524,12 @@ def read_records(path) -> list[dict]:
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"{path}: expected the sweep CSV header")
     out = []
-    cols = list(_COLUMNS)
     for ln in lines[1:]:
         vals = ln.split(",")
-        if len(vals) != len(cols):
-            raise ParseError(f"{path}: row with {len(vals)} fields, expected {len(cols)}")
+        if len(vals) != len(_COLUMNS):
+            raise ParseError(f"{path}: row with {len(vals)} fields, expected {len(_COLUMNS)}")
         rec = {}
-        for key, raw in zip(cols, vals):
+        for key, raw in zip(_COLUMNS, vals):
             if raw == "":
                 rec[key] = None
             elif raw in ("pass", "fail"):

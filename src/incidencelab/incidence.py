@@ -452,6 +452,23 @@ def canonical_plane(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int, i
     raise InvalidParameterError("plane normal (a, b, c) must be nonzero")
 
 
+def _integer_rows(rows, what: str) -> list[tuple]:
+    """The rows as tuples of Python ints.  A value that is not an integer
+    (bool, float, str) is refused, not reduced, as for the keys of an
+    Instance."""
+    rows = [tuple(row) for row in rows]
+    kinds = {type(v) for row in rows for v in row}
+    if not all(kind is not bool and issubclass(kind, (int, np.integer)) for kind in kinds):
+        raise InvalidParameterError(f"{what} must be integers, got {sorted(k.__name__ for k in kinds)}")
+    return [tuple(map(int, row)) for row in rows] if kinds - {int} else rows
+
+
+def _residue_triples(points, p: int) -> tuple[tuple[int, int, int], ...]:
+    """The sorted distinct triples (x mod p, y mod p, z mod p) of the
+    integer points (x, y, z)."""
+    return tuple(sorted({(x % p, y % p, z % p) for x, y, z in _integer_rows(points, "point coordinates")}))
+
+
 @dataclass(frozen=True)
 class PlaneInstance3D:
     """Deduplicated points and planes in F_p^3.
@@ -466,9 +483,12 @@ class PlaneInstance3D:
 
     @classmethod
     def build(cls, p, points, planes) -> "PlaneInstance3D":
-        pts = sorted({(x % p, y % p, z % p) for x, y, z in points})
-        pls = sorted({canonical_plane(*pl, p) for pl in planes})
-        return cls(p, tuple(pts), tuple(pls))
+        """The instance over the prime p (checked by :func:`make_modulus`)
+        of the points (x, y, z) and the planes (a, b, c, d), all integers,
+        reduced mod p and deduplicated."""
+        p = make_modulus(p).p
+        pls = sorted({canonical_plane(*pl, p) for pl in _integer_rows(planes, "plane coefficients")})
+        return cls(p, _residue_triples(points, p), tuple(pls))
 
     @property
     def r(self) -> int:
@@ -509,7 +529,7 @@ def max_collinear_3d(points, p: int) -> int:
     blocks of pairs.
     """
     p = make_modulus(p).p
-    pts = np.array(sorted({(x % p, y % p, z % p) for x, y, z in points}), dtype=np.int64).reshape(-1, 3)
+    pts = np.array(_residue_triples(points, p), dtype=np.int64).reshape(-1, 3)
     if len(pts) == 0:
         raise InvalidParameterError("need at least one point")
     lib = _load_backend().lib

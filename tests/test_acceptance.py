@@ -20,7 +20,7 @@ from incidencelab.constructions import (
 from incidencelab.cover import CoverStep, grid_cover, verify_certificate
 from incidencelab.distances import determined_lines, distance, distance_sets, isosceles_triples
 from incidencelab.energy import arithmetic_image, cs_bridge_check, energy_reduction, line_energy
-from incidencelab.field import is_prime
+from incidencelab.field import is_prime, make_modulus
 from incidencelab.harness import SweepConfig, fit_exponent, run_sweep
 from incidencelab.incidence import (
     check_hypotheses,
@@ -115,12 +115,12 @@ def test_acceptance_4_energy_pipeline():
         A = sorted({stream.below(p) for _ in range(a)})
         lines = {AffineLine(stream.below(p), stream.below(p), p) for _ in range(n)}
         duals = sorted({(l.slope, l.intercept) for l in lines})
-        keys = [l.key() for l in lines]
-        e = line_energy(A, keys, p)
+        family = keyed(make_modulus(p), lines=lines)
+        e = line_energy(A, family)
         ok &= e.value == _brute_energy(A, duals, p)
-        ok &= e.value == count_point_plane(energy_reduction(A, keys, p))
+        ok &= e.value == count_point_plane(energy_reduction(A, family))
         B = sorted({stream.below(p) for _ in range(1 + stream.below(8))})
-        bridge = cs_bridge_check(A, B, keys, p)
+        bridge = cs_bridge_check(A, B, family)
         ok &= bridge.holds and bridge.incidences**2 <= len(B) * e.value
         runs += 1
     elapsed = time.perf_counter() - start
@@ -261,10 +261,10 @@ def test_acceptance_8_ratio_reporting_sanity():
     records = run_sweep(config)
     ok = len(records) == 21
     for rec in records:
-        ok &= rec.error is None
-        ratio = rec.incidences / rec.m ** (22 / 15)
-        ok &= math.isfinite(ratio) and math.isfinite(rec.ratio_main)
-        ok &= within_combinatorial_bound(rec.incidences, rec.m, rec.n)
+        ok &= rec.get("error") is None
+        ratio = rec["I"] / rec["m"] ** (22 / 15)
+        ok &= math.isfinite(ratio) and math.isfinite(rec["ratio_main"])
+        ok &= within_combinatorial_bound(rec["I"], rec["m"], rec["n"])
     fit_records = run_sweep(SweepConfig.from_dict({
         "families": [{"family": "full_plane", "p": [29, 31, 37, 41, 43]}],
     }))

@@ -199,6 +199,28 @@ def test_energy_checks_its_modulus_once(tmp_path, capsys, monkeypatch):
     assert calls == [10007]
 
 
+def test_energy_builds_the_line_instance_once(tmp_path, capsys, monkeypatch):
+    # the reader builds the lines as one Instance, which the energy, the
+    # reduction and the bridge all read; the bridge adds the A x B product
+    import incidencelab.plane as plane
+    builds = []
+    init = plane.Instance.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(plane.Instance, "__init__", counting_init)
+    path = tmp_path / "energy.json"
+    path.write_text(json.dumps({
+        "p": 101, "A": [0, 1, 2], "B": [1, 5],
+        "lines": [{"kind": "sl", "s": 0, "t": 0}, {"kind": "sl", "s": 1, "t": 3}],
+    }))
+    rc, out, _ = run(capsys, "energy", "--input", str(path))
+    assert rc == 0 and "cs_bridge" in json.loads(out)
+    assert len(builds) == 2
+
+
 def test_energy_vertical_line_is_data_error(tmp_path, capsys):
     path = tmp_path / "energy.json"
     path.write_text(json.dumps({

@@ -33,7 +33,7 @@ from incidencelab.errors import (
 )
 from incidencelab.field import make_modulus
 from incidencelab.harness import write_instance
-from incidencelab.incidence import count_incidences, incidence_degrees
+from incidencelab.incidence import RichnessHistogram, count_incidences, incidence_degrees
 from incidencelab.plane import (
     AffineLine,
     AffinePoint,
@@ -445,6 +445,25 @@ def test_verify_certificate_detects_partition_mismatch():
     assert _codes(inst, dataclasses.replace(cert, mean_richness=cert.mean_richness + 1)) == ["partition-mismatch"]
     reordered = dataclasses.replace(part, regular=part.regular[::-1])
     assert _codes(inst, dataclasses.replace(cert, partition=reordered)) == ["partition-mismatch"]
+
+
+def test_verify_certificate_rechecks_the_partition_on_the_masks(monkeypatch):
+    # a fault in the degree join shows in the verifier, whose point degrees
+    # come from the masks of incidence_degrees, not from the join
+    import incidencelab.cover as cover
+    join = cover.richness_histograms
+
+    def faulty_join(inst):
+        hist = join(inst)
+        per_point = hist.per_point.copy()
+        per_point[:1] = 0
+        return RichnessHistogram(per_point, hist.per_line, int(per_point.sum()))
+
+    monkeypatch.setattr(cover, "richness_histograms", faulty_join)
+    inst = full_plane(5)
+    cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
+    assert cert.partition.low == (0,)  # the point (0, 0) lost its 6 lines
+    assert "partition-mismatch" in _codes(inst, cert)
 
 
 def test_verify_certificate_detects_grid_outside_regular_set():

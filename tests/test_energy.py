@@ -15,8 +15,9 @@ from incidencelab.errors import (
     InvalidParameterError,
     VerticalLinePresentError,
 )
+from incidencelab.field import make_modulus
 from incidencelab.incidence import count_point_plane, max_collinear_3d
-from incidencelab.plane import AffineLine
+from incidencelab.plane import AffineLine, Instance
 
 
 def brute_energy(A, lines, p):
@@ -37,32 +38,40 @@ def _random_lines(stream, p, n):
 
 
 def keys(lines):
-    """The line keys (AffineLine.key) of the lines, the form the energy
-    functions take."""
+    """The line keys (AffineLine.key) of the lines."""
     return [line.key() for line in lines]
+
+
+def family(line_keys, p):
+    """The lines with the given keys as an Instance over F_p without points,
+    the form the energy functions take."""
+    return Instance(make_modulus(p), point_keys=(), line_keys=line_keys)
 
 
 def test_line_energy_examples():
     lines = [AffineLine(0, 0, 5), AffineLine(1, 0, 5)]
-    e = line_energy([0, 1], keys(lines), 5)
+    e = line_energy([0, 1], family(keys(lines), 5))
     assert e.value == 10
     assert e.table == {0: 3, 1: 1}
     assert brute_energy([0, 1], lines, 5) == 10
-    assert line_energy([0], [0], 5).value == 1
-    assert line_energy([0, 1, 2], [AffineLine(1, 0, 5).key()], 5).value == 3
+    assert line_energy([0], family([0], 5)).value == 1
+    assert line_energy([0, 1, 2], family([AffineLine(1, 0, 5).key()], 5)).value == 3
     # A is read mod p
-    assert line_energy([0, 1, 6], keys(lines), 5) == line_energy([0, 1], keys(lines), 5)
+    assert line_energy([0, 1, 6], family(keys(lines), 5)) == line_energy([0, 1], family(keys(lines), 5))
 
 
 def test_line_energy_rejects_vertical():
     with pytest.raises(VerticalLinePresentError):
-        line_energy([0, 1], [AffineLine(None, 2, 5).key()], 5)
+        line_energy([0, 1], family([AffineLine(None, 2, 5).key()], 5))
 
 
+# each energy function on the lines with the given keys over F_p; the keys
+# and p are checked where the line Instance is built, the vertical lines in
+# the energy function
 ENERGY_CALLS = {
-    "line_energy": line_energy,
-    "energy_reduction": energy_reduction,
-    "cs_bridge_check": lambda A, lines, p: cs_bridge_check(A, [0, 1], lines, p),
+    "line_energy": lambda A, line_keys, p: line_energy(A, family(line_keys, p)),
+    "energy_reduction": lambda A, line_keys, p: energy_reduction(A, family(line_keys, p)),
+    "cs_bridge_check": lambda A, line_keys, p: cs_bridge_check(A, [0, 1], family(line_keys, p)),
 }
 
 
@@ -96,7 +105,7 @@ def test_line_energy_matches_bruteforce_50_random():
         n = 1 + stream.below(max(1, 200 // a))
         A = {stream.below(p) for _ in range(a)}
         lines = set(_random_lines(stream, p, n))
-        e = line_energy(A, keys(lines), p)
+        e = line_energy(A, family(keys(lines), p))
         assert e.value == brute_energy(A, lines, p)
         assert e.value >= len(A) * len(lines)  # diagonal solutions
         assert sum(c * c for c in e.table.values()) == e.value
@@ -104,11 +113,11 @@ def test_line_energy_matches_bruteforce_50_random():
 
 def test_energy_reduction_examples():
     lines = [AffineLine(0, 0, 5), AffineLine(1, 0, 5)]
-    red = energy_reduction([0, 1], keys(lines), 5)
+    red = energy_reduction([0, 1], family(keys(lines), 5))
     assert red.r == 4 and red.s == 4
     assert count_point_plane(red) == 10
-    assert energy_reduction([5, 6], keys(lines), 5) == red
-    red1 = energy_reduction([0], [0], 5)
+    assert energy_reduction([5, 6], family(keys(lines), 5)) == red
+    red1 = energy_reduction([0], family([0], 5))
     assert red1.r == red1.s == 1 and count_point_plane(red1) == 1
 
 
@@ -120,9 +129,9 @@ def test_energy_reduction_equals_energy_50_random():
         n = 1 + stream.below(max(1, 120 // a))
         A = {stream.below(p) for _ in range(a)}
         lines = set(_random_lines(stream, p, n))
-        red = energy_reduction(A, keys(lines), p)
+        red = energy_reduction(A, family(keys(lines), p))
         assert red.r == red.s == len(A) * len(lines)
-        assert count_point_plane(red) == line_energy(A, keys(lines), p).value
+        assert count_point_plane(red) == line_energy(A, family(keys(lines), p)).value
 
 
 def _max_concurrent_or_parallel(lines, p):
@@ -151,18 +160,18 @@ def test_reduction_collinearity_bound_50_random():
         a = 1 + stream.below(4)
         A = {stream.below(p) for _ in range(a)}
         lines = set(_random_lines(stream, p, 1 + stream.below(12)))
-        red = energy_reduction(A, keys(lines), p)
+        red = energy_reduction(A, family(keys(lines), p))
         bound = max(len(A), _max_concurrent_or_parallel(lines, p))
         assert max_collinear_3d(red.points, p) <= bound
 
 
 def test_cs_bridge_examples():
     lines = [AffineLine(0, 0, 5), AffineLine(1, 0, 5)]
-    res = cs_bridge_check([0, 1], [0, 1], keys(lines), 5)
+    res = cs_bridge_check([0, 1], [0, 1], family(keys(lines), 5))
     assert res.incidences == 4
     assert res.energy == 10
     assert res.bound == 20 and res.holds
-    empty = cs_bridge_check([0, 1], [], keys(lines), 5)
+    empty = cs_bridge_check([0, 1], [], family(keys(lines), 5))
     assert empty.incidences == 0 and empty.holds
 
 
@@ -173,7 +182,7 @@ def test_cs_bridge_holds_100_random():
         A = {stream.below(p) for _ in range(1 + stream.below(5))}
         B = {stream.below(p) for _ in range(1 + stream.below(5))}
         lines = set(_random_lines(stream, p, 1 + stream.below(15)))
-        res = cs_bridge_check(A, B, keys(lines), p)
+        res = cs_bridge_check(A, B, family(keys(lines), p))
         assert res.holds, "the Cauchy-Schwarz inequality must always hold"
         assert res.incidences ** 2 <= len(set(b % p for b in B)) * res.energy
 

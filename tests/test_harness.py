@@ -105,16 +105,16 @@ def test_sweep_elekes_family():
     records = run_sweep(config)
     assert len(records) == 4
     for rec in records:
-        assert rec.error is None
-        assert rec.incidences == rec.a**2 * (rec.b // (2 * rec.a)) ** 2  # a^2 c^2
-        assert rec.energy is not None and rec.k is not None
-        assert rec.hyp_1_3 is not None
+        assert rec.get("error") is None
+        assert rec["I"] == rec["a"]**2 * (rec["b"] // (2 * rec["a"])) ** 2  # a^2 c^2
+        assert rec["E"] is not None and rec["k"] is not None
+        assert rec["hyp_1_3"] is not None
 
 
 def test_sweep_full_plane_family():
     config = SweepConfig.from_dict({"families": [{"family": "full_plane", "p": [3, 5, 7]}]})
     records = run_sweep(config)
-    assert [r.incidences for r in records] == [36, 150, 392]
+    assert [r["I"] for r in records] == [36, 150, 392]
 
 
 def test_sweep_deterministic_bytes():
@@ -138,7 +138,7 @@ def test_sweep_records_reverify_with_naive_engine():
         "seed": 11, "engine": "naive",
         "families": [{"family": "random", "p": [31], "sizes": [16, 32]}],
     }))
-    assert [r.incidences for r in records] == [r.incidences for r in naive]
+    assert [r["I"] for r in records] == [r["I"] for r in naive]
 
 
 def test_sweep_partial_failure_recorded():
@@ -150,8 +150,8 @@ def test_sweep_partial_failure_recorded():
     })
     records = run_sweep(config)
     assert len(records) == 2
-    assert records[0].error is not None and "CharacteristicTooSmall" in records[0].error
-    assert records[1].incidences == 150
+    assert records[0].get("error") is not None and "CharacteristicTooSmall" in records[0]["error"]
+    assert records[1]["I"] == 150
 
 
 def test_sweep_ratios_finite_and_bounded():
@@ -160,9 +160,9 @@ def test_sweep_ratios_finite_and_bounded():
         "families": [{"family": "random", "p": [65537], "sizes": [64, 128]}],
     })
     for rec in run_sweep(config):
-        assert rec.error is None
-        assert math.isfinite(rec.ratio_main)
-        assert within_combinatorial_bound(rec.incidences, rec.m, rec.n)
+        assert rec.get("error") is None
+        assert math.isfinite(rec["ratio_main"])
+        assert within_combinatorial_bound(rec["I"], rec["m"], rec["n"])
 
 
 def test_bad_configs_raise():
@@ -202,6 +202,24 @@ def test_read_records_roundtrip(tmp_path):
     jpath.write_text(records_to_json(records))
     back = read_records(jpath)
     assert [r["I"] for r in back] == [36, 150]
+
+
+def test_sweep_records_are_what_read_records_gives_back(tmp_path):
+    # run_sweep, read_records and fit_exponent share one record form: a dict
+    # keyed by the CSV columns, plus "error" on a failed cell
+    config = SweepConfig.from_dict({"seed": 2, "families": [
+        {"family": "elekes", "a": [2], "c": [1], "p": [31]},
+        {"family": "elekes", "a": [2], "c": [2], "p": [7]},  # 2ac >= p
+        {"family": "random", "p": [9], "sizes": [5]},  # composite p
+        {"family": "full_plane", "p": [5, 7]},
+    ]})
+    records = run_sweep(config)
+    assert [sorted(set(rec) - {"error"}) for rec in records] == [sorted(CSV_HEADER.split(","))] * 5
+    assert [i for i, rec in enumerate(records) if "error" in rec] == [1, 2]
+    path = tmp_path / "sweep.json"
+    path.write_text(records_to_json(records))
+    assert read_records(path) == records
+    assert fit_exponent(read_records(path), "m", "I") == fit_exponent(records, "m", "I")
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,8 @@ def test_count_point_plane_two_points():
 
 
 def test_count_point_plane_matches_energy_reduction():
-    lines = [AffineLine(0, 0, 5), AffineLine(1, 0, 5)]
-    inst3 = energy_reduction([0, 1], [line.key() for line in lines], 5)
+    lines = keyed(make_modulus(5), lines=[AffineLine(0, 0, 5), AffineLine(1, 0, 5)])
+    inst3 = energy_reduction([0, 1], lines)
     # oracle: enumerate all point-plane pairs directly
     direct = 0
     for x, y, z in inst3.points:
@@ -161,7 +161,7 @@ def test_count_point_plane_matches_energy_reduction():
             if (a * x + b * y + c * z - d) % 5 == 0:
                 direct += 1
     assert direct == 10
-    assert count_point_plane(inst3) == direct == line_energy([0, 1], [line.key() for line in lines], 5).value
+    assert count_point_plane(inst3) == direct == line_energy([0, 1], lines).value
 
 
 def test_count_point_plane_shared_normals_random():
@@ -593,7 +593,7 @@ def test_max_collinear_c_matches_numpy_fallback():
     # the k of every elekes reduction of the paper sweep
     for a in (2, 3, 4, 5):
         for c in (1, 2, 4):
-            red = energy_reduction(list(range(1, a + 1)), elekes_construction(a, c, 101).line_keys, 101)
+            red = energy_reduction(list(range(1, a + 1)), elekes_construction(a, c, 101))
             arr = np.array(red.points, dtype=np.int64).reshape(-1, 3)
             assert red.k == inc._max_collinear_numpy(arr, 101)
 
@@ -603,6 +603,32 @@ def test_max_collinear_checks_the_modulus():
         max_collinear_3d([(0, 0, 0)], 9)
     with pytest.raises(OutOfRangeError):
         max_collinear_3d([(0, 0, 0)], 2**31 + 11)
+    # PlaneInstance3D.build checks p too: past 2^31 the count overflowed
+    # int64 (0 incidences for this incident pair), p = 4 raised a bare
+    # ValueError and p = 9 was taken
+    p = 1099511627791
+    with pytest.raises(OutOfRangeError):
+        PlaneInstance3D.build(p, [(p - 1, p - 2, 0)], [(p - 3, p - 5, 0, ((p - 3) * (p - 1) + (p - 5) * (p - 2)) % p)])
+    for composite in (4, 9):
+        with pytest.raises(CompositeModulusError):
+            PlaneInstance3D.build(composite, [(0, 0, 0)], [(1, 0, 0, 0)])
+    # coordinates are integers: a float, bool or str is refused, not reduced
+    # (a plane with d = 0.5 was kept and met no point)
+    for bad in ((0.5, 1, 2), (True, 1, 2), (1, "2", 3)):
+        with pytest.raises(InvalidParameterError):
+            PlaneInstance3D.build(5, [bad], [(1, 0, 0, 0)])
+        with pytest.raises(InvalidParameterError):
+            PlaneInstance3D.build(5, [(1, 1, 2)], [bad + (0,)])
+        with pytest.raises(InvalidParameterError):
+            PlaneInstance3D.build(5, [(1, 1, 2)], [(1, 0, 0, next(v for v in bad if type(v) is not int))])
+        with pytest.raises(InvalidParameterError):
+            max_collinear_3d([(1, 0, 0), bad], 5)
+    with pytest.raises(InvalidParameterError):
+        max_collinear_3d([(0.5, 0, 0), (1, 0, 0), (2.7, 0, 0)], 5)
+    # integer coordinates of any size and numpy integers are reduced mod p
+    assert max_collinear_3d([(2**70, 0, 0), (np.int64(1), 0, 0), (3, 0, 0)], 5) == 3
+    inst3 = PlaneInstance3D.build(5, [(6, -1, 2**64)], [(np.int64(2), 0, 0, 2**65)])
+    assert (inst3.points, inst3.planes, count_point_plane(inst3)) == (((1, 4, 1),), ((1, 0, 0, 1),), 1)
 
 
 JOIN_PRIMES = (3, 1009, 1048573, 2**31 - 1)

@@ -7,17 +7,19 @@ import pytest
 
 from incidencelab.constructions import SeededStream, cartesian_instance, full_plane
 from incidencelab.distances import bisector_instance
-from incidencelab.energy import arithmetic_image, energy_reduction, line_energy, sumproduct_report
+from incidencelab.energy import arithmetic_image, sumproduct_report
 from incidencelab.errors import Error, InvalidParameterError, ParseError
+from incidencelab.field import make_modulus
 from incidencelab.harness import read_instance3d
 from incidencelab.incidence import (
+    PlaneInstance3D,
     canonical_plane,
     check_hypotheses,
     count_incidences,
     max_collinear_3d,
     reference_bound,
 )
-from incidencelab.plane import ProjMap
+from incidencelab.plane import Instance, ProjMap
 
 SITES = {
     "count_incidences-unknown-engine": lambda: count_incidences(full_plane(3), "x"),
@@ -30,8 +32,13 @@ SITES = {
     "check_hypotheses-1.3-without-a": lambda: check_hypotheses("1.3", b=4, n=4, p=7),
     "check_hypotheses-1.4-without-r": lambda: check_hypotheses("1.4", s=4, p=7),
     "check_hypotheses-unknown-theorem": lambda: check_hypotheses("9.9", p=7),
-    "line_energy-line-key-out-of-range": lambda: line_energy([1, 2], [30], 5),
-    "energy_reduction-negative-line-key": lambda: energy_reduction([1, 2], [-1], 5),
+    "Instance-line-key-range": lambda: Instance(make_modulus(5), point_keys=(), line_keys=[30]),
+    "Instance-negative-key": lambda: Instance(make_modulus(5), point_keys=(), line_keys=[-1]),
+    "PlaneInstance3D.build-float-coordinate": lambda: PlaneInstance3D.build(5, [(0.5, 1, 2)], [(1, 0, 0, 0)]),
+    "PlaneInstance3D.build-string-coordinate": lambda: PlaneInstance3D.build(5, [("1", 1, 2)], [(1, 0, 0, 0)]),
+    "PlaneInstance3D.build-float-plane": lambda: PlaneInstance3D.build(5, [(1, 1, 2)], [(1, 0, 0, 0.5)]),
+    "max_collinear_3d-float-coordinate": lambda: max_collinear_3d([(0.5, 0, 0), (1, 0, 0), (2.7, 0, 0)], 5),
+    "max_collinear_3d-boolean-coordinate": lambda: max_collinear_3d([(True, 0, 0), (2, 0, 0)], 5),
     "bisector_instance-pin-out-of-range": lambda: bisector_instance([0], 25, 5),
     "SeededStream.below-zero": lambda: SeededStream(1).below(0),
     "SeededStream.sample_distinct-too-many": lambda: SeededStream(1).sample_distinct(3, 4),
