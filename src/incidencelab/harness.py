@@ -16,10 +16,12 @@ with A and lines nonempty and B optional.
 
 Every reader below raises ParseError (ConfigError for a sweep config) on a
 malformed file, so the CLI exits 2 with one error line.  JSON true and false
-are not integers anywhere in these files.  The instance and energy readers
-check the point and line columns in bulk and fall back to the per-entry
-check, which names the first bad entry; write_instance emits the canonical
-compact form in one encode.
+are not integers anywhere in these files.  write_instance emits the canonical
+compact form in one encode, and read_instance scans that form straight into
+the key columns: one anchored regex, then the digits of each section in one
+numpy parse.  Any other file, or one whose p or values fail their check, goes
+through json.loads and the per-entry check, which names the first bad entry;
+read_energy_input always does.
 
 A sweep record is a dict keyed by the column names of _COLUMNS, plus
 "error" on a failed cell: run_sweep returns it, records_to_json writes it as
@@ -32,11 +34,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass
-from itertools import chain, product
-from operator import itemgetter
+from itertools import product
 from typing import Iterable
 
 import numpy as np
@@ -90,14 +92,16 @@ def _require(cond, message):
 
 
 # ---------------------------------------------------------------------------
-# Input files.  An instance file may hold 10^5 entries: a reader checks each
-# column in bulk and runs the per-entry check, which names the first bad
-# entry, only when the bulk check fails
+# Input files.  An instance file may hold 10^5 entries: read_instance scans
+# write_instance's compact form without building a JSON object tree, and
+# only any other file goes through json.loads and the per-entry check
 # ---------------------------------------------------------------------------
 
-def _read_text(path) -> str:
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _read_text(path, raw: bytes | None = None) -> str:
+    """The UTF-8 text of a file (or of its already read bytes)."""
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -183,42 +187,45 @@ def _line_key(entry, p: int, i: int) -> int:
     raise ParseError(f"lines[{i}] needs a 'kind' field, 'sl' or 'v'")
 
 
-def _residues(values, p: int) -> np.ndarray | None:
-    """The int64 array of values, a list of JSON values, or None unless
-    each is an integer in [0, p)."""
-    if not set(map(type, values)) <= {int}:  # bool and float are not int
-        return None
-    try:
-        col = np.array(values, dtype=np.int64)
-    except OverflowError:
-        return None
-    return col if not col.size or (col.min() >= 0 and col.max() < p) else None
-
-
-def _point_keys(entries: list, p: int) -> np.ndarray:
-    """The keys of the points entries, checked in bulk; on a malformed entry
-    the per-entry check names the first one."""
-    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
-        xy = _residues(list(chain.from_iterable(entries)), p)
-        if xy is not None:
-            return xy[0::2] * p + xy[1::2]
-    return np.array([_point_key(entry, p, i) for i, entry in enumerate(entries)], dtype=np.int64)
-
-
 def _line_keys(entries: list, p: int) -> np.ndarray:
-    """The keys of the lines entries, sloped lines first, checked in bulk;
-    on a malformed entry the per-entry check names the first one."""
-    if set(map(type, entries)) <= {dict}:
-        sloped = [entry for entry in entries if entry.get("kind") == "sl"]
-        vertical = [entry for entry in entries if entry.get("kind") == "v"]
-        try:
-            st = _residues(list(chain.from_iterable(map(itemgetter("s", "t"), sloped))), p)
-            x = _residues(list(map(itemgetter("x"), vertical)), p)
-        except KeyError:
-            st = x = None
-        if st is not None and x is not None and len(sloped) + len(vertical) == len(entries):
-            return np.concatenate((st[0::2] * p + st[1::2], x + p * p))
+    """The keys of the lines entries; the per-entry check names the first
+    malformed one."""
     return np.array([_line_key(entry, p, i) for i, entry in enumerate(entries)], dtype=np.int64)
+
+
+# write_instance's compact form with an optional final newline: sloped lines
+# before vertical ones, keys sorted, integers of at most 10 digits (so none
+# overflows int64) without sign or leading zero.  The repeats are
+# possessive, so a match keeps no backtracking state.
+_INT = rb"(?:[1-9][0-9]{0,9}+|0)"
+_SLOPED = rb'\{"kind":"sl","s":%s,"t":%s\}' % (_INT, _INT)
+_VERTICAL = rb'\{"kind":"v","x":%s\}' % _INT
+_POINT = rb"\[%s,%s\]" % (_INT, _INT)
+_COMPACT = re.compile(
+    rb'\{"lines":\[((?:%(s)s(?:,%(s)s)*+(?:,%(v)s)*+|%(v)s(?:,%(v)s)*+)?+)\],'
+    rb'"p":(%(int)s),"points":\[((?:%(pt)s(?:,%(pt)s)*+)?+)\]\}\n?+'
+    % {b"s": _SLOPED, b"v": _VERTICAL, b"int": _INT, b"pt": _POINT})
+# every byte but a digit becomes a space
+_DIGITS = bytes(b if 0x30 <= b <= 0x39 else 0x20 for b in range(256))
+
+
+def _scan_instance(raw: bytes) -> tuple[PrimeModulus, np.ndarray, np.ndarray] | None:
+    """(modulus, point keys, line keys) of a file in the compact form with a
+    prime p and every value below p, else None."""
+    match = _COMPACT.fullmatch(raw)
+    if match is None:
+        return None
+    lines, p, points = match.groups()
+    try:
+        modulus = make_modulus(int(p))
+    except (CompositeModulusError, OutOfRangeError):
+        return None
+    p = modulus.p
+    values, xy = (np.fromstring(section.translate(_DIGITS), dtype=np.int64, sep=" ") for section in (lines, points))
+    if values.max(initial=0) >= p or xy.max(initial=0) >= p:
+        return None
+    st, x = np.split(values, [2 * lines.count(b'"sl"')])
+    return modulus, xy[0::2] * p + xy[1::2], np.concatenate((st[0::2] * p + st[1::2], x + p * p))
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -229,10 +236,16 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def read_instance(path) -> Instance:
     """Read an instance file, deduplicating with a warning on duplicates."""
-    data = _load_json(path)
-    modulus = _modulus(data, "points", "lines")
-    p = modulus.p
-    point_keys, line_keys = _point_keys(data["points"], p), _line_keys(data["lines"], p)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    scanned = _scan_instance(raw)
+    if scanned is None:
+        data = _load_json(path, _read_text(path, raw))
+        modulus = _modulus(data, "points", "lines")
+        p = modulus.p
+        points = np.array([_point_key(entry, p, i) for i, entry in enumerate(data["points"])], dtype=np.int64)
+        scanned = modulus, points, _line_keys(data["lines"], p)
+    modulus, point_keys, line_keys = scanned
     inst = Instance(modulus, point_keys=point_keys, line_keys=line_keys)
     if inst.m < point_keys.size or inst.n < line_keys.size:
         warnings.warn(DuplicateEntryWarning(point_keys.size - inst.m, line_keys.size - inst.n), stacklevel=2)

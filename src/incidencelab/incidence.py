@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, OutOfRangeError
 from .field import inv_mod, inv_mod_array, make_modulus
 from .plane import Instance, pair_blocks
 
@@ -480,6 +480,14 @@ class PlaneInstance3D:
     p: int
     points: tuple[tuple[int, int, int], ...]
     planes: tuple[tuple[int, int, int, int], ...]
+
+    def __post_init__(self):
+        """Refuse what :meth:`build` refuses: count_point_plane sums in
+        int64, which a p past 2^31 or a value outside [0, p) overflows."""
+        p = make_modulus(self.p).p
+        for what, rows in (("point coordinates", self.points), ("plane coefficients", self.planes)):
+            if not all(0 <= v < p for row in _integer_rows(rows, what) for v in row):
+                raise OutOfRangeError(f"{what} must be residues in [0, {p})")
 
     @classmethod
     def build(cls, p, points, planes) -> "PlaneInstance3D":

@@ -631,6 +631,25 @@ def test_max_collinear_checks_the_modulus():
     assert (inst3.points, inst3.planes, count_point_plane(inst3)) == (((1, 4, 1),), ((1, 0, 0, 1),), 1)
 
 
+def test_plane_instance_constructor_checks_what_build_checks():
+    # the dataclass constructor took anything: at this p the count
+    # overflowed int64 and gave 0 for an incident pair
+    p = 1099511627791
+    point, plane = (p - 1, p - 2, 0), (1, p - 2, 0, (p - 1 + (p - 2) ** 2) % p)
+    with pytest.raises(OutOfRangeError):
+        PlaneInstance3D(p, (point,), (plane,))
+    with pytest.raises(CompositeModulusError):
+        PlaneInstance3D(9, ((0, 0, 0),), ((1, 0, 0, 0),))
+    for bad in ((5, 0, 0), (0, -1, 0)):
+        with pytest.raises(OutOfRangeError):
+            PlaneInstance3D(5, (bad,), ((1, 0, 0, 0),))
+        with pytest.raises(OutOfRangeError):
+            PlaneInstance3D(5, ((0, 0, 0),), (bad + (0,),))
+    with pytest.raises(InvalidParameterError):
+        PlaneInstance3D(5, ((0.5, 0, 0),), ((1, 0, 0, 0),))
+    assert count_point_plane(PlaneInstance3D(5, ((1, 4, 1),), ((1, 0, 0, 1),))) == 1
+
+
 JOIN_PRIMES = (3, 1009, 1048573, 2**31 - 1)
 
 

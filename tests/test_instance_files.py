@@ -1,15 +1,18 @@
 """Instance and energy files at array speed: the writer's bytes against a
-streaming json.dump oracle, and the bulk readers' errors and duplicate
-warnings against a per-entry reference loop."""
+streaming json.dump oracle, the compact-form scan of read_instance against
+its JSON path, and the readers' errors and duplicate warnings against a
+per-entry reference loop."""
 
 import io
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from incidencelab import harness
 from incidencelab.errors import ParseError
 from incidencelab.field import make_modulus
 from incidencelab.harness import DuplicateEntryWarning, read_energy_input, read_instance, write_instance
@@ -65,6 +68,147 @@ def test_write_instance_bytes_equal_a_streamed_dump(tmp_path_factory, case):
     write_instance(inst, path)
     assert path.read_bytes() == streamed_bytes(point_keys, line_keys, p)
     assert read_instance(path) == inst
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(case=key_instances())
+def test_written_files_are_read_without_json_loads(doc_path, case):
+    # a drift of the writer or of the compact-form pattern would silently
+    # bring back the JSON object tree
+    p, point_keys, line_keys = case
+    inst = Instance(make_modulus(p), point_keys=point_keys, line_keys=line_keys)
+    write_instance(inst, doc_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness.json, "loads", refuse)
+        assert read_instance(doc_path) == inst
+
+
+# ---------------------------------------------------------------------------
+# The compact-form scan against the JSON path.  A space before the final
+# newline keeps a document out of the scan and moves no error position, so
+# each document is read both ways.
+# ---------------------------------------------------------------------------
+
+VALUE = re.compile(rb'(?<!"p":)(?<=[\[,:])[0-9]+')
+
+
+def replace_value(new):
+    """A mutation putting new(p) in place of one coordinate or coefficient."""
+    def mutation(doc, p, i):
+        found = list(VALUE.finditer(doc))
+        if not found:
+            return doc
+        at = found[i % len(found)]
+        return doc[:at.start()] + new(p, at.group()) + doc[at.end():]
+    return mutation
+
+
+def insert_before(pattern, text):
+    """A mutation inserting text before one match of pattern."""
+    def mutation(doc, p, i):
+        found = list(re.finditer(pattern, doc))
+        if not found:
+            return doc
+        at = found[i % len(found)].start()
+        return doc[:at] + text + doc[at:]
+    return mutation
+
+
+def vertical_first(doc, p, i):
+    vertical = re.search(rb',(\{"kind":"v","x":[0-9]+\})', doc)
+    if vertical is None or b'"sl"' not in doc:
+        return doc
+    doc = doc[:vertical.start()] + doc[vertical.end():]
+    return doc.replace(b'"lines":[', b'"lines":[' + vertical.group(1) + b",", 1)
+
+
+def repeated_entry(doc, p, i):
+    entries = list(re.finditer(rb'\[[0-9]+,[0-9]+\]|\{"kind"[^}]*\}', doc))
+    if not entries:
+        return doc
+    at = entries[i % len(entries)]
+    return doc[:at.end()] + b"," + at.group() + doc[at.end():]
+
+
+def with_p(new):
+    return lambda doc, p, i: doc.replace(b'"p":%d,' % p, b'"p":%d,' % new, 1)
+
+
+MUTATIONS = {
+    "leading zero": replace_value(lambda p, v: b"0" + v),
+    "11-digit value": replace_value(lambda p, v: b"12345678901"),
+    "2^64 + 1": replace_value(lambda p, v: b"%d" % (2**64 + 1)),
+    "value equal to p": replace_value(lambda p, v: b"%d" % p),
+    "p >= 2^31": with_p(2**31),
+    "composite p": with_p(9),
+    "true": replace_value(lambda p, v: b"true"),
+    "2.0": replace_value(lambda p, v: b"2.0"),
+    "-1": replace_value(lambda p, v: b"-1"),
+    "not UTF-8": replace_value(lambda p, v: b"\xff"),
+    "vertical lines before sloped ones": vertical_first,
+    "trailing comma": insert_before(rb'\](?=,"p"|\}\n)', b","),
+    "repeated key inside an entry": insert_before(rb'"[stx]":', b'"kind":"zz",'),
+    "repeated value key inside an entry": lambda doc, p, i: re.sub(rb'"([stx])":', rb'"\1":0,"\1":', doc, count=1),
+    "repeated entry": repeated_entry,
+    "CRLF": lambda doc, p, i: doc[:-1] + b"\r\n",
+}
+# id -> (modulus or None for any of PRIMES, document shape, mutation or None)
+SCAN_CASES = {
+    "compact": (None, "random", None),
+    "empty points": (None, "no points", None),
+    "empty lines": (None, "no lines", None),
+    "empty points and lines": (None, "empty", None),
+    "vertical lines only": (None, "vertical only", None),
+    "p = 3": (3, "random", None),
+    "p = 2^31 - 1": (2**31 - 1, "random", None),
+    **{name: (None, "random", name) for name in MUTATIONS},
+}
+
+
+@st.composite
+def scan_documents(draw, p, shape):
+    p = p or draw(st.sampled_from(PRIMES))
+    m = 0 if shape in ("no points", "empty") else draw(st.integers(1, 300))
+    n = 0 if shape in ("no lines", "empty") else draw(st.integers(1, 300))
+    vertical = n if shape == "vertical only" else draw(st.integers(0, 20))
+    return p, streamed_bytes(keys(draw, m, p * p), keys(draw, n, p * p + p, vertical, p), p)
+
+
+def read_outcome(path):
+    """The instance or ParseError text of read_instance(path), with the
+    duplicate counts it warned of."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read_instance(path)
+        except ParseError as exc:
+            result = str(exc)
+    counts = [(w.message.duplicate_points, w.message.duplicate_lines)
+              for w in caught if isinstance(w.message, DuplicateEntryWarning)]
+    return result, counts
+
+
+@pytest.mark.parametrize("p, shape, mutation", SCAN_CASES.values(), ids=SCAN_CASES.keys())
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_scan_and_json_path_agree(doc_path, p, shape, mutation, data):
+    p, compact = data.draw(scan_documents(p, shape))
+    doc = compact if mutation is None else MUTATIONS[mutation](compact, p, data.draw(st.integers(0, 10**6)))
+    spaced = doc[:-1] + b" \n"
+    # the scan takes the compact form with its values below a prime p, and
+    # only that
+    assert (harness._scan_instance(doc) is None) == (doc != compact and mutation != "repeated entry")
+    assert harness._scan_instance(spaced) is None
+    # one path for both, as the JSON path's messages name the file
+    outcomes = []
+    for text in (doc, spaced):
+        doc_path.write_bytes(text)
+        outcomes.append(read_outcome(doc_path))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------
