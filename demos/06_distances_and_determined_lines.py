@@ -47,7 +47,7 @@ for key in bisector_instance(pts, pts[0], p).tolist():
 print()
 grid = [x * 7 + y for x in range(3) for y in range(3)]
 beck = determined_lines(grid, 7)
-print("3 x 3 grid over F_7 determines", beck.keys.size, "lines")
+print("3 x 3 grid over F_7 determines", beck.line_count, "lines")
 print("dyadic classes:", {f"[2^{j}, 2^{j + 1})": size for j, size in beck.class_sizes.items()})
 print("pair accounting:", beck.pair_total, "=", beck.expected_pairs, "= C(9, 2)")
 

@@ -284,7 +284,7 @@ def _cmd_beck(args) -> int:
     rep = distances.determined_lines(inst.point_keys, inst.p)
     _json_out({
         "p": inst.p, "m": rep.m,
-        "determined_lines": rep.keys.size,
+        "determined_lines": rep.line_count,
         "classes": {str(j): size for j, size in rep.class_sizes.items()},
         "pairs_by_class": {str(j): c for j, c in rep.pairs_by_class.items()},
         "pair_total": rep.pair_total, "expected_pairs": rep.expected_pairs,

@@ -2,26 +2,28 @@
 lines, perpendicular-bisector families, isosceles triples, and the
 determined-lines (two-extremes) accounting with its dyadic partition.
 
-The quadratic reports are numpy passes with bounded memory: distance sets
-and isosceles triples take blocks of pin rows, each row of m distances
-sorted so that its runs give the pinned set and the isosceles pairs at
-once, and the determined lines are int64 line keys over blocks of point
-pairs, with one batched modular inverse per block and one sort over all
-keys.  A point set is given as point keys x*p + y with its modulus p and
-is read through :class:`plane.Instance`, which checks p and the keys; the
-results hold point and line keys (see :meth:`AffineLine.key`).
+The quadratic reports are numpy passes that hold one block at a time.
+Distance sets and isosceles triples take blocks of pin rows, each row of m
+distances sorted so that its runs give the pinned set and the isosceles
+pairs at once.  The determined lines take blocks of whole pair rows (i, j),
+j > i, with one batched modular inverse per block; each block is sorted by
+point and slope, and the lengths of its runs give the exact richness
+histogram of the lines.  A point set is given as point keys x*p + y with
+its modulus p and is read through :class:`plane.Instance`, which checks p
+and the keys; the results hold point and line keys (see
+:meth:`AffineLine.key`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyInputError, ModulusMismatchError, TooFewPointsError
 from .field import inv_mod_array, make_modulus, minus_one_is_square, sqrt_mod
-from .plane import _PAIR_BLOCK, AffineLine, AffinePoint, Instance, distinct, line_keys, pair_blocks
+from .plane import _PAIR_BLOCK, AffineLine, AffinePoint, Instance, _run_starts, distinct, pair_blocks
 
 
 def _points(point_keys, p: int) -> Instance:
@@ -73,21 +75,32 @@ def distance(q: AffinePoint, r: AffinePoint) -> int:
 class DistanceReport:
     """All squared distances of a point set and all pinned distance sets.
 
+    One pass over blocks of pin rows, which keeps no row past its block,
+    gives the eager fields: distances, the set of all squared distances;
+    pin, the key of the point whose pinned set is largest (ties go to the
+    smallest key), a Python int, and max_pinned, the size of that set;
+    degenerate, which flags the all-zero distance set that a subset of one
+    isotropic line produces; and isosceles_triples, the count of
+    :func:`isosceles_triples`, from the same distance rows.
+
     pinned_values maps the key of each point q to its pinned set Delta_q as
-    a sorted int64 array; pinned holds the same sets as frozensets, built on
-    first access.  pin is the key of the point whose pinned set is largest
-    (ties go to the smallest key); the keys are Python ints.  degenerate
-    flags the all-zero distance set that a subset of one isotropic line
-    produces.  isosceles_triples is the count of :func:`isosceles_triples`,
-    taken from the same distance rows.
+    a sorted int64 array, and pinned holds the same sets as frozensets.
+    Both are computed on first access, by a second pass.
     """
 
     distances: frozenset[int]
-    pinned_values: dict
     pin: int
     max_pinned: int
     degenerate: bool
     isosceles_triples: int
+    instance: Instance = field(repr=False)
+
+    @cached_property
+    def pinned_values(self) -> dict:
+        inst = self.instance
+        values = [row[start] for rows, starts in _distance_blocks(*inst.xy, inst.p)
+                  for row, start in zip(rows, starts)]
+        return dict(zip(inst.point_keys.tolist(), values))
 
     @cached_property
     def pinned(self) -> dict:
@@ -105,23 +118,24 @@ def distance_sets(point_keys, p: int) -> DistanceReport:
     inst = _points(point_keys, p)
     if not inst.m:
         raise EmptyInputError("need at least one point")
-    values, sizes, seen, isosceles = [], [], [], 0
+    seen, fresh = np.empty(0, dtype=np.int64), []
+    row = pin = max_pinned = isosceles = 0
     for rows, starts in _distance_blocks(*inst.xy, p):
         isosceles += _isosceles(rows, starts)
-        size = starts.sum(axis=1)
-        block = rows[starts]
-        ends = np.cumsum(size).tolist()
-        values += [block[lo:hi] for lo, hi in zip([0] + ends, ends)]
-        sizes.append(size)
-        seen.append(distinct(block))
-    keys = inst.point_keys.tolist()
-    full = frozenset(distinct(np.concatenate(seen)).tolist())
-    # argmax by pinned-set size; the keys ascend, so ties resolve to the
-    # lexicographically smallest point
-    sizes = np.concatenate(sizes)
-    best = int(np.argmax(sizes))
-    return DistanceReport(full, dict(zip(keys, values)), keys[best], int(sizes[best]),
-                          full == frozenset({0}), isosceles)
+        # argmax by pinned-set size; the rows ascend by key, so ties
+        # resolve to the lexicographically smallest point
+        sizes = starts.sum(axis=1)
+        best = int(np.argmax(sizes))
+        if sizes[best] > max_pinned:
+            pin, max_pinned = row + best, int(sizes[best])
+        row += sizes.size
+        fresh.append(rows[starts])
+        # fold the blocks' values into the distance set once they outnumber
+        # it, so that a fold sorts at most twice the values it adds
+        if sum(a.size for a in fresh) > seen.size:
+            seen, fresh = distinct(np.concatenate([seen, *fresh])), []
+    full = frozenset(distinct(np.concatenate([seen, *fresh])).tolist())
+    return DistanceReport(full, int(inst.point_keys[pin]), max_pinned, full == frozenset({0}), isosceles, inst)
 
 
 def isotropic_lines(r: AffinePoint) -> tuple[AffineLine, AffineLine] | None:
@@ -170,10 +184,28 @@ def isosceles_triples(point_keys, p: int) -> int:
     return sum(_isosceles(*block) for block in _distance_blocks(*_points(point_keys, p).xy, p))
 
 
-def _dyadic_class(k: np.ndarray) -> np.ndarray:
-    """j with 2^j <= k < 2^(j+1), elementwise; frexp is exact on integers
-    below 2^53."""
-    return np.frexp(k)[1] - 1
+def _slope_runs(x, y, p):
+    """Yield, for each block of :func:`pair_blocks`, the runs of its pairs
+    (i, j), j > i, that lie on one line through point i: the point index i,
+    the slope s of the line (p for a vertical one) and the run length, the
+    number of points j > i on that line.  Each pair is keyed by its row
+    within the block and its slope, (i - first row) * (p + 1) + s, and the
+    block is sorted in place."""
+    for i, j in pair_blocks(x.size):
+        dx = x[j] - x[i]
+        dx %= p
+        sloped = dx != 0
+        key = y[j] - y[i]
+        key %= p
+        key *= inv_mod_array(np.where(sloped, dx, 1), p)
+        key %= p
+        key[~sloped] = p
+        first = int(i[0])
+        key += (i - first) * (p + 1)
+        key.sort()
+        start = _run_starts(key)
+        row, s = np.divmod(key[start], p + 1)
+        yield row + first, s, np.diff(start, append=key.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,26 +213,46 @@ class BeckReport:
     """Lines determined by a point set (at least two points each), their
     dyadic richness classes, and the exact pair accounting.
 
-    keys holds the ascending line keys (:meth:`AffineLine.key`) of the
-    determined lines and richness the number of points on each.  Class j
-    holds the lines with point count in [2^j, 2^(j+1)); classes start at
-    j = 1.  Every unordered pair of distinct points lies on exactly one
-    determined line, so the per-line pair counts sum to C(m, 2).
+    Class j holds the lines with point count in [2^j, 2^(j+1)); classes
+    start at j = 1.  Every unordered pair of distinct points lies on
+    exactly one determined line, so the per-line pair counts sum to C(m, 2).
+
+    One pass over blocks of point pairs gives the richness histogram, and
+    the eager fields are read off it: line_count, the number of determined
+    lines; class_sizes and pairs_by_class, the lines and the pairs of each
+    class, by ascending class; and pair_total.  They are integer sums, with
+    no float square root, so they are exact for every m.  keys, the
+    ascending line keys (:meth:`AffineLine.key`) of the determined lines,
+    and richness, the number of points on each, are computed on first
+    access, by a second pass.
     """
 
-    keys: np.ndarray
-    richness: np.ndarray
+    line_count: int
+    class_sizes: dict
     pairs_by_class: dict
     pair_total: int
     expected_pairs: int
     m: int
     p: int
+    instance: Instance = field(repr=False)
+
+    @cached_property
+    def _spanned(self) -> tuple[np.ndarray, np.ndarray]:
+        # one line key per run; a line with k points gives k - 1 runs
+        (x, y), p = self.instance.xy, self.p
+        keys = np.concatenate([np.where(s < p, s * p + (y[i] - s * x[i]) % p, p * p + x[i])
+                               for i, s, _ in _slope_runs(x, y, p)])
+        keys.sort()
+        start = _run_starts(keys)
+        return keys[start], np.diff(start, append=keys.size) + 1
 
     @property
-    def class_sizes(self) -> dict[int, int]:
-        """Number of determined lines in each class, by ascending class."""
-        js, sizes = np.unique(_dyadic_class(self.richness), return_counts=True)
-        return dict(zip(js.tolist(), sizes.tolist()))
+    def keys(self) -> np.ndarray:
+        return self._spanned[0]
+
+    @property
+    def richness(self) -> np.ndarray:
+        return self._spanned[1]
 
 
 def determined_lines(point_keys, p: int) -> BeckReport:
@@ -210,16 +262,20 @@ def determined_lines(point_keys, p: int) -> BeckReport:
     m = inst.m
     if m < 2:
         raise TooFewPointsError(f"need at least two points, got {m}")
-    x, y = inst.xy
-    keys = np.concatenate([line_keys(x[i], y[i], x[j], y[j], p) for i, j in pair_blocks(m)])
-    keys.sort()
-    start = np.flatnonzero(np.diff(keys, prepend=-1))
-    pairs = np.diff(start, append=keys.size)
-    # a line with k points carries c = k(k-1)/2 pairs, so 8c + 1 = (2k - 1)^2;
-    # float64 takes the square root of that perfect square exactly while it
-    # is below 2^53, that is for m below 2^25
-    richness = (1 + np.sqrt(8 * pairs + 1).astype(np.int64)) // 2
-    line_class = _dyadic_class(richness)
-    pairs_by_class = {j: int(pairs[line_class == j].sum())
-                      for j in np.flatnonzero(np.bincount(line_class)).tolist()}
-    return BeckReport(keys[start], richness, pairs_by_class, int(pairs.sum()), m * (m - 1) // 2, m, p)
+    # runs[r] counts the runs of length r.  A line with k points gives one
+    # run of each length 1 .. k - 1, one from each of its points but the
+    # last, so runs[k - 1] - runs[k] lines hold exactly k points.
+    runs = np.zeros(m + 1, dtype=np.int64)
+    for _, _, length in _slope_runs(*inst.xy, p):
+        runs += np.bincount(length, minlength=m + 1)
+    k = np.arange(2, m + 1)
+    lines = runs[1:-1] - runs[2:]
+    # class j holds k in [2^j, 2^(j+1)), the entries from 2^j - 2 on
+    js = np.arange(1, m.bit_length())
+    sizes = np.add.reduceat(lines, (1 << js) - 2)
+    pairs = np.add.reduceat(lines * (k * (k - 1) // 2), (1 << js) - 2)
+    held = sizes > 0
+    classes = js[held].tolist()
+    return BeckReport(int(runs[1]), dict(zip(classes, sizes[held].tolist())),
+                      dict(zip(classes, pairs[held].tolist())), int(pairs.sum()),
+                      m * (m - 1) // 2, m, p, inst)

@@ -142,8 +142,9 @@ def line_keys(qx, qy, rx, ry, p: int) -> np.ndarray:
 
 
 # pairs in one block of pair_blocks: about 100 bytes of temporaries per pair
-# in the passes over them keep a block near 3 MB
-_PAIR_BLOCK = 1 << 15
+# in the passes over them keep a block near 1.6 MB; the blocks set the peak
+# memory of the beck and distances commands
+_PAIR_BLOCK = 1 << 14
 
 
 def pair_blocks(m: int):

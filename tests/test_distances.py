@@ -1,5 +1,7 @@
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,8 +23,8 @@ from incidencelab.errors import (
     ModulusMismatchError,
     TooFewPointsError,
 )
-from incidencelab.field import inv_mod, minus_one_is_square, sqrt_mod
-from incidencelab.plane import AffineLine, AffinePoint, incident, line_through
+from incidencelab.field import inv_mod, make_modulus, minus_one_is_square, sqrt_mod
+from incidencelab.plane import AffineLine, AffinePoint, Instance, incident, line_keys, line_through, pair_blocks
 
 
 def P(coords, p):
@@ -366,3 +368,121 @@ def test_blocked_reports_match_oracles_at_the_largest_prime(pts, block):
         mp.setattr(distances, "_PAIR_BLOCK", block)
         mp.setattr(plane, "_PAIR_BLOCK", block)
         assert_reports_match_oracles(pts)
+
+
+def concat_sort_determined_lines(point_keys, p):
+    """Oracle: every pair's line key, concatenated and sorted at once; a
+    line with c pairs has k points, where 8c + 1 = (2k - 1)^2."""
+    inst = Instance(make_modulus(p), point_keys=point_keys, line_keys=())
+    x, y = inst.xy
+    keys = np.concatenate([line_keys(x[i], y[i], x[j], y[j], p) for i, j in pair_blocks(inst.m)])
+    keys.sort()
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    pairs = np.diff(start, append=keys.size)
+    richness = (1 + np.sqrt(8 * pairs + 1).astype(np.int64)) // 2
+    line_class = np.frexp(richness)[1] - 1
+    js = np.flatnonzero(np.bincount(line_class)).tolist()
+    return {
+        "keys": keys[start].tolist(),
+        "richness": richness.tolist(),
+        "class_sizes": {j: int((line_class == j).sum()) for j in js},
+        "pairs_by_class": {j: int(pairs[line_class == j].sum()) for j in js},
+        "line_count": int(start.size),
+    }
+
+
+def counts_from_lines(keys, richness):
+    """The eager counts of a BeckReport, recomputed from its line keys and
+    richness."""
+    line_class = [k.bit_length() - 1 for k in richness]
+    pairs = {}
+    for j, k in zip(line_class, richness):
+        pairs[j] = pairs.get(j, 0) + k * (k - 1) // 2
+    return {
+        "class_sizes": {j: line_class.count(j) for j in sorted(set(line_class))},
+        "pairs_by_class": dict(sorted(pairs.items())),
+        "line_count": len(keys),
+    }
+
+
+@st.composite
+def mixed_point_sets(draw):
+    """Point keys over F_p for a p from 3 to 2^31 - 1: random points,
+    collinear runs, vertical columns and windows of the plane, which are
+    the whole plane when p is small."""
+    p = draw(st.sampled_from([3, 13, 1009, 2**31 - 1]))
+    residue = residues(p)
+    pts = set(draw(st.lists(st.tuples(residue, residue), max_size=12)))
+    for _ in range(draw(st.integers(0, 2))):
+        x, y, dx, dy = (draw(residue) for _ in range(4))
+        pts |= {(x + t * dx, y + t * dy) for t in range(draw(st.integers(2, 9)))}
+    for _ in range(draw(st.integers(0, 2))):
+        x, y = draw(residue), draw(residue)
+        pts |= {(x, y + t) for t in range(draw(st.integers(2, 9)))}
+    if draw(st.booleans()):
+        x, y = draw(residue), draw(residue)
+        width, height = (draw(st.integers(1, min(p, 13))) for _ in range(2))
+        pts |= {(x + u, y + v) for u in range(width) for v in range(height)}
+    keys = sorted({x % p * p + y % p for x, y in pts})
+    return p, keys
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(mixed_point_sets(), st.sampled_from([1, 7, 1 << 15]))
+def test_run_lengths_match_the_concat_sort_oracle(case, block):
+    p, point_keys = case
+    if len(point_keys) < 2:
+        return
+    oracle = concat_sort_determined_lines(point_keys, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plane, "_PAIR_BLOCK", block)
+        rep = determined_lines(point_keys, p)
+        eager = {"class_sizes": rep.class_sizes, "pairs_by_class": rep.pairs_by_class,
+                 "line_count": rep.line_count}
+        lines = {"keys": rep.keys.tolist(), "richness": rep.richness.tolist()}
+    assert {**eager, **lines} == oracle
+    assert eager == counts_from_lines(lines["keys"], lines["richness"])
+    m = len(point_keys)
+    assert rep.pair_total == rep.expected_pairs == m * (m - 1) // 2 == sum(rep.pairs_by_class.values())
+
+
+def traced_peak(call):
+    """The result of call() and the peak of the memory traced during it,
+    numpy buffers included, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_point_keys(m, p, seed):
+    return plane.distinct(np.random.default_rng(seed).integers(0, p * p, m))
+
+
+def test_determined_lines_counts_in_bounded_memory():
+    # all C(m, 2) pair keys would take 16 MB, and the report's keys as many
+    p = 1048573
+    point_keys = random_point_keys(2000, p, 22)
+    rep, peak = traced_peak(lambda: determined_lines(point_keys, p))
+    assert peak < 8 << 20
+    oracle = concat_sort_determined_lines(point_keys, p)
+    assert (rep.line_count, rep.class_sizes, rep.pairs_by_class) == (
+        oracle["line_count"], oracle["class_sizes"], oracle["pairs_by_class"])
+    assert rep.keys.tolist() == oracle["keys"] and rep.richness.tolist() == oracle["richness"]
+
+
+def test_distance_sets_in_bounded_memory():
+    # every pinned set kept would take up to 16 MB
+    p = 1009
+    point_keys = random_point_keys(2000, p, 23)
+    rep, peak = traced_peak(lambda: distance_sets(point_keys, p))
+    assert peak < 8 << 20
+    x, y = np.divmod(point_keys, p)
+    pinned = {q: np.unique(((x - qx) ** 2 + (y - qy) ** 2) % p).tolist()
+              for q, qx, qy in zip(point_keys.tolist(), x, y)}
+    assert {q: v.tolist() for q, v in rep.pinned_values.items()} == pinned
+    sizes = {q: len(v) for q, v in pinned.items()}
+    assert rep.max_pinned == max(sizes.values())
+    assert rep.pin == min(q for q, size in sizes.items() if size == rep.max_pinned)
+    assert rep.distances == frozenset().union(*pinned.values())
