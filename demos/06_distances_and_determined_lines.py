@@ -34,7 +34,7 @@ p = 13
 pts = [x * p + (x * x + 1) % p for x in range(6)]
 rep = distance_sets(pts, p)
 print(f"six points on a parabola over F_{p}:")
-print("  distance set:", sorted(rep.distances))
+print("  distance set:", rep.distance_values.tolist())
 print("  best pin:", divmod(rep.pin, p), "with", rep.max_pinned, "pinned distances")
 print("  degenerate (all-zero):", rep.degenerate)
 print("  isosceles triples:", isosceles_triples(pts, p))

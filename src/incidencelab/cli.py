@@ -268,7 +268,7 @@ def _cmd_distances(args) -> int:
     rep = distances.distance_sets(inst.point_keys, inst.p)
     _json_out({
         "p": inst.p, "m": inst.m,
-        "distance_set": sorted(rep.distances),
+        "distance_set": rep.distance_values.tolist(),
         "pin": _point_json(rep.pin, inst.p), "max_pinned": rep.max_pinned,
         "degenerate": rep.degenerate,
         "isosceles_triples": rep.isosceles_triples,

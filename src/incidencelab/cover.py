@@ -14,9 +14,11 @@ cert)`` read p and the line keys from the instance.  The extraction and the
 cover loop read instances; their degree scans are ``richness_histograms``,
 joins over slope classes or columns, and the joins to the apexes are
 batched line keys, which also find the candidates on the apex line.  The
-certificate verifier checks the keys with array passes; its degrees (the
-partition re-check) and its incidence tests are the blocked masks of
-``incidence_degrees``, so it never shares the extraction's join: only the
+certificate verifier checks the keys with array passes.  Its degrees (the
+partition re-check) come from a pass of its own, :func:`_point_degrees`,
+one searchsorted per slope class or per column, or from the masks of
+``incidence_degrees`` when both sides cost about m*n; its incidence tests
+are those masks.  So it never shares the extraction's join: only the
 threshold arithmetic of :func:`_richness_classes` is common to both.
 :func:`normalize_grid` is :func:`plane.projective_map_from_pair` of the
 apexes plus :func:`plane.apply_map` on the grid's point keys and the line
@@ -307,6 +309,52 @@ def normalize_grid(grid: PencilGrid, inst: Instance) -> NormalizedGrid:
     return NormalizedGrid(tau, image, xs, ys)
 
 
+# one (point, slope class) or (line, column) pair of a pass of _point_degrees
+# costs about as much as 3 cells of the masks of incidence_degrees (2-vCPU
+# Xeon, numpy 2.4: 30-34 ns against 10-12 ns on random m = n = 3000 and
+# 10^4 over p = 1048573); a pass runs only where it is clearly cheaper
+_PASS_CELLS = 4
+
+
+def _recheck_side(inst: Instance) -> str:
+    """The side of :func:`_point_degrees` with the fewest (item, group)
+    pairs, or "masks" when that side costs about the m*n mask cells."""
+    by_slope = inst.m * (inst.slope_runs[0].size + 1)
+    by_column = inst.n * (inst.column_runs[0].size + 1)
+    if _PASS_CELLS * min(by_slope, by_column) >= inst.m * inst.n:
+        return "masks"
+    return "slope" if by_slope <= by_column else "column"
+
+
+def _point_degrees(inst: Instance, side: str) -> np.ndarray:
+    """The line-degree of each point of inst, exactly, from the pass of the
+    given side.  "slope": for each slope class s, the intercepts y - s*x of
+    all points, looked up by one searchsorted in the class's sorted
+    intercepts.  "column": for each x-column c, the heights s*c + t of all
+    non-vertical lines, looked up by one searchsorted in the column's
+    sorted y-values.  Both add the vertical lines through each point by
+    np.isin.  "masks": the masks of incidence_degrees.  The passes share no
+    code with the join of richness_histograms."""
+    p, (px, py) = inst.p, inst.xy
+    if side == "masks":
+        return incidence_degrees(px, py, inst.line_keys, p)[0]
+    s, t, x0 = inst.line_columns
+    deg = np.isin(px, x0).astype(np.int64)
+    if side == "slope":
+        slopes, offs = inst.slope_runs
+        for k, intercepts in zip(slopes.tolist(), np.split(t, offs[1:-1])):
+            v = (py - k * px) % p
+            deg += intercepts.take(np.searchsorted(intercepts, v), mode="clip") == v
+    else:
+        xs, offs = inst.column_runs
+        for c, lo, hi in zip(xs.tolist(), offs[:-1].tolist(), offs[1:].tolist()):
+            ys = py[lo:hi]
+            v = (s * c + t) % p
+            at = np.searchsorted(ys, v)
+            deg[lo:hi] += np.bincount(at[ys.take(at, mode="clip") == v], minlength=hi - lo)
+    return deg
+
+
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -334,10 +382,12 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
     set exactly.
 
     Every check is an array pass over the certificate's keys, with p and
-    the lines read from inst; the point degrees of the partition re-check
+    the lines read from inst.  The point degrees of the partition re-check
+    come from :func:`_point_degrees` on the side of :func:`_recheck_side`,
     and the incidence tests (apex line, pencil apexes, pencil coverage as
     the |grid| x |pencil| mask) use the blocked masks of
-    ``incidence_degrees``, independent of the join the extraction ran.
+    ``incidence_degrees``: both are independent of the join the extraction
+    ran.
     """
     v: list[Violation] = []
 
@@ -346,8 +396,8 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
 
     p, point_keys = inst.p, inst.point_keys
     part = cert.partition
-    # partition re-check, on the degrees of the masks
-    deg = incidence_degrees(*inst.xy, inst.line_keys, p)[0]
+    # partition re-check, on degrees of a pass of its own
+    deg = _point_degrees(inst, _recheck_side(inst))
     mean, classes = _richness_classes(inst, deg, cert.c1, cert.c2)
     low, high, regular = (np.array(keys, dtype=np.int64) for keys in (part.low, part.high, part.regular))
     factors = (mean, Fraction(cert.c1), Fraction(cert.c2))

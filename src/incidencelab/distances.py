@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import EmptyInputError, ModulusMismatchError, TooFewPointsError
 from .field import inv_mod_array, make_modulus, minus_one_is_square, sqrt_mod
-from .plane import _PAIR_BLOCK, AffineLine, AffinePoint, Instance, _run_starts, distinct, pair_blocks
+from .plane import _PAIR_BLOCK, AffineLine, AffinePoint, Instance, _read_only, _run_starts, distinct, pair_blocks
 
 
 def _points(point_keys, p: int) -> Instance:
@@ -76,24 +76,30 @@ class DistanceReport:
     """All squared distances of a point set and all pinned distance sets.
 
     One pass over blocks of pin rows, which keeps no row past its block,
-    gives the eager fields: distances, the set of all squared distances;
-    pin, the key of the point whose pinned set is largest (ties go to the
-    smallest key), a Python int, and max_pinned, the size of that set;
-    degenerate, which flags the all-zero distance set that a subset of one
-    isotropic line produces; and isosceles_triples, the count of
-    :func:`isosceles_triples`, from the same distance rows.
+    gives the eager fields: distance_values, the set of all squared
+    distances as a sorted, read-only int64 array; pin, the key of the point
+    whose pinned set is largest (ties go to the smallest key), a Python
+    int, and max_pinned, the size of that set; degenerate, a bool that
+    flags the all-zero distance set that a subset of one isotropic line
+    produces; and isosceles_triples, the count of :func:`isosceles_triples`,
+    from the same distance rows.
 
-    pinned_values maps the key of each point q to its pinned set Delta_q as
-    a sorted int64 array, and pinned holds the same sets as frozensets.
-    Both are computed on first access, by a second pass.
+    distances holds the same set as a frozenset of Python ints, built on
+    first access.  pinned_values maps the key of each point q to its pinned
+    set Delta_q as a sorted int64 array, and pinned holds the same sets as
+    frozensets.  Both are computed on first access, by a second pass.
     """
 
-    distances: frozenset[int]
+    distance_values: np.ndarray
     pin: int
     max_pinned: int
     degenerate: bool
     isosceles_triples: int
     instance: Instance = field(repr=False)
+
+    @cached_property
+    def distances(self) -> frozenset[int]:
+        return frozenset(self.distance_values.tolist())
 
     @cached_property
     def pinned_values(self) -> dict:
@@ -134,8 +140,9 @@ def distance_sets(point_keys, p: int) -> DistanceReport:
         # it, so that a fold sorts at most twice the values it adds
         if sum(a.size for a in fresh) > seen.size:
             seen, fresh = distinct(np.concatenate([seen, *fresh])), []
-    full = frozenset(distinct(np.concatenate([seen, *fresh])).tolist())
-    return DistanceReport(full, int(inst.point_keys[pin]), max_pinned, full == frozenset({0}), isosceles, inst)
+    (values,) = _read_only(distinct(np.concatenate([seen, *fresh])))
+    return DistanceReport(values, int(inst.point_keys[pin]), max_pinned,
+                          bool(values.size == 1 and values[0] == 0), isosceles, inst)
 
 
 def isotropic_lines(r: AffinePoint) -> tuple[AffineLine, AffineLine] | None:
@@ -185,27 +192,33 @@ def isosceles_triples(point_keys, p: int) -> int:
 
 
 def _slope_runs(x, y, p):
-    """Yield, for each block of :func:`pair_blocks`, the runs of its pairs
-    (i, j), j > i, that lie on one line through point i: the point index i,
-    the slope s of the line (p for a vertical one) and the run length, the
-    number of points j > i on that line.  Each pair is keyed by its row
-    within the block and its slope, (i - first row) * (p + 1) + s, and the
-    block is sorted in place."""
+    """Yield, for each block of :func:`pair_blocks`, the index of its first
+    point i, the keys of its pairs (i, j), j > i, sorted, and the starts of
+    their runs.  A pair's key is (i - first) * (p + 1) + s, its row within
+    the block and the slope s of its line (p for a vertical one), so a run
+    holds the points j > i on one line through point i.  Each block's
+    arrays are dropped before the next block is built; a caller that drops
+    its own references as well keeps one block alive."""
     for i, j in pair_blocks(x.size):
         dx = x[j] - x[i]
         dx %= p
-        sloped = dx != 0
         key = y[j] - y[i]
+        del j
         key %= p
-        key *= inv_mod_array(np.where(sloped, dx, 1), p)
+        vertical = dx == 0
+        dx[vertical] = 1
+        key *= inv_mod_array(dx, p)
         key %= p
-        key[~sloped] = p
+        key[vertical] = p
         first = int(i[0])
-        key += (i - first) * (p + 1)
+        i -= first
+        i *= p + 1
+        key += i
+        del i, dx, vertical
         key.sort()
         start = _run_starts(key)
-        row, s = np.divmod(key[start], p + 1)
-        yield row + first, s, np.diff(start, append=key.size)
+        yield first, key, start
+        del key, start
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,8 +253,12 @@ class BeckReport:
     def _spanned(self) -> tuple[np.ndarray, np.ndarray]:
         # one line key per run; a line with k points gives k - 1 runs
         (x, y), p = self.instance.xy, self.p
-        keys = np.concatenate([np.where(s < p, s * p + (y[i] - s * x[i]) % p, p * p + x[i])
-                               for i, s, _ in _slope_runs(x, y, p)])
+        parts = []
+        for first, key, start in _slope_runs(x, y, p):
+            i, s = np.divmod(key[start], p + 1)
+            i += first
+            parts.append(np.where(s < p, s * p + (y[i] - s * x[i]) % p, p * p + x[i]))
+        keys = np.concatenate(parts)
         keys.sort()
         start = _run_starts(keys)
         return keys[start], np.diff(start, append=keys.size) + 1
@@ -266,8 +283,10 @@ def determined_lines(point_keys, p: int) -> BeckReport:
     # run of each length 1 .. k - 1, one from each of its points but the
     # last, so runs[k - 1] - runs[k] lines hold exactly k points.
     runs = np.zeros(m + 1, dtype=np.int64)
-    for _, _, length in _slope_runs(*inst.xy, p):
-        runs += np.bincount(length, minlength=m + 1)
+    for _, key, start in _slope_runs(*inst.xy, p):
+        runs += np.bincount(np.diff(start, append=key.size), minlength=m + 1)
+        # drop the block before _slope_runs builds the next one
+        del key, start
     k = np.arange(2, m + 1)
     lines = runs[1:-1] - runs[2:]
     # class j holds k in [2^j, 2^(j+1)), the entries from 2^j - 2 on

@@ -141,8 +141,8 @@ def line_keys(qx, qy, rx, ry, p: int) -> np.ndarray:
     return np.where(sloped, s * p + (qy - s * qx) % p, p * p + qx)
 
 
-# pairs in one block of pair_blocks: about 100 bytes of temporaries per pair
-# in the passes over them keep a block near 1.6 MB; the blocks set the peak
+# pairs in one block of pair_blocks: about 55 bytes of temporaries per pair
+# in the passes over them keep a block near 0.9 MB; the blocks set the peak
 # memory of the beck and distances commands
 _PAIR_BLOCK = 1 << 14
 
@@ -150,15 +150,23 @@ _PAIR_BLOCK = 1 << 14
 def pair_blocks(m: int):
     """Index arrays (i, j) over all pairs i < j < m, yielded in blocks of
     whole rows i holding at most about _PAIR_BLOCK pairs, so that array
-    passes over the pairs keep their temporaries bounded."""
+    passes over the pairs keep their temporaries bounded.  The generator
+    keeps no array of a block between yields: a caller that drops its block
+    before asking for the next has one block alive."""
     step = max(1, _PAIR_BLOCK // max(m, 1))
     for lo in range(0, m - 1, step):
-        rows = np.arange(lo, min(lo + step, m - 1))
-        counts = m - 1 - rows
-        # the pairs of row r take positions start_r .. start_r + counts_r - 1
-        # and there j = position - start_r + r + 1
-        i = np.repeat(rows, counts)
-        yield i, np.arange(i.size) - np.repeat(np.cumsum(counts) - counts - rows - 1, counts)
+        yield _pair_rows(np.arange(lo, min(lo + step, m - 1)), m)
+
+
+def _pair_rows(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays (i, j) of the pairs (r, j), r < j < m, of the rows r."""
+    counts = m - 1 - rows
+    # the pairs of row r take positions start_r .. start_r + counts_r - 1
+    # and there j = position - start_r + r + 1
+    i = np.repeat(rows, counts)
+    j = np.repeat(np.cumsum(counts) - counts - rows - 1, counts)
+    np.subtract(np.arange(i.size), j, out=j)
+    return i, j
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -174,7 +182,10 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     Not np.unique: the columns are sorted already, and without a return_*
     flag np.unique imports numpy.ma (about 20 ms and 1 MB at first use).
     """
-    return np.flatnonzero(np.diff(a, prepend=a[:1] - 1))
+    start = np.empty(a.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(a[1:], a[:-1], out=start[1:])
+    return np.flatnonzero(start)
 
 
 def distinct(a) -> np.ndarray:

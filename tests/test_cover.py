@@ -15,6 +15,8 @@ from incidencelab.cover import (
     NormalizedGrid,
     PencilGrid,
     _apex_line,
+    _point_degrees,
+    _recheck_side,
     extraction_preconditions,
     grid_cover,
     grid_size_lower_bound,
@@ -464,6 +466,74 @@ def test_verify_certificate_rechecks_the_partition_on_the_masks(monkeypatch):
     cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
     assert cert.partition.low == (0,)  # the point (0, 0) lost its 6 lines
     assert "partition-mismatch" in _codes(inst, cert)
+
+
+def test_verify_certificate_catches_a_fault_in_the_degree_join(monkeypatch):
+    # a fault inside the join itself reaches the extraction's partition but
+    # not the verifier's re-check, which runs a degree pass of its own
+    import incidencelab.incidence as incidence
+    join = incidence._group_degrees
+
+    def faulty_join(*args):
+        per_item, per_val = join(*args)
+        per_item = per_item.copy()
+        per_item[:1] = 0
+        return per_item, per_val
+
+    monkeypatch.setattr(incidence, "_group_degrees", faulty_join)
+    inst = full_plane(5)
+    cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
+    assert cert.partition.low == (0,)  # the point (0, 0) kept only its vertical line
+    assert "partition-mismatch" in _codes(inst, cert)
+
+
+@st.composite
+def degree_instances(draw):
+    """Instances over F_p for a p from 3 to 2^31 - 1: random points, runs
+    of points in one column, random lines, vertical lines (perhaps none),
+    and lines of a few slopes through drawn points."""
+    p = draw(st.sampled_from([3, 13, 1009, 2**31 - 1]))
+    residue = residues(p)
+    pts = set(draw(st.lists(st.tuples(residue, residue), min_size=1, max_size=20)))
+    for _ in range(draw(st.integers(0, 2))):
+        x, y = draw(residue), draw(residue)
+        pts |= {(x, (y + k) % p) for k in range(draw(st.integers(1, 9)))}
+    on = st.lists(st.sampled_from(sorted(pts)), max_size=6)
+    lines = {s * p + t for s, t in draw(st.lists(st.tuples(residue, residue), max_size=20))}
+    lines |= {p * p + x0 for x0 in draw(st.lists(residue, max_size=4))}
+    lines |= {p * p + x for x, _ in draw(on)}
+    for s in draw(st.lists(residue, max_size=3)):
+        lines |= {s * p + (y - s * x) % p for x, y in draw(on)}
+    return Instance(make_modulus(p), point_keys=[x * p + y for x, y in pts], line_keys=sorted(lines))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(degree_instances())
+def test_recheck_degree_passes_equal_the_masks(inst):
+    want = incidence_degrees(*inst.xy, inst.line_keys, inst.p)[0].tolist()
+    for side in ("slope", "column", "masks"):
+        assert _point_degrees(inst, side).tolist() == want, side
+    assert _point_degrees(inst, _recheck_side(inst)).tolist() == want
+
+
+def test_recheck_reaches_each_side_and_the_masks():
+    plane = full_plane(13)
+    big = 2**31 - 1
+    rng = np.random.default_rng(3)
+    cases = [
+        ("slope", plane),
+        # 13 lines of 13 slopes against 13 columns of points
+        ("column", Instance(plane.modulus, point_keys=plane.point_keys, line_keys=[s * 13 + 2 * s for s in range(13)])),
+        # as many slope classes and columns as lines and points
+        ("masks", Instance(make_modulus(big), point_keys=rng.integers(0, big * big, 9),
+                           line_keys=rng.integers(0, big * big, 9))),
+        ("masks", Instance(plane.modulus, point_keys=plane.point_keys, line_keys=[])),
+    ]
+    for side, inst in cases:
+        assert _recheck_side(inst) == side
+        assert np.array_equal(_point_degrees(inst, side), incidence_degrees(*inst.xy, inst.line_keys, inst.p)[0])
+        if inst.n:
+            assert verify_certificate(inst, grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))).passed
 
 
 def test_verify_certificate_detects_grid_outside_regular_set():

@@ -472,6 +472,42 @@ def test_determined_lines_counts_in_bounded_memory():
     assert rep.keys.tolist() == oracle["keys"] and rep.richness.tolist() == oracle["richness"]
 
 
+def test_beck_pass_keeps_one_block_alive(monkeypatch):
+    # two blocks alive at once took about 95 bytes per block pair
+    monkeypatch.setattr(plane, "_PAIR_BLOCK", 1 << 16)
+    p = 1048573
+    point_keys = random_point_keys(2000, p, 22)
+    rep, peak = traced_peak(lambda: determined_lines(point_keys, p))
+    assert peak < 60 << 16
+    assert rep.line_count == concat_sort_determined_lines(point_keys, p)["line_count"]
+
+
+def test_distance_set_is_an_int64_column():
+    # a frozenset of Python ints took about 95 MB here
+    p = 1048573
+    point_keys = random_point_keys(2000, p, 24)
+    rep, peak = traced_peak(lambda: distance_sets(point_keys, p))
+    assert peak < 60 << 20
+    values = rep.distance_values
+    assert values.dtype == np.int64 and np.all(values[1:] > values[:-1])
+    assert not values.flags.writeable
+    assert values.tolist() == sorted(rep.distances)
+    x, y = np.divmod(point_keys, p)
+    want = np.unique(np.concatenate([((x - qx) ** 2 + (y - qy) ** 2) % p for qx, qy in zip(x, y)]))
+    assert np.array_equal(values, want)
+    assert type(rep.degenerate) is bool and not rep.degenerate
+    assert type(distance_sets(K([(0, 0), (1, 2)], 5), 5).degenerate) is bool
+
+
+def test_distance_reports_compare_by_their_sets():
+    pts = K([(0, 0), (1, 0), (3, 2), (5, 5)], 7)
+    assert distance_sets(pts, 7) == distance_sets(pts[::-1] + pts[:1], 7)
+    # the same distance set {0, 1, 4} and pin (0, 0), other pinned sets
+    assert distance_sets(K([(0, 0), (0, 1), (0, 2)], 5), 5) != distance_sets(K([(0, 0), (0, 1), (0, 3)], 5), 5)
+    assert distance_sets(pts, 7) != distance_sets(pts[:3], 7)
+    assert distance_sets(pts, 7) != distance_sets(pts, 7).distances
+
+
 def test_distance_sets_in_bounded_memory():
     # every pinned set kept would take up to 16 MB
     p = 1009

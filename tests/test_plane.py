@@ -28,6 +28,7 @@ from incidencelab.plane import (
     AffinePoint,
     Instance,
     ProjMap,
+    _run_starts,
     apply_map,
     distinct,
     dualize,
@@ -307,6 +308,18 @@ def test_distinct_by_count_table_and_by_sort():
             a = rng.integers(low, high, size)
             got = distinct(a)
             assert got.dtype == np.int64 and got.tolist() == sorted(set(a.tolist()))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.one_of(st.lists(st.integers(-2**62, 2**62), max_size=40),
+                 st.lists(st.integers(0, 3), max_size=40),
+                 st.tuples(st.integers(0, 2**62), st.integers(0, 40)).map(lambda vn: [vn[0]] * vn[1])))
+def test_run_starts_match_the_diff_form(values):
+    # the empty, one-element and all-equal arrays included
+    a = np.sort(np.array(values, dtype=np.int64))
+    got = _run_starts(a)
+    assert got.dtype == np.intp
+    assert got.tolist() == np.flatnonzero(np.diff(a, prepend=a[:1] - 1)).tolist()
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 15])
