@@ -15,8 +15,10 @@ import argparse
 import json
 import sys
 import warnings
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import cache
+from typing import Iterable
 
 # constructions, cover, distances and energy run on first use (see __init__)
 from . import constructions, cover, distances, energy, harness
@@ -47,16 +49,34 @@ def _int_set(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+def _emit(text: str | Iterable[str], output: str | None) -> None:
+    """Write text, or each string of an iterable in turn, to the file
+    output, or else to stdout, where the last string ends the line."""
+    parts = [text] if isinstance(text, str) else text
+    with open(output, "w") if output else nullcontext(sys.stdout) as fh:
+        for part in parts:
+            fh.write(part)
+        if not output and not part.endswith("\n"):
+            fh.write("\n")
 
 
 def _json_out(obj, output) -> None:
     _emit(json.dumps(obj, sort_keys=True), output)
+
+
+# values of an int64 column per string of _json_column
+_COLUMN_BLOCK = 1 << 16
+
+
+def _json_column(obj: dict, key: str, column):
+    """The strings of json.dumps(obj with obj[key] = column.tolist(),
+    sort_keys=True), with the column's values written a block at a time, so
+    that no list of Python ints for the whole column is built."""
+    head, tail = json.dumps({**obj, key: []}, sort_keys=True).split(json.dumps(key) + ": []")
+    yield head + json.dumps(key) + ": ["
+    for lo in range(0, column.size, _COLUMN_BLOCK):
+        yield (", " if lo else "") + json.dumps(column[lo:lo + _COLUMN_BLOCK].tolist())[1:-1]
+    yield "]" + tail
 
 
 def build_parser() -> _Parser:
@@ -266,16 +286,15 @@ def _cmd_sumprod(args) -> int:
 def _cmd_distances(args) -> int:
     inst = harness.read_instance(args.input)
     rep = distances.distance_sets(inst.point_keys, inst.p)
-    _json_out({
+    _emit(_json_column({
         "p": inst.p, "m": inst.m,
-        "distance_set": rep.distance_values.tolist(),
         "pin": _point_json(rep.pin, inst.p), "max_pinned": rep.max_pinned,
         "degenerate": rep.degenerate,
         "isosceles_triples": rep.isosceles_triples,
         # a point set (distance_sets rejects an empty one) has isotropic
         # lines through each of its points exactly when -1 is a square
         "has_isotropic_lines": minus_one_is_square(inst.p),
-    }, args.output)
+    }, "distance_set", rep.distance_values), args.output)
     return 0
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import EmptyInputError, ModulusMismatchError, TooFewPointsError
 from .field import inv_mod_array, make_modulus, minus_one_is_square, sqrt_mod
-from .plane import _PAIR_BLOCK, AffineLine, AffinePoint, Instance, _read_only, _run_starts, distinct, pair_blocks
+from .plane import (_PAIR_BLOCK, AffineLine, AffinePoint, Instance, _read_only, _run_starts, distinct,
+                    distinct_in_place, pair_blocks)
 
 
 def _points(point_keys, p: int) -> Instance:
@@ -118,13 +119,24 @@ class DistanceReport:
         return (self.distances, self.pinned, self.pin) == (other.distances, other.pinned, other.pin)
 
 
+def _fold(parts: list) -> np.ndarray:
+    """The sorted distinct values of the arrays in parts.  The list is
+    emptied once they are concatenated, so that only the concatenation is
+    alive while it is sorted, in place."""
+    values = np.concatenate(parts)
+    parts.clear()
+    return distinct_in_place(values)
+
+
 def distance_sets(point_keys, p: int) -> DistanceReport:
     """Exact distance set and every pinned set Delta_q of the points with
     the given keys over F_p."""
     inst = _points(point_keys, p)
     if not inst.m:
         raise EmptyInputError("need at least one point")
-    seen, fresh = np.empty(0, dtype=np.int64), []
+    # parts holds the distance set so far (once there is one) and the
+    # values of the blocks since
+    parts, folded, added = [], 0, 0
     row = pin = max_pinned = isosceles = 0
     for rows, starts in _distance_blocks(*inst.xy, p):
         isosceles += _isosceles(rows, starts)
@@ -135,12 +147,14 @@ def distance_sets(point_keys, p: int) -> DistanceReport:
         if sizes[best] > max_pinned:
             pin, max_pinned = row + best, int(sizes[best])
         row += sizes.size
-        fresh.append(rows[starts])
+        parts.append(rows[starts])
+        added += parts[-1].size
         # fold the blocks' values into the distance set once they outnumber
         # it, so that a fold sorts at most twice the values it adds
-        if sum(a.size for a in fresh) > seen.size:
-            seen, fresh = distinct(np.concatenate([seen, *fresh])), []
-    (values,) = _read_only(distinct(np.concatenate([seen, *fresh])))
+        if added > folded:
+            parts = [_fold(parts)]
+            folded, added = parts[0].size, 0
+    (values,) = _read_only(_fold(parts) if added else parts[0])
     return DistanceReport(values, int(inst.point_keys[pin]), max_pinned,
                           bool(values.size == 1 and values[0] == 0), isosceles, inst)
 

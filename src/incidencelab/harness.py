@@ -18,10 +18,14 @@ Every reader below raises ParseError (ConfigError for a sweep config) on a
 malformed file, so the CLI exits 2 with one error line.  JSON true and false
 are not integers anywhere in these files.  write_instance emits the canonical
 compact form in one encode, and read_instance scans that form straight into
-the key columns: one anchored regex, then the digits of each section in one
-numpy parse.  Any other file, or one whose p or values fail their check, goes
-through json.loads and the per-entry check, which names the first bad entry;
-read_energy_input always does.
+the key columns: one anchored regex, whose spans give the number of sloped
+lines, vertical lines and points, then every integer of the file, in file
+order, parsed into one int64 column in chunks of about 64 KiB, where the keys
+are computed.  The file's bytes are dropped before the Instance is built, and
+the keys, which ascend in such a file, are not sorted again.  Any other file,
+or one whose p or values fail their check, goes through json.loads and the
+per-entry check, which names the first bad entry; read_energy_input always
+does.
 
 A sweep record is a dict keyed by the column names of _COLUMNS, plus
 "error" on a failed cell: run_sweep returns it, records_to_json writes it as
@@ -207,25 +211,60 @@ _COMPACT = re.compile(
     % {b"s": _SLOPED, b"v": _VERTICAL, b"int": _INT, b"pt": _POINT})
 # every byte but a digit becomes a space
 _DIGITS = bytes(b if 0x30 <= b <= 0x39 else 0x20 for b in range(256))
+# bytes parsed at a time: a chunk and its translated copy are all of the
+# file's text that the scan adds to the file's own bytes
+_CHUNK = 1 << 16
+
+
+def _parse_integers(raw: bytes, count: int) -> np.ndarray | None:
+    """The count integers of raw, in file order, as one int64 column, or
+    None if raw holds another number of them.  raw is parsed in chunks of
+    about _CHUNK bytes, each cut at a byte that is not a digit."""
+    column = np.empty(count, dtype=np.int64)
+    filled = lo = 0
+    while lo < len(raw):
+        hi = lo + _CHUNK
+        while hi < len(raw) and 0x30 <= raw[hi] <= 0x39:
+            hi += 1
+        text = raw[lo:hi].translate(_DIGITS)
+        lo = hi
+        if text.isspace():
+            continue  # np.fromstring reads blank text as one 0
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
+        if filled + values.size > count:
+            return None
+        column[filled:filled + values.size] = values
+        filled += values.size
+    return column if filled == count else None
 
 
 def _scan_instance(raw: bytes) -> tuple[PrimeModulus, np.ndarray, np.ndarray] | None:
     """(modulus, point keys, line keys) of a file in the compact form with a
-    prime p and every value below p, else None."""
+    prime p and every value below p, else None.  The file's integers are
+    parsed into one column, and the keys are computed in it."""
     match = _COMPACT.fullmatch(raw)
     if match is None:
         return None
-    lines, p, points = match.groups()
     try:
-        modulus = make_modulus(int(p))
+        modulus = make_modulus(int(match[2]))
     except (CompositeModulusError, OutOfRangeError):
         return None
     p = modulus.p
-    values, xy = (np.fromstring(section.translate(_DIGITS), dtype=np.int64, sep=" ") for section in (lines, points))
-    if values.max(initial=0) >= p or xy.max(initial=0) >= p:
+    # the file's integers: s and t of each sloped line, x of each vertical
+    # one, p, then x and y of each point
+    sloped = raw.count(b'"sl"', *match.span(1))
+    at_p = 2 * sloped + raw.count(b'"v"', *match.span(1))
+    column = _parse_integers(raw, at_p + 1 + 2 * raw.count(b"[", *match.span(3)))
+    if column is None or column[at_p] != p:
         return None
-    st, x = np.split(values, [2 * lines.count(b'"sl"')])
-    return modulus, xy[0::2] * p + xy[1::2], np.concatenate((st[0::2] * p + st[1::2], x + p * p))
+    st, vertical, xy = column[:2 * sloped], column[2 * sloped:at_p], column[at_p + 1:]
+    if max(st.max(initial=0), vertical.max(initial=0), xy.max(initial=0)) >= p:
+        return None
+    for pairs in (st, xy):
+        pairs[0::2] *= p
+        pairs[0::2] += pairs[1::2]
+    vertical += p * p
+    return modulus, xy[0::2], np.concatenate((st[0::2], vertical))
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -245,6 +284,7 @@ def read_instance(path) -> Instance:
         p = modulus.p
         points = np.array([_point_key(entry, p, i) for i, entry in enumerate(data["points"])], dtype=np.int64)
         scanned = modulus, points, _line_keys(data["lines"], p)
+    del raw  # the key columns hold all of the file that the instance needs
     modulus, point_keys, line_keys = scanned
     inst = Instance(modulus, point_keys=point_keys, line_keys=line_keys)
     if inst.m < point_keys.size or inst.n < line_keys.size:

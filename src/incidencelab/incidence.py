@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, OutOfRangeError
 from .field import inv_mod, inv_mod_array, make_modulus
-from .plane import Instance, pair_blocks
+from .plane import Instance, pair_blocks, run_count
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 _CC = "cc"
@@ -183,9 +183,12 @@ _FLAT_GROUP_MAX = 32
 
 def _split_probes(keys: np.ndarray, offs: np.ndarray, vals: np.ndarray):
     """Flatten small CSR groups into (key, value) probe pairs; keep large
-    groups in CSR form for the binary-search kernel."""
+    groups in CSR form for the binary-search kernel.  When every group is
+    flat, as on sparse inputs, the value column passes through uncopied."""
     sizes = np.diff(offs)
     flat = sizes <= _FLAT_GROUP_MAX
+    if flat.all():
+        return np.repeat(keys, sizes), vals, keys[:0], np.zeros(1, dtype=np.int64), vals[:0]
     val_is_flat = np.repeat(flat, sizes)
     b_offs = np.zeros(np.count_nonzero(~flat) + 1, dtype=np.int64)
     np.cumsum(sizes[~flat], out=b_offs[1:])
@@ -223,14 +226,16 @@ def _join_groups(inst: Instance):
     non-vertical lines: cost holds the (item, group) pairs of each side, and
     groups the arguments (item_a, item_b, keys, offs, vals) of the cheaper
     one, each point against each slope class's intercepts ("slope") or each
-    non-vertical line against each column's y-values ("column")."""
+    non-vertical line against each column's y-values ("column").  The cost
+    counts the slopes and the x-columns in one comparison pass each, and
+    only the chosen side's runs are built."""
     px, py = inst.xy
     s, t, _ = inst.line_columns
-    col_x, col_offs = inst.column_runs
-    cost = {"slope": inst.m * (inst.slope_runs[0].size + 1), "column": inst.n * (col_x.size + 1)}
+    cost = {"slope": inst.m * (run_count(s) + 1), "column": inst.n * (run_count(px) + 1)}
     if cost["slope"] <= cost["column"]:
         return "slope", cost, (px, py, *inst.slope_runs, t)
     # y = s*x + t  <=>  t - (-x)*s = y (mod p)
+    col_x, col_offs = inst.column_runs
     return "column", cost, (s, t, (-col_x) % inst.p, col_offs, py)
 
 

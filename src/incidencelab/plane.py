@@ -11,9 +11,11 @@ order is the sort order of the points and of the lines.
 at once.
 
 An :class:`Instance` is built from key columns only and stores them sorted
-and deduplicated.  The coordinate and run views the counting engines read,
-and the point and line objects (read only by the tests and the benchmark
-tracer), are built from the keys on first access.
+and deduplicated, in columns of its own; keys that already ascend strictly
+are checked in one pass and copied, not sorted.  The coordinate and run
+views the counting engines read, and the point and line objects (read only
+by the tests and the benchmark tracer), are built from the keys on first
+access.
 
 A :class:`ProjMap` is an invertible 3x3 matrix mod p.  :func:`apply_map`
 is the only code that applies it: it maps the key columns of an instance,
@@ -176,41 +178,71 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def _run_start_mask(a: np.ndarray) -> np.ndarray:
+    """Where the runs of equal values in the sorted int64 array a begin, as
+    a bool mask."""
+    start = np.empty(a.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(a[1:], a[:-1], out=start[1:])
+    return start
+
+
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """Where the runs of equal values in the sorted int64 array a begin.
 
     Not np.unique: the columns are sorted already, and without a return_*
     flag np.unique imports numpy.ma (about 20 ms and 1 MB at first use).
     """
-    start = np.empty(a.size, dtype=bool)
-    start[:1] = True
-    np.not_equal(a[1:], a[:-1], out=start[1:])
-    return np.flatnonzero(start)
+    return np.flatnonzero(_run_start_mask(a))
+
+
+def run_count(a: np.ndarray) -> int:
+    """The number of runs of equal values in the sorted array a, that is its
+    number of distinct values, from one comparison pass."""
+    return int(np.count_nonzero(a[1:] != a[:-1])) + (a.size > 0)
 
 
 def distinct(a) -> np.ndarray:
     """The sorted distinct values of the integer array a, as int64: plain
     np.unique without the import of numpy.ma (see :func:`_run_starts`).
-    Values all in [0, a.size) are read off a table of counts, not sorted."""
+
+    Values that already ascend strictly, as the keys of every file that
+    write_instance writes do, are checked in one comparison pass and
+    returned as they are, with no sort, no run mask and no index copy: the
+    array a itself when it is int64.  Any other values go through
+    :func:`distinct_in_place` in a copy, so a is never changed."""
     a = np.asarray(a, dtype=np.int64)
+    if (a[1:] > a[:-1]).all():
+        return a
+    return distinct_in_place(a.copy())
+
+
+def distinct_in_place(a: np.ndarray) -> np.ndarray:
+    """distinct(a) for an int64 array a that the caller gives up.  Values
+    all in [0, a.size) are read off a table of counts; otherwise a is sorted
+    in place and the first value of each run kept."""
     if a.size and a.min() >= 0 and a.max() < a.size:
         return np.flatnonzero(np.bincount(a))
-    a = np.sort(a)
-    return a[_run_starts(a)]
+    a.sort()
+    return a[_run_start_mask(a)]
 
 
 def _key_column(keys, bound: int, what: str) -> np.ndarray:
     """The sorted distinct int64 keys, checked to be integers in [0, bound):
     float, bool, str and object values are refused, not cast, but an empty
-    sequence (float64 to numpy) is no keys."""
-    keys = np.asarray(keys)
-    if keys.ndim != 1 or keys.size and keys.dtype.kind not in "iu":
+    sequence (float64 to numpy) is no keys.  The column is the instance's
+    own: a caller's array that :func:`distinct` passes through is copied
+    once, and the caller's array is left as it was."""
+    column = np.asarray(keys)
+    if column.ndim != 1 or column.size and column.dtype.kind not in "iu":
         raise InvalidParameterError(f"{what} keys must be a flat sequence of integers, "
-                                    f"got {keys.dtype} values of shape {keys.shape}")
-    keys = distinct(keys)
-    if keys.size and (keys[0] < 0 or keys[-1] >= bound):
+                                    f"got {column.dtype} values of shape {column.shape}")
+    column = distinct(column)
+    if isinstance(keys, np.ndarray) and np.may_share_memory(column, keys):
+        column = column.copy()
+    if column.size and (column[0] < 0 or column[-1] >= bound):
         raise InvalidParameterError(f"{what} keys must lie in [0, {bound})")
-    return _read_only(keys)[0]
+    return _read_only(column)[0]
 
 
 def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +264,8 @@ class Instance:
     tests and the benchmark tracer still read the object tuples.
 
     The one constructor takes the keys, in any order and with repeats:
-    Instance(modulus, point_keys=..., line_keys=...).
+    Instance(modulus, point_keys=..., line_keys=...).  The caller's arrays
+    are never changed, shared or frozen.
     """
 
     def __init__(self, modulus: PrimeModulus, *, point_keys, line_keys):

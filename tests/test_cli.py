@@ -278,6 +278,29 @@ def test_distances_and_beck_commands(tmp_path, capsys):
     assert data["pair_total"] == data["expected_pairs"] == 36
 
 
+@pytest.mark.parametrize("block", [1, 4, 1 << 16])
+def test_distances_writes_the_distance_set_in_blocks(tmp_path, capsys, monkeypatch, block):
+    # the same bytes as one json.dumps of the report with the set as a list
+    import incidencelab.cli as cli_module
+    from incidencelab.distances import distance_sets
+    from incidencelab.harness import read_instance
+
+    monkeypatch.setattr(cli_module, "_COLUMN_BLOCK", block)
+    path, out_path = tmp_path / "pts.json", tmp_path / "out.json"
+    run(capsys, "construct", "random", "--p", "1019", "--m", "30", "--n", "0", "--seed", "4", "--output", str(path))
+    inst = read_instance(path)
+    rep = distance_sets(inst.point_keys, inst.p)
+    want = json.dumps({"p": inst.p, "m": inst.m, "distance_set": rep.distance_values.tolist(),
+                       "pin": [rep.pin // inst.p, rep.pin % inst.p], "max_pinned": rep.max_pinned,
+                       "degenerate": rep.degenerate, "isosceles_triples": rep.isosceles_triples,
+                       "has_isotropic_lines": False}, sort_keys=True)
+    assert rep.distance_values.size > 4
+    rc, out, _ = run(capsys, "distances", "--input", str(path))
+    assert rc == 0 and out == want + "\n"
+    rc, out, _ = run(capsys, "distances", "--input", str(path), "--output", str(out_path))
+    assert rc == 0 and out == "" and out_path.read_text() == want
+
+
 def test_sweep_and_fit_commands(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({

@@ -499,6 +499,18 @@ def test_distance_set_is_an_int64_column():
     assert type(distance_sets(K([(0, 0), (1, 2)], 5), 5).degenerate) is bool
 
 
+def test_distance_set_fold_sorts_its_concatenation_in_place():
+    # with the folded set, the blocks since and their sorted concatenation
+    # all alive the peak was 18.9 MB here; the result is 3.8 MB
+    p = 2**31 - 1
+    point_keys = random_point_keys(1000, p, 3)
+    rep, peak = traced_peak(lambda: distance_sets(point_keys, p))
+    assert peak < 14 << 20
+    x, y = np.divmod(point_keys, p)
+    want = np.unique(np.concatenate([((x - qx) ** 2 + (y - qy) ** 2) % p for qx, qy in zip(x, y)]))
+    assert np.array_equal(rep.distance_values, want)
+
+
 def test_distance_reports_compare_by_their_sets():
     pts = K([(0, 0), (1, 0), (3, 2), (5, 5)], 7)
     assert distance_sets(pts, 7) == distance_sets(pts[::-1] + pts[:1], 7)

@@ -10,8 +10,10 @@ from incidencelab.energy import energy_reduction, line_energy
 from incidencelab.errors import CompositeModulusError, InvalidParameterError, OutOfRangeError
 from incidencelab.field import make_modulus
 from incidencelab.incidence import (
+    _FLAT_GROUP_MAX,
     CountStats,
     PlaneInstance3D,
+    _split_probes,
     check_hypotheses,
     count_incidences,
     count_point_plane,
@@ -783,6 +785,30 @@ def test_count_stats(engine):
         # each item meets each group once, or once per value of a flattened group
         assert items * groups <= sum(stats.probes.values()) <= items * max(inst.m, inst.n)
         assert stats.to_json()["probes"] == stats.probes
+
+
+def test_count_builds_only_the_chosen_sides_runs():
+    # the cost model counts slopes and x-columns in one comparison pass each
+    p = 31
+    columns = keyed(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)],
+                    [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)])
+    for inst, side, unbuilt in ((full_plane(7), "slope", "column_runs"), (columns, "column", "slope_runs")):
+        _, stats = count_incidences(inst, stats=True)
+        assert stats.side == side and unbuilt not in vars(inst)
+
+
+def test_split_probes_passes_the_values_of_flat_groups_through():
+    # all groups flat, as on sparse inputs: no copy of the value column
+    keys, offs, vals = np.array([3, 5, 8]), np.array([0, 1, 3, 4]), np.array([7, 1, 2, 9])
+    f_keys, f_vals, b_keys, b_offs, b_vals = _split_probes(keys, offs, vals)
+    assert f_vals is vals and f_keys.tolist() == [3, 5, 5, 8]
+    assert b_keys.size == b_vals.size == 0 and b_offs.tolist() == [0]
+    # one group past _FLAT_GROUP_MAX goes to the searched path
+    big = np.arange(_FLAT_GROUP_MAX + 1)
+    f_keys, f_vals, b_keys, b_offs, b_vals = _split_probes(
+        np.array([3, 4]), np.array([0, 1, 2 + _FLAT_GROUP_MAX]), np.concatenate([[7], big]))
+    assert (f_keys.tolist(), f_vals.tolist()) == ([3], [7])
+    assert b_keys.tolist() == [4] and b_offs.tolist() == [0, big.size] and np.array_equal(b_vals, big)
 
 
 def test_count_stats_paths_of_the_c_kernels():

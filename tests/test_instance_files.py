@@ -156,16 +156,23 @@ MUTATIONS = {
     "repeated entry": repeated_entry,
     "CRLF": lambda doc, p, i: doc[:-1] + b"\r\n",
 }
-# id -> (modulus or None for any of PRIMES, document shape, mutation or None)
+# id -> (modulus or None for any of PRIMES, document shape, mutation or
+# None, bytes per parse chunk or None for harness._CHUNK)
 SCAN_CASES = {
-    "compact": (None, "random", None),
-    "empty points": (None, "no points", None),
-    "empty lines": (None, "no lines", None),
-    "empty points and lines": (None, "empty", None),
-    "vertical lines only": (None, "vertical only", None),
-    "p = 3": (3, "random", None),
-    "p = 2^31 - 1": (2**31 - 1, "random", None),
-    **{name: (None, "random", name) for name in MUTATIONS},
+    "compact": (None, "random", None, None),
+    "empty points": (None, "no points", None, None),
+    "empty lines": (None, "no lines", None, None),
+    "empty points and lines": (None, "empty", None, None),
+    "vertical lines only": (None, "vertical only", None, None),
+    "p = 3": (3, "random", None, None),
+    "p = 2^31 - 1": (2**31 - 1, "random", None, None),
+    **{name: (None, "random", name, None) for name in MUTATIONS},
+    # ten-digit values against chunks of 5 bytes: each cut falls inside a
+    # number and moves to the byte after it
+    "chunk cut inside a number": (2**31 - 1, "random", None, 5),
+    "several chunks": (None, "random", None, 13),
+    "several chunks, vertical lines only": (None, "vertical only", None, 11),
+    "several chunks, value equal to p": (None, "random", "value equal to p", 16),
 }
 
 
@@ -192,23 +199,39 @@ def read_outcome(path):
     return result, counts
 
 
-@pytest.mark.parametrize("p, shape, mutation", SCAN_CASES.values(), ids=SCAN_CASES.keys())
+@pytest.mark.parametrize("p, shape, mutation, chunk", SCAN_CASES.values(), ids=SCAN_CASES.keys())
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_scan_and_json_path_agree(doc_path, p, shape, mutation, data):
+def test_scan_and_json_path_agree(doc_path, p, shape, mutation, chunk, data):
     p, compact = data.draw(scan_documents(p, shape))
     doc = compact if mutation is None else MUTATIONS[mutation](compact, p, data.draw(st.integers(0, 10**6)))
     spaced = doc[:-1] + b" \n"
-    # the scan takes the compact form with its values below a prime p, and
-    # only that
-    assert (harness._scan_instance(doc) is None) == (doc != compact and mutation != "repeated entry")
-    assert harness._scan_instance(spaced) is None
-    # one path for both, as the JSON path's messages name the file
-    outcomes = []
-    for text in (doc, spaced):
-        doc_path.write_bytes(text)
-        outcomes.append(read_outcome(doc_path))
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            assert len(doc) > 2 * chunk
+            mp.setattr(harness, "_CHUNK", chunk)
+        # the scan takes the compact form with its values below a prime p,
+        # and only that
+        assert (harness._scan_instance(doc) is None) == (doc != compact and mutation != "repeated entry")
+        assert harness._scan_instance(spaced) is None
+        # one path for both, as the JSON path's messages name the file
+        outcomes = []
+        for text in (doc, spaced):
+            doc_path.write_bytes(text)
+            outcomes.append(read_outcome(doc_path))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+def test_parse_integers_checks_the_count(chunk):
+    # the scan falls back to the JSON path on any other count
+    text = b'{"a":[10,2],"b":345,"c":[[6,78]]}'
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_CHUNK", chunk)
+        assert harness._parse_integers(text, 5).tolist() == [10, 2, 345, 6, 78]
+        assert harness._parse_integers(text, 4) is None
+        assert harness._parse_integers(text, 6) is None
+        assert harness._parse_integers(b"{}", 0).size == 0
 
 
 # ---------------------------------------------------------------------------

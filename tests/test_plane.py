@@ -36,6 +36,7 @@ from incidencelab.plane import (
     line_through,
     pair_blocks,
     projective_map_from_pair,
+    run_count,
     vertical_line,
 )
 
@@ -301,13 +302,35 @@ def test_instance_dedup_and_order():
 
 
 def test_distinct_by_count_table_and_by_sort():
-    # values in [0, size) are read off a count table, others are sorted
+    # values in [0, size) are read off a count table, others are sorted, and
+    # strictly ascending ones pass through
     rng = np.random.default_rng(5)
     for size in (0, 1, 7, 300):
-        for low, high in ((0, 1), (0, 5), (0, size + 1), (-3, 4), (0, 2**62)):
-            a = rng.integers(low, high, size)
+        drawn = [rng.integers(low, high, size) for low, high in ((0, 1), (0, 5), (0, size + 1), (-3, 4), (0, 2**62))]
+        ascending = np.cumsum(rng.integers(1, 2**40, size)) - 2**39
+        for a in drawn + [ascending]:
+            before = a.copy()
             got = distinct(a)
             assert got.dtype == np.int64 and got.tolist() == sorted(set(a.tolist()))
+            assert np.array_equal(a, before)
+        assert distinct(ascending) is ascending
+
+
+def test_instance_copies_a_callers_ascending_keys():
+    # ascending keys skip the sort, but the instance's columns stay its own
+    p = 1009
+    point_keys, line_keys = np.arange(0, p * p, 7), np.arange(3, p * p + p, 11)
+    inst = Instance(make_modulus(p), point_keys=point_keys, line_keys=line_keys)
+    for mine, theirs in ((inst.point_keys, point_keys), (inst.line_keys, line_keys)):
+        assert np.array_equal(mine, theirs) and not mine.flags.writeable
+        assert theirs.flags.writeable and not np.shares_memory(mine, theirs)
+    # a strided view of a caller's column as well
+    column = np.arange(20)
+    inst = Instance(make_modulus(5), point_keys=column[::2], line_keys=column[1::2])
+    assert not np.shares_memory(inst.point_keys, column) and not np.shares_memory(inst.line_keys, column)
+    assert column.flags.writeable
+    column[:] = 0
+    assert inst.point_keys.tolist() == list(range(0, 20, 2))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -320,6 +343,7 @@ def test_run_starts_match_the_diff_form(values):
     got = _run_starts(a)
     assert got.dtype == np.intp
     assert got.tolist() == np.flatnonzero(np.diff(a, prepend=a[:1] - 1)).tolist()
+    assert run_count(a) == got.size
 
 
 @pytest.mark.parametrize("block", [1, 7, 1 << 15])
