@@ -35,10 +35,11 @@ def _points(point_keys, p: int) -> Instance:
 
 def _distance_blocks(x, y, p):
     """Yield, for consecutive blocks of pins q holding about _PAIR_BLOCK
-    distances in all, the rows d(q, .) over all points, each sorted, and the
-    mask of where the runs of equal values begin.  With |dx|, |dy| < p <
-    2^31 the sum of the two squares stays below 2^63, so one % p per pair
-    reduces it."""
+    distances in all, the rows d(q, .) over all points, each sorted, the
+    mask of where the runs of equal values begin, and the distances d(q, r)
+    to the points r after q, taken before the sort: each distance between
+    two points once.  With |dx|, |dy| < p < 2^31 the sum of the two squares
+    stays below 2^63, so one % p per pair reduces it."""
     step = max(1, _PAIR_BLOCK // max(x.size, 1))
     for lo in range(0, x.size, step):
         rows = x[lo:lo + step, None] - x
@@ -47,11 +48,12 @@ def _distance_blocks(x, y, p):
         dy *= dy
         rows += dy
         rows %= p
+        after = rows[np.arange(x.size) > np.arange(lo, lo + rows.shape[0])[:, None]]
         rows.sort(axis=1)
         starts = np.empty(rows.shape, dtype=bool)
         starts[:, 0] = True
         np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-        yield rows, starts
+        yield rows, starts, after
 
 
 def _isosceles(rows, starts) -> int:
@@ -105,7 +107,7 @@ class DistanceReport:
     @cached_property
     def pinned_values(self) -> dict:
         inst = self.instance
-        values = [row[start] for rows, starts in _distance_blocks(*inst.xy, inst.p)
+        values = [row[start] for rows, starts, _ in _distance_blocks(*inst.xy, inst.p)
                   for row, start in zip(rows, starts)]
         return dict(zip(inst.point_keys.tolist(), values))
 
@@ -134,11 +136,11 @@ def distance_sets(point_keys, p: int) -> DistanceReport:
     inst = _points(point_keys, p)
     if not inst.m:
         raise EmptyInputError("need at least one point")
-    # parts holds the distance set so far (once there is one) and the
-    # values of the blocks since
-    parts, folded, added = [], 0, 0
+    # parts holds the distance set so far, once there is one, and the
+    # distances of the blocks since, starting from d(q, q) = 0
+    parts, folded, added = [np.zeros(1, dtype=np.int64)], 0, 1
     row = pin = max_pinned = isosceles = 0
-    for rows, starts in _distance_blocks(*inst.xy, p):
+    for rows, starts, after in _distance_blocks(*inst.xy, p):
         isosceles += _isosceles(rows, starts)
         # argmax by pinned-set size; the rows ascend by key, so ties
         # resolve to the lexicographically smallest point
@@ -147,8 +149,8 @@ def distance_sets(point_keys, p: int) -> DistanceReport:
         if sizes[best] > max_pinned:
             pin, max_pinned = row + best, int(sizes[best])
         row += sizes.size
-        parts.append(rows[starts])
-        added += parts[-1].size
+        parts.append(after)
+        added += after.size
         # fold the blocks' values into the distance set once they outnumber
         # it, so that a fold sorts at most twice the values it adds
         if added > folded:
@@ -202,7 +204,7 @@ def bisector_instance(point_keys, r: int, p: int) -> np.ndarray:
 def isosceles_triples(point_keys, p: int) -> int:
     """Exact count of ordered triples (q, r, s), r != s, with
     d(q, r) = d(q, s) != 0, over the points with the given keys."""
-    return sum(_isosceles(*block) for block in _distance_blocks(*_points(point_keys, p).xy, p))
+    return sum(_isosceles(rows, starts) for rows, starts, _ in _distance_blocks(*_points(point_keys, p).xy, p))
 
 
 def _slope_runs(x, y, p):
