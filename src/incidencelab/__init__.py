@@ -8,10 +8,15 @@ energy and sum-product image sets, distance and determined-line reports,
 and a sweep harness with log-log exponent fitting.
 
 Importing the package runs no submodule.  The exported names resolve on
-first access (PEP 562).  The submodules ``constructions``, ``cover``,
-``distances`` and ``energy`` are in ``sys.modules`` from the start, so tools
-that look modules up there by name find them, but each runs only on first
-attribute access: a command loads only the layers it uses.
+first access (PEP 562).  The submodules ``bounds`` (reference bounds and
+hypothesis checks), ``constructions``, ``cover``, ``distances``, ``energy``
+(energy, sum-product and the point-plane side of F_p^3) and ``harness``
+(sweeps and fits) are in ``sys.modules`` from the start, so tools that look
+modules up there by name find them, but each runs only on first attribute
+access: a command loads only the layers it uses.  ``cli`` imports
+``files`` (instance, energy and 3D files), ``plane``, ``field`` and
+``incidence`` (the counts, the degrees and ``max_collinear_3d``), and a
+``count`` runs no other submodule.
 """
 
 import importlib
@@ -23,21 +28,21 @@ _EXPORTS = {
               "minus_one_is_square", "sqrt_mod"),
     "plane": ("AffineLine", "AffinePoint", "Instance", "ProjMap", "apply_map", "dualize",
               "incident", "line_through", "projective_map_from_pair", "vertical_line"),
-    "incidence": ("CountStats", "HypothesisReport", "PlaneInstance3D", "RichnessHistogram",
-                  "check_hypotheses", "count_incidences", "count_point_plane", "kernel_backend",
-                  "max_collinear_3d", "reference_bound", "richness_histograms",
-                  "within_combinatorial_bound"),
+    "incidence": ("CountStats", "RichnessHistogram", "count_incidences", "kernel_backend",
+                  "max_collinear_3d", "richness_histograms"),
+    "bounds": ("HypothesisReport", "check_hypotheses", "reference_bound", "within_combinatorial_bound"),
     "constructions": ("SeededStream", "cartesian_instance", "elekes_construction", "full_plane",
                       "pencil", "random_instance"),
     "cover": ("GridCertificate", "NormalizedGrid", "PencilGrid", "RichnessPartition",
               "VerificationReport", "grid_cover", "normalize_grid", "richness_partition",
               "two_pencil_extract", "verify_certificate"),
-    "energy": ("EnergyCount", "SumProdReport", "arithmetic_image", "cs_bridge_check",
-               "energy_reduction", "line_energy", "sumproduct_report"),
+    "energy": ("EnergyCount", "PlaneInstance3D", "SumProdReport", "arithmetic_image",
+               "count_point_plane", "cs_bridge_check", "energy_reduction", "line_energy",
+               "sumproduct_report"),
     "distances": ("BeckReport", "DistanceReport", "bisector_instance", "determined_lines",
                   "distance", "distance_sets", "isosceles_triples", "isotropic_lines"),
-    "harness": ("FitResult", "SweepConfig", "fit_exponent", "read_instance", "run_sweep",
-                "write_instance"),
+    "files": ("read_instance", "write_instance"),
+    "harness": ("FitResult", "SweepConfig", "fit_exponent", "run_sweep"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)
@@ -54,7 +59,7 @@ def _register_lazy(module: str) -> None:
     globals()[module] = lazy
 
 
-for _module in ("constructions", "cover", "distances", "energy"):
+for _module in ("bounds", "constructions", "cover", "distances", "energy", "harness"):
     _register_lazy(_module)
 del _module
 

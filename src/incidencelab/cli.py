@@ -16,16 +16,16 @@ import json
 import sys
 import warnings
 from contextlib import nullcontext
-from fractions import Fraction
 from functools import cache
 from typing import Iterable
 
-# constructions, cover, distances and energy run on first use (see __init__)
-from . import constructions, cover, distances, energy, harness
+# constructions, cover, distances, energy and harness run on first use (see
+# __init__)
+from . import constructions, cover, distances, energy, files, harness
 from .errors import Error
 from .field import minus_one_is_square
-from .harness import _line_json, _point_json
-from .incidence import ENGINES, count_incidences, count_point_plane
+from .files import _line_json, _point_json
+from .incidence import ENGINES, count_incidences
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,7 +35,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    # only cover and sumprod make a Fraction: a count loads neither fractions
+    # nor decimal
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -79,81 +83,24 @@ def _json_column(obj: dict, key: str, column):
     yield "]" + tail
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="incidencelab", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(sp) -> None:
+    sp.add_argument("--input", required=True, help="input file")
+    sp.add_argument("--output", help="output file (default stdout)")
 
-    def common(sp):
-        sp.add_argument("--input", required=True, help="input file")
-        sp.add_argument("--output", help="output file (default stdout)")
 
-    sp = sub.add_parser("count", help="count point-line incidences of an instance file")
-    common(sp)
+def _count_arguments(sp) -> None:
+    _common(sp)
     sp.add_argument("--engine", choices=ENGINES, default="auto")
     sp.add_argument("--format", choices=("json", "csv"), default="json",
                     help="csv writes the bare count")
     sp.add_argument("--stats", action="store_true",
                     help="add a stats object: the engine and side that ran, probes per path, phase times")
 
-    sp = sub.add_parser("count3d", help="count point-plane incidences of a 3D instance file")
-    common(sp)
-
-    sp = sub.add_parser("construct", help="generate an instance file")
-    sp.add_argument("family", choices=("elekes", "full_plane", "random"))
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--c", type=int)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--output", help="output file (default stdout)")
-
-    sp = sub.add_parser("extract", help="run one two-pencil grid extraction")
-    common(sp)
-
-    sp = sub.add_parser("cover", help="run the grid covering loop and verify its certificate")
-    common(sp)
-    sp.add_argument("--c1", type=_fraction, default=Fraction(1, 2))
-    sp.add_argument("--c2", type=_fraction, default=Fraction(2))
-    sp.add_argument("--stop", type=_fraction, default=Fraction(1, 4))
-    sp.add_argument("--normalize", action="store_true", help="include normalized grids")
-
-    sp = sub.add_parser("energy", help="energy of (A, L) with its 3D reduction cross-check")
-    common(sp)
-
-    sp = sub.add_parser("sumprod", help="sum-product style image-set report")
-    sp.add_argument("--corollary", choices=("5.1", "5.2", "5.3", "expander"), required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--A", type=_int_set)
-    sp.add_argument("--B", type=_int_set)
-    sp.add_argument("--C", type=_int_set)
-    sp.add_argument("--llconstant", type=_fraction, default=Fraction(1))
-    sp.add_argument("--output")
-
-    sp = sub.add_parser("distances", help="distance-set report for the points of an instance file")
-    common(sp)
-
-    sp = sub.add_parser("beck", help="determined-lines report for the points of an instance file")
-    common(sp)
-
-    sp = sub.add_parser("sweep", help="run a sweep configuration")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--output")
-    sp.add_argument("--format", choices=("json", "csv"), default="csv")
-
-    sp = sub.add_parser("fit", help="fit a log-log exponent over sweep records")
-    common(sp)
-    sp.add_argument("--format", choices=("json", "svg"), default="json",
-                    help="svg draws the fit")
-    sp.add_argument("--x-field", default="m")
-    sp.add_argument("--y-field", default="I")
-    return parser
-
 
 def _cmd_count(args) -> int:
     if args.stats and args.format == "csv":
         return _usage_error("count --stats needs --format json")
-    inst = harness.read_instance(args.input)
+    inst = files.read_instance(args.input)
     if args.format == "csv":
         _emit(f"{count_incidences(inst, args.engine)}\n", args.output)
         return 0
@@ -168,11 +115,22 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_count3d(args) -> int:
-    inst3 = harness.read_instance3d(args.input)
-    count = count_point_plane(inst3)
+    inst3 = files.read_instance3d(args.input)
+    count = energy.count_point_plane(inst3)
     _json_out({"p": inst3.p, "r": inst3.r, "s": inst3.s, "k": inst3.k,
                "incidences": count}, args.output)
     return 0
+
+
+def _construct_arguments(sp) -> None:
+    sp.add_argument("family", choices=("elekes", "full_plane", "random"))
+    sp.add_argument("--a", type=int)
+    sp.add_argument("--c", type=int)
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--m", type=int)
+    sp.add_argument("--n", type=int)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--output", help="output file (default stdout)")
 
 
 def _cmd_construct(args) -> int:
@@ -187,9 +145,9 @@ def _cmd_construct(args) -> int:
             return _usage_error("construct random needs --m and --n")
         inst = constructions.random_instance(args.p, args.m, args.n, args.seed)
     if args.output:
-        harness.write_instance(inst, args.output)
+        files.write_instance(inst, args.output)
     else:
-        _json_out(harness.instance_to_dict(inst), None)
+        _json_out(files.instance_to_dict(inst), None)
     return 0
 
 
@@ -213,16 +171,24 @@ def _grid_obj(grid, p: int):
 
 
 def _cmd_extract(args) -> int:
-    inst = harness.read_instance(args.input)
+    inst = files.read_instance(args.input)
     grid = cover.two_pencil_extract(inst)
     _json_out(_grid_obj(grid, inst.p), args.output)
     return 0
 
 
+def _cover_arguments(sp) -> None:
+    _common(sp)
+    sp.add_argument("--c1", type=_fraction, default="1/2")
+    sp.add_argument("--c2", type=_fraction, default="2")
+    sp.add_argument("--stop", type=_fraction, default="1/4")
+    sp.add_argument("--normalize", action="store_true", help="include normalized grids")
+
+
 def _cmd_cover(args) -> int:
     if not 0 < args.c1 < args.c2:
         return _usage_error("cover needs 0 < --c1 < --c2")
-    inst = harness.read_instance(args.input)
+    inst = files.read_instance(args.input)
     cert = cover.grid_cover(inst, args.c1, args.c2, args.stop)
     report = cover.verify_certificate(inst, cert)
     obj = {
@@ -251,7 +217,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    A, lines, B = harness.read_energy_input(args.input)
+    A, lines, B = files.read_energy_input(args.input)
     p = lines.p
     e = energy.line_energy(A, lines)
     red = energy.energy_reduction(A, lines)
@@ -259,7 +225,7 @@ def _cmd_energy(args) -> int:
         "p": p, "a": len(set(v % p for v in A)), "n": lines.n,
         "energy": e.value,
         "reduction": {"r": red.r, "s": red.s,
-                      "point_plane": count_point_plane(red),
+                      "point_plane": energy.count_point_plane(red),
                       "max_collinear": red.k},
     }
     if B is not None:
@@ -268,6 +234,16 @@ def _cmd_energy(args) -> int:
                             "bound": bridge.bound, "holds": bridge.holds}
     _json_out(obj, args.output)
     return 0
+
+
+def _sumprod_arguments(sp) -> None:
+    sp.add_argument("--corollary", choices=("5.1", "5.2", "5.3", "expander"), required=True)
+    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--A", type=_int_set)
+    sp.add_argument("--B", type=_int_set)
+    sp.add_argument("--C", type=_int_set)
+    sp.add_argument("--llconstant", type=_fraction, default="1")
+    sp.add_argument("--output")
 
 
 def _cmd_sumprod(args) -> int:
@@ -284,7 +260,7 @@ def _cmd_sumprod(args) -> int:
 
 
 def _cmd_distances(args) -> int:
-    inst = harness.read_instance(args.input)
+    inst = files.read_instance(args.input)
     rep = distances.distance_sets(inst.point_keys, inst.p)
     _emit(_json_column({
         "p": inst.p, "m": inst.m,
@@ -299,7 +275,7 @@ def _cmd_distances(args) -> int:
 
 
 def _cmd_beck(args) -> int:
-    inst = harness.read_instance(args.input)
+    inst = files.read_instance(args.input)
     rep = distances.determined_lines(inst.point_keys, inst.p)
     _json_out({
         "p": inst.p, "m": rep.m,
@@ -311,11 +287,25 @@ def _cmd_beck(args) -> int:
     return 0
 
 
+def _sweep_arguments(sp) -> None:
+    sp.add_argument("--config", required=True)
+    sp.add_argument("--output")
+    sp.add_argument("--format", choices=("json", "csv"), default="csv")
+
+
 def _cmd_sweep(args) -> int:
     records = harness.run_sweep(harness.read_sweep_config(args.config))
     text = harness.records_to_csv(records) if args.format == "csv" else harness.records_to_json(records)
     _emit(text, args.output)
     return 0
+
+
+def _fit_arguments(sp) -> None:
+    _common(sp)
+    sp.add_argument("--format", choices=("json", "svg"), default="json",
+                    help="svg draws the fit")
+    sp.add_argument("--x-field", default="m")
+    sp.add_argument("--y-field", default="I")
 
 
 def _cmd_fit(args) -> int:
@@ -329,19 +319,35 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+# name -> (help, the function that adds its arguments, the command), in the
+# order of the full parser's help
 _COMMANDS = {
-    "count": _cmd_count,
-    "count3d": _cmd_count3d,
-    "construct": _cmd_construct,
-    "extract": _cmd_extract,
-    "cover": _cmd_cover,
-    "energy": _cmd_energy,
-    "sumprod": _cmd_sumprod,
-    "distances": _cmd_distances,
-    "beck": _cmd_beck,
-    "sweep": _cmd_sweep,
-    "fit": _cmd_fit,
+    "count": ("count point-line incidences of an instance file", _count_arguments, _cmd_count),
+    "count3d": ("count point-plane incidences of a 3D instance file", _common, _cmd_count3d),
+    "construct": ("generate an instance file", _construct_arguments, _cmd_construct),
+    "extract": ("run one two-pencil grid extraction", _common, _cmd_extract),
+    "cover": ("run the grid covering loop and verify its certificate", _cover_arguments, _cmd_cover),
+    "energy": ("energy of (A, L) with its 3D reduction cross-check", _common, _cmd_energy),
+    "sumprod": ("sum-product style image-set report", _sumprod_arguments, _cmd_sumprod),
+    "distances": ("distance-set report for the points of an instance file", _common, _cmd_distances),
+    "beck": ("determined-lines report for the points of an instance file", _common, _cmd_beck),
+    "sweep": ("run a sweep configuration", _sweep_arguments, _cmd_sweep),
+    "fit": ("fit a log-log exponent over sweep records", _fit_arguments, _cmd_fit),
 }
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or, given a command, of that one
+    alone.  For an argv that starts with the command, the one-command parser
+    prints what the full parser prints: its subparser is built the same way,
+    and its usage lists every command."""
+    parser = _Parser(prog="incidencelab", description=__doc__)
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name, (summary, add_arguments, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=summary))
+    return parser
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -349,27 +355,30 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 @cache
-def _parser() -> _Parser:
-    # one parser per process: building it costs milliseconds, and it holds no
-    # state between parses
-    return build_parser()
+def _parser(command: str | None) -> _Parser:
+    # one parser per command and process: it holds no state between parses
+    return build_parser(command)
 
 
 def cli(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command builds its own subparser alone; the full parser, which -h,
+    # no argument and an unknown command need, builds all eleven
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     with warnings.catch_warnings():
         # one stderr line per warning, every time, with no source location
-        warnings.simplefilter("always", harness.DuplicateEntryWarning)
+        warnings.simplefilter("always", files.DuplicateEntryWarning)
         warnings.showwarning = _show_warning
         return _run(args)
 
 
 def _run(args) -> int:
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (Error, MemoryError) as exc:
         print(f"incidencelab: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,21 +1,29 @@
 """Collision energy of a scalar set against a line family, its reduction to
-point-plane incidences in F_p^3, the Cauchy-Schwarz bridge, and the
-arithmetic image sets behind the sum-product style reports.  The line
-family is a :class:`plane.Instance`, which has checked p and the line keys;
-the energy layer reads its prime and its slope and intercept columns, and
-ignores its points.
+point-plane incidences in F_p^3 with their exact count, the Cauchy-Schwarz
+bridge, and the arithmetic image sets behind the sum-product style reports.
+The line family is a :class:`plane.Instance`, which has checked p and the
+line keys; the energy layer reads its prime and its slope and intercept
+columns, and ignores its points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
-from .errors import DegenerateInputError, EmptyInputError, InvalidParameterError, VerticalLinePresentError
-from .field import make_modulus
-from .incidence import PlaneInstance3D, count_incidences
+from .errors import (
+    DegenerateInputError,
+    EmptyInputError,
+    InvalidParameterError,
+    OutOfRangeError,
+    VerticalLinePresentError,
+)
+from .field import inv_mod, make_modulus
+from .incidence import _integer_rows, _residue_triples, count_incidences, max_collinear_3d
 from .plane import Instance, vertical_line
 
 
@@ -53,6 +61,78 @@ def line_energy(A, lines: Instance) -> EnergyCount:
     lines are rejected.
     """
     return _energy(lines, _energy_input(A, lines))
+
+
+# ---------------------------------------------------------------------------
+# Points and planes in F_p^3
+# ---------------------------------------------------------------------------
+
+def canonical_plane(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int, int, int]:
+    """Scale a plane a*x + b*y + c*z = d so its first nonzero normal
+    coefficient equals 1; proportional coefficient tuples collapse."""
+    a, b, c, d = a % p, b % p, c % p, d % p
+    for lead in (a, b, c):
+        if lead != 0:
+            inv = inv_mod(lead, p)
+            return (a * inv % p, b * inv % p, c * inv % p, d * inv % p)
+    raise InvalidParameterError("plane normal (a, b, c) must be nonzero")
+
+
+@dataclass(frozen=True)
+class PlaneInstance3D:
+    """Deduplicated points and planes in F_p^3.
+
+    Planes are coefficient 4-tuples (a, b, c, d) in canonical scaling for the
+    equation a*x + b*y + c*z = d.
+    """
+
+    p: int
+    points: tuple[tuple[int, int, int], ...]
+    planes: tuple[tuple[int, int, int, int], ...]
+
+    def __post_init__(self):
+        """Refuse what :meth:`build` refuses: count_point_plane sums in
+        int64, which a p past 2^31 or a value outside [0, p) overflows."""
+        p = make_modulus(self.p).p
+        for what, rows in (("point coordinates", self.points), ("plane coefficients", self.planes)):
+            if not all(0 <= v < p for row in _integer_rows(rows, what) for v in row):
+                raise OutOfRangeError(f"{what} must be residues in [0, {p})")
+
+    @classmethod
+    def build(cls, p, points, planes) -> "PlaneInstance3D":
+        """The instance over the prime p (checked by :func:`make_modulus`)
+        of the points (x, y, z) and the planes (a, b, c, d), all integers,
+        reduced mod p and deduplicated."""
+        p = make_modulus(p).p
+        pls = sorted({canonical_plane(*pl, p) for pl in _integer_rows(planes, "plane coefficients")})
+        return cls(p, _residue_triples(points, p), tuple(pls))
+
+    @property
+    def r(self) -> int:
+        return len(self.points)
+
+    @property
+    def s(self) -> int:
+        return len(self.planes)
+
+    @cached_property
+    def k(self) -> int:
+        return max_collinear_3d(self.points, self.p)
+
+
+def count_point_plane(inst3: PlaneInstance3D) -> int:
+    """Exact |{(point, plane) : point on plane}|, one pass over the points
+    per normal: the sorted planes of a normal are adjacent, and its leading 1
+    keeps a*x + b*y + c*z below 2^63 for p < 2^31."""
+    if inst3.r == 0 or inst3.s == 0:
+        return 0
+    x, y, z = np.array(inst3.points, dtype=np.int64).T
+    p = inst3.p
+    total = 0
+    for (a, b, c), planes in groupby(inst3.planes, key=lambda plane: plane[:3]):
+        total += int(np.isin((a * x + b * y + c * z) % p, [plane[3] for plane in planes]).sum())
+    return total
+
 
 
 def energy_reduction(A, lines: Instance) -> PlaneInstance3D:

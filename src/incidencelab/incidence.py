@@ -1,5 +1,7 @@
-"""Exact incidence counting in F_p^2 and F_p^3, richness statistics,
-reference upper bounds and hypothesis checks.
+"""Exact incidence counting in F_p^2, richness statistics, and the maximum
+collinearity of points in F_p^3.  The point-plane side of F_p^3 is in
+:mod:`energy`, and the reference bounds and hypothesis checks are in
+:mod:`bounds`.
 
 Two counting engines are provided.  The hash-join engine, which ``auto``
 names, groups lines by slope (or points by column, whichever side is
@@ -43,17 +45,13 @@ import shutil
 import threading
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
-from itertools import groupby
-from math import sqrt
 from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, OutOfRangeError
-from .field import inv_mod, inv_mod_array, make_modulus
+from .errors import InvalidParameterError
+from .field import inv_mod_array, make_modulus
 from .plane import Instance, pair_blocks, run_count
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
@@ -443,19 +441,8 @@ def richness_histograms(inst: Instance) -> RichnessHistogram:
 
 
 # ---------------------------------------------------------------------------
-# Points and planes in F_p^3
+# Points in F_p^3
 # ---------------------------------------------------------------------------
-
-def canonical_plane(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int, int, int]:
-    """Scale a plane a*x + b*y + c*z = d so its first nonzero normal
-    coefficient equals 1; proportional coefficient tuples collapse."""
-    a, b, c, d = a % p, b % p, c % p, d % p
-    for lead in (a, b, c):
-        if lead != 0:
-            inv = inv_mod(lead, p)
-            return (a * inv % p, b * inv % p, c * inv % p, d * inv % p)
-    raise InvalidParameterError("plane normal (a, b, c) must be nonzero")
-
 
 def _integer_rows(rows, what: str) -> list[tuple]:
     """The rows as tuples of Python ints.  A value that is not an integer
@@ -472,62 +459,6 @@ def _residue_triples(points, p: int) -> tuple[tuple[int, int, int], ...]:
     """The sorted distinct triples (x mod p, y mod p, z mod p) of the
     integer points (x, y, z)."""
     return tuple(sorted({(x % p, y % p, z % p) for x, y, z in _integer_rows(points, "point coordinates")}))
-
-
-@dataclass(frozen=True)
-class PlaneInstance3D:
-    """Deduplicated points and planes in F_p^3.
-
-    Planes are coefficient 4-tuples (a, b, c, d) in canonical scaling for the
-    equation a*x + b*y + c*z = d.
-    """
-
-    p: int
-    points: tuple[tuple[int, int, int], ...]
-    planes: tuple[tuple[int, int, int, int], ...]
-
-    def __post_init__(self):
-        """Refuse what :meth:`build` refuses: count_point_plane sums in
-        int64, which a p past 2^31 or a value outside [0, p) overflows."""
-        p = make_modulus(self.p).p
-        for what, rows in (("point coordinates", self.points), ("plane coefficients", self.planes)):
-            if not all(0 <= v < p for row in _integer_rows(rows, what) for v in row):
-                raise OutOfRangeError(f"{what} must be residues in [0, {p})")
-
-    @classmethod
-    def build(cls, p, points, planes) -> "PlaneInstance3D":
-        """The instance over the prime p (checked by :func:`make_modulus`)
-        of the points (x, y, z) and the planes (a, b, c, d), all integers,
-        reduced mod p and deduplicated."""
-        p = make_modulus(p).p
-        pls = sorted({canonical_plane(*pl, p) for pl in _integer_rows(planes, "plane coefficients")})
-        return cls(p, _residue_triples(points, p), tuple(pls))
-
-    @property
-    def r(self) -> int:
-        return len(self.points)
-
-    @property
-    def s(self) -> int:
-        return len(self.planes)
-
-    @cached_property
-    def k(self) -> int:
-        return max_collinear_3d(self.points, self.p)
-
-
-def count_point_plane(inst3: PlaneInstance3D) -> int:
-    """Exact |{(point, plane) : point on plane}|, one pass over the points
-    per normal: the sorted planes of a normal are adjacent, and its leading 1
-    keeps a*x + b*y + c*z below 2^63 for p < 2^31."""
-    if inst3.r == 0 or inst3.s == 0:
-        return 0
-    x, y, z = np.array(inst3.points, dtype=np.int64).T
-    p = inst3.p
-    total = 0
-    for (a, b, c), planes in groupby(inst3.planes, key=lambda plane: plane[:3]):
-        total += int(np.isin((a * x + b * y + c * z) % p, [plane[3] for plane in planes]).sum())
-    return total
 
 
 def max_collinear_3d(points, p: int) -> int:
@@ -570,111 +501,3 @@ def _max_collinear_numpy(pts: np.ndarray, p: int) -> int:
         starts = np.flatnonzero((i[1:] != i[:-1]) | (key[1:] != key[:-1])) + 1
         best = max(best, 1 + int(np.diff(starts, prepend=0, append=i.size).max()))
     return best
-
-
-# ---------------------------------------------------------------------------
-# Reference upper bounds and hypothesis checks
-# ---------------------------------------------------------------------------
-
-def reference_bound(m: int, n: int, p: int | None = None, which: str = "table1") -> tuple[str, float]:
-    """Evaluate a comparator upper bound for I(P, L) as a real number.
-
-    "table1" selects the regime by the relation between n and m and returns
-    the best-known main term for that regime.  "combinatorial" evaluates the
-    unconditional double-counting bound min(m^(1/2) n + m, m n^(1/2) + n).
-    "vinh" evaluates m n / p + p^(1/2) (m n)^(1/2) and needs p.
-    """
-    if m < 1 or n < 1:
-        raise InvalidParameterError("need m, n >= 1")
-    if which == "combinatorial":
-        return ("min(m^(1/2) n + m, m n^(1/2) + n)",
-                min(sqrt(m) * n + m, m * sqrt(n) + n))
-    if which == "vinh":
-        if p is None:
-            raise InvalidParameterError("vinh bound needs the field size p")
-        return ("m n / p + p^(1/2) (m n)^(1/2)", m * n / p + sqrt(p) * sqrt(m * n))
-    if which != "table1":
-        raise InvalidParameterError(f"unknown comparator {which!r}")
-    # regime selection with exact integer comparisons; the adjacent formulas
-    # agree at each boundary so ties can go to the lower row
-    if n * n <= m:
-        return ("n < m^(1/2)", float(m))
-    if n**8 <= m**7:
-        return ("m^(1/2) < n < m^(7/8)", sqrt(m) * n)
-    if n**7 <= m**8:
-        return ("m^(7/8) < n < m^(8/7)", m ** (11 / 15) * n ** (11 / 15))
-    if n <= m * m:
-        return ("m^(8/7) < n < m^2", m * sqrt(n))
-    return ("m^2 < n", float(n))
-
-
-def within_combinatorial_bound(count: int, m: int, n: int) -> bool:
-    """Exact integer check of count <= min(m^(1/2) n + m, m n^(1/2) + n)."""
-
-    def le_sqrt_bound(c, base, excess, factor):
-        # c <= sqrt(base)*factor + excess, all integers
-        if c <= excess:
-            return True
-        return (c - excess) ** 2 <= base * factor * factor
-
-    return le_sqrt_bound(count, m, m, n) and le_sqrt_bound(count, n, n, m)
-
-
-@dataclass(frozen=True)
-class HypothesisCondition:
-    name: str
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Evaluation of one theorem's hypothesis conditions.
-
-    Asymptotic conditions X << Y are operationalized as X <= c*Y with the
-    reported constant c.  Verdicts use exact integer arithmetic; the lhs/rhs
-    fields are float renderings for display only.
-    """
-
-    theorem: str
-    conditions: tuple[HypothesisCondition, ...]
-    passed: bool
-    ll_constant: Fraction
-
-
-def check_hypotheses(theorem: str, *, m: int | None = None, n: int | None = None,
-                     a: int | None = None, b: int | None = None,
-                     r: int | None = None, s: int | None = None,
-                     p: int, c=1) -> HypothesisReport:
-    """Check a theorem's hypothesis conditions with exact arithmetic.
-
-    theorem "1.2" needs m, n, p; "1.3" needs a, b, n, p; "1.4" needs r, s, p.
-    """
-    cf = Fraction(c)
-    conds = []
-
-    def add(name, lhs, rhs, passed):
-        conds.append(HypothesisCondition(name, float(lhs), float(rhs), bool(passed)))
-
-    if theorem == "1.2":
-        if m is None or n is None:
-            raise InvalidParameterError("theorem 1.2 needs m and n")
-        add("m^(7/8) < n", m ** 0.875, n, n**8 > m**7)
-        add("n < m^(8/7)", n, m ** (8 / 7), n**7 < m**8)
-        add("m^(-2) n^13 << p^15", n**13 / m**2,
-            float(cf) * float(p)**15, Fraction(n**13) <= cf * m**2 * p**15)
-    elif theorem == "1.3":
-        if a is None or b is None or n is None:
-            raise InvalidParameterError("theorem 1.3 needs a, b and n")
-        add("a <= b", a, b, a <= b)
-        add("a b^2 <= n^3", a * b * b, n**3, a * b * b <= n**3)
-        add("a n << p^2", a * n, float(cf) * p * p, Fraction(a * n) <= cf * p * p)
-    elif theorem == "1.4":
-        if r is None or s is None:
-            raise InvalidParameterError("theorem 1.4 needs r and s")
-        add("r <= s", r, s, r <= s)
-        add("r << p^2", r, float(cf) * p * p, Fraction(r) <= cf * p * p)
-    else:
-        raise InvalidParameterError(f"unknown theorem {theorem!r}")
-    return HypothesisReport(theorem, tuple(conds), all(cd.passed for cd in conds), cf)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from conftest import keyed, line_to_infinity, random_instances, vertical_free
+from incidencelab.bounds import check_hypotheses, within_combinatorial_bound
 from incidencelab.constructions import (
     SeededStream,
     elekes_construction,
@@ -19,16 +20,10 @@ from incidencelab.constructions import (
 )
 from incidencelab.cover import CoverStep, grid_cover, verify_certificate
 from incidencelab.distances import determined_lines, distance, distance_sets, isosceles_triples
-from incidencelab.energy import arithmetic_image, cs_bridge_check, energy_reduction, line_energy
+from incidencelab.energy import arithmetic_image, count_point_plane, cs_bridge_check, energy_reduction, line_energy
 from incidencelab.field import is_prime, make_modulus
 from incidencelab.harness import SweepConfig, fit_exponent, run_sweep
-from incidencelab.incidence import (
-    check_hypotheses,
-    count_incidences,
-    count_point_plane,
-    kernel_backend,
-    within_combinatorial_bound,
-)
+from incidencelab.incidence import count_incidences, kernel_backend
 from incidencelab.plane import (
     AffineLine,
     AffinePoint,

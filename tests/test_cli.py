@@ -1,11 +1,13 @@
+import argparse
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import assert_error_stderr, package_env
-from incidencelab.cli import cli
+from incidencelab.cli import _COMMANDS, build_parser, cli
 
 
 def run(capsys, *argv):
@@ -283,7 +285,7 @@ def test_distances_writes_the_distance_set_in_blocks(tmp_path, capsys, monkeypat
     # the same bytes as one json.dumps of the report with the set as a list
     import incidencelab.cli as cli_module
     from incidencelab.distances import distance_sets
-    from incidencelab.harness import read_instance
+    from incidencelab.files import read_instance
 
     monkeypatch.setattr(cli_module, "_COLUMN_BLOCK", block)
     path, out_path = tmp_path / "pts.json", tmp_path / "out.json"
@@ -377,14 +379,16 @@ def test_count_runs_no_cover_distances_or_energy(tmp_path):
         "import sys, types\n"
         "from incidencelab.cli import cli\n"
         f"assert cli(['count', '--input', {str(path)!r}]) == 0\n"
-        "names = ('cover', 'distances', 'energy', 'constructions')\n"
+        "names = ('cover', 'distances', 'energy', 'constructions', 'harness', 'bounds')\n"
         "print([n for n in names if type(sys.modules.get('incidencelab.' + n)) is types.ModuleType])\n"
+        "print([n for n in ('fractions', 'decimal') if n in sys.modules])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=package_env(), timeout=60,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0])["incidences"] == 2
     assert proc.stdout.splitlines()[1] == "[]"
+    assert proc.stdout.splitlines()[2] == "[]"
 
 
 def test_count_on_a_warm_kernel_cache_starts_no_child_process(tmp_path):
@@ -407,3 +411,131 @@ def test_count_on_a_warm_kernel_cache_starts_no_child_process(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1] == "c False"
+
+
+def test_every_traced_name_resolves_after_importing_the_cli(tmp_path):
+    # perfbench/tracing.py looks each function it wraps up by module in
+    # sys.modules: a name that moves, or a module that is not registered,
+    # fails every traced op
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"p": 7, "points": [[1, 2], [3, 4]],
+                                "lines": [{"kind": "sl", "s": 1, "t": 1}]}))
+    script = (
+        "import runpy, sys\n"
+        "from incidencelab.cli import cli\n"
+        f"tables = runpy.run_path({str(tracing)!r})\n"
+        "pairs = [(m, f) for m, fs in tables['SPANNED'].items() for f in fs] + [tables['CALLS_ONLY']]\n"
+        "print(sorted({m for m, _ in pairs if 'incidencelab.' + m not in sys.modules}))\n"
+        "print([m + '.' + f for m, f in pairs if not hasattr(sys.modules.get('incidencelab.' + m), f)])\n"
+        "tracer = tables['Tracer'](0)\n"
+        "tracer.install()\n"
+        f"assert cli(['count', '--input', {str(path)!r}]) == 0\n"
+        # the count's read ran through the wrapper of harness.read_instance
+        "print(tracer.counters['harness.read_instance.bytes'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(), timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    absent, unresolved, count, read_bytes = proc.stdout.splitlines()
+    assert (absent, unresolved) == ("[]", "[]")
+    assert json.loads(count)["incidences"] == 2
+    assert int(read_bytes) == path.stat().st_size
+
+
+# what the full parser prints at 80 columns for the argvs that only it
+# parses: no argument, -h and an unknown command
+_USAGE = ("usage: incidencelab [-h]\n"
+          "                    {count,count3d,construct,extract,cover,energy,sumprod,distances,beck,sweep,fit}\n"
+          "                    ...\n")
+_HELP = _USAGE + """
+Command-line interface. Subcommands: count, count3d, construct, extract,
+cover, energy, sumprod, distances, beck, sweep, fit. Exit codes: 0 success, 1
+usage error, 2 data error or MemoryError; on stderr a failing command prints
+zero or more warning lines and then one error line. Output is JSON; --format
+selects the other form of three commands: count csv (the bare count), sweep
+csv (the default) and fit svg. --output writes the chosen form to a file,
+otherwise to stdout.
+
+positional arguments:
+  {count,count3d,construct,extract,cover,energy,sumprod,distances,beck,sweep,fit}
+    count               count point-line incidences of an instance file
+    count3d             count point-plane incidences of a 3D instance file
+    construct           generate an instance file
+    extract             run one two-pencil grid extraction
+    cover               run the grid covering loop and verify its certificate
+    energy              energy of (A, L) with its 3D reduction cross-check
+    sumprod             sum-product style image-set report
+    distances           distance-set report for the points of an instance file
+    beck                determined-lines report for the points of an instance
+                        file
+    sweep               run a sweep configuration
+    fit                 fit a log-log exponent over sweep records
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ([], 1, "", _USAGE + "incidencelab: error: the following arguments are required: command\n"),
+    (["-h"], 0, _HELP, ""),
+    (["frobnicate"], 1, "", _USAGE + "incidencelab: error: argument command: invalid choice: 'frobnicate' "
+     "(choose from 'count', 'count3d', 'construct', 'extract', 'cover', 'energy', 'sumprod', "
+     "'distances', 'beck', 'sweep', 'fit')\n"),
+], ids=["no-argument", "help", "unknown-command"])
+def test_full_parser_output(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def _subparser(parser, command):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+def _parse(parser, argv, capsys):
+    """(exit code, the parsed arguments or None, stdout, stderr) of one
+    parse_args."""
+    try:
+        args, code = vars(parser.parse_args(argv)), 0
+    except SystemExit as exc:
+        args, code = None, exc.code
+    out = capsys.readouterr()
+    return code, args, out.out, out.err
+
+
+# per command, an argv that parses, then usage errors: bad --engine and
+# --format choices, values that are not rational numbers or integers
+_ARGVS = {
+    "count": [["--input", "i"], ["--input", "i", "--engine", "fast"], ["--input", "i", "--format", "svg"]],
+    "count3d": [["--input", "i"], ["--output", "o"]],
+    "construct": [["random", "--p", "7"], ["plane", "--p", "7"], ["random", "--p", "seven"]],
+    "extract": [["--input", "i"]],
+    "cover": [["--input", "i"], ["--input", "i", "--c1", "abc"], ["--input", "i", "--stop", "1/0"],
+              ["--input", "i", "--c1", "1/3", "--c2", "3"]],
+    "energy": [["--input", "i"]],
+    "sumprod": [["--corollary", "5.1", "--p", "7"], ["--corollary", "9.9", "--p", "7"],
+                ["--corollary", "5.1", "--p", "7", "--llconstant", "x"],
+                ["--corollary", "5.1", "--p", "7", "--A", "1,b"]],
+    "distances": [["--input", "i"]],
+    "beck": [["--input", "i"]],
+    "sweep": [["--config", "c"], ["--config", "c", "--format", "svg"]],
+    "fit": [["--input", "i"], ["--input", "i", "--format", "csv"]],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_one_command_parser_answers_as_the_full_parser(capsys, monkeypatch, command):
+    # help, usage, parsed values (the string defaults of cover and sumprod
+    # become Fractions) and every usage error: a missing required argument
+    # (--input), an unknown option, which the top-level parser reports, and
+    # the bad values of _ARGVS
+    monkeypatch.setenv("COLUMNS", "80")
+    full, alone = build_parser(), build_parser(command)
+    assert _subparser(alone, command).format_help() == _subparser(full, command).format_help()
+    assert _subparser(alone, command).format_usage() == _subparser(full, command).format_usage()
+    assert alone.format_usage() == full.format_usage() == _USAGE
+    assert _parse(alone, [command, *_ARGVS[command][0]], capsys)[0] == 0
+    for rest in [[], ["-h"], ["--input", "i", "--bogus"], *_ARGVS[command]]:
+        argv = [command, *rest]
+        assert _parse(alone, argv, capsys) == _parse(full, argv, capsys), argv

@@ -14,7 +14,7 @@ from incidencelab.errors import (
     OutOfRangeError,
     TooManyRequestedError,
 )
-from incidencelab.harness import instance_to_dict
+from incidencelab.files import instance_to_dict
 from incidencelab.incidence import count_incidences, richness_histograms
 from incidencelab.plane import AffineLine, AffinePoint, incident
 

@@ -34,7 +34,7 @@ from incidencelab.errors import (
     PointSentToInfinityError,
 )
 from incidencelab.field import make_modulus
-from incidencelab.harness import write_instance
+from incidencelab.files import write_instance
 from incidencelab.incidence import RichnessHistogram, count_incidences, incidence_degrees
 from incidencelab.plane import (
     AffineLine,
@@ -449,9 +449,10 @@ def test_verify_certificate_detects_partition_mismatch():
     assert _codes(inst, dataclasses.replace(cert, partition=reordered)) == ["partition-mismatch"]
 
 
-def test_verify_certificate_rechecks_the_partition_on_the_masks(monkeypatch):
-    # a fault in the degree join shows in the verifier, whose point degrees
-    # come from the masks of incidence_degrees, not from the join
+def test_verify_certificate_recheck_catches_a_faulty_richness_histograms(monkeypatch):
+    # a fault in richness_histograms shows in the verifier, whose re-check of
+    # the partition takes its point degrees from a pass of its own
+    # (cover._point_degrees, the slope pass on full_plane(5)), not from it
     import incidencelab.cover as cover
     join = cover.richness_histograms
 

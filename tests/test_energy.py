@@ -3,6 +3,7 @@ import pytest
 from incidencelab.constructions import SeededStream
 from incidencelab.energy import (
     arithmetic_image,
+    count_point_plane,
     cs_bridge_check,
     energy_reduction,
     line_energy,
@@ -16,7 +17,7 @@ from incidencelab.errors import (
     VerticalLinePresentError,
 )
 from incidencelab.field import make_modulus
-from incidencelab.incidence import count_point_plane, max_collinear_3d
+from incidencelab.incidence import max_collinear_3d
 from incidencelab.plane import AffineLine, Instance
 
 

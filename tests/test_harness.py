@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from incidencelab.bounds import within_combinatorial_bound
 from incidencelab.constructions import full_plane, random_instance
 from incidencelab.errors import (
     ConfigError,
@@ -10,22 +11,23 @@ from incidencelab.errors import (
     NonPositiveValueError,
     ParseError,
 )
-from incidencelab.harness import (
-    CSV_HEADER,
+from incidencelab.files import (
     DuplicateEntryWarning,
-    SweepConfig,
-    fit_exponent,
-    fit_scatter_svg,
     instance_to_dict,
     read_instance,
     read_instance3d,
+    write_instance,
+)
+from incidencelab.harness import (
+    CSV_HEADER,
+    SweepConfig,
+    fit_exponent,
+    fit_scatter_svg,
     read_records,
     records_to_csv,
     records_to_json,
     run_sweep,
-    write_instance,
 )
-from incidencelab.incidence import within_combinatorial_bound
 
 
 def test_instance_roundtrip(tmp_path):

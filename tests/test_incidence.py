@@ -5,24 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import keyed, random_instances, residues
+from incidencelab.bounds import check_hypotheses, reference_bound, within_combinatorial_bound
 from incidencelab.constructions import SeededStream, elekes_construction, full_plane, random_instance
-from incidencelab.energy import energy_reduction, line_energy
+from incidencelab.energy import PlaneInstance3D, count_point_plane, energy_reduction, line_energy
 from incidencelab.errors import CompositeModulusError, InvalidParameterError, OutOfRangeError
 from incidencelab.field import make_modulus
 from incidencelab.incidence import (
     _FLAT_GROUP_MAX,
     CountStats,
-    PlaneInstance3D,
     _split_probes,
-    check_hypotheses,
     count_incidences,
-    count_point_plane,
     incidence_degrees,
     kernel_backend,
     max_collinear_3d,
-    reference_bound,
     richness_histograms,
-    within_combinatorial_bound,
 )
 from incidencelab.plane import AffineLine, AffinePoint, Instance, incident
 

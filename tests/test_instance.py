@@ -18,7 +18,7 @@ from incidencelab.cli import cli
 from incidencelab.constructions import SeededStream, elekes_construction, full_plane, random_instance
 from incidencelab.errors import InvalidParameterError
 from incidencelab.field import make_modulus
-from incidencelab.harness import instance_to_dict
+from incidencelab.files import instance_to_dict
 from incidencelab.incidence import count_incidences
 from incidencelab.plane import AffineLine, AffinePoint, Instance, dualize
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from incidencelab import harness
+from incidencelab import files
 from incidencelab.errors import ParseError
 from incidencelab.field import make_modulus
-from incidencelab.harness import DuplicateEntryWarning, read_energy_input, read_instance, write_instance
+from incidencelab.files import DuplicateEntryWarning, read_energy_input, read_instance, write_instance
 from incidencelab.plane import Instance
 
 # the least modulus, 3, a small one, and the largest, 2^31 - 1
@@ -83,7 +83,7 @@ def test_written_files_are_read_without_json_loads(doc_path, case):
         raise AssertionError("json.loads called")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness.json, "loads", refuse)
+        mp.setattr(files.json, "loads", refuse)
         assert read_instance(doc_path) == inst
 
 
@@ -157,7 +157,7 @@ MUTATIONS = {
     "CRLF": lambda doc, p, i: doc[:-1] + b"\r\n",
 }
 # id -> (modulus or None for any of PRIMES, document shape, mutation or
-# None, bytes per parse chunk or None for harness._CHUNK)
+# None, bytes per parse chunk or None for files._CHUNK)
 SCAN_CASES = {
     "compact": (None, "random", None, None),
     "empty points": (None, "no points", None, None),
@@ -209,11 +209,11 @@ def test_scan_and_json_path_agree(doc_path, p, shape, mutation, chunk, data):
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             assert len(doc) > 2 * chunk
-            mp.setattr(harness, "_CHUNK", chunk)
+            mp.setattr(files, "_CHUNK", chunk)
         # the scan takes the compact form with its values below a prime p,
         # and only that
-        assert (harness._scan_instance(doc) is None) == (doc != compact and mutation != "repeated entry")
-        assert harness._scan_instance(spaced) is None
+        assert (files._scan_instance(doc) is None) == (doc != compact and mutation != "repeated entry")
+        assert files._scan_instance(spaced) is None
         # one path for both, as the JSON path's messages name the file
         outcomes = []
         for text in (doc, spaced):
@@ -227,11 +227,11 @@ def test_parse_integers_checks_the_count(chunk):
     # the scan falls back to the JSON path on any other count
     text = b'{"a":[10,2],"b":345,"c":[[6,78]]}'
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(harness, "_CHUNK", chunk)
-        assert harness._parse_integers(text, 5).tolist() == [10, 2, 345, 6, 78]
-        assert harness._parse_integers(text, 4) is None
-        assert harness._parse_integers(text, 6) is None
-        assert harness._parse_integers(b"{}", 0).size == 0
+        mp.setattr(files, "_CHUNK", chunk)
+        assert files._parse_integers(text, 5).tolist() == [10, 2, 345, 6, 78]
+        assert files._parse_integers(text, 4) is None
+        assert files._parse_integers(text, 6) is None
+        assert files._parse_integers(b"{}", 0).size == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,14 @@ import json
 
 import pytest
 
+from incidencelab.bounds import check_hypotheses, reference_bound
 from incidencelab.constructions import SeededStream, cartesian_instance, full_plane
 from incidencelab.distances import bisector_instance
-from incidencelab.energy import arithmetic_image, sumproduct_report
+from incidencelab.energy import PlaneInstance3D, arithmetic_image, canonical_plane, sumproduct_report
 from incidencelab.errors import Error, InvalidParameterError, ParseError
 from incidencelab.field import make_modulus
-from incidencelab.harness import read_instance3d
-from incidencelab.incidence import (
-    PlaneInstance3D,
-    canonical_plane,
-    check_hypotheses,
-    count_incidences,
-    max_collinear_3d,
-    reference_bound,
-)
+from incidencelab.files import read_instance3d
+from incidencelab.incidence import count_incidences, max_collinear_3d
 from incidencelab.plane import Instance, ProjMap
 
 SITES = {
