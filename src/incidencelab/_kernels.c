@@ -1,29 +1,44 @@
 /* C kernels of the hash-join incidence engine and of max_collinear_3d.
  *
  * incidence.py compiles this file on first use and calls it through ctypes.
- * Every input is a residue in [0, p) and p is a prime below 2^31.
+ * p is a prime below 2^31.
  *
- * The probe kernels count pairs (item i, probe) with
+ * The probe kernels read two sorted key columns of an instance, the items
+ * and the probes.  An item key decodes to (a, b) = divmod(key, p) and a
+ * probe key to (g, v); the probes with equal g form a group.  On the slope
+ * side the items are the points (x, y) and the probes the non-vertical
+ * lines (s, t), and the group key is s = g; on the column side the items
+ * are the non-vertical lines and the probes the points, and the group key
+ * is s = p - g, since y = s'x + t <=> t - (-x)s' = y (mod p).  probe counts
+ * the pairs (item, probe) with
  *
- *     b[i] - key * a[i] = val  (mod p)
+ *     b - s * a = v  (mod p)
  *
- * along one of three paths:
+ * along one of three paths, chosen per group by its size:
  *
- * flat (singles): one value per key, as parallel arrays keys[j], vals[j].
- * The difference u = key*a + val + p - b lies in [1, 2^63), and p divides u
- * exactly when u * p^-1 mod 2^64 <= (2^64 - 1) / p (Granlund & Montgomery
- * 1994; Lemire, Kaser & Kurz, arXiv:1902.01961).  Multiplication by p^-1 is
- * a ring map mod 2^64, so u * p^-1 = key*(a*p^-1) + (val+p)*p^-1 - b*p^-1
- * with wrapping arithmetic: one multiply per pair, no division.
+ * flat (groups of at most FLAT_MAX probes): each tile of items is decoded
+ * once into L1 arrays, and each probe once per tile into registers, BLOCK
+ * probes at a time.  As s <= p, the difference u = s*a + v + p - b lies in
+ * [1, 2^63), and p divides u exactly when u * p^-1 mod 2^64 <=
+ * (2^64 - 1) / p (Granlund & Montgomery 1994; Lemire, Kaser & Kurz,
+ * arXiv:1902.01961).  Multiplication by p^-1 is a ring map mod 2^64, so
+ * u * p^-1 = s*(a*p^-1) + (v+p)*p^-1 - b*p^-1 with wrapping arithmetic: one
+ * multiply per pair, no division.
  *
- * bitmap (multi, groups with 64*size >= p): the group's values are set in a
- * scratch bitmap of p bits, ceil(p/64) <= size words; each item's residue
- * (b - key*a) mod p is then one reduction and one bit test.  The bits are
- * cleared again before the next group.
+ * bitmap (larger groups with 64*size >= p, given a scratch bitmap): the
+ * group's values are set in a bitmap of p bits, ceil(p/64) <= size words,
+ * and cleared again before the next group.
  *
- * binary search (multi, the other groups): groups keys[g] with sorted
- * values vals[offs[g]:offs[g+1]]; each item's residue is found by a
- * branchless binary search.
+ * binary search (the other groups): a branchless binary search for
+ * g*p + r among the group's own keys, so the probes are never decoded.
+ *
+ * On both of these paths the items are walked in key order, and s*a mod p
+ * is computed once per run of equal a, that is once per column of points
+ * or per slope class of lines; an item's residue r = (b - s*a) mod p is then
+ * a subtraction and a conditional add.
+ *
+ * plan prices a side: it counts the groups of a key column and the probes
+ * and groups of each path, with the same rule.
  *
  * collinear: the largest number of points of a set in F_p^3 on one line.
  * For each anchor point the directions to all later points are scaled so
@@ -38,8 +53,9 @@
  * 1 + e <= p the subtracted term is below 1/2.  So the quotient estimate
  * q = floor(u*M / 2^64) satisfies u/p - 3/2 < q <= u/p, that is
  * floor(u/p) - 1 <= q <= floor(u/p), and u - q*p lies in [0, 2p): one
- * conditional subtraction makes it exact.  Every reduced quantity below is
- * a sum or product of residues, at most p^2 + p < 2^63.
+ * conditional subtraction makes it exact, and quotient(u) = floor(u/p) is
+ * q plus one correction.  Every key is below p^2 + p < 2^62, and every
+ * other reduced quantity is a product of two numbers up to p.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -49,12 +65,21 @@
 #define TILE 2048
 /* probes held in registers while a tile streams past */
 #define BLOCK 8
+/* groups with at most this many probes are cheaper as independent probes in
+ * the blocked flat loop than as binary searches */
+#define FLAT_MAX 32
 
 static inline uint64_t reduce(uint64_t u, uint64_t p, uint64_t m)
 {
     const uint64_t q = (uint64_t)(((unsigned __int128)u * m) >> 64);
     const uint64_t r = u - q * p;
     return r >= p ? r - p : r;
+}
+
+static inline uint64_t quotient(uint64_t u, uint64_t p, uint64_t m)
+{
+    const uint64_t q = (uint64_t)(((unsigned __int128)u * m) >> 64);
+    return q + (u - q * p >= p);
 }
 
 static uint64_t inverse_mod_2_64(uint64_t p)
@@ -66,88 +91,128 @@ static uint64_t inverse_mod_2_64(uint64_t p)
     return x;
 }
 
-int64_t singles(const int64_t *a, const int64_t *b, int64_t n_items,
-                const int64_t *keys, const int64_t *vals, int64_t n_probes,
-                int64_t p)
+/* branchless lower bound: the first of the n >= 1 ascending keys at first
+ * that is at least key, or n */
+static inline int64_t lower_bound(const int64_t *first, int64_t n, int64_t key)
 {
-    const uint64_t inv = inverse_mod_2_64((uint64_t)p);
-    const uint64_t lim = UINT64_MAX / (uint64_t)p;
+    const int64_t *base = first, *end = first + n;
+    while (n > 1) {
+        const int64_t half = n / 2;
+        base = base[half] < key ? base + half : base;
+        n -= half;
+    }
+    base += base < end && *base < key;
+    return base - first;
+}
+
+/* the end of the group that starts at keys[j], below hi = (g + 1) * p:
+ * groups of at most FLAT_MAX keys are scanned, longer ones searched */
+static inline int64_t group_end(const int64_t *keys, int64_t j, int64_t n, int64_t hi)
+{
+    if (j + FLAT_MAX < n && keys[j + FLAT_MAX] < hi)
+        return j + FLAT_MAX + lower_bound(keys + j + FLAT_MAX, n - j - FLAT_MAX, hi);
+    while (++j < n && keys[j] < hi)
+        ;
+    return j;
+}
+
+/* out: the groups of the n sorted keys, the probes of its flat groups, and
+ * its groups on the bitmap and on the binary-search path */
+void plan(const int64_t *keys, int64_t n, int64_t p, int64_t *out)
+{
+    const uint64_t up = (uint64_t)p, m = UINT64_MAX / up;
+    out[0] = out[1] = out[2] = out[3] = 0;
+    for (int64_t j = 0, end; j < n; j = end) {
+        end = group_end(keys, j, n, (int64_t)((quotient((uint64_t)keys[j], up, m) + 1) * up));
+        out[0]++;
+        if (end - j <= FLAT_MAX)
+            out[1] += end - j;
+        else
+            out[64 * (end - j) >= p ? 2 : 3]++;
+    }
+}
+
+static int64_t flat(const int64_t *items, int64_t n_items, const int64_t *probes, int64_t n_probes,
+                    uint64_t p, uint64_t m, int64_t column)
+{
+    const uint64_t inv = inverse_mod_2_64(p), lim = UINT64_MAX / p;
     uint64_t ta[TILE], tb[TILE];
     int64_t total = 0;
     for (int64_t i0 = 0; i0 < n_items; i0 += TILE) {
         const int64_t len = n_items - i0 < TILE ? n_items - i0 : TILE;
         for (int64_t i = 0; i < len; i++) {
-            ta[i] = (uint64_t)a[i0 + i] * inv;
-            tb[i] = (uint64_t)b[i0 + i] * inv;
+            const uint64_t key = (uint64_t)items[i0 + i], a = quotient(key, p, m);
+            ta[i] = a * inv;
+            tb[i] = (key - a * p) * inv;
         }
-        int64_t j = 0;
-        for (; j + BLOCK <= n_probes; j += BLOCK) {
-            uint64_t s[BLOCK], c[BLOCK];
-            for (int k = 0; k < BLOCK; k++) {
-                s[k] = (uint64_t)keys[j + k];
-                c[k] = (uint64_t)(vals[j + k] + p) * inv;
+        uint64_t s[BLOCK], c[BLOCK], hits = 0;
+        int k = 0;
+        for (int64_t j = 0, end; j < n_probes; j = end) {
+            const uint64_t g = quotient((uint64_t)probes[j], p, m);
+            end = group_end(probes, j, n_probes, (int64_t)((g + 1) * p));
+            if (end - j > FLAT_MAX)
+                continue;
+            for (; j < end; j++) {
+                s[k] = column ? p - g : g;
+                c[k] = ((uint64_t)probes[j] - g * p + p) * inv;
+                if (++k < BLOCK)
+                    continue;
+                k = 0;
+                for (int64_t i = 0; i < len; i++)
+                    for (int q = 0; q < BLOCK; q++)
+                        hits += s[q] * ta[i] + c[q] - tb[i] <= lim;
             }
-            uint64_t hits = 0;
-            for (int64_t i = 0; i < len; i++)
-                for (int k = 0; k < BLOCK; k++)
-                    hits += s[k] * ta[i] + c[k] - tb[i] <= lim;
-            total += (int64_t)hits;
         }
-        for (; j < n_probes; j++) {
-            const uint64_t s = (uint64_t)keys[j];
-            const uint64_t c = (uint64_t)(vals[j] + p) * inv;
-            uint64_t hits = 0;
+        for (int q = 0; q < k; q++)
             for (int64_t i = 0; i < len; i++)
-                hits += s * ta[i] + c - tb[i] <= lim;
-            total += (int64_t)hits;
-        }
+                hits += s[q] * ta[i] + c[q] - tb[i] <= lim;
+        total += (int64_t)hits;
     }
     return total;
 }
 
-/* bits: a zeroed scratch bitmap of ceil(p/64) words, or NULL when no group
- * has 64*size >= p; it is zeroed again on return */
-int64_t multi(const int64_t *a, const int64_t *b, int64_t n_items,
-              const int64_t *keys, const int64_t *offs, int64_t n_groups,
-              const int64_t *vals, int64_t p, uint64_t *bits)
+/* items, probes: sorted key columns; column: nonzero on the column side.
+ * bits: a zeroed scratch bitmap of ceil(p/64) words, or NULL, when every
+ * group past FLAT_MAX goes to the binary search; it is zeroed again on
+ * return */
+int64_t probe(const int64_t *items, int64_t n_items, const int64_t *probes, int64_t n_probes,
+              int64_t p, int64_t column, uint64_t *bits)
 {
     const uint64_t up = (uint64_t)p, m = UINT64_MAX / up;
-    int64_t total = 0;
-    for (int64_t g = 0; g < n_groups; g++) {
-        const uint64_t s = (uint64_t)keys[g];
-        const int64_t *first = vals + offs[g];
-        const int64_t *end = vals + offs[g + 1];
-        const int64_t size = end - first;
-        if (size == 0)
+    int64_t total = flat(items, n_items, probes, n_probes, up, m, column);
+    for (int64_t j = 0, end; j < n_probes; j = end) {
+        const uint64_t g = quotient((uint64_t)probes[j], up, m), s = column ? up - g : g;
+        const int64_t base = (int64_t)(g * up), *group = probes + j;
+        end = group_end(probes, j, n_probes, base + p);
+        const int64_t size = end - j;
+        if (size <= FLAT_MAX)
             continue;
-        if (bits != NULL && 64 * size >= p) {
-            for (const int64_t *v = first; v < end; v++)
-                bits[*v >> 6] |= (uint64_t)1 << (*v & 63);
-            uint64_t hits = 0;
-            for (int64_t i = 0; i < n_items; i++) {
-                const uint64_t v = reduce((uint64_t)b[i] + s * (up - (uint64_t)a[i]), up, m);
-                hits += bits[v >> 6] >> (v & 63) & 1;
-            }
-            total += (int64_t)hits;
-            /* every set bit belongs to a value of this group */
-            for (const int64_t *v = first; v < end; v++)
-                bits[*v >> 6] = 0;
-            continue;
-        }
+        const int bitmap = bits != NULL && 64 * size >= p;
+        for (int64_t k = 0; bitmap && k < size; k++)
+            bits[(group[k] - base) >> 6] |= (uint64_t)1 << ((group[k] - base) & 63);
+        /* the items with key in [run, run + p) share a; key - off is the
+         * residue (b - s*a) mod p, or it minus p */
+        int64_t run = -p, off = 0;
+        uint64_t hits = 0;
         for (int64_t i = 0; i < n_items; i++) {
-            /* b + s*(p - a) lies in [0, 2^63) and is b - s*a mod p */
-            const int64_t v = (int64_t)reduce((uint64_t)b[i] + s * (up - (uint64_t)a[i]), up, m);
-            /* branchless lower bound: the answer stays in [base, base + n] */
-            const int64_t *base = first;
-            int64_t n = size;
-            while (n > 1) {
-                const int64_t half = n / 2;
-                base = base[half] < v ? base + half : base;
-                n -= half;
+            if (items[i] >= run + p) {
+                const uint64_t a = quotient((uint64_t)items[i], up, m);
+                run = (int64_t)(a * up);
+                off = run + (int64_t)reduce(s * a, up, m);
             }
-            base += *base < v;
-            total += base < end && *base == v;
+            int64_t r = items[i] - off;
+            r += r < 0 ? p : 0;
+            if (bitmap) {
+                hits += bits[r >> 6] >> (r & 63) & 1;
+            } else {
+                const int64_t at = lower_bound(group, size, base + r);
+                hits += at < size && group[at] == base + r;
+            }
         }
+        total += (int64_t)hits;
+        /* every set bit belongs to a value of this group */
+        for (int64_t k = 0; bitmap && k < size; k++)
+            bits[(group[k] - base) >> 6] = 0;
     }
     return total;
 }

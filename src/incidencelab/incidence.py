@@ -10,16 +10,17 @@ ran (:class:`CountStats`).  The naive engine is the reference: it sums
 :func:`incidence_degrees`, numpy masks over blocks of (point, line) pairs,
 which only it and the certificate verifier read.  The per-point and
 per-line degrees that the cover layer reads come from
-:func:`richness_histograms`, a numpy join over the groups the count probes:
-both read one :class:`plane.Instance` through :func:`_join_groups`, and
-only the oracle takes raw columns.
-The count's probes take one of three paths of the C kernels in
-``_kernels.c``:
-groups of at most _FLAT_GROUP_MAX values are flattened into independent
-(key, value) probes for the blocked ``singles`` kernel (flat); ``multi``
-tests each item against a larger group's values in a bitmap of p bits when
-64 * size >= p (bitmap), and otherwise by binary search.  The C kernel
-``collinear`` computes :func:`max_collinear_3d`.
+:func:`richness_histograms`, a numpy join over the groups the count probes,
+planned by :func:`_join_groups` from the coordinate views of one
+:class:`plane.Instance`.
+The C kernels in ``_kernels.c`` read the instance's two key columns and
+decode the keys themselves, so a count builds no views: ``plan`` finds the
+groups of a side (runs of equal key // p) and prices it, and ``probe``
+takes each group along one of three paths: groups of at most 32 values are
+independent probes in a blocked loop (flat); a larger group's values are
+tested in a bitmap of p bits when 64 * size >= p (bitmap), and otherwise by
+binary search.  The C kernel ``collinear`` computes
+:func:`max_collinear_3d`.
 
 The first hash-join count or collinearity call of a process compiles the
 kernels with ``cc -O3 -march=native`` (on x86-64 also
@@ -29,9 +30,9 @@ resolved compiler binary (path, size and mtime) and the CPU flags, and later
 processes load the cached library.  A C compiler is optional: without one,
 or with an unwritable cache, the count is the sum of the per-item hits of
 the degree join, with identical counts (on a 2-vCPU Xeon with numpy 2.4,
-random m = n = 10^4 in 0.28 s at p = 1048573 and 0.24 s at p = 1009,
-against 0.026 s on the C kernels, and full_plane(101) in 0.018 s against
-0.004 s), and max_collinear_3d runs as numpy passes over blocks of point
+random m = n = 10^4 in 0.18 s at p = 1048573 and 0.20 s at p = 1009,
+against 0.020 s on the C kernels, and full_plane(101) in 0.018 s against
+0.002 s), and max_collinear_3d runs as numpy passes over blocks of point
 pairs.  :func:`kernel_backend` says which ran, and why.  All engines return
 identical exact integers.
 """
@@ -59,7 +60,7 @@ _CC = "cc"
 _CFLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
 if platform.machine() in ("x86_64", "AMD64"):
     # compilers vectorise at 256 bits on AVX-512 CPUs unless asked; 512-bit
-    # singles probe about 1.6x faster on an AVX-512 Xeon (gcc 12.2), and the
+    # flat probes run about 1.6x faster on an AVX-512 Xeon (gcc 12.2), and the
     # preference is void on CPUs without AVX-512
     _CFLAGS += ("-mprefer-vector-width=512",)
 
@@ -155,10 +156,11 @@ def _load_backend() -> _Backend:
                 lib = ctypes.CDLL(_compiled_library())
                 arr = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
                 i64 = ctypes.c_int64
-                lib.singles.argtypes = [arr, arr, i64, arr, arr, i64, i64]
-                lib.multi.argtypes = [arr, arr, i64, arr, arr, i64, arr, i64, ctypes.c_void_p]
+                lib.plan.argtypes = [arr, i64, i64, arr]
+                lib.probe.argtypes = [arr, i64, arr, i64, i64, i64, ctypes.c_void_p]
                 lib.collinear.argtypes = [arr, i64, i64]
-                lib.singles.restype = lib.multi.restype = lib.collinear.restype = i64
+                lib.plan.restype = None
+                lib.probe.restype = lib.collinear.restype = i64
                 _backend = _Backend(lib, "")
             except _KernelUnavailable as exc:
                 _backend = _Backend(None, str(exc))
@@ -174,59 +176,14 @@ def kernel_backend() -> tuple[str, str]:
     return ("c", "") if backend.lib is not None else ("numpy", backend.reason)
 
 
-# groups with at most this many values are cheaper as independent probes in
-# the blocked kernel than as binary searches in the per-group kernel
-_FLAT_GROUP_MAX = 32
-
-
-def _split_probes(keys: np.ndarray, offs: np.ndarray, vals: np.ndarray):
-    """Flatten small CSR groups into (key, value) probe pairs; keep large
-    groups in CSR form for the binary-search kernel.  When every group is
-    flat, as on sparse inputs, the value column passes through uncopied."""
-    sizes = np.diff(offs)
-    flat = sizes <= _FLAT_GROUP_MAX
-    if flat.all():
-        return np.repeat(keys, sizes), vals, keys[:0], np.zeros(1, dtype=np.int64), vals[:0]
-    val_is_flat = np.repeat(flat, sizes)
-    b_offs = np.zeros(np.count_nonzero(~flat) + 1, dtype=np.int64)
-    np.cumsum(sizes[~flat], out=b_offs[1:])
-    return (np.repeat(keys[flat], sizes[flat]), vals[val_is_flat],
-            keys[~flat], b_offs, vals[~val_is_flat])
-
-
-def _join_count(p, item_a, item_b, keys, offs, vals, record) -> int:
-    """Count pairs (item i, group g) with item_b - key_g*item_a = val (mod p)
-    for some val in group g, with the C kernels when they are available and
-    otherwise as the sum of :func:`_group_degrees`.  The dict record receives
-    the seconds of the split and the probes issued per path (see
-    :class:`CountStats`)."""
-    lib = _load_backend().lib
-    if lib is None:
-        return int(_group_degrees(item_a, item_b, keys, offs, vals, p, record)[0].sum())
-    n = item_a.size
-    start = perf_counter()
-    f_keys, f_vals, b_keys, b_offs, b_vals = _split_probes(keys, offs, vals)
-    bitmap = 64 * np.diff(b_offs) >= p
-    # scratch bitmap of p bits for the groups multi probes by bit tests
-    bits = np.zeros(-(-p // 64), np.uint64) if bitmap.any() else None
-    split = perf_counter()
-    total = (lib.singles(item_a, item_b, n, f_keys, f_vals, f_keys.size, p)
-             + lib.multi(item_a, item_b, n, b_keys, b_offs, b_keys.size, b_vals, p,
-                         None if bits is None else bits.ctypes.data))
-    in_bitmap = int(np.count_nonzero(bitmap))
-    record.update(split=split - start, flat=n * f_keys.size, bitmap=n * in_bitmap,
-                  binary_search=n * (b_keys.size - in_bitmap))
-    return total
-
-
 def _join_groups(inst: Instance):
     """(side, cost, groups) of the join of the points of inst with its
     non-vertical lines: cost holds the (item, group) pairs of each side, and
     groups the arguments (item_a, item_b, keys, offs, vals) of the cheaper
     one, each point against each slope class's intercepts ("slope") or each
-    non-vertical line against each column's y-values ("column").  The cost
-    counts the slopes and the x-columns in one comparison pass each, and
-    only the chosen side's runs are built."""
+    non-vertical line against each column's y-values ("column"), for the
+    numpy join.  The cost counts the slopes and the x-columns in one
+    comparison pass each, and only the chosen side's runs are built."""
     px, py = inst.xy
     s, t, _ = inst.line_columns
     cost = {"slope": inst.m * (run_count(s) + 1), "column": inst.n * (run_count(px) + 1)}
@@ -245,12 +202,39 @@ def _vertical_degrees(a, b) -> np.ndarray:
 
 
 def _count_hash_join(inst: Instance, record) -> int:
+    """The join of :func:`count_incidences`.  The C kernels read the key
+    columns: ``plan`` finds the groups of each side's probes, which price
+    the side as :func:`_join_groups` does, and ``probe`` counts the cheaper
+    side.  The numpy fallback sums :func:`_group_degrees` over the groups of
+    _join_groups.  The dict record receives the side, the cost, the phase
+    times and the probes issued per path (see :class:`CountStats`)."""
+    lib = _load_backend().lib
     start = perf_counter()
-    side, cost, groups = _join_groups(inst)
-    views = perf_counter() - start
-    vertical = int(_vertical_degrees(inst.xy[0], inst.line_columns[2]).sum())
-    total = vertical + _join_count(inst.p, *groups, record)
-    record.update(side=side, cost=cost, views=views, kernel=perf_counter() - start - views - record["split"])
+    p, lines = inst.p, inst.line_keys
+    sloped = int(np.searchsorted(lines, p * p))
+    if lib is None:
+        side, cost, groups = _join_groups(inst)
+        views = perf_counter() - start
+        total = int(_group_degrees(*groups, p, record)[0].sum())
+    else:
+        # each side's items and probes, and the plan of its probes: groups,
+        # flat probes, bitmap groups and searched groups
+        sides = {"slope": (inst.point_keys, lines[:sloped]), "column": (lines[:sloped], inst.point_keys)}
+        plans = {side: np.empty(4, np.int64) for side in sides}
+        for side, (_, probes) in sides.items():
+            lib.plan(probes, probes.size, p, plans[side])
+        cost = {"slope": inst.m * (int(plans["slope"][0]) + 1), "column": inst.n * (int(plans["column"][0]) + 1)}
+        side = "slope" if cost["slope"] <= cost["column"] else "column"
+        (items, probes), (_, flat, bitmap, searched) = sides[side], plans[side].tolist()
+        bits = np.zeros(-(-p // 64), np.uint64) if bitmap else None
+        views = perf_counter() - start
+        total = lib.probe(items, items.size, probes, probes.size, p, side == "column",
+                          None if bits is None else bits.ctypes.data)
+        record.update(flat=items.size * flat, bitmap=items.size * bitmap, binary_search=items.size * searched)
+    # the points on the vertical line x = x0 are the keys in [x0*p, (x0 + 1)*p)
+    x0 = lines[sloped:] - p * p
+    total += int((np.searchsorted(inst.point_keys, (x0 + 1) * p) - np.searchsorted(inst.point_keys, x0 * p)).sum())
+    record.update(side=side, cost=cost, views=views, kernel=perf_counter() - start - views)
     return total
 
 
@@ -270,9 +254,11 @@ class CountStats(NamedTuple):
     value of a flattened group as flat and each searched group as binary
     search), and "mask", the cells of the naive masks.
     backend and backend_reason are :func:`kernel_backend`'s for the join.
-    seconds holds the time of each phase: "views" (the instance's columns
-    and runs), "split" (:func:`_split_probes`) and "kernel" (the probes, the
-    vertical lines or the masks).
+    seconds holds the time of each phase: "views", on the C backend the
+    ``plan`` passes over the key columns that price both sides, and on
+    numpy (and for naive) the instance's coordinate columns and runs;
+    "split", 0.0, since no backend splits probes in Python; and "kernel"
+    (the probes, the vertical lines or the masks).
     """
 
     engine: str
@@ -379,7 +365,7 @@ def _divisor_test(p: int) -> tuple[np.uint64, np.uint64]:
 
 
 def _group_degrees(item_a, item_b, keys, offs, vals, p: int, record) -> tuple[np.ndarray, np.ndarray]:
-    """Hits per item and per value of the join of :func:`_join_count`:
+    """Hits per item and per value of the join of :func:`_join_groups`:
     item i meets value v of group g when item_b - key_g*item_a = v (mod p).
     Each group's values ascend and are distinct.  The dict record receives
     the (item, value) probes of the flattened groups ("flat") and the

@@ -11,9 +11,7 @@ from incidencelab.energy import PlaneInstance3D, count_point_plane, energy_reduc
 from incidencelab.errors import CompositeModulusError, InvalidParameterError, OutOfRangeError
 from incidencelab.field import make_modulus
 from incidencelab.incidence import (
-    _FLAT_GROUP_MAX,
     CountStats,
-    _split_probes,
     count_incidences,
     incidence_degrees,
     kernel_backend,
@@ -56,8 +54,8 @@ def test_auto_runs_the_join_when_every_slope_is_distinct(monkeypatch):
     inst = random_instance(2147483647, 2000, 2000, seed=8)
     assert set(np.diff(inst.slope_runs[1]).tolist()) == {1}
     calls = []
-    join = inc._join_count
-    monkeypatch.setattr(inc, "_join_count", lambda *args: calls.append(args) or join(*args))
+    join = inc._count_hash_join
+    monkeypatch.setattr(inc, "_count_hash_join", lambda *args: calls.append(args) or join(*args))
     expected = count_incidences(inst, "hash_join")
     assert len(calls) == 1
     assert count_incidences(inst, "auto") == expected == count_incidences(inst, "naive")
@@ -344,6 +342,7 @@ def test_hash_join_numpy_fallback_agrees(monkeypatch):
     # so each of the 49 points is probed against each of the 49 lines
     count, stats = count_incidences(full_plane(7), stats=True)
     assert (count, stats.side, stats.backend, stats.backend_reason) == (392, "slope", "numpy", "forced")
+    assert stats.cost == {"slope": 49 * 8, "column": 56 * 8}
     assert stats.probes == {"flat": 2401, "bitmap": 0, "binary_search": 0, "mask": 0}
     assert stats.seconds["split"] == 0
     # plain ints, so that count --stats can print them
@@ -474,11 +473,12 @@ def collinear_backend(request, monkeypatch):
     return request.param
 
 
-def multi_count(lib, p, item_a, item_b, keys, offs, vals, bitmap):
-    """lib.multi over the given groups, with a scratch bitmap or without one
-    (every group then goes to the binary search)."""
+def probe_count(lib, p, items, probes, column, bitmap):
+    """lib.probe of the sorted key columns items and probes, with a scratch
+    bitmap or without one (every group past the flat limit then goes to the
+    binary search)."""
     bits = np.zeros(-(-p // 64), np.uint64) if bitmap else None
-    count = lib.multi(item_a, item_b, item_a.size, keys, offs, keys.size, vals, p,
+    count = lib.probe(items, items.size, probes, probes.size, p, column,
                       None if bits is None else bits.ctypes.data)
     assert bits is None or not bits.any()  # the scratch bitmap is left zeroed
     return count
@@ -516,32 +516,35 @@ def test_bitmap_threshold_groups_match_naive():
     expected = count_incidences(inst, "naive")
     assert expected >= 4 * 32
     assert count_incidences(inst, "hash_join") == expected
-    px, py = inst.xy
-    lt = inst.line_columns[1]
     for g in range(keys.size):
-        args = (lib, p, px, py, keys[g:g + 1], offs[g:g + 2] - offs[g], lt[offs[g]:offs[g + 1]])
-        assert multi_count(*args, bitmap=True) == multi_count(*args, bitmap=False)
+        args = (lib, p, inst.point_keys, inst.line_keys[offs[g]:offs[g + 1]], False)
+        assert probe_count(*args, bitmap=True) == probe_count(*args, bitmap=False)
 
 
 @pytest.mark.parametrize("bitmap", [False, True])
 def test_multi_reduction_exact_at_largest_p(bitmap):
-    # p = 2^31 - 1: b + s*(p - a) comes within p of p^2; the scratch bitmap
-    # stays unused since no group reaches 64*size >= p
+    # p = 2^31 - 1: item keys come within 1 of p^2 and s*a within 2p of p^2;
+    # the scratch bitmap stays unused since no group reaches 64*size >= p.
+    # Three groups are searched and one, of 5 values, is flat
     lib = compiled_kernels()
     p = 2**31 - 1
     stream = SeededStream(5)
-    a = np.array([p - 1, p - 2, 0, 1, 2] + [stream.below(p) for _ in range(195)], dtype=np.int64)
-    b = np.array([p - 1, 0, p - 1, p - 2, 1] + [stream.below(p) for _ in range(195)], dtype=np.int64)
-    keys = np.array([p - 1, 1, p // 2], dtype=np.int64)
-    # each group: the residues of every third item and the 40 largest residues
-    groups = [sorted({(int(y) - s * int(x)) % p for x, y in zip(a[::3], b[::3])}
-                     | {p - 1 - k for k in range(40)}) for s in keys.tolist()]
-    offs = np.cumsum([0] + [len(g) for g in groups]).astype(np.int64)
-    vals = np.array([v for g in groups for v in g], dtype=np.int64)
-    expected = sum((int(y) - s * int(x)) % p in set(g)
-                   for s, g in zip(keys.tolist(), groups) for x, y in zip(a.tolist(), b.tolist()))
-    assert expected >= 3 * 67
-    assert multi_count(lib, p, a, b, keys, offs, vals, bitmap) == expected
+    a = [p - 1, p - 2, 0, 1, 2] + [stream.below(p) for _ in range(195)]
+    b = [p - 1, 0, p - 1, p - 2, 1] + [stream.below(p) for _ in range(195)]
+    items = np.unique(np.array(a, dtype=np.int64) * p + np.array(b, dtype=np.int64))
+    a, b = (c.tolist() for c in np.divmod(items, p))
+    for column in (False, True):
+        def key(g):  # the group key s of the probes g*p + v
+            return (p - g) % p if column else g
+        # three searched groups, each the residues of every third item and
+        # the 40 largest residues, and one flat group of the 5 smallest
+        groups = {g: {(y - key(g) * x) % p for x, y in zip(a[::3], b[::3])} | set(range(p - 40, p))
+                  for g in (1, p // 2, p - 1)}
+        groups[7] = set(range(5))
+        probes = np.array(sorted(g * p + v for g, vals in groups.items() for v in vals), dtype=np.int64)
+        expected = sum((y - key(g) * x) % p in vals for g, vals in groups.items() for x, y in zip(a, b))
+        assert expected >= 3 * 67
+        assert probe_count(lib, p, items, probes, column, bitmap) == expected
 
 
 def test_kernel_source_compiles_without_warnings():
@@ -748,7 +751,7 @@ def test_naive_never_runs_the_join(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the naive engine ran the join")
 
-    for name in ("richness_histograms", "_join_count", "_count_hash_join", "_group_degrees"):
+    for name in ("richness_histograms", "_load_backend", "_count_hash_join", "_group_degrees"):
         monkeypatch.setattr(inc, name, fail)
     assert count_incidences(full_plane(5), "naive") == 150
     assert count_incidences(full_plane(5), "naive", stats=True)[0] == 150
@@ -784,27 +787,111 @@ def test_count_stats(engine):
 
 
 def test_count_builds_only_the_chosen_sides_runs():
-    # the cost model counts slopes and x-columns in one comparison pass each
+    # the C kernels read the key columns and build no coordinate view; the
+    # numpy fallback counts slopes and x-columns in one comparison pass each
     p = 31
-    columns = keyed(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)],
-                    [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)])
-    for inst, side, unbuilt in ((full_plane(7), "slope", "column_runs"), (columns, "column", "slope_runs")):
-        _, stats = count_incidences(inst, stats=True)
+    points = [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)]
+    columns = keyed(make_modulus(p), points, [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)])
+    vertical_only = keyed(make_modulus(p), points, [AffineLine(None, x, p) for x in (0, 2, 9)])
+    views = {"xy", "line_columns", "slope_runs", "column_runs"}
+    for inst, side, unbuilt in ((full_plane(7), "slope", "column_runs"), (columns, "column", "slope_runs"),
+                                (vertical_only, "column", "slope_runs")):
+        count, stats = count_incidences(inst, stats=True)
         assert stats.side == side and unbuilt not in vars(inst)
+        if stats.backend == "c":
+            assert not views & set(vars(inst))
+        assert count == count_incidences(inst, "naive")
+    assert count_incidences(vertical_only) == 2 * p
 
 
-def test_split_probes_passes_the_values_of_flat_groups_through():
-    # all groups flat, as on sparse inputs: no copy of the value column
-    keys, offs, vals = np.array([3, 5, 8]), np.array([0, 1, 3, 4]), np.array([7, 1, 2, 9])
-    f_keys, f_vals, b_keys, b_offs, b_vals = _split_probes(keys, offs, vals)
-    assert f_vals is vals and f_keys.tolist() == [3, 5, 5, 8]
-    assert b_keys.size == b_vals.size == 0 and b_offs.tolist() == [0]
-    # one group past _FLAT_GROUP_MAX goes to the searched path
-    big = np.arange(_FLAT_GROUP_MAX + 1)
-    f_keys, f_vals, b_keys, b_offs, b_vals = _split_probes(
-        np.array([3, 4]), np.array([0, 1, 2 + _FLAT_GROUP_MAX]), np.concatenate([[7], big]))
-    assert (f_keys.tolist(), f_vals.tolist()) == ([3], [7])
-    assert b_keys.tolist() == [4] and b_offs.tolist() == [0, big.size] and np.array_equal(b_vals, big)
+def test_count_traces_little_memory_above_the_keys():
+    # the kernels keep their scratch on the stack (tracemalloc sees only
+    # numpy's allocations): the count holds no views and no probe split
+    import tracemalloc
+    if kernel_backend()[0] != "c":
+        pytest.skip("the C kernels are not available")
+    for inst in (full_plane(151), random_instance(1048573, 10**4, 10**4, seed=1)):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            count_incidences(inst)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+
+def test_kernel_plan_classifies_groups():
+    # groups of at most 32 keys are flat, larger ones go to the bitmap when
+    # 64*size >= p and to the binary search otherwise; a group's end is
+    # scanned up to 32 keys and searched past them
+    lib = compiled_kernels()
+    p = 4099
+    sizes = {0: 33, 5: 1, 6: 32, 7: 65, 8: 2, p - 1: 64, p: 3}
+    keys = np.array([g * p + v for g, size in sizes.items() for v in range(p - size, p)], dtype=np.int64)
+    for column in (keys, keys[:-3], keys[33:-3], keys[:0]):
+        plan = np.empty(4, np.int64)
+        lib.plan(column, column.size, p, plan)
+        counts = np.unique(column // p, return_counts=True)[1]
+        flat = counts <= 32
+        assert plan.tolist() == [counts.size, int(counts[flat].sum()), int(np.count_nonzero(64 * counts >= p)),
+                                 int(np.count_nonzero(~flat & (64 * counts < p)))]
+    lib.plan(keys, keys.size, p, plan)
+    assert plan.tolist() == [7, 38, 1, 2]
+
+
+def edge_instances(p, size):
+    """Instances over p whose keys decode to the residues 0, 1, p - 2 and
+    p - 1, with groups of the given size: by slope, lines of slopes 0 and
+    p - 1 against points in many columns; by column, points in the columns
+    0, 1, p - 2 and p - 1 against lines of many slopes.  Both hold the
+    largest sloped key p^2 - 1 and the vertical lines at 0 and p - 1."""
+    mod = make_modulus(p)
+    edge = (0, 1, p - 2, p - 1)
+    values = sorted(set(range(size // 2)) | set(range(p - size + size // 2, p)))
+    points = [AffinePoint(x, y, p) for x in edge for y in edge] + [AffinePoint(x, x, p) for x in range(2, 70)]
+    lines = [AffineLine(s, t, p) for s in (0, p - 1) for t in values] + [AffineLine(None, x0, p) for x0 in (0, p - 1)]
+    by_slope = keyed(mod, points, lines)
+    points = [AffinePoint(x, y, p) for x in edge for y in values]
+    lines = ([AffineLine(s, t, p) for s in (0, p - 1) for t in (0, p - 1)] + [AffineLine(s, 0, p) for s in range(1, 70)]
+             + [AffineLine(None, x0, p) for x0 in (0, p - 1)])
+    return by_slope, keyed(mod, points, lines)
+
+
+@pytest.mark.parametrize("p, size, path", [(2**31 - 1, 2, "flat"), (2**31 - 1, 40, "binary_search"),
+                                           (1048573, 16384, "bitmap")])
+def test_key_decoding_at_the_edge_of_the_field(p, size, path):
+    # a bitmap group needs 64*size >= p, 2^25 keys at p = 2^31 - 1, so the
+    # bitmap path decodes the same edge residues at p = 1048573
+    if kernel_backend()[0] != "c":
+        pytest.skip("the C kernels are not available")
+    for inst, side in zip(edge_instances(p, size), ("slope", "column")):
+        assert p * p - 1 in inst.line_keys and p * p + p - 1 in inst.line_keys
+        count, stats = count_incidences(inst, stats=True)
+        assert stats.side == side and stats.probes[path] > 0
+        assert sum(stats.probes.values()) == stats.probes[path]
+        assert count == count_incidences(inst, "naive") > 0
+
+
+@pytest.mark.parametrize("p", [7, 31, 37, 151])
+def test_full_plane_probes_in_closed_form(p):
+    # p^2 points against p slope classes of p intercepts: p^4 flat probes
+    # up to the flat limit of 32, p^3 bit tests past it
+    if kernel_backend()[0] != "c":
+        pytest.skip("the C kernels are not available")
+    _, stats = count_incidences(full_plane(p), stats=True)
+    path, probes = ("flat", p**4) if p <= 32 else ("bitmap", p**3)
+    assert stats.side == "slope"
+    assert stats.probes == {"flat": 0, "bitmap": 0, "binary_search": 0, "mask": 0, path: probes}
+
+
+def test_elekes_probes_its_columns_by_binary_search():
+    if kernel_backend()[0] != "c":
+        pytest.skip("the C kernels are not available")
+    count, stats = count_incidences(elekes_construction(60, 12, 100003), stats=True)
+    assert (count, stats.side) == (518400, "column")
+    assert stats.cost == {"slope": 1123200, "column": 527040}
+    assert stats.probes == {"flat": 0, "bitmap": 0, "binary_search": 518400, "mask": 0}
 
 
 def test_count_stats_paths_of_the_c_kernels():
