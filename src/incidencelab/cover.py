@@ -40,7 +40,7 @@ from .errors import (
     InvalidParameterError,
     NoIncidencesError,
 )
-from .incidence import incidence_degrees, richness_histograms
+from .incidence import incidence_degrees, join_cost, richness_histograms
 from .plane import (
     AffinePoint,
     Instance,
@@ -319,11 +319,10 @@ _PASS_CELLS = 4
 def _recheck_side(inst: Instance) -> str:
     """The side of :func:`_point_degrees` with the fewest (item, group)
     pairs, or "masks" when that side costs about the m*n mask cells."""
-    by_slope = inst.m * (inst.slope_runs[0].size + 1)
-    by_column = inst.n * (inst.column_runs[0].size + 1)
-    if _PASS_CELLS * min(by_slope, by_column) >= inst.m * inst.n:
+    cost = join_cost(inst)
+    if _PASS_CELLS * min(cost.values()) >= inst.m * inst.n:
         return "masks"
-    return "slope" if by_slope <= by_column else "column"
+    return "slope" if cost["slope"] <= cost["column"] else "column"
 
 
 def _point_degrees(inst: Instance, side: str) -> np.ndarray:

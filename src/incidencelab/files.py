@@ -17,15 +17,14 @@ with A and lines nonempty and B optional.
 Every reader below raises ParseError on a malformed file, so the CLI exits
 2 with one error line.  JSON true and false are not integers anywhere in
 these files.  write_instance emits the canonical compact form in one
-encode, and read_instance scans that form straight into the key columns:
-one anchored regex, whose spans give the number of sloped lines, vertical
-lines and points, then every integer of the file, in file order, parsed
-into one int64 column in chunks of about 64 KiB, where the keys are
-computed.  The file's bytes are dropped before the Instance is built, and
-the keys, which ascend in such a file, are not sorted again.  Any other
-file, or one whose p or values fail their check, goes through json.loads
-and the per-entry check, which names the first bad entry;
-read_energy_input always does.
+encode, and read_instance streams that form straight into the key columns:
+it reads the file in pieces of 64 KiB and matches each section of the form
+(head, sloped lines, vertical lines, p, points, tail) with a regex of its
+own, and the complete entries of each piece are keyed at once, so the read
+holds the keys and no copy of the file.  The keys, which ascend in such a
+file, are not sorted again.  Any other file, or one whose p or values fail
+their check, goes through json.loads and the per-entry check, which names
+the first bad entry; read_energy_input always does.
 
 This is the only file layer a count loads: the 3D reader builds its
 instance through the energy module, which runs on first use (see
@@ -34,6 +33,7 @@ __init__).
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import warnings
@@ -63,9 +63,10 @@ def _require(cond, message):
 
 
 # ---------------------------------------------------------------------------
-# Input files.  An instance file may hold 10^5 entries: read_instance scans
-# write_instance's compact form without building a JSON object tree, and
-# only any other file goes through json.loads and the per-entry check
+# Input files.  An instance file may hold 10^5 entries: read_instance streams
+# write_instance's compact form into the key columns in pieces, with no JSON
+# object tree and no copy of the file, and only any other file goes through
+# json.loads and the per-entry check
 # ---------------------------------------------------------------------------
 
 def _read_text(path, raw: bytes | None = None) -> str:
@@ -168,66 +169,94 @@ _INT = rb"(?:[1-9][0-9]{0,9}+|0)"
 _SLOPED = rb'\{"kind":"sl","s":%s,"t":%s\}' % (_INT, _INT)
 _VERTICAL = rb'\{"kind":"v","x":%s\}' % _INT
 _POINT = rb"\[%s,%s\]" % (_INT, _INT)
-_COMPACT = re.compile(
-    rb'\{"lines":\[((?:%(s)s(?:,%(s)s)*+(?:,%(v)s)*+|%(v)s(?:,%(v)s)*+)?+)\],'
-    rb'"p":(%(int)s),"points":\[((?:%(pt)s(?:,%(pt)s)*+)?+)\]\}\n?+'
-    % {b"s": _SLOPED, b"v": _VERTICAL, b"int": _INT, b"pt": _POINT})
+
+
+def _run(entry: bytes) -> re.Pattern:
+    """A run of entries, each after a comma but a list's first: group 1 is
+    the comma before the run's first entry, if any."""
+    return re.compile(rb"(,?)%s(?:,%s)*+" % (entry, entry))
+
+
+# the sections of the form, in file order.  A scan stays in a run of entries
+# until a later section matches, and the tail must end the file
+_SECTIONS = (
+    re.compile(rb'\{"lines":\['),
+    _run(_SLOPED),
+    _run(_VERTICAL),
+    re.compile(rb'\],"p":(%s),"points":\[' % _INT),
+    _run(_POINT),
+    re.compile(rb"\]\}\n?+"),
+)
+_HEAD, _SLOPED_RUN, _VERTICAL_RUN, _SEPARATOR, _POINT_RUN, _TAIL = range(len(_SECTIONS))
+_RUNS = (_SLOPED_RUN, _VERTICAL_RUN, _POINT_RUN)
 # every byte but a digit becomes a space
 _DIGITS = bytes(b if 0x30 <= b <= 0x39 else 0x20 for b in range(256))
-# bytes parsed at a time: a chunk and its translated copy are all of the
-# file's text that the scan adds to the file's own bytes
+# bytes read at a time; an entry cut at the end of a piece waits in a carry
+# for the next one
 _CHUNK = 1 << 16
+# the longest entry with its comma takes 44 bytes and the separator 27, so
+# a carry this long that matches no section never will
+_CARRY = 64
+# the key of a sloped line (s, t) is held as s * 2^_SHIFT + t until p is read
+_SHIFT = 31
 
 
-def _parse_integers(raw: bytes, count: int) -> np.ndarray | None:
-    """The count integers of raw, in file order, as one int64 column, or
-    None if raw holds another number of them.  raw is parsed in chunks of
-    about _CHUNK bytes, each cut at a byte that is not a digit."""
-    column = np.empty(count, dtype=np.int64)
-    filled = lo = 0
-    while lo < len(raw):
-        hi = lo + _CHUNK
-        while hi < len(raw) and 0x30 <= raw[hi] <= 0x39:
-            hi += 1
-        text = raw[lo:hi].translate(_DIGITS)
-        lo = hi
-        if text.isspace():
-            continue  # np.fromstring reads blank text as one 0
-        values = np.fromstring(text, dtype=np.int64, sep=" ")
-        if filled + values.size > count:
-            return None
-        column[filled:filled + values.size] = values
-        filled += values.size
-    return column if filled == count else None
-
-
-def _scan_instance(raw: bytes) -> tuple[PrimeModulus, np.ndarray, np.ndarray] | None:
+def _scan_instance(fh) -> tuple[PrimeModulus, np.ndarray, np.ndarray] | None:
     """(modulus, point keys, line keys) of a file in the compact form with a
-    prime p and every value below p, else None.  The file's integers are
-    parsed into one column, and the keys are computed in it."""
-    match = _COMPACT.fullmatch(raw)
-    if match is None:
-        return None
-    try:
-        modulus = make_modulus(int(match[2]))
-    except (CompositeModulusError, OutOfRangeError):
-        return None
-    p = modulus.p
-    # the file's integers: s and t of each sloped line, x of each vertical
-    # one, p, then x and y of each point
-    sloped = raw.count(b'"sl"', *match.span(1))
-    at_p = 2 * sloped + raw.count(b'"v"', *match.span(1))
-    column = _parse_integers(raw, at_p + 1 + 2 * raw.count(b"[", *match.span(3)))
-    if column is None or column[at_p] != p:
-        return None
-    st, vertical, xy = column[:2 * sloped], column[2 * sloped:at_p], column[at_p + 1:]
-    if max(st.max(initial=0), vertical.max(initial=0), xy.max(initial=0)) >= p:
-        return None
-    for pairs in (st, xy):
-        pairs[0::2] *= p
-        pairs[0::2] += pairs[1::2]
-    vertical += p * p
-    return modulus, xy[0::2], np.concatenate((st[0::2], vertical))
+    prime p and every value below p, else None.  The binary handle fh is
+    read in pieces of _CHUNK bytes, and the complete entries of each piece
+    are keyed at once: no copy of the file and no column of all its
+    integers is built."""
+    sloped, vertical, points = [], [], []  # the keyed pieces of each list
+    buf, pos, eof = b"", 0, False
+    section, first = _HEAD, True  # first: no entry yet in the current list
+    while True:
+        for at in range(section, len(_SECTIONS)):
+            match = _SECTIONS[at].match(buf, pos)
+            if match or at not in _RUNS:
+                break
+        if match is None or at == _TAIL and not (eof and match.end() == len(buf)):
+            if eof or len(buf) - pos >= _CARRY:
+                return None
+            piece = fh.read(_CHUNK)
+            buf, pos, eof = buf[pos:] + piece, 0, not piece
+            continue
+        pos, section = match.end(), at if at in _RUNS else at + 1
+        if at == _TAIL:
+            return modulus, np.concatenate([*points, np.empty(0, np.int64)]), lines
+        if at in _RUNS:
+            if bool(match[1]) == first:
+                return None  # a comma before a list's first entry, or none between two
+            first = False
+            values = np.fromstring(match[0].translate(_DIGITS), dtype=np.int64, sep=" ")
+            if at == _VERTICAL_RUN:
+                vertical.append(values)
+            elif values.max() >= (p if at == _POINT_RUN else 1 << _SHIFT):
+                return None  # a value of 2^31 or more is at least any p
+            elif at == _POINT_RUN:
+                points.append(values[0::2] * p + values[1::2])
+            else:
+                sloped.append(values[0::2] << _SHIFT | values[1::2])
+        elif at == _SEPARATOR:
+            try:
+                modulus = make_modulus(int(match[1]))
+            except (CompositeModulusError, OutOfRangeError):
+                return None
+            p, first = modulus.p, True
+            for keys in sloped:
+                t = keys & ((1 << _SHIFT) - 1)
+                keys >>= _SHIFT
+                if max(keys.max(), t.max()) >= p:
+                    return None
+                keys *= p
+                keys += t
+            for keys in vertical:
+                if keys.max() >= p:
+                    return None
+                keys += p * p
+            lines = np.concatenate([*sloped, *vertical, np.empty(0, np.int64)])
+            sloped.clear()
+            vertical.clear()
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -239,15 +268,17 @@ def instance_to_dict(inst: Instance) -> dict:
 def read_instance(path) -> Instance:
     """Read an instance file, deduplicating with a warning on duplicates."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    scanned = _scan_instance(raw)
+        # a pipe cannot seek back for the JSON path, so it is read whole
+        source = fh if fh.seekable() else io.BytesIO(fh.read())
+        scanned = _scan_instance(source)
+        if scanned is None:
+            source.seek(0)
+            data = _load_json(path, _read_text(path, source.read()))
     if scanned is None:
-        data = _load_json(path, _read_text(path, raw))
         modulus = _modulus(data, "points", "lines")
         p = modulus.p
         points = np.array([_point_key(entry, p, i) for i, entry in enumerate(data["points"])], dtype=np.int64)
         scanned = modulus, points, _line_keys(data["lines"], p)
-    del raw  # the key columns hold all of the file that the instance needs
     modulus, point_keys, line_keys = scanned
     inst = Instance(modulus, point_keys=point_keys, line_keys=line_keys)
     if inst.m < point_keys.size or inst.n < line_keys.size:

@@ -176,17 +176,26 @@ def kernel_backend() -> tuple[str, str]:
     return ("c", "") if backend.lib is not None else ("numpy", backend.reason)
 
 
+def join_cost(inst: Instance) -> dict:
+    """The (item, group) pairs of each side of the join: each point against
+    each slope class ("slope") or each line against each x-column
+    ("column"), from the runs of key // p in the two key columns, so that no
+    view of inst is built."""
+    p, lines = inst.p, inst.line_keys
+    slopes = run_count(lines[:np.searchsorted(lines, p * p)] // p)
+    return {"slope": inst.m * (slopes + 1), "column": inst.n * (run_count(inst.point_keys // p) + 1)}
+
+
 def _join_groups(inst: Instance):
     """(side, cost, groups) of the join of the points of inst with its
-    non-vertical lines: cost holds the (item, group) pairs of each side, and
-    groups the arguments (item_a, item_b, keys, offs, vals) of the cheaper
-    one, each point against each slope class's intercepts ("slope") or each
-    non-vertical line against each column's y-values ("column"), for the
-    numpy join.  The cost counts the slopes and the x-columns in one
-    comparison pass each, and only the chosen side's runs are built."""
+    non-vertical lines: cost is :func:`join_cost`, and groups the arguments
+    (item_a, item_b, keys, offs, vals) of the cheaper side, each point
+    against each slope class's intercepts ("slope") or each non-vertical
+    line against each column's y-values ("column"), for the numpy join.
+    Only the chosen side's runs are built."""
+    cost = join_cost(inst)
     px, py = inst.xy
     s, t, _ = inst.line_columns
-    cost = {"slope": inst.m * (run_count(s) + 1), "column": inst.n * (run_count(px) + 1)}
     if cost["slope"] <= cost["column"]:
         return "slope", cost, (px, py, *inst.slope_runs, t)
     # y = s*x + t  <=>  t - (-x)*s = y (mod p)
@@ -247,7 +256,7 @@ class CountStats(NamedTuple):
     engine is the engine that ran, "hash_join" or "naive".  side is the
     side the join probed: "slope" (each point against each slope class's
     intercepts) or "column" (each non-vertical line against each column's
-    y-values); None for naive.  cost holds the :func:`_join_groups` estimate
+    y-values); None for naive.  cost holds the :func:`join_cost` estimate
     of each side in (item, group) pairs.  probes counts the (item, probe)
     tests actually issued per path: "flat", "bitmap" and "binary_search" of
     the C kernels (on the numpy backend :func:`_group_degrees` counts each
@@ -296,7 +305,7 @@ def count_incidences(inst: Instance, engine: str = "auto", *, stats: bool = Fals
     if not stats:
         return count
     if engine == "naive":
-        record["cost"] = _join_groups(inst)[1]
+        record["cost"] = join_cost(inst)
         backend = ("numpy", "the naive engine runs numpy masks")
     else:
         engine, backend = "hash_join", kernel_backend()

@@ -537,6 +537,20 @@ def test_recheck_reaches_each_side_and_the_masks():
             assert verify_certificate(inst, grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))).passed
 
 
+def test_verify_certificate_builds_only_the_recheck_sides_runs():
+    # the re-check prices both sides from the key columns and builds the
+    # runs of the side it walks, on an instance the cover never read
+    plane = full_plane(13)
+    column = Instance(plane.modulus, point_keys=plane.point_keys, line_keys=[s * 13 + 2 * s for s in range(13)])
+    for inst, side, unbuilt in ((plane, "slope", "column_runs"), (column, "column", "slope_runs")):
+        cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
+        fresh = Instance(inst.modulus, point_keys=inst.point_keys, line_keys=inst.line_keys)
+        assert _recheck_side(fresh) == side
+        assert not {"slope_runs", "column_runs"} & set(vars(fresh))
+        assert verify_certificate(fresh, cert).passed
+        assert unbuilt not in vars(fresh)
+
+
 def test_verify_certificate_detects_grid_outside_regular_set():
     inst, cert = _full_plane_cover()
     part = cert.partition

@@ -14,6 +14,7 @@ from incidencelab.incidence import (
     CountStats,
     count_incidences,
     incidence_degrees,
+    join_cost,
     kernel_backend,
     max_collinear_3d,
     richness_histograms,
@@ -802,6 +803,26 @@ def test_count_builds_only_the_chosen_sides_runs():
             assert not views & set(vars(inst))
         assert count == count_incidences(inst, "naive")
     assert count_incidences(vertical_only) == 2 * p
+
+
+def test_join_cost_reads_the_key_columns():
+    # the same (item, group) pairs as the slopes and x-columns of the views,
+    # and a naive stats count builds none of the views it does not read
+    p = 31
+    points = [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)]
+    cases = [full_plane(7), random_instance(1009, 300, 200, seed=2),
+             keyed(make_modulus(p), points, [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)]),
+             keyed(make_modulus(p), points, [AffineLine(None, x, p) for x in (0, 2, 9)]),
+             keyed(make_modulus(p), [], [AffineLine(1, 2, p)])]
+    for inst in cases:
+        s, px = inst.line_columns[0], inst.xy[0]
+        want = {"slope": inst.m * (np.unique(s).size + 1), "column": inst.n * (np.unique(px).size + 1)}
+        fresh = Instance(inst.modulus, point_keys=inst.point_keys, line_keys=inst.line_keys)
+        assert join_cost(fresh) == want and not vars(fresh).keys() - {"modulus", "point_keys", "line_keys"}
+    inst = full_plane(7)
+    count, stats = count_incidences(inst, "naive", stats=True)
+    assert stats.cost == {"slope": 49 * 8, "column": 56 * 8}
+    assert not {"line_columns", "slope_runs", "column_runs"} & set(vars(inst))
 
 
 def test_count_traces_little_memory_above_the_keys():

@@ -5,7 +5,9 @@ per-entry reference loop."""
 
 import io
 import json
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -134,6 +136,17 @@ def repeated_entry(doc, p, i):
     return doc[:at.end()] + b"," + at.group() + doc[at.end():]
 
 
+def truncated_inside_an_entry(doc, p, i):
+    # cut outside the strings, and the final newline stays, so the spaced
+    # copy fails at the same place
+    entries = list(re.finditer(rb'\[[0-9]+,[0-9]+\]|\{"kind"[^}]*\}', doc))
+    if not entries:
+        return doc[:1] + b"\n"
+    at = entries[i % len(entries)]
+    cuts = [k for k in range(at.start() + 1, at.end()) if doc.count(b'"', at.start(), k) % 2 == 0]
+    return doc[:cuts[i % len(cuts)]] + b"\n"
+
+
 def with_p(new):
     return lambda doc, p, i: doc.replace(b'"p":%d,' % p, b'"p":%d,' % new, 1)
 
@@ -141,6 +154,7 @@ def with_p(new):
 MUTATIONS = {
     "leading zero": replace_value(lambda p, v: b"0" + v),
     "11-digit value": replace_value(lambda p, v: b"12345678901"),
+    "ten-digit value above 2^33": replace_value(lambda p, v: b"9999999999"),
     "2^64 + 1": replace_value(lambda p, v: b"%d" % (2**64 + 1)),
     "value equal to p": replace_value(lambda p, v: b"%d" % p),
     "p >= 2^31": with_p(2**31),
@@ -151,13 +165,19 @@ MUTATIONS = {
     "not UTF-8": replace_value(lambda p, v: b"\xff"),
     "vertical lines before sloped ones": vertical_first,
     "trailing comma": insert_before(rb'\](?=,"p"|\}\n)', b","),
+    "leading comma": lambda doc, p, i: re.sub(rb'(?<=\[)(?=[\[{])', b",", doc, count=1),
+    "no comma between entries": lambda doc, p, i: re.sub(rb'(?<=[\]}]),(?=[\[{])', b"", doc, count=1),
     "repeated key inside an entry": insert_before(rb'"[stx]":', b'"kind":"zz",'),
     "repeated value key inside an entry": lambda doc, p, i: re.sub(rb'"([stx])":', rb'"\1":0,"\1":', doc, count=1),
     "repeated entry": repeated_entry,
     "CRLF": lambda doc, p, i: doc[:-1] + b"\r\n",
+    "truncated inside an entry": truncated_inside_an_entry,
+    "bytes after the final newline": lambda doc, p, i: doc + (b"\n", b"0\n", b"]}\n")[i % 3],
+    "head only": lambda doc, p, i: b'{"lines":[\n',
+    "empty file": lambda doc, p, i: b"",
 }
 # id -> (modulus or None for any of PRIMES, document shape, mutation or
-# None, bytes per parse chunk or None for files._CHUNK)
+# None, bytes per read or None for files._CHUNK)
 SCAN_CASES = {
     "compact": (None, "random", None, None),
     "empty points": (None, "no points", None, None),
@@ -173,14 +193,20 @@ SCAN_CASES = {
     "several chunks": (None, "random", None, 13),
     "several chunks, vertical lines only": (None, "vertical only", None, 11),
     "several chunks, value equal to p": (None, "random", "value equal to p", 16),
+    # every cut of the head, of each entry kind, of the separator and of
+    # the tail, on ten-digit values
+    **{f"chunks of {chunk} bytes": (2**31 - 1, "several entries", None, chunk) for chunk in (1, 2, 3, 5, 13, 64)},
+    "chunks of 3 bytes, truncated inside an entry": (None, "random", "truncated inside an entry", 3),
+    "chunks of 2 bytes, bytes after the final newline": (None, "random", "bytes after the final newline", 2),
 }
 
 
 @st.composite
 def scan_documents(draw, p, shape):
     p = p or draw(st.sampled_from(PRIMES))
-    m = 0 if shape in ("no points", "empty") else draw(st.integers(1, 300))
-    n = 0 if shape in ("no lines", "empty") else draw(st.integers(1, 300))
+    least = 10 if shape == "several entries" else 1
+    m = 0 if shape in ("no points", "empty") else draw(st.integers(least, 300))
+    n = 0 if shape in ("no lines", "empty") else draw(st.integers(least, 300))
     vertical = n if shape == "vertical only" else draw(st.integers(0, 20))
     return p, streamed_bytes(keys(draw, m, p * p), keys(draw, n, p * p + p, vertical, p), p)
 
@@ -199,21 +225,26 @@ def read_outcome(path):
     return result, counts
 
 
+def scan(doc):
+    return files._scan_instance(io.BytesIO(doc))
+
+
 @pytest.mark.parametrize("p, shape, mutation, chunk", SCAN_CASES.values(), ids=SCAN_CASES.keys())
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_scan_and_json_path_agree(doc_path, p, shape, mutation, chunk, data):
     p, compact = data.draw(scan_documents(p, shape))
     doc = compact if mutation is None else MUTATIONS[mutation](compact, p, data.draw(st.integers(0, 10**6)))
-    spaced = doc[:-1] + b" \n"
+    # an empty file has no final newline to space
+    spaced = doc[:-1] + b" \n" if doc else doc
     with pytest.MonkeyPatch.context() as mp:
         if chunk is not None:
             assert len(doc) > 2 * chunk
             mp.setattr(files, "_CHUNK", chunk)
         # the scan takes the compact form with its values below a prime p,
         # and only that
-        assert (files._scan_instance(doc) is None) == (doc != compact and mutation != "repeated entry")
-        assert files._scan_instance(spaced) is None
+        assert (scan(doc) is None) == (doc != compact and mutation != "repeated entry")
+        assert scan(spaced) is None
         # one path for both, as the JSON path's messages name the file
         outcomes = []
         for text in (doc, spaced):
@@ -222,16 +253,93 @@ def test_scan_and_json_path_agree(doc_path, p, shape, mutation, chunk, data):
     assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
-def test_parse_integers_checks_the_count(chunk):
-    # the scan falls back to the JSON path on any other count
-    text = b'{"a":[10,2],"b":345,"c":[[6,78]]}'
+def test_every_chunk_size_gives_the_same_keys():
+    # each cut of a small document with both kinds of line and points: an
+    # entry, the head, the separator or the tail split over two reads
+    p = 1009
+    point_keys, line_keys = [0, 5, 1009 * 7 + 1008, p * p - 1], [3, 1009 * 1008, p * p + 4, p * p + p - 1]
+    doc = streamed_bytes(point_keys, line_keys, p)
+    assert len(doc) > 70
+    for chunk in range(1, 71):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(files, "_CHUNK", chunk)
+            modulus, points, lines = scan(doc)
+        assert (modulus.p, points.tolist(), lines.tolist()) == (p, point_keys, line_keys), chunk
+
+
+class ReadSizes(io.RawIOBase):
+    """A binary handle over bytes that records the size of every read."""
+
+    def __init__(self, data):
+        self.data, self.sizes = io.BytesIO(data), []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return self.data.read(size)
+
+
+def test_scan_reads_at_most_a_chunk_at_a_time():
+    rng = np.random.default_rng(5)
+    p = 2**31 - 1
+    doc = streamed_bytes(rng.integers(0, p * p, 4000).tolist(), rng.integers(0, p * p + p, 4000).tolist(), p)
+    assert len(doc) > 3 * files._CHUNK
+    # a file that leaves the compact form ends its scan where it does: at
+    # its end, at its middle, or in the first piece
+    for text, reads in ((doc, None), (doc[:-1] + b" \n", None), (doc[:len(doc) // 2], None),
+                        (doc[:10] + b" " + doc[10:], 1)):
+        handle = ReadSizes(text)
+        files._scan_instance(handle)
+        assert all(size is not None and 0 < size <= files._CHUNK for size in handle.sizes)
+        assert len(handle.sizes) <= (reads or -(-len(text) // files._CHUNK) + 1)
+
+
+def test_read_peak_follows_the_key_columns(tmp_path):
+    # at acceptance-9 scale the read holds the keys, its pieces of them and
+    # the instance's own copy, never the file or a column of its integers
+    import tracemalloc
+    rng = np.random.default_rng(9)
+    p = 1048573
+    inst = Instance(make_modulus(p), point_keys=rng.integers(0, p * p, 10**5),
+                    line_keys=np.append(rng.integers(0, p * p, 10**5 - 100), p * p + np.arange(100)))
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    tracemalloc.start()
+    try:
+        assert read_instance(path) == inst
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (inst.point_keys.nbytes + inst.line_keys.nbytes)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("form", ["compact", "spaced", "malformed"])
+def test_read_instance_takes_a_pipe(tmp_path, form):
+    # a pipe cannot seek or be read twice: the same instance or error as
+    # the same bytes in a regular file, from one open of the path
+    doc = streamed_bytes([1, 5, 13], [2, 7, 9 * 9 + 4], 9 if form == "malformed" else 11)
+    doc = {"compact": doc, "spaced": doc[:-1] + b" \n", "malformed": doc}[form]
+    regular, pipe = tmp_path / "regular.json", tmp_path / "pipe.json"
+    regular.write_bytes(doc)
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_bytes, args=(doc,), daemon=True)
+    writer.start()
+    opened = []
+
+    def open_once(file, *args, **kwargs):
+        assert not opened, "the path was opened twice"
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(files, "_CHUNK", chunk)
-        assert files._parse_integers(text, 5).tolist() == [10, 2, 345, 6, 78]
-        assert files._parse_integers(text, 4) is None
-        assert files._parse_integers(text, 6) is None
-        assert files._parse_integers(b"{}", 0).size == 0
+        mp.setattr(files, "open", open_once, raising=False)
+        through_pipe = read_outcome(pipe)
+    writer.join()
+    expected = read_outcome(regular)
+    if isinstance(expected[0], str):
+        expected = (expected[0].replace(str(regular), str(pipe)), expected[1])
+    assert through_pipe == expected
+    assert isinstance(expected[0], str) == (form == "malformed")
 
 
 # ---------------------------------------------------------------------------
