@@ -267,6 +267,23 @@ def test_every_chunk_size_gives_the_same_keys():
         assert (modulus.p, points.tolist(), lines.tolist()) == (p, point_keys, line_keys), chunk
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 16])
+def test_parse_integers_checks_the_count(chunk):
+    # the scan parses the integers of each entry and takes only entries with
+    # their count of them: on any other count it falls back to the JSON path
+    head, tail = b'{"lines":[{"kind":"sl","s":1,"t":2},{"kind":"v","x":3}],"p":11,"points":[', b"]}\n"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(files, "_CHUNK", chunk)
+        modulus, points, lines = scan(head + b"[10,2],[6,7]" + tail)
+        assert (modulus.p, points.tolist(), lines.tolist()) == (11, [112, 73], [13, 124])
+        for entries in (b"[10,2],[6]", b"[10,2],[6,7,8]", b"[10,2],[]", b"[10,2,6,7]"):
+            assert scan(head + entries + tail) is None
+        assert scan(b'{"lines":[{"kind":"sl","s":1},{"kind":"v","x":3}],"p":11,"points":[]}\n') is None
+        assert scan(b'{"lines":[{"kind":"v","x":3,"y":4}],"p":11,"points":[]}\n') is None
+        modulus, points, lines = scan(b'{"lines":[],"p":11,"points":[]}\n')
+        assert (modulus.p, points.size, lines.size) == (11, 0, 0)
+
+
 class ReadSizes(io.RawIOBase):
     """A binary handle over bytes that records the size of every read."""
 
