@@ -12,9 +12,10 @@
  * is s = p - g, since y = s'x + t <=> t - (-x)s' = y (mod p).  probe counts
  * the pairs (item, probe) with
  *
- *     b - s * a = v  (mod p)
+ *     b - s * a = v  (mod p),
  *
- * along one of three paths, chosen per group by its size:
+ * or adds each to its item's and its probe's degree, along one of three
+ * paths, chosen per group by its size:
  *
  * flat (groups of at most FLAT_MAX probes): each tile of items is decoded
  * once into L1 arrays, and each probe once per tile into registers, BLOCK
@@ -23,11 +24,12 @@
  * (2^64 - 1) / p (Granlund & Montgomery 1994; Lemire, Kaser & Kurz,
  * arXiv:1902.01961).  Multiplication by p^-1 is a ring map mod 2^64, so
  * u * p^-1 = s*(a*p^-1) + (v+p)*p^-1 - b*p^-1 with wrapping arithmetic: one
- * multiply per pair, no division.
+ * multiply per pair, no division.  For degrees a block with a hit is tested
+ * a second time, to place its hits.
  *
- * bitmap (larger groups with 64*size >= p, given a scratch bitmap): the
- * group's values are set in a bitmap of p bits, ceil(p/64) <= size words,
- * and cleared again before the next group.
+ * bitmap (larger groups with 64*size >= p): the group's values are set in
+ * a bitmap of p bits, ceil(p/64) <= size words, allocated at the first such
+ * group and cleared again before the next group.
  *
  * binary search (the other groups): a branchless binary search for
  * g*p + r among the group's own keys, so the probes are never decoded.
@@ -36,9 +38,6 @@
  * is computed once per run of equal a, that is once per column of points
  * or per slope class of lines; an item's residue r = (b - s*a) mod p is then
  * a subtraction and a conditional add.
- *
- * plan prices a side: it counts the groups of a key column and the probes
- * and groups of each path, with the same rule.
  *
  * collinear: the largest number of points of a set in F_p^3 on one line.
  * For each anchor point the directions to all later points are scaled so
@@ -116,24 +115,27 @@ static inline int64_t group_end(const int64_t *keys, int64_t j, int64_t n, int64
     return j;
 }
 
-/* out: the groups of the n sorted keys, the probes of its flat groups, and
- * its groups on the bitmap and on the binary-search path */
-void plan(const int64_t *keys, int64_t n, int64_t p, int64_t *out)
+/* the hits of the k probes (s, c) against a tile; with per_item, a block
+ * with a hit is tested again to add them to per_item and per_probe[at[q]] */
+static inline uint64_t block_hits(const uint64_t *ta, const uint64_t *tb, int64_t len, const uint64_t *s,
+                                  const uint64_t *c, const int64_t *at, int k, uint64_t lim, int64_t i0,
+                                  int64_t *per_item, int64_t *per_probe)
 {
-    const uint64_t up = (uint64_t)p, m = UINT64_MAX / up;
-    out[0] = out[1] = out[2] = out[3] = 0;
-    for (int64_t j = 0, end; j < n; j = end) {
-        end = group_end(keys, j, n, (int64_t)((quotient((uint64_t)keys[j], up, m) + 1) * up));
-        out[0]++;
-        if (end - j <= FLAT_MAX)
-            out[1] += end - j;
-        else
-            out[64 * (end - j) >= p ? 2 : 3]++;
-    }
+    uint64_t hits = 0;
+    for (int64_t i = 0; i < len; i++)
+        for (int q = 0; q < k; q++)
+            hits += s[q] * ta[i] + c[q] - tb[i] <= lim;
+    for (int64_t i = 0; per_item != NULL && hits && i < len; i++)
+        for (int q = 0; q < k; q++)
+            if (s[q] * ta[i] + c[q] - tb[i] <= lim) {
+                per_item[i0 + i]++;
+                per_probe[at[q]]++;
+            }
+    return hits;
 }
 
 static int64_t flat(const int64_t *items, int64_t n_items, const int64_t *probes, int64_t n_probes,
-                    uint64_t p, uint64_t m, int64_t column)
+                    uint64_t p, uint64_t m, int64_t column, int64_t *per_item, int64_t *per_probe)
 {
     const uint64_t inv = inverse_mod_2_64(p), lim = UINT64_MAX / p;
     uint64_t ta[TILE], tb[TILE];
@@ -146,6 +148,7 @@ static int64_t flat(const int64_t *items, int64_t n_items, const int64_t *probes
             tb[i] = (key - a * p) * inv;
         }
         uint64_t s[BLOCK], c[BLOCK], hits = 0;
+        int64_t at[BLOCK];
         int k = 0;
         for (int64_t j = 0, end; j < n_probes; j = end) {
             const uint64_t g = quotient((uint64_t)probes[j], p, m);
@@ -155,39 +158,37 @@ static int64_t flat(const int64_t *items, int64_t n_items, const int64_t *probes
             for (; j < end; j++) {
                 s[k] = column ? p - g : g;
                 c[k] = ((uint64_t)probes[j] - g * p + p) * inv;
+                at[k] = j;
                 if (++k < BLOCK)
                     continue;
                 k = 0;
-                for (int64_t i = 0; i < len; i++)
-                    for (int q = 0; q < BLOCK; q++)
-                        hits += s[q] * ta[i] + c[q] - tb[i] <= lim;
+                hits += block_hits(ta, tb, len, s, c, at, BLOCK, lim, i0, per_item, per_probe);
             }
         }
-        for (int q = 0; q < k; q++)
-            for (int64_t i = 0; i < len; i++)
-                hits += s[q] * ta[i] + c[q] - tb[i] <= lim;
-        total += (int64_t)hits;
+        total += (int64_t)(hits + block_hits(ta, tb, len, s, c, at, k, lim, i0, per_item, per_probe));
     }
     return total;
 }
 
-/* items, probes: sorted key columns; column: nonzero on the column side.
- * bits: a zeroed scratch bitmap of ceil(p/64) words, or NULL, when every
- * group past FLAT_MAX goes to the binary search; it is zeroed again on
- * return */
-int64_t probe(const int64_t *items, int64_t n_items, const int64_t *probes, int64_t n_probes,
-              int64_t p, int64_t column, uint64_t *bits)
+static inline int64_t join(const int64_t *items, int64_t n_items, const int64_t *probes, int64_t n_probes,
+                           int64_t p, int64_t column, int64_t *per_item, int64_t *per_probe, int64_t *paths)
 {
     const uint64_t up = (uint64_t)p, m = UINT64_MAX / up;
-    int64_t total = flat(items, n_items, probes, n_probes, up, m, column);
+    int64_t total = flat(items, n_items, probes, n_probes, up, m, column, per_item, per_probe);
+    uint64_t *bits = NULL;
     for (int64_t j = 0, end; j < n_probes; j = end) {
         const uint64_t g = quotient((uint64_t)probes[j], up, m), s = column ? up - g : g;
         const int64_t base = (int64_t)(g * up), *group = probes + j;
         end = group_end(probes, j, n_probes, base + p);
         const int64_t size = end - j;
-        if (size <= FLAT_MAX)
+        if (size <= FLAT_MAX) {
+            paths[0] += size;
             continue;
-        const int bitmap = bits != NULL && 64 * size >= p;
+        }
+        const int bitmap = 64 * size >= p;
+        paths[bitmap ? 1 : 2]++;
+        if (bitmap && bits == NULL && (bits = calloc((size_t)(p + 63) / 64, sizeof *bits)) == NULL)
+            return -1;
         for (int64_t k = 0; bitmap && k < size; k++)
             bits[(group[k] - base) >> 6] |= (uint64_t)1 << ((group[k] - base) & 63);
         /* the items with key in [run, run + p) share a; key - off is the
@@ -202,11 +203,12 @@ int64_t probe(const int64_t *items, int64_t n_items, const int64_t *probes, int6
             }
             int64_t r = items[i] - off;
             r += r < 0 ? p : 0;
-            if (bitmap) {
-                hits += bits[r >> 6] >> (r & 63) & 1;
-            } else {
-                const int64_t at = lower_bound(group, size, base + r);
-                hits += at < size && group[at] == base + r;
+            const int64_t at = bitmap ? 0 : lower_bound(group, size, base + r);
+            const uint64_t hit = bitmap ? bits[r >> 6] >> (r & 63) & 1 : at < size && group[at] == base + r;
+            hits += hit;
+            if (per_item != NULL && hit) {
+                per_item[i]++;
+                per_probe[j + (bitmap ? lower_bound(group, size, base + r) : at)]++;
             }
         }
         total += (int64_t)hits;
@@ -214,7 +216,21 @@ int64_t probe(const int64_t *items, int64_t n_items, const int64_t *probes, int6
         for (int64_t k = 0; bitmap && k < size; k++)
             bits[(group[k] - base) >> 6] = 0;
     }
+    free(bits);
     return total;
+}
+
+/* items, probes: sorted key columns; column: nonzero on the column side.
+ * per_item, per_probe: degree arrays of n_items and n_probes, or both NULL
+ * for a bare count, which runs its own inlined join with no degree test.
+ * paths receives the flat probes, the bitmap groups and the searched groups;
+ * all three arrays come zeroed.  Returns the number of hits, or -1 when the
+ * bitmap cannot be allocated. */
+int64_t probe(const int64_t *items, int64_t n_items, const int64_t *probes, int64_t n_probes,
+              int64_t p, int64_t column, int64_t *per_item, int64_t *per_probe, int64_t *paths)
+{
+    return per_item == NULL ? join(items, n_items, probes, n_probes, p, column, NULL, NULL, paths)
+                            : join(items, n_items, probes, n_probes, p, column, per_item, per_probe, paths);
 }
 
 static uint64_t power(uint64_t x, uint64_t e, uint64_t p, uint64_t m)

@@ -12,14 +12,15 @@ ints, which compare and hash as plain values.  No record carries the
 modulus: ``normalize_grid(grid, inst)`` and ``verify_certificate(inst,
 cert)`` read p and the line keys from the instance.  The extraction and the
 cover loop read instances; their degree scans are ``richness_histograms``,
-joins over slope classes or columns, and the joins to the apexes are
-batched line keys, which also find the candidates on the apex line.  The
-certificate verifier checks the keys with array passes.  Its degrees (the
-partition re-check) come from a pass of its own, :func:`_point_degrees`,
-one searchsorted per slope class or per column, or from the masks of
-``incidence_degrees`` when both sides cost about m*n; its incidence tests
-are those masks.  So it never shares the extraction's join: only the
-threshold arithmetic of :func:`_richness_classes` is common to both.
+the hash join of the incidence count with each hit placed on its point and
+its line, and the joins to the apexes are batched line keys, which also find
+the candidates on the apex line.  The certificate verifier checks the keys
+with array passes.  Its degrees (the partition re-check) come from a pass of
+its own, :func:`_point_degrees`, one searchsorted per slope class or per
+column, or from the masks of ``incidence_degrees`` when both sides cost
+about m*n; its incidence tests are those masks.  So it never shares the
+extraction's join: only the threshold arithmetic of
+:func:`_richness_classes` is common to both.
 :func:`normalize_grid` is :func:`plane.projective_map_from_pair` of the
 apexes plus :func:`plane.apply_map` on the grid's point keys and the line
 keys; it builds only the two apexes as objects.

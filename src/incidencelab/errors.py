@@ -98,4 +98,4 @@ class InsufficientDataError(Error):
 
 
 class NonPositiveValueError(Error):
-    """Log-log fitting requires strictly positive values."""
+    """Log-log fitting requires strictly positive finite values."""

@@ -220,9 +220,9 @@ def fit_exponent(records, x_field: str, y_field: str) -> FitResult:
         yv = rec.get(y_field)
         if xv is None or yv is None:
             continue
-        if not (_is_number(xv) and _is_number(yv) and xv > 0 and yv > 0):
+        if not (_is_number(xv) and _is_number(yv) and 0 < xv < math.inf and 0 < yv < math.inf):
             raise NonPositiveValueError(
-                f"log-log fit needs positive numbers, got {x_field}={xv!r}, {y_field}={yv!r}")
+                f"log-log fit needs positive finite numbers, got {x_field}={xv!r}, {y_field}={yv!r}")
         xs.append(math.log(xv))
         ys.append(math.log(yv))
     if len(xs) < 2:

@@ -4,23 +4,21 @@ collinearity of points in F_p^3.  The point-plane side of F_p^3 is in
 :mod:`bounds`.
 
 Two counting engines are provided.  The hash-join engine, which ``auto``
-names, groups lines by slope (or points by column, whichever side is
-cheaper) and probes candidate keys; with ``stats=True`` it also says how it
-ran (:class:`CountStats`).  The naive engine is the reference: it sums
+names, probes each point against each slope class of lines, or each line
+against each x-column of points, whichever side :func:`join_cost` prices
+lower; with ``stats=True`` it also says how it ran (:class:`CountStats`).
+The same join, with each hit placed on its point and its line, gives the
+per-point and per-line degrees of :func:`richness_histograms` that the
+cover layer reads.  The naive engine is the reference: it sums
 :func:`incidence_degrees`, numpy masks over blocks of (point, line) pairs,
-which only it and the certificate verifier read.  The per-point and
-per-line degrees that the cover layer reads come from
-:func:`richness_histograms`, a numpy join over the groups the count probes,
-planned by :func:`_join_groups` from the coordinate views of one
-:class:`plane.Instance`.
-The C kernels in ``_kernels.c`` read the instance's two key columns and
-decode the keys themselves, so a count builds no views: ``plan`` finds the
-groups of a side (runs of equal key // p) and prices it, and ``probe``
-takes each group along one of three paths: groups of at most 32 values are
-independent probes in a blocked loop (flat); a larger group's values are
-tested in a bitmap of p bits when 64 * size >= p (bitmap), and otherwise by
-binary search.  The C kernel ``collinear`` computes
-:func:`max_collinear_3d`.
+which only it and the certificate verifier read.
+The C kernel ``probe`` reads the instance's two key columns and decodes the
+keys itself, so the join builds no views.  It takes each group of the
+probed side (a run of equal key // p) along one of three paths: groups of
+at most 32 values are independent probes in a blocked loop (flat); a larger
+group's values are tested in a bitmap of p bits, which the kernel
+allocates, when 64 * size >= p (bitmap), and otherwise by binary search.
+The C kernel ``collinear`` computes :func:`max_collinear_3d`.
 
 The first hash-join count or collinearity call of a process compiles the
 kernels with ``cc -O3 -march=native`` (on x86-64 also
@@ -28,13 +26,13 @@ kernels with ``cc -O3 -march=native`` (on x86-64 also
 (default ``~/.cache/incidencelab``), keyed by the source, the flags, the
 resolved compiler binary (path, size and mtime) and the CPU flags, and later
 processes load the cached library.  A C compiler is optional: without one,
-or with an unwritable cache, the count is the sum of the per-item hits of
-the degree join, with identical counts (on a 2-vCPU Xeon with numpy 2.4,
-random m = n = 10^4 in 0.18 s at p = 1048573 and 0.20 s at p = 1009,
-against 0.020 s on the C kernels, and full_plane(101) in 0.018 s against
-0.002 s), and max_collinear_3d runs as numpy passes over blocks of point
-pairs.  :func:`kernel_backend` says which ran, and why.  All engines return
-identical exact integers.
+or with an unwritable cache, the join runs as numpy passes over the
+coordinate views (:func:`_group_degrees`), with identical counts (on a
+2-vCPU Xeon with numpy 2.4, random m = n = 10^4 in 0.18 s at p = 1048573
+and 0.20 s at p = 1009, against 0.020 s on the C kernels, and
+full_plane(101) in 0.018 s against 0.002 s), and max_collinear_3d runs as
+numpy passes over blocks of point pairs.  :func:`kernel_backend` says which
+ran, and why.  All engines return identical exact integers.
 """
 
 from __future__ import annotations
@@ -155,11 +153,9 @@ def _load_backend() -> _Backend:
             try:
                 lib = ctypes.CDLL(_compiled_library())
                 arr = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-                i64 = ctypes.c_int64
-                lib.plan.argtypes = [arr, i64, i64, arr]
-                lib.probe.argtypes = [arr, i64, arr, i64, i64, i64, ctypes.c_void_p]
+                i64, ptr = ctypes.c_int64, ctypes.c_void_p  # ndpointer refuses None
+                lib.probe.argtypes = [arr, i64, arr, i64, i64, i64, ptr, ptr, arr]
                 lib.collinear.argtypes = [arr, i64, i64]
-                lib.plan.restype = None
                 lib.probe.restype = lib.collinear.restype = i64
                 _backend = _Backend(lib, "")
             except _KernelUnavailable as exc:
@@ -186,65 +182,59 @@ def join_cost(inst: Instance) -> dict:
     return {"slope": inst.m * (slopes + 1), "column": inst.n * (run_count(inst.point_keys // p) + 1)}
 
 
-def _join_groups(inst: Instance):
-    """(side, cost, groups) of the join of the points of inst with its
-    non-vertical lines: cost is :func:`join_cost`, and groups the arguments
-    (item_a, item_b, keys, offs, vals) of the cheaper side, each point
-    against each slope class's intercepts ("slope") or each non-vertical
-    line against each column's y-values ("column"), for the numpy join.
-    Only the chosen side's runs are built."""
-    cost = join_cost(inst)
+def _join_groups(inst: Instance, side: str):
+    """The arguments (item_a, item_b, keys, offs, vals) of
+    :func:`_group_degrees` for the join of the points of inst with its
+    non-vertical lines from the given side: each point against each slope
+    class's intercepts ("slope") or each non-vertical line against each
+    column's y-values ("column").  Only that side's runs are built."""
     px, py = inst.xy
     s, t, _ = inst.line_columns
-    if cost["slope"] <= cost["column"]:
-        return "slope", cost, (px, py, *inst.slope_runs, t)
+    if side == "slope":
+        return (px, py, *inst.slope_runs, t)
     # y = s*x + t  <=>  t - (-x)*s = y (mod p)
     col_x, col_offs = inst.column_runs
-    return "column", cost, (s, t, (-col_x) % inst.p, col_offs, py)
+    return (s, t, (-col_x) % inst.p, col_offs, py)
 
 
-def _vertical_degrees(a, b) -> np.ndarray:
-    """How often each value of b occurs in the sorted array a: the points on
-    each vertical line for (px, x0), the vertical lines through each point
-    for (x0, px)."""
-    return np.searchsorted(a, b, "right") - np.searchsorted(a, b)
-
-
-def _count_hash_join(inst: Instance, record) -> int:
-    """The join of :func:`count_incidences`.  The C kernels read the key
-    columns: ``plan`` finds the groups of each side's probes, which price
-    the side as :func:`_join_groups` does, and ``probe`` counts the cheaper
-    side.  The numpy fallback sums :func:`_group_degrees` over the groups of
-    _join_groups.  The dict record receives the side, the cost, the phase
-    times and the probes issued per path (see :class:`CountStats`)."""
+def _join(inst: Instance, record, degrees: bool = False):
+    """The incidence count of inst, or with degrees its
+    :class:`RichnessHistogram`: the C kernel ``probe``, or
+    :func:`_group_degrees` without it, probes the cheaper side of
+    :func:`join_cost`.  The dict record receives the side, the cost, the
+    phase times and the probes issued per path (see :class:`CountStats`)."""
     lib = _load_backend().lib
     start = perf_counter()
-    p, lines = inst.p, inst.line_keys
+    p, points, lines = inst.p, inst.point_keys, inst.line_keys
     sloped = int(np.searchsorted(lines, p * p))
+    cost = join_cost(inst)
+    side = "slope" if cost["slope"] <= cost["column"] else "column"
     if lib is None:
-        side, cost, groups = _join_groups(inst)
+        groups = _join_groups(inst, side)
         views = perf_counter() - start
-        total = int(_group_degrees(*groups, p, record)[0].sum())
+        per_item, per_probe = _group_degrees(*groups, p, record)
+        total = int(per_item.sum())
     else:
-        # each side's items and probes, and the plan of its probes: groups,
-        # flat probes, bitmap groups and searched groups
-        sides = {"slope": (inst.point_keys, lines[:sloped]), "column": (lines[:sloped], inst.point_keys)}
-        plans = {side: np.empty(4, np.int64) for side in sides}
-        for side, (_, probes) in sides.items():
-            lib.plan(probes, probes.size, p, plans[side])
-        cost = {"slope": inst.m * (int(plans["slope"][0]) + 1), "column": inst.n * (int(plans["column"][0]) + 1)}
-        side = "slope" if cost["slope"] <= cost["column"] else "column"
-        (items, probes), (_, flat, bitmap, searched) = sides[side], plans[side].tolist()
-        bits = np.zeros(-(-p // 64), np.uint64) if bitmap else None
+        items, probes = (points, lines[:sloped]) if side == "slope" else (lines[:sloped], points)
+        per_item, per_probe = (np.zeros(a.size, np.int64) if degrees else None for a in (items, probes))
+        paths = np.zeros(3, np.int64)
         views = perf_counter() - start
         total = lib.probe(items, items.size, probes, probes.size, p, side == "column",
-                          None if bits is None else bits.ctypes.data)
-        record.update(flat=items.size * flat, bitmap=items.size * bitmap, binary_search=items.size * searched)
+                          *(None if a is None else a.ctypes.data for a in (per_item, per_probe)), paths)
+        if total < 0:
+            raise MemoryError("hash join: no memory for the bitmap of the probe kernel")
+        record.update(zip(("flat", "bitmap", "binary_search"), (items.size * paths).tolist()))
     # the points on the vertical line x = x0 are the keys in [x0*p, (x0 + 1)*p)
     x0 = lines[sloped:] - p * p
-    total += int((np.searchsorted(inst.point_keys, (x0 + 1) * p) - np.searchsorted(inst.point_keys, x0 * p)).sum())
+    lo, hi = np.searchsorted(points, x0 * p), np.searchsorted(points, (x0 + 1) * p)
+    total += int((hi - lo).sum())
     record.update(side=side, cost=cost, views=views, kernel=perf_counter() - start - views)
-    return total
+    if not degrees:
+        return total
+    per_point, per_sloped = (per_item, per_probe) if side == "slope" else (per_probe, per_item)
+    # the vertical line through a point is the one whose key range holds it
+    per_point += np.cumsum(np.bincount(lo, minlength=points.size + 1) - np.bincount(hi, minlength=points.size + 1))[:-1]
+    return RichnessHistogram(per_point, np.concatenate([per_sloped, hi - lo]), total)
 
 
 ENGINES = ("auto", "naive", "hash_join")
@@ -263,10 +253,9 @@ class CountStats(NamedTuple):
     value of a flattened group as flat and each searched group as binary
     search), and "mask", the cells of the naive masks.
     backend and backend_reason are :func:`kernel_backend`'s for the join.
-    seconds holds the time of each phase: "views", on the C backend the
-    ``plan`` passes over the key columns that price both sides, and on
-    numpy (and for naive) the instance's coordinate columns and runs;
-    "split", 0.0, since no backend splits probes in Python; and "kernel"
+    seconds holds the time of each phase: "views", the :func:`join_cost`
+    passes over the key columns that price both sides, and on numpy (and
+    for naive) the instance's coordinate columns and runs; and "kernel"
     (the probes, the vertical lines or the masks).
     """
 
@@ -287,13 +276,13 @@ def count_incidences(inst: Instance, engine: str = "auto", *, stats: bool = Fals
     pair (count, :class:`CountStats`).
 
     engine: "hash_join" (also named "auto") probes grouped keys from the
-    cheaper side of :func:`_join_groups`; "naive" is the reference, the sum
+    cheaper side of :func:`join_cost`; "naive" is the reference, the sum
     of the per-point degrees of :func:`incidence_degrees`, which tests every
     (point, line) pair in blocked masks.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}")
-    record = {"split": 0.0, "flat": 0, "bitmap": 0, "binary_search": 0, "mask": 0}
+    record = {"flat": 0, "bitmap": 0, "binary_search": 0, "mask": 0}
     if engine == "naive":
         start = perf_counter()
         px, py = inst.xy
@@ -301,7 +290,7 @@ def count_incidences(inst: Instance, engine: str = "auto", *, stats: bool = Fals
         count = int(incidence_degrees(px, py, inst.line_keys, inst.p)[0].sum())
         record.update(side=None, views=views, kernel=perf_counter() - start - views, mask=inst.m * inst.n)
     else:
-        count = _count_hash_join(inst, record)
+        count = _join(inst, record)
     if not stats:
         return count
     if engine == "naive":
@@ -310,7 +299,7 @@ def count_incidences(inst: Instance, engine: str = "auto", *, stats: bool = Fals
     else:
         engine, backend = "hash_join", kernel_backend()
     probes = {path: record[path] for path in ("flat", "bitmap", "binary_search", "mask")}
-    seconds = {phase: record[phase] for phase in ("views", "split", "kernel")}
+    seconds = {phase: record[phase] for phase in ("views", "kernel")}
     return count, CountStats(engine, record["side"], record["cost"], probes, *backend, seconds)
 
 
@@ -420,19 +409,10 @@ def _group_degrees(item_a, item_b, keys, offs, vals, p: int, record) -> tuple[np
 
 
 def richness_histograms(inst: Instance) -> RichnessHistogram:
-    """The per-point and per-line counts of :func:`incidence_degrees`, by a
-    join over the groups of :func:`_join_groups`, the ones the hash-join
-    count probes.  A group is one searchsorted pass over the other side
-    with a bincount of its hits, or, when small, a row of flattened probes
-    in a block; the vertical lines are searchsorted passes between their x
-    and the x column."""
-    px, x0 = inst.xy[0], inst.line_columns[2]
-    side, _, groups = _join_groups(inst)
-    per_item, per_val = _group_degrees(*groups, inst.p, {})
-    per_point, sloped = (per_item, per_val) if side == "slope" else (per_val, per_item)
-    per_point += _vertical_degrees(x0, px)
-    per_line = np.concatenate([sloped, _vertical_degrees(px, x0)])
-    return RichnessHistogram(per_point, per_line, int(per_point.sum()))
+    """The per-point and per-line counts of :func:`incidence_degrees`, from
+    the join that :func:`count_incidences` runs, with each hit placed on its
+    point and its line."""
+    return _join(inst, {}, degrees=True)
 
 
 # ---------------------------------------------------------------------------

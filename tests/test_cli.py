@@ -69,7 +69,7 @@ def test_count_stats_adds_a_stats_object(tmp_path, capsys):
         assert obj == dict(plain, engine=engine)
         assert stats["side"] == side and stats["engine"] == ("naive" if side is None else "hash_join")
         assert set(stats) == {"engine", "side", "cost", "probes", "backend", "backend_reason", "seconds"}
-        assert set(stats["seconds"]) == {"views", "split", "kernel"}
+        assert set(stats["seconds"]) == {"views", "kernel"}
     rc, out, err = run(capsys, "count", "--input", str(path), "--format", "csv", "--stats")
     assert rc == 1 and out == "" and "--stats needs --format json" in err
 
@@ -319,6 +319,28 @@ def test_sweep_and_fit_commands(tmp_path, capsys):
                    "--output", str(svg_path))
     assert rc == 0
     assert svg_path.read_text().startswith("<svg")
+
+
+def test_fit_refuses_infinite_values(tmp_path, capsys):
+    # an inf in a sweep CSV, or Infinity in JSON records, made a NaN fit that
+    # printed as invalid JSON and exited 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"families": [{"family": "full_plane", "p": [3, 5, 7]}]}))
+    out_csv = tmp_path / "sweep.csv"
+    assert run(capsys, "sweep", "--config", str(config), "--output", str(out_csv))[0] == 0
+    header, first, *rest = out_csv.read_text().splitlines()
+    column = header.split(",").index("I")
+    row = first.split(",")
+    row[column] = "inf"
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("\n".join([header, ",".join(row), *rest]) + "\n")
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('[{"m": 9, "I": Infinity}, {"m": 25, "I": 150}, {"m": 49, "I": 392}]')
+    for path in (bad_csv, bad_json):
+        rc, out, err = run(capsys, "fit", "--input", str(path), "--x-field", "m", "--y-field", "I")
+        assert rc == 2 and out == ""
+        assert_error_stderr(err)
+        assert len(err.splitlines()) == 1 and "positive finite numbers" in err
 
 
 def test_sweep_identical_config_identical_bytes(tmp_path, capsys):

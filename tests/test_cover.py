@@ -470,10 +470,13 @@ def test_verify_certificate_recheck_catches_a_faulty_richness_histograms(monkeyp
 
 
 def test_verify_certificate_catches_a_fault_in_the_degree_join(monkeypatch):
-    # a fault inside the join itself reaches the extraction's partition but
-    # not the verifier's re-check, which runs a degree pass of its own
+    # a fault inside the join itself, in the degrees that the C kernel or the
+    # numpy fallback places, reaches the extraction's partition but not the
+    # verifier's re-check, which runs a degree pass of its own
+    import ctypes
+
     import incidencelab.incidence as incidence
-    join = incidence._group_degrees
+    lib, join = incidence._load_backend().lib, incidence._group_degrees
 
     def faulty_join(*args):
         per_item, per_val = join(*args)
@@ -481,11 +484,24 @@ def test_verify_certificate_catches_a_fault_in_the_degree_join(monkeypatch):
         per_item[:1] = 0
         return per_item, per_val
 
+    class FaultyKernels:
+        @staticmethod
+        def probe(*args):
+            count, per_item = lib.probe(*args), args[6]
+            if per_item is not None:
+                ctypes.c_int64.from_address(per_item).value = 0
+            return count
+
     monkeypatch.setattr(incidence, "_group_degrees", faulty_join)
+    backends = [incidence._Backend(None, "forced")]
+    if lib is not None:
+        backends.append(incidence._Backend(FaultyKernels, ""))
     inst = full_plane(5)
-    cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
-    assert cert.partition.low == (0,)  # the point (0, 0) kept only its vertical line
-    assert "partition-mismatch" in _codes(inst, cert)
+    for backend in backends:
+        monkeypatch.setattr(incidence, "_backend", backend)
+        cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
+        assert cert.partition.low == (0,)  # the point (0, 0) kept only its vertical line
+        assert "partition-mismatch" in _codes(inst, cert)
 
 
 @st.composite

@@ -269,6 +269,9 @@ def test_fit_errors():
         fit_exponent([{"x": 1, "y": 1}], "x", "y")
     with pytest.raises(NonPositiveValueError):
         fit_exponent([{"x": 1, "y": 0}, {"x": 2, "y": 3}], "x", "y")
+    for x, y in ((1, math.inf), (math.inf, 1), (1, math.nan)):
+        with pytest.raises(NonPositiveValueError, match="positive finite numbers"):
+            fit_exponent([{"x": x, "y": y}, {"x": 2, "y": 3}, {"x": 4, "y": 5}], "x", "y")
     with pytest.raises(InsufficientDataError):
         fit_exponent([{"x": 2, "y": 1}, {"x": 2, "y": 3}], "x", "y")
 

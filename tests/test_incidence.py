@@ -55,8 +55,8 @@ def test_auto_runs_the_join_when_every_slope_is_distinct(monkeypatch):
     inst = random_instance(2147483647, 2000, 2000, seed=8)
     assert set(np.diff(inst.slope_runs[1]).tolist()) == {1}
     calls = []
-    join = inc._count_hash_join
-    monkeypatch.setattr(inc, "_count_hash_join", lambda *args: calls.append(args) or join(*args))
+    join = inc._join
+    monkeypatch.setattr(inc, "_join", lambda *args: calls.append(args) or join(*args))
     expected = count_incidences(inst, "hash_join")
     assert len(calls) == 1
     assert count_incidences(inst, "auto") == expected == count_incidences(inst, "naive")
@@ -345,7 +345,6 @@ def test_hash_join_numpy_fallback_agrees(monkeypatch):
     assert (count, stats.side, stats.backend, stats.backend_reason) == (392, "slope", "numpy", "forced")
     assert stats.cost == {"slope": 49 * 8, "column": 56 * 8}
     assert stats.probes == {"flat": 2401, "bitmap": 0, "binary_search": 0, "mask": 0}
-    assert stats.seconds["split"] == 0
     # plain ints, so that count --stats can print them
     probes = count_incidences(random_instance(1009, 300, 3000, seed=2), stats=True)[1].probes
     assert probes["binary_search"] > 0 and all(type(n) is int for n in probes.values())
@@ -474,15 +473,22 @@ def collinear_backend(request, monkeypatch):
     return request.param
 
 
-def probe_count(lib, p, items, probes, column, bitmap):
-    """lib.probe of the sorted key columns items and probes, with a scratch
-    bitmap or without one (every group past the flat limit then goes to the
-    binary search)."""
-    bits = np.zeros(-(-p // 64), np.uint64) if bitmap else None
-    count = lib.probe(items, items.size, probes, probes.size, p, column,
-                      None if bits is None else bits.ctypes.data)
-    assert bits is None or not bits.any()  # the scratch bitmap is left zeroed
-    return count
+def probe_count(lib, p, items, probes, column):
+    """(count, paths) of lib.probe on the sorted key columns items and
+    probes.  The degrees that probe places on the items and the probes
+    match the masks of every (item, probe) pair and sum to the bare count."""
+    paths, placed = np.zeros(3, np.int64), np.zeros(3, np.int64)
+    count = lib.probe(items, items.size, probes, probes.size, p, column, None, None, paths)
+    per_item, per_probe = np.zeros(items.size, np.int64), np.zeros(probes.size, np.int64)
+    assert lib.probe(items, items.size, probes, probes.size, p, column,
+                     per_item.ctypes.data, per_probe.ctypes.data, placed) == count
+    a, b = np.divmod(items, p)
+    g, v = np.divmod(probes, p)
+    s = (p - g) % p if column else g
+    mask = (b[:, None] - s * a[:, None]) % p == v
+    assert np.array_equal(per_item, mask.sum(axis=1)) and np.array_equal(per_probe, mask.sum(axis=0))
+    assert per_item.sum() == per_probe.sum() == count and np.array_equal(placed, paths)
+    return count, paths.tolist()
 
 
 @pytest.mark.parametrize("p", [3, 31, 101, 151])
@@ -517,16 +523,18 @@ def test_bitmap_threshold_groups_match_naive():
     expected = count_incidences(inst, "naive")
     assert expected >= 4 * 32
     assert count_incidences(inst, "hash_join") == expected
-    for g in range(keys.size):
-        args = (lib, p, inst.point_keys, inst.line_keys[offs[g]:offs[g + 1]], False)
-        assert probe_count(*args, bitmap=True) == probe_count(*args, bitmap=False)
+    for g, size in enumerate(sizes.tolist()):
+        lines = inst.line_keys[offs[g]:offs[g + 1]]
+        count, paths = probe_count(lib, p, inst.point_keys, lines, False)
+        assert paths == ([0, 1, 0] if size == 65 else [0, 0, 1])
+        assert count == count_incidences(Instance(mod, point_keys=inst.point_keys, line_keys=lines), "naive")
 
 
-@pytest.mark.parametrize("bitmap", [False, True])
-def test_multi_reduction_exact_at_largest_p(bitmap):
+@pytest.mark.parametrize("column", [False, True])
+def test_multi_reduction_exact_at_largest_p(column):
     # p = 2^31 - 1: item keys come within 1 of p^2 and s*a within 2p of p^2;
-    # the scratch bitmap stays unused since no group reaches 64*size >= p.
-    # Three groups are searched and one, of 5 values, is flat
+    # no group reaches the bitmap's 64*size >= p.  Three groups are searched
+    # and one, of 5 values, is flat, on the slope and on the column side
     lib = compiled_kernels()
     p = 2**31 - 1
     stream = SeededStream(5)
@@ -534,18 +542,18 @@ def test_multi_reduction_exact_at_largest_p(bitmap):
     b = [p - 1, 0, p - 1, p - 2, 1] + [stream.below(p) for _ in range(195)]
     items = np.unique(np.array(a, dtype=np.int64) * p + np.array(b, dtype=np.int64))
     a, b = (c.tolist() for c in np.divmod(items, p))
-    for column in (False, True):
-        def key(g):  # the group key s of the probes g*p + v
-            return (p - g) % p if column else g
-        # three searched groups, each the residues of every third item and
-        # the 40 largest residues, and one flat group of the 5 smallest
-        groups = {g: {(y - key(g) * x) % p for x, y in zip(a[::3], b[::3])} | set(range(p - 40, p))
-                  for g in (1, p // 2, p - 1)}
-        groups[7] = set(range(5))
-        probes = np.array(sorted(g * p + v for g, vals in groups.items() for v in vals), dtype=np.int64)
-        expected = sum((y - key(g) * x) % p in vals for g, vals in groups.items() for x, y in zip(a, b))
-        assert expected >= 3 * 67
-        assert probe_count(lib, p, items, probes, column, bitmap) == expected
+
+    def key(g):  # the group key s of the probes g*p + v
+        return (p - g) % p if column else g
+    # three searched groups, each the residues of every third item and the
+    # 40 largest residues, and one flat group of the 5 smallest
+    groups = {g: {(y - key(g) * x) % p for x, y in zip(a[::3], b[::3])} | set(range(p - 40, p))
+              for g in (1, p // 2, p - 1)}
+    groups[7] = set(range(5))
+    probes = np.array(sorted(g * p + v for g, vals in groups.items() for v in vals), dtype=np.int64)
+    expected = sum((y - key(g) * x) % p in vals for g, vals in groups.items() for x, y in zip(a, b))
+    assert expected >= 3 * 67
+    assert probe_count(lib, p, items, probes, column) == (expected, [5, 0, 3])
 
 
 def test_kernel_source_compiles_without_warnings():
@@ -559,6 +567,36 @@ def test_kernel_source_compiles_without_warnings():
     proc = subprocess.run([cc, "-Wall", "-Wextra", "-Werror", "-fsyntax-only", inc._SOURCE],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_probe_bitmap_allocation_failure_is_a_memory_error(monkeypatch):
+    # probe returns -1 when it cannot allocate its bitmap
+    import incidencelab.incidence as inc
+
+    class Exhausted:
+        @staticmethod
+        def probe(*args):
+            return -1
+
+    monkeypatch.setattr(inc, "_backend", inc._Backend(Exhausted, ""))
+    for join in (count_incidences, richness_histograms):
+        with pytest.raises(MemoryError, match="bitmap of the probe kernel"):
+            join(full_plane(5))
+
+
+def test_kernel_exports_are_the_bound_functions():
+    # every non-static function of the kernel source has a ctypes binding,
+    # so a kernel that no Python code calls cannot stay in the library
+    import inspect
+    import re
+
+    import incidencelab.incidence as inc
+    with open(inc._SOURCE) as fh:
+        source = fh.read()
+    defined = re.findall(r"^([a-z][^(;=]*?)\b(\w+)\(", source, re.M)
+    exported = {name for head, name in defined if not head.startswith("static")}
+    bound = set(re.findall(r"lib\.(\w+)\.argtypes", inspect.getsource(inc._load_backend)))
+    assert exported == bound == {"probe", "collinear"}
 
 
 @pytest.mark.parametrize("p", [5, 101, 2147483647])
@@ -686,11 +724,16 @@ def assert_degrees_match_the_mask(hist, px, py, keys, p):
 @given(degree_cases())
 def test_join_degrees_match_the_mask(case):
     # the degrees of the join, richness_histograms of an instance per line
-    # subset, against the masks of the oracle on the raw columns
+    # subset, against the masks of the oracle on the raw columns, on the C
+    # kernels (where they build) and on the numpy fallback
+    import incidencelab.incidence as inc
     p, px, py, keys, pool = case
-    for subset in (keys, keys[pool], keys[:1], keys[:0]):
-        hist = richness_histograms(Instance(make_modulus(p), point_keys=px * p + py, line_keys=subset))
-        assert_degrees_match_the_mask(hist, px, py, subset, p)
+    for backend in (inc._load_backend(), inc._Backend(None, "forced")):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inc, "_backend", backend)
+            for subset in (keys, keys[pool], keys[:1], keys[:0]):
+                hist = richness_histograms(Instance(make_modulus(p), point_keys=px * p + py, line_keys=subset))
+                assert_degrees_match_the_mask(hist, px, py, subset, p)
 
 
 def test_counts_agree_with_the_degree_join():
@@ -715,10 +758,11 @@ def test_counts_agree_with_the_degree_join():
 
 @pytest.mark.parametrize("search_cost", [0, 10**9], ids=["searched", "flat"])
 def test_join_degrees_probe_paths_and_sides(monkeypatch, search_cost):
-    # every group searched, or every group flattened into blocks of one or a
-    # few probes, on both probe sides: full planes probe slope classes, few
-    # columns against many slopes probe the columns
+    # the numpy join with every group searched, or every group flattened into
+    # blocks of one or a few probes, on both probe sides: full planes probe
+    # slope classes, few columns against many slopes probe the columns
     import incidencelab.incidence as inc
+    monkeypatch.setattr(inc, "_backend", inc._Backend(None, "forced"))
     monkeypatch.setattr(inc, "_SEARCH_COST", search_cost)
     monkeypatch.setattr(inc, "_PASS_COST", 0)
     monkeypatch.setattr(inc, "_MASK_CELLS", 100)
@@ -726,16 +770,17 @@ def test_join_degrees_probe_paths_and_sides(monkeypatch, search_cost):
     columns = keyed(make_modulus(p), [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)],
                     [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)] + [AffineLine(None, 9, p)])
     cases = [full_plane(7), columns, elekes_construction(3, 2, 31)] + random_instances(20, seed=31, max_m=80, max_n=80)
-    assert {inc._join_groups(inst)[0] for inst in cases} == {"slope", "column"}
+    assert {count_incidences(inst, stats=True)[1].side for inst in cases} == {"slope", "column"}
     for inst in cases:
         assert_degrees_match_the_mask(richness_histograms(inst), *inst.xy, inst.line_keys, inst.p)
 
 
 @pytest.mark.parametrize("search_cost", [4, 10**9], ids=["mixed", "flat"])
 def test_join_degrees_blocks_the_items(monkeypatch, search_cost):
-    # more items than _MASK_CELLS: every block of flattened probes is one
-    # row against a chunk of the items, the last chunk shorter
+    # more items than _MASK_CELLS: every block of flattened probes of the
+    # numpy join is one row against a chunk of the items, the last shorter
     import incidencelab.incidence as inc
+    monkeypatch.setattr(inc, "_backend", inc._Backend(None, "forced"))
     monkeypatch.setattr(inc, "_MASK_CELLS", 64)
     monkeypatch.setattr(inc, "_SEARCH_COST", search_cost)
     p = 31
@@ -752,7 +797,7 @@ def test_naive_never_runs_the_join(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("the naive engine ran the join")
 
-    for name in ("richness_histograms", "_load_backend", "_count_hash_join", "_group_degrees"):
+    for name in ("richness_histograms", "_load_backend", "_join", "_group_degrees"):
         monkeypatch.setattr(inc, name, fail)
     assert count_incidences(full_plane(5), "naive") == 150
     assert count_incidences(full_plane(5), "naive", stats=True)[0] == 150
@@ -771,7 +816,7 @@ def test_count_stats(engine):
         assert count == count_incidences(inst, engine) == brute_count(inst)
         slope_cost, column_cost = inst.m * (inst.slope_runs[0].size + 1), inst.n * (inst.column_runs[0].size + 1)
         assert stats.cost == {"slope": slope_cost, "column": column_cost}
-        assert set(stats.seconds) == {"views", "split", "kernel"}
+        assert set(stats.seconds) == {"views", "kernel"}
         assert all(t >= 0 for t in stats.seconds.values())
         assert set(stats.probes) == {"flat", "bitmap", "binary_search", "mask"}
         if engine == "naive":
@@ -842,7 +887,7 @@ def test_count_traces_little_memory_above_the_keys():
         assert peak < 256 * 1024
 
 
-def test_kernel_plan_classifies_groups():
+def test_probe_paths_classify_groups():
     # groups of at most 32 keys are flat, larger ones go to the bitmap when
     # 64*size >= p and to the binary search otherwise; a group's end is
     # scanned up to 32 keys and searched past them
@@ -850,15 +895,16 @@ def test_kernel_plan_classifies_groups():
     p = 4099
     sizes = {0: 33, 5: 1, 6: 32, 7: 65, 8: 2, p - 1: 64, p: 3}
     keys = np.array([g * p + v for g, size in sizes.items() for v in range(p - size, p)], dtype=np.int64)
+    items = np.arange(5, p * p, 20011, dtype=np.int64)
     for column in (keys, keys[:-3], keys[33:-3], keys[:0]):
-        plan = np.empty(4, np.int64)
-        lib.plan(column, column.size, p, plan)
         counts = np.unique(column // p, return_counts=True)[1]
         flat = counts <= 32
-        assert plan.tolist() == [counts.size, int(counts[flat].sum()), int(np.count_nonzero(64 * counts >= p)),
-                                 int(np.count_nonzero(~flat & (64 * counts < p)))]
-    lib.plan(keys, keys.size, p, plan)
-    assert plan.tolist() == [7, 38, 1, 2]
+        want = [int(counts[flat].sum()), int(np.count_nonzero(64 * counts >= p)),
+                int(np.count_nonzero(~flat & (64 * counts < p)))]
+        assert probe_count(lib, p, items, column, False)[1] == want
+    for side in (False, True):
+        count, paths = probe_count(lib, p, items, keys, side)
+        assert count > 0 and paths == [38, 1, 2]
 
 
 def edge_instances(p, size):
