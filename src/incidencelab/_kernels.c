@@ -170,8 +170,9 @@ static int64_t flat(const int64_t *items, int64_t n_items, const int64_t *probes
     return total;
 }
 
-static inline int64_t join(const int64_t *items, int64_t n_items, const int64_t *probes, int64_t n_probes,
-                           int64_t p, int64_t column, int64_t *per_item, int64_t *per_probe, int64_t *paths)
+static inline __attribute__((always_inline)) int64_t join(const int64_t *items, int64_t n_items,
+    const int64_t *probes, int64_t n_probes, int64_t p, int64_t column, int64_t *per_item, int64_t *per_probe,
+    int64_t *paths)
 {
     const uint64_t up = (uint64_t)p, m = UINT64_MAX / up;
     int64_t total = flat(items, n_items, probes, n_probes, up, m, column, per_item, per_probe);
@@ -222,15 +223,15 @@ static inline int64_t join(const int64_t *items, int64_t n_items, const int64_t 
 
 /* items, probes: sorted key columns; column: nonzero on the column side.
  * per_item, per_probe: degree arrays of n_items and n_probes, or both NULL
- * for a bare count, which runs its own inlined join with no degree test.
+ * for a bare count, which runs its own always-inlined join with no degree test.
  * paths receives the flat probes, the bitmap groups and the searched groups;
  * all three arrays come zeroed.  Returns the number of hits, or -1 when the
  * bitmap cannot be allocated. */
 int64_t probe(const int64_t *items, int64_t n_items, const int64_t *probes, int64_t n_probes,
               int64_t p, int64_t column, int64_t *per_item, int64_t *per_probe, int64_t *paths)
 {
-    return per_item == NULL ? join(items, n_items, probes, n_probes, p, column, NULL, NULL, paths)
-                            : join(items, n_items, probes, n_probes, p, column, per_item, per_probe, paths);
+    return per_item != NULL ? join(items, n_items, probes, n_probes, p, column, per_item, per_probe, paths)
+                            : join(items, n_items, probes, n_probes, p, column, NULL, NULL, paths);
 }
 
 static uint64_t power(uint64_t x, uint64_t e, uint64_t p, uint64_t m)
