@@ -1,4 +1,5 @@
-/* C kernels of the hash-join incidence engine and of max_collinear_3d.
+/* C kernels of the hash-join incidence engine, of max_collinear_3d and of
+ * the Beck and distance reports.
  *
  * incidence.py compiles this file on first use and calls it through ctypes.
  * p is a prime below 2^31.
@@ -39,12 +40,22 @@
  * or per slope class of lines; an item's residue r = (b - s*a) mod p is then
  * a subtraction and a conditional add.
  *
- * collinear: the largest number of points of a set in F_p^3 on one line.
- * For each anchor point the directions to all later points are scaled so
- * their first nonzero coordinate is 1, with one batched inverse
- * (Montgomery, Math. Comp. 48, 1987: prefix products, one Fermat inverse,
- * back-substitution), and equal directions are counted in an
- * open-addressing hash table.
+ * collinear: how many points of a set in F_p^3 lie on each line, as a
+ * histogram of runs.  For each anchor point the directions to all later
+ * points are scaled so their first nonzero coordinate is 1, with one batched
+ * inverse (Montgomery, Math. Comp. 48, 1987: prefix products, one Fermat
+ * inverse, back-substitution), and equal directions are counted in an
+ * open-addressing hash table.  A line with k points shows up as runs of
+ * 1 .. k - 1 later points, one from each of its points but the last, so the
+ * histogram gives both the largest k (max_collinear_3d) and the number of
+ * lines with exactly k points (determined_lines, with the plane's points as
+ * (x, y, 0)).
+ *
+ * pinned: the distance report.  For each pin q the squared distances
+ * d(q, r) to all points r are counted in a hash table, which gives the size
+ * of the pinned set and the isosceles pairs at q, and the distances to the
+ * later points go into one growing hash set, the distance set.  Memory is
+ * O(m) plus the distance set: no pair block is built.
  *
  * Reduction.  reduce(u) = u mod p for every u < 2^63, by Barrett's method
  * with M = floor((2^64 - 1) / p).  Write p*M = 2^64 - 1 - e with 0 <= e < p.
@@ -54,7 +65,8 @@
  * floor(u/p) - 1 <= q <= floor(u/p), and u - q*p lies in [0, 2p): one
  * conditional subtraction makes it exact, and quotient(u) = floor(u/p) is
  * q plus one correction.  Every key is below p^2 + p < 2^62, and every
- * other reduced quantity is a product of two numbers up to p.
+ * other reduced quantity is a product of two numbers up to p, or in pinned
+ * the sum of two squares of numbers below p, which is below 2^63.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -250,10 +262,12 @@ static inline uint64_t diff(int64_t x, int64_t x0, uint64_t p)
     return x >= x0 ? (uint64_t)(x - x0) : (uint64_t)(x - x0) + p;
 }
 
-/* pts: r >= 1 distinct points (x, y, z), row by row.  Returns the maximum
- * number of them on one line, or -1 when scratch memory cannot be
- * allocated. */
-int64_t collinear(const int64_t *pts, int64_t r, int64_t p)
+/* pts: r >= 1 distinct points (x, y, z), row by row.  runs: r zeroed
+ * counts, of which runs[c] receives the number of (anchor, direction) pairs
+ * that hold exactly c later points; a line with k points gives one pair for
+ * each c in 1 .. k - 1, from each of its points but the last.  Returns 0, or
+ * -1 when scratch memory cannot be allocated. */
+int64_t collinear(const int64_t *pts, int64_t r, int64_t p, int64_t *runs)
 {
     const uint64_t up = (uint64_t)p, m = UINT64_MAX / up;
     int log_cap = 1;
@@ -263,54 +277,177 @@ int64_t collinear(const int64_t *pts, int64_t r, int64_t p)
     uint64_t *pre = malloc((size_t)r * sizeof *pre);
     uint64_t *slot_key = malloc(((size_t)1 << log_cap) * sizeof *slot_key);
     int64_t *slot_count = malloc(((size_t)1 << log_cap) * sizeof *slot_count);
-    int64_t best = -1;
-    if (lead && pre && slot_key && slot_count) {
-        best = 1;
-        /* a line through anchor i holds at most r - i of the points i.. */
-        for (int64_t i = 0; i + best < r; i++) {
-            const int64_t *o = pts + 3 * i, *q = o + 3;
-            const int64_t n = r - 1 - i;
-            /* lead[k]: first nonzero coordinate of the k-th direction;
-             * pre[k]: the product of the leads before it */
-            uint64_t acc = 1;
-            for (int64_t k = 0; k < n; k++) {
-                const uint64_t u = diff(q[3 * k], o[0], up), v = diff(q[3 * k + 1], o[1], up);
-                lead[k] = u ? u : v ? v : diff(q[3 * k + 2], o[2], up);
-                pre[k] = acc;
-                acc = reduce(acc * lead[k], up, m);
+    const int64_t status = lead && pre && slot_key && slot_count ? 0 : -1;
+    for (int64_t i = 0; status == 0 && i + 1 < r; i++) {
+        const int64_t *o = pts + 3 * i, *q = o + 3;
+        const int64_t n = r - 1 - i;
+        /* lead[k]: first nonzero coordinate of the k-th direction;
+         * pre[k]: the product of the leads before it */
+        uint64_t acc = 1;
+        for (int64_t k = 0; k < n; k++) {
+            const uint64_t u = diff(q[3 * k], o[0], up), v = diff(q[3 * k + 1], o[1], up);
+            lead[k] = u ? u : v ? v : diff(q[3 * k + 2], o[2], up);
+            pre[k] = acc;
+            acc = reduce(acc * lead[k], up, m);
+        }
+        /* 2^t >= 2n slots, at most half of them filled; UINT64_MAX is no key */
+        int t = 1;
+        while (((int64_t)1 << t) < 2 * n)
+            t++;
+        const int shift = 64 - t;
+        const uint64_t mask = ((uint64_t)1 << t) - 1;
+        memset(slot_key, 0xff, (mask + 1) * sizeof *slot_key);
+        /* inv: the inverse of the product of the leads 0..k, so that
+         * scale = inv * pre[k] is the inverse of lead[k] */
+        uint64_t inv = power(acc, up - 2, up, m);
+        for (int64_t k = n - 1; k >= 0; k--) {
+            const uint64_t scale = reduce(inv * pre[k], up, m);
+            inv = reduce(inv * lead[k], up, m);
+            const uint64_t u = diff(q[3 * k], o[0], up), v = diff(q[3 * k + 1], o[1], up);
+            const uint64_t w = reduce(diff(q[3 * k + 2], o[2], up) * scale, up, m);
+            /* (1, v', w') -> v'*p + w'; (0, 1, w') -> p*p + w'; (0, 0, 1) -> p*p + p */
+            const uint64_t key = u ? reduce(v * scale, up, m) * up + w : up * up + (v ? w : up);
+            uint64_t h = (key * UINT64_C(0x9E3779B97F4A7C15)) >> shift;
+            while (slot_key[h] != key && slot_key[h] != UINT64_MAX)
+                h = (h + 1) & mask;
+            if (slot_key[h] == UINT64_MAX) {
+                slot_key[h] = key;
+                slot_count[h] = 0;
             }
-            /* 2^t >= 2n slots, at most half of them filled; UINT64_MAX is no key */
-            int t = 1;
-            while (((int64_t)1 << t) < 2 * n)
-                t++;
-            const int shift = 64 - t;
-            const uint64_t mask = ((uint64_t)1 << t) - 1;
-            memset(slot_key, 0xff, (mask + 1) * sizeof *slot_key);
-            /* inv: the inverse of the product of the leads 0..k, so that
-             * scale = inv * pre[k] is the inverse of lead[k] */
-            uint64_t inv = power(acc, up - 2, up, m);
-            for (int64_t k = n - 1; k >= 0; k--) {
-                const uint64_t scale = reduce(inv * pre[k], up, m);
-                inv = reduce(inv * lead[k], up, m);
-                const uint64_t u = diff(q[3 * k], o[0], up), v = diff(q[3 * k + 1], o[1], up);
-                const uint64_t w = reduce(diff(q[3 * k + 2], o[2], up) * scale, up, m);
-                /* (1, v', w') -> v'*p + w'; (0, 1, w') -> p*p + w'; (0, 0, 1) -> p*p + p */
-                const uint64_t key = u ? reduce(v * scale, up, m) * up + w : up * up + (v ? w : up);
-                uint64_t h = (key * UINT64_C(0x9E3779B97F4A7C15)) >> shift;
-                while (slot_key[h] != key && slot_key[h] != UINT64_MAX)
-                    h = (h + 1) & mask;
-                if (slot_key[h] == UINT64_MAX) {
-                    slot_key[h] = key;
-                    slot_count[h] = 0;
-                }
-                if (++slot_count[h] + 1 > best)
-                    best = slot_count[h] + 1;
-            }
+            /* runs[c] counts the pairs with at least c later points */
+            runs[++slot_count[h]]++;
         }
     }
+    /* ... and then those with exactly c */
+    for (int64_t c = 1; status == 0 && c + 1 < r; c++)
+        runs[c] -= runs[c + 1];
     free(lead);
     free(pre);
     free(slot_key);
     free(slot_count);
-    return best;
+    return status;
+}
+
+/* distinct values below 2^31 in an open-addressing table of 2^t slots;
+ * FREE marks an empty slot */
+#define FREE UINT32_MAX
+/* values between the prefetch of a slot of the distance set and its use */
+#define AHEAD 16
+
+static inline uint64_t slot(uint32_t value, int t)
+{
+    return ((uint64_t)value * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - t);
+}
+
+/* the slot of value in table, or the free slot where it goes */
+static inline uint64_t find(const uint32_t *table, int t, uint32_t value)
+{
+    const uint64_t mask = ((uint64_t)1 << t) - 1;
+    uint64_t h = slot(value, t);
+    while (table[h] != value && table[h] != FREE)
+        h = (h + 1) & mask;
+    return h;
+}
+
+/* insert value into the set of 2^*t slots holding *n values, doubling the
+ * slots when they are three quarters full; -1 when the larger table cannot
+ * be allocated */
+static int insert(uint32_t **set, int *t, int64_t *n, uint32_t value)
+{
+    const uint64_t s = find(*set, *t, value);
+    if ((*set)[s] != FREE)
+        return 0;
+    (*set)[s] = value;
+    if (4 * ++*n <= 3 * ((int64_t)1 << *t))
+        return 0;
+    uint32_t *grown = malloc(((size_t)2 << *t) * sizeof *grown);
+    if (grown == NULL)
+        return -1;
+    memset(grown, 0xff, ((size_t)2 << *t) * sizeof *grown);
+    for (uint64_t k = 0; k < (uint64_t)1 << *t; k++)
+        if ((*set)[k] != FREE)
+            grown[find(grown, *t + 1, (*set)[k])] = (*set)[k];
+    free(*set);
+    *set = grown;
+    ++*t;
+    return 0;
+}
+
+/* keys: m >= 1 ascending point keys x*p + y.  For each pin q the squared
+ * distances d(q, r) = (x_q - x_r)^2 + (y_q - y_r)^2 mod p to all points r,
+ * q itself included, are counted in a hash table of 2^t >= 2m slots:
+ * sizes[q] receives the number of distinct values, the size of the pinned
+ * set, and *isosceles the sum of c*(c - 1) over the counts c of the nonzero
+ * values.  0 and the values d(q, r), r > q, gather in a set that grows as
+ * it fills.  At the end out(n) returns an array of n int64 that receives
+ * the set's n values, unsorted.  Returns n, or -1 when memory cannot be
+ * allocated or out returns NULL. */
+int64_t pinned(const int64_t *keys, int64_t m, int64_t p, int64_t *sizes, int64_t *isosceles,
+               int64_t *(*out)(int64_t))
+{
+    const uint64_t up = (uint64_t)p, mp = UINT64_MAX / up;
+    int t = 1, set_t = 10;
+    while (((int64_t)1 << t) < 2 * m)
+        t++;
+    uint64_t *x = malloc((size_t)m * sizeof *x), *y = malloc((size_t)m * sizeof *y);
+    uint32_t *row = malloc(((size_t)1 << t) * sizeof *row), *count = malloc(((size_t)1 << t) * sizeof *count);
+    uint32_t *used = malloc((size_t)m * sizeof *used), *dist = malloc((size_t)m * sizeof *dist);
+    uint32_t *set = malloc(((size_t)1 << set_t) * sizeof *set);
+    int64_t n = 0, status = x && y && row && count && used && dist && set ? 0 : -1;
+    for (int64_t i = 0; status == 0 && i < m; i++) {
+        x[i] = quotient((uint64_t)keys[i], up, mp);
+        y[i] = (uint64_t)keys[i] - x[i] * up;
+    }
+    if (status == 0) {
+        memset(row, 0xff, ((size_t)1 << t) * sizeof *row);
+        memset(set, 0xff, ((size_t)1 << set_t) * sizeof *set);
+        status = insert(&set, &set_t, &n, 0);
+    }
+    *isosceles = 0;
+    for (int64_t q = 0; status == 0 && q < m; q++) {
+        int64_t held = 0;
+        for (int64_t r = 0; r < m; r++) {
+            const uint64_t dx = x[q] > x[r] ? x[q] - x[r] : x[r] - x[q];
+            const uint64_t dy = y[q] > y[r] ? y[q] - y[r] : y[r] - y[q];
+            /* dx, dy < 2^31, so the sum stays below 2^63 */
+            const uint32_t d = dist[r] = (uint32_t)reduce(dx * dx + dy * dy, up, mp);
+            const uint64_t h = find(row, t, d);
+            if (row[h] == FREE) {
+                row[h] = d;
+                count[h] = 0;
+                used[held++] = (uint32_t)h;
+            }
+            count[h]++;
+        }
+        /* a large set misses the cache: fetch a slot AHEAD values early */
+        for (int64_t r = q + 1; status == 0 && r < m; r++) {
+            if (r + AHEAD < m)
+                __builtin_prefetch(set + slot(dist[r + AHEAD], set_t));
+            status = insert(&set, &set_t, &n, dist[r]);
+        }
+        sizes[q] = held;
+        for (int64_t k = 0; k < held; k++) {
+            const uint64_t c = count[used[k]];
+            *isosceles += row[used[k]] ? (int64_t)(c * (c - 1)) : 0;
+            row[used[k]] = FREE;
+        }
+    }
+    /* the values move to the front of the set, which shrinks to them
+     * before out allocates their copy */
+    for (uint64_t k = 0, j = 0; status == 0 && k < (uint64_t)1 << set_t; k++)
+        if (set[k] != FREE)
+            set[j++] = set[k];
+    uint32_t *kept = status == 0 ? realloc(set, (size_t)n * sizeof *set) : NULL;
+    set = kept != NULL ? kept : set;
+    int64_t *values = status == 0 ? out(n) : NULL;
+    for (int64_t j = 0; values != NULL && j < n; j++)
+        values[j] = set[j];
+    free(x);
+    free(y);
+    free(row);
+    free(count);
+    free(used);
+    free(dist);
+    free(set);
+    return values != NULL ? n : -1;
 }

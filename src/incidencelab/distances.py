@@ -2,20 +2,28 @@
 lines, perpendicular-bisector families, isosceles triples, and the
 determined-lines (two-extremes) accounting with its dyadic partition.
 
-The quadratic reports are numpy passes that hold one block at a time.
-Distance sets and isosceles triples take blocks of pin rows, each row of m
+The quadratic reports run one point at a time on the C kernels of
+:mod:`incidence`, in memory O(m) above their results.  ``pinned`` counts the
+distances from each pin in a hash table, which gives its pinned set size and
+isosceles pairs, and gathers the distance set.  ``collinear`` counts the
+slopes from each point to the later points, and the lengths of these runs
+give the exact richness histogram of the determined lines.
+
+Without a C compiler the same reports are numpy passes that hold one block
+at a time, and these passes also give the lazy fields, the line keys and
+the pinned sets.  Distance sets take blocks of pin rows, each row of m
 distances sorted so that its runs give the pinned set and the isosceles
 pairs at once.  The determined lines take blocks of whole pair rows (i, j),
 j > i, with one batched modular inverse per block; each block is sorted by
-point and slope, and the lengths of its runs give the exact richness
-histogram of the lines.  A point set is given as point keys x*p + y with
-its modulus p and is read through :class:`plane.Instance`, which checks p
-and the keys; the results hold point and line keys (see
+point and slope.  A point set is given as point keys x*p + y with its
+modulus p and is read through :class:`plane.Instance`, which checks p and
+the keys; the results hold point and line keys (see
 :meth:`AffineLine.key`).
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,6 +31,7 @@ import numpy as np
 
 from .errors import EmptyInputError, ModulusMismatchError, TooFewPointsError
 from .field import inv_mod_array, make_modulus, minus_one_is_square, sqrt_mod
+from .incidence import _collinear_runs, _load_backend
 from .plane import (_PAIR_BLOCK, AffineLine, AffinePoint, Instance, _read_only, _run_starts, distinct,
                     distinct_in_place, pair_blocks)
 
@@ -78,8 +87,8 @@ def distance(q: AffinePoint, r: AffinePoint) -> int:
 class DistanceReport:
     """All squared distances of a point set and all pinned distance sets.
 
-    One pass over blocks of pin rows, which keeps no row past its block,
-    gives the eager fields: distance_values, the set of all squared
+    One pass, the C kernel ``pinned`` or without it numpy blocks of pin
+    rows, gives the eager fields: distance_values, the set of all squared
     distances as a sorted, read-only int64 array; pin, the key of the point
     whose pinned set is largest (ties go to the smallest key), a Python
     int, and max_pinned, the size of that set; degenerate, a bool that
@@ -90,7 +99,8 @@ class DistanceReport:
     distances holds the same set as a frozenset of Python ints, built on
     first access.  pinned_values maps the key of each point q to its pinned
     set Delta_q as a sorted int64 array, and pinned holds the same sets as
-    frozensets.  Both are computed on first access, by a second pass.
+    frozensets.  Both are computed on first access, by a second pass over
+    the numpy blocks.
     """
 
     distance_values: np.ndarray
@@ -130,25 +140,45 @@ def _fold(parts: list) -> np.ndarray:
     return distinct_in_place(values)
 
 
-def distance_sets(point_keys, p: int) -> DistanceReport:
-    """Exact distance set and every pinned set Delta_q of the points with
-    the given keys over F_p."""
-    inst = _points(point_keys, p)
-    if not inst.m:
-        raise EmptyInputError("need at least one point")
+# the allocator that the kernel ``pinned`` calls for its output array
+_OUT = ctypes.CFUNCTYPE(ctypes.c_void_p, ctypes.c_int64)
+
+
+def _pinned(point_keys: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray] | None:
+    """(sizes, isosceles, values) of the m >= 1 ascending point keys from
+    the C kernel ``pinned``: the size of each point's pinned distance set,
+    the isosceles triples, and the sorted distance set; None without the
+    kernels."""
+    lib = _load_backend().lib
+    if lib is None:
+        return None
+    sizes, isosceles, values = np.zeros(point_keys.size, np.int64), np.zeros(1, np.int64), []
+
+    def out(n):
+        try:
+            values.append(np.empty(n, np.int64))
+        except MemoryError:
+            return None
+        return values[0].ctypes.data
+
+    if lib.pinned(point_keys, point_keys.size, p, sizes, isosceles, _OUT(out)) < 0:
+        raise MemoryError("pinned kernel: no memory for the distance tables")
+    values[0].sort()
+    return sizes, int(isosceles[0]), values[0]
+
+
+def _pinned_blocks(x, y, p) -> tuple[np.ndarray, int, np.ndarray]:
+    """(sizes, isosceles, values) as the C kernel ``pinned`` gives them,
+    from the blocks of :func:`_distance_blocks`."""
+    sizes = np.empty(x.size, dtype=np.int64)
     # parts holds the distance set so far, once there is one, and the
     # distances of the blocks since, starting from d(q, q) = 0
     parts, folded, added = [np.zeros(1, dtype=np.int64)], 0, 1
-    row = pin = max_pinned = isosceles = 0
-    for rows, starts, after in _distance_blocks(*inst.xy, p):
+    row = isosceles = 0
+    for rows, starts, after in _distance_blocks(x, y, p):
         isosceles += _isosceles(rows, starts)
-        # argmax by pinned-set size; the rows ascend by key, so ties
-        # resolve to the lexicographically smallest point
-        sizes = starts.sum(axis=1)
-        best = int(np.argmax(sizes))
-        if sizes[best] > max_pinned:
-            pin, max_pinned = row + best, int(sizes[best])
-        row += sizes.size
+        starts.sum(axis=1, out=sizes[row:row + len(rows)])
+        row += len(rows)
         parts.append(after)
         added += after.size
         # fold the blocks' values into the distance set once they outnumber
@@ -156,8 +186,20 @@ def distance_sets(point_keys, p: int) -> DistanceReport:
         if added > folded:
             parts = [_fold(parts)]
             folded, added = parts[0].size, 0
-    (values,) = _read_only(_fold(parts) if added else parts[0])
-    return DistanceReport(values, int(inst.point_keys[pin]), max_pinned,
+    return sizes, isosceles, _fold(parts) if added else parts[0]
+
+
+def distance_sets(point_keys, p: int) -> DistanceReport:
+    """Exact distance set and every pinned set Delta_q of the points with
+    the given keys over F_p."""
+    inst = _points(point_keys, p)
+    if not inst.m:
+        raise EmptyInputError("need at least one point")
+    sizes, isosceles, values = _pinned(inst.point_keys, p) or _pinned_blocks(*inst.xy, p)
+    # the points ascend by key, so ties go to the smallest one
+    pin = int(np.argmax(sizes))
+    _read_only(values)
+    return DistanceReport(values, int(inst.point_keys[pin]), int(sizes[pin]),
                           bool(values.size == 1 and values[0] == 0), isosceles, inst)
 
 
@@ -204,7 +246,8 @@ def bisector_instance(point_keys, r: int, p: int) -> np.ndarray:
 def isosceles_triples(point_keys, p: int) -> int:
     """Exact count of ordered triples (q, r, s), r != s, with
     d(q, r) = d(q, s) != 0, over the points with the given keys."""
-    return sum(_isosceles(rows, starts) for rows, starts, _ in _distance_blocks(*_points(point_keys, p).xy, p))
+    inst = _points(point_keys, p)
+    return distance_sets(inst.point_keys, p).isosceles_triples if inst.m else 0
 
 
 def _slope_runs(x, y, p):
@@ -246,14 +289,15 @@ class BeckReport:
     start at j = 1.  Every unordered pair of distinct points lies on
     exactly one determined line, so the per-line pair counts sum to C(m, 2).
 
-    One pass over blocks of point pairs gives the richness histogram, and
-    the eager fields are read off it: line_count, the number of determined
-    lines; class_sizes and pairs_by_class, the lines and the pairs of each
-    class, by ascending class; and pair_total.  They are integer sums, with
-    no float square root, so they are exact for every m.  keys, the
-    ascending line keys (:meth:`AffineLine.key`) of the determined lines,
-    and richness, the number of points on each, are computed on first
-    access, by a second pass.
+    One pass, the C kernel ``collinear`` or without it numpy blocks of
+    point pairs, gives the richness histogram, and the eager fields are
+    read off it: line_count, the number of determined lines; class_sizes
+    and pairs_by_class, the lines and the pairs of each class, by ascending
+    class; and pair_total.  They are integer sums, with no float square
+    root, so they are exact for every m.  keys, the ascending line keys
+    (:meth:`AffineLine.key`) of the determined lines, and richness, the
+    number of points on each, are computed on first access, by a second
+    pass over the numpy blocks.
     """
 
     line_count: int
@@ -295,16 +339,20 @@ def determined_lines(point_keys, p: int) -> BeckReport:
     m = inst.m
     if m < 2:
         raise TooFewPointsError(f"need at least two points, got {m}")
-    # runs[r] counts the runs of length r.  A line with k points gives one
-    # run of each length 1 .. k - 1, one from each of its points but the
-    # last, so runs[k - 1] - runs[k] lines hold exactly k points.
-    runs = np.zeros(m + 1, dtype=np.int64)
-    for _, key, start in _slope_runs(*inst.xy, p):
-        runs += np.bincount(np.diff(start, append=key.size), minlength=m + 1)
-        # drop the block before _slope_runs builds the next one
-        del key, start
+    # runs[c] counts the runs of c points after a point on its line.  A line
+    # with k points gives one run of each length 1 .. k - 1, one from each
+    # of its points but the last, so runs[k - 1] - runs[k] lines hold
+    # exactly k points.
+    x, y = inst.xy
+    runs = _collinear_runs(np.column_stack((x, y, np.zeros_like(x))), p)
+    if runs is None:
+        runs = np.zeros(m, dtype=np.int64)
+        for _, key, start in _slope_runs(x, y, p):
+            runs += np.bincount(np.diff(start, append=key.size), minlength=m)
+            # drop the block before _slope_runs builds the next one
+            del key, start
     k = np.arange(2, m + 1)
-    lines = runs[1:-1] - runs[2:]
+    lines = runs[1:] - np.append(runs[2:], 0)
     # class j holds k in [2^j, 2^(j+1)), the entries from 2^j - 2 on
     js = np.arange(1, m.bit_length())
     sizes = np.add.reduceat(lines, (1 << js) - 2)

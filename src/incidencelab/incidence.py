@@ -18,10 +18,11 @@ probed side (a run of equal key // p) along one of three paths: groups of
 at most 32 values are independent probes in a blocked loop (flat); a larger
 group's values are tested in a bitmap of p bits, which the kernel
 allocates, when 64 * size >= p (bitmap), and otherwise by binary search.
-The C kernel ``collinear`` computes :func:`max_collinear_3d`.
+The C kernel ``collinear`` gives :func:`max_collinear_3d` and the run
+lengths of :func:`distances.determined_lines`.
 
-The first hash-join count or collinearity call of a process compiles the
-kernels with ``cc -O3 -march=native`` (on x86-64 also
+The first hash-join count, collinearity call or report of a process
+compiles the kernels with ``cc -O3 -march=native`` (on x86-64 also
 ``-mprefer-vector-width=512``) into ``$XDG_CACHE_HOME/incidencelab``
 (default ``~/.cache/incidencelab``), keyed by the source, the flags, the
 resolved compiler binary (path, size and mtime) and the CPU flags, and later
@@ -30,9 +31,10 @@ or with an unwritable cache, the join runs as numpy passes over the
 coordinate views (:func:`_group_degrees`), with identical counts (on a
 2-vCPU Xeon with numpy 2.4, random m = n = 10^4 in 0.18 s at p = 1048573
 and 0.20 s at p = 1009, against 0.020 s on the C kernels, and
-full_plane(101) in 0.018 s against 0.002 s), and max_collinear_3d runs as
-numpy passes over blocks of point pairs.  :func:`kernel_backend` says which
-ran, and why.  All engines return identical exact integers.
+full_plane(101) in 0.018 s against 0.002 s), and max_collinear_3d and the
+reports of :mod:`distances` run as numpy passes over blocks of point pairs.
+:func:`kernel_backend` says which ran, and why.  All engines return
+identical exact integers.
 """
 
 from __future__ import annotations
@@ -155,8 +157,9 @@ def _load_backend() -> _Backend:
                 arr = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
                 i64, ptr = ctypes.c_int64, ctypes.c_void_p  # ndpointer refuses None
                 lib.probe.argtypes = [arr, i64, arr, i64, i64, i64, ptr, ptr, arr]
-                lib.collinear.argtypes = [arr, i64, i64]
-                lib.probe.restype = lib.collinear.restype = i64
+                lib.collinear.argtypes = [arr, i64, i64, arr]
+                lib.pinned.argtypes = [arr, i64, i64, arr, arr, ptr]
+                lib.probe.restype = lib.collinear.restype = lib.pinned.restype = i64
                 _backend = _Backend(lib, "")
             except _KernelUnavailable as exc:
                 _backend = _Backend(None, str(exc))
@@ -444,20 +447,29 @@ def max_collinear_3d(points, p: int) -> int:
     (0, 0, 1), keyed v*p + w, p*p + w or p*p + p, all below 2^63 for
     p < 2^31.  A line through a point holding k later points shows as k
     equal keys of that point.  The C kernel ``collinear`` counts the keys of
-    one point at a time in a hash table; without it the numpy fallback sorts
+    one point at a time in a hash table, and the answer is 1 plus the
+    largest count of its histogram; without it the numpy fallback sorts
     blocks of pairs.
     """
     p = make_modulus(p).p
     pts = np.array(_residue_triples(points, p), dtype=np.int64).reshape(-1, 3)
     if len(pts) == 0:
         raise InvalidParameterError("need at least one point")
+    runs = _collinear_runs(pts, p)
+    return _max_collinear_numpy(pts, p) if runs is None else 1 + int(np.flatnonzero(runs).max(initial=0))
+
+
+def _collinear_runs(pts: np.ndarray, p: int) -> np.ndarray | None:
+    """runs[c], c < r, the number of (anchor, direction) pairs of the r >= 1
+    distinct points pts (an r x 3 int64 array) that hold exactly c later
+    points, from the C kernel ``collinear``; None without the kernels."""
     lib = _load_backend().lib
     if lib is None:
-        return _max_collinear_numpy(pts, p)
-    best = lib.collinear(pts, len(pts), p)
-    if best < 0:
-        raise MemoryError("max_collinear_3d: no memory for the direction table")
-    return best
+        return None
+    runs = np.zeros(len(pts), dtype=np.int64)
+    if lib.collinear(pts, len(pts), p, runs) < 0:
+        raise MemoryError("collinear kernel: no memory for the direction table")
+    return runs
 
 
 def _max_collinear_numpy(pts: np.ndarray, p: int) -> int:

@@ -1,5 +1,7 @@
 import tracemalloc
+from collections import Counter
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import residues
 from incidencelab import distances, plane
+from incidencelab import incidence as inc
 from incidencelab.constructions import SeededStream
 from incidencelab.distances import (
     bisector_instance,
@@ -360,14 +363,26 @@ def structured_point_sets(draw):
     return sorted(AffinePoint(x, y, p) for x, y in pts)
 
 
+def each_backend():
+    """Install the loaded backend, the C kernels when they compile, and then
+    the numpy passes, for one turn of the loop each."""
+    for backend in (inc._load_backend(), inc._Backend(None, "forced")):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inc, "_backend", backend)
+            yield backend
+
+
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(structured_point_sets(), st.sampled_from([1, 7, 1 << 15]))
 def test_blocked_reports_match_oracles_at_the_largest_prime(pts, block):
-    # blocks of one pin row or pair row, of a few, and of the default size
+    # blocks of one pin row or pair row, of a few, and of the default size:
+    # the eager reports on the numpy backend, whose passes read the blocks,
+    # and on the C kernels, where only the lazy keys and pinned sets do
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distances, "_PAIR_BLOCK", block)
         mp.setattr(plane, "_PAIR_BLOCK", block)
-        assert_reports_match_oracles(pts)
+        for _ in each_backend():
+            assert_reports_match_oracles(pts)
 
 
 def concat_sort_determined_lines(point_keys, p):
@@ -434,16 +449,18 @@ def test_run_lengths_match_the_concat_sort_oracle(case, block):
     if len(point_keys) < 2:
         return
     oracle = concat_sort_determined_lines(point_keys, p)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(plane, "_PAIR_BLOCK", block)
-        rep = determined_lines(point_keys, p)
-        eager = {"class_sizes": rep.class_sizes, "pairs_by_class": rep.pairs_by_class,
-                 "line_count": rep.line_count}
-        lines = {"keys": rep.keys.tolist(), "richness": rep.richness.tolist()}
-    assert {**eager, **lines} == oracle
-    assert eager == counts_from_lines(lines["keys"], lines["richness"])
     m = len(point_keys)
-    assert rep.pair_total == rep.expected_pairs == m * (m - 1) // 2 == sum(rep.pairs_by_class.values())
+    # the run lengths of the C kernel, then those of the numpy blocks
+    for _ in each_backend():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(plane, "_PAIR_BLOCK", block)
+            rep = determined_lines(point_keys, p)
+            eager = {"class_sizes": rep.class_sizes, "pairs_by_class": rep.pairs_by_class,
+                     "line_count": rep.line_count}
+            lines = {"keys": rep.keys.tolist(), "richness": rep.richness.tolist()}
+        assert {**eager, **lines} == oracle
+        assert eager == counts_from_lines(lines["keys"], lines["richness"])
+        assert rep.pair_total == rep.expected_pairs == m * (m - 1) // 2 == sum(rep.pairs_by_class.values())
 
 
 def traced_peak(call):
@@ -461,19 +478,25 @@ def random_point_keys(m, p, seed):
 
 
 def test_determined_lines_counts_in_bounded_memory():
-    # all C(m, 2) pair keys would take 16 MB, and the report's keys as many
+    # all C(m, 2) pair keys would take 16 MB, and the report's keys as many.
+    # tracemalloc sees the numpy blocks, not the C kernel's tables, which
+    # test_kernel_reports_bound_resident_memory bounds
     p = 1048573
     point_keys = random_point_keys(2000, p, 22)
-    rep, peak = traced_peak(lambda: determined_lines(point_keys, p))
-    assert peak < 8 << 20
     oracle = concat_sort_determined_lines(point_keys, p)
-    assert (rep.line_count, rep.class_sizes, rep.pairs_by_class) == (
-        oracle["line_count"], oracle["class_sizes"], oracle["pairs_by_class"])
+    for _ in each_backend():
+        rep, peak = traced_peak(lambda: determined_lines(point_keys, p))
+        assert peak < 8 << 20
+        assert (rep.line_count, rep.class_sizes, rep.pairs_by_class) == (
+            oracle["line_count"], oracle["class_sizes"], oracle["pairs_by_class"])
     assert rep.keys.tolist() == oracle["keys"] and rep.richness.tolist() == oracle["richness"]
 
 
 def test_beck_pass_keeps_one_block_alive(monkeypatch):
-    # two blocks alive at once took about 95 bytes per block pair
+    # two blocks alive at once took about 95 bytes per block pair.  The
+    # blocks are the numpy backend's; the C kernel's memory is bounded in
+    # test_kernel_reports_bound_resident_memory
+    monkeypatch.setattr(inc, "_backend", inc._Backend(None, "forced"))
     monkeypatch.setattr(plane, "_PAIR_BLOCK", 1 << 16)
     p = 1048573
     point_keys = random_point_keys(2000, p, 22)
@@ -499,11 +522,12 @@ def test_distance_set_is_an_int64_column():
     assert type(distance_sets(K([(0, 0), (1, 2)], 5), 5).degenerate) is bool
 
 
-def test_distance_set_fold_takes_each_distance_once_and_sorts_in_place():
+def test_distance_set_fold_takes_each_distance_once_and_sorts_in_place(monkeypatch):
     # the result is 3.8 MB.  Each distance gathered from both of its pins,
     # with the folded set, the blocks since and their sorted concatenation
     # all alive, peaked at 18.9 MB here, and at 11.5 MB with the
-    # concatenation sorted in place
+    # concatenation sorted in place.  The fold is the numpy backend's
+    monkeypatch.setattr(inc, "_backend", inc._Backend(None, "forced"))
     p = 2**31 - 1
     point_keys = random_point_keys(1000, p, 3)
     rep, peak = traced_peak(lambda: distance_sets(point_keys, p))
@@ -526,13 +550,177 @@ def test_distance_sets_in_bounded_memory():
     # every pinned set kept would take up to 16 MB
     p = 1009
     point_keys = random_point_keys(2000, p, 23)
-    rep, peak = traced_peak(lambda: distance_sets(point_keys, p))
-    assert peak < 8 << 20
     x, y = np.divmod(point_keys, p)
     pinned = {q: np.unique(((x - qx) ** 2 + (y - qy) ** 2) % p).tolist()
               for q, qx, qy in zip(point_keys.tolist(), x, y)}
-    assert {q: v.tolist() for q, v in rep.pinned_values.items()} == pinned
     sizes = {q: len(v) for q, v in pinned.items()}
-    assert rep.max_pinned == max(sizes.values())
-    assert rep.pin == min(q for q, size in sizes.items() if size == rep.max_pinned)
-    assert rep.distances == frozenset().union(*pinned.values())
+    for _ in each_backend():
+        rep, peak = traced_peak(lambda: distance_sets(point_keys, p))
+        assert peak < 8 << 20
+        assert rep.max_pinned == max(sizes.values())
+        assert rep.pin == min(q for q, size in sizes.items() if size == rep.max_pinned)
+        assert rep.distances == frozenset().union(*pinned.values())
+    assert {q: v.tolist() for q, v in rep.pinned_values.items()} == pinned
+
+
+# ---------------------------------------------------------------------------
+# The C kernels of the reports against the numpy passes and brute force
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["c", "numpy"])
+def report_backend(request, monkeypatch):
+    """The reports on the C kernels, or forced onto the numpy passes."""
+    if request.param == "numpy":
+        monkeypatch.setattr(inc, "_backend", inc._Backend(None, "forced"))
+    elif inc.kernel_backend()[0] != "c":
+        pytest.skip(f"compiled kernel unavailable: {inc.kernel_backend()[1]}")
+    return request.param
+
+
+def brute_reports(point_keys, p):
+    """The eager fields of both reports by Python counters over the pinned
+    rows of distances and over the lines of all pairs."""
+    point_keys = sorted(set(point_keys))
+    pts = [divmod(k, p) for k in point_keys]
+    rows = [Counter(((qx - rx) ** 2 + (qy - ry) ** 2) % p for rx, ry in pts) for qx, qy in pts]
+    sizes = [len(row) for row in rows]
+    values = sorted(set().union(*rows))
+    out = {"distance_values": values, "pin": point_keys[sizes.index(max(sizes))], "max_pinned": max(sizes),
+           "degenerate": values == [0],
+           "isosceles_triples": sum(c * (c - 1) for row in rows for d, c in row.items() if d)}
+    if len(pts) < 2:
+        return out
+    pairs = Counter(line_through(AffinePoint(*q, p), AffinePoint(*r, p)) for q, r in combinations(pts, 2))
+    # a line with k points holds k(k - 1)/2 pairs
+    richness = {line: (isqrt(8 * c + 1) + 1) // 2 for line, c in pairs.items()}
+    classes, pairs_by_class = Counter(), Counter()
+    for line, k in richness.items():
+        classes[k.bit_length() - 1] += 1
+        pairs_by_class[k.bit_length() - 1] += pairs[line]
+    return {**out, "line_count": len(pairs), "class_sizes": dict(sorted(classes.items())),
+            "pairs_by_class": dict(sorted(pairs_by_class.items())), "pair_total": len(pts) * (len(pts) - 1) // 2}
+
+
+def observed_reports(point_keys, p):
+    """The same fields as :func:`brute_reports`, from the reports."""
+    rep = distance_sets(point_keys, p)
+    assert isosceles_triples(point_keys, p) == rep.isosceles_triples
+    out = {"distance_values": rep.distance_values.tolist(), "pin": rep.pin, "max_pinned": rep.max_pinned,
+           "degenerate": rep.degenerate, "isosceles_triples": rep.isosceles_triples}
+    if len(point_keys) < 2:
+        return out
+    beck = determined_lines(point_keys, p)
+    assert beck.pair_total == beck.expected_pairs
+    return {**out, "line_count": beck.line_count, "class_sizes": beck.class_sizes,
+            "pairs_by_class": beck.pairs_by_class, "pair_total": beck.pair_total}
+
+
+def kernel_cases(p):
+    """Point key sets over F_p: one point, two, points on one line, a
+    column (every direction vertical), a subset of an isotropic line when -1
+    is a square mod p, random points with planted structure, and the whole
+    plane when p is small."""
+    stream = SeededStream(p % 1009)
+    rand = [(stream.below(p), stream.below(p)) for _ in range(25)]
+    cases = {
+        "one": [(p - 1, p - 1)],
+        "two": [(0, p - 1), (p - 1, 0)],
+        "line": [(t, (3 * t + p - 1) % p) for t in range(min(p, 12))],
+        "column": [(p - 1, 5 * t % p) for t in range(min(p, 12))],
+        "mixed": rand + [(t, (2 * t + 7) % p) for t in range(min(p, 9))] + [(4 % p, t) for t in range(min(p, 7))],
+    }
+    if minus_one_is_square(p):
+        i = sqrt_mod(p - 1, p)
+        cases["isotropic"] = [(t, i * t % p) for t in (0, 1, 2, p - 1, p // 3)]
+    if p < 20:
+        cases["plane"] = [(x, y) for x in range(p) for y in range(p)]
+    return {name: sorted({x * p + y for x, y in pts}) for name, pts in cases.items()}
+
+
+@pytest.mark.parametrize("p", [3, 13, 2147483629, 2147483647])
+def test_report_kernels_match_brute_force(report_backend, p):
+    cases = kernel_cases(p)
+    for name, point_keys in cases.items():
+        assert observed_reports(point_keys, p) == brute_reports(point_keys, p), name
+    if "isotropic" in cases:
+        rep = distance_sets(cases["isotropic"], p)
+        assert rep.distance_values.tolist() == [0] and rep.degenerate
+    if "plane" in cases:
+        beck = determined_lines(cases["plane"], p)
+        assert (beck.line_count, beck.class_sizes) == (p * p + p, {p.bit_length() - 1: p * p + p})
+
+
+def test_report_kernels_allocation_failure_is_a_memory_error(monkeypatch):
+    # the kernels return -1 when they cannot allocate their tables
+    class Exhausted:
+        @staticmethod
+        def collinear(*args):
+            return -1
+
+        @staticmethod
+        def pinned(*args):
+            return -1
+
+    point_keys = K([(0, 0), (1, 2), (3, 4)], 7)
+    with monkeypatch.context() as mp:
+        mp.setattr(inc, "_backend", inc._Backend(Exhausted, ""))
+        for call in (determined_lines, lambda keys, p: inc.max_collinear_3d([(0, 0, 0), (1, 2, 3)], p)):
+            with pytest.raises(MemoryError, match="direction table"):
+                call(point_keys, 7)
+        for call in (distance_sets, isosceles_triples):
+            with pytest.raises(MemoryError, match="distance tables"):
+                call(point_keys, 7)
+    # the real kernel fails too when its output array cannot be allocated
+    if inc.kernel_backend()[0] == "c":
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(np, "empty", exhausted)
+        with pytest.raises(MemoryError, match="distance tables"):
+            distances._pinned(np.array(point_keys, dtype=np.int64), 7)
+
+
+def test_kernel_reports_bound_resident_memory():
+    # tracemalloc does not see what the C kernels allocate; a child's VmHWM
+    # does.  The distance or direction of every pair at m = 2000 would take
+    # 8 MB even as uint32
+    import os
+    import subprocess
+    import sys
+
+    from conftest import package_env
+    if inc.kernel_backend()[0] != "c":
+        pytest.skip(f"compiled kernel unavailable: {inc.kernel_backend()[1]}")
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    script = """
+import numpy as np
+from incidencelab import incidence, plane
+from incidencelab.distances import determined_lines, distance_sets
+
+def status(field):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith(field))
+
+def growth(call):
+    # the peak above the resident memory before the call, or more
+    rss = status("VmRSS:")
+    result = call()
+    return result, status("VmHWM:") - rss
+
+incidence._load_backend()
+for p in (1009, 1048573):
+    keys = plane.distinct(np.random.default_rng(22).integers(0, p * p, 2000))
+    _, beck = growth(lambda: determined_lines(keys, p))
+    rep, dist = growth(lambda: distance_sets(keys, p))
+    print(p, keys.size, beck, dist, rep.distance_values.nbytes)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=package_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for line in proc.stdout.splitlines():
+        p, m, beck, dist, result = map(int, line.split())
+        assert beck < 1 << 20, (p, beck)
+        # the distance set, and its hash table of 4 bytes a slot before it
+        assert dist < 2 * result + (1 << 20), (p, dist, result)
+    assert proc.stdout.count("\n") == 2

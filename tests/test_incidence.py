@@ -596,7 +596,7 @@ def test_kernel_exports_are_the_bound_functions():
     defined = re.findall(r"^([a-z][^(;=]*?)\b(\w+)\(", source, re.M)
     exported = {name for head, name in defined if not head.startswith("static")}
     bound = set(re.findall(r"lib\.(\w+)\.argtypes", inspect.getsource(inc._load_backend)))
-    assert exported == bound == {"probe", "collinear"}
+    assert exported == bound == {"probe", "collinear", "pinned"}
 
 
 @pytest.mark.parametrize("p", [5, 101, 2147483647])
@@ -623,19 +623,53 @@ def test_max_collinear_backends_match_oracle_random(collinear_backend):
 
 def test_max_collinear_c_matches_numpy_fallback():
     import incidencelab.incidence as inc
-    lib = compiled_kernels()
+    compiled_kernels()
     stream = SeededStream(402)
     for p in (3, 7, 31, 2147483647):
         for size in (1, 2, 3, 50, 400):
             pts = {(stream.below(p), stream.below(min(p, 9)), stream.below(p)) for _ in range(size)}
             arr = np.array(sorted(pts), dtype=np.int64).reshape(-1, 3)
-            assert lib.collinear(arr, len(arr), p) == inc._max_collinear_numpy(arr, p)
+            runs = inc._collinear_runs(arr, p)
+            # each pair (i, j), i < j, is one of the c later points of i
+            assert np.dot(np.arange(len(arr)), runs) == len(arr) * (len(arr) - 1) // 2
+            assert 1 + np.flatnonzero(runs).max(initial=0) == inc._max_collinear_numpy(arr, p)
     # the k of every elekes reduction of the paper sweep
     for a in (2, 3, 4, 5):
         for c in (1, 2, 4):
             red = energy_reduction(list(range(1, a + 1)), elekes_construction(a, c, 101))
             arr = np.array(red.points, dtype=np.int64).reshape(-1, 3)
             assert red.k == inc._max_collinear_numpy(arr, 101)
+
+
+def brute_collinear_runs(pts, p):
+    """Oracle of the kernel's histogram: for each anchor, the later points
+    counted per direction, each direction scaled by the inverse of its first
+    nonzero coordinate."""
+    runs = [0] * len(pts)
+    for i, o in enumerate(pts):
+        directions = {}
+        for q in pts[i + 1:]:
+            d = [(a - b) % p for a, b in zip(q, o)]
+            scale = pow(next(c for c in d if c), -1, p)
+            key = tuple(c * scale % p for c in d)
+            directions[key] = directions.get(key, 0) + 1
+        for c in directions.values():
+            runs[c] += 1
+    return runs
+
+
+@pytest.mark.parametrize("p", [3, 2147483647])
+def test_collinear_runs_match_brute_force(p):
+    import incidencelab.incidence as inc
+    compiled_kernels()
+    stream = SeededStream(403)
+    line = [tuple((5 + t * c) % p for c in (p - 1, 2, 0)) for t in range(min(p, 9))]
+    column = [(p - 1, (3 * t) % p, 0) for t in range(min(p, 6))]
+    rand = [(stream.below(p), stream.below(p), stream.below(p)) for _ in range(30)]
+    plane = [(x, y, 1) for x in range(min(p, 5)) for y in range(min(p, 5))]
+    for pts in ([(1, 2, 3)], [(0, 0, 0), (p - 1, p - 1, p - 1)], line, column, rand + line + column, plane):
+        arr = np.array(sorted(set(pts)), dtype=np.int64).reshape(-1, 3)
+        assert inc._collinear_runs(arr, p).tolist() == brute_collinear_runs([tuple(r) for r in arr.tolist()], p)
 
 
 def test_max_collinear_checks_the_modulus():
