@@ -32,7 +32,7 @@ _EXPORTS = {
                   "max_collinear_3d", "richness_histograms"),
     "bounds": ("HypothesisReport", "check_hypotheses", "reference_bound", "within_combinatorial_bound"),
     "constructions": ("SeededStream", "cartesian_instance", "elekes_construction", "full_plane",
-                      "pencil", "random_instance"),
+                      "random_instance"),
     "cover": ("GridCertificate", "NormalizedGrid", "PencilGrid", "RichnessPartition",
               "VerificationReport", "grid_cover", "normalize_grid", "richness_partition",
               "two_pencil_extract", "verify_certificate"),
@@ -40,7 +40,7 @@ _EXPORTS = {
                "count_point_plane", "cs_bridge_check", "energy_reduction", "line_energy",
                "sumproduct_report"),
     "distances": ("BeckReport", "DistanceReport", "bisector_instance", "determined_lines",
-                  "distance", "distance_sets", "isosceles_triples", "isotropic_lines"),
+                  "distance_sets", "isosceles_triples", "isotropic_lines"),
     "files": ("read_instance", "write_instance"),
     "harness": ("FitResult", "SweepConfig", "fit_exponent", "run_sweep"),
 }

@@ -1,5 +1,5 @@
 """Instance generators: the extremal grid-and-lines family, full planes,
-Cartesian products, pencils, and seeded random instances.
+Cartesian products, and seeded random instances.
 
 Random instances use an explicitly specified 64-bit mixing generator (written
 out below, not a library PRNG) so the same seed yields the same instance in
@@ -21,7 +21,7 @@ from .errors import (
     TooManyRequestedError,
 )
 from .field import make_modulus
-from .plane import AffineLine, AffinePoint, Instance
+from .plane import Instance
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -168,13 +168,3 @@ def random_instance(p: int, m: int, n: int, seed: int) -> Instance:
     stream = SeededStream(seed)
     point_keys = stream.sample_distinct(p * p, m)
     return Instance(modulus, point_keys=point_keys, line_keys=stream.sample_distinct(p * p + p, n))
-
-
-def pencil(vertex: AffinePoint, slopes: Iterable[int], include_vertical: bool = False) -> frozenset[AffineLine]:
-    """The lines through one vertex with the given slopes, optionally with
-    the vertical line through it."""
-    p = vertex.p
-    lines = {AffineLine(s % p, (vertex.y - s * vertex.x) % p, p) for s in slopes}
-    if include_vertical:
-        lines.add(AffineLine(None, vertex.x, p))
-    return frozenset(lines)

@@ -10,15 +10,15 @@ slopes from each point to the later points, and the lengths of these runs
 give the exact richness histogram of the determined lines.
 
 Without a C compiler the same reports are numpy passes that hold one block
-at a time, and these passes also give the lazy fields, the line keys and
-the pinned sets.  Distance sets take blocks of pin rows, each row of m
-distances sorted so that its runs give the pinned set and the isosceles
-pairs at once.  The determined lines take blocks of whole pair rows (i, j),
-j > i, with one batched modular inverse per block; each block is sorted by
-point and slope.  A point set is given as point keys x*p + y with its
-modulus p and is read through :class:`plane.Instance`, which checks p and
-the keys; the results hold point and line keys (see
-:meth:`AffineLine.key`).
+at a time.  Distance sets take blocks of pin rows, each row of m distances
+sorted so that its runs give the pinned set and the isosceles pairs at
+once.  The run histogram takes blocks of whole pair rows (i, j), j > i, in
+:func:`_direction_runs`, the one numpy counterpart of ``collinear``, which
+also gives the lazy line keys of a :class:`BeckReport` on either backend.
+
+A point set is given as point keys x*p + y with its modulus p and is read
+through :class:`plane.Instance`, which checks p and the keys; the results
+hold point and line keys (see :meth:`AffineLine.key`).
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyInputError, ModulusMismatchError, TooFewPointsError
+from .errors import EmptyInputError, TooFewPointsError
 from .field import inv_mod_array, make_modulus, minus_one_is_square, sqrt_mod
 from .incidence import _collinear_runs, _load_backend
-from .plane import (_PAIR_BLOCK, AffineLine, AffinePoint, Instance, _read_only, _run_starts, distinct,
-                    distinct_in_place, pair_blocks)
+from .plane import (_PAIR_BLOCK, AffineLine, AffinePoint, Instance, _read_only, _run_start_mask, _run_starts,
+                    distinct, distinct_in_place, pair_blocks)
 
 
 def _points(point_keys, p: int) -> Instance:
@@ -73,34 +73,18 @@ def _isosceles(rows, starts) -> int:
     return int(np.dot(c, c - 1))
 
 
-def distance(q: AffinePoint, r: AffinePoint) -> int:
-    """Squared Euclidean distance (q_x - r_x)^2 + (q_y - r_y)^2 mod p."""
-    if q.p != r.p:
-        raise ModulusMismatchError(f"mixed moduli {q.p} and {r.p}")
-    p = q.p
-    dx = q.x - r.x
-    dy = q.y - r.y
-    return (dx * dx + dy * dy) % p
-
-
 @dataclass(frozen=True, eq=False)
 class DistanceReport:
-    """All squared distances of a point set and all pinned distance sets.
+    """All squared distances of a point set and its largest pinned set.
 
     One pass, the C kernel ``pinned`` or without it numpy blocks of pin
-    rows, gives the eager fields: distance_values, the set of all squared
+    rows, gives every field: distance_values, the set of all squared
     distances as a sorted, read-only int64 array; pin, the key of the point
     whose pinned set is largest (ties go to the smallest key), a Python
     int, and max_pinned, the size of that set; degenerate, a bool that
     flags the all-zero distance set that a subset of one isotropic line
     produces; and isosceles_triples, the count of :func:`isosceles_triples`,
     from the same distance rows.
-
-    distances holds the same set as a frozenset of Python ints, built on
-    first access.  pinned_values maps the key of each point q to its pinned
-    set Delta_q as a sorted int64 array, and pinned holds the same sets as
-    frozensets.  Both are computed on first access, by a second pass over
-    the numpy blocks.
     """
 
     distance_values: np.ndarray
@@ -108,27 +92,6 @@ class DistanceReport:
     max_pinned: int
     degenerate: bool
     isosceles_triples: int
-    instance: Instance = field(repr=False)
-
-    @cached_property
-    def distances(self) -> frozenset[int]:
-        return frozenset(self.distance_values.tolist())
-
-    @cached_property
-    def pinned_values(self) -> dict:
-        inst = self.instance
-        values = [row[start] for rows, starts, _ in _distance_blocks(*inst.xy, inst.p)
-                  for row, start in zip(rows, starts)]
-        return dict(zip(inst.point_keys.tolist(), values))
-
-    @cached_property
-    def pinned(self) -> dict:
-        return {q: frozenset(v.tolist()) for q, v in self.pinned_values.items()}
-
-    def __eq__(self, other):
-        if not isinstance(other, DistanceReport):
-            return NotImplemented
-        return (self.distances, self.pinned, self.pin) == (other.distances, other.pinned, other.pin)
 
 
 def _fold(parts: list) -> np.ndarray:
@@ -189,8 +152,58 @@ def _pinned_blocks(x, y, p) -> tuple[np.ndarray, int, np.ndarray]:
     return sizes, isosceles, _fold(parts) if added else parts[0]
 
 
+def _direction_runs(pts: np.ndarray, p: int):
+    """Yield, for each block of :func:`pair_blocks` over the r distinct
+    points pts (an r x 3 int64 array), the anchor i, the direction key and
+    the length of each run of pairs (i, j), j > i, with equal (i, key), by
+    ascending i and key.  The direction pts[j] - pts[i] is scaled by one
+    batched inverse so that its first nonzero coordinate is 1, (1, v, w),
+    (0, 1, w) or (0, 0, 1), and keyed v*p + w, p*p + w or p*p + p, as in
+    :func:`incidence.max_collinear_3d`.  A line through point i holding c
+    later points is one run of length c.  The pairs' index arrays are
+    dropped before the inverse, and each anchor's row of keys is sorted in
+    place.  Each block's arrays are dropped before the next block is built;
+    a caller that drops its own references as well keeps one block alive."""
+    r = len(pts)
+    for i, j in pair_blocks(r):
+        rows = np.arange(int(i[0]), int(i[-1]) + 1)
+        u, v, w = (c[j] for c in pts.T)
+        for d, c in zip((u, v, w), pts.T):
+            d -= c[i]
+            d %= p
+        del i, j
+        along_u, along_v = u != 0, v != 0
+        lead = np.where(along_u, u, np.where(along_v, v, w))
+        del u
+        inv = inv_mod_array(lead, p)
+        del lead
+        v *= inv
+        v %= p
+        w *= inv
+        w %= p
+        del inv
+        key = np.where(along_u, v * p + w, p * p + np.where(along_v, w, p))
+        del v, w, along_u, along_v
+        # row i of the block holds its r - 1 - i pairs
+        ends = np.cumsum(r - 1 - rows)
+        lo = 0
+        for hi in ends.tolist():
+            key[lo:hi].sort()
+            lo = hi
+        start = _run_start_mask(key)
+        start[ends[:-1]] = True
+        at = np.flatnonzero(start)
+        del start
+        anchor = rows[np.searchsorted(ends, at, side="right")]
+        length = np.diff(at, append=key.size)
+        key = key[at]
+        del at
+        yield anchor, key, length
+        del anchor, key, length
+
+
 def distance_sets(point_keys, p: int) -> DistanceReport:
-    """Exact distance set and every pinned set Delta_q of the points with
+    """Exact distance set and largest pinned set Delta_q of the points with
     the given keys over F_p."""
     inst = _points(point_keys, p)
     if not inst.m:
@@ -200,7 +213,7 @@ def distance_sets(point_keys, p: int) -> DistanceReport:
     pin = int(np.argmax(sizes))
     _read_only(values)
     return DistanceReport(values, int(inst.point_keys[pin]), int(sizes[pin]),
-                          bool(values.size == 1 and values[0] == 0), isosceles, inst)
+                          bool(values.size == 1 and values[0] == 0), isosceles)
 
 
 def isotropic_lines(r: AffinePoint) -> tuple[AffineLine, AffineLine] | None:
@@ -250,36 +263,6 @@ def isosceles_triples(point_keys, p: int) -> int:
     return distance_sets(inst.point_keys, p).isosceles_triples if inst.m else 0
 
 
-def _slope_runs(x, y, p):
-    """Yield, for each block of :func:`pair_blocks`, the index of its first
-    point i, the keys of its pairs (i, j), j > i, sorted, and the starts of
-    their runs.  A pair's key is (i - first) * (p + 1) + s, its row within
-    the block and the slope s of its line (p for a vertical one), so a run
-    holds the points j > i on one line through point i.  Each block's
-    arrays are dropped before the next block is built; a caller that drops
-    its own references as well keeps one block alive."""
-    for i, j in pair_blocks(x.size):
-        dx = x[j] - x[i]
-        dx %= p
-        key = y[j] - y[i]
-        del j
-        key %= p
-        vertical = dx == 0
-        dx[vertical] = 1
-        key *= inv_mod_array(dx, p)
-        key %= p
-        key[vertical] = p
-        first = int(i[0])
-        i -= first
-        i *= p + 1
-        key += i
-        del i, dx, vertical
-        key.sort()
-        start = _run_starts(key)
-        yield first, key, start
-        del key, start
-
-
 @dataclass(frozen=True, eq=False)
 class BeckReport:
     """Lines determined by a point set (at least two points each), their
@@ -289,15 +272,16 @@ class BeckReport:
     start at j = 1.  Every unordered pair of distinct points lies on
     exactly one determined line, so the per-line pair counts sum to C(m, 2).
 
-    One pass, the C kernel ``collinear`` or without it numpy blocks of
-    point pairs, gives the richness histogram, and the eager fields are
-    read off it: line_count, the number of determined lines; class_sizes
-    and pairs_by_class, the lines and the pairs of each class, by ascending
-    class; and pair_total.  They are integer sums, with no float square
-    root, so they are exact for every m.  keys, the ascending line keys
-    (:meth:`AffineLine.key`) of the determined lines, and richness, the
-    number of points on each, are computed on first access, by a second
-    pass over the numpy blocks.
+    One pass, the C kernel ``collinear`` or without it the numpy blocks of
+    :func:`_direction_runs`, gives the richness histogram, and the eager
+    fields are read off it: line_count, the number of determined lines;
+    class_sizes and pairs_by_class, the lines and the pairs of each class,
+    by ascending class; and pair_total.  They are integer sums, with no
+    float square root, so they are exact for every m.  keys, the ascending
+    line keys (:meth:`AffineLine.key`) of the determined lines, and
+    richness, the number of points on each, are computed on first access,
+    from the runs of a second pass over the blocks of
+    :func:`_direction_runs`.
     """
 
     line_count: int
@@ -311,13 +295,15 @@ class BeckReport:
 
     @cached_property
     def _spanned(self) -> tuple[np.ndarray, np.ndarray]:
-        # one line key per run; a line with k points gives k - 1 runs
+        # one line key per run; a line with k points gives k - 1 runs.  The
+        # direction (1, s, 0) has the key s*p and (0, 1, 0) the key p*p, so
+        # key // p is the slope, or p for a vertical line, and the line key
+        # adds the intercept y - s*x, or x
         (x, y), p = self.instance.xy, self.p
         parts = []
-        for first, key, start in _slope_runs(x, y, p):
-            i, s = np.divmod(key[start], p + 1)
-            i += first
-            parts.append(np.where(s < p, s * p + (y[i] - s * x[i]) % p, p * p + x[i]))
+        for i, key, _ in _direction_runs(np.column_stack((x, y, np.zeros_like(x))), p):
+            s = key // p
+            parts.append(key + np.where(s < p, (y[i] - s * x[i]) % p, x[i]))
         keys = np.concatenate(parts)
         keys.sort()
         start = _run_starts(keys)
@@ -345,12 +331,6 @@ def determined_lines(point_keys, p: int) -> BeckReport:
     # exactly k points.
     x, y = inst.xy
     runs = _collinear_runs(np.column_stack((x, y, np.zeros_like(x))), p)
-    if runs is None:
-        runs = np.zeros(m, dtype=np.int64)
-        for _, key, start in _slope_runs(x, y, p):
-            runs += np.bincount(np.diff(start, append=key.size), minlength=m)
-            # drop the block before _slope_runs builds the next one
-            del key, start
     k = np.arange(2, m + 1)
     lines = runs[1:] - np.append(runs[2:], 0)
     # class j holds k in [2^j, 2^(j+1)), the entries from 2^j - 2 on

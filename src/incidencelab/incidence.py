@@ -18,8 +18,8 @@ probed side (a run of equal key // p) along one of three paths: groups of
 at most 32 values are independent probes in a blocked loop (flat); a larger
 group's values are tested in a bitmap of p bits, which the kernel
 allocates, when 64 * size >= p (bitmap), and otherwise by binary search.
-The C kernel ``collinear`` gives :func:`max_collinear_3d` and the run
-lengths of :func:`distances.determined_lines`.
+The C kernel ``collinear`` gives the run histogram of
+:func:`max_collinear_3d` and :func:`distances.determined_lines`.
 
 The first hash-join count, collinearity call or report of a process
 compiles the kernels with ``cc -O3 -march=native`` (on x86-64 also
@@ -31,8 +31,9 @@ or with an unwritable cache, the join runs as numpy passes over the
 coordinate views (:func:`_group_degrees`), with identical counts (on a
 2-vCPU Xeon with numpy 2.4, random m = n = 10^4 in 0.18 s at p = 1048573
 and 0.20 s at p = 1009, against 0.020 s on the C kernels, and
-full_plane(101) in 0.018 s against 0.002 s), and max_collinear_3d and the
-reports of :mod:`distances` run as numpy passes over blocks of point pairs.
+full_plane(101) in 0.018 s against 0.002 s), the run histogram is the one
+numpy pass over blocks of point pairs, :func:`distances._direction_runs`,
+and the distance reports run over numpy blocks of pin rows.
 :func:`kernel_backend` says which ran, and why.  All engines return
 identical exact integers.
 """
@@ -52,8 +53,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .field import inv_mod_array, make_modulus
-from .plane import Instance, pair_blocks, run_count
+from .field import make_modulus
+from .plane import Instance, run_count
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 _CC = "cc"
@@ -448,43 +449,30 @@ def max_collinear_3d(points, p: int) -> int:
     p < 2^31.  A line through a point holding k later points shows as k
     equal keys of that point.  The C kernel ``collinear`` counts the keys of
     one point at a time in a hash table, and the answer is 1 plus the
-    largest count of its histogram; without it the numpy fallback sorts
-    blocks of pairs.
+    largest count of its histogram; without it the same histogram comes
+    from the sorted blocks of pairs of :func:`distances._direction_runs`.
     """
     p = make_modulus(p).p
     pts = np.array(_residue_triples(points, p), dtype=np.int64).reshape(-1, 3)
     if len(pts) == 0:
         raise InvalidParameterError("need at least one point")
-    runs = _collinear_runs(pts, p)
-    return _max_collinear_numpy(pts, p) if runs is None else 1 + int(np.flatnonzero(runs).max(initial=0))
+    return 1 + int(np.flatnonzero(_collinear_runs(pts, p)).max(initial=0))
 
 
-def _collinear_runs(pts: np.ndarray, p: int) -> np.ndarray | None:
+def _collinear_runs(pts: np.ndarray, p: int) -> np.ndarray:
     """runs[c], c < r, the number of (anchor, direction) pairs of the r >= 1
     distinct points pts (an r x 3 int64 array) that hold exactly c later
-    points, from the C kernel ``collinear``; None without the kernels."""
+    points, from the C kernel ``collinear``, or without it from the run
+    lengths of the numpy pass :func:`distances._direction_runs`."""
+    runs = np.zeros(len(pts), dtype=np.int64)
     lib = _load_backend().lib
     if lib is None:
-        return None
-    runs = np.zeros(len(pts), dtype=np.int64)
-    if lib.collinear(pts, len(pts), p, runs) < 0:
+        from .distances import _direction_runs
+        for anchor, key, length in _direction_runs(pts, p):
+            runs += np.bincount(length, minlength=len(pts))
+            # drop the block before the pass builds the next one
+            del anchor, key, length
+    elif lib.collinear(pts, len(pts), p, runs) < 0:
         raise MemoryError("collinear kernel: no memory for the direction table")
     return runs
 
-
-def _max_collinear_numpy(pts: np.ndarray, p: int) -> int:
-    """max_collinear_3d of r >= 1 distinct residue points, as an r x 3
-    array: over blocks of pairs (i, j), i < j, one batched inverse scales
-    the directions and a lexsort groups equal (i, key) pairs."""
-    r = len(pts)
-    best = 1
-    for i, j in pair_blocks(r):
-        u, v, w = ((pts[j, c] - pts[i, c]) % p for c in range(3))
-        inv = inv_mod_array(np.where(u != 0, u, np.where(v != 0, v, w)), p)
-        v, w = v * inv % p, w * inv % p
-        key = np.where(u != 0, v * p + w, p * p + np.where(v != 0, w, p))
-        order = np.lexsort((key, i))
-        i, key = i[order], key[order]
-        starts = np.flatnonzero((i[1:] != i[:-1]) | (key[1:] != key[:-1])) + 1
-        best = max(best, 1 + int(np.diff(starts, prepend=0, append=i.size).max()))
-    return best

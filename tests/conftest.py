@@ -1,11 +1,13 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import incidencelab
 from incidencelab.constructions import SeededStream, random_instance
+from incidencelab.errors import ModulusMismatchError
 from incidencelab.field import inv_mod
 from incidencelab.plane import AffineLine, AffinePoint, Instance
 from incidencelab.incidence import kernel_backend
@@ -61,6 +63,34 @@ def keyed(modulus, points=(), lines=()):
     """The instance of some point and line objects, built from their keys."""
     p = modulus.p
     return Instance(modulus, point_keys=[q.x * p + q.y for q in points], line_keys=[line.key() for line in lines])
+
+
+def pencil(vertex, slopes, include_vertical=False):
+    """The lines through one vertex with the given slopes, optionally with
+    the vertical line through it."""
+    p = vertex.p
+    lines = {AffineLine(s % p, (vertex.y - s * vertex.x) % p, p) for s in slopes}
+    if include_vertical:
+        lines.add(AffineLine(None, vertex.x, p))
+    return frozenset(lines)
+
+
+def distance(q, r):
+    """Squared Euclidean distance (q_x - r_x)^2 + (q_y - r_y)^2 mod p of two
+    point objects."""
+    if q.p != r.p:
+        raise ModulusMismatchError(f"mixed moduli {q.p} and {r.p}")
+    return ((q.x - r.x) ** 2 + (q.y - r.y) ** 2) % q.p
+
+
+def pinned_sets(point_keys, p):
+    """Oracle of the pinned distance sets: each point key q of the set to
+    the sorted list of the distances d(q, r) over its points r, one numpy
+    row at a time."""
+    point_keys = np.unique(np.asarray(point_keys, dtype=np.int64))
+    x, y = np.divmod(point_keys, p)
+    return {q: np.unique(((x - qx) ** 2 + (y - qy) ** 2) % p).tolist()
+            for q, qx, qy in zip(point_keys.tolist(), x, y)}
 
 
 def residues(p):

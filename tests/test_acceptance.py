@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import keyed, line_to_infinity, random_instances, vertical_free
+from conftest import distance, keyed, line_to_infinity, random_instances, vertical_free
 from incidencelab.bounds import check_hypotheses, within_combinatorial_bound
 from incidencelab.constructions import (
     SeededStream,
@@ -19,7 +19,7 @@ from incidencelab.constructions import (
     random_instance,
 )
 from incidencelab.cover import CoverStep, grid_cover, verify_certificate
-from incidencelab.distances import determined_lines, distance, distance_sets, isosceles_triples
+from incidencelab.distances import determined_lines, distance_sets, isosceles_triples
 from incidencelab.energy import arithmetic_image, count_point_plane, cs_bridge_check, energy_reduction, line_energy
 from incidencelab.field import is_prime, make_modulus
 from incidencelab.harness import SweepConfig, fit_exponent, run_sweep
@@ -228,7 +228,10 @@ def test_acceptance_7_application_oracles():
         keys = [q.x * p + q.y for q in pts]
         rep = distance_sets(keys, p)
         full, pinned = _brute_distance_sets(pts)
-        ok &= rep.distances == full and rep.pinned == {q.x * p + q.y: frozenset(v) for q, v in pinned.items()}
+        best = max(len(v) for v in pinned.values())
+        pin = next(q for q in pts if len(pinned[q]) == best)
+        ok &= rep.distance_values.tolist() == sorted(full)
+        ok &= (rep.pin, rep.max_pinned) == (pin.x * p + pin.y, best)
         ok &= isosceles_triples(keys, p) == _brute_isosceles(pts)
         if len(pts) >= 2:
             beck = determined_lines(keys, p)

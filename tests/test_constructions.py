@@ -1,11 +1,11 @@
 import pytest
 
+from conftest import pencil
 from incidencelab.constructions import (
     SeededStream,
     cartesian_instance,
     elekes_construction,
     full_plane,
-    pencil,
     random_instance,
 )
 from incidencelab.errors import (

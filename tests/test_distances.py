@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import residues
+from conftest import distance, pinned_sets, residues
 from incidencelab import distances, plane
 from incidencelab import incidence as inc
 from incidencelab.constructions import SeededStream
 from incidencelab.distances import (
     bisector_instance,
     determined_lines,
-    distance,
     distance_sets,
     isosceles_triples,
     isotropic_lines,
@@ -61,15 +60,18 @@ def test_distance_symmetry_random():
 
 def test_distance_sets_examples():
     rep = distance_sets(K([(0, 0), (1, 0), (0, 1)], 7), 7)
-    assert rep.distances == {0, 1, 2}
-    rep = distance_sets(K([(0, 0), (1, 0), (3, 0)], 7), 7)
-    assert rep.pinned[0] == {0, 1, 2}
+    assert rep.distance_values.tolist() == [0, 1, 2]
+    line = K([(0, 0), (1, 0), (3, 0)], 7)
+    rep = distance_sets(line, 7)
+    # each pinned set has three distances, {0, 1, 2} at the origin
+    assert pinned_sets(line, 7) == {0: [0, 1, 2], 7: [0, 1, 4], 21: [0, 2, 4]}
+    assert rep.max_pinned == 3
     # the pin is a point key, as a Python int
     assert type(rep.pin) is int and rep.pin == 0
     # a subset of one isotropic line is degenerate: all distances vanish
     iso = K([(0, 0), (1, 2), (2, 4)], 5)  # on y = 2x with 2^2 = -1 mod 5
     rep = distance_sets(iso, 5)
-    assert rep.distances == {0}
+    assert rep.distance_values.tolist() == [0]
     assert rep.degenerate
 
 
@@ -81,8 +83,8 @@ def test_distance_sets_translation_invariance():
         dx, dy = stream.below(p), stream.below(p)
         moved = [AffinePoint(q.x + dx, q.y + dy, p) for q in pts]
         a, b = distance_sets(keys(pts), p), distance_sets(keys(moved), p)
-        assert a.distances == b.distances
-        assert sorted(map(sorted, a.pinned.values())) == sorted(map(sorted, b.pinned.values()))
+        assert a.distance_values.tolist() == b.distance_values.tolist()
+        assert (a.max_pinned, a.isosceles_triples) == (b.max_pinned, b.isosceles_triples)
 
 
 def test_distance_zero_iff_equal_when_minus_one_nonresidue():
@@ -299,8 +301,7 @@ def assert_reports_match_oracles(pts):
     p = pts[0].p
     rep = distance_sets(keys(pts), p)
     full, pinned, pin = brute_distance_sets(pts)
-    pinned_by_key = dict(zip(keys(pinned), pinned.values()))
-    assert (rep.distances, rep.pinned, rep.pin) == (full, pinned_by_key, pin.x * p + pin.y)
+    assert (rep.distance_values.tolist(), rep.pin) == (sorted(full), pin.x * p + pin.y)
     assert rep.max_pinned == len(pinned[pin]) and rep.degenerate == (full == {0})
     assert isosceles_triples(keys(pts), p) == rep.isosceles_triples == brute_isosceles(pts)
     if len(pts) < 2:
@@ -377,7 +378,7 @@ def each_backend():
 def test_blocked_reports_match_oracles_at_the_largest_prime(pts, block):
     # blocks of one pin row or pair row, of a few, and of the default size:
     # the eager reports on the numpy backend, whose passes read the blocks,
-    # and on the C kernels, where only the lazy keys and pinned sets do
+    # and on the C kernels, where only the lazy line keys do
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distances, "_PAIR_BLOCK", block)
         mp.setattr(plane, "_PAIR_BLOCK", block)
@@ -514,7 +515,6 @@ def test_distance_set_is_an_int64_column():
     values = rep.distance_values
     assert values.dtype == np.int64 and np.all(values[1:] > values[:-1])
     assert not values.flags.writeable
-    assert values.tolist() == sorted(rep.distances)
     x, y = np.divmod(point_keys, p)
     want = np.unique(np.concatenate([((x - qx) ** 2 + (y - qy) ** 2) % p for qx, qy in zip(x, y)]))
     assert np.array_equal(values, want)
@@ -537,30 +537,18 @@ def test_distance_set_fold_takes_each_distance_once_and_sorts_in_place(monkeypat
     assert np.array_equal(rep.distance_values, want)
 
 
-def test_distance_reports_compare_by_their_sets():
-    pts = K([(0, 0), (1, 0), (3, 2), (5, 5)], 7)
-    assert distance_sets(pts, 7) == distance_sets(pts[::-1] + pts[:1], 7)
-    # the same distance set {0, 1, 4} and pin (0, 0), other pinned sets
-    assert distance_sets(K([(0, 0), (0, 1), (0, 2)], 5), 5) != distance_sets(K([(0, 0), (0, 1), (0, 3)], 5), 5)
-    assert distance_sets(pts, 7) != distance_sets(pts[:3], 7)
-    assert distance_sets(pts, 7) != distance_sets(pts, 7).distances
-
-
 def test_distance_sets_in_bounded_memory():
     # every pinned set kept would take up to 16 MB
     p = 1009
     point_keys = random_point_keys(2000, p, 23)
-    x, y = np.divmod(point_keys, p)
-    pinned = {q: np.unique(((x - qx) ** 2 + (y - qy) ** 2) % p).tolist()
-              for q, qx, qy in zip(point_keys.tolist(), x, y)}
+    pinned = pinned_sets(point_keys, p)
     sizes = {q: len(v) for q, v in pinned.items()}
     for _ in each_backend():
         rep, peak = traced_peak(lambda: distance_sets(point_keys, p))
         assert peak < 8 << 20
         assert rep.max_pinned == max(sizes.values())
         assert rep.pin == min(q for q, size in sizes.items() if size == rep.max_pinned)
-        assert rep.distances == frozenset().union(*pinned.values())
-    assert {q: v.tolist() for q, v in rep.pinned_values.items()} == pinned
+        assert rep.distance_values.tolist() == sorted(set().union(*pinned.values()))
 
 
 # ---------------------------------------------------------------------------

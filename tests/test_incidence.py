@@ -9,7 +9,7 @@ from incidencelab.bounds import check_hypotheses, reference_bound, within_combin
 from incidencelab.constructions import SeededStream, elekes_construction, full_plane, random_instance
 from incidencelab.energy import PlaneInstance3D, count_point_plane, energy_reduction, line_energy
 from incidencelab.errors import CompositeModulusError, InvalidParameterError, OutOfRangeError
-from incidencelab.field import make_modulus
+from incidencelab.field import inv_mod_array, make_modulus
 from incidencelab.incidence import (
     CountStats,
     count_incidences,
@@ -19,7 +19,7 @@ from incidencelab.incidence import (
     max_collinear_3d,
     richness_histograms,
 )
-from incidencelab.plane import AffineLine, AffinePoint, Instance, incident
+from incidencelab.plane import AffineLine, AffinePoint, Instance, incident, pair_blocks
 
 ENGINES = ("naive", "hash_join", "auto")
 
@@ -621,24 +621,77 @@ def test_max_collinear_backends_match_oracle_random(collinear_backend):
         assert max_collinear_3d(pts, p) == brute_max_collinear(pts, p)
 
 
-def test_max_collinear_c_matches_numpy_fallback():
+def max_collinear_numpy(pts, p):
+    """Oracle of max_collinear_3d on r >= 1 distinct residue points, as an
+    r x 3 array: over blocks of pairs (i, j), i < j, one batched inverse
+    scales the directions and a lexsort groups equal (i, key) pairs."""
+    best = 1
+    for i, j in pair_blocks(len(pts)):
+        u, v, w = ((pts[j, c] - pts[i, c]) % p for c in range(3))
+        inv = inv_mod_array(np.where(u != 0, u, np.where(v != 0, v, w)), p)
+        v, w = v * inv % p, w * inv % p
+        key = np.where(u != 0, v * p + w, p * p + np.where(v != 0, w, p))
+        order = np.lexsort((key, i))
+        i, key = i[order], key[order]
+        starts = np.flatnonzero((i[1:] != i[:-1]) | (key[1:] != key[:-1])) + 1
+        best = max(best, 1 + int(np.diff(starts, prepend=0, append=i.size).max()))
+    return best
+
+
+def test_max_collinear_c_matches_numpy_fallback(monkeypatch):
     import incidencelab.incidence as inc
     compiled_kernels()
+
+    def histograms(arr, p):
+        # the C kernel's runs, then the forced numpy pass's
+        c_runs = inc._collinear_runs(arr, p)
+        with monkeypatch.context() as mp:
+            mp.setattr(inc, "_backend", inc._Backend(None, "forced"))
+            numpy_runs = inc._collinear_runs(arr, p)
+        assert c_runs.tolist() == numpy_runs.tolist()
+        return c_runs
+
     stream = SeededStream(402)
     for p in (3, 7, 31, 2147483647):
         for size in (1, 2, 3, 50, 400):
             pts = {(stream.below(p), stream.below(min(p, 9)), stream.below(p)) for _ in range(size)}
             arr = np.array(sorted(pts), dtype=np.int64).reshape(-1, 3)
-            runs = inc._collinear_runs(arr, p)
+            runs = histograms(arr, p)
             # each pair (i, j), i < j, is one of the c later points of i
             assert np.dot(np.arange(len(arr)), runs) == len(arr) * (len(arr) - 1) // 2
-            assert 1 + np.flatnonzero(runs).max(initial=0) == inc._max_collinear_numpy(arr, p)
+            assert 1 + np.flatnonzero(runs).max(initial=0) == max_collinear_numpy(arr, p)
     # the k of every elekes reduction of the paper sweep
     for a in (2, 3, 4, 5):
         for c in (1, 2, 4):
             red = energy_reduction(list(range(1, a + 1)), elekes_construction(a, c, 101))
             arr = np.array(red.points, dtype=np.int64).reshape(-1, 3)
-            assert red.k == inc._max_collinear_numpy(arr, 101)
+            runs = histograms(arr, 101)
+            assert red.k == 1 + np.flatnonzero(runs).max(initial=0) == max_collinear_numpy(arr, 101)
+
+
+def test_max_collinear_runs_distances_only_without_the_kernel():
+    # the numpy pass lives in distances, which a process on the C kernel
+    # never runs: a count or a sweep compiles no more than incidence.py
+    import subprocess
+    import sys
+
+    from conftest import package_env
+    compiled_kernels()
+    script = (
+        "import sys, types\n"
+        "from incidencelab import incidence\n"
+        "pts = [(t, 2 * t + 1, 5 * t) for t in range(9)] + [(1, 1, 1), (4, 0, 2), (9, 9, 0)]\n"
+        "for backend in (incidence._load_backend(), incidence._Backend(None, 'forced')):\n"
+        "    incidence._backend = backend\n"
+        "    loaded = type(sys.modules['incidencelab.distances']) is types.ModuleType\n"
+        "    print(incidence.max_collinear_3d(pts, 101), loaded,\n"
+        "          type(sys.modules['incidencelab.distances']) is types.ModuleType)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(), timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # (k, distances run before the call, distances run after it)
+    assert proc.stdout == "9 False False\n9 False True\n"
 
 
 def brute_collinear_runs(pts, p):
@@ -659,9 +712,8 @@ def brute_collinear_runs(pts, p):
 
 
 @pytest.mark.parametrize("p", [3, 2147483647])
-def test_collinear_runs_match_brute_force(p):
+def test_collinear_runs_match_brute_force(collinear_backend, p):
     import incidencelab.incidence as inc
-    compiled_kernels()
     stream = SeededStream(403)
     line = [tuple((5 + t * c) % p for c in (p - 1, 2, 0)) for t in range(min(p, 9))]
     column = [(p - 1, (3 * t) % p, 0) for t in range(min(p, 6))]
