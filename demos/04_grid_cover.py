@@ -18,11 +18,11 @@ from incidencelab import (
     count_incidences,
     full_plane,
     grid_cover,
+    line_through,
     normalize_grid,
     richness_partition,
     verify_certificate,
 )
-from incidencelab.plane import line_keys
 
 inst = full_plane(5)
 p = inst.p
@@ -49,7 +49,7 @@ print()
 grid = cert.steps[0].grid
 norm = normalize_grid(grid, inst)
 print(f"normalized grid sits inside a {len(norm.xs)} x {len(norm.ys)} Cartesian product")
-apex_line = line_keys(*divmod(grid.apex1, p), *divmod(grid.apex2, p), p)
+apex_line = line_through(grid.apex1, grid.apex2, p)
 before = Instance(inst.modulus, point_keys=grid.points, line_keys=inst.line_keys[inst.line_keys != apex_line])
 print("incidences before/after the projective map:",
       count_incidences(before), "/", count_incidences(norm.image))

@@ -13,7 +13,6 @@ AffineLine.from_key a line.
 
 from incidencelab import (
     AffineLine,
-    AffinePoint,
     bisector_instance,
     determined_lines,
     distance_sets,
@@ -23,11 +22,10 @@ from incidencelab import (
 )
 
 for p in (5, 7, 13):
-    r = AffinePoint(1, 1, p)
-    iso = isotropic_lines(r)
+    iso = isotropic_lines(1 * p + 1, p)  # through the point (1, 1)
     tag = "two isotropic lines" if iso else "no isotropic lines"
     print(f"p = {p:2d}: -1 square? {minus_one_is_square(p)!s:5} -> {tag}"
-          + (f": {iso[0]}, {iso[1]}" if iso else ""))
+          + (f": {AffineLine.from_key(iso[0], p)}, {AffineLine.from_key(iso[1], p)}" if iso else ""))
 
 print()
 p = 13

@@ -26,8 +26,8 @@ import sys
 _EXPORTS = {
     "field": ("PrimeModulus", "is_prime", "is_square", "inv_mod", "inv_mod_array", "make_modulus",
               "minus_one_is_square", "sqrt_mod"),
-    "plane": ("AffineLine", "AffinePoint", "Instance", "ProjMap", "apply_map", "dualize",
-              "incident", "line_through", "projective_map_from_pair", "vertical_line"),
+    "plane": ("AffineLine", "AffinePoint", "Instance", "ProjMap", "apply_map", "dualize", "line_through",
+              "projective_map_from_pair"),
     "incidence": ("CountStats", "RichnessHistogram", "count_incidences", "kernel_backend",
                   "max_collinear_3d", "richness_histograms"),
     "bounds": ("HypothesisReport", "check_hypotheses", "reference_bound", "within_combinatorial_bound"),

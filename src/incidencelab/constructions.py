@@ -138,9 +138,9 @@ def cartesian_instance(A: Iterable[int], B: Iterable[int], lines, p: int) -> Ins
     lines may be line keys (:meth:`AffineLine.key`), or the string
     "spanned" for all lines determined by at least two points of the product.
     """
+    from .energy import _residue_set
     modulus = make_modulus(p)
-    A = np.array(sorted({x % p for x in A}), dtype=np.int64)
-    B = np.array(sorted({y % p for y in B}), dtype=np.int64)
+    A, B = _residue_set(A, p, "set A"), _residue_set(B, p, "set B")
     if not A.size or not B.size:
         raise EmptyInputError("A and B must be nonempty")
     point_keys = (A[:, None] * p + B).ravel()

@@ -22,8 +22,9 @@ about m*n; its incidence tests are those masks.  So it never shares the
 extraction's join: only the threshold arithmetic of
 :func:`_richness_classes` is common to both.
 :func:`normalize_grid` is :func:`plane.projective_map_from_pair` of the
-apexes plus :func:`plane.apply_map` on the grid's point keys and the line
-keys; it builds only the two apexes as objects.
+apex keys plus :func:`plane.apply_map` on the grid's point keys and the line
+keys other than the apex line, which :func:`plane.line_through` gives from
+the apex keys.  No layer of the cover builds a point or line object.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    CoincidentPointsError,
     EmptyGridError,
     EmptyInstanceError,
     InvalidParameterError,
@@ -43,12 +43,12 @@ from .errors import (
 )
 from .incidence import incidence_degrees, join_cost, richness_histograms
 from .plane import (
-    AffinePoint,
     Instance,
     ProjMap,
     apply_map,
     distinct,
     line_keys,
+    line_through,
     projective_map_from_pair,
 )
 
@@ -118,15 +118,6 @@ class PencilGrid:
     candidates: tuple[int, ...]
     rich_lines2: tuple[int, ...]
     mean_richness: Fraction
-
-
-def _apex_line(apex1: int, apex2: int, p: int) -> np.ndarray:
-    """The key of the line joining two distinct point keys, as an array of
-    one key."""
-    if apex1 == apex2:
-        raise CoincidentPointsError(f"need two distinct apexes, got the key {apex1} twice")
-    (x1, y1), (x2, y2) = divmod(apex1, p), divmod(apex2, p)
-    return line_keys(x1, y1, [x2], [y2], p)
 
 
 def _select(inst: Instance) -> tuple[np.ndarray, int, int]:
@@ -254,11 +245,14 @@ def grid_cover(inst: Instance, c1, c2, stop_fraction) -> GridCertificate:
     of the point set until the remainder is at most stop_fraction * m.
 
     An extraction that collapses (empty grid or no incidences) terminates
-    the loop with the remainder recorded as leftover.
+    the loop with the remainder recorded as leftover.  A negative
+    stop_fraction, which no remainder meets, is refused.
     """
     c1 = _positive_c1(c1)
     c2 = Fraction(c2)
     stop_fraction = Fraction(stop_fraction)
+    if stop_fraction < 0:
+        raise InvalidParameterError(f"need stop_fraction >= 0, got {stop_fraction}")
     part = richness_partition(inst, c1, c2)
     K = part.mean_richness
     n = inst.n
@@ -298,12 +292,12 @@ def normalize_grid(grid: PencilGrid, inst: Instance) -> NormalizedGrid:
     Cartesian product containing the image of the grid.
 
     p and the lines come from inst.  The map is
-    :func:`projective_map_from_pair` of the apexes, the only objects built,
-    and :func:`apply_map` takes the grid's point keys and the line keys
-    without the apex line through it."""
+    :func:`projective_map_from_pair` of the apex keys, and :func:`apply_map`
+    takes the grid's point keys and the line keys without the apex line
+    through it."""
     p = inst.p
-    tau = projective_map_from_pair(*(AffinePoint(*divmod(a, p), p) for a in (grid.apex1, grid.apex2)))
-    keys = inst.line_keys[inst.line_keys != _apex_line(grid.apex1, grid.apex2, p)]
+    tau = projective_map_from_pair(grid.apex1, grid.apex2, p)
+    keys = inst.line_keys[inst.line_keys != line_through(grid.apex1, grid.apex2, p)]
     image = apply_map(tau, Instance(inst.modulus, point_keys=grid.points, line_keys=keys))
     xs = tuple(image.column_runs[0].tolist())
     ys = tuple(distinct(image.xy[1]).tolist())
@@ -424,7 +418,8 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
         if g.apex1 == g.apex2:
             flag("apex-coincident", f"grid {idx} has one point as both apexes, so no apex line")
         else:
-            touching = int(np.count_nonzero(incidence_degrees(gx, gy, _apex_line(g.apex1, g.apex2, p), p)[0]))
+            apex_line = np.array([line_through(g.apex1, g.apex2, p)])
+            touching = int(np.count_nonzero(incidence_degrees(gx, gy, apex_line, p)[0]))
             if touching:
                 flag("apex-line-contact", f"grid {idx} has {touching} points on the apex line")
         for which, apex, pencil in (("pencil1", g.apex1, g.pencil1), ("pencil2", g.apex2, g.pencil2)):

@@ -16,9 +16,10 @@ once.  The run histogram takes blocks of whole pair rows (i, j), j > i, in
 :func:`_direction_runs`, the one numpy counterpart of ``collinear``, which
 also gives the lazy line keys of a :class:`BeckReport` on either backend.
 
-A point set is given as point keys x*p + y with its modulus p and is read
-through :class:`plane.Instance`, which checks p and the keys; the results
-hold point and line keys (see :meth:`AffineLine.key`).
+Every function takes and returns keys.  A point set, or one point, is given
+as point keys x*p + y with its modulus p and is read through
+:class:`plane.Instance`, which checks p and the keys; the results hold point
+and line keys (see :meth:`AffineLine.key`).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from .errors import EmptyInputError, TooFewPointsError
 from .field import inv_mod_array, make_modulus, minus_one_is_square, sqrt_mod
 from .incidence import _collinear_runs, _load_backend
-from .plane import (_PAIR_BLOCK, AffineLine, AffinePoint, Instance, _read_only, _run_start_mask, _run_starts,
-                    distinct, distinct_in_place, pair_blocks)
+from .plane import (_PAIR_BLOCK, Instance, _read_only, _run_start_mask, _run_starts, distinct, distinct_in_place,
+                    pair_blocks)
 
 
 def _points(point_keys, p: int) -> Instance:
@@ -216,19 +217,18 @@ def distance_sets(point_keys, p: int) -> DistanceReport:
                           bool(values.size == 1 and values[0] == 0), isosceles)
 
 
-def isotropic_lines(r: AffinePoint) -> tuple[AffineLine, AffineLine] | None:
-    """The two lines through r on which all mutual distances vanish.
+def isotropic_lines(r: int, p: int) -> tuple[int, int] | None:
+    """The keys of the two lines through the point with key r on which all
+    mutual distances vanish; p and r are checked as for a point set.
 
     They exist exactly when -1 is a square mod p (p = 1 mod 4); the first
     line uses the canonical (smaller) square root i of -1, the second its
     negative."""
-    p = r.p
+    (x,), (y,) = (c.tolist() for c in _points([r], p).xy)
     if not minus_one_is_square(p):
         return None
     i = sqrt_mod(p - 1, p)
-    first = AffineLine(i, (r.y - i * r.x) % p, p)
-    second = AffineLine(p - i, (r.y + i * r.x) % p, p)
-    return (first, second)
+    return (i * p + (y - i * x) % p, (p - i) * p + (y + i * x) % p)
 
 
 def bisector_instance(point_keys, r: int, p: int) -> np.ndarray:

@@ -23,8 +23,16 @@ from .errors import (
     VerticalLinePresentError,
 )
 from .field import inv_mod, make_modulus
-from .incidence import _integer_rows, _residue_triples, count_incidences, max_collinear_3d
-from .plane import Instance, vertical_line
+from .incidence import _residue_triples, count_incidences, max_collinear_3d
+from .plane import AffineLine, Instance, _integer_rows
+
+
+def _residue_set(S, p: int, what: str) -> np.ndarray:
+    """The sorted distinct residues mod p of the integers in S, as int64.
+    A value that is not an integer (bool, float, str) is refused, not
+    reduced, as for the keys of an Instance."""
+    (values,) = _integer_rows((S,), what)
+    return np.array(sorted({v % p for v in values}), dtype=np.int64)
 
 
 def _energy_input(A, lines: Instance) -> np.ndarray:
@@ -32,8 +40,9 @@ def _energy_input(A, lines: Instance) -> np.ndarray:
     vertical line (it has no (slope, intercept) form) raises."""
     vertical = lines.line_columns[2]
     if vertical.size:
-        raise VerticalLinePresentError(f"{vertical_line(int(vertical[0]), lines.p)} has no slope-intercept form")
-    return np.array(sorted({x % lines.p for x in A}), dtype=np.int64)
+        line = AffineLine(None, int(vertical[0]), lines.p)
+        raise VerticalLinePresentError(f"{line} has no slope-intercept form")
+    return _residue_set(A, lines.p, "set A")
 
 
 @dataclass
@@ -91,21 +100,27 @@ class PlaneInstance3D:
     planes: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
-        """Refuse what :meth:`build` refuses: count_point_plane sums in
-        int64, which a p past 2^31 or a value outside [0, p) overflows."""
+        """Refuse what :meth:`build` refuses, and keep the sorted distinct
+        points and the sorted distinct canonical planes.  count_point_plane
+        sums in int64, which a p past 2^31 or a value outside [0, p)
+        overflows, and reads the planes of each normal as one run."""
         p = make_modulus(self.p).p
-        for what, rows in (("point coordinates", self.points), ("plane coefficients", self.planes)):
-            if not all(0 <= v < p for row in _integer_rows(rows, what) for v in row):
+        points = _integer_rows(self.points, "point coordinates", 3)
+        planes = _integer_rows(self.planes, "plane coefficients", 4)
+        for what, rows in (("point coordinates", points), ("plane coefficients", planes)):
+            if not all(0 <= v < p for row in rows for v in row):
                 raise OutOfRangeError(f"{what} must be residues in [0, {p})")
+        object.__setattr__(self, "points", tuple(sorted(set(points))))
+        object.__setattr__(self, "planes", tuple(sorted({canonical_plane(*pl, p) for pl in planes})))
 
     @classmethod
     def build(cls, p, points, planes) -> "PlaneInstance3D":
         """The instance over the prime p (checked by :func:`make_modulus`)
         of the points (x, y, z) and the planes (a, b, c, d), all integers,
-        reduced mod p and deduplicated."""
+        reduced mod p."""
         p = make_modulus(p).p
-        pls = sorted({canonical_plane(*pl, p) for pl in _integer_rows(planes, "plane coefficients")})
-        return cls(p, _residue_triples(points, p), tuple(pls))
+        return cls(p, _residue_triples(points, p),
+                   [tuple(v % p for v in pl) for pl in _integer_rows(planes, "plane coefficients", 4)])
 
     @property
     def r(self) -> int:
@@ -164,7 +179,7 @@ def cs_bridge_check(A, B, lines: Instance) -> CsBridgeResult:
     instance lines, and check the Cauchy-Schwarz inequality I^2 <= |B| * E
     (it must always hold)."""
     xs, p = _energy_input(A, lines), lines.p
-    ys = np.array(sorted({y % p for y in B}), dtype=np.int64)
+    ys = _residue_set(B, p, "set B")
     energy = _energy(lines, xs).value
     bound = ys.size * energy
     if not xs.size or not ys.size:
@@ -227,7 +242,7 @@ class SumProdReport:
 def _canon_set(name, S, p):
     if S is None or len(S) == 0:
         raise EmptyInputError(f"set {name} is required and must be nonempty")
-    return sorted({v % p for v in S})
+    return _residue_set(S, p, f"set {name}").tolist()
 
 
 def sumproduct_report(corollary: str, p: int, A=None, B=None, C=None, c=1) -> SumProdReport:

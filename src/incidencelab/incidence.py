@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .field import make_modulus
-from .plane import Instance, run_count
+from .plane import Instance, _integer_rows, run_count
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 _CC = "cc"
@@ -423,21 +423,10 @@ def richness_histograms(inst: Instance) -> RichnessHistogram:
 # Points in F_p^3
 # ---------------------------------------------------------------------------
 
-def _integer_rows(rows, what: str) -> list[tuple]:
-    """The rows as tuples of Python ints.  A value that is not an integer
-    (bool, float, str) is refused, not reduced, as for the keys of an
-    Instance."""
-    rows = [tuple(row) for row in rows]
-    kinds = {type(v) for row in rows for v in row}
-    if not all(kind is not bool and issubclass(kind, (int, np.integer)) for kind in kinds):
-        raise InvalidParameterError(f"{what} must be integers, got {sorted(k.__name__ for k in kinds)}")
-    return [tuple(map(int, row)) for row in rows] if kinds - {int} else rows
-
-
 def _residue_triples(points, p: int) -> tuple[tuple[int, int, int], ...]:
     """The sorted distinct triples (x mod p, y mod p, z mod p) of the
     integer points (x, y, z)."""
-    return tuple(sorted({(x % p, y % p, z % p) for x, y, z in _integer_rows(points, "point coordinates")}))
+    return tuple(sorted({(x % p, y % p, z % p) for x, y, z in _integer_rows(points, "point coordinates", 3)}))
 
 
 def max_collinear_3d(points, p: int) -> int:

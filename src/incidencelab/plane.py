@@ -4,11 +4,12 @@ Points and lines carry their modulus as a plain int and store canonical
 residues, so structural equality coincides with geometric equality and both
 types hash cheaply.  Lines use the canonical slope-intercept form, with
 vertical lines tagged separately (slope None, the stored value is x0).
-For array passes a point is also one int64 key, x*p + y, and a line one
-int64 key, slope*p + intercept or p*p + x0 for a vertical line; numeric key
-order is the sort order of the points and of the lines.
-:func:`line_keys` computes the keys of the lines through many point pairs
-at once.
+Between the edges a point is one int64 key, x*p + y, and a line one int64
+key, slope*p + intercept or p*p + x0 for a vertical line; numeric key order
+is the sort order of the points and of the lines.  The objects serve the
+edges only: error payloads, reprs and :meth:`AffineLine.from_key`.
+:func:`line_through` gives the key of the line through two point keys, and
+:func:`line_keys` the keys of the lines through many point pairs at once.
 
 An :class:`Instance` is built from key columns only and stores them sorted
 and deduplicated, in columns of its own; keys that already ascend strictly
@@ -17,9 +18,11 @@ views the counting engines read, and the point and line objects (read only
 by the tests and the benchmark tracer), are built from the keys on first
 access.
 
-A :class:`ProjMap` is an invertible 3x3 matrix mod p.  :func:`apply_map`
-is the only code that applies it: it maps the key columns of an instance,
-with one batched inverse, and names the first element sent to infinity.
+A :class:`ProjMap` is an invertible 3x3 matrix mod p, and
+:func:`projective_map_from_pair` builds one from two point keys.
+:func:`apply_map` is the only code that applies it: it maps the key columns
+of an instance, with one batched inverse, and names the first element sent
+to infinity.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     PointSentToInfinityError,
     VerticalLinePresentError,
 )
-from .field import PrimeModulus, inv_mod, inv_mod_array
+from .field import PrimeModulus, inv_mod_array, make_modulus
 
 
 @dataclass(frozen=True, order=True)
@@ -70,22 +73,9 @@ class AffineLine:
             object.__setattr__(self, "slope", self.slope % self.p)
         object.__setattr__(self, "intercept", self.intercept % self.p)
 
-    @property
-    def is_vertical(self) -> bool:
-        return self.slope is None
-
-    def sort_key(self):
-        # vertical lines order after all slope-intercept lines
-        if self.slope is None:
-            return (1, self.intercept, 0)
-        return (0, self.slope, self.intercept)
-
-    def __lt__(self, other: "AffineLine"):
-        return self.sort_key() < other.sort_key()
-
     def key(self) -> int:
-        """The int64 key slope*p + intercept, or p*p + x0 when vertical;
-        keys order like :meth:`sort_key`."""
+        """The int64 key slope*p + intercept, or p*p + x0 when vertical:
+        vertical lines order after the others, each by x0."""
         if self.slope is None:
             return self.p * self.p + self.intercept
         return self.slope * self.p + self.intercept
@@ -102,36 +92,6 @@ class AffineLine:
         return f"[y={self.slope}x+{self.intercept}]@{self.p}"
 
 
-def vertical_line(x0: int, p: int) -> AffineLine:
-    return AffineLine(None, x0, p)
-
-
-def _check_same_p(a, b):
-    if a.p != b.p:
-        raise ModulusMismatchError(f"mixed moduli {a.p} and {b.p}")
-
-
-def incident(q: AffinePoint, line: AffineLine) -> bool:
-    """Is q on the line?"""
-    _check_same_p(q, line)
-    if line.slope is None:
-        return q.x == line.intercept
-    return q.y == (line.slope * q.x + line.intercept) % q.p
-
-
-def line_through(q: AffinePoint, r: AffinePoint) -> AffineLine:
-    """The unique canonical line through two distinct points."""
-    _check_same_p(q, r)
-    if q == r:
-        raise CoincidentPointsError(f"need two distinct points, got {q} twice")
-    p = q.p
-    if q.x == r.x:
-        return AffineLine(None, q.x, p)
-    s = (r.y - q.y) * inv_mod(r.x - q.x, p) % p
-    t = (q.y - s * q.x) % p
-    return AffineLine(s, t, p)
-
-
 def line_keys(qx, qy, rx, ry, p: int) -> np.ndarray:
     """Keys (see :meth:`AffineLine.key`) of the lines through the point
     pairs (qx, qy) != (rx, ry), given as broadcastable arrays of canonical
@@ -141,6 +101,17 @@ def line_keys(qx, qy, rx, ry, p: int) -> np.ndarray:
     sloped = dx != 0
     s = (ry - qy) % p * inv_mod_array(np.where(sloped, dx, 1), p) % p
     return np.where(sloped, s * p + (qy - s * qx) % p, p * p + qx)
+
+
+def line_through(q: int, r: int, p: int) -> int:
+    """The key of the line through the two distinct points with keys q and
+    r over F_p.  p must be prime and the keys integers in [0, p^2), as for
+    an :class:`Instance`; q == r raises CoincidentPointsError."""
+    p = make_modulus(p).p
+    _key_column((q, r), p * p, "point")
+    if q == r:
+        raise CoincidentPointsError(f"need two distinct points, got the key {q} twice")
+    return int(line_keys(*divmod(q, p), *divmod(r, p), p))
 
 
 # pairs in one block of pair_blocks: about 55 bytes of temporaries per pair
@@ -227,6 +198,19 @@ def distinct_in_place(a: np.ndarray) -> np.ndarray:
     return a[_run_start_mask(a)]
 
 
+def _integer_rows(rows, what: str, width: int | None = None) -> list[tuple]:
+    """The rows as tuples of Python ints, each of width values when width
+    is given.  A value that is not an integer (bool, float, str) is refused,
+    not reduced, as for the keys of an Instance."""
+    rows = [tuple(row) for row in rows]
+    if width is not None and any(len(row) != width for row in rows):
+        raise InvalidParameterError(f"{what} must be rows of {width} values")
+    kinds = {type(v) for row in rows for v in row}
+    if not all(kind is not bool and issubclass(kind, (int, np.integer)) for kind in kinds):
+        raise InvalidParameterError(f"{what} must be integers, got {sorted(k.__name__ for k in kinds)}")
+    return [tuple(map(int, row)) for row in rows] if kinds - {int} else rows
+
+
 def _key_column(keys, bound: int, what: str) -> np.ndarray:
     """The sorted distinct int64 keys, checked to be integers in [0, bound):
     float, bool, str and object values are refused, not cast, but an empty
@@ -257,11 +241,12 @@ class Instance:
 
     The instance is two sorted, deduplicated int64 key columns: point_keys
     holds x*p + y for each point and line_keys the :meth:`AffineLine.key`
-    of each line.  Key order is the order of sorted points and of
-    :meth:`AffineLine.sort_key`, so two instances with the same content
-    compare and serialize identically.  The coordinate columns and the
-    object tuples points and lines are built on first access; only the
-    tests and the benchmark tracer still read the object tuples.
+    of each line.  Key order is (x, y) order for the points, and for the
+    lines (slope, intercept) order with the vertical lines after, by x0, so
+    two instances with the same content compare and serialize identically.
+    The coordinate columns and the object tuples points and lines are built
+    on first access; only the tests and the benchmark tracer still read the
+    object tuples.
 
     The one constructor takes the keys, in any order and with repeats:
     Instance(modulus, point_keys=..., line_keys=...).  The caller's arrays
@@ -346,7 +331,7 @@ def dualize(inst: Instance) -> Instance:
     p = inst.p
     s, t, vertical = inst.line_columns
     if vertical.size:
-        raise VerticalLinePresentError(f"cannot dualize vertical line {vertical_line(int(vertical[0]), p)}")
+        raise VerticalLinePresentError(f"cannot dualize vertical line {AffineLine(None, int(vertical[0]), p)}")
     x, y = inst.xy
     return Instance(inst.modulus, point_keys=s * p + (-t) % p, line_keys=x * p + (-y) % p)
 
@@ -386,7 +371,8 @@ class ProjMap:
     p: int
 
     def __post_init__(self):
-        rows = tuple(tuple(v % self.p for v in row) for row in self.rows)
+        rows = _integer_rows(self.rows, "projective map entries", 3)
+        rows = tuple(tuple(v % self.p for v in row) for row in rows)
         object.__setattr__(self, "rows", rows)
         if _det3(rows, self.p) == 0:
             raise InvalidParameterError("projective map must be invertible")
@@ -396,8 +382,10 @@ class ProjMap:
         return _adjugate(self.rows, self.p)
 
 
-def projective_map_from_pair(q: AffinePoint, r: AffinePoint) -> ProjMap:
-    """An invertible map sending q to [1:0:0] and r to [0:1:0].
+def projective_map_from_pair(q: int, r: int, p: int) -> ProjMap:
+    """An invertible map sending the point with key q to [1:0:0] and the
+    point with key r to [0:1:0]; p and the keys are checked as by
+    :func:`line_through`.
 
     Lines through q become horizontal lines and lines through r become
     vertical lines.  The preimage of the line at infinity is the line qr.
@@ -405,20 +393,12 @@ def projective_map_from_pair(q: AffinePoint, r: AffinePoint) -> ProjMap:
     affine point off the line qr, sent to [0:0:1]: (0, 0) when qr misses
     it, else (1, 0) when qr is the column x = 0, else (0, 1).
     """
-    _check_same_p(q, r)
-    if q == r:
-        raise CoincidentPointsError(f"need two distinct points, got {q} twice")
-    p = q.p
-    qr = line_through(q, r)
-    third = AffinePoint(0, 0, p)
-    if incident(third, qr):
-        third = AffinePoint(1, 0, p) if qr.is_vertical else AffinePoint(0, 1, p)
+    qr = line_through(q, r, p)
+    # (0, 0) lies on qr exactly when its intercept, or its x0, is 0
+    third = (0, 0) if qr % p else (1, 0) if qr >= p * p else (0, 1)
+    (qx, qy), (rx, ry) = divmod(int(q), p), divmod(int(r), p)
     # columns of N are the images of the standard basis under the inverse map
-    N = (
-        (q.x, r.x, third.x),
-        (q.y, r.y, third.y),
-        (1, 1, 1),
-    )
+    N = ((qx, rx, third[0]), (qy, ry, third[1]), (1, 1, 1))
     return ProjMap(_adjugate(N, p), p)
 
 

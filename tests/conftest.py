@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import incidencelab
 from incidencelab.constructions import SeededStream, random_instance
-from incidencelab.errors import ModulusMismatchError
+from incidencelab.errors import CoincidentPointsError, ModulusMismatchError
 from incidencelab.field import inv_mod
-from incidencelab.plane import AffineLine, AffinePoint, Instance
+from incidencelab.plane import AffineLine, AffinePoint, Instance, ProjMap, _adjugate
 from incidencelab.incidence import kernel_backend
 
 WARNING_PREFIX = "incidencelab: warning: "
@@ -99,7 +99,44 @@ def residues(p):
     return st.one_of(st.integers(0, p - 1), st.integers(0, p - 1).map(lambda v: p - 1 - v))
 
 
-# The projective map one object at a time: the oracle for plane.apply_map.
+# The plane one object at a time: the oracles for plane.line_through,
+# plane.projective_map_from_pair and plane.apply_map.
+
+def incident(q, line):
+    """Is the point object q on the line object?"""
+    if q.p != line.p:
+        raise ModulusMismatchError(f"mixed moduli {q.p} and {line.p}")
+    if line.slope is None:
+        return q.x == line.intercept
+    return q.y == (line.slope * q.x + line.intercept) % q.p
+
+
+def join_points(q, r):
+    """The canonical line object through two distinct point objects."""
+    if q.p != r.p:
+        raise ModulusMismatchError(f"mixed moduli {q.p} and {r.p}")
+    if q == r:
+        raise CoincidentPointsError(f"need two distinct points, got {q} twice")
+    p = q.p
+    if q.x == r.x:
+        return AffineLine(None, q.x, p)
+    s = (r.y - q.y) * inv_mod(r.x - q.x, p) % p
+    return AffineLine(s, (q.y - s * q.x) % p, p)
+
+
+def map_from_points(q, r):
+    """The projective map sending the point object q to [1:0:0] and r to
+    [0:1:0], built from objects: the third basis point, sent to [0:0:1], is
+    (0, 0) off the line qr, else (1, 0) when qr is vertical, else (0, 1)."""
+    p = q.p
+    qr = join_points(q, r)
+    third = AffinePoint(0, 0, p)
+    if incident(third, qr):
+        third = AffinePoint(1, 0, p) if qr.slope is None else AffinePoint(0, 1, p)
+    # columns of N are the images of the standard basis under the inverse map
+    N = ((q.x, r.x, third.x), (q.y, r.y, third.y), (1, 1, 1))
+    return ProjMap(_adjugate(N, p), p)
+
 
 def homogeneous_image(M, q):
     """M.rows times the homogeneous vector (x, y, 1) of the point q, mod p."""

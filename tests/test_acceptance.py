@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import distance, keyed, line_to_infinity, random_instances, vertical_free
+from conftest import distance, incident, join_points, keyed, line_to_infinity, random_instances, vertical_free
 from incidencelab.bounds import check_hypotheses, within_combinatorial_bound
 from incidencelab.constructions import (
     SeededStream,
@@ -31,8 +31,6 @@ from incidencelab.plane import (
     ProjMap,
     apply_map,
     dualize,
-    incident,
-    line_through,
 )
 
 
@@ -199,7 +197,7 @@ def _brute_isosceles(pts):
 def _brute_determined(pts):
     lines = {}
     for q, r in combinations(pts, 2):
-        line = line_through(q, r)
+        line = join_points(q, r)
         lines[line] = sum(1 for t in pts if incident(t, line))
     return lines
 

@@ -152,6 +152,16 @@ def test_report_commands_do_not_import_numpy_ma(tmp_path):
     assert proc.stdout == "False\n"
 
 
+def test_cover_negative_stop_is_one_error_line(tmp_path, capsys):
+    # the working set emptied and the preconditions divided by m = 0
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"p": 5, "points": [[0, 0]], "lines": [{"kind": "sl", "s": 1, "t": 1}]}))
+    rc, out, err = run(capsys, "cover", "--input", str(path), "--stop=-1")
+    assert (rc, out) == (2, "")
+    assert_error_stderr(err)
+    assert "stop_fraction" in err
+
+
 def test_extract_and_cover(tmp_path, capsys):
     path = tmp_path / "inst.json"
     run(capsys, "construct", "full_plane", "--p", "5", "--output", str(path))

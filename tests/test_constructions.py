@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import pencil
+from conftest import incident, pencil
 from incidencelab.constructions import (
     SeededStream,
     cartesian_instance,
@@ -16,7 +16,7 @@ from incidencelab.errors import (
 )
 from incidencelab.files import instance_to_dict
 from incidencelab.incidence import count_incidences, richness_histograms
-from incidencelab.plane import AffineLine, AffinePoint, incident
+from incidencelab.plane import AffineLine, AffinePoint
 
 
 def test_elekes_rejects_nonpositive_parameters():

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import apply_line, apply_point, random_instances, residues
+from conftest import apply_line, apply_point, incident, join_points, map_from_points, random_instances, residues
 from incidencelab.cli import cli
 from incidencelab.constructions import elekes_construction, full_plane, random_instance
 from incidencelab.cover import (
     CoverStep,
     NormalizedGrid,
     PencilGrid,
-    _apex_line,
     _point_degrees,
     _recheck_side,
     extraction_preconditions,
@@ -42,10 +41,8 @@ from incidencelab.plane import (
     Instance,
     ProjMap,
     apply_map,
-    incident,
     line_keys,
     line_through,
-    projective_map_from_pair,
 )
 
 
@@ -71,7 +68,7 @@ def lines_of(keys, p):
 
 
 def apex_line_of(grid, p):
-    return line_through(point_of(grid.apex1, p), point_of(grid.apex2, p))
+    return join_points(point_of(grid.apex1, p), point_of(grid.apex2, p))
 
 
 def test_partition_rejects_unordered_factors():
@@ -187,7 +184,7 @@ def reference_extract(points, lines):
     rationals and one incident() call per (point, line) pair; the objects
     become keys only in the returned grid."""
     pts = tuple(sorted(set(points)))
-    lns = tuple(sorted(set(lines), key=AffineLine.sort_key))
+    lns = tuple(sorted(set(lines), key=AffineLine.key))
 
     def richness(cands, pool):
         return {line: sum(incident(q, line) for q in cands) for line in pool}
@@ -202,20 +199,20 @@ def reference_extract(points, lines):
     pool1 = tuple(line for line in lns if rich[line] >= Fraction(total, 2 * len(lns)))
     thr1 = Fraction(sum(rich[line] for line in pool1), 2 * len(pts))
     apex1 = next(q for q in pts if degree(q, pool1) >= thr1)
-    candidates = tuple(q for q in pts if q != apex1 and line_through(apex1, q) in set(lns))
+    candidates = tuple(q for q in pts if q != apex1 and join_points(apex1, q) in set(lns))
     if not candidates:
         raise EmptyGridError
     rich_q = richness(candidates, lns)
     pool2 = tuple(line for line in lns if rich_q[line] >= Fraction(sum(rich_q.values()), 2 * len(lns)))
     thr2 = Fraction(sum(rich_q[line] for line in pool2), 2 * len(candidates))
     apex2 = next(q for q in candidates if degree(q, pool2) >= thr2)
-    apex_line = line_through(apex1, apex2)
+    apex_line = join_points(apex1, apex2)
     grid = tuple(q for q in candidates
-                 if not incident(q, apex_line) and line_through(apex2, q) in set(pool2))
+                 if not incident(q, apex_line) and join_points(apex2, q) in set(pool2))
     if not grid:
         raise EmptyGridError
-    pencil1 = tuple(sorted({line_through(apex1, g) for g in grid}, key=AffineLine.sort_key))
-    pencil2 = tuple(sorted({line_through(apex2, g) for g in grid}, key=AffineLine.sort_key))
+    pencil1 = tuple(sorted({join_points(apex1, g) for g in grid}, key=AffineLine.key))
+    pencil2 = tuple(sorted({join_points(apex2, g) for g in grid}, key=AffineLine.key))
     return PencilGrid(*pkeys((apex1, apex2)), pkeys(grid), lkeys(pencil1), lkeys(pencil2), lkeys(pool1),
                       pkeys(candidates), lkeys(pool2), Fraction(total, len(pts)))
 
@@ -271,8 +268,8 @@ def test_two_pencil_structural_contract():
         assert len(grid.pencil1) <= cap and len(grid.pencil2) <= cap
         line_set = set(inst.lines)
         for q in points:
-            assert line_through(apex1, q) in line_set
-            assert line_through(apex2, q) in set(lines_of(grid.rich_lines2, p))
+            assert join_points(apex1, q) in line_set
+            assert join_points(apex2, q) in set(lines_of(grid.rich_lines2, p))
         for pencil, apex in ((grid.pencil1, apex1), (grid.pencil2, apex2)):
             pencil = lines_of(pencil, p)
             for line in pencil:
@@ -299,7 +296,7 @@ def test_grid_is_every_candidate_the_apex_filters_keep():
             pass
         for g in extractions:
             cx, cy = np.divmod(np.array(g.candidates, dtype=np.int64), p)
-            off = incidence_degrees(cx, cy, _apex_line(g.apex1, g.apex2, p), p)[0] == 0
+            off = incidence_degrees(cx, cy, np.array([line_through(g.apex1, g.apex2, p)]), p)[0] == 0
             joined = np.isin(line_keys(*divmod(g.apex2, p), cx, cy, p), g.rich_lines2)
             assert g.points == tuple((cx * p + cy)[off & joined].tolist())
             grids += 1
@@ -662,7 +659,7 @@ def reference_normalize(grid, inst):
     per-object map of conftest; the image becomes keys only in the returned
     Instance."""
     p = inst.p
-    tau = projective_map_from_pair(point_of(grid.apex1, p), point_of(grid.apex2, p))
+    tau = map_from_points(point_of(grid.apex1, p), point_of(grid.apex2, p))
     image_points = [apply_point(tau, q) for q in points_of(grid.points, p)]
     image_lines = [apply_line(tau, line) for line in inst.lines if line != apex_line_of(grid, p)]
     return NormalizedGrid(tau, Instance(inst.modulus, point_keys=pkeys(image_points), line_keys=lkeys(image_lines)),
@@ -689,7 +686,7 @@ def grids_and_lines(draw):
     point = st.builds(AffinePoint, residue, residue, st.just(p))
     apex1 = draw(point)
     apex2 = draw(point.filter(lambda q: q != apex1))
-    apex_line = line_through(apex1, apex2)
+    apex_line = join_points(apex1, apex2)
     points = draw(st.lists(point.filter(lambda q: not incident(q, apex_line)), min_size=1, max_size=12))
     line = st.one_of(st.builds(AffineLine, residue, residue, st.just(p)),
                      st.builds(AffineLine, st.none(), residue, st.just(p)))
@@ -725,19 +722,22 @@ def count_objects(monkeypatch) -> Counter:
     return built
 
 
-def test_cover_layer_builds_objects_only_for_the_apexes(tmp_path, monkeypatch):
-    # the records hold keys: the number of point and line objects that
-    # cover --normalize and extract build does not grow with the instance
+def test_cover_layer_builds_no_point_or_line_objects(tmp_path, monkeypatch):
+    # the records hold keys, and the apexes reach the projective map as
+    # keys: normalize_grid, verify_certificate, cover --normalize and
+    # extract build no point or line object
+    inst = full_plane(7)
+    cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
     built = count_objects(monkeypatch)
-    counts = {}
+    assert verify_certificate(inst, cert).passed
+    assert [normalize_grid(step.grid, inst).image.m for step in cert.steps] == [42]
+    assert not built, dict(built)
     for p in (7, 23):
         path = str(tmp_path / f"plane{p}.json")
         write_instance(full_plane(p), path)
-        built.clear()
         assert cli(["cover", "--normalize", "--input", path, "--output", str(tmp_path / "cover.json")]) == 0
         assert cli(["extract", "--input", path, "--output", str(tmp_path / "extract.json")]) == 0
-        counts[p] = dict(built)
-    assert counts[7] == counts[23]
+        assert not built, f"p = {p}: {dict(built)}"
 
 
 def test_apply_map_builds_no_point_or_line_objects(monkeypatch):

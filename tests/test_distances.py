@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import distance, pinned_sets, residues
+from conftest import distance, incident, join_points, pinned_sets, residues
 from incidencelab import distances, plane
 from incidencelab import incidence as inc
 from incidencelab.constructions import SeededStream
@@ -26,7 +26,7 @@ from incidencelab.errors import (
     TooFewPointsError,
 )
 from incidencelab.field import inv_mod, make_modulus, minus_one_is_square, sqrt_mod
-from incidencelab.plane import AffineLine, AffinePoint, Instance, incident, line_keys, line_through, pair_blocks
+from incidencelab.plane import AffineLine, AffinePoint, Instance, line_keys, pair_blocks
 
 
 def P(coords, p):
@@ -98,17 +98,17 @@ def test_distance_zero_iff_equal_when_minus_one_nonresidue():
 
 def test_isotropic_pairs_have_zero_distance():
     p = 13
-    pair = isotropic_lines(AffinePoint(1, 1, p))
-    assert pair == (AffineLine(5, 9, p), AffineLine(8, 6, p))
-    for line in pair:
+    pair = isotropic_lines(1 * p + 1, p)  # through (1, 1)
+    assert pair == (AffineLine(5, 9, p).key(), AffineLine(8, 6, p).key())
+    for line in (AffineLine.from_key(key, p) for key in pair):
         on_line = [AffinePoint(x, (line.slope * x + line.intercept) % p, p) for x in range(p)]
         for q, r in combinations(on_line, 2):
             assert distance(q, r) == 0
 
 
 def test_isotropic_lines_examples():
-    assert isotropic_lines(AffinePoint(0, 0, 5)) == (AffineLine(2, 0, 5), AffineLine(3, 0, 5))
-    assert isotropic_lines(AffinePoint(0, 0, 7)) is None
+    assert isotropic_lines(0, 5) == (AffineLine(2, 0, 5).key(), AffineLine(3, 0, 5).key())
+    assert isotropic_lines(0, 7) is None
 
 
 def test_bisector_examples():
@@ -217,7 +217,7 @@ def brute_determined(pts):
     """Oracle: all pair-spanned lines, with exact per-line point counts."""
     lines = {}
     for q, r in combinations(pts, 2):
-        line = line_through(q, r)
+        line = join_points(q, r)
         lines[line] = sum(1 for t in pts if incident(t, line))
     return lines
 
@@ -308,7 +308,7 @@ def assert_reports_match_oracles(pts):
         return
     beck = determined_lines(keys(pts), p)
     oracle = brute_determined(pts)
-    lines = tuple(sorted(oracle, key=AffineLine.sort_key))
+    lines = tuple(sorted(oracle, key=AffineLine.key))
     classes = {}
     pairs_by_class = {}
     for line in lines:
@@ -343,7 +343,7 @@ def test_bisectors_exact_at_field_edges(p):
         for s in pts:
             if distance(r, s) != 0:
                 mid = AffinePoint((r.x + s.x) * half, (r.y + s.y) * half, p)
-                want.add(line_through(mid, AffinePoint(mid.x + r.y - s.y, mid.y + s.x - r.x, p)))
+                want.add(join_points(mid, AffinePoint(mid.x + r.y - s.y, mid.y + s.x - r.x, p)))
         assert bisector_instance(keys(pts), r.x * p + r.y, p).tolist() == sorted(line.key() for line in want)
 
 
@@ -578,7 +578,7 @@ def brute_reports(point_keys, p):
            "isosceles_triples": sum(c * (c - 1) for row in rows for d, c in row.items() if d)}
     if len(pts) < 2:
         return out
-    pairs = Counter(line_through(AffinePoint(*q, p), AffinePoint(*r, p)) for q, r in combinations(pts, 2))
+    pairs = Counter(join_points(AffinePoint(*q, p), AffinePoint(*r, p)) for q, r in combinations(pts, 2))
     # a line with k points holds k(k - 1)/2 pairs
     richness = {line: (isqrt(8 * c + 1) + 1) // 2 for line, c in pairs.items()}
     classes, pairs_by_class = Counter(), Counter()

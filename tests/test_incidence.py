@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import keyed, random_instances, residues
+from conftest import incident, keyed, random_instances, residues
 from incidencelab.bounds import check_hypotheses, reference_bound, within_combinatorial_bound
 from incidencelab.constructions import SeededStream, elekes_construction, full_plane, random_instance
 from incidencelab.energy import PlaneInstance3D, count_point_plane, energy_reduction, line_energy
@@ -19,7 +19,7 @@ from incidencelab.incidence import (
     max_collinear_3d,
     richness_histograms,
 )
-from incidencelab.plane import AffineLine, AffinePoint, Instance, incident, pair_blocks
+from incidencelab.plane import AffineLine, AffinePoint, Instance, pair_blocks
 
 ENGINES = ("naive", "hash_join", "auto")
 
@@ -774,6 +774,25 @@ def test_plane_instance_constructor_checks_what_build_checks():
     with pytest.raises(InvalidParameterError):
         PlaneInstance3D(5, ((0.5, 0, 0),), ((1, 0, 0, 0),))
     assert count_point_plane(PlaneInstance3D(5, ((1, 4, 1),), ((1, 0, 0, 1),))) == 1
+
+
+def test_plane_instance_constructor_keeps_its_instance_canonical():
+    # a repeated point and two multiples of one plane counted as r = s = 2
+    # and 4 incidences; build gave r = s = 1 and 1 incidence
+    inst3 = PlaneInstance3D(5, ((0, 0, 0), (0, 0, 0)), ((1, 0, 0, 0), (2, 0, 0, 0)))
+    assert (inst3.r, inst3.s, count_point_plane(inst3)) == (1, 1, 1)
+    assert inst3 == PlaneInstance3D.build(5, [(0, 0, 0), (5, 0, 0)], [(1, 0, 0, 0), (2, 0, 0, 0)])
+    # the points and the planes are sorted, and each plane scaled once
+    inst3 = PlaneInstance3D(5, ((2, 0, 1), (0, 3, 0)), ((0, 2, 4, 1), (3, 0, 0, 3)))
+    assert inst3.points == ((0, 3, 0), (2, 0, 1))
+    assert inst3.planes == ((0, 1, 2, 3), (1, 0, 0, 1))
+    # rows of the wrong width are refused, not read in part
+    with pytest.raises(InvalidParameterError):
+        PlaneInstance3D(5, ((0, 0, 0),), ((1, 0, 0),))
+    with pytest.raises(InvalidParameterError):
+        PlaneInstance3D.build(5, [(1, 2)], [(1, 0, 0, 0)])
+    with pytest.raises(InvalidParameterError):
+        max_collinear_3d([(1, 2)], 5)
 
 
 JOIN_PRIMES = (3, 1009, 1048573, 2**31 - 1)

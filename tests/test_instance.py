@@ -89,7 +89,7 @@ def test_random_instance_matches_scalar_draws():
         lines = [AffineLine.from_key(k, p) for k in line_keys]
         inst = random_instance(p, m, n, seed)
         assert inst.points == tuple(sorted(points))
-        assert inst.lines == tuple(sorted(lines, key=AffineLine.sort_key))
+        assert inst.lines == tuple(sorted(lines, key=AffineLine.key))
 
 
 def _objects(p, seed, size):
@@ -109,7 +109,7 @@ def test_object_and_key_constructors_agree(p):
         points, lines = _objects(p, seed, 60)
         inst = Instance(mod, point_keys=[q.x * p + q.y for q in points], line_keys=[l.key() for l in lines])
         assert inst.points == tuple(sorted(set(points)))
-        assert inst.lines == tuple(sorted(set(lines), key=AffineLine.sort_key))
+        assert inst.lines == tuple(sorted(set(lines), key=AffineLine.key))
         assert count_incidences(inst, "naive") == count_incidences(inst, "hash_join")
 
 

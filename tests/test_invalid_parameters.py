@@ -2,13 +2,23 @@
 incidencelab.Error that is still a ValueError for callers that catch one."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from incidencelab.bounds import check_hypotheses, reference_bound
 from incidencelab.constructions import SeededStream, cartesian_instance, full_plane
+from incidencelab.cover import grid_cover
 from incidencelab.distances import bisector_instance
-from incidencelab.energy import PlaneInstance3D, arithmetic_image, canonical_plane, sumproduct_report
+from incidencelab.energy import (
+    PlaneInstance3D,
+    arithmetic_image,
+    canonical_plane,
+    cs_bridge_check,
+    energy_reduction,
+    line_energy,
+    sumproduct_report,
+)
 from incidencelab.errors import Error, InvalidParameterError, ParseError
 from incidencelab.field import make_modulus
 from incidencelab.files import read_instance3d
@@ -40,7 +50,32 @@ SITES = {
     "ProjMap-singular": lambda: ProjMap(((1, 2, 3), (2, 4, 6), (0, 0, 1)), 7),
     "arithmetic_image-unknown-expression": lambda: arithmetic_image("A-A", 7, A=[1]),
     "sumproduct_report-unknown-corollary": lambda: sumproduct_report("9.9", 7, A=[1]),
+    # a negative stop fraction emptied the working set, and the
+    # preconditions divided by m = 0
+    "grid_cover-negative-stop": lambda: grid_cover(full_plane(3), Fraction(1, 2), 2, -1),
+    # a row of the wrong width: a 3-value plane was kept and the count
+    # raised IndexError; a 2-value point raised a bare ValueError
+    "PlaneInstance3D-plane-of-three-values": lambda: PlaneInstance3D(5, ((0, 0, 0),), ((1, 0, 0),)),
+    "PlaneInstance3D.build-point-of-two-values": lambda: PlaneInstance3D.build(5, [(1, 2)], [(1, 0, 0, 0)]),
+    "max_collinear_3d-point-of-two-values": lambda: max_collinear_3d([(1, 2)], 5),
+    # integer sets: a float was deduplicated as a value of its own, then
+    # cast, or kept as a float in the images
+    "line_energy-float-in-A": lambda: line_energy([1, 1.5], _lines()),
+    "energy_reduction-boolean-in-A": lambda: energy_reduction([True, 2], _lines()),
+    "cs_bridge_check-float-in-B": lambda: cs_bridge_check([1, 2], [0.5], _lines()),
+    "sumproduct_report-float-in-A": lambda: sumproduct_report("5.1", 7, A=[1.5, 2]),
+    "arithmetic_image-float-in-A": lambda: arithmetic_image("A*A", 7, A=[0.5]),
+    "arithmetic_image-string-in-C": lambda: arithmetic_image("A+B*C", 7, A=[1], B=[2], C="3"),
+    "cartesian_instance-float-in-A": lambda: cartesian_instance([0.5, 1], [1], [], 7),
+    "cartesian_instance-boolean-in-B": lambda: cartesian_instance([1], [False], [], 7),
+    "ProjMap-float-entry": lambda: ProjMap(((1.5, 0, 0), (0, 1, 0), (0, 0, 1)), 7),
+    "ProjMap-row-of-two-values": lambda: ProjMap(((1, 0), (0, 1, 0), (0, 0, 1)), 7),
 }
+
+
+def _lines():
+    """The lines y = x + 1 and y = 2x over F_7, as an Instance."""
+    return Instance(make_modulus(7), point_keys=(), line_keys=[1 * 7 + 1, 2 * 7])
 
 
 @pytest.mark.parametrize("site", sorted(SITES))

@@ -6,15 +6,20 @@ from conftest import (
     apply_line,
     apply_point,
     homogeneous_image,
+    incident,
+    join_points,
     keyed,
     line_to_infinity,
+    map_from_points,
     random_instances,
     residues,
     vertical_free,
 )
 from incidencelab.constructions import SeededStream, full_plane
+from incidencelab.distances import isotropic_lines
 from incidencelab.errors import (
     CoincidentPointsError,
+    CompositeModulusError,
     InvalidParameterError,
     LineSentToInfinityError,
     ModulusMismatchError,
@@ -32,12 +37,10 @@ from incidencelab.plane import (
     apply_map,
     distinct,
     dualize,
-    incident,
     line_through,
     pair_blocks,
     projective_map_from_pair,
     run_count,
-    vertical_line,
 )
 
 
@@ -53,22 +56,81 @@ def test_incident_mixed_moduli():
 
 
 def test_line_through_examples():
-    assert line_through(AffinePoint(0, 0, 5), AffinePoint(1, 2, 5)) == AffineLine(2, 0, 5)
-    assert line_through(AffinePoint(3, 1, 7), AffinePoint(3, 4, 7)) == AffineLine(None, 3, 7)
+    # the keys of (0, 0) and (1, 2) over F_5, and of (3, 1) and (3, 4) over F_7
+    assert line_through(0, 7, 5) == AffineLine(2, 0, 5).key()
+    assert line_through(22, 25, 7) == AffineLine(None, 3, 7).key()
     with pytest.raises(CoincidentPointsError):
-        line_through(AffinePoint(1, 1, 7), AffinePoint(1, 1, 7))
+        line_through(8, 8, 7)
 
 
 def test_line_through_contains_both_endpoints():
     stream = SeededStream(7)
     for _ in range(200):
         p = (5, 7, 11, 13)[stream.below(4)]
-        q = AffinePoint(stream.below(p), stream.below(p), p)
-        r = AffinePoint(stream.below(p), stream.below(p), p)
+        q, r = stream.below(p * p), stream.below(p * p)
         if q == r:
             continue
-        line = line_through(q, r)
-        assert incident(q, line) and incident(r, line)
+        line = AffineLine.from_key(line_through(q, r, p), p)
+        assert incident(AffinePoint(*divmod(q, p), p), line) and incident(AffinePoint(*divmod(r, p), p), line)
+
+
+def isotropic_oracle(r):
+    """The lines through the point object r whose slope s has s^2 = -1,
+    by a scan of the slopes, smaller slope first; None when there is none."""
+    p = r.p
+    if pow(p - 1, (p - 1) // 2, p) != 1:
+        return None
+    return tuple(AffineLine(s, r.y - s * r.x, p) for s in range(p) if s * s % p == p - 1)
+
+
+@st.composite
+def key_pairs(draw):
+    """Two distinct point keys over F_p, p in {3, 5, 13, 1009, 2^31 - 1}."""
+    p = draw(st.sampled_from([3, 5, 13, 1009, 2**31 - 1]))
+    point = st.tuples(residues(p), residues(p)).map(lambda xy: xy[0] * p + xy[1])
+    q = draw(point)
+    return q, draw(point.filter(lambda r: r != q)), p
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(key_pairs())
+def test_key_joins_match_the_object_oracles(case):
+    q, r, p = case
+    qo, ro = (AffinePoint(*divmod(key, p), p) for key in (q, r))
+    assert line_through(q, r, p) == join_points(qo, ro).key()
+    assert projective_map_from_pair(q, r, p).rows == map_from_points(qo, ro).rows
+    want = isotropic_oracle(qo)
+    assert isotropic_lines(q, p) == (want and tuple(line.key() for line in want))
+
+
+@pytest.mark.parametrize("p", [5, 2**31 - 1])
+@pytest.mark.parametrize("q, r, third", [
+    ((1, 0), (2, 1), (0, 0)),  # y = x - 1 misses the origin
+    ((0, 3), (0, 1), (1, 0)),  # the column x = 0
+    ((1, 2), (2, 4), (0, 1)),  # y = 2x, sloped through the origin
+])
+def test_projective_map_third_point_branches(p, q, r, third):
+    M = projective_map_from_pair(q[0] * p + q[1], r[0] * p + r[1], p)
+    assert M.rows == map_from_points(AffinePoint(*q, p), AffinePoint(*r, p)).rows
+    assert sent_to_axis(M, AffinePoint(*third, p), 2)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: line_through(0, 25, 5), InvalidParameterError),  # key past p^2
+    (lambda: line_through(-1, 3, 5), InvalidParameterError),
+    (lambda: line_through(0, 1.0, 5), InvalidParameterError),
+    (lambda: line_through(0, 1, 9), CompositeModulusError),
+    (lambda: line_through(4, 4, 5), CoincidentPointsError),
+    (lambda: projective_map_from_pair(0, 25, 5), InvalidParameterError),
+    (lambda: projective_map_from_pair(0, 1, 9), CompositeModulusError),
+    (lambda: projective_map_from_pair(4, 4, 5), CoincidentPointsError),
+    (lambda: isotropic_lines(25, 5), InvalidParameterError),
+    (lambda: isotropic_lines(-1, 5), InvalidParameterError),
+    (lambda: isotropic_lines(0, 9), CompositeModulusError),
+])
+def test_key_joins_check_their_arguments(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_dualize_preserves_incidence_structure():
@@ -111,16 +173,21 @@ def sent_to_axis(M, q, axis):
     return v[axis] != 0 and all(c == 0 for i, c in enumerate(v) if i != axis)
 
 
+def map_of(q, r):
+    """projective_map_from_pair of the keys of the point objects q and r."""
+    return projective_map_from_pair(q.x * q.p + q.y, r.x * r.p + r.y, q.p)
+
+
 def test_projective_map_sends_pair_to_infinity():
     q, r = AffinePoint(0, 0, 5), AffinePoint(1, 0, 5)
-    M = projective_map_from_pair(q, r)
+    M = map_of(q, r)
     assert sent_to_axis(M, q, 0)
     assert sent_to_axis(M, r, 1)
 
 
 def lexicographic_third_point(q, r):
     """Oracle: scan the plane in (x, y) order for the first point off qr."""
-    qr = line_through(q, r)
+    qr = join_points(q, r)
     return next(AffinePoint(x, y, q.p) for x in range(q.p) for y in range(q.p)
                 if not incident(AffinePoint(x, y, q.p), qr))
 
@@ -132,7 +199,7 @@ def test_projective_map_third_point_is_lexicographic_scan(p):
     for q in points:
         for r in points:
             if q != r:
-                M = projective_map_from_pair(q, r)
+                M = map_of(q, r)
                 assert sent_to_axis(M, lexicographic_third_point(q, r), 2)
 
 
@@ -140,14 +207,14 @@ def test_projective_map_on_the_column_x0_at_largest_p():
     # the apex line x = 0 holds the whole first column, which a scan of the
     # plane would test point by point
     p = 2**31 - 1
-    M = projective_map_from_pair(AffinePoint(0, 0, p), AffinePoint(0, 1, p))
+    M = projective_map_from_pair(0, 1, p)
     assert sent_to_axis(M, AffinePoint(1, 0, p), 2)
     assert sent_to_axis(M, AffinePoint(0, 0, p), 0)
 
 
 def test_projective_map_rejects_coincident():
     with pytest.raises(CoincidentPointsError):
-        projective_map_from_pair(AffinePoint(1, 1, 7), AffinePoint(1, 1, 7))
+        projective_map_from_pair(8, 8, 7)
 
 
 def test_projective_map_infinity_preimage_is_join_50_random():
@@ -159,8 +226,8 @@ def test_projective_map_infinity_preimage_is_join_50_random():
         r = AffinePoint(stream.below(p), stream.below(p), p)
         if q == r:
             continue
-        M = projective_map_from_pair(q, r)
-        qr = line_through(q, r)
+        M = map_of(q, r)
+        qr = join_points(q, r)
         assert line_to_infinity(M) == qr
         with pytest.raises(LineSentToInfinityError) as err:
             apply_map(M, keyed(make_modulus(p), lines=[qr]))
@@ -173,19 +240,19 @@ def test_pencils_become_axis_parallel():
     # the second apex map to vertical lines
     p = 11
     q, r = AffinePoint(2, 3, p), AffinePoint(7, 5, p)
-    M = projective_map_from_pair(q, r)
-    join = line_through(q, r)
+    M = map_of(q, r)
+    join = join_points(q, r)
 
     def pencil(apex):
         # every line through the apex but the joining one, which goes to infinity
-        lines = [AffineLine(s, (apex.y - s * apex.x) % p, p) for s in range(p)] + [vertical_line(apex.x, p)]
+        lines = [AffineLine(s, (apex.y - s * apex.x) % p, p) for s in range(p)] + [AffineLine(None, apex.x, p)]
         return keyed(make_modulus(p), lines=[line for line in lines if line != join])
 
     horizontal = apply_map(M, pencil(q))
     assert horizontal.n == p and all(line.slope == 0 for line in horizontal.lines), \
         "pencil through apex1 must become horizontal"
     vertical = apply_map(M, pencil(r))
-    assert vertical.n == p and all(line.is_vertical for line in vertical.lines), \
+    assert vertical.n == p and all(line.slope is None for line in vertical.lines), \
         "pencil through apex2 must become vertical"
 
 
@@ -223,10 +290,10 @@ def test_apply_map_point_to_infinity_errors():
     # the apex line y = 0 of (0, 0) and (1, 0) goes to infinity, and its points
     p = 7
     mod = make_modulus(p)
-    M = projective_map_from_pair(AffinePoint(0, 0, p), AffinePoint(1, 0, p))
+    M = map_of(AffinePoint(0, 0, p), AffinePoint(1, 0, p))
     on_it = [AffinePoint(5, 0, p), AffinePoint(3, 0, p)]
     off = [AffinePoint(6, 2, p), AffinePoint(1, 1, p)]
-    lines = [AffineLine(2, 1, p), AffineLine(0, 0, p), vertical_line(4, p)]
+    lines = [AffineLine(2, 1, p), AffineLine(0, 0, p), AffineLine(None, 4, p)]
     with pytest.raises(PointSentToInfinityError) as err:
         apply_map(M, keyed(mod, on_it + off, lines))
     assert err.value.point == AffinePoint(3, 0, p)  # the smaller key; points before lines
@@ -234,10 +301,10 @@ def test_apply_map_point_to_infinity_errors():
         apply_map(M, keyed(mod, off, lines))
     assert err.value.line == AffineLine(0, 0, p)
     # a vertical apex line x = 2
-    M = projective_map_from_pair(AffinePoint(2, 1, p), AffinePoint(2, 5, p))
+    M = map_of(AffinePoint(2, 1, p), AffinePoint(2, 5, p))
     with pytest.raises(LineSentToInfinityError) as err:
-        apply_map(M, keyed(mod, off, [AffineLine(1, 1, p), vertical_line(2, p), vertical_line(3, p)]))
-    assert err.value.line == vertical_line(2, p)
+        apply_map(M, keyed(mod, off, [AffineLine(1, 1, p), AffineLine(None, 2, p), AffineLine(None, 3, p)]))
+    assert err.value.line == AffineLine(None, 2, p)
 
 
 def test_apply_map_preserves_counts_50_random():
