@@ -3,8 +3,8 @@
 
 The covering loop splits points by richness, repeatedly extracts a grid
 covered by two small pencils, normalizes each grid into a Cartesian product
-by a projective map, and emits a certificate that an independent verifier
-re-checks.  Corrupting the certificate is detected.
+by a projective map, and emits a certificate that the verifier re-checks
+from the instance alone.  Corrupting the certificate is detected.
 
 The certificate records points as keys x*p + y and lines as
 AffineLine.key(); the demo decodes them with divmod.

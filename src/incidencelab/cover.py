@@ -15,12 +15,12 @@ cover loop read instances; their degree scans are ``richness_histograms``,
 the hash join of the incidence count with each hit placed on its point and
 its line, and the joins to the apexes are batched line keys, which also find
 the candidates on the apex line.  The certificate verifier checks the keys
-with array passes.  Its degrees (the partition re-check) come from a pass of
-its own, :func:`_point_degrees`, one searchsorted per slope class or per
-column, or from the masks of ``incidence_degrees`` when both sides cost
-about m*n; its incidence tests are those masks.  So it never shares the
-extraction's join: only the threshold arithmetic of
-:func:`_richness_classes` is common to both.
+with array passes.  Its degrees (the partition re-check) come from the same
+join run on the other side of ``join_cost``, with the items and probes
+swapped, so it shares with the extraction the join's code
+(``_kernels.c::probe``, or ``_group_degrees`` without a C compiler) and the
+threshold arithmetic of :func:`_richness_classes`; its incidence tests are
+the masks of ``incidence_degrees``.
 :func:`normalize_grid` is :func:`plane.projective_map_from_pair` of the
 apex keys plus :func:`plane.apply_map` on the grid's point keys and the line
 keys other than the apex line, which :func:`plane.line_through` gives from
@@ -41,7 +41,7 @@ from .errors import (
     InvalidParameterError,
     NoIncidencesError,
 )
-from .incidence import incidence_degrees, join_cost, richness_histograms
+from .incidence import _join, incidence_degrees, richness_histograms
 from .plane import (
     Instance,
     ProjMap,
@@ -304,51 +304,6 @@ def normalize_grid(grid: PencilGrid, inst: Instance) -> NormalizedGrid:
     return NormalizedGrid(tau, image, xs, ys)
 
 
-# one (point, slope class) or (line, column) pair of a pass of _point_degrees
-# costs about as much as 3 cells of the masks of incidence_degrees (2-vCPU
-# Xeon, numpy 2.4: 30-34 ns against 10-12 ns on random m = n = 3000 and
-# 10^4 over p = 1048573); a pass runs only where it is clearly cheaper
-_PASS_CELLS = 4
-
-
-def _recheck_side(inst: Instance) -> str:
-    """The side of :func:`_point_degrees` with the fewest (item, group)
-    pairs, or "masks" when that side costs about the m*n mask cells."""
-    cost = join_cost(inst)
-    if _PASS_CELLS * min(cost.values()) >= inst.m * inst.n:
-        return "masks"
-    return "slope" if cost["slope"] <= cost["column"] else "column"
-
-
-def _point_degrees(inst: Instance, side: str) -> np.ndarray:
-    """The line-degree of each point of inst, exactly, from the pass of the
-    given side.  "slope": for each slope class s, the intercepts y - s*x of
-    all points, looked up by one searchsorted in the class's sorted
-    intercepts.  "column": for each x-column c, the heights s*c + t of all
-    non-vertical lines, looked up by one searchsorted in the column's
-    sorted y-values.  Both add the vertical lines through each point by
-    np.isin.  "masks": the masks of incidence_degrees.  The passes share no
-    code with the join of richness_histograms."""
-    p, (px, py) = inst.p, inst.xy
-    if side == "masks":
-        return incidence_degrees(px, py, inst.line_keys, p)[0]
-    s, t, x0 = inst.line_columns
-    deg = np.isin(px, x0).astype(np.int64)
-    if side == "slope":
-        slopes, offs = inst.slope_runs
-        for k, intercepts in zip(slopes.tolist(), np.split(t, offs[1:-1])):
-            v = (py - k * px) % p
-            deg += intercepts.take(np.searchsorted(intercepts, v), mode="clip") == v
-    else:
-        xs, offs = inst.column_runs
-        for c, lo, hi in zip(xs.tolist(), offs[:-1].tolist(), offs[1:].tolist()):
-            ys = py[lo:hi]
-            v = (s * c + t) % p
-            at = np.searchsorted(ys, v)
-            deg[lo:hi] += np.bincount(at[ys.take(at, mode="clip") == v], minlength=hi - lo)
-    return deg
-
-
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -377,11 +332,13 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
 
     Every check is an array pass over the certificate's keys, with p and
     the lines read from inst.  The point degrees of the partition re-check
-    come from :func:`_point_degrees` on the side of :func:`_recheck_side`,
-    and the incidence tests (apex line, pencil apexes, pencil coverage as
-    the |grid| x |pencil| mask) use the blocked masks of
-    ``incidence_degrees``: both are independent of the join the extraction
-    ran.
+    come from the join of ``richness_histograms`` run on the side of
+    ``join_cost`` that the extraction did not probe: items and probes swap,
+    so the grouping, the choice of path and the placement of hits run over
+    the other key column, but the code is shared (``_kernels.c::probe``, or
+    ``_group_degrees`` without it).  The incidence tests (apex line, pencil
+    apexes, pencil coverage as the |grid| x |pencil| mask) use the blocked
+    masks of ``incidence_degrees``, which share no code with the join.
     """
     v: list[Violation] = []
 
@@ -390,8 +347,9 @@ def verify_certificate(inst: Instance, cert: GridCertificate) -> VerificationRep
 
     p, point_keys = inst.p, inst.point_keys
     part = cert.partition
-    # partition re-check, on degrees of a pass of its own
-    deg = _point_degrees(inst, _recheck_side(inst))
+    # partition re-check, on the point degrees of the side of the join that
+    # the extraction did not probe
+    deg = _join(inst, {}, degrees=True, cheaper=False).per_point
     mean, classes = _richness_classes(inst, deg, cert.c1, cert.c2)
     low, high, regular = (np.array(keys, dtype=np.int64) for keys in (part.low, part.high, part.regular))
     factors = (mean, Fraction(cert.c1), Fraction(cert.c2))

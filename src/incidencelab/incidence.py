@@ -9,9 +9,10 @@ against each x-column of points, whichever side :func:`join_cost` prices
 lower; with ``stats=True`` it also says how it ran (:class:`CountStats`).
 The same join, with each hit placed on its point and its line, gives the
 per-point and per-line degrees of :func:`richness_histograms` that the
-cover layer reads.  The naive engine is the reference: it sums
+cover layer reads; the certificate verifier re-checks them on the other
+side.  The naive engine is the reference: it sums
 :func:`incidence_degrees`, numpy masks over blocks of (point, line) pairs,
-which only it and the certificate verifier read.
+which only it and the verifier's incidence tests read.
 The C kernel ``probe`` reads the instance's two key columns and decodes the
 keys itself, so the join builds no views.  It takes each group of the
 probed side (a run of equal key // p) along one of three paths: groups of
@@ -201,18 +202,19 @@ def _join_groups(inst: Instance, side: str):
     return (s, t, (-col_x) % inst.p, col_offs, py)
 
 
-def _join(inst: Instance, record, degrees: bool = False):
+def _join(inst: Instance, record, degrees: bool = False, cheaper: bool = True):
     """The incidence count of inst, or with degrees its
     :class:`RichnessHistogram`: the C kernel ``probe``, or
     :func:`_group_degrees` without it, probes the cheaper side of
-    :func:`join_cost`.  The dict record receives the side, the cost, the
-    phase times and the probes issued per path (see :class:`CountStats`)."""
+    :func:`join_cost`, or with cheaper=False the other side.  The dict
+    record receives the side, the cost, the phase times and the probes
+    issued per path (see :class:`CountStats`)."""
     lib = _load_backend().lib
     start = perf_counter()
     p, points, lines = inst.p, inst.point_keys, inst.line_keys
     sloped = int(np.searchsorted(lines, p * p))
     cost = join_cost(inst)
-    side = "slope" if cost["slope"] <= cost["column"] else "column"
+    side = "slope" if (cost["slope"] <= cost["column"]) == cheaper else "column"
     if lib is None:
         groups = _join_groups(inst, side)
         views = perf_counter() - start
@@ -330,8 +332,8 @@ def incidence_degrees(px, py, keys, p: int) -> tuple[np.ndarray, np.ndarray]:
     against the lines with the given keys (:meth:`AffineLine.key`), from
     masks over blocks of lines holding at most about _MASK_CELLS cells.
     This is the reference that the naive engine sums and the certificate
-    verifier reads; every other degree comes from
-    :func:`richness_histograms`."""
+    verifier's incidence tests read; every other degree comes from the join
+    of :func:`richness_histograms`."""
     per_point = np.zeros(px.size, dtype=np.int64)
     per_line = np.zeros(keys.size, dtype=np.int64)
     step = max(1, _MASK_CELLS // max(px.size, 1))

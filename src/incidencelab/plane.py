@@ -202,7 +202,10 @@ def _integer_rows(rows, what: str, width: int | None = None) -> list[tuple]:
     """The rows as tuples of Python ints, each of width values when width
     is given.  A value that is not an integer (bool, float, str) is refused,
     not reduced, as for the keys of an Instance."""
-    rows = [tuple(row) for row in rows]
+    try:
+        rows = [tuple(row) for row in rows]
+    except TypeError:
+        raise InvalidParameterError(f"{what} must be rows of values") from None
     if width is not None and any(len(row) != width for row in rows):
         raise InvalidParameterError(f"{what} must be rows of {width} values")
     kinds = {type(v) for row in rows for v in row}
@@ -371,10 +374,13 @@ class ProjMap:
     p: int
 
     def __post_init__(self):
+        p = make_modulus(self.p).p
         rows = _integer_rows(self.rows, "projective map entries", 3)
-        rows = tuple(tuple(v % self.p for v in row) for row in rows)
+        if len(rows) != 3:
+            raise InvalidParameterError(f"projective map must have 3 rows, got {len(rows)}")
+        rows = tuple(tuple(v % p for v in row) for row in rows)
         object.__setattr__(self, "rows", rows)
-        if _det3(rows, self.p) == 0:
+        if _det3(rows, p) == 0:
             raise InvalidParameterError("projective map must be invertible")
 
     @cached_property

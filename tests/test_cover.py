@@ -14,8 +14,6 @@ from incidencelab.cover import (
     CoverStep,
     NormalizedGrid,
     PencilGrid,
-    _point_degrees,
-    _recheck_side,
     extraction_preconditions,
     grid_cover,
     grid_size_lower_bound,
@@ -448,8 +446,8 @@ def test_verify_certificate_detects_partition_mismatch():
 
 def test_verify_certificate_recheck_catches_a_faulty_richness_histograms(monkeypatch):
     # a fault in richness_histograms shows in the verifier, whose re-check of
-    # the partition takes its point degrees from a pass of its own
-    # (cover._point_degrees, the slope pass on full_plane(5)), not from it
+    # the partition calls the join itself, on the side the extraction did not
+    # probe (the column side on full_plane(5)), not richness_histograms
     import incidencelab.cover as cover
     join = cover.richness_histograms
 
@@ -468,8 +466,10 @@ def test_verify_certificate_recheck_catches_a_faulty_richness_histograms(monkeyp
 
 def test_verify_certificate_catches_a_fault_in_the_degree_join(monkeypatch):
     # a fault inside the join itself, in the degrees that the C kernel or the
-    # numpy fallback places, reaches the extraction's partition but not the
-    # verifier's re-check, which runs a degree pass of its own
+    # numpy fallback places on the first item, reaches the extraction's
+    # partition but not the verifier's re-check: the fault sits on the item
+    # side, and the re-check probes the other side, where the points are the
+    # probes (full_plane(5) probes its slope classes, the re-check its columns)
     import ctypes
 
     import incidencelab.incidence as incidence
@@ -523,45 +523,77 @@ def degree_instances(draw):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(degree_instances())
-def test_recheck_degree_passes_equal_the_masks(inst):
-    want = incidence_degrees(*inst.xy, inst.line_keys, inst.p)[0].tolist()
-    for side in ("slope", "column", "masks"):
-        assert _point_degrees(inst, side).tolist() == want, side
-    assert _point_degrees(inst, _recheck_side(inst)).tolist() == want
+def test_join_degrees_from_either_side_equal_the_masks(inst):
+    # the extraction's degrees (the cheaper side of the join) and the
+    # re-check's (the other side), on the C kernels and on the numpy fallback
+    import incidencelab.incidence as incidence
+    want = incidence_degrees(*inst.xy, inst.line_keys, inst.p)
+    for backend in (incidence._load_backend(), incidence._Backend(None, "forced")):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(incidence, "_backend", backend)
+            sides = []
+            for cheaper in (True, False):
+                record = {}
+                hist = incidence._join(inst, record, degrees=True, cheaper=cheaper)
+                sides.append(record["side"])
+                assert hist.per_point.tolist() == want[0].tolist(), record["side"]
+                assert hist.per_line.tolist() == want[1].tolist(), record["side"]
+                assert hist.total == int(want[0].sum())
+            assert sorted(sides) == ["column", "slope"]
 
 
-def test_recheck_reaches_each_side_and_the_masks():
+def _column_instance():
+    """13 lines of 13 slopes against the 13 columns of full_plane(13)."""
     plane = full_plane(13)
+    return Instance(plane.modulus, point_keys=plane.point_keys, line_keys=[s * 13 + 2 * s for s in range(13)])
+
+
+def test_recheck_probes_the_side_the_extraction_did_not(monkeypatch):
+    import incidencelab.cover as cover
+    join, records = cover._join, []
+    monkeypatch.setattr(cover, "_join", lambda inst, record, **kw: join(inst, records.append(record) or record, **kw))
+    for inst, extraction, recheck in ((full_plane(13), "slope", "column"), (_column_instance(), "column", "slope")):
+        assert count_incidences(inst, stats=True)[1].side == extraction
+        cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
+        records.clear()
+        assert verify_certificate(inst, cert).passed
+        assert [record["side"] for record in records] == [recheck]
+    # as many slope classes and columns as lines and points, and no lines
     big = 2**31 - 1
     rng = np.random.default_rng(3)
-    cases = [
-        ("slope", plane),
-        # 13 lines of 13 slopes against 13 columns of points
-        ("column", Instance(plane.modulus, point_keys=plane.point_keys, line_keys=[s * 13 + 2 * s for s in range(13)])),
-        # as many slope classes and columns as lines and points
-        ("masks", Instance(make_modulus(big), point_keys=rng.integers(0, big * big, 9),
-                           line_keys=rng.integers(0, big * big, 9))),
-        ("masks", Instance(plane.modulus, point_keys=plane.point_keys, line_keys=[])),
-    ]
-    for side, inst in cases:
-        assert _recheck_side(inst) == side
-        assert np.array_equal(_point_degrees(inst, side), incidence_degrees(*inst.xy, inst.line_keys, inst.p)[0])
-        if inst.n:
-            assert verify_certificate(inst, grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))).passed
+    for inst in (Instance(make_modulus(big), point_keys=rng.integers(0, big * big, 9),
+                          line_keys=rng.integers(0, big * big, 9)),
+                 Instance(make_modulus(13), point_keys=full_plane(13).point_keys, line_keys=[])):
+        assert verify_certificate(inst, grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))).passed
 
 
-def test_verify_certificate_builds_only_the_recheck_sides_runs():
-    # the re-check prices both sides from the key columns and builds the
-    # runs of the side it walks, on an instance the cover never read
-    plane = full_plane(13)
-    column = Instance(plane.modulus, point_keys=plane.point_keys, line_keys=[s * 13 + 2 * s for s in range(13)])
-    for inst, side, unbuilt in ((plane, "slope", "column_runs"), (column, "column", "slope_runs")):
-        cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
-        fresh = Instance(inst.modulus, point_keys=inst.point_keys, line_keys=inst.line_keys)
-        assert _recheck_side(fresh) == side
-        assert not {"slope_runs", "column_runs"} & set(vars(fresh))
-        assert verify_certificate(fresh, cert).passed
-        assert unbuilt not in vars(fresh)
+def test_verify_certificate_builds_only_the_other_sides_runs(monkeypatch):
+    # on an instance the cover never read, the re-check reads the key columns
+    # on the C kernels, and builds only the runs of the side it probes on the
+    # numpy fallback
+    import incidencelab.incidence as incidence
+    for backend in (incidence._load_backend(), incidence._Backend(None, "forced")):
+        monkeypatch.setattr(incidence, "_backend", backend)
+        for inst, probed in ((full_plane(13), "column_runs"), (_column_instance(), "slope_runs")):
+            cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
+            fresh = Instance(inst.modulus, point_keys=inst.point_keys, line_keys=inst.line_keys)
+            assert verify_certificate(fresh, cert).passed
+            runs = {"slope_runs", "column_runs"} & set(vars(fresh))
+            assert runs == (set() if backend.lib is not None else {probed})
+
+
+def test_verify_certificate_builds_no_mask_of_every_pair(monkeypatch):
+    # the masks that remain in the verifier (apex line, pencil apexes, pencil
+    # coverage) span a grid or a pencil, never the m*n cells of the instance;
+    # at p = 79 both sides of the join cost more than m*n/4 (item, group) pairs
+    import incidencelab.cover as cover
+    masks, sizes = cover.incidence_degrees, []
+    monkeypatch.setattr(cover, "incidence_degrees", lambda px, py, keys, p: (
+        sizes.append(px.size * keys.size), masks(px, py, keys, p))[1])
+    inst = random_instance(79, 300, 300, 1)
+    cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
+    assert cert.steps and verify_certificate(inst, cert).passed
+    assert sizes and max(sizes) < inst.m * inst.n
 
 
 def test_verify_certificate_detects_grid_outside_regular_set():

@@ -19,7 +19,7 @@ from incidencelab.energy import (
     line_energy,
     sumproduct_report,
 )
-from incidencelab.errors import Error, InvalidParameterError, ParseError
+from incidencelab.errors import CompositeModulusError, Error, InvalidParameterError, OutOfRangeError, ParseError
 from incidencelab.field import make_modulus
 from incidencelab.files import read_instance3d
 from incidencelab.incidence import count_incidences, max_collinear_3d
@@ -70,6 +70,15 @@ SITES = {
     "cartesian_instance-boolean-in-B": lambda: cartesian_instance([1], [False], [], 7),
     "ProjMap-float-entry": lambda: ProjMap(((1.5, 0, 0), (0, 1, 0), (0, 0, 1)), 7),
     "ProjMap-row-of-two-values": lambda: ProjMap(((1, 0), (0, 1, 0), (0, 0, 1)), 7),
+    # a matrix of two or four rows raised a bare IndexError from _det3, or
+    # was accepted with its fourth row
+    "ProjMap-two-rows": lambda: ProjMap(((1, 0, 0), (0, 1, 0)), 7),
+    "ProjMap-four-rows": lambda: ProjMap(((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)), 7),
+    # a row that is not iterable raised a bare TypeError
+    "max_collinear_3d-row-not-iterable": lambda: max_collinear_3d([1, 2, 3], 5),
+    "PlaneInstance3D-row-not-iterable": lambda: PlaneInstance3D(5, (1, 2, 3), ()),
+    "PlaneInstance3D.build-row-not-iterable": lambda: PlaneInstance3D.build(5, [(1, 2, 3)], [1]),
+    "ProjMap-row-not-iterable": lambda: ProjMap((1, 2, 3), 7),
 }
 
 
@@ -83,6 +92,13 @@ def test_bad_argument_raises_invalid_parameter(site):
     with pytest.raises(InvalidParameterError) as err:
         SITES[site]()
     assert isinstance(err.value, Error) and isinstance(err.value, ValueError)
+
+
+@pytest.mark.parametrize("p, error", [(9, CompositeModulusError), (2**31, OutOfRangeError), (7.0, OutOfRangeError)])
+def test_projective_map_checks_its_modulus(p, error):
+    # a composite p was accepted, and its determinant test is no field test
+    with pytest.raises(error):
+        ProjMap(((1, 0, 0), (0, 1, 0), (0, 0, 1)), p)
 
 
 def test_zero_plane_normal_in_a_file_is_a_parse_error(tmp_path):
