@@ -13,6 +13,24 @@ from math import sqrt
 from .errors import InvalidParameterError
 
 
+def _check_sizes(**sizes) -> None:
+    """Refuse a given size or field size below 1; p need not be prime."""
+    for name, value in sizes.items():
+        if value is not None and value < 1:
+            raise InvalidParameterError(f"need {name} >= 1, got {value!r}")
+
+
+def ll_constant(c) -> Fraction:
+    """The constant c of X << Y, read as X <= c*Y: a positive rational."""
+    try:
+        cf = Fraction(c)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        cf = 0
+    if cf <= 0:
+        raise InvalidParameterError(f"the << constant must be a positive rational, got {c!r}")
+    return cf
+
+
 def reference_bound(m: int, n: int, p: int | None = None, which: str = "table1") -> tuple[str, float]:
     """Evaluate a comparator upper bound for I(P, L) as a real number.
 
@@ -21,8 +39,7 @@ def reference_bound(m: int, n: int, p: int | None = None, which: str = "table1")
     unconditional double-counting bound min(m^(1/2) n + m, m n^(1/2) + n).
     "vinh" evaluates m n / p + p^(1/2) (m n)^(1/2) and needs p.
     """
-    if m < 1 or n < 1:
-        raise InvalidParameterError("need m, n >= 1")
+    _check_sizes(m=m, n=n, p=p)
     if which == "combinatorial":
         return ("min(m^(1/2) n + m, m n^(1/2) + n)",
                 min(sqrt(m) * n + m, m * sqrt(n) + n))
@@ -86,9 +103,11 @@ def check_hypotheses(theorem: str, *, m: int | None = None, n: int | None = None
                      p: int, c=1) -> HypothesisReport:
     """Check a theorem's hypothesis conditions with exact arithmetic.
 
-    theorem "1.2" needs m, n, p; "1.3" needs a, b, n, p; "1.4" needs r, s, p.
+    theorem "1.2" needs m, n, p; "1.3" needs a, b, n, p; "1.4" needs r, s, p,
+    each at least 1; c is checked by :func:`ll_constant`.
     """
-    cf = Fraction(c)
+    _check_sizes(m=m, n=n, a=a, b=b, r=r, s=s, p=p)
+    cf = ll_constant(c)
     conds = []
 
     def add(name, lhs, rhs, passed):

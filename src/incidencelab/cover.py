@@ -299,7 +299,7 @@ def normalize_grid(grid: PencilGrid, inst: Instance) -> NormalizedGrid:
     tau = projective_map_from_pair(grid.apex1, grid.apex2, p)
     keys = inst.line_keys[inst.line_keys != line_through(grid.apex1, grid.apex2, p)]
     image = apply_map(tau, Instance(inst.modulus, point_keys=grid.points, line_keys=keys))
-    xs = tuple(image.column_runs[0].tolist())
+    xs = tuple(distinct(image.xy[0]).tolist())
     ys = tuple(distinct(image.xy[1]).tolist())
     return NormalizedGrid(tau, image, xs, ys)
 

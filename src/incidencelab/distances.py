@@ -131,9 +131,10 @@ def _pinned(point_keys: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray
     return sizes, int(isosceles[0]), values[0]
 
 
-def _pinned_blocks(x, y, p) -> tuple[np.ndarray, int, np.ndarray]:
-    """(sizes, isosceles, values) as the C kernel ``pinned`` gives them,
-    from the blocks of :func:`_distance_blocks`."""
+def _pinned_blocks(point_keys: np.ndarray, p: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """(sizes, isosceles, values) of the ascending point keys as the C
+    kernel ``pinned`` gives them, from the blocks of :func:`_distance_blocks`."""
+    x, y = np.divmod(point_keys, p)
     sizes = np.empty(x.size, dtype=np.int64)
     # parts holds the distance set so far, once there is one, and the
     # distances of the blocks since, starting from d(q, q) = 0
@@ -209,7 +210,7 @@ def distance_sets(point_keys, p: int) -> DistanceReport:
     inst = _points(point_keys, p)
     if not inst.m:
         raise EmptyInputError("need at least one point")
-    sizes, isosceles, values = _pinned(inst.point_keys, p) or _pinned_blocks(*inst.xy, p)
+    sizes, isosceles, values = _pinned(inst.point_keys, p) or _pinned_blocks(inst.point_keys, p)
     # the points ascend by key, so ties go to the smallest one
     pin = int(np.argmax(sizes))
     _read_only(values)

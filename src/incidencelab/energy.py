@@ -15,6 +15,7 @@ from itertools import groupby
 
 import numpy as np
 
+from .bounds import ll_constant
 from .errors import (
     DegenerateInputError,
     EmptyInputError,
@@ -253,7 +254,7 @@ def sumproduct_report(corollary: str, p: int, A=None, B=None, C=None, c=1) -> Su
     the two-variable polynomial x^2 + x*y over A x B.
     """
     p = make_modulus(p).p
-    cf = Fraction(c)
+    cf = ll_constant(c)
     if corollary == "5.1":
         a = _canon_set("A", A, p)
         sums = arithmetic_image("A+A", p, A=a)

@@ -13,9 +13,10 @@ cover layer reads; the certificate verifier re-checks them on the other
 side.  The naive engine is the reference: it sums
 :func:`incidence_degrees`, numpy masks over blocks of (point, line) pairs,
 which only it and the verifier's incidence tests read.
-The C kernel ``probe`` reads the instance's two key columns and decodes the
-keys itself, so the join builds no views.  It takes each group of the
-probed side (a run of equal key // p) along one of three paths: groups of
+Both backends of the join take the same arguments, the instance's two key
+columns as items and probes, and decode the keys themselves, so the join
+builds no views; a group of the probed side is a run of equal key // p.
+The C kernel ``probe`` takes each group along one of three paths: groups of
 at most 32 values are independent probes in a blocked loop (flat); a larger
 group's values are tested in a bitmap of p bits, which the kernel
 allocates, when 64 * size >= p (bitmap), and otherwise by binary search.
@@ -29,7 +30,7 @@ compiles the kernels with ``cc -O3 -march=native`` (on x86-64 also
 resolved compiler binary (path, size and mtime) and the CPU flags, and later
 processes load the cached library.  A C compiler is optional: without one,
 or with an unwritable cache, the join runs as numpy passes over the
-coordinate views (:func:`_group_degrees`), with identical counts (on a
+decoded key columns (:func:`_group_degrees`), with identical counts (on a
 2-vCPU Xeon with numpy 2.4, random m = n = 10^4 in 0.18 s at p = 1048573
 and 0.20 s at p = 1009, against 0.020 s on the C kernels, and
 full_plane(101) in 0.018 s against 0.002 s), the run histogram is the one
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .field import make_modulus
-from .plane import Instance, _integer_rows, run_count
+from .plane import Instance, _integer_rows, _run_starts, run_count
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 _CC = "cc"
@@ -187,44 +188,27 @@ def join_cost(inst: Instance) -> dict:
     return {"slope": inst.m * (slopes + 1), "column": inst.n * (run_count(inst.point_keys // p) + 1)}
 
 
-def _join_groups(inst: Instance, side: str):
-    """The arguments (item_a, item_b, keys, offs, vals) of
-    :func:`_group_degrees` for the join of the points of inst with its
-    non-vertical lines from the given side: each point against each slope
-    class's intercepts ("slope") or each non-vertical line against each
-    column's y-values ("column").  Only that side's runs are built."""
-    px, py = inst.xy
-    s, t, _ = inst.line_columns
-    if side == "slope":
-        return (px, py, *inst.slope_runs, t)
-    # y = s*x + t  <=>  t - (-x)*s = y (mod p)
-    col_x, col_offs = inst.column_runs
-    return (s, t, (-col_x) % inst.p, col_offs, py)
-
-
 def _join(inst: Instance, record, degrees: bool = False, cheaper: bool = True):
     """The incidence count of inst, or with degrees its
     :class:`RichnessHistogram`: the C kernel ``probe``, or
-    :func:`_group_degrees` without it, probes the cheaper side of
-    :func:`join_cost`, or with cheaper=False the other side.  The dict
-    record receives the side, the cost, the phase times and the probes
-    issued per path (see :class:`CountStats`)."""
+    :func:`_group_degrees` without it, on the same key columns, probes the
+    cheaper side of :func:`join_cost`, or with cheaper=False the other
+    side.  The dict record receives the side, the cost, the phase times and
+    the probes issued per path (see :class:`CountStats`)."""
     lib = _load_backend().lib
     start = perf_counter()
     p, points, lines = inst.p, inst.point_keys, inst.line_keys
     sloped = int(np.searchsorted(lines, p * p))
     cost = join_cost(inst)
     side = "slope" if (cost["slope"] <= cost["column"]) == cheaper else "column"
+    items, probes = (points, lines[:sloped]) if side == "slope" else (lines[:sloped], points)
+    views = perf_counter() - start
     if lib is None:
-        groups = _join_groups(inst, side)
-        views = perf_counter() - start
-        per_item, per_probe = _group_degrees(*groups, p, record)
+        per_item, per_probe = _group_degrees(items, probes, p, side == "column", record)
         total = int(per_item.sum())
     else:
-        items, probes = (points, lines[:sloped]) if side == "slope" else (lines[:sloped], points)
         per_item, per_probe = (np.zeros(a.size, np.int64) if degrees else None for a in (items, probes))
         paths = np.zeros(3, np.int64)
-        views = perf_counter() - start
         total = lib.probe(items, items.size, probes, probes.size, p, side == "column",
                           *(None if a is None else a.ctypes.data for a in (per_item, per_probe)), paths)
         if total < 0:
@@ -260,9 +244,9 @@ class CountStats(NamedTuple):
     search), and "mask", the cells of the naive masks.
     backend and backend_reason are :func:`kernel_backend`'s for the join.
     seconds holds the time of each phase: "views", the :func:`join_cost`
-    passes over the key columns that price both sides, and on numpy (and
-    for naive) the instance's coordinate columns and runs; and "kernel"
-    (the probes, the vertical lines or the masks).
+    passes over the key columns that price both sides, or for naive the
+    instance's coordinate columns; and "kernel" (the probes, with the
+    decoding of the keys on numpy, the vertical lines or the masks).
     """
 
     engine: str
@@ -368,14 +352,22 @@ def _divisor_test(p: int) -> tuple[np.uint64, np.uint64]:
     return np.uint64(pow(p, -1, 1 << 64)), np.uint64(((1 << 64) - 1) // p)
 
 
-def _group_degrees(item_a, item_b, keys, offs, vals, p: int, record) -> tuple[np.ndarray, np.ndarray]:
-    """Hits per item and per value of the join of :func:`_join_groups`:
-    item i meets value v of group g when item_b - key_g*item_a = v (mod p).
-    Each group's values ascend and are distinct.  The dict record receives
-    the (item, value) probes of the flattened groups ("flat") and the
+def _group_degrees(items, probes, p: int, column: bool, record) -> tuple[np.ndarray, np.ndarray]:
+    """Hits per item and per probe of the C kernel ``probe`` on the same
+    arguments: (a, b) = divmod(item, p) meets (g, v) = divmod(probe, p)
+    when b - s*a = v (mod p), where s = g, or -g mod p on the column side,
+    and the probes with equal g form a group.  The dict record receives the
+    (item, probe) tests of the flattened groups ("flat") and the
     (item, group) passes of the searched ones ("binary_search")."""
-    per_item = np.zeros(item_a.size, dtype=np.int64)
-    per_val = np.zeros(vals.size, dtype=np.int64)
+    item_a, item_b = np.divmod(items, p)
+    g, vals = np.divmod(probes, p)
+    offs = np.append(_run_starts(g), g.size)
+    keys = g[offs[:-1]]
+    if column:
+        # y = s*x + t  <=>  t - (-x)*s = y (mod p)
+        keys = (-keys) % p
+    per_item = np.zeros(items.size, dtype=np.int64)
+    per_val = np.zeros(probes.size, dtype=np.int64)
     sizes = np.diff(offs)
     flat = sizes * item_a.size <= _SEARCH_COST * item_a.size + _PASS_COST
     at_flat = np.flatnonzero(np.repeat(flat, sizes))

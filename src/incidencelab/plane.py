@@ -13,10 +13,11 @@ edges only: error payloads, reprs and :meth:`AffineLine.from_key`.
 
 An :class:`Instance` is built from key columns only and stores them sorted
 and deduplicated, in columns of its own; keys that already ascend strictly
-are checked in one pass and copied, not sorted.  The coordinate and run
-views the counting engines read, and the point and line objects (read only
-by the tests and the benchmark tracer), are built from the keys on first
-access.
+are checked in one pass and copied, not sorted.  The coordinate columns
+(read by the naive engine, the energy layer, the maps and the files), and
+the point and line objects (read only by the tests and the benchmark
+tracer), are built from the keys on first access; the hash join reads the
+key columns alone.
 
 A :class:`ProjMap` is an invertible 3x3 matrix mod p, and
 :func:`projective_map_from_pair` builds one from two point keys.
@@ -232,13 +233,6 @@ def _key_column(keys, bound: int, what: str) -> np.ndarray:
     return _read_only(column)[0]
 
 
-def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the sorted array a and the offsets of their
-    runs in a, ending with a.size."""
-    start = _run_starts(a)
-    return _read_only(a[start], np.append(start, a.size))
-
-
 class Instance:
     """A deduplicated set of points and lines sharing one prime modulus.
 
@@ -247,9 +241,10 @@ class Instance:
     of each line.  Key order is (x, y) order for the points, and for the
     lines (slope, intercept) order with the vertical lines after, by x0, so
     two instances with the same content compare and serialize identically.
-    The coordinate columns and the object tuples points and lines are built
-    on first access; only the tests and the benchmark tracer still read the
-    object tuples.
+    The coordinate columns xy and line_columns and the object tuples points
+    and lines are built on first access; only the tests and the benchmark
+    tracer still read the object tuples.  A count, a degree join or a
+    verifier re-check builds none of them.
 
     The one constructor takes the keys, in any order and with repeats:
     Instance(modulus, point_keys=..., line_keys=...).  The caller's arrays
@@ -288,19 +283,6 @@ class Instance:
         sloped = np.searchsorted(self.line_keys, p * p)
         s, t = np.divmod(self.line_keys[:sloped], p)
         return _read_only(s, t, self.line_keys[sloped:] - p * p)
-
-    @cached_property
-    def column_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct x of the points and the offsets of their columns:
-        points sorted by (x, y) hold each column's ascending y-values in
-        one run."""
-        return _runs(self.xy[0])
-
-    @cached_property
-    def slope_runs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct slopes of the non-vertical lines and the offsets of
-        their classes, each one run of ascending intercepts."""
-        return _runs(self.line_columns[0])
 
     @cached_property
     def points(self) -> tuple[AffinePoint, ...]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 import incidencelab
+from incidencelab import incidence
 from incidencelab.constructions import SeededStream, random_instance
 from incidencelab.errors import CoincidentPointsError, ModulusMismatchError
 from incidencelab.field import inv_mod
@@ -21,6 +22,27 @@ SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 def _warm_kernels():
     # compile the probe kernels once so timed tests measure counting, not JIT
     kernel_backend()
+
+
+@pytest.fixture(params=["c", "numpy"])
+def backend(request, monkeypatch):
+    """The C kernels, skipped when they do not build, or the numpy passes,
+    forced."""
+    if request.param == "numpy":
+        monkeypatch.setattr(incidence, "_backend", incidence._Backend(None, "forced"))
+    elif kernel_backend()[0] != "c":
+        pytest.skip(f"compiled kernel unavailable: {kernel_backend()[1]}")
+    return request.param
+
+
+def each_backend():
+    """Install the loaded backend, the C kernels when they build, and then
+    the forced numpy passes, for one turn of the loop each: the backend
+    switch of hypothesis tests, which take no function-scoped fixture."""
+    for loaded in (incidence._load_backend(), incidence._Backend(None, "forced")):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(incidence, "_backend", loaded)
+            yield loaded
 
 
 def package_env():

@@ -162,6 +162,16 @@ def test_cover_negative_stop_is_one_error_line(tmp_path, capsys):
     assert "stop_fraction" in err
 
 
+@pytest.mark.parametrize("constant", ["-1", "0"])
+def test_sumprod_nonpositive_constant_is_one_error_line(capsys, constant):
+    # c = -1 printed "condition_holds": true, as c^8 > 0
+    rc, out, err = run(capsys, "sumprod", "--corollary", "5.1", "--p", "7", "--A", "1,2",
+                       "--llconstant", constant)
+    assert (rc, out) == (2, "")
+    assert_error_stderr(err)
+    assert "InvalidParameterError" in err
+
+
 def test_extract_and_cover(tmp_path, capsys):
     path = tmp_path / "inst.json"
     run(capsys, "construct", "full_plane", "--p", "5", "--output", str(path))

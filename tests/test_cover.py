@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import apply_line, apply_point, incident, join_points, map_from_points, random_instances, residues
+from conftest import (apply_line, apply_point, each_backend, incident, join_points, map_from_points, random_instances,
+                      residues)
 from incidencelab.cli import cli
 from incidencelab.constructions import elekes_construction, full_plane, random_instance
 from incidencelab.cover import (
@@ -481,21 +482,19 @@ def test_verify_certificate_catches_a_fault_in_the_degree_join(monkeypatch):
         per_item[:1] = 0
         return per_item, per_val
 
-    class FaultyKernels:
-        @staticmethod
-        def probe(*args):
-            count, per_item = lib.probe(*args), args[6]
+    monkeypatch.setattr(incidence, "_group_degrees", faulty_join)
+    if lib is not None:
+        probe = lib.probe
+
+        def faulty_probe(*args):
+            count, per_item = probe(*args), args[6]
             if per_item is not None:
                 ctypes.c_int64.from_address(per_item).value = 0
             return count
 
-    monkeypatch.setattr(incidence, "_group_degrees", faulty_join)
-    backends = [incidence._Backend(None, "forced")]
-    if lib is not None:
-        backends.append(incidence._Backend(FaultyKernels, ""))
+        monkeypatch.setattr(lib, "probe", faulty_probe)
     inst = full_plane(5)
-    for backend in backends:
-        monkeypatch.setattr(incidence, "_backend", backend)
+    for _ in each_backend():
         cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
         assert cert.partition.low == (0,)  # the point (0, 0) kept only its vertical line
         assert "partition-mismatch" in _codes(inst, cert)
@@ -528,18 +527,16 @@ def test_join_degrees_from_either_side_equal_the_masks(inst):
     # re-check's (the other side), on the C kernels and on the numpy fallback
     import incidencelab.incidence as incidence
     want = incidence_degrees(*inst.xy, inst.line_keys, inst.p)
-    for backend in (incidence._load_backend(), incidence._Backend(None, "forced")):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(incidence, "_backend", backend)
-            sides = []
-            for cheaper in (True, False):
-                record = {}
-                hist = incidence._join(inst, record, degrees=True, cheaper=cheaper)
-                sides.append(record["side"])
-                assert hist.per_point.tolist() == want[0].tolist(), record["side"]
-                assert hist.per_line.tolist() == want[1].tolist(), record["side"]
-                assert hist.total == int(want[0].sum())
-            assert sorted(sides) == ["column", "slope"]
+    for _ in each_backend():
+        sides = []
+        for cheaper in (True, False):
+            record = {}
+            hist = incidence._join(inst, record, degrees=True, cheaper=cheaper)
+            sides.append(record["side"])
+            assert hist.per_point.tolist() == want[0].tolist(), record["side"]
+            assert hist.per_line.tolist() == want[1].tolist(), record["side"]
+            assert hist.total == int(want[0].sum())
+        assert sorted(sides) == ["column", "slope"]
 
 
 def _column_instance():
@@ -567,19 +564,15 @@ def test_recheck_probes_the_side_the_extraction_did_not(monkeypatch):
         assert verify_certificate(inst, grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))).passed
 
 
-def test_verify_certificate_builds_only_the_other_sides_runs(monkeypatch):
-    # on an instance the cover never read, the re-check reads the key columns
-    # on the C kernels, and builds only the runs of the side it probes on the
-    # numpy fallback
-    import incidencelab.incidence as incidence
-    for backend in (incidence._load_backend(), incidence._Backend(None, "forced")):
-        monkeypatch.setattr(incidence, "_backend", backend)
-        for inst, probed in ((full_plane(13), "column_runs"), (_column_instance(), "slope_runs")):
+def test_verify_certificate_builds_no_view_of_the_instance():
+    # on an instance the cover never read, the verifier, its re-check from
+    # either side included, reads the key columns alone on either backend
+    for _ in each_backend():
+        for inst in (full_plane(13), _column_instance()):
             cert = grid_cover(inst, Fraction(1, 2), 2, Fraction(1, 4))
             fresh = Instance(inst.modulus, point_keys=inst.point_keys, line_keys=inst.line_keys)
             assert verify_certificate(fresh, cert).passed
-            runs = {"slope_runs", "column_runs"} & set(vars(fresh))
-            assert runs == (set() if backend.lib is not None else {probed})
+            assert set(vars(fresh)) == {"modulus", "point_keys", "line_keys"}
 
 
 def test_verify_certificate_builds_no_mask_of_every_pair(monkeypatch):

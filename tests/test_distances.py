@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import distance, incident, join_points, pinned_sets, residues
+from conftest import distance, each_backend, incident, join_points, pinned_sets, residues
 from incidencelab import distances, plane
 from incidencelab import incidence as inc
 from incidencelab.constructions import SeededStream
@@ -364,15 +364,6 @@ def structured_point_sets(draw):
     return sorted(AffinePoint(x, y, p) for x, y in pts)
 
 
-def each_backend():
-    """Install the loaded backend, the C kernels when they compile, and then
-    the numpy passes, for one turn of the loop each."""
-    for backend in (inc._load_backend(), inc._Backend(None, "forced")):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(inc, "_backend", backend)
-            yield backend
-
-
 @settings(max_examples=80, derandomize=True, deadline=None)
 @given(structured_point_sets(), st.sampled_from([1, 7, 1 << 15]))
 def test_blocked_reports_match_oracles_at_the_largest_prime(pts, block):
@@ -555,16 +546,6 @@ def test_distance_sets_in_bounded_memory():
 # The C kernels of the reports against the numpy passes and brute force
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(params=["c", "numpy"])
-def report_backend(request, monkeypatch):
-    """The reports on the C kernels, or forced onto the numpy passes."""
-    if request.param == "numpy":
-        monkeypatch.setattr(inc, "_backend", inc._Backend(None, "forced"))
-    elif inc.kernel_backend()[0] != "c":
-        pytest.skip(f"compiled kernel unavailable: {inc.kernel_backend()[1]}")
-    return request.param
-
-
 def brute_reports(point_keys, p):
     """The eager fields of both reports by Python counters over the pinned
     rows of distances and over the lines of all pairs."""
@@ -626,7 +607,7 @@ def kernel_cases(p):
 
 
 @pytest.mark.parametrize("p", [3, 13, 2147483629, 2147483647])
-def test_report_kernels_match_brute_force(report_backend, p):
+def test_report_kernels_match_brute_force(backend, p):
     cases = kernel_cases(p)
     for name, point_keys in cases.items():
         assert observed_reports(point_keys, p) == brute_reports(point_keys, p), name

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import incident, keyed, random_instances, residues
+from conftest import each_backend, incident, keyed, random_instances, residues
 from incidencelab.bounds import check_hypotheses, reference_bound, within_combinatorial_bound
 from incidencelab.constructions import SeededStream, elekes_construction, full_plane, random_instance
 from incidencelab.energy import PlaneInstance3D, count_point_plane, energy_reduction, line_energy
@@ -27,6 +27,12 @@ ENGINES = ("naive", "hash_join", "auto")
 def brute_count(inst):
     """Definitional oracle: test every (point, line) pair."""
     return sum(1 for q in inst.points for line in inst.lines if incident(q, line))
+
+
+def key_groups(keys, p):
+    """The groups of a key column in the join, the runs of equal key // p:
+    their distinct key // p and their sizes."""
+    return np.unique(keys // p, return_counts=True)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -52,8 +58,9 @@ def test_engine_equivalence_random_suite():
 
 def test_auto_runs_the_join_when_every_slope_is_distinct(monkeypatch):
     import incidencelab.incidence as inc
-    inst = random_instance(2147483647, 2000, 2000, seed=8)
-    assert set(np.diff(inst.slope_runs[1]).tolist()) == {1}
+    p = 2147483647
+    inst = random_instance(p, 2000, 2000, seed=8)
+    assert set(key_groups(inst.line_keys[inst.line_keys < p * p], p)[1].tolist()) == {1}
     calls = []
     join = inc._join
     monkeypatch.setattr(inc, "_join", lambda *args: calls.append(args) or join(*args))
@@ -400,8 +407,8 @@ def test_compiled_kernel_matches_naive_on_both_probe_sides(p):
         for inst, slope_side in ((by_slope, True), (by_column, False)):
             assert (count_incidences(inst, stats=True)[1].side == "slope") is slope_side
             if p > 33:
-                offs = (inst.slope_runs if slope_side else inst.column_runs)[1]
-                assert sorted(set(np.diff(offs))) == [32, 33]
+                keys = inst.line_keys[inst.line_keys < p * p] if slope_side else inst.point_keys
+                assert sorted(set(key_groups(keys, p)[1].tolist())) == [32, 33]
             expected = count_incidences(inst, "naive")
             assert expected > 0
             assert count_incidences(inst, "hash_join") == expected
@@ -462,17 +469,6 @@ def compiled_kernels():
     return inc._load_backend().lib
 
 
-@pytest.fixture(params=["c", "numpy"])
-def collinear_backend(request, monkeypatch):
-    """max_collinear_3d on the C kernel, or forced onto the numpy fallback."""
-    import incidencelab.incidence as inc
-    if request.param == "numpy":
-        monkeypatch.setattr(inc, "_backend", inc._Backend(None, "forced"))
-    else:
-        compiled_kernels()
-    return request.param
-
-
 def probe_count(lib, p, items, probes, column):
     """(count, paths) of lib.probe on the sorted key columns items and
     probes.  The degrees that probe places on the items and the probes
@@ -496,7 +492,7 @@ def test_full_plane_probes_match_naive(p):
     compiled_kernels()
     inst = full_plane(p)
     # every slope class holds p intercepts: flat for p <= 32, else bitmap
-    assert set(np.diff(inst.slope_runs[1]).tolist()) == {p}
+    assert set(key_groups(inst.line_keys[inst.line_keys < p * p], p)[1].tolist()) == {p}
     assert count_incidences(inst, stats=True)[1].side == "slope"
     assert count_incidences(inst, "hash_join") == count_incidences(inst, "naive") == p * p * (p + 1)
 
@@ -516,15 +512,14 @@ def test_bitmap_threshold_groups_match_naive():
             ts.add(stream.below(p))
         lines += [AffineLine(s, t, p) for t in ts]
     inst = keyed(mod, points, lines)
-    keys, offs = inst.slope_runs
-    sizes = np.diff(offs)
+    slopes, sizes = key_groups(inst.line_keys, p)
     assert sorted(sizes.tolist()) == [64, 64, 65, 65]
     assert (64 * sizes >= p).tolist() == (sizes == 65).tolist()
     expected = count_incidences(inst, "naive")
     assert expected >= 4 * 32
     assert count_incidences(inst, "hash_join") == expected
-    for g, size in enumerate(sizes.tolist()):
-        lines = inst.line_keys[offs[g]:offs[g + 1]]
+    for slope, size in zip(slopes.tolist(), sizes.tolist()):
+        lines = inst.line_keys[inst.line_keys // p == slope]
         count, paths = probe_count(lib, p, inst.point_keys, lines, False)
         assert paths == ([0, 1, 0] if size == 65 else [0, 0, 1])
         assert count == count_incidences(Instance(mod, point_keys=inst.point_keys, line_keys=lines), "naive")
@@ -600,7 +595,7 @@ def test_kernel_exports_are_the_bound_functions():
 
 
 @pytest.mark.parametrize("p", [5, 101, 2147483647])
-def test_max_collinear_small_and_degenerate_sets(collinear_backend, p):
+def test_max_collinear_small_and_degenerate_sets(backend, p):
     assert max_collinear_3d([(1, 2, 3)], p) == 1
     assert max_collinear_3d([(1, 2, 3), (4, 0, p - 1)], p) == 2
     # duplicates, also as unreduced coordinates, count once
@@ -613,7 +608,7 @@ def test_max_collinear_small_and_degenerate_sets(collinear_backend, p):
         max_collinear_3d([], p)
 
 
-def test_max_collinear_backends_match_oracle_random(collinear_backend):
+def test_max_collinear_backends_match_oracle_random(backend):
     stream = SeededStream(401)
     for _ in range(30):
         p = (3, 5, 7, 11, 13)[stream.below(5)]
@@ -712,7 +707,7 @@ def brute_collinear_runs(pts, p):
 
 
 @pytest.mark.parametrize("p", [3, 2147483647])
-def test_collinear_runs_match_brute_force(collinear_backend, p):
+def test_collinear_runs_match_brute_force(backend, p):
     import incidencelab.incidence as inc
     stream = SeededStream(403)
     line = [tuple((5 + t * c) % p for c in (p - 1, 2, 0)) for t in range(min(p, 9))]
@@ -799,11 +794,11 @@ JOIN_PRIMES = (3, 1009, 1048573, 2**31 - 1)
 
 
 @st.composite
-def degree_cases(draw):
-    """Point and line key columns over F_p, p in JOIN_PRIMES: lines from a
-    few slopes (so classes hold several lines) and some vertical lines,
-    points put on drawn lines or anywhere, and a subset mask of the lines."""
-    p = draw(st.sampled_from(JOIN_PRIMES))
+def degree_cases(draw, primes=JOIN_PRIMES):
+    """Point and line key columns over F_p, p in primes: lines from a few
+    slopes (so classes hold several lines) and some vertical lines, points
+    put on drawn lines or anywhere, and a subset mask of the lines."""
+    p = draw(st.sampled_from(primes))
     residue = residues(p)
     slopes = draw(st.lists(residue, min_size=1, max_size=4))
     lines = draw(st.lists(st.tuples(st.sampled_from(slopes), residue), max_size=30))
@@ -831,20 +826,16 @@ def test_join_degrees_match_the_mask(case):
     # the degrees of the join, richness_histograms of an instance per line
     # subset, against the masks of the oracle on the raw columns, on the C
     # kernels (where they build) and on the numpy fallback
-    import incidencelab.incidence as inc
     p, px, py, keys, pool = case
-    for backend in (inc._load_backend(), inc._Backend(None, "forced")):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(inc, "_backend", backend)
-            for subset in (keys, keys[pool], keys[:1], keys[:0]):
-                hist = richness_histograms(Instance(make_modulus(p), point_keys=px * p + py, line_keys=subset))
-                assert_degrees_match_the_mask(hist, px, py, subset, p)
+    for _ in each_backend():
+        for subset in (keys, keys[pool], keys[:1], keys[:0]):
+            hist = richness_histograms(Instance(make_modulus(p), point_keys=px * p + py, line_keys=subset))
+            assert_degrees_match_the_mask(hist, px, py, subset, p)
 
 
 def test_counts_agree_with_the_degree_join():
     # the count on the C kernels and on the numpy fallback, the naive count
     # and the sum of the per-point degrees of the join are one number
-    import incidencelab.incidence as inc
     compiled_kernels()
 
     @settings(max_examples=200, derandomize=True, deadline=None)
@@ -852,13 +843,45 @@ def test_counts_agree_with_the_degree_join():
     def check(case):
         p, px, py, keys, _ = case
         inst = Instance(make_modulus(p), point_keys=px * p + py, line_keys=keys)
-        compiled = count_incidences(inst, "hash_join")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(inc, "_backend", inc._Backend(None, "forced"))
-            fallback = count_incidences(inst, "hash_join")
+        compiled, fallback = [count_incidences(inst, "hash_join") for _ in each_backend()]
         assert compiled == fallback == count_incidences(inst, "naive") == richness_histograms(inst).total
 
     check()
+
+
+def test_numpy_join_keeps_the_contract_of_the_probe_kernel():
+    # _group_degrees takes the arguments of the C probe and places the same
+    # hits, per item, per probe and in total, on the slope side and on the
+    # column side, as the masks do; each group of more than search_cost
+    # values is searched, the others flattened
+    import incidencelab.incidence as inc
+    lib = compiled_kernels()
+    paths = set()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(degree_cases(primes=(3, 13, 1009, 2**31 - 1)), st.integers(0, 8))
+    def check(case, search_cost):
+        p, px, py, keys, _ = case
+        points, sloped = px * p + py, keys[keys < p * p]
+        per_point, per_line = incidence_degrees(px, py, sloped, p)
+        for column in (False, True):
+            items, probes = (sloped, points) if column else (points, sloped)
+            record = {}
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(inc, "_SEARCH_COST", search_cost)
+                mp.setattr(inc, "_PASS_COST", 0)
+                per_item, per_probe = inc._group_degrees(items, probes, p, column, record)
+            c_item, c_probe = np.zeros(items.size, np.int64), np.zeros(probes.size, np.int64)
+            total = lib.probe(items, items.size, probes, probes.size, p, column,
+                              c_item.ctypes.data, c_probe.ctypes.data, np.zeros(3, np.int64))
+            want_item, want_probe = (per_line, per_point) if column else (per_point, per_line)
+            assert per_item.tolist() == c_item.tolist() == want_item.tolist()
+            assert per_probe.tolist() == c_probe.tolist() == want_probe.tolist()
+            assert per_item.sum() == per_probe.sum() == total
+            paths.update(path for path in ("flat", "binary_search") if record[path])
+
+    check()
+    assert paths == {"flat", "binary_search"}
 
 
 @pytest.mark.parametrize("search_cost", [0, 10**9], ids=["searched", "flat"])
@@ -919,7 +942,9 @@ def test_count_stats(engine):
         count, stats = count_incidences(inst, engine, stats=True)
         assert isinstance(stats, CountStats)
         assert count == count_incidences(inst, engine) == brute_count(inst)
-        slope_cost, column_cost = inst.m * (inst.slope_runs[0].size + 1), inst.n * (inst.column_runs[0].size + 1)
+        slopes = key_groups(inst.line_keys[inst.line_keys < inst.p ** 2], inst.p)[0].size
+        columns = key_groups(inst.point_keys, inst.p)[0].size
+        slope_cost, column_cost = inst.m * (slopes + 1), inst.n * (columns + 1)
         assert stats.cost == {"slope": slope_cost, "column": column_cost}
         assert set(stats.seconds) == {"views", "kernel"}
         assert all(t >= 0 for t in stats.seconds.values())
@@ -931,28 +956,29 @@ def test_count_stats(engine):
         assert (stats.engine, stats.side) == ("hash_join", side)
         assert (stats.backend, stats.backend_reason) == kernel_backend()
         assert stats.probes["mask"] == 0
-        items, groups = (inst.m, inst.slope_runs[0].size) if side == "slope" else (inst.n, inst.column_runs[0].size)
+        items, groups = (inst.m, slopes) if side == "slope" else (inst.n, columns)
         # each item meets each group once, or once per value of a flattened group
         assert items * groups <= sum(stats.probes.values()) <= items * max(inst.m, inst.n)
         assert stats.to_json()["probes"] == stats.probes
 
 
-def test_count_builds_only_the_chosen_sides_runs():
-    # the C kernels read the key columns and build no coordinate view; the
-    # numpy fallback counts slopes and x-columns in one comparison pass each
+def test_count_and_degree_join_build_no_view_of_the_instance():
+    # the C kernels and the numpy fallback both read the key columns alone:
+    # a count and a degree join from either side leave the instance as built
+    import incidencelab.incidence as inc
     p = 31
     points = [AffinePoint(x, y, p) for x in (2, 9) for y in range(p)]
     columns = keyed(make_modulus(p), points, [AffineLine(s, (3 * s + 1) % p, p) for s in range(p)])
     vertical_only = keyed(make_modulus(p), points, [AffineLine(None, x, p) for x in (0, 2, 9)])
-    views = {"xy", "line_columns", "slope_runs", "column_runs"}
-    for inst, side, unbuilt in ((full_plane(7), "slope", "column_runs"), (columns, "column", "slope_runs"),
-                                (vertical_only, "column", "slope_runs")):
-        count, stats = count_incidences(inst, stats=True)
-        assert stats.side == side and unbuilt not in vars(inst)
-        if stats.backend == "c":
-            assert not views & set(vars(inst))
-        assert count == count_incidences(inst, "naive")
-    assert count_incidences(vertical_only) == 2 * p
+    for _ in each_backend():
+        for inst, side in ((full_plane(7), "slope"), (columns, "column"), (vertical_only, "column")):
+            fresh = Instance(inst.modulus, point_keys=inst.point_keys, line_keys=inst.line_keys)
+            count, stats = count_incidences(fresh, stats=True)
+            assert stats.side == side
+            assert richness_histograms(fresh).total == inc._join(fresh, {}, degrees=True, cheaper=False).total == count
+            assert set(vars(fresh)) == {"modulus", "point_keys", "line_keys"}
+            assert count == count_incidences(inst, "naive")
+        assert count_incidences(vertical_only) == 2 * p
 
 
 def test_join_cost_reads_the_key_columns():
@@ -972,7 +998,7 @@ def test_join_cost_reads_the_key_columns():
     inst = full_plane(7)
     count, stats = count_incidences(inst, "naive", stats=True)
     assert stats.cost == {"slope": 49 * 8, "column": 56 * 8}
-    assert not {"line_columns", "slope_runs", "column_runs"} & set(vars(inst))
+    assert "line_columns" not in vars(inst)
 
 
 def test_count_traces_little_memory_above_the_keys():

@@ -120,8 +120,10 @@ def test_instance_columns_follow_key_order():
     assert inst.line_keys.tolist() == [4, 36, 51]
     assert [c.tolist() for c in inst.xy] == [[0, 3, 3], [6, 0, 1]]
     assert [c.tolist() for c in inst.line_columns] == [[0, 5], [4, 1], [2]]
-    assert [c.tolist() for c in inst.column_runs] == [[0, 3], [0, 1, 3]]
-    assert [c.tolist() for c in inst.slope_runs] == [[0, 5], [0, 1, 2]]
+    # the groups of the join, runs of equal key // p: the x-columns of the
+    # points and the slope classes of the non-vertical lines
+    assert [c.tolist() for c in np.unique(inst.point_keys // 7, return_counts=True)] == [[0, 3], [1, 2]]
+    assert [c.tolist() for c in np.unique(inst.line_keys[:2] // 7, return_counts=True)] == [[0, 5], [1, 1]]
     with pytest.raises(ValueError):
         inst.point_keys[0] = 1  # the columns are read-only
 

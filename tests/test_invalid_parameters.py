@@ -79,6 +79,25 @@ SITES = {
     "PlaneInstance3D-row-not-iterable": lambda: PlaneInstance3D(5, (1, 2, 3), ()),
     "PlaneInstance3D.build-row-not-iterable": lambda: PlaneInstance3D.build(5, [(1, 2, 3)], [1]),
     "ProjMap-row-not-iterable": lambda: ProjMap((1, 2, 3), 7),
+    # the << constant: c = -1 passed 5.1's test as c^8 > 0, c = 0 failed
+    # every test, and a string raised a bare ValueError from Fraction
+    "check_hypotheses-negative-constant": lambda: check_hypotheses("1.4", r=1, s=2, p=7, c=-1),
+    "check_hypotheses-zero-constant": lambda: check_hypotheses("1.3", a=1, b=2, n=3, p=7, c=0),
+    "check_hypotheses-constant-not-a-number": lambda: check_hypotheses("1.4", r=1, s=2, p=7, c="x"),
+    "check_hypotheses-infinite-constant": lambda: check_hypotheses("1.4", r=1, s=2, p=7, c=float("inf")),
+    "sumproduct_report-negative-constant": lambda: sumproduct_report("5.1", 7, A=[1, 2], c=-1),
+    "sumproduct_report-zero-constant": lambda: sumproduct_report("5.3", 7, A=[1], B=[2], C=[3], c=Fraction(0)),
+    "sumproduct_report-constant-not-a-number": lambda: sumproduct_report("5.2", 7, A=[1], c="x"),
+    # sizes below 1: m = 0 raised a bare ZeroDivisionError, a = -1 passed
+    # 1.3's tests, and p = -3 a bare ValueError from sqrt
+    "check_hypotheses-1.2-no-points": lambda: check_hypotheses("1.2", m=0, n=10, p=7),
+    "check_hypotheses-1.2-no-lines": lambda: check_hypotheses("1.2", m=10, n=0, p=7),
+    "check_hypotheses-1.3-negative-a": lambda: check_hypotheses("1.3", a=-1, b=2, n=3, p=7),
+    "check_hypotheses-1.3-zero-b": lambda: check_hypotheses("1.3", a=1, b=0, n=3, p=7),
+    "check_hypotheses-1.4-zero-r": lambda: check_hypotheses("1.4", r=0, s=2, p=7),
+    "check_hypotheses-1.4-negative-s": lambda: check_hypotheses("1.4", r=1, s=-2, p=7),
+    "check_hypotheses-zero-p": lambda: check_hypotheses("1.4", r=1, s=2, p=0),
+    "reference_bound-vinh-negative-p": lambda: reference_bound(10, 10, -3, "vinh"),
 }
 
 
