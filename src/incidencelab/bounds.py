@@ -11,21 +11,37 @@ from fractions import Fraction
 from math import sqrt
 
 from .errors import InvalidParameterError
+from .field import integer
 
 
-def _check_sizes(**sizes) -> None:
-    """Refuse a given size or field size below 1; p need not be prime."""
+def _check_sizes(least: int, **sizes) -> list:
+    """The given sizes as Python ints (None where not given), each an
+    integer (:func:`field.integer`) of at least least; p need not be prime."""
+    checked = []
     for name, value in sizes.items():
-        if value is not None and value < 1:
-            raise InvalidParameterError(f"need {name} >= 1, got {value!r}")
+        if value is not None:
+            value = integer(value, name)
+            if value < least:
+                raise InvalidParameterError(f"need {name} >= {least}, got {value}")
+        checked.append(value)
+    return checked
+
+
+def rational(value, what: str) -> Fraction:
+    """value as an exact Fraction: an int, a float, a Fraction or a string
+    such as "3/2".  A bool, an infinite or nan float and any other string
+    are refused."""
+    try:
+        if type(value) is not bool:
+            return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        pass
+    raise InvalidParameterError(f"{what} must be a rational number, got {value!r}")
 
 
 def ll_constant(c) -> Fraction:
     """The constant c of X << Y, read as X <= c*Y: a positive rational."""
-    try:
-        cf = Fraction(c)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        cf = 0
+    cf = rational(c, "the << constant")
     if cf <= 0:
         raise InvalidParameterError(f"the << constant must be a positive rational, got {c!r}")
     return cf
@@ -39,7 +55,7 @@ def reference_bound(m: int, n: int, p: int | None = None, which: str = "table1")
     unconditional double-counting bound min(m^(1/2) n + m, m n^(1/2) + n).
     "vinh" evaluates m n / p + p^(1/2) (m n)^(1/2) and needs p.
     """
-    _check_sizes(m=m, n=n, p=p)
+    m, n, p = _check_sizes(1, m=m, n=n, p=p)
     if which == "combinatorial":
         return ("min(m^(1/2) n + m, m n^(1/2) + n)",
                 min(sqrt(m) * n + m, m * sqrt(n) + n))
@@ -64,6 +80,7 @@ def reference_bound(m: int, n: int, p: int | None = None, which: str = "table1")
 
 def within_combinatorial_bound(count: int, m: int, n: int) -> bool:
     """Exact integer check of count <= min(m^(1/2) n + m, m n^(1/2) + n)."""
+    count, m, n = _check_sizes(0, count=count, m=m, n=n)
 
     def le_sqrt_bound(c, base, excess, factor):
         # c <= sqrt(base)*factor + excess, all integers
@@ -104,9 +121,9 @@ def check_hypotheses(theorem: str, *, m: int | None = None, n: int | None = None
     """Check a theorem's hypothesis conditions with exact arithmetic.
 
     theorem "1.2" needs m, n, p; "1.3" needs a, b, n, p; "1.4" needs r, s, p,
-    each at least 1; c is checked by :func:`ll_constant`.
+    each an integer of at least 1; c is checked by :func:`ll_constant`.
     """
-    _check_sizes(m=m, n=n, a=a, b=b, r=r, s=s, p=p)
+    m, n, a, b, r, s, p = _check_sizes(1, m=m, n=n, a=a, b=b, r=r, s=s, p=p)
     cf = ll_constant(c)
     conds = []
 

@@ -20,7 +20,7 @@ from .errors import (
     InvalidParameterError,
     TooManyRequestedError,
 )
-from .field import make_modulus
+from .field import integer, make_modulus
 from .plane import Instance
 
 _MASK64 = (1 << 64) - 1
@@ -38,7 +38,7 @@ class SeededStream:
     """
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = integer(seed, "seed") & _MASK64
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64
@@ -112,11 +112,13 @@ def elekes_construction(a: int, c: int, p: int) -> Instance:
     distinct after reduction; then m = 2 a^2 c, n = a c^2 and every line
     contains exactly a points, giving exactly a^2 c^2 incidences.
     """
+    a, c = integer(a, "a"), integer(c, "c")
     if a < 1 or c < 1:
         raise InvalidParameterError(f"need a, c >= 1, got a = {a}, c = {c}")
     if 2 * a * c >= p:
         raise CharacteristicTooSmallError(f"need 2ac < p, got 2*{a}*{c} = {2 * a * c} >= {p}")
     modulus = make_modulus(p)
+    p = modulus.p
     point_keys = np.arange(1, a + 1)[:, None] * p + np.arange(1, 2 * a * c + 1)
     line_keys = np.arange(1, c + 1)[:, None] * p + np.arange(1, a * c + 1)
     return Instance(modulus, point_keys=point_keys.ravel(), line_keys=line_keys.ravel())
@@ -127,6 +129,7 @@ def full_plane(p: int) -> Instance:
     # point keys x*p + y and line keys s*p + t, then p*p + x0 for the
     # vertical lines, cover [0, p*p) and [0, p*p + p)
     modulus = make_modulus(p)
+    p = modulus.p
     if 8 * (p * p + p) > sys.maxsize:
         raise MemoryError(f"full_plane({p}) needs {8 * (p * p + p)} bytes of line keys, beyond the address space")
     return Instance(modulus, point_keys=np.arange(p * p), line_keys=np.arange(p * p + p))
@@ -140,6 +143,7 @@ def cartesian_instance(A: Iterable[int], B: Iterable[int], lines, p: int) -> Ins
     """
     from .energy import _residue_set
     modulus = make_modulus(p)
+    p = modulus.p
     A, B = _residue_set(A, p, "set A"), _residue_set(B, p, "set B")
     if not A.size or not B.size:
         raise EmptyInputError("A and B must be nonempty")
@@ -161,6 +165,7 @@ def random_instance(p: int, m: int, n: int, seed: int) -> Instance:
     line x = k - p^2.  The indices are the instance's point and line keys.
     """
     modulus = make_modulus(p)
+    p, m, n = modulus.p, integer(m, "m"), integer(n, "n")
     if m > p * p:
         raise TooManyRequestedError(f"at most {p * p} distinct points exist, requested {m}")
     if n > p * p + p:

@@ -35,6 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bounds import rational
 from .errors import (
     EmptyGridError,
     EmptyInstanceError,
@@ -76,8 +77,7 @@ def _richness_classes(inst: Instance, deg: np.ndarray, low_factor, high_factor) 
     whose line-degrees are deg: 0 low, 1 high, 2 regular."""
     if inst.m == 0:
         raise EmptyInstanceError("cannot partition an instance with no points")
-    low_factor = Fraction(low_factor)
-    high_factor = Fraction(high_factor)
+    low_factor, high_factor = rational(low_factor, "low_factor"), rational(high_factor, "high_factor")
     if not low_factor < high_factor:
         raise InvalidParameterError(f"need low_factor < high_factor, got {low_factor} and {high_factor}")
     mean = Fraction(int(deg.sum()), inst.m)
@@ -157,7 +157,7 @@ def two_pencil_extract(inst: Instance, mean_richness: Fraction | None = None) ->
     """
     p, keys, pkeys, (px, py) = inst.p, inst.line_keys, inst.point_keys, inst.xy
     pool1, a1, total = _select(inst)
-    K = Fraction(mean_richness) if mean_richness is not None else Fraction(total, inst.m)
+    K = rational(mean_richness, "mean_richness") if mean_richness is not None else Fraction(total, inst.m)
 
     # candidates: points joined to apex1 by a line of L
     others = np.flatnonzero(np.arange(inst.m) != a1)
@@ -188,7 +188,7 @@ def two_pencil_extract(inst: Instance, mean_richness: Fraction | None = None) ->
 
 
 def _positive_c1(c1) -> Fraction:
-    c1 = Fraction(c1)
+    c1 = rational(c1, "c1")
     if c1 <= 0:
         raise InvalidParameterError(f"need c1 > 0, got {c1}")
     return c1
@@ -249,8 +249,8 @@ def grid_cover(inst: Instance, c1, c2, stop_fraction) -> GridCertificate:
     stop_fraction, which no remainder meets, is refused.
     """
     c1 = _positive_c1(c1)
-    c2 = Fraction(c2)
-    stop_fraction = Fraction(stop_fraction)
+    c2 = rational(c2, "c2")
+    stop_fraction = rational(stop_fraction, "stop_fraction")
     if stop_fraction < 0:
         raise InvalidParameterError(f"need stop_fraction >= 0, got {stop_fraction}")
     part = richness_partition(inst, c1, c2)

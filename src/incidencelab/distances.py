@@ -208,6 +208,7 @@ def distance_sets(point_keys, p: int) -> DistanceReport:
     """Exact distance set and largest pinned set Delta_q of the points with
     the given keys over F_p."""
     inst = _points(point_keys, p)
+    p = inst.p
     if not inst.m:
         raise EmptyInputError("need at least one point")
     sizes, isosceles, values = _pinned(inst.point_keys, p) or _pinned_blocks(inst.point_keys, p)
@@ -225,7 +226,8 @@ def isotropic_lines(r: int, p: int) -> tuple[int, int] | None:
     They exist exactly when -1 is a square mod p (p = 1 mod 4); the first
     line uses the canonical (smaller) square root i of -1, the second its
     negative."""
-    (x,), (y,) = (c.tolist() for c in _points([r], p).xy)
+    inst = _points([r], p)
+    p, ((x,), (y,)) = inst.p, (c.tolist() for c in inst.xy)
     if not minus_one_is_square(p):
         return None
     i = sqrt_mod(p - 1, p)
@@ -243,7 +245,8 @@ def bisector_instance(point_keys, r: int, p: int) -> np.ndarray:
     """
     # r joins the set so that its key is checked too; d(r, r) = 0 keeps it
     # out of the lines
-    x, y = _points([*point_keys, r], p).xy
+    inst = _points([*point_keys, r], p)
+    p, (x, y) = inst.p, inst.xy
     rx, ry = divmod(r, p)
     dx = (x - rx) % p
     dy = (y - ry) % p
@@ -261,7 +264,7 @@ def isosceles_triples(point_keys, p: int) -> int:
     """Exact count of ordered triples (q, r, s), r != s, with
     d(q, r) = d(q, s) != 0, over the points with the given keys."""
     inst = _points(point_keys, p)
-    return distance_sets(inst.point_keys, p).isosceles_triples if inst.m else 0
+    return distance_sets(inst.point_keys, inst.p).isosceles_triples if inst.m else 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +326,7 @@ def determined_lines(point_keys, p: int) -> BeckReport:
     """All lines through at least two of the points with the given keys,
     with the dyadic partition by exact point count."""
     inst = _points(point_keys, p)
-    m = inst.m
+    p, m = inst.p, inst.m
     if m < 2:
         raise TooFewPointsError(f"need at least two points, got {m}")
     # runs[c] counts the runs of c points after a point on its line.  A line

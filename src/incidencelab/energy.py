@@ -23,8 +23,8 @@ from .errors import (
     OutOfRangeError,
     VerticalLinePresentError,
 )
-from .field import inv_mod, make_modulus
-from .incidence import _residue_triples, count_incidences, max_collinear_3d
+from .field import inv_mod_array, make_modulus
+from .incidence import count_incidences, max_collinear_3d
 from .plane import AffineLine, Instance, _integer_rows
 
 
@@ -77,23 +77,12 @@ def line_energy(A, lines: Instance) -> EnergyCount:
 # Points and planes in F_p^3
 # ---------------------------------------------------------------------------
 
-def canonical_plane(a: int, b: int, c: int, d: int, p: int) -> tuple[int, int, int, int]:
-    """Scale a plane a*x + b*y + c*z = d so its first nonzero normal
-    coefficient equals 1; proportional coefficient tuples collapse."""
-    a, b, c, d = a % p, b % p, c % p, d % p
-    for lead in (a, b, c):
-        if lead != 0:
-            inv = inv_mod(lead, p)
-            return (a * inv % p, b * inv % p, c * inv % p, d * inv % p)
-    raise InvalidParameterError("plane normal (a, b, c) must be nonzero")
-
-
 @dataclass(frozen=True)
 class PlaneInstance3D:
-    """Deduplicated points and planes in F_p^3.
-
-    Planes are coefficient 4-tuples (a, b, c, d) in canonical scaling for the
-    equation a*x + b*y + c*z = d.
+    """Deduplicated points (x, y, z) and planes (a, b, c, d) of the equation
+    a*x + b*y + c*z = d in F_p^3, given to the constructor, the one way in,
+    as rows of residues; each plane is scaled so that the first nonzero of
+    its normal (a, b, c) is 1.
     """
 
     p: int
@@ -101,27 +90,27 @@ class PlaneInstance3D:
     planes: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
-        """Refuse what :meth:`build` refuses, and keep the sorted distinct
-        points and the sorted distinct canonical planes.  count_point_plane
-        sums in int64, which a p past 2^31 or a value outside [0, p)
-        overflows, and reads the planes of each normal as one run."""
+        """Refuse what :func:`make_modulus` refuses, a row that is not 3
+        (point) or 4 (plane) integers, a value outside [0, p), which
+        count_point_plane's int64 sums overflow, and a zero normal; then
+        scale all planes with one batched inverse, so that the sorted planes
+        of each normal are one run."""
         p = make_modulus(self.p).p
+        object.__setattr__(self, "p", p)
         points = _integer_rows(self.points, "point coordinates", 3)
         planes = _integer_rows(self.planes, "plane coefficients", 4)
         for what, rows in (("point coordinates", points), ("plane coefficients", planes)):
             if not all(0 <= v < p for row in rows for v in row):
                 raise OutOfRangeError(f"{what} must be residues in [0, {p})")
+        planes = np.array(planes, dtype=np.int64).reshape(-1, 4)
+        nonzero = planes[:, :3] != 0
+        if not nonzero.any(axis=1).all():
+            raise InvalidParameterError("plane normal (a, b, c) must be nonzero")
+        lead = planes[np.arange(len(planes)), nonzero.argmax(axis=1)]
+        # residues below p < 2^31: each product stays below 2^62
+        planes = planes * inv_mod_array(lead, p)[:, None] % p
         object.__setattr__(self, "points", tuple(sorted(set(points))))
-        object.__setattr__(self, "planes", tuple(sorted({canonical_plane(*pl, p) for pl in planes})))
-
-    @classmethod
-    def build(cls, p, points, planes) -> "PlaneInstance3D":
-        """The instance over the prime p (checked by :func:`make_modulus`)
-        of the points (x, y, z) and the planes (a, b, c, d), all integers,
-        reduced mod p."""
-        p = make_modulus(p).p
-        return cls(p, _residue_triples(points, p),
-                   [tuple(v % p for v in pl) for pl in _integer_rows(planes, "plane coefficients", 4)])
+        object.__setattr__(self, "planes", tuple(sorted(set(map(tuple, planes.tolist())))))
 
     @property
     def r(self) -> int:
@@ -157,13 +146,14 @@ def energy_reduction(A, lines: Instance) -> PlaneInstance3D:
     Points are (x, s', t') over A x L*; for every (x', s, t) in A x L* the
     plane s*X - x'*Y - Z = -t collects exactly the six-tuple solutions, so
     the point-plane count of the output equals the energy.  Both sides have
-    exactly |A| * n elements.
+    exactly |A| * n rows, built as residue columns for the constructor.
     """
     xs, p = _energy_input(A, lines), lines.p
     s, t, _ = lines.line_columns
-    x, s, t = (c.tolist() for c in (np.repeat(xs, s.size), np.tile(s, xs.size), np.tile(t, xs.size)))
-    inst3 = PlaneInstance3D.build(p, zip(x, s, t), [(si, -xi % p, p - 1, -ti % p) for xi, si, ti in zip(x, s, t)])
-    assert inst3.r == inst3.s == len(x)
+    x, s, t = np.repeat(xs, s.size), np.tile(s, xs.size), np.tile(t, xs.size)
+    inst3 = PlaneInstance3D(p, np.column_stack([x, s, t]).tolist(),
+                            np.column_stack([s, -x % p, np.full_like(x, p - 1), -t % p]).tolist())
+    assert inst3.r == inst3.s == x.size
     return inst3
 
 

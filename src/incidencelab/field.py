@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     CompositeModulusError,
     DivisionByZeroError,
+    InvalidParameterError,
     OutOfRangeError,
 )
 
@@ -44,15 +45,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_integer_type(kind: type) -> bool:
+    """The one test of an integer parameter or value, made on its type: an
+    int or a numpy integer, not a bool; a float or a str is refused, not
+    cast."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
+def integer(value, what: str) -> int:
+    """value as a Python int, if :func:`is_integer_type` takes its type."""
+    if not is_integer_type(type(value)):
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PrimeModulus:
-    """A verified odd prime characteristic p with 3 <= p < 2**31."""
+    """A verified odd prime characteristic p with 3 <= p < 2**31, kept as
+    a Python int (a numpy integer p is taken)."""
 
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < MIN_MODULUS or self.p >= MAX_MODULUS:
+        if not is_integer_type(type(self.p)) or self.p < MIN_MODULUS or self.p >= MAX_MODULUS:
             raise OutOfRangeError(f"modulus must be an integer in [{MIN_MODULUS}, 2^31), got {self.p}")
+        object.__setattr__(self, "p", int(self.p))
         if not is_prime(self.p):
             raise CompositeModulusError(f"{self.p} is not prime")
 

@@ -295,13 +295,15 @@ def write_instance(inst: Instance, path) -> None:
 
 
 def read_instance3d(path) -> energy.PlaneInstance3D:
+    """Read a 3D instance file.  Its rows are reduced mod p here: the
+    PlaneInstance3D constructor takes residues only."""
     data = _load_json(path)
     p = _modulus(data, "points", "planes").p
     _require(data["points"], "field 'points' must be nonempty")
-    points = [_ints(entry, 3, "points", i) for i, entry in enumerate(data["points"])]
-    planes = [_ints(entry, 4, "planes", i) for i, entry in enumerate(data["planes"])]
+    points = [[v % p for v in _ints(entry, 3, "points", i)] for i, entry in enumerate(data["points"])]
+    planes = [[v % p for v in _ints(entry, 4, "planes", i)] for i, entry in enumerate(data["planes"])]
     try:
-        return energy.PlaneInstance3D.build(p, points, planes)
+        return energy.PlaneInstance3D(p, points, planes)
     except InvalidParameterError as exc:
         raise ParseError(str(exc)) from exc
 

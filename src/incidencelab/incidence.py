@@ -417,12 +417,6 @@ def richness_histograms(inst: Instance) -> RichnessHistogram:
 # Points in F_p^3
 # ---------------------------------------------------------------------------
 
-def _residue_triples(points, p: int) -> tuple[tuple[int, int, int], ...]:
-    """The sorted distinct triples (x mod p, y mod p, z mod p) of the
-    integer points (x, y, z)."""
-    return tuple(sorted({(x % p, y % p, z % p) for x, y, z in _integer_rows(points, "point coordinates", 3)}))
-
-
 def max_collinear_3d(points, p: int) -> int:
     """Exact maximum number of points on one line in F_p^3 (O(r^2)).
 
@@ -436,7 +430,8 @@ def max_collinear_3d(points, p: int) -> int:
     from the sorted blocks of pairs of :func:`distances._direction_runs`.
     """
     p = make_modulus(p).p
-    pts = np.array(_residue_triples(points, p), dtype=np.int64).reshape(-1, 3)
+    rows = _integer_rows(points, "point coordinates", 3)
+    pts = np.array(sorted({(x % p, y % p, z % p) for x, y, z in rows}), dtype=np.int64).reshape(-1, 3)
     if len(pts) == 0:
         raise InvalidParameterError("need at least one point")
     return 1 + int(np.flatnonzero(_collinear_runs(pts, p)).max(initial=0))

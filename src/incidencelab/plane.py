@@ -41,7 +41,7 @@ from .errors import (
     PointSentToInfinityError,
     VerticalLinePresentError,
 )
-from .field import PrimeModulus, inv_mod_array, make_modulus
+from .field import PrimeModulus, inv_mod_array, is_integer_type, make_modulus
 
 
 @dataclass(frozen=True, order=True)
@@ -210,7 +210,7 @@ def _integer_rows(rows, what: str, width: int | None = None) -> list[tuple]:
     if width is not None and any(len(row) != width for row in rows):
         raise InvalidParameterError(f"{what} must be rows of {width} values")
     kinds = {type(v) for row in rows for v in row}
-    if not all(kind is not bool and issubclass(kind, (int, np.integer)) for kind in kinds):
+    if not all(map(is_integer_type, kinds)):
         raise InvalidParameterError(f"{what} must be integers, got {sorted(k.__name__ for k in kinds)}")
     return [tuple(map(int, row)) for row in rows] if kinds - {int} else rows
 
@@ -361,6 +361,7 @@ class ProjMap:
         if len(rows) != 3:
             raise InvalidParameterError(f"projective map must have 3 rows, got {len(rows)}")
         rows = tuple(tuple(v % p for v in row) for row in rows)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "rows", rows)
         if _det3(rows, p) == 0:
             raise InvalidParameterError("projective map must be invertible")

@@ -5,6 +5,7 @@ import pytest
 
 from incidencelab.bounds import within_combinatorial_bound
 from incidencelab.constructions import full_plane, random_instance
+from incidencelab.energy import count_point_plane
 from incidencelab.errors import (
     ConfigError,
     InsufficientDataError,
@@ -94,6 +95,15 @@ def test_read_instance3d(tmp_path):
     }))
     inst3 = read_instance3d(path)
     assert inst3.r == 2 and inst3.s == 1
+
+
+def test_read_instance3d_reduces_its_rows_mod_p(tmp_path):
+    # integers of any size and sign are reduced by the reader; the
+    # constructor takes residues only
+    path = tmp_path / "i3.json"
+    path.write_text(json.dumps({"p": 5, "points": [[6, -1, 2**64]], "planes": [[2, 0, 0, 2**65], [-3, 5, 10, 2]]}))
+    inst3 = read_instance3d(path)
+    assert (inst3.points, inst3.planes, count_point_plane(inst3)) == (((1, 4, 1),), ((1, 0, 0, 1),), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -146,12 +146,12 @@ def test_histogram_consistency_random():
 
 def test_count_point_plane_coordinate_plane():
     points = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
-    inst3 = PlaneInstance3D.build(3, points, [(0, 0, 1, 0)])
+    inst3 = PlaneInstance3D(3, points, [(0, 0, 1, 0)])
     assert count_point_plane(inst3) == 9
 
 
 def test_count_point_plane_two_points():
-    inst3 = PlaneInstance3D.build(5, [(0, 0, 0), (1, 1, 1)], [(0, 0, 1, 0)])
+    inst3 = PlaneInstance3D(5, [(0, 0, 0), (1, 1, 1)], [(0, 0, 1, 0)])
     assert count_point_plane(inst3) == 1
 
 
@@ -179,9 +179,9 @@ def test_count_point_plane_shared_normals_random():
             planes = []
             for a, b, c in normals:
                 for x, y, z in points[:10]:
-                    planes.append((a, b, c, a * x + b * y + c * z))
+                    planes.append((a, b, c, (a * x + b * y + c * z) % p))
                 planes += [(a, b, c, d) for d in rng.integers(0, p, size=10).tolist()]
-            inst3 = PlaneInstance3D.build(p, points, planes)
+            inst3 = PlaneInstance3D(p, points, planes)
             want = sum((a * x + b * y + c * z - d) % p == 0
                        for a, b, c, d in inst3.planes for x, y, z in inst3.points)
             assert count_point_plane(inst3) == want
@@ -724,32 +724,35 @@ def test_max_collinear_checks_the_modulus():
         max_collinear_3d([(0, 0, 0)], 9)
     with pytest.raises(OutOfRangeError):
         max_collinear_3d([(0, 0, 0)], 2**31 + 11)
-    # PlaneInstance3D.build checks p too: past 2^31 the count overflowed
-    # int64 (0 incidences for this incident pair), p = 4 raised a bare
-    # ValueError and p = 9 was taken
+    # the PlaneInstance3D constructor checks p too: past 2^31 the count
+    # overflowed int64 (0 incidences for this incident pair), p = 4 raised
+    # a bare ValueError and p = 9 was taken
     p = 1099511627791
     with pytest.raises(OutOfRangeError):
-        PlaneInstance3D.build(p, [(p - 1, p - 2, 0)], [(p - 3, p - 5, 0, ((p - 3) * (p - 1) + (p - 5) * (p - 2)) % p)])
+        PlaneInstance3D(p, [(p - 1, p - 2, 0)], [(p - 3, p - 5, 0, ((p - 3) * (p - 1) + (p - 5) * (p - 2)) % p)])
     for composite in (4, 9):
         with pytest.raises(CompositeModulusError):
-            PlaneInstance3D.build(composite, [(0, 0, 0)], [(1, 0, 0, 0)])
+            PlaneInstance3D(composite, [(0, 0, 0)], [(1, 0, 0, 0)])
     # coordinates are integers: a float, bool or str is refused, not reduced
     # (a plane with d = 0.5 was kept and met no point)
     for bad in ((0.5, 1, 2), (True, 1, 2), (1, "2", 3)):
         with pytest.raises(InvalidParameterError):
-            PlaneInstance3D.build(5, [bad], [(1, 0, 0, 0)])
+            PlaneInstance3D(5, [bad], [(1, 0, 0, 0)])
         with pytest.raises(InvalidParameterError):
-            PlaneInstance3D.build(5, [(1, 1, 2)], [bad + (0,)])
+            PlaneInstance3D(5, [(1, 1, 2)], [bad + (0,)])
         with pytest.raises(InvalidParameterError):
-            PlaneInstance3D.build(5, [(1, 1, 2)], [(1, 0, 0, next(v for v in bad if type(v) is not int))])
+            PlaneInstance3D(5, [(1, 1, 2)], [(1, 0, 0, next(v for v in bad if type(v) is not int))])
         with pytest.raises(InvalidParameterError):
             max_collinear_3d([(1, 0, 0), bad], 5)
     with pytest.raises(InvalidParameterError):
         max_collinear_3d([(0.5, 0, 0), (1, 0, 0), (2.7, 0, 0)], 5)
     # integer coordinates of any size and numpy integers are reduced mod p
     assert max_collinear_3d([(2**70, 0, 0), (np.int64(1), 0, 0), (3, 0, 0)], 5) == 3
-    inst3 = PlaneInstance3D.build(5, [(6, -1, 2**64)], [(np.int64(2), 0, 0, 2**65)])
-    assert (inst3.points, inst3.planes, count_point_plane(inst3)) == (((1, 4, 1),), ((1, 0, 0, 1),), 1)
+    # numpy integer residues are taken by the constructor (the reduction of
+    # other integers is read_instance3d's, see test_harness.py)
+    inst3 = PlaneInstance3D(np.int64(5), [(1, 4, 1)], [(np.int64(2), 0, 0, 2)])
+    assert (inst3.p, inst3.points, inst3.planes, count_point_plane(inst3)) == (5, ((1, 4, 1),), ((1, 0, 0, 1),), 1)
+    assert type(inst3.p) is int and type(inst3.planes[0][0]) is int
 
 
 def test_plane_instance_constructor_checks_what_build_checks():
@@ -773,10 +776,10 @@ def test_plane_instance_constructor_checks_what_build_checks():
 
 def test_plane_instance_constructor_keeps_its_instance_canonical():
     # a repeated point and two multiples of one plane counted as r = s = 2
-    # and 4 incidences; build gave r = s = 1 and 1 incidence
+    # and 4 incidences; they are one point and one plane
     inst3 = PlaneInstance3D(5, ((0, 0, 0), (0, 0, 0)), ((1, 0, 0, 0), (2, 0, 0, 0)))
     assert (inst3.r, inst3.s, count_point_plane(inst3)) == (1, 1, 1)
-    assert inst3 == PlaneInstance3D.build(5, [(0, 0, 0), (5, 0, 0)], [(1, 0, 0, 0), (2, 0, 0, 0)])
+    assert inst3 == PlaneInstance3D(5, [(0, 0, 0)], [(3, 0, 0, 0)])
     # the points and the planes are sorted, and each plane scaled once
     inst3 = PlaneInstance3D(5, ((2, 0, 1), (0, 3, 0)), ((0, 2, 4, 1), (3, 0, 0, 3)))
     assert inst3.points == ((0, 3, 0), (2, 0, 1))
@@ -785,9 +788,61 @@ def test_plane_instance_constructor_keeps_its_instance_canonical():
     with pytest.raises(InvalidParameterError):
         PlaneInstance3D(5, ((0, 0, 0),), ((1, 0, 0),))
     with pytest.raises(InvalidParameterError):
-        PlaneInstance3D.build(5, [(1, 2)], [(1, 0, 0, 0)])
+        PlaneInstance3D(5, [(1, 2)], [(1, 0, 0, 0)])
     with pytest.raises(InvalidParameterError):
         max_collinear_3d([(1, 2)], 5)
+
+
+
+def canonical_plane(a, b, c, d, p):
+    """Oracle: scale the plane a*x + b*y + c*z = d by the scalar inverse of
+    the first nonzero of (a, b, c), so that it reads 1."""
+    lead = next(v for v in (a, b, c) if v % p)
+    inv = pow(lead, -1, p)
+    return (a * inv % p, b * inv % p, c * inv % p, d * inv % p)
+
+
+@st.composite
+def plane_rows(draw):
+    """A prime and plane rows of residues with nonzero normals: rows with
+    a = 0 and with a = b = 0 among them, and multiples of drawn planes."""
+    p = draw(st.sampled_from((3, 5, 1009, 2**31 - 1)))
+    residue, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    normal = st.one_of(st.tuples(unit, residue, residue), st.tuples(st.just(0), unit, residue),
+                       st.tuples(st.just(0), st.just(0), unit))
+    rows = draw(st.lists(st.builds(lambda n, d: (*n, d), normal, residue), min_size=1, max_size=12))
+    multiples = draw(st.lists(st.tuples(st.sampled_from(rows), unit), max_size=12))
+    return p, rows + [tuple(v * k % p for v in row) for row, k in multiples]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(plane_rows())
+def test_constructor_scales_each_plane_as_the_scalar_inverse_does(case):
+    p, rows = case
+    inst3 = PlaneInstance3D(p, [(0, 0, 0)], rows)
+    assert inst3.planes == tuple(sorted({canonical_plane(*row, p) for row in rows}))
+    assert all(type(v) is int for plane in inst3.planes for v in plane)
+
+
+def test_point_plane_side_makes_no_scalar_inverse(monkeypatch):
+    # the constructor scaled each plane with its own field.inv_mod call
+    import sys
+
+    import incidencelab.field as field
+    calls = []
+    scalar = field.inv_mod
+
+    def counted(a, p):
+        calls.append((a, p))
+        return scalar(a, p)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("incidencelab") and vars(module).get("inv_mod") is scalar:
+            monkeypatch.setattr(module, "inv_mod", counted)
+    inst = elekes_construction(3, 2, 101)
+    red = energy_reduction([1, 2, 3], inst)
+    assert (red.k, count_point_plane(red)) == (6, line_energy([1, 2, 3], inst).value)
+    assert calls == []
 
 
 JOIN_PRIMES = (3, 1009, 1048573, 2**31 - 1)
